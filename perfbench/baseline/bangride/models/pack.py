@@ -1,0 +1,219 @@
+"""Series pack of ECM cells with nearest-neighbour thermal coupling.
+
+Each of the N cells follows the single-cell ECM dynamics; the temperature
+deviation of cell i additionally gains
+
+    dt*k1*(Td_{i-1} - Td_i) + dt*k2*(Td_{i+1} - Td_i)
+
+with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1). RC-link
+parameters (R1, C1, R2, C2) vary between cells by seeded uniform factors;
+Ro, Q, a, b are shared.
+
+Output layout (1-based constraint indices):
+
+    1                 current u
+    2     .. N+1      per-cell voltage readout K.x_i + u
+    N+2   .. 2N+1     per-cell one-step-ahead temperature deviation, coupling included
+    2N+2  ..          temperature-deviation differences between cells:
+                      all ordered pairs (j, k), j != k, lexicographic, in
+                      "all-pairs" mode (N*(N-1) outputs); the single
+                      max-minus-min spread in "max-minus-min" mode.
+
+The argmin over all pairwise-difference errors is attained by the (hottest,
+coldest) pair, so "max-minus-min" keeps the selector semantics of "all-pairs"
+at O(N) cost; all-pairs is retained for small-N equivalence checks.
+
+State: ndarray of shape (N, 4) with per-cell rows [v1, v2, soc, temp_dev].
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..errors import ConfigurationError
+from ..controller import ConstraintSpec
+from ..plant import PlantModel
+from .ecm import EcmParams
+
+PAIR_MODES = ("all-pairs", "max-minus-min")
+VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
+
+
+@dataclass
+class PackParams:
+    base: EcmParams
+    n_cells: int = 100
+    k_left: float = 0.0        # k1: coupling to cell i-1 [1/s]
+    k_right: float = 0.0       # k2: coupling to cell i+1 [1/s]
+    dt_pair_max: float = 5.0   # max allowed temperature difference [K]
+    pairwise_mode: str = "max-minus-min"
+    cell_variation: float = 0.0    # uniform +/- fraction on RC-link params
+    variation_seed: int = 0
+
+    def __post_init__(self):
+        if self.n_cells < 2:
+            raise ConfigurationError("a pack needs at least 2 cells")
+        if self.k_left < 0.0 or self.k_right < 0.0:
+            raise ConfigurationError("coupling coefficients must be >= 0")
+        if self.pairwise_mode not in PAIR_MODES:
+            raise ConfigurationError(
+                f"pairwise_mode must be one of {PAIR_MODES}, got {self.pairwise_mode!r}")
+        if not 0.0 <= self.cell_variation < 1.0:
+            raise ConfigurationError("cell_variation must lie in [0, 1)")
+
+
+class PackPlant(PlantModel):
+    state_dim = 4  # per cell
+
+    def __init__(self, params: PackParams):
+        self.params = params
+        base = params.base
+        n = params.n_cells
+        rng = np.random.Generator(np.random.Philox(
+            seed=np.random.SeedSequence(params.variation_seed)))
+        factors = rng.uniform(1.0 - params.cell_variation,
+                              1.0 + params.cell_variation,
+                              size=(n, len(VARIED_FIELDS)))
+        self.r_1 = base.r_1 * factors[:, 0]
+        self.c_1 = base.c_1 * factors[:, 1]
+        self.r_2 = base.r_2 * factors[:, 2]
+        self.c_2 = base.c_2 * factors[:, 3]
+        dt = base.dt
+        self._k1 = 1.0 - dt / (self.r_1 * self.c_1)
+        self._k2 = 1.0 - dt / (self.r_2 * self.c_2)
+        if np.any(self._k1 <= 0.0) or np.any(self._k2 <= 0.0):
+            raise ConfigurationError("cell variation breaks RC discretization stability")
+        self._b1 = dt / self.c_1
+        self._b2 = dt / self.c_2
+        self._ks = dt / base.q
+        self._kt = 1.0 - base.a * dt
+        self._bt = base.b * dt
+        self._cl = params.k_left * dt
+        self._cr = params.k_right * dt
+        if self._kt <= 0.0:
+            raise ConfigurationError("unstable thermal discretization")
+        self.output_count = 1 + 2 * n + self.pair_count
+        if params.pairwise_mode == "all-pairs":
+            # ordered pairs (j, k), j != k, 0-based, lexicographic
+            self._pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
+
+    @property
+    def n_cells(self) -> int:
+        return self.params.n_cells
+
+    @property
+    def pair_count(self) -> int:
+        n = self.params.n_cells
+        return n * (n - 1) if self.params.pairwise_mode == "all-pairs" else 1
+
+    def initial_state(self, soc0: float = 0.0) -> np.ndarray:
+        x = np.zeros((self.n_cells, 4))
+        x[:, 2] = soc0
+        return x
+
+    def step(self, state, u: float):
+        p = self.params.base
+        v1, v2, soc, td = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
+        heat = self._bt * u * (p.r_o * u + v1 + v2)
+        coupling = (self._cl * (np.roll(td, 1) - td)
+                    + self._cr * (np.roll(td, -1) - td))
+        out = np.empty_like(state)
+        out[:, 0] = self._k1 * v1 + self._b1 * u
+        out[:, 1] = self._k2 * v2 + self._b2 * u
+        out[:, 2] = soc + self._ks * u
+        out[:, 3] = self._kt * td + heat + coupling
+        return out
+
+    def _temp_outputs(self, state, u: float) -> np.ndarray:
+        """Per-cell one-step-ahead temperature deviation, coupling included."""
+        p = self.params.base
+        v1, v2, td = state[:, 0], state[:, 1], state[:, 3]
+        coupling = (self._cl * (np.roll(td, 1) - td)
+                    + self._cr * (np.roll(td, -1) - td))
+        return (self._kt * td + self._bt * (v1 + v2) * u
+                + self._bt * p.r_o * u * u + coupling)
+
+    def outputs(self, state, u: float) -> np.ndarray:
+        slope = self.params.base.ocv_slope
+        v_outs = state[:, 0] + state[:, 1] + slope * state[:, 2] + u
+        t_outs = self._temp_outputs(state, u)
+        if self.params.pairwise_mode == "all-pairs":
+            diff = t_outs[:, None] - t_outs[None, :]
+            pair_outs = diff[~np.eye(self.n_cells, dtype=bool)]
+        else:
+            pair_outs = np.array([t_outs.max() - t_outs.min()])
+        return np.concatenate([[u], v_outs, t_outs, pair_outs])
+
+    def output(self, state, u: float, index: int) -> float:
+        n = self.n_cells
+        if index == 0:
+            return u
+        if index <= n:
+            cell = index - 1
+            return float(state[cell, 0] + state[cell, 1]
+                         + self.params.base.ocv_slope * state[cell, 2]) + u
+        if index <= 2 * n:
+            cell = index - 1 - n
+            return self._cell_temp_output(state, u, cell)
+        t_outs = self._temp_outputs(state, u)
+        if self.params.pairwise_mode == "all-pairs":
+            j, k = self._pairs[index - 1 - 2 * n]
+            return float(t_outs[j] - t_outs[k])
+        return float(t_outs.max() - t_outs.min())
+
+    def _cell_temp_output(self, state, u: float, cell: int) -> float:
+        p = self.params.base
+        n = self.n_cells
+        v1, v2, td = (float(state[cell, 0]), float(state[cell, 1]),
+                      float(state[cell, 3]))
+        td_prev = float(state[(cell - 1) % n, 3])
+        td_next = float(state[(cell + 1) % n, 3])
+        return (self._kt * td + self._bt * (v1 + v2) * u
+                + self._bt * p.r_o * u * u
+                + self._cl * (td_prev - td) + self._cr * (td_next - td))
+
+    def constraint_label(self, i_star: int) -> tuple:
+        """Mode-independent identity of a constraint: the pairwise family is
+        collapsed to a single label so active sequences compare across modes."""
+        n = self.n_cells
+        if i_star == 1:
+            return ("current",)
+        if i_star <= n + 1:
+            return ("voltage", i_star - 2)
+        if i_star <= 2 * n + 1:
+            return ("temp", i_star - 2 - n)
+        return ("pair",)
+
+    def pack_voltage(self, state, u: float) -> float:
+        """Series terminal voltage: sum of per-cell OCV + Ro*u + v1 + v2."""
+        p = self.params.base
+        v_cells = (p.ocv0 + p.ocv_slope * state[:, 2]
+                   + p.r_o * u + state[:, 0] + state[:, 1])
+        return float(np.sum(v_cells))
+
+    def telemetry(self, state, u: float) -> dict[str, float]:
+        td = state[:, 3]
+        return {
+            "v_pack": self.pack_voltage(state, u),
+            "t_max": float(td.max()) + self.params.base.t_ambient,
+            "t_min": float(td.min()) + self.params.base.t_ambient,
+            "dt_max": float(td.max() - td.min()),
+            "soc_mean": float(state[:, 2].mean()),
+        }
+
+    def build_constraints(self, u_max: float, v_cell_max: float,
+                          temp_dev_max: float,
+                          gamma_current: float = 1.0,
+                          gamma_voltage: float = 1.0,
+                          gamma_temp: float = 500.0,
+                          gamma_pair: float = 500.0) -> ConstraintSpec:
+        """Bound/weight families for this pack's output layout."""
+        n, d = self.n_cells, self.pair_count
+        y_bar = np.concatenate([[u_max], np.full(n, v_cell_max),
+                                np.full(n, temp_dev_max),
+                                np.full(d, self.params.dt_pair_max)])
+        gamma = np.concatenate([[gamma_current], np.full(n, gamma_voltage),
+                                np.full(n, gamma_temp), np.full(d, gamma_pair)])
+        return ConstraintSpec(y_bar=y_bar, gamma=gamma)

@@ -1,0 +1,44 @@
+"""Scalar linear test plant.
+
+x' = a*x + b*u with outputs (u,) or (u, c*x + d*u). The two-output default
+(a = b = c = d = 1) is the integrator used in the unit and regret studies.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..errors import ConfigurationError
+from ..plant import PlantModel
+
+
+class ToyLinearPlant(PlantModel):
+    state_dim = 1
+
+    def __init__(self, a: float = 1.0, b: float = 1.0,
+                 c: float = 1.0, d: float = 1.0, p: int = 2):
+        if p not in (1, 2):
+            raise ConfigurationError("toy plant supports p in {1, 2}")
+        if b <= 0 or (p == 2 and d <= 0):
+            raise ConfigurationError("b and d must be > 0 (monotone in u)")
+        self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
+        self.output_count = p
+
+    def initial_state(self, x0: float = 0.0) -> np.ndarray:
+        return np.array([float(x0)])
+
+    def step(self, state, u: float):
+        return np.array([self.a * float(state[0]) + self.b * u])
+
+    def outputs(self, state, u: float) -> np.ndarray:
+        if self.output_count == 1:
+            return np.array([u])
+        return np.array([u, self.c * float(state[0]) + self.d * u])
+
+    def output(self, state, u: float, index: int) -> float:
+        if index == 0:
+            return u
+        return self.c * float(state[0]) + self.d * u
+
+    def telemetry(self, state, u: float) -> dict[str, float]:
+        return {"x": float(state[0])}

@@ -1,0 +1,190 @@
+"""Model-based ideal bang-ride protocol.
+
+For a known model and full state, the riding current of constraint i solves
+h_i(x, u) = y_bar_i; monotonicity in u makes the solution unique, so plain
+bisection on u >= 0 (charging only) is exact to tolerance and needs no
+derivatives. A constraint with no solution inside the bracket contributes
++inf, and the ideal input is the minimum over all feedback values, which is
+always finite because constraint 1 pins u_max.
+
+Stateless given (model, x); runs over distinct scenarios may execute in
+parallel, successive time steps may not (the state evolves).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .controller import ConstraintSpec, constraint_errors
+from .errors import ConfigurationError, RootFindingError
+from .plant import PlantModel, StepRecord, Trajectory, _check_finite, _stack_telemetry
+
+DEFAULT_GUARD = 1e9
+
+
+@dataclass
+class RootConfig:
+    """Bracket and tolerances for the riding-current solves."""
+
+    u_hi: float            # bracket upper bound [A]; at least u_max
+    tol_u: float = 1e-9    # absolute tolerance on the current [A]
+    tol_y: float = 1e-6    # absolute residual tolerance in output units
+    max_iter: int = 200
+
+    def __post_init__(self):
+        if self.tol_u <= 0.0 or self.tol_y <= 0.0:
+            raise ConfigurationError("tolerances must be > 0")
+        if self.u_hi <= 0.0:
+            raise ConfigurationError("u_hi must be > 0")
+        if self.max_iter < 1:
+            raise ConfigurationError("max_iter must be >= 1")
+
+    @classmethod
+    def for_bound(cls, u_max: float, **kwargs) -> "RootConfig":
+        return cls(u_hi=2.0 * u_max, **kwargs)
+
+
+@dataclass
+class FeedbackValue:
+    """Riding current for one constraint: a finite root, or +inf when the
+    constraint cannot be reached inside the bracket.
+
+    When ``below_bracket`` is set the constraint is already violated at zero
+    current and the value is pinned to 0; otherwise a finite value satisfies
+    |h_i(x, value) - y_bar_i| <= tol_y.
+    """
+
+    value: float
+    residual: float
+    below_bracket: bool = False
+    iterations: int = 0
+
+    @property
+    def is_finite(self) -> bool:
+        return math.isfinite(self.value)
+
+
+def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
+                     cfg: RootConfig, trace: list | None = None) -> FeedbackValue:
+    """Riding current of 1-based constraint i at state x, by bisection on
+    [0, cfg.u_hi].
+
+    Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and a
+    flagged 0 when h_i(x, 0) > y_bar_i (violated already at zero current).
+    ``trace``, when given, collects the (lo, hi) bracket after every
+    iteration.
+    """
+    idx = i - 1
+    hi = cfg.u_hi
+    f_hi = model.output(x, hi, idx)
+    if not math.isfinite(f_hi):
+        raise RootFindingError(f"constraint {i}: non-finite output at bracket top",
+                               0.0, hi, 0)
+    if f_hi < y_bar_i:
+        return FeedbackValue(value=math.inf, residual=y_bar_i - f_hi)
+    lo = 0.0
+    f_lo = model.output(x, lo, idx)
+    if f_lo > y_bar_i:
+        return FeedbackValue(value=0.0, residual=f_lo - y_bar_i, below_bracket=True)
+
+    # halve until the bracket meets tol_u and the residual meets tol_y (the
+    # FeedbackValue contract); monotonicity keeps the root bracketed throughout
+    for k in range(1, cfg.max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        res = model.output(x, mid, idx) - y_bar_i
+        if res > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if trace is not None:
+            trace.append((lo, hi))
+        if (hi - lo) <= cfg.tol_u and abs(res) <= cfg.tol_y:
+            return FeedbackValue(value=mid, residual=res, iterations=k)
+    raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
+                           cfg.max_iter)
+
+
+@dataclass
+class SelectorResult:
+    """Ideal input at one state: the minimum feedback value and its constraint."""
+
+    u: float
+    i_star: int            # 1-based constraint that attained the minimum
+    residual: float        # h_{i_star}(x, u) - y_bar_{i_star}
+    below_bracket: bool = False
+
+
+def selector(model: PlantModel, x, spec: ConstraintSpec,
+             cfg: RootConfig) -> SelectorResult:
+    """Minimum over the per-constraint riding currents (ties: lowest index).
+
+    Exploits monotonicity to skip constraints that are already satisfied at
+    the current best candidate: their riding currents can only be larger, so
+    they cannot attain the minimum. Constraint 1 contributes u_max exactly.
+    """
+    if model.output_count != spec.p:
+        raise ConfigurationError(
+            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
+    if cfg.u_hi < spec.u_max:
+        raise ConfigurationError("RootConfig.u_hi must cover u_max")
+
+    u_star = spec.u_max
+    i_star = 1
+    residual = model.output(x, u_star, 0) - u_star  # identity output: 0
+    below = False
+    y_at_candidate = np.asarray(model.outputs(x, u_star), dtype=float)
+    for i in range(2, spec.p + 1):
+        if y_at_candidate[i - 1] <= float(spec.y_bar[i - 1]):
+            continue  # riding current above the original candidate
+        if u_star < spec.u_max:
+            # candidate moved; re-check against the tighter current best
+            if model.output(x, u_star, i - 1) <= float(spec.y_bar[i - 1]):
+                continue
+        sub_cfg = RootConfig(u_hi=u_star, tol_u=cfg.tol_u, tol_y=cfg.tol_y,
+                             max_iter=cfg.max_iter)
+        fv = solve_constraint(model, x, i, float(spec.y_bar[i - 1]), sub_cfg)
+        if fv.value < u_star:
+            u_star, i_star, residual, below = fv.value, i, fv.residual, fv.below_bracket
+            if u_star == 0.0:
+                break
+    return SelectorResult(u=u_star, i_star=i_star, residual=residual,
+                          below_bracket=below)
+
+
+def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
+                      cfg: RootConfig, *, model_name: str = "",
+                      seed: int | None = None, config_hash: str | None = None,
+                      guard: float = DEFAULT_GUARD) -> Trajectory:
+    """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
+
+    Records which constraint attained the minimum at every step; the
+    gain/step-size fields are absent (model-based law, nothing learned).
+    """
+    if t_f < 0:
+        raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
+    records: list[StepRecord] = []
+    states = [x0]
+    telemetry_rows: list[dict[str, float]] = []
+    x = x0
+    for t in range(t_f + 1):
+        res = selector(model, x, spec, cfg)
+        u = res.u
+        _check_finite(u, "input current", t, guard)
+        y = model.outputs(x, u)
+        _check_finite(y, "outputs", t, guard)
+        telemetry_rows.append(model.telemetry(x, u))
+        x_next = model.step(x, u)
+        _check_finite(np.asarray(x_next, dtype=float), "state", t, guard)
+        e = constraint_errors(spec, y)
+        e_active = float(e[res.i_star - 1])
+        records.append(StepRecord(t=t, u=float(u), y=y, e=e, i_star=res.i_star,
+                                  theta=None, alpha=None, J=e_active ** 2))
+        states.append(x_next)
+        x = x_next
+    return Trajectory(records=records, model_name=model_name, seed=seed,
+                      config_hash=config_hash, states=states,
+                      telemetry=_stack_telemetry(telemetry_rows),
+                      extras={"kind": "oracle"})
