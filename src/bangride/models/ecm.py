@@ -20,6 +20,7 @@ the bound), C = [1, 1, 0, 0] extracts the dynamic-voltage part that heats.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -144,6 +145,26 @@ class EcmPlant(PlantModel):
         return (self._kt * float(state[3])
                 + self._bt * (v1 + v2) * u
                 + self._bt * self.params.r_o * u * u)
+
+    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
+        """Current bound, affine voltage root, and the root where the
+        temperature quadratic a*u**2 + b*u + c crosses the bound upward, in
+        the cancellation-free form -2c / (b + sqrt(b**2 - 4ac)): -inf where
+        the bound is exceeded at every u, NaN (bisection) where b < 0 or the
+        form is 0/0. Scalar arithmetic: for one cell numpy's per-call
+        overhead would exceed the work."""
+        v1, v2, soc, td = (float(v) for v in state)
+        b = self._bt * (v1 + v2)
+        c = self._kt * td - float(y_bar[2])
+        disc = b * b - 4.0 * self._bt * self.params.r_o * c
+        if disc < 0.0:
+            u_temp = -math.inf
+        elif b < 0.0 or b + math.sqrt(disc) == 0.0:
+            u_temp = math.nan
+        else:
+            u_temp = -2.0 * c / (b + math.sqrt(disc))
+        return np.array([y_bar[0], y_bar[1] - (v1 + v2 + self.params.ocv_slope * soc),
+                         u_temp])
 
     def telemetry(self, state, u: float) -> dict[str, float]:
         v1, v2, soc, td = (float(v) for v in state)

@@ -21,7 +21,9 @@ Output layout (1-based constraint indices):
 
 The argmin over all pairwise-difference errors is attained by the (hottest,
 coldest) pair, so "max-minus-min" keeps the selector semantics of "all-pairs"
-at O(N) cost; all-pairs is retained for small-N equivalence checks.
+at O(N) cost; all-pairs is retained for small-N equivalence checks, and its
+pair constraints have no closed-form riding current, so the oracle bisects
+them independently of the spread's closed form.
 
 State: ndarray of shape (N, 4) with per-cell rows [v1, v2, soc, temp_dev].
 """
@@ -95,6 +97,9 @@ class PackPlant(PlantModel):
         if self._kt <= 0.0:
             raise ConfigurationError("unstable thermal discretization")
         self.output_count = 1 + 2 * n + self.pair_count
+        cells = np.arange(n)
+        self._prev = np.roll(cells, 1)    # ring neighbours i-1 and i+1
+        self._next = np.roll(cells, -1)
         if params.pairwise_mode == "all-pairs":
             # ordered pairs (j, k), j != k, 0-based, lexicographic
             self._pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
@@ -117,8 +122,7 @@ class PackPlant(PlantModel):
         p = self.params.base
         v1, v2, soc, td = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
         heat = self._bt * u * (p.r_o * u + v1 + v2)
-        coupling = (self._cl * (np.roll(td, 1) - td)
-                    + self._cr * (np.roll(td, -1) - td))
+        coupling = self._coupling(td)
         out = np.empty_like(state)
         out[:, 0] = self._k1 * v1 + self._b1 * u
         out[:, 1] = self._k2 * v2 + self._b2 * u
@@ -126,14 +130,16 @@ class PackPlant(PlantModel):
         out[:, 3] = self._kt * td + heat + coupling
         return out
 
+    def _coupling(self, td: np.ndarray) -> np.ndarray:
+        return (self._cl * (td[self._prev] - td)
+                + self._cr * (td[self._next] - td))
+
     def _temp_outputs(self, state, u: float) -> np.ndarray:
         """Per-cell one-step-ahead temperature deviation, coupling included."""
         p = self.params.base
         v1, v2, td = state[:, 0], state[:, 1], state[:, 3]
-        coupling = (self._cl * (np.roll(td, 1) - td)
-                    + self._cr * (np.roll(td, -1) - td))
         return (self._kt * td + self._bt * (v1 + v2) * u
-                + self._bt * p.r_o * u * u + coupling)
+                + self._bt * p.r_o * u * u + self._coupling(td))
 
     def outputs(self, state, u: float) -> np.ndarray:
         slope = self.params.base.ocv_slope
@@ -173,6 +179,28 @@ class PackPlant(PlantModel):
         return (self._kt * td + self._bt * (v1 + v2) * u
                 + self._bt * p.r_o * u * u
                 + self._cl * (td_prev - td) + self._cr * (td_next - td))
+
+    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
+        """Per-cell closed forms: affine voltage roots and the rising roots of
+        the temperature quadratics; the spread's root in max-minus-min mode,
+        NaN for every pair in all-pairs mode."""
+        p = self.params.base
+        n = self.n_cells
+        td = state[:, 3]
+        v_dyn = state[:, 0] + state[:, 1]
+        # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2
+        alpha = self._kt * td + self._coupling(td)
+        beta = self._bt * v_dyn
+        roots = np.empty(self.output_count)
+        roots[0] = y_bar[0]
+        roots[1:n + 1] = y_bar[1:n + 1] - (v_dyn + p.ocv_slope * state[:, 2])
+        roots[n + 1:2 * n + 1] = rising_roots(self._bt * p.r_o, beta,
+                                              alpha - y_bar[n + 1:2 * n + 1])
+        if self.params.pairwise_mode == "all-pairs":
+            roots[2 * n + 1:] = np.nan
+        else:
+            roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))
+        return roots
 
     def constraint_label(self, i_star: int) -> tuple:
         """Mode-independent identity of a constraint: the pairwise family is
@@ -217,3 +245,49 @@ class PackPlant(PlantModel):
         gamma = np.concatenate([[gamma_current], np.full(n, gamma_voltage),
                                 np.full(n, gamma_temp), np.full(d, gamma_pair)])
         return ConstraintSpec(y_bar=y_bar, gamma=gamma)
+
+
+def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:
+    """Riding current of the spread max_i L_i(u) - min_i L_i(u) of the lines
+    L_i(u) = alpha_i + beta_i*u; -inf when the spread exceeds ``bound`` at
+    u = 0, +inf when it never reaches it.
+
+    The spread is convex and piecewise affine in u. Any line pair bounds it
+    from below, so the root of the steepest pair's line lies at or above the
+    riding current. From there, Newton steps on the active (max, min) pair
+    move down monotonically and land each on the root of a new affine piece;
+    the spread has at most 2N - 2 breakpoints, so the iteration ends once the
+    active pair repeats, after at most 2N - 1 steps of O(N) each.
+    """
+    if alpha.max() - alpha.min() > bound:
+        return -np.inf
+    pair = (int(np.argmax(beta)), int(np.argmin(beta)))
+    slope = beta[pair[0]] - beta[pair[1]]
+    if slope <= 0.0:
+        return np.inf  # parallel lines: the spread stays at its value at u = 0
+    u = (bound - (alpha[pair[0]] - alpha[pair[1]])) / slope
+    for _ in range(2 * len(alpha)):
+        lines = alpha + beta * u
+        active = (int(np.argmax(lines)), int(np.argmin(lines)))
+        excess = lines[active[0]] - lines[active[1]] - bound
+        slope = beta[active[0]] - beta[active[1]]
+        if active == pair or excess <= 0.0 or slope <= 0.0:
+            break
+        pair = active
+        u -= excess / slope
+    return max(float(u), 0.0)  # the spread is within bound at 0; undo rounding
+
+
+def rising_roots(a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per element, the root of a*u**2 + b*u + c = 0 (a > 0) where the
+    quadratic crosses zero upward, in the cancellation-free form
+    -2c / (b + sqrt(b**2 - 4ac)).
+
+    -inf where there is no real root (the quadratic is positive everywhere);
+    NaN where b < 0, since the quadratic is then not increasing on u >= 0,
+    and where the form is 0/0 (b <= 0, c == 0).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        root = -2.0 * c / (b + np.sqrt(disc))
+    return np.where(disc < 0.0, -np.inf, np.where(b < 0.0, np.nan, root))

@@ -1,9 +1,11 @@
 """Model-based ideal bang-ride protocol.
 
 For a known model and full state, the riding current of constraint i solves
-h_i(x, u) = y_bar_i; monotonicity in u makes the solution unique, so plain
-bisection on u >= 0 (charging only) is exact to tolerance and needs no
-derivatives. A constraint with no solution inside the bracket contributes
+h_i(x, u) = y_bar_i; monotonicity in u makes the solution unique. A model
+that knows these roots in closed form returns them all at once from
+``PlantModel.riding_currents``; every other constraint is solved by plain
+bisection on u >= 0 (charging only), which is exact to tolerance and needs
+no derivatives. A constraint with no solution inside the bracket contributes
 +inf, and the ideal input is the minimum over all feedback values, which is
 always finite because constraint 1 pins u_max.
 
@@ -20,9 +22,8 @@ import numpy as np
 
 from .controller import ConstraintSpec, constraint_errors
 from .errors import ConfigurationError, RootFindingError
-from .plant import PlantModel, StepRecord, Trajectory, _check_finite, _stack_telemetry
-
-DEFAULT_GUARD = 1e9
+from .plant import (DEFAULT_GUARD, PlantModel, StepRecord, Trajectory, _check_finite,
+                    _stack_telemetry)
 
 
 @dataclass
@@ -121,9 +122,12 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
              cfg: RootConfig) -> SelectorResult:
     """Minimum over the per-constraint riding currents (ties: lowest index).
 
-    Exploits monotonicity to skip constraints that are already satisfied at
-    the current best candidate: their riding currents can only be larger, so
-    they cannot attain the minimum. Constraint 1 contributes u_max exactly.
+    Constraint 1 contributes u_max exactly. Riding currents come from
+    ``model.riding_currents`` where the model provides them: a root at or
+    above u_max cannot attain the minimum, and a negative root is pinned to
+    0 with ``below_bracket`` set. The remaining constraints are bisected in
+    index order, skipping those already satisfied at the current best
+    candidate: by monotonicity their riding currents can only be larger.
     """
     if model.output_count != spec.p:
         raise ConfigurationError(
@@ -133,23 +137,46 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
 
     u_star = spec.u_max
     i_star = 1
-    residual = model.output(x, u_star, 0) - u_star  # identity output: 0
     below = False
-    y_at_candidate = np.asarray(model.outputs(x, u_star), dtype=float)
-    for i in range(2, spec.p + 1):
-        if y_at_candidate[i - 1] <= float(spec.y_bar[i - 1]):
-            continue  # riding current above the original candidate
-        if u_star < spec.u_max:
+    roots = model.riding_currents(x, spec.y_bar)
+    if roots is None:
+        pending = range(2, spec.p + 1)
+    else:
+        values = np.maximum(roots, 0.0)
+        values[0] = u_star
+        k = int(values.argmin())
+        pending = []
+        if math.isnan(values[k]):  # argmin stops at the first NaN
+            nan = np.isnan(values)
+            pending = (np.flatnonzero(nan) + 1).tolist()
+            values[nan] = np.inf
+            k = int(values.argmin())
+        if values[k] < u_star:
+            u_star, i_star, below = float(values[k]), k + 1, bool(roots[k] < 0.0)
+    residual = model.output(x, u_star, i_star - 1) - float(spec.y_bar[i_star - 1])
+    if pending:
+        u_checked = u_star
+        y_at_candidate = np.asarray(model.outputs(x, u_star), dtype=float)
+    for i in pending:
+        if u_star == 0.0 and i > i_star:
+            break
+        y_bar_i = float(spec.y_bar[i - 1])
+        if y_at_candidate[i - 1] <= y_bar_i:
+            continue  # riding current at or above the checked candidate
+        if u_star < u_checked:
             # candidate moved; re-check against the tighter current best
-            if model.output(x, u_star, i - 1) <= float(spec.y_bar[i - 1]):
+            if model.output(x, u_star, i - 1) <= y_bar_i:
                 continue
-        sub_cfg = RootConfig(u_hi=u_star, tol_u=cfg.tol_u, tol_y=cfg.tol_y,
-                             max_iter=cfg.max_iter)
-        fv = solve_constraint(model, x, i, float(spec.y_bar[i - 1]), sub_cfg)
-        if fv.value < u_star:
+        if u_star == 0.0:
+            # violated at zero like a closed-form candidate of higher index
+            fv = FeedbackValue(value=0.0, residual=y_at_candidate[i - 1] - y_bar_i,
+                               below_bracket=True)
+        else:
+            sub_cfg = RootConfig(u_hi=u_star, tol_u=cfg.tol_u, tol_y=cfg.tol_y,
+                                 max_iter=cfg.max_iter)
+            fv = solve_constraint(model, x, i, y_bar_i, sub_cfg)
+        if fv.value < u_star or (fv.value == u_star and i < i_star):
             u_star, i_star, residual, below = fv.value, i, fv.residual, fv.below_bracket
-            if u_star == 0.0:
-                break
     return SelectorResult(u=u_star, i_star=i_star, residual=residual,
                           below_bracket=below)
 

@@ -29,7 +29,8 @@ class PlantModel(abc.ABC):
     """Discrete-time plant with p monotone scalar outputs.
 
     Subclasses set ``state_dim`` and ``output_count`` and implement ``step``
-    and ``outputs``. ``output`` and ``telemetry`` have overridable defaults.
+    and ``outputs``. ``output``, ``telemetry`` and ``riding_currents`` have
+    overridable defaults.
     """
 
     state_dim: int
@@ -46,6 +47,18 @@ class PlantModel(abc.ABC):
     def output(self, state, u: float, index: int) -> float:
         """Single output by 0-based position; override for a scalar fast path."""
         return float(self.outputs(state, u)[index])
+
+    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray | None:
+        """Closed-form riding currents of all p constraints, or None.
+
+        Entry i is the u that solves h_i(x, u) = y_bar_i. It is negative when
+        the constraint is already violated at u = 0 (the root itself, or -inf
+        where the model does not locate one), +inf when the bound is never
+        reached for u >= 0, and NaN where the model has no closed form, so
+        that the oracle bisects that constraint instead. The default, None,
+        leaves every constraint to bisection.
+        """
+        return None
 
     def telemetry(self, state, u: float) -> dict[str, float]:
         """Reporting-only channels (SOC, temperatures, ...); not constrained."""
