@@ -14,11 +14,10 @@ from .controller import (ConstraintSpec, ControllerState, active_index,
 from .errors import (BangrideError, ConfigurationError, PotentialDomainError,
                      RootFindingError, SimulationDiverged)
 from .oracle import FeedbackValue, RootConfig, SelectorResult, oracle_trajectory, selector, solve_constraint
-from .plant import (MonotonicityReport, PlantModel, StepRecord, Trajectory,
-                    replay_open_loop, run_closed_loop, validate_monotonicity)
-from .models import (EcmParams, EcmPlant, EcmState, PackParams, PackPlant,
-                     SpmetParams, SpmetPlant, SpmetState, ToyLinearPlant,
-                     perturb_params)
+from .plant import (MonotonicityReport, PlantModel, Trajectory, replay_open_loop,
+                    run_closed_loop, simulate, validate_monotonicity)
+from .models import (EcmParams, EcmPlant, PackParams, PackPlant, SpmetParams,
+                     SpmetPlant, ToyLinearPlant, perturb_params)
 
 __all__ = [
     "__version__",
@@ -26,10 +25,10 @@ __all__ = [
     "RootFindingError", "SimulationDiverged",
     "ConstraintSpec", "ControllerState", "active_index", "constraint_errors",
     "project_box", "step_size",
-    "PlantModel", "StepRecord", "Trajectory", "MonotonicityReport",
+    "PlantModel", "Trajectory", "MonotonicityReport", "simulate",
     "run_closed_loop", "replay_open_loop", "validate_monotonicity",
     "RootConfig", "FeedbackValue", "SelectorResult", "solve_constraint",
     "selector", "oracle_trajectory",
-    "ToyLinearPlant", "EcmParams", "EcmState", "EcmPlant", "perturb_params",
-    "SpmetParams", "SpmetState", "SpmetPlant", "PackParams", "PackPlant",
+    "ToyLinearPlant", "EcmParams", "EcmPlant", "perturb_params",
+    "SpmetParams", "SpmetPlant", "PackParams", "PackPlant",
 ]

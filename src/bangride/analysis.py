@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,18 +133,16 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
 def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
                            spec: ConstraintSpec, theta_lo=None, theta_hi=None,
                            *, tol_u: float = 1e-9, tol_y: float = 1e-6) -> Trajectory:
-    """New trajectory with J_star filled for every record.
+    """New trajectory with J_star filled for every step.
 
     Reconstructs the history statistics exactly as the controller accumulated
     them and freezes the realized active index per step. The gain box
     defaults to the one the run itself used (stored in the extras). Stores
     the per-step minimizers and unreachable steps in the extras.
     """
-    if not trajectory.states:
-        raise ConfigurationError("trajectory lacks stored states")
-    if trajectory.records[0].theta is None:
+    if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "
-                                 "(oracle records have no gains)")
+                                 "(oracle runs have no gains)")
     if theta_lo is None or theta_hi is None:
         box = trajectory.extras.get("theta_box")
         if box is None:
@@ -157,20 +155,20 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     theta_stars: list[np.ndarray] = []
     unreachable: list[int] = []
     le, es = 0.0, 0.0
-    for rec in trajectory.records:
-        opt = per_step_optimal_cost(model, trajectory.states[rec.t], spec,
-                                    le, es, theta_lo, theta_hi, rec.i_star,
+    steps = zip(trajectory.i_star.tolist(), trajectory.e_active.tolist())
+    for t, (i_star, e_active) in enumerate(steps):
+        opt = per_step_optimal_cost(model, trajectory.states[t], spec,
+                                    le, es, theta_lo, theta_hi, i_star,
                                     tol_u=tol_u, tol_y=tol_y)
         j_stars.append(opt.j_star)
         theta_stars.append(opt.theta_star)
         if not opt.reachable:
-            unreachable.append(rec.t)
-        le = rec.e_active
-        es += rec.e_active
-    out = trajectory.with_j_star(j_stars)
-    out.extras["theta_star"] = np.array(theta_stars)
-    out.extras["unreachable_steps"] = unreachable
-    return out
+            unreachable.append(t)
+        le = e_active
+        es += e_active
+    return replace(trajectory, J_star=np.array(j_stars),
+                   extras={**trajectory.extras, "theta_star": np.array(theta_stars),
+                           "unreachable_steps": unreachable})
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +211,10 @@ def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
     ``min_tail`` points when available; a window with non-positive R_t is
     reported as converged regret instead of a slope.
     """
-    j = trajectory.j_seq()
-    j_star = trajectory.j_star_seq()
-    if np.any(np.isnan(j_star)):
+    j_star = trajectory.J_star
+    if j_star is None or np.any(np.isnan(j_star)):
         raise ConfigurationError("J_star missing; attach per-step optima first")
-    gaps = j - j_star
+    gaps = trajectory.J - j_star
     negative = [int(t) for t in np.nonzero(gaps < -gap_tol)[0]]
     cumulative = np.cumsum(gaps)
     n = len(gaps)
@@ -262,12 +259,11 @@ def ct_diagnostic(model: PlantModel, x, u: float, i_star: int, gamma_i: float,
 def ct_series(trajectory: Trajectory, model: PlantModel, spec: ConstraintSpec,
               delta: float = 1e-5) -> np.ndarray:
     """c_t along a trajectory, at the realized states/inputs/active indices."""
-    if not trajectory.states:
-        raise ConfigurationError("trajectory lacks stored states")
+    steps = zip(trajectory.u.tolist(), trajectory.i_star.tolist())
     return np.array([
-        ct_diagnostic(model, trajectory.states[r.t], r.u, r.i_star,
-                      float(spec.gamma[r.i_star - 1]), delta)
-        for r in trajectory.records
+        ct_diagnostic(model, trajectory.states[t], u, i_star,
+                      float(spec.gamma[i_star - 1]), delta)
+        for t, (u, i_star) in enumerate(steps)
     ])
 
 
@@ -304,24 +300,24 @@ def gradient_sign_check(trajectory: Trajectory, model: PlantModel,
     must agree with g_t = -e_active * (last_error, error_sum) whenever the
     derivative is distinguishable from zero. Also tracks min c_t.
     """
-    if not trajectory.states:
-        raise ConfigurationError("trajectory lacks stored states")
     checked = agreed = skipped = 0
     disagreements: list[tuple[int, int]] = []
     ct_min = math.inf
     le, es = 0.0, 0.0
-    for rec in trajectory.records:
-        x = trajectory.states[rec.t]
+    steps = zip(trajectory.u.tolist(), trajectory.i_star.tolist(),
+                trajectory.e_active.tolist())
+    for t, (u_t, i_star, e_active) in enumerate(steps):
+        x = trajectory.states[t]
         s = np.array([le, es])
-        theta = rec.theta
-        gamma_i = float(spec.gamma[rec.i_star - 1])
-        y_bar_i = float(spec.y_bar[rec.i_star - 1])
+        theta = trajectory.theta[t]
+        gamma_i = float(spec.gamma[i_star - 1])
+        y_bar_i = float(spec.y_bar[i_star - 1])
 
         def cost(th: np.ndarray) -> float:
             u = float(th @ s)
-            return (gamma_i * (y_bar_i - model.output(x, u, rec.i_star - 1))) ** 2
+            return (gamma_i * (y_bar_i - model.output(x, u, i_star - 1))) ** 2
 
-        g = -rec.e_active * s
+        g = -e_active * s
         for m in range(2):
             step_vec = np.zeros(2)
             step_vec[m] = delta
@@ -333,11 +329,11 @@ def gradient_sign_check(trajectory: Trajectory, model: PlantModel,
             if math.copysign(1.0, fd) == math.copysign(1.0, g[m]):
                 agreed += 1
             else:
-                disagreements.append((rec.t, m))
-        ct_min = min(ct_min, ct_diagnostic(model, x, rec.u, rec.i_star,
+                disagreements.append((t, m))
+        ct_min = min(ct_min, ct_diagnostic(model, x, u_t, i_star,
                                            gamma_i, ct_delta))
-        le = rec.e_active
-        es += rec.e_active
+        le = e_active
+        es += e_active
     return GradientSignCheck(checked=checked, agreed=agreed, skipped=skipped,
                              ct_min=ct_min, disagreements=disagreements)
 
@@ -376,19 +372,20 @@ class RobustnessResult:
     free_run: Trajectory | None
 
 
-def _soc_objective(states, t_f: int) -> float:
-    """Charging objective: accumulated SOC over steps 0..t_f (state column 2)."""
-    return float(sum(float(states[t][2]) for t in range(t_f + 1)))
+def _soc_objective(states: np.ndarray, t_f: int) -> float:
+    """Charging objective: accumulated SOC over steps 0..t_f (state column 2),
+    summed left to right."""
+    return float(sum(states[:t_f + 1, 2].tolist()))
 
 
 def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
                     spec: ConstraintSpec, x0, oracle_objective: float,
                     violation_tol: float, keep_series: bool) -> ModelOutcome:
-    ys, states = replay_open_loop(true_model, x0, u_seq)
-    over = ys - spec.y_bar[None, :]
+    run = replay_open_loop(true_model, spec, x0, u_seq)
+    over = run.y - spec.y_bar[None, :]
     depth = np.maximum(over, 0.0).max(axis=0)
     violated = over > violation_tol
-    achieved = _soc_objective(states, len(u_seq) - 1)
+    achieved = _soc_objective(run.states, run.t_f)
     return ModelOutcome(
         index=index,
         max_depth=depth,
@@ -396,7 +393,7 @@ def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
         any_violation=bool(violated.any()),
         suboptimality=oracle_objective - achieved,
         u_seq=u_seq if keep_series else None,
-        y_seq=ys if keep_series else None,
+        y_seq=run.y if keep_series else None,
     )
 
 
@@ -408,7 +405,7 @@ def _one_perturbed_protocol(args) -> tuple[int, np.ndarray | None]:
         traj = oracle_trajectory(model, spec, t_f, model.initial_state(soc0), cfg)
     except (SimulationDiverged, RootFindingError):
         return index, None
-    return index, traj.u_seq()
+    return index, traj.u
 
 
 def robustness_study(base: EcmParams, n_models: int, fraction: float,

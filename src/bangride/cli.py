@@ -24,7 +24,7 @@ from .csvio import (GOLDEN_COLUMNS, read_trajectory_csv, write_gap_csv,
 from .errors import BangrideError, ConfigurationError, SimulationDiverged
 from .oracle import oracle_trajectory
 from .plant import run_closed_loop, validate_monotonicity
-from .svg import emit_svg
+from .svg import emit_svg, plottable
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,11 +109,9 @@ def _maybe_attach_jstar(traj, built: BuiltScenario):
     return attach_per_step_optima(traj, built.model, built.spec)
 
 
-def _emit_plots(out: Path, entries, model: str) -> None:
-    quantities = ["current", "voltage", "temperature"]
-    if model != "pack":
-        quantities.append("soc")
-    for q in quantities:
+def _emit_plots(out: Path, entries) -> None:
+    """One chart per quantity the runs' telemetry carries."""
+    for q in plottable(entries[0][0]):
         emit_svg(entries, q, out / f"{q}.svg")
 
 
@@ -138,9 +136,9 @@ def cmd_simulate(args) -> int:
     if built.cfg.ct_diagnostics:
         ct = ct_series(traj, built.model, built.spec)
         print(f"c_t diagnostics: min={ct.min():.6g} "
-              f"sign_changes={ct_ratio_sign_changes(ct, np.array([r.alpha for r in traj.records]))}")
+              f"sign_changes={ct_ratio_sign_changes(ct, traj.alpha)}")
     if args.svg:
-        _emit_plots(out, [(traj, _free_style())], built.cfg.model)
+        _emit_plots(out, [(traj, _free_style())])
     print(f"simulate: {len(traj)} steps -> {out / 'trajectory.csv'}")
     return EXIT_OK
 
@@ -154,7 +152,7 @@ def cmd_oracle(args) -> int:
     write_trajectory_csv(traj, out / "oracle.csv",
                          pack_summary=built.cfg.model == "pack")
     if args.svg:
-        _emit_plots(out, [(traj, _oracle_style())], built.cfg.model)
+        _emit_plots(out, [(traj, _oracle_style())])
     print(f"oracle: {len(traj)} steps -> {out / 'oracle.csv'}")
     return EXIT_OK
 
@@ -175,22 +173,25 @@ def cmd_compare(args) -> int:
                          pack_summary=built.cfg.model == "pack")
     write_gap_csv(free, oracle, out / "gap.csv")
     w = slice(len(free) // 10, len(free))
-    denom = float(np.linalg.norm(oracle.u_seq()[w]))
-    rel = float(np.linalg.norm(free.u_seq()[w] - oracle.u_seq()[w])) / denom if denom else 0.0
+    denom = float(np.linalg.norm(oracle.u[w]))
+    rel = float(np.linalg.norm(free.u[w] - oracle.u[w])) / denom if denom else 0.0
     if args.svg:
-        _emit_plots(out, [(free, _free_style()), (oracle, _oracle_style())],
-                    built.cfg.model)
+        _emit_plots(out, [(free, _free_style()), (oracle, _oracle_style())])
     print(f"compare: relative L2 current distance (post-transient) = {rel:.4%}")
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
     built = _load(args)
-    out = _prepare_run_dir(built, "montecarlo")
     if built.cfg.model != "ecm":
         raise ConfigurationError("montecarlo runs on the ecm scenario")
+    if args.models < 1:
+        raise ConfigurationError(f"--models must be >= 1, got {args.models}")
+    if not 0.0 <= args.fraction < 1.0:
+        raise ConfigurationError(f"--fraction must lie in [0, 1), got {args.fraction}")
     from .config import load_ecm_params, params_path
     base = load_ecm_params(params_path(built.cfg, "params_ecm.cfg"))
+    out = _prepare_run_dir(built, "montecarlo")
     result = robustness_study(base, args.models, args.fraction, built.spec,
                               built.cfg.t_f, built.cfg.seed,
                               controller=built.new_controller(),
@@ -250,8 +251,7 @@ def cmd_regret(args) -> int:
             "gap_tail_mean": report.gap_tail_mean(),
             "mu2_hat": report.mu2_hat,
             "mu_star_ref": report.mu_star_ref,
-            "ct_sign_changes": ct_ratio_sign_changes(
-                ct, np.array([r.alpha for r in traj.records])),
+            "ct_sign_changes": ct_ratio_sign_changes(ct, traj.alpha),
         })
         slope = "converged" if report.converged else f"{report.tail_slope:.3f}"
         print(f"mu1={mu1:.2f}: R={report.total:.6g} tail_slope={slope} "

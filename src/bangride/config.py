@@ -274,15 +274,3 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,
                          root_cfg=RootConfig.for_bound(spec.u_max),
                          config_hash=scenario_hash(cfg))
-
-
-def load_and_build(name_or_path: str, **overrides) -> BuiltScenario:
-    cfg = load_scenario(name_or_path)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if not hasattr(cfg, key):
-            raise ConfigurationError(f"unknown scenario override {key!r}")
-        setattr(cfg, key, value)
-    cfg.__post_init__()  # re-validate after overrides
-    return build_scenario(cfg)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .plant import Trajectory
 
@@ -30,9 +32,29 @@ def trajectory_header(traj: Trajectory, pack_summary: bool) -> list[str]:
     if pack_summary:
         mid = ["V_pack", "T_max", "T_min", "dT_max"]
     else:
-        mid = [f"y_{i}" for i in range(1, len(traj.records[0].y) + 1)]
+        mid = [f"y_{i}" for i in range(1, traj.y.shape[1] + 1)]
     return ["t", "u"] + mid + ["e_active", "i_star", "theta_1", "theta_2",
                                "alpha", "J", "J_star"]
+
+
+def _trajectory_columns(traj: Trajectory, pack_summary: bool) -> list[list[str]]:
+    """Formatted cells of each CSV column, in header order."""
+    n = len(traj)
+
+    def cells(values) -> list[str]:
+        if values is None:
+            return [""] * n
+        return [_num(v) for v in values.tolist()]
+
+    if pack_summary:
+        mid = [traj.telemetry[key] for key in PACK_CHANNELS]
+    else:
+        mid = list(traj.y.T)
+    theta = (None, None) if traj.theta is None else traj.theta.T
+    return ([cells(np.arange(n)), cells(traj.u)] + [cells(m) for m in mid]
+            + [cells(traj.e_active), [str(i) for i in traj.i_star.tolist()],
+               cells(theta[0]), cells(theta[1]), cells(traj.alpha),
+               cells(traj.J), cells(traj.J_star)])
 
 
 def write_trajectory_csv(traj: Trajectory, path, *, pack_summary: bool = False,
@@ -48,17 +70,7 @@ def write_trajectory_csv(traj: Trajectory, path, *, pack_summary: bool = False,
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(trajectory_header(traj, pack_summary))
-            for rec in traj.records:
-                if pack_summary:
-                    mid = [_num(traj.telemetry[key][rec.t]) for key in PACK_CHANNELS]
-                else:
-                    mid = [_num(v) for v in rec.y]
-                row = ([_num(rec.t), _num(rec.u)] + mid +
-                       [_num(rec.e_active), str(rec.i_star),
-                        _num(None if rec.theta is None else rec.theta[0]),
-                        _num(None if rec.theta is None else rec.theta[1]),
-                        _num(rec.alpha), _num(rec.J), _num(rec.J_star)])
-                writer.writerow(row)
+            writer.writerows(zip(*_trajectory_columns(traj, pack_summary)))
     except OSError as exc:
         raise ConfigurationError(f"cannot write trajectory CSV {path}: {exc}") from exc
     return path
@@ -88,9 +100,9 @@ def write_gap_csv(free: Trajectory, oracle: Trajectory, path) -> Path:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "u_free", "u_oracle", "gap"])
-        for rf, ro in zip(free.records, oracle.records):
-            writer.writerow([_num(rf.t), _num(rf.u), _num(ro.u),
-                             _num(rf.u - ro.u)])
+        for t, (u_free, u_oracle) in enumerate(zip(free.u.tolist(), oracle.u.tolist())):
+            writer.writerow([_num(t), _num(u_free), _num(u_oracle),
+                             _num(u_free - u_oracle)])
     return path
 
 

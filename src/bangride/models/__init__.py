@@ -1,11 +1,11 @@
 from .toy import ToyLinearPlant
-from .ecm import EcmParams, EcmState, EcmPlant, perturb_params
-from .spmet import SpmetParams, SpmetState, SpmetPlant
+from .ecm import EcmParams, EcmPlant, perturb_params
+from .spmet import SpmetParams, SpmetPlant
 from .pack import PackParams, PackPlant
 
 __all__ = [
     "ToyLinearPlant",
-    "EcmParams", "EcmState", "EcmPlant", "perturb_params",
-    "SpmetParams", "SpmetState", "SpmetPlant",
+    "EcmParams", "EcmPlant", "perturb_params",
+    "SpmetParams", "SpmetPlant",
     "PackParams", "PackPlant",
 ]

@@ -13,7 +13,7 @@ temperature deviation
 
     h3 = Td*(1 - a*dt) + b*dt*(C.x)*u + b*dt*Ro*u**2
 
-The readout rows are derived, not stored: K = [1, 1, ocv_slope, 0] follows
+The readout rows follow from the parameters: K = [1, 1, ocv_slope, 0] is
 the terminal-voltage structure (OCV affine in SOC, intercept absorbed into
 the bound), C = [1, 1, 0, 0] extracts the dynamic-voltage part that heats.
 """
@@ -21,7 +21,6 @@ the bound), C = [1, 1, 0, 0] extracts the dynamic-voltage part that heats.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,45 +58,8 @@ class EcmParams:
         if not 0.0 < 1.0 - self.a * self.dt < 1.0:
             raise ConfigurationError("unstable discretization: a*dt outside (0,1)")
 
-    def voltage_row(self) -> np.ndarray:
-        """K: terminal-voltage structure v1 + v2 + ocv_slope*SOC.
-
-        The OCV intercept is constant and belongs in the voltage bound, not
-        the readout; the heat row deliberately omits the SOC term (heating
-        comes from the dynamic voltage only).
-        """
-        return np.array([1.0, 1.0, self.ocv_slope, 0.0])
-
-    def heat_row(self) -> np.ndarray:
-        """C: picks v1 + v2 for the heat-generation product."""
-        return np.array([1.0, 1.0, 0.0, 0.0])
-
     def v_ocv(self, soc: float) -> float:
         return self.ocv0 + self.ocv_slope * soc
-
-
-@dataclass
-class EcmState:
-    """Readable view of the packed state array [v1, v2, soc, temp_dev]."""
-
-    v_1: float
-    v_2: float
-    soc: float
-    temp_dev: float
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "EcmState":
-        return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v_1, self.v_2, self.soc, self.temp_dev])
-
-    @property
-    def soc_reported(self) -> float:
-        """SOC clamped to [0, 1.5] for reporting; warns above 1 (overcharge)."""
-        if self.soc > 1.0:
-            warnings.warn(f"SOC {self.soc:.4f} above 1: overcharge", stacklevel=2)
-        return min(max(self.soc, 0.0), 1.5)
 
 
 class EcmPlant(PlantModel):
@@ -182,8 +144,7 @@ def perturb_params(base: EcmParams, fraction: float, seed) -> EcmParams:
 
     Deterministic for a fixed seed; a (master_seed, draw_index) tuple keys an
     independent counter-based stream per draw, so ensembles are reproducible
-    regardless of evaluation order. The voltage/heat readout rows are
-    re-derived from the perturbed parameters.
+    regardless of evaluation order.
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigurationError(f"fraction must lie in [0, 1), got {fraction}")

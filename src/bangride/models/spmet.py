@@ -122,25 +122,6 @@ class SpmetParams:
         return self.film_res * u + self.phi_log_gain * math.log(ce_pos / ce_neg)
 
 
-@dataclass
-class SpmetState:
-    """Readable view of the packed state array."""
-
-    c_avg: float
-    c_surf: float
-    ce_neg: float
-    ce_pos: float
-    temperature: float
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "SpmetState":
-        return cls(*(float(v) for v in x))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c_avg, self.c_surf, self.ce_neg,
-                         self.ce_pos, self.temperature])
-
-
 class SpmetPlant(PlantModel):
     state_dim = 5
     output_count = 2

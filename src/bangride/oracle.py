@@ -16,19 +16,24 @@ parallel, successive time steps may not (the state evolves).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import ConstraintSpec, constraint_errors
+from .controller import ConstraintSpec
 from .errors import ConfigurationError, RootFindingError
-from .plant import (DEFAULT_GUARD, PlantModel, StepRecord, Trajectory, _check_finite,
-                    _stack_telemetry)
+from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
 
 @dataclass
 class RootConfig:
-    """Bracket and tolerances for the riding-current solves."""
+    """Bracket and tolerances for the riding-current solves.
+
+    ``tol_u`` bounds the width of the final bisection bracket, which closes
+    on the largest current whose *computed* output does not exceed the
+    bound. Where the output is flat within rounding around the root, that
+    current can sit above the exact root by more than ``tol_u``.
+    """
 
     u_hi: float            # bracket upper bound [A]; at least u_max
     tol_u: float = 1e-9    # absolute tolerance on the current [A]
@@ -75,6 +80,10 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
 
     Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and a
     flagged 0 when h_i(x, 0) > y_bar_i (violated already at zero current).
+    A residual of exactly 0 counts as below the bound, so the result lies
+    within ``cfg.tol_u`` of the largest current whose computed output does
+    not exceed y_bar_i. Where h_i is flat within rounding around the root,
+    that current can exceed the exact root by more than ``cfg.tol_u``.
     ``trace``, when given, collects the (lo, hi) bracket after every
     iteration.
     """
@@ -188,30 +197,16 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
 
     Records which constraint attained the minimum at every step; the
-    gain/step-size fields are absent (model-based law, nothing learned).
+    gain/step-size columns are absent (model-based law, nothing learned).
     """
-    if t_f < 0:
-        raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
-    records: list[StepRecord] = []
-    states = [x0]
-    telemetry_rows: list[dict[str, float]] = []
-    x = x0
-    for t in range(t_f + 1):
+    i_star = 1
+
+    def control(t: int, x) -> float:
+        nonlocal i_star
         res = selector(model, x, spec, cfg)
-        u = res.u
-        _check_finite(u, "input current", t, guard)
-        y = model.outputs(x, u)
-        _check_finite(y, "outputs", t, guard)
-        telemetry_rows.append(model.telemetry(x, u))
-        x_next = model.step(x, u)
-        _check_finite(np.asarray(x_next, dtype=float), "state", t, guard)
-        e = constraint_errors(spec, y)
-        e_active = float(e[res.i_star - 1])
-        records.append(StepRecord(t=t, u=float(u), y=y, e=e, i_star=res.i_star,
-                                  theta=None, alpha=None, J=e_active ** 2))
-        states.append(x_next)
-        x = x_next
-    return Trajectory(records=records, model_name=model_name, seed=seed,
-                      config_hash=config_hash, states=states,
-                      telemetry=_stack_telemetry(telemetry_rows),
-                      extras={"kind": "oracle"})
+        i_star = res.i_star
+        return res.u
+
+    traj = simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
+    return replace(traj, model_name=model_name, seed=seed, config_hash=config_hash,
+                   extras={"kind": "oracle"})

@@ -1,21 +1,24 @@
-"""Abstract plant contract and closed-loop simulation.
+"""Abstract plant contract and the one stepping loop.
 
 A plant is a discrete-time system ``x_{t+1} = f(x_t, u_t)`` with p scalar
 outputs ``y_i = h_i(x_t, u_t)`` that are strictly increasing in the input
-current u. Output 1 is the identity in u. States are opaque here: only the
-concrete models interpret them.
+current u. Output 1 is the identity in u. States are numeric arrays that
+only the concrete models interpret.
 
-A single closed-loop run is strictly sequential (feedback dependency);
-distinct runs share nothing mutable and may execute in parallel. Trajectories
-are treated as immutable once returned.
+``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
+callback) and fills the columns of a ``Trajectory``. The model-free
+controller (``run_closed_loop``), the oracle (``oracle.oracle_trajectory``)
+and open-loop replay (``replay_open_loop``) are its three policies. A single
+run is strictly sequential (feedback dependency); distinct runs share nothing
+mutable and may execute in parallel. Trajectories are treated as immutable
+once returned.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -65,116 +68,130 @@ class PlantModel(abc.ABC):
         return {}
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One closed-loop step.
-
-    ``i_star`` is the 1-based active index computed from this step's errors;
-    ``theta``/``alpha`` are the gains and step size at the step's start (None
-    for oracle runs); ``J = e[i_star]**2`` exactly; ``J_star`` is filled by
-    the analysis layer when enabled.
-    """
-
-    t: int
-    u: float
-    y: np.ndarray
-    e: np.ndarray
-    i_star: int
-    theta: np.ndarray | None
-    alpha: float | None
-    J: float
-    J_star: float | None = None
-
-    @property
-    def e_active(self) -> float:
-        return float(self.e[self.i_star - 1])
-
-
 @dataclass
 class Trajectory:
-    """Completed run: per-step records plus scenario metadata.
+    """Completed run as per-step columns plus scenario metadata.
 
-    ``states[t]`` is the plant state at the start of step t (``states[0]`` is
-    x0; one trailing post-horizon state is kept). ``telemetry`` maps channel
-    name to a per-step array. Immutable by convention after creation.
+    Column contract for a run of n = t_f + 1 steps over p outputs, row t
+    holding step t:
+
+    - ``u`` (n,): applied current;
+    - ``y``, ``e`` (n, p): outputs and weighted errors ``e = gamma*(y_bar - y)``;
+    - ``i_star`` (n,) int: 1-based active index, from this step's errors
+      (closed loop, replay) or the constraint the selector picked (oracle);
+    - ``J`` (n,): ``e_active**2`` exactly;
+    - ``states`` (n + 1, *x0.shape): the state at the start of step t, so
+      ``states[0]`` is x0 and ``states[n]`` the post-horizon state;
+    - ``telemetry``: channel name -> (n,) array;
+    - ``theta`` (n, 2), ``alpha`` (n,): the gains and step size at the
+      start of step t; None for oracle and replay runs;
+    - ``J_star`` (n,): per-step optimal costs; None until the analysis
+      layer attaches them.
+
+    Immutable by convention: derive changed copies with
+    ``dataclasses.replace``.
     """
 
-    records: list[StepRecord]
+    u: np.ndarray
+    y: np.ndarray
+    e: np.ndarray
+    i_star: np.ndarray
+    J: np.ndarray
+    states: np.ndarray
+    theta: np.ndarray | None = None
+    alpha: np.ndarray | None = None
+    J_star: np.ndarray | None = None
     model_name: str = ""
     seed: int | None = None
     config_hash: str | None = None
-    states: list = field(default_factory=list)
     telemetry: dict[str, np.ndarray] = field(default_factory=dict)
     extras: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.records:
-            raise ConfigurationError("a trajectory must hold at least one record")
-        for k, rec in enumerate(self.records):
-            if rec.t != k:
-                raise ConfigurationError("record step indices must be 0,1,2,...")
-
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.u)
 
     @property
     def t_f(self) -> int:
-        return self.records[-1].t
+        return len(self.u) - 1
 
     @property
     def x0(self):
-        return self.states[0] if self.states else None
+        return self.states[0]
 
-    def u_seq(self) -> np.ndarray:
-        return np.array([r.u for r in self.records])
-
-    def y_matrix(self) -> np.ndarray:
-        return np.array([r.y for r in self.records])
-
-    def e_matrix(self) -> np.ndarray:
-        return np.array([r.e for r in self.records])
-
-    def i_star_seq(self) -> np.ndarray:
-        return np.array([r.i_star for r in self.records], dtype=int)
-
-    def theta_matrix(self) -> np.ndarray:
-        return np.array([r.theta for r in self.records])
-
-    def j_seq(self) -> np.ndarray:
-        return np.array([r.J for r in self.records])
-
-    def j_star_seq(self) -> np.ndarray:
-        """Per-step optimal costs; NaN where absent."""
-        return np.array([math.nan if r.J_star is None else r.J_star
-                         for r in self.records])
-
-    def active_error_seq(self) -> np.ndarray:
-        return np.array([r.e_active for r in self.records])
+    @property
+    def e_active(self) -> np.ndarray:
+        """Per-step error of the active constraint."""
+        return self.e[np.arange(len(self.u)), self.i_star - 1]
 
     def phases(self) -> list[int]:
         """Active-index sequence with consecutive duplicates collapsed."""
-        out: list[int] = []
-        for i in self.i_star_seq():
-            if not out or out[-1] != int(i):
-                out.append(int(i))
-        return out
-
-    def with_j_star(self, j_star: Sequence[float]) -> "Trajectory":
-        """Copy of this trajectory with per-step optimal costs attached."""
-        if len(j_star) != len(self.records):
-            raise ConfigurationError("J_star length must match record count")
-        recs = [replace(r, J_star=float(v)) for r, v in zip(self.records, j_star)]
-        return Trajectory(records=recs, model_name=self.model_name, seed=self.seed,
-                          config_hash=self.config_hash, states=self.states,
-                          telemetry=self.telemetry, extras=dict(self.extras))
+        starts = np.flatnonzero(np.diff(self.i_star)) + 1
+        return self.i_star[np.r_[0, starts]].tolist()
 
 
-def _check_finite(value: np.ndarray | float, what: str, t: int, guard: float) -> None:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise SimulationDiverged(t, f"non-finite {what}")
-    if np.any(np.abs(arr) > guard):
-        raise SimulationDiverged(t, f"|{what}| exceeded guard magnitude {guard:g}")
+def _diverged(value, what: str, t: int, guard: float) -> SimulationDiverged:
+    """The error for a value that failed the guard test."""
+    if not np.all(np.isfinite(value)):
+        return SimulationDiverged(t, f"non-finite {what}")
+    return SimulationDiverged(t, f"|{what}| exceeded guard magnitude {guard:g}")
+
+
+def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
+             control: Callable[[int, Any], float],
+             observe: Callable[[int, np.ndarray], int], *,
+             guard: float = DEFAULT_GUARD) -> Trajectory:
+    """Step ``model`` from x0 for t = 0..t_f under a policy.
+
+    Per step: ``u = control(t, x)``, the outputs and telemetry at (x, u),
+    the next state, the weighted errors e, and ``i_star = observe(t, e)``.
+    The input, the outputs and the next state must stay finite and within
+    ``guard`` in magnitude; the first that does not aborts the run with
+    ``SimulationDiverged`` at that step. States must be numeric arrays of
+    one shape.
+    """
+    if t_f < 0:
+        raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
+    if model.output_count != spec.p:
+        raise ConfigurationError(
+            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
+    n = t_f + 1
+    u_col = np.empty(n)
+    y_col = np.empty((n, spec.p))
+    e_col = np.empty((n, spec.p))
+    i_col = np.empty(n, dtype=int)
+    j_col = np.empty(n)
+    states = np.empty((n + 1,) + np.shape(x0))
+    states[0] = x0
+    telemetry: dict[str, np.ndarray] = {}
+    x = x0
+    for t in range(n):
+        u = control(t, x)
+        # one comparison per value: false for NaN, inf and anything past guard
+        if not abs(u) <= guard:
+            raise _diverged(u, "input current", t, guard)
+        y = model.outputs(x, u)
+        if not abs(y).max() <= guard:
+            raise _diverged(y, "outputs", t, guard)
+        channels = model.telemetry(x, u)
+        x = model.step(x, u)
+        if not abs(x).max() <= guard:
+            raise _diverged(x, "state", t, guard)
+        e = constraint_errors(spec, y)
+        i_star = observe(t, e)
+        e_active = float(e[i_star - 1])
+
+        u_col[t] = u
+        y_col[t] = y
+        e_col[t] = e
+        i_col[t] = i_star
+        j_col[t] = e_active ** 2
+        states[t + 1] = x
+        if t == 0:
+            telemetry = {key: np.empty(n) for key in channels}
+        for key, value in channels.items():
+            telemetry[key][t] = value
+    return Trajectory(u=u_col, y=y_col, e=e_col, i_star=i_col, J=j_col,
+                      states=states, telemetry=telemetry)
 
 
 def run_closed_loop(model: PlantModel,
@@ -198,44 +215,26 @@ def run_closed_loop(model: PlantModel,
     off by default (the current bound is normally handled by constraint 1);
     when active it is recorded in the trajectory extras.
     """
-    if t_f < 0:
-        raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
-    if model.output_count != spec.p:
-        raise ConfigurationError(
-            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
     if controller.t != 0:
         raise ConfigurationError("run_closed_loop requires a fresh controller (t == 0)")
+    thetas: list[np.ndarray] = []
+    alphas: list[float] = []
 
-    records: list[StepRecord] = []
-    states = [x0]
-    telemetry_rows: list[dict[str, float]] = []
-    x = x0
-    for t in range(t_f + 1):
-        theta_t = controller.theta.copy()
-        alpha_t = step_size(t, controller.mu1)
+    def control(t: int, x) -> float:
+        thetas.append(controller.theta.copy())
+        alphas.append(step_size(t, controller.mu1))
         u = controller.control()
         if u_clamp is not None:
             u = min(max(u, u_clamp[0]), u_clamp[1])
-        _check_finite(u, "input current", t, guard)
+        return u
 
-        y = model.outputs(x, u)
-        _check_finite(y, "outputs", t, guard)
-        telemetry_rows.append(model.telemetry(x, u))
-        x_next = model.step(x, u)
-        _check_finite(np.asarray(x_next, dtype=float), "state", t, guard)
-
-        e = constraint_errors(spec, y)
+    def observe(t: int, e: np.ndarray) -> int:
         i_star = active_index(e)
         e_active = float(e[i_star - 1])
-        g = controller.gradient(e_active)
-        controller.update(g, alpha_t, i_star, e_active)
+        controller.update(controller.gradient(e_active), alphas[t], i_star, e_active)
+        return i_star
 
-        records.append(StepRecord(t=t, u=float(u), y=y, e=e, i_star=i_star,
-                                  theta=theta_t, alpha=alpha_t, J=e_active ** 2))
-        states.append(x_next)
-        x = x_next
-
-    telemetry = _stack_telemetry(telemetry_rows)
+    traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
     extras: dict[str, Any] = {
         "kind": "closed-loop",
         "theta_box": (controller.theta_lo.copy(), controller.theta_hi.copy()),
@@ -243,31 +242,19 @@ def run_closed_loop(model: PlantModel,
     }
     if u_clamp is not None:
         extras["u_clamp"] = u_clamp
-    return Trajectory(records=records, model_name=model_name, seed=seed,
-                      config_hash=config_hash, states=states,
-                      telemetry=telemetry, extras=extras)
+    return replace(traj, theta=np.array(thetas), alpha=np.array(alphas),
+                   model_name=model_name, seed=seed, config_hash=config_hash,
+                   extras=extras)
 
 
-def _stack_telemetry(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
-    if not rows or not rows[0]:
-        return {}
-    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
-
-
-def replay_open_loop(model: PlantModel, x0, u_seq: Sequence[float],
-                     guard: float = DEFAULT_GUARD) -> tuple[np.ndarray, list]:
-    """Apply a recorded input sequence open-loop; returns (outputs matrix, states)."""
-    x = x0
-    states = [x0]
-    ys = []
-    for t, u in enumerate(u_seq):
-        y = model.outputs(x, float(u))
-        _check_finite(y, "outputs", t, guard)
-        ys.append(y)
-        x = model.step(x, float(u))
-        _check_finite(np.asarray(x, dtype=float), "state", t, guard)
-        states.append(x)
-    return np.array(ys), states
+def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,
+                     u_seq: Sequence[float], *,
+                     guard: float = DEFAULT_GUARD) -> Trajectory:
+    """Apply a recorded input sequence open-loop; the active index of each
+    step is the argmin of its errors."""
+    u_list = np.asarray(u_seq, dtype=float).tolist()
+    return simulate(model, spec, len(u_list) - 1, x0, lambda t, x: u_list[t],
+                    lambda t, e: active_index(e), guard=guard)
 
 
 @dataclass

@@ -37,6 +37,28 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+# telemetry channels that can carry each quantity besides the current, in
+# order of preference; the temperature of a pack is its (max, min) pair
+CHANNELS = {
+    "voltage": (("voltage",), ("v_dynamic",), ("v_pack",)),
+    "temperature": (("temperature",), ("t_max", "t_min")),
+    "soc": (("soc",), ("soc_mean",)),
+}
+
+
+def _channels(traj: Trajectory, quantity: str) -> tuple[str, ...]:
+    """The telemetry channels that carry a quantity, or () if none does."""
+    for keys in CHANNELS[quantity]:
+        if all(key in traj.telemetry for key in keys):
+            return keys
+    return ()
+
+
+def plottable(traj: Trajectory) -> list[str]:
+    """The quantities a trajectory can plot, in ``QUANTITIES`` order."""
+    return ["current"] + [q for q in CHANNELS if _channels(traj, q)]
+
+
 def quantity_series(traj: Trajectory, quantity: str, *, label: str,
                     color: str = "#c22", width: float = 1.6, dash: str = "",
                     in_legend: bool = True) -> list[Series]:
@@ -44,24 +66,17 @@ def quantity_series(traj: Trajectory, quantity: str, *, label: str,
     if quantity not in QUANTITIES:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; valid: {', '.join(QUANTITIES)}")
-    tel = traj.telemetry
     if quantity == "current":
-        return [Series(label, traj.u_seq(), color, width, dash, in_legend)]
-    if quantity == "voltage":
-        for key in ("voltage", "v_dynamic", "v_pack"):
-            if key in tel:
-                return [Series(label, tel[key], color, width, dash, in_legend)]
-    if quantity == "temperature":
-        if "temperature" in tel:
-            return [Series(label, tel["temperature"], color, width, dash, in_legend)]
-        if "t_max" in tel and "t_min" in tel:
-            return [Series(f"{label} (max)", tel["t_max"], color, width, dash, in_legend),
-                    Series(f"{label} (min)", tel["t_min"], color, width,
-                           "3,3" if not dash else dash, in_legend)]
-    if quantity == "soc":
-        for key in ("soc", "soc_mean"):
-            if key in tel:
-                return [Series(label, tel[key], color, width, dash, in_legend)]
+        return [Series(label, traj.u, color, width, dash, in_legend)]
+    keys = _channels(traj, quantity)
+    tel = traj.telemetry
+    if len(keys) == 1:
+        return [Series(label, tel[keys[0]], color, width, dash, in_legend)]
+    if keys:
+        hi, lo = keys
+        return [Series(f"{label} (max)", tel[hi], color, width, dash, in_legend),
+                Series(f"{label} (min)", tel[lo], color, width,
+                       "3,3" if not dash else dash, in_legend)]
     raise ConfigurationError(
         f"trajectory for model {traj.model_name!r} has no {quantity!r} channel")
 

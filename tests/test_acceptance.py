@@ -44,8 +44,8 @@ def test_c1_spmet_bang_ride_structure(scenarios, free_runs):
     built = scenarios["spmet"]
     traj, elapsed = free_runs["spmet"]
     u_max, v_max = built.spec.y_bar
-    u = traj.u_seq()
-    v = traj.y_matrix()[:, 1]
+    u = traj.u
+    v = traj.y[:, 1]
     in_band = np.abs(u - u_max) <= 0.01 * u_max
     assert in_band.any(), "never reached the CC band"
     t_cc = int(np.nonzero(in_band)[0][0])
@@ -76,7 +76,7 @@ def test_c2_ecm_switching_sequence(free_runs, oracle_runs):
     """
     oracle_phases = oracle_runs["ecm"].phases()
     traj, _ = free_runs["ecm"]
-    runs = _runs_of(traj.i_star_seq())
+    runs = _runs_of(traj.i_star)
     dominant = []
     chatter = 0
     for value, start, end in runs:
@@ -97,8 +97,8 @@ def test_c3_oracle_tracking(free_runs, oracle_runs):
     free, _ = free_runs["ecm"]
     oracle = oracle_runs["ecm"]
     w = slice(len(free) // 10, len(free))
-    rel = (float(np.linalg.norm(free.u_seq()[w] - oracle.u_seq()[w]))
-           / float(np.linalg.norm(oracle.u_seq()[w])))
+    rel = (float(np.linalg.norm(free.u[w] - oracle.u[w]))
+           / float(np.linalg.norm(oracle.u[w])))
     _report("C3 oracle tracking", rel <= 0.05, f"relative L2 {rel:.4%}")
 
 
@@ -110,9 +110,8 @@ def test_c4_oracle_exactness(scenarios, oracle_runs):
         spec = scenarios[name].spec
         traj = oracle_runs[name]
         gamma = np.asarray(spec.gamma)
-        e = traj.e_matrix()
-        rides = np.array([abs(rec.e[rec.i_star - 1]) / gamma[rec.i_star - 1]
-                          for rec in traj.records])
+        e = traj.e
+        rides = np.abs(traj.e_active) / gamma[traj.i_star - 1]
         worst_ride = max(worst_ride, float(rides.max()))
         worst_feas = max(worst_feas, float((-e).max() / gamma.max()))
     ok = worst_ride <= 1e-6 and worst_feas <= 1e-6
@@ -184,7 +183,7 @@ def test_c7_step_size_projection_theta_box(scenarios, free_runs):
     box_ok = True
     for name, (traj, _) in free_runs.items():
         cfg = scenarios[name].cfg
-        th = traj.theta_matrix()
+        th = traj.theta
         box_ok = box_ok and bool(
             np.all(th >= np.array(cfg.theta_lo) - 1e-15)
             and np.all(th <= np.array(cfg.theta_hi) + 1e-15))
@@ -205,12 +204,12 @@ def test_c8_gamma_scaling_effect(scenarios):
                               gamma=np.array([1.0, 1.0, gamma3]))
         cs = built.new_controller()
         traj = run_closed_loop(built.model, cs, spec, built.cfg.t_f, built.x0)
-        iseq = traj.i_star_seq()
+        iseq = traj.i_star
         active = np.nonzero(iseq == 3)[0]
         if not len(active):
             return None
         t_act, t_end = int(active[0]), int(active[-1])
-        below = np.abs(traj.e_matrix()[:, 2]) <= 0.01 * 8.0 * gamma3
+        below = np.abs(traj.e[:, 2]) <= 0.01 * 8.0 * gamma3
         for s in range(t_act, t_end + 1):
             if below[s:t_end + 1].all():
                 return s - t_act
@@ -250,7 +249,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
     built = scenarios["pack"]
     traj = oracle_runs["pack"]
     model = built.model
-    labels = [model.constraint_label(i)[0] for i in traj.i_star_seq()]
+    labels = [model.constraint_label(i)[0] for i in traj.i_star]
     active = np.nonzero(np.array(labels) == "pair")[0]
     assert len(active), "pair constraint never activated"
     spread = traj.telemetry["dt_max"][int(active[0]):]
@@ -265,7 +264,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
                                        temp_dev_max=35.0)
         run = oracle_trajectory(plant, spec, 400, plant.initial_state(),
                                 RootConfig.for_bound(10.0))
-        return [plant.constraint_label(i) for i in run.i_star_seq()], run.u_seq()
+        return [plant.constraint_label(i) for i in run.i_star], run.u
 
     lab_ap, u_ap = five_cell("all-pairs")
     lab_mm, u_mm = five_cell("max-minus-min")

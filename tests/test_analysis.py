@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestPerStepOptimum:
     def test_optimum_never_exceeds_realized_cost(self):
         model, spec, cs, traj = toy_run(400)
         traj = attach_per_step_optima(traj, model, spec, cs.theta_lo, cs.theta_hi)
-        assert np.all(traj.j_star_seq() <= traj.j_seq() + 1e-9)
+        assert np.all(traj.J_star <= traj.J + 1e-9)
 
     def test_oracle_trajectory_rejected(self):
         from bangride import RootConfig, oracle_trajectory
@@ -102,7 +103,7 @@ class TestPerStepOptimum:
 class TestRegret:
     def test_zero_gap_reports_converged(self):
         model, spec, cs, traj = toy_run(250)
-        traj = traj.with_j_star(list(traj.j_seq()))  # J* == J everywhere
+        traj = replace(traj, J_star=traj.J.copy())  # J* == J everywhere
         report = regret(traj, 0.5)
         assert report.total == 0.0
         assert report.converged

@@ -176,5 +176,5 @@ class TestControllerState:
         spec = ConstraintSpec(y_bar=[5.0], gamma=[0.2])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 4000, model.initial_state())
-        tail = traj.active_error_seq()[-400:]
+        tail = traj.e_active[-400:]
         assert np.max(np.abs(tail)) < 1e-6

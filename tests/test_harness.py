@@ -57,10 +57,10 @@ class TestTrajectoryCsv:
     def test_round_trip_12_significant_digits(self, toy_traj, tmp_path):
         path = write_trajectory_csv(toy_traj, tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
-        u = toy_traj.u_seq()
+        u = toy_traj.u
         for k, v in enumerate(cols["u"]):
             assert v == pytest.approx(u[k], rel=1e-11, abs=1e-300)
-        th = toy_traj.theta_matrix()
+        th = toy_traj.theta
         for k, v in enumerate(cols["theta_1"]):
             assert v == pytest.approx(th[k, 0], rel=1e-11, abs=1e-300)
         assert cols["J_star"] == [None] * len(toy_traj)
@@ -69,7 +69,7 @@ class TestTrajectoryCsv:
         path = write_trajectory_csv(toy_traj, tmp_path / "t.csv")
         lines = Path(path).read_text().splitlines()
         assert len(lines) == len(toy_traj) + 1
-        p = toy_traj.records[0].y.size
+        p = toy_traj.y.shape[1]
         widths = {len(line.split(",")) for line in lines}
         assert widths == {9 + p}
 
@@ -185,6 +185,36 @@ class TestCli:
         lines = (out / "regret.csv").read_text().splitlines()
         assert lines[0].startswith("mu1,total_regret,tail_slope")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
+    def test_toy_svg_plots_current_only(self, command, tmp_path):
+        # the toy plant reports no voltage, temperature or SOC channel
+        out = tmp_path / command
+        assert main([command, "--config", "toy", "--steps", "40", "--svg",
+                     "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.glob("*.svg")) == ["current.svg"]
+
+    @pytest.mark.parametrize("args", [["--config", "toy"],
+                                      ["--config", "ecm", "--models", "0"],
+                                      ["--config", "ecm", "--fraction", "1.5"]])
+    def test_rejected_montecarlo_writes_nothing(self, args, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", *args, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    # SHA-256 of oracle.csv for the packaged scenarios. The oracle runs use
+    # only + - * / and sqrt, so the bytes hold on every IEEE-754 platform.
+    GOLDEN_ORACLE_CSV = {
+        "toy": "544d05c85541b047d995f671393f8676b56c6827d5019a6bca01584df0a927af",
+        "ecm": "c11e70b64d65fe49e3a3d94a8ececa00215fa86a4665c4c082d1fb172c0e624f",
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN_ORACLE_CSV))
+    def test_oracle_csv_golden_bytes(self, config, tmp_path):
+        out = tmp_path / config
+        assert main(["oracle", "--config", config, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "oracle.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_ORACLE_CSV[config]
 
     def test_exit_code_configuration_error(self):
         assert main(["simulate", "--config", "does-not-exist"]) == 1

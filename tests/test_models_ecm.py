@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bangride import ConfigurationError, EcmParams, EcmPlant, EcmState, perturb_params
+from bangride import ConfigurationError, EcmParams, EcmPlant, perturb_params
 from bangride.models.ecm import PHYSICAL_FIELDS
 
 KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
@@ -92,28 +92,11 @@ class TestEcmOutputs:
             for i in range(3):
                 assert plant.output(x, u, i) == y[i]
 
-    def test_readout_rows_derived_from_params(self, plant):
-        assert np.array_equal(plant.params.voltage_row(),
-                              np.array([1.0, 1.0, KW["ocv_slope"], 0.0]))
-        assert np.array_equal(plant.params.heat_row(),
-                              np.array([1.0, 1.0, 0.0, 0.0]))
-
     def test_voltage_readout_matches_row(self, plant):
         x = np.array([0.4, 0.6, 0.5, 1.0])
         u = 3.0
         assert plant.output(x, u, 1) == pytest.approx(
-            float(plant.params.voltage_row() @ x) + u)
-
-
-class TestEcmState:
-    def test_round_trip(self):
-        s = EcmState(0.1, 0.2, 0.5, 2.0)
-        assert EcmState.from_array(s.as_array()) == s
-
-    def test_soc_reporting_clamps_and_warns(self):
-        assert EcmState(0, 0, -0.2, 0).soc_reported == 0.0
-        with pytest.warns(UserWarning, match="overcharge"):
-            assert EcmState(0, 0, 1.7, 0).soc_reported == 1.5
+            float(np.array([1.0, 1.0, KW["ocv_slope"], 0.0]) @ x) + u)
 
 
 class TestParamValidation:

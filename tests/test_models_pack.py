@@ -108,9 +108,9 @@ class TestPackDynamics:
         traj = oracle_trajectory(pack, spec, 120, pack.initial_state(),
                                  RootConfig.for_bound(10.0))
         base = pack.params.base
-        for t, rec in enumerate(traj.records):
+        for t, u in enumerate(traj.u):
             x = traj.states[t]
-            manual = sum(base.v_ocv(x[i, 2]) + base.r_o * rec.u + x[i, 0] + x[i, 1]
+            manual = sum(base.v_ocv(x[i, 2]) + base.r_o * u + x[i, 0] + x[i, 1]
                          for i in range(3))
             assert traj.telemetry["v_pack"][t] == pytest.approx(manual, rel=1e-12)
 
@@ -148,8 +148,8 @@ class TestPairwiseModes:
                                            temp_dev_max=35.0)
             traj = oracle_trajectory(plant, spec, 400, plant.initial_state(),
                                      RootConfig.for_bound(10.0))
-            labels = [plant.constraint_label(i) for i in traj.i_star_seq()]
-            results[mode] = (labels, traj.u_seq())
+            labels = [plant.constraint_label(i) for i in traj.i_star]
+            results[mode] = (labels, traj.u)
         assert results["all-pairs"][0] == results["max-minus-min"][0]
         assert np.array_equal(results["all-pairs"][1], results["max-minus-min"][1])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bangride import (ConfigurationError, PotentialDomainError, SpmetParams,
-                      SpmetPlant, SpmetState)
+                      SpmetPlant)
 from bangride.config import load_spmet_params, resolve_config_path
 
 
@@ -134,10 +134,6 @@ class TestSpmetValidation:
             SpmetParams(**{**_as_kwargs(params), "theta_1": 0.95})
         with pytest.raises(ConfigurationError):
             SpmetParams(**{**_as_kwargs(params), "c_max": -1.0})
-
-    def test_state_view_round_trip(self):
-        s = SpmetState(100.0, 90.0, 1200.0, 1210.0, 25.0)
-        assert SpmetState.from_array(s.as_array()) == s
 
 
 def _as_kwargs(params: SpmetParams) -> dict:

@@ -133,10 +133,10 @@ class TestOracleTrajectory:
         traj = oracle_trajectory(model, spec, 30, model.initial_state(),
                                  RootConfig.for_bound(10.0))
         x = 0.0
-        for rec in traj.records:
+        for u in traj.u:
             expected = min(10.0, 5.0 - x)
-            assert rec.u == pytest.approx(expected, abs=1e-6)
-            x += rec.u
+            assert u == pytest.approx(expected, abs=1e-6)
+            x += u
 
     def test_riding_exactness_and_feasibility(self, scenarios, oracle_runs):
         # some constraint active to tolerance at every step; none violated
@@ -145,13 +145,13 @@ class TestOracleTrajectory:
             traj = oracle_runs[name]
             gmax = float(np.max(built.spec.gamma))
             tol = built.root_cfg.tol_y
-            for rec in traj.records:
-                assert rec.e[rec.i_star - 1] <= gmax * tol
-                assert np.all(rec.e >= -gmax * tol)
+            for e, i_star in zip(traj.e, traj.i_star):
+                assert e[i_star - 1] <= gmax * tol
+                assert np.all(e >= -gmax * tol)
 
     def test_records_have_no_gains(self, oracle_runs):
-        rec = oracle_runs["ecm"].records[5]
-        assert rec.theta is None and rec.alpha is None
+        traj = oracle_runs["ecm"]
+        assert traj.theta is None and traj.alpha is None
 
     def test_negative_horizon_rejected(self):
         model = ToyLinearPlant()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      SimulationDiverged, ToyLinearPlant, replay_open_loop,
-                      run_closed_loop, validate_monotonicity)
+                      RootConfig, SimulationDiverged, ToyLinearPlant,
+                      oracle_trajectory, replay_open_loop, run_closed_loop,
+                      validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
@@ -45,8 +46,8 @@ class TestRunClosedLoop:
         assert cs.last_active == 1  # active index initialized to 1 pre-measurement
         traj = run_closed_loop(model, cs, spec, 0, model.initial_state())
         assert len(traj) == 1
-        assert traj.records[0].t == 0
-        assert traj.records[0].u == 0.0
+        assert traj.t_f == 0
+        assert traj.u[0] == 0.0
 
     def test_matches_hand_simulation_exactly(self):
         y_bar, gamma = (10.0, 5.0), (1.0, 1.0)
@@ -58,42 +59,41 @@ class TestRunClosedLoop:
         traj = run_closed_loop(model, cs, spec, 60, model.initial_state())
         expected = hand_simulation(60, (0.1, 0.1), (0.0, 0.0), (10.0, 1.0),
                                    0.5, y_bar, gamma)
-        for rec, (t, u, y, e, i_star, th, alpha, J) in zip(traj.records, expected):
-            assert rec.t == t
-            assert rec.u == u
-            assert tuple(rec.y) == y
-            assert tuple(rec.e) == e
-            assert rec.i_star == i_star
-            assert tuple(rec.theta) == th
-            assert rec.alpha == alpha
-            assert rec.J == J
+        assert len(traj) == len(expected)
+        for k, (t, u, y, e, i_star, th, alpha, J) in enumerate(expected):
+            assert k == t
+            assert traj.u[t] == u
+            assert tuple(traj.y[t]) == y
+            assert tuple(traj.e[t]) == e
+            assert traj.i_star[t] == i_star
+            assert tuple(traj.theta[t]) == th
+            assert traj.alpha[t] == alpha
+            assert traj.J[t] == J
 
     def test_step_indices_and_alpha_schedule(self):
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 9, model.initial_state())
-        assert [r.t for r in traj.records] == list(range(10))
-        assert traj.records[0].alpha == 1.0
-        assert traj.records[4].alpha == 0.5
+        assert len(traj) == 10 and traj.t_f == 9
+        assert traj.alpha[0] == 1.0
+        assert traj.alpha[4] == 0.5
 
     def test_j_equals_active_error_squared(self):
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.3, 0.7])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 40, model.initial_state())
-        for rec in traj.records:
-            assert rec.J == rec.e[rec.i_star - 1] ** 2
-            assert rec.i_star == int(np.argmin(rec.e)) + 1
+        for t in range(len(traj)):
+            assert traj.J[t] == traj.e[t, traj.i_star[t] - 1] ** 2
+            assert traj.i_star[t] == int(np.argmin(traj.e[t])) + 1
 
     def test_errors_consistent_with_weights(self):
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[2.0, 0.5])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 30, model.initial_state())
-        e = traj.e_matrix()
-        y = traj.y_matrix()
-        assert np.array_equal(e, spec.gamma * (spec.y_bar - y))
+        assert np.array_equal(traj.e, spec.gamma * (spec.y_bar - traj.y))
 
     def test_controller_trajectory_consistency(self):
         # recorded u_t must equal th1*e_active(t-1) + th2*sum_{k<t} e_active(k)
@@ -102,10 +102,10 @@ class TestRunClosedLoop:
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 200, model.initial_state())
         le, es = 0.0, 0.0
-        for rec in traj.records:
-            assert rec.u == rec.theta[0] * le + rec.theta[1] * es
-            le = rec.e_active
-            es += rec.e_active
+        for u, theta, e_active in zip(traj.u, traj.theta, traj.e_active.tolist()):
+            assert u == theta[0] * le + theta[1] * es
+            le = e_active
+            es += e_active
         assert cs.error_sum == es
 
     def test_replay_reproduces_outputs_bit_for_bit(self):
@@ -114,10 +114,9 @@ class TestRunClosedLoop:
         spec = ConstraintSpec(y_bar=[10.0, 12.0, 8.0], gamma=[1.0, 1.0, 500.0])
         cs = ControllerState(grad_clip=0.05)
         traj = run_closed_loop(model, cs, spec, 500, model.initial_state())
-        ys, states = replay_open_loop(model, traj.x0, traj.u_seq())
-        assert np.array_equal(ys, traj.y_matrix())
-        for a, b in zip(states, traj.states):
-            assert np.array_equal(a, b)
+        replay = replay_open_loop(model, spec, traj.x0, traj.u)
+        assert np.array_equal(replay.y, traj.y)
+        assert np.array_equal(replay.states, traj.states)
 
     def test_output_count_mismatch_rejected(self):
         model = ToyLinearPlant()
@@ -156,7 +155,66 @@ class TestRunClosedLoop:
         traj = run_closed_loop(model, cs, spec, 20, model.initial_state(),
                                u_clamp=(0.0, 10.0))
         assert traj.extras["u_clamp"] == (0.0, 10.0)
-        assert np.all(traj.u_seq() <= 10.0) and np.all(traj.u_seq() >= 0.0)
+        assert np.all(traj.u <= 10.0) and np.all(traj.u >= 0.0)
+
+
+class FaultyToy(ToyLinearPlant):
+    """Integrator whose state carries a step counter, so that it can fail at
+    a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
+    The scalar ``output`` stays finite, so the oracle's bisection still runs
+    and the failure reaches the stepping loop."""
+
+    state_dim = 2
+
+    def __init__(self, fault: str, k: int):
+        super().__init__()
+        self.fault, self.k = fault, k
+
+    def initial_state(self, x0: float = 0.0) -> np.ndarray:
+        return np.array([float(x0), 0.0])
+
+    def outputs(self, state, u):
+        y = super().outputs(state, u)
+        if state[1] == self.k and self.fault in OUTPUT_FAULTS:
+            y[1] = OUTPUT_FAULTS[self.fault]
+        return y
+
+    def step(self, state, u):
+        x = np.array([super().step(state, u)[0], state[1] + 1.0])
+        if state[1] == self.k and self.fault == "state-past-guard":
+            x[0] = 2e9
+        return x
+
+
+OUTPUT_FAULTS = {"nan-outputs": np.nan, "inf-outputs": np.inf,
+                 "outputs-past-guard": 5e9}
+GUARD_MESSAGES = {"nan-outputs": "non-finite outputs",
+                  "inf-outputs": "non-finite outputs",
+                  "outputs-past-guard": "|outputs| exceeded guard magnitude 1e+09",
+                  "state-past-guard": "|state| exceeded guard magnitude 1e+09"}
+
+
+class TestDivergenceGuard:
+    SPEC = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2])
+    K = 7
+
+    def run(self, kind: str, model: FaultyToy):
+        x0 = model.initial_state()
+        if kind == "closed-loop":
+            return run_closed_loop(model, ControllerState(), self.SPEC, 20, x0)
+        if kind == "oracle":
+            return oracle_trajectory(model, self.SPEC, 20, x0,
+                                     RootConfig.for_bound(10.0))
+        return replay_open_loop(model, self.SPEC, x0, np.full(21, 0.1))
+
+    @pytest.mark.parametrize("fault", sorted(GUARD_MESSAGES))
+    @pytest.mark.parametrize("kind", ["closed-loop", "oracle", "replay"])
+    def test_fault_reported_at_its_step(self, kind, fault):
+        with pytest.raises(SimulationDiverged) as err:
+            self.run(kind, FaultyToy(fault, self.K))
+        assert err.value.step == self.K
+        assert str(err.value) == (f"simulation diverged at step {self.K}: "
+                                  f"{GUARD_MESSAGES[fault]}")
 
 
 class TestValidateMonotonicity:

@@ -166,8 +166,7 @@ def test_pack_spread_closed_form_matches_all_pairs_bisection(scenarios):
                                        temp_dev_max=35.0)
         run = oracle_trajectory(plant, spec, 400, plant.initial_state(),
                                 RootConfig.for_bound(10.0))
-        runs[mode] = ([plant.constraint_label(i) for i in run.i_star_seq()],
-                      run.u_seq())
+        runs[mode] = ([plant.constraint_label(i) for i in run.i_star], run.u)
     labels, u_mm = runs["max-minus-min"]
     assert labels == runs["all-pairs"][0]
     assert labels.count(("pair",)) >= 200

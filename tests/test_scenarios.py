@@ -34,7 +34,7 @@ class TestOracleStructure:
         model = scenarios["pack"].model
         traj = oracle_runs["pack"]
         labels = np.array([model.constraint_label(i)[0]
-                           for i in traj.i_star_seq()])
+                           for i in traj.i_star])
         active = np.nonzero(labels == "pair")[0]
         assert len(active) > 100
         assert float(traj.telemetry["dt_max"][active[0]:].max()) <= 5.0 + 1e-6
@@ -44,7 +44,7 @@ class TestModelFreePack:
     def test_pack_run_follows_structure_and_bound(self, scenarios, free_runs):
         model = scenarios["pack"].model
         traj, _ = free_runs["pack"]
-        labels = [model.constraint_label(i)[0] for i in traj.i_star_seq()]
+        labels = [model.constraint_label(i)[0] for i in traj.i_star]
         dom = []
         for kd in labels:
             if not dom or dom[-1] != kd:
