@@ -10,7 +10,6 @@ plant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,29 +130,21 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
 
 
 def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
-                           spec: ConstraintSpec, theta_lo=None, theta_hi=None,
+                           spec: ConstraintSpec, theta_lo, theta_hi,
                            *, tol_u: float = 1e-9, tol_y: float = 1e-6) -> Trajectory:
-    """New trajectory with J_star filled for every step.
+    """New trajectory with J_star and theta_star filled for every step.
 
     Reconstructs the history statistics exactly as the controller accumulated
-    them and freezes the realized active index per step. The gain box
-    defaults to the one the run itself used (stored in the extras). Stores
-    the per-step minimizers and unreachable steps in the extras.
+    them and freezes the realized active index per step; the minimizers are
+    taken over the gain box [theta_lo, theta_hi].
     """
     if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "
                                  "(oracle runs have no gains)")
-    if theta_lo is None or theta_hi is None:
-        box = trajectory.extras.get("theta_box")
-        if box is None:
-            raise ConfigurationError("trajectory carries no gain box; pass "
-                                     "theta_lo and theta_hi explicitly")
-        theta_lo, theta_hi = box
     theta_lo = np.asarray(theta_lo, dtype=float)
     theta_hi = np.asarray(theta_hi, dtype=float)
     j_stars: list[float] = []
     theta_stars: list[np.ndarray] = []
-    unreachable: list[int] = []
     le, es = 0.0, 0.0
     steps = zip(trajectory.i_star.tolist(), trajectory.e_active.tolist())
     for t, (i_star, e_active) in enumerate(steps):
@@ -162,13 +153,10 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
                                     tol_u=tol_u, tol_y=tol_y)
         j_stars.append(opt.j_star)
         theta_stars.append(opt.theta_star)
-        if not opt.reachable:
-            unreachable.append(t)
         le = e_active
         es += e_active
     return replace(trajectory, J_star=np.array(j_stars),
-                   extras={**trajectory.extras, "theta_star": np.array(theta_stars),
-                           "unreachable_steps": unreachable})
+                   theta_star=np.array(theta_stars))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +217,7 @@ def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
 
     epsilon = None
     mu2_hat = None
-    theta_star = trajectory.extras.get("theta_star")
+    theta_star = trajectory.theta_star
     if theta_star is not None and len(theta_star) >= 2:
         epsilon = np.linalg.norm(np.diff(theta_star, axis=0), axis=1)
         eps_t = np.arange(1, len(epsilon) + 1)
@@ -353,7 +341,7 @@ class ModelOutcome:
     any_violation: bool = False
     suboptimality: float = 0.0             # true-oracle objective minus achieved
     u_seq: np.ndarray | None = None
-    y_seq: np.ndarray | None = None
+    temperature: np.ndarray | None = None  # the replay's telemetry channel
 
 
 @dataclass
@@ -372,10 +360,10 @@ class RobustnessResult:
     free_run: Trajectory | None
 
 
-def _soc_objective(states: np.ndarray, t_f: int) -> float:
-    """Charging objective: accumulated SOC over steps 0..t_f (state column 2),
+def _soc_objective(run: Trajectory) -> float:
+    """Charging objective: the run's SOC telemetry channel over steps 0..t_f,
     summed left to right."""
-    return float(sum(states[:t_f + 1, 2].tolist()))
+    return float(sum(run.telemetry["soc"].tolist()))
 
 
 def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
@@ -385,7 +373,7 @@ def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
     over = run.y - spec.y_bar[None, :]
     depth = np.maximum(over, 0.0).max(axis=0)
     violated = over > violation_tol
-    achieved = _soc_objective(run.states, run.t_f)
+    achieved = _soc_objective(run)
     return ModelOutcome(
         index=index,
         max_depth=depth,
@@ -393,7 +381,7 @@ def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
         any_violation=bool(violated.any()),
         suboptimality=oracle_objective - achieved,
         u_seq=u_seq if keep_series else None,
-        y_seq=run.y if keep_series else None,
+        temperature=run.telemetry["temperature"] if keep_series else None,
     )
 
 
@@ -429,13 +417,14 @@ def robustness_study(base: EcmParams, n_models: int, fraction: float,
         cfg = RootConfig.for_bound(spec.u_max)
     true_model = EcmPlant(base)
     x0 = true_model.initial_state(soc0)
-    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, cfg,
-                                    model_name="ecm", seed=seed)
-    oracle_objective = _soc_objective(true_oracle.states, t_f)
+    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, cfg)
+    oracle_objective = _soc_objective(true_oracle)
 
     work = [(base, fraction, seed, k, spec, t_f, soc0, cfg)
             for k in range(n_models)]
     if jobs > 1:
+        # imported here: the pool's import costs every command its start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             protocol_results = list(pool.map(_one_perturbed_protocol, work,
                                              chunksize=max(1, n_models // (4 * jobs))))
@@ -467,6 +456,5 @@ def robustness_study(base: EcmParams, n_models: int, fraction: float,
     )
     free_run = None
     if controller is not None:
-        free_run = run_closed_loop(true_model, controller, spec, t_f, x0,
-                                   model_name="ecm", seed=seed)
+        free_run = run_closed_loop(true_model, controller, spec, t_f, x0)
     return RobustnessResult(stats=stats, true_oracle=true_oracle, free_run=free_run)

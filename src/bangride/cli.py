@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 simulation divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -106,7 +107,8 @@ def _prepare_run_dir(built: BuiltScenario, command: str) -> Path:
 def _maybe_attach_jstar(traj, built: BuiltScenario):
     if not built.cfg.compute_jstar:
         return traj
-    return attach_per_step_optima(traj, built.model, built.spec)
+    return attach_per_step_optima(traj, built.model, built.spec,
+                                  built.cfg.theta_lo, built.cfg.theta_hi)
 
 
 def _emit_plots(out: Path, entries) -> None:
@@ -128,11 +130,9 @@ def cmd_simulate(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "simulate")
     traj = run_closed_loop(built.model, built.new_controller(), built.spec,
-                           built.cfg.t_f, built.x0, model_name=built.cfg.model,
-                           seed=built.cfg.seed, config_hash=built.config_hash)
+                           built.cfg.t_f, built.x0)
     traj = _maybe_attach_jstar(traj, built)
-    write_trajectory_csv(traj, out / "trajectory.csv",
-                         pack_summary=built.cfg.model == "pack")
+    write_trajectory_csv(traj, out / "trajectory.csv")
     if built.cfg.ct_diagnostics:
         ct = ct_series(traj, built.model, built.spec)
         print(f"c_t diagnostics: min={ct.min():.6g} "
@@ -147,10 +147,8 @@ def cmd_oracle(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "oracle")
     traj = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0,
-                             built.root_cfg, model_name=built.cfg.model,
-                             seed=built.cfg.seed, config_hash=built.config_hash)
-    write_trajectory_csv(traj, out / "oracle.csv",
-                         pack_summary=built.cfg.model == "pack")
+                             built.root_cfg)
+    write_trajectory_csv(traj, out / "oracle.csv")
     if args.svg:
         _emit_plots(out, [(traj, _oracle_style())])
     print(f"oracle: {len(traj)} steps -> {out / 'oracle.csv'}")
@@ -161,16 +159,12 @@ def cmd_compare(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "compare")
     free = run_closed_loop(built.model, built.new_controller(), built.spec,
-                           built.cfg.t_f, built.x0, model_name=built.cfg.model,
-                           seed=built.cfg.seed, config_hash=built.config_hash)
+                           built.cfg.t_f, built.x0)
     free = _maybe_attach_jstar(free, built)
     oracle = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0,
-                               built.root_cfg, model_name=built.cfg.model,
-                               seed=built.cfg.seed, config_hash=built.config_hash)
-    write_trajectory_csv(free, out / "trajectory.csv",
-                         pack_summary=built.cfg.model == "pack")
-    write_trajectory_csv(oracle, out / "oracle.csv",
-                         pack_summary=built.cfg.model == "pack")
+                               built.root_cfg)
+    write_trajectory_csv(free, out / "trajectory.csv")
+    write_trajectory_csv(oracle, out / "oracle.csv")
     write_gap_csv(free, oracle, out / "gap.csv")
     w = slice(len(free) // 10, len(free))
     denom = float(np.linalg.norm(oracle.u[w]))
@@ -198,7 +192,7 @@ def cmd_montecarlo(args) -> int:
                               jobs=args.jobs, keep_series=args.svg)
     write_montecarlo_summary(result.stats, out / "summary.csv")
     if args.svg:
-        _emit_ensemble_plots(out, result, base.t_ambient)
+        _emit_ensemble_plots(out, result)
     st = result.stats
     print(f"montecarlo: {args.models} models, fraction={args.fraction}, "
           f"violations={st.runs_with_violation}, diverged={st.diverged_runs} "
@@ -206,14 +200,14 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def _emit_ensemble_plots(out: Path, result, t_ambient: float) -> None:
+def _emit_ensemble_plots(out: Path, result) -> None:
     """Perturbed-protocol ensemble in gray under the true runs."""
     from .svg import Series, quantity_series, render_chart, UNITS
     kept = [o for o in result.stats.outcomes
             if not o.diverged and o.u_seq is not None]
     for quantity, extract in (
             ("current", lambda o: o.u_seq),
-            ("temperature", lambda o: t_ambient + o.y_seq[:, 2])):
+            ("temperature", lambda o: o.temperature)):
         series = []
         for k, o in enumerate(kept):
             series.append(Series(label="perturbed ensemble", y=extract(o),
@@ -234,15 +228,13 @@ def cmd_regret(args) -> int:
     mu1_list = [args.mu1] if args.mu1 is not None else [0.3, 0.5, 0.7]
     rows = []
     for mu1 in mu1_list:
-        cfg = built.cfg
-        cfg.mu1 = mu1
-        scenario = build_scenario(cfg)
-        traj = run_closed_loop(scenario.model, scenario.new_controller(),
-                               scenario.spec, cfg.t_f, scenario.x0,
-                               model_name=cfg.model, seed=cfg.seed)
-        traj = attach_per_step_optima(traj, scenario.model, scenario.spec)
+        controller = dataclasses.replace(built.new_controller(), mu1=mu1)
+        traj = run_closed_loop(built.model, controller, built.spec,
+                               built.cfg.t_f, built.x0)
+        traj = attach_per_step_optima(traj, built.model, built.spec,
+                                      built.cfg.theta_lo, built.cfg.theta_hi)
         report = regret(traj, mu1)
-        ct = ct_series(traj, scenario.model, scenario.spec)
+        ct = ct_series(traj, built.model, built.spec)
         rows.append({
             "mu1": mu1,
             "total_regret": report.total,
@@ -305,7 +297,7 @@ def cmd_validate(args) -> int:
     import tempfile
     built = build_scenario(load_scenario("toy"))
     traj = run_closed_loop(built.model, built.new_controller(), built.spec,
-                           20, built.x0, model_name="toy-linear")
+                           20, built.x0)
     with tempfile.TemporaryDirectory() as tmp:
         path = write_trajectory_csv(traj, Path(tmp) / "t.csv")
         cols = read_trajectory_csv(path)

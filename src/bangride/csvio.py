@@ -1,10 +1,10 @@
 """Trajectory and summary CSV writers (12 significant digits, UTF-8).
 
-Non-pack trajectory schema: t, u, y_1..y_p, e_active, i_star, theta_1,
-theta_2, alpha, J, J_star. Pack runs reduce the output block to summary
-channels (u, V_pack, T_max, T_min, dT_max) unless a full dump is requested.
-Gain/step-size/J_star cells are empty when absent (oracle runs, analysis
-disabled).
+Trajectory schema: t, u, y_1..y_p, e_active, i_star, theta_1, theta_2,
+alpha, J, J_star. A trajectory that carries the pack summary channels (a pack
+run) writes them (V_pack, T_max, T_min, dT_max) in place of the wide output
+block. Gain/step-size/J_star cells are empty when absent (oracle runs,
+analysis disabled).
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ def _num(value) -> str:
     return format(float(value), ".12g")
 
 
-def trajectory_header(traj: Trajectory, pack_summary: bool) -> list[str]:
-    if pack_summary:
+def _has_pack_channels(traj: Trajectory) -> bool:
+    return all(key in traj.telemetry for key in PACK_CHANNELS)
+
+
+def trajectory_header(traj: Trajectory) -> list[str]:
+    if _has_pack_channels(traj):
         mid = ["V_pack", "T_max", "T_min", "dT_max"]
     else:
         mid = [f"y_{i}" for i in range(1, traj.y.shape[1] + 1)]
@@ -37,7 +41,7 @@ def trajectory_header(traj: Trajectory, pack_summary: bool) -> list[str]:
                                "alpha", "J", "J_star"]
 
 
-def _trajectory_columns(traj: Trajectory, pack_summary: bool) -> list[list[str]]:
+def _trajectory_columns(traj: Trajectory) -> list[list[str]]:
     """Formatted cells of each CSV column, in header order."""
     n = len(traj)
 
@@ -46,7 +50,7 @@ def _trajectory_columns(traj: Trajectory, pack_summary: bool) -> list[list[str]]
             return [""] * n
         return [_num(v) for v in values.tolist()]
 
-    if pack_summary:
+    if _has_pack_channels(traj):
         mid = [traj.telemetry[key] for key in PACK_CHANNELS]
     else:
         mid = list(traj.y.T)
@@ -57,20 +61,14 @@ def _trajectory_columns(traj: Trajectory, pack_summary: bool) -> list[list[str]]
                cells(traj.J), cells(traj.J_star)])
 
 
-def write_trajectory_csv(traj: Trajectory, path, *, pack_summary: bool = False,
-                         full_dump: bool = False) -> Path:
-    """One row per step; schema fixed across rows. ``pack_summary`` replaces
-    the wide pack output block with its summary channels (overridden by
-    ``full_dump``)."""
+def write_trajectory_csv(traj: Trajectory, path) -> Path:
+    """One row per step; schema fixed across rows."""
     path = Path(path)
-    pack_summary = pack_summary and not full_dump
-    if pack_summary and any(key not in traj.telemetry for key in PACK_CHANNELS):
-        raise ConfigurationError("trajectory lacks pack summary telemetry")
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(trajectory_header(traj, pack_summary))
-            writer.writerows(zip(*_trajectory_columns(traj, pack_summary)))
+            writer.writerow(trajectory_header(traj))
+            writer.writerows(zip(*_trajectory_columns(traj)))
     except OSError as exc:
         raise ConfigurationError(f"cannot write trajectory CSV {path}: {exc}") from exc
     return path

@@ -58,9 +58,6 @@ class EcmParams:
         if not 0.0 < 1.0 - self.a * self.dt < 1.0:
             raise ConfigurationError("unstable discretization: a*dt outside (0,1)")
 
-    def v_ocv(self, soc: float) -> float:
-        return self.ocv0 + self.ocv_slope * soc
-
 
 class EcmPlant(PlantModel):
     state_dim = 4
@@ -128,13 +125,11 @@ class EcmPlant(PlantModel):
         return np.array([y_bar[0], y_bar[1] - (v1 + v2 + self.params.ocv_slope * soc),
                          u_temp])
 
-    def telemetry(self, state, u: float) -> dict[str, float]:
-        v1, v2, soc, td = (float(v) for v in state)
+    def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
         return {
-            "soc": soc,
-            "temperature": self.params.t_ambient + td,
-            "v_dynamic": self.params.r_o * u + v1 + v2,
-            "v_terminal": self.params.v_ocv(soc) + self.params.r_o * u + v1 + v2,
+            "soc": states[:, 2],
+            "temperature": self.params.t_ambient + states[:, 3],
+            "v_dynamic": self.params.r_o * u + states[:, 0] + states[:, 1],
         }
 
 

@@ -214,22 +214,24 @@ class PackPlant(PlantModel):
             return ("temp", i_star - 2 - n)
         return ("pair",)
 
-    def pack_voltage(self, state, u: float) -> float:
-        """Series terminal voltage: sum of per-cell OCV + Ro*u + v1 + v2."""
+    def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
+        """Series terminal voltage (sum over cells of OCV + Ro*u + v1 + v2),
+        the hottest and coldest cell temperatures, their spread, and the
+        mean cell SOC, through one (n, N) buffer filled in place."""
         p = self.params.base
-        v_cells = (p.ocv0 + p.ocv_slope * state[:, 2]
-                   + p.r_o * u + state[:, 0] + state[:, 1])
-        return float(np.sum(v_cells))
-
-    def telemetry(self, state, u: float) -> dict[str, float]:
-        td = state[:, 3]
-        return {
-            "v_pack": self.pack_voltage(state, u),
-            "t_max": float(td.max()) + self.params.base.t_ambient,
-            "t_min": float(td.min()) + self.params.base.t_ambient,
-            "dt_max": float(td.max() - td.min()),
-            "soc_mean": float(state[:, 2].mean()),
-        }
+        cells = p.ocv_slope * states[:, :, 2]
+        cells += p.ocv0
+        cells += (p.r_o * u)[:, None]
+        cells += states[:, :, 0]
+        cells += states[:, :, 1]
+        v_pack = cells.sum(axis=1)
+        np.copyto(cells, states[:, :, 2])
+        soc = cells.mean(axis=1)
+        np.copyto(cells, states[:, :, 3])
+        td_max, td_min = cells.max(axis=1), cells.min(axis=1)
+        return {"v_pack": v_pack, "t_max": td_max + p.t_ambient,
+                "t_min": td_min + p.t_ambient, "dt_max": td_max - td_min,
+                "soc": soc}
 
     def build_constraints(self, u_max: float, v_cell_max: float,
                           temp_dev_max: float,

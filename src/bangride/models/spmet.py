@@ -187,13 +187,11 @@ class SpmetPlant(PlantModel):
         p = self.params
         return p.delta_u(state) + p.delta_eta(u, state) + p.delta_phi(u, state)
 
-    def soc(self, state) -> float:
+    def soc(self, states):
+        """SOC of one state, or of each row of a state array."""
         p = self.params
-        return (float(state[0]) / p.c_max - p.theta_1) / (p.theta_2 - p.theta_1)
+        return (states[..., 0] / p.c_max - p.theta_1) / (p.theta_2 - p.theta_1)
 
-    def telemetry(self, state, u: float) -> dict[str, float]:
-        return {
-            "soc": self.soc(state),
-            "temperature": float(state[4]),
-            "voltage": self.output(state, u, 1),
-        }
+    def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
+        return {"soc": self.soc(states), "temperature": states[:, 4],
+                "voltage": y[:, 1]}

@@ -39,6 +39,3 @@ class ToyLinearPlant(PlantModel):
         if index == 0:
             return u
         return self.c * float(state[0]) + self.d * u
-
-    def telemetry(self, state, u: float) -> dict[str, float]:
-        return {"x": float(state[0])}

@@ -16,7 +16,7 @@ parallel, successive time steps may not (the state evolves).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,9 +191,7 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
 
 
 def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
-                      cfg: RootConfig, *, model_name: str = "",
-                      seed: int | None = None, config_hash: str | None = None,
-                      guard: float = DEFAULT_GUARD) -> Trajectory:
+                      cfg: RootConfig, *, guard: float = DEFAULT_GUARD) -> Trajectory:
     """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
 
     Records which constraint attained the minimum at every step; the
@@ -207,6 +205,4 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         i_star = res.i_star
         return res.u
 
-    traj = simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
-    return replace(traj, model_name=model_name, seed=seed, config_hash=config_hash,
-                   extras={"kind": "oracle"})
+    return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)

@@ -63,14 +63,22 @@ class PlantModel(abc.ABC):
         """
         return None
 
-    def telemetry(self, state, u: float) -> dict[str, float]:
-        """Reporting-only channels (SOC, temperatures, ...); not constrained."""
+    def telemetry(self, states: np.ndarray, u: np.ndarray,
+                  y: np.ndarray) -> dict[str, np.ndarray]:
+        """Reporting-only channels (SOC, temperatures, ...) of a whole run.
+
+        Takes the run's columns, row t holding step t: the states at the
+        start of each step ``(n, *state_shape)``, the applied currents
+        ``(n,)`` and the outputs ``(n, p)``. Returns channel name -> (n,)
+        array. The channels are not constrained and the controller never
+        reads them; the default reports none.
+        """
         return {}
 
 
 @dataclass
 class Trajectory:
-    """Completed run as per-step columns plus scenario metadata.
+    """Completed run as per-step columns.
 
     Column contract for a run of n = t_f + 1 steps over p outputs, row t
     holding step t:
@@ -82,11 +90,13 @@ class Trajectory:
     - ``J`` (n,): ``e_active**2`` exactly;
     - ``states`` (n + 1, *x0.shape): the state at the start of step t, so
       ``states[0]`` is x0 and ``states[n]`` the post-horizon state;
-    - ``telemetry``: channel name -> (n,) array;
+    - ``telemetry``: channel name -> (n,) array, computed once from the
+      other columns by ``PlantModel.telemetry``;
     - ``theta`` (n, 2), ``alpha`` (n,): the gains and step size at the
       start of step t; None for oracle and replay runs;
-    - ``J_star`` (n,): per-step optimal costs; None until the analysis
-      layer attaches them.
+    - ``J_star`` (n,), ``theta_star`` (n, 2): per-step optimal costs and
+      their minimum-norm gains; None until the analysis layer attaches
+      them.
 
     Immutable by convention: derive changed copies with
     ``dataclasses.replace``.
@@ -101,11 +111,8 @@ class Trajectory:
     theta: np.ndarray | None = None
     alpha: np.ndarray | None = None
     J_star: np.ndarray | None = None
-    model_name: str = ""
-    seed: int | None = None
-    config_hash: str | None = None
+    theta_star: np.ndarray | None = None
     telemetry: dict[str, np.ndarray] = field(default_factory=dict)
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.u)
@@ -142,8 +149,9 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              guard: float = DEFAULT_GUARD) -> Trajectory:
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
-    Per step: ``u = control(t, x)``, the outputs and telemetry at (x, u),
-    the next state, the weighted errors e, and ``i_star = observe(t, e)``.
+    Per step: ``u = control(t, x)``, the outputs at (x, u), the next state,
+    the weighted errors e, and ``i_star = observe(t, e)``. The telemetry
+    channels are computed once, from the columns, after the last step.
     The input, the outputs and the next state must stay finite and within
     ``guard`` in magnitude; the first that does not aborts the run with
     ``SimulationDiverged`` at that step. States must be numeric arrays of
@@ -162,7 +170,6 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     j_col = np.empty(n)
     states = np.empty((n + 1,) + np.shape(x0))
     states[0] = x0
-    telemetry: dict[str, np.ndarray] = {}
     x = x0
     for t in range(n):
         u = control(t, x)
@@ -172,7 +179,6 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         y = model.outputs(x, u)
         if not abs(y).max() <= guard:
             raise _diverged(y, "outputs", t, guard)
-        channels = model.telemetry(x, u)
         x = model.step(x, u)
         if not abs(x).max() <= guard:
             raise _diverged(x, "state", t, guard)
@@ -186,10 +192,7 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         i_col[t] = i_star
         j_col[t] = e_active ** 2
         states[t + 1] = x
-        if t == 0:
-            telemetry = {key: np.empty(n) for key in channels}
-        for key, value in channels.items():
-            telemetry[key][t] = value
+    telemetry = model.telemetry(states[:-1], u_col, y_col)
     return Trajectory(u=u_col, y=y_col, e=e_col, i_star=i_col, J=j_col,
                       states=states, telemetry=telemetry)
 
@@ -200,20 +203,12 @@ def run_closed_loop(model: PlantModel,
                     t_f: int,
                     x0,
                     *,
-                    model_name: str = "",
-                    seed: int | None = None,
-                    config_hash: str | None = None,
-                    guard: float = DEFAULT_GUARD,
-                    u_clamp: tuple[float, float] | None = None) -> Trajectory:
+                    guard: float = DEFAULT_GUARD) -> Trajectory:
     """Run the data-driven bang-ride loop for steps t = 0..t_f.
 
     Per step: compute u from the PI law, observe the outputs, pick the active
     constraint, take one projected gradient step on the gains, then append the
     active error to the history. The controller is mutated to its final state.
-
-    ``u_clamp`` is an optional hard safety clamp on the applied current,
-    off by default (the current bound is normally handled by constraint 1);
-    when active it is recorded in the trajectory extras.
     """
     if controller.t != 0:
         raise ConfigurationError("run_closed_loop requires a fresh controller (t == 0)")
@@ -223,10 +218,7 @@ def run_closed_loop(model: PlantModel,
     def control(t: int, x) -> float:
         thetas.append(controller.theta.copy())
         alphas.append(step_size(t, controller.mu1))
-        u = controller.control()
-        if u_clamp is not None:
-            u = min(max(u, u_clamp[0]), u_clamp[1])
-        return u
+        return controller.control()
 
     def observe(t: int, e: np.ndarray) -> int:
         i_star = active_index(e)
@@ -235,16 +227,7 @@ def run_closed_loop(model: PlantModel,
         return i_star
 
     traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
-    extras: dict[str, Any] = {
-        "kind": "closed-loop",
-        "theta_box": (controller.theta_lo.copy(), controller.theta_hi.copy()),
-        "mu1": controller.mu1,
-    }
-    if u_clamp is not None:
-        extras["u_clamp"] = u_clamp
-    return replace(traj, theta=np.array(thetas), alpha=np.array(alphas),
-                   model_name=model_name, seed=seed, config_hash=config_hash,
-                   extras=extras)
+    return replace(traj, theta=np.array(thetas), alpha=np.array(alphas))
 
 
 def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,

@@ -42,7 +42,7 @@ def _fmt(v: float) -> str:
 CHANNELS = {
     "voltage": (("voltage",), ("v_dynamic",), ("v_pack",)),
     "temperature": (("temperature",), ("t_max", "t_min")),
-    "soc": (("soc",), ("soc_mean",)),
+    "soc": (("soc",),),
 }
 
 
@@ -77,8 +77,7 @@ def quantity_series(traj: Trajectory, quantity: str, *, label: str,
         return [Series(f"{label} (max)", tel[hi], color, width, dash, in_legend),
                 Series(f"{label} (min)", tel[lo], color, width,
                        "3,3" if not dash else dash, in_legend)]
-    raise ConfigurationError(
-        f"trajectory for model {traj.model_name!r} has no {quantity!r} channel")
+    raise ConfigurationError(f"trajectory has no {quantity!r} channel")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

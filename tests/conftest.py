@@ -19,8 +19,7 @@ def free_runs(scenarios):
     for name, built in scenarios.items():
         t0 = time.perf_counter()
         traj = run_closed_loop(built.model, built.new_controller(), built.spec,
-                               built.cfg.t_f, built.x0, model_name=built.cfg.model,
-                               seed=built.cfg.seed, config_hash=built.config_hash)
+                               built.cfg.t_f, built.x0)
         out[name] = (traj, time.perf_counter() - t0)
     return out
 
@@ -31,7 +30,5 @@ def oracle_runs(scenarios):
     out = {}
     for name, built in scenarios.items():
         out[name] = oracle_trajectory(built.model, built.spec, built.cfg.t_f,
-                                      built.x0, built.root_cfg,
-                                      model_name=built.cfg.model,
-                                      seed=built.cfg.seed)
+                                      built.x0, built.root_cfg)
     return out

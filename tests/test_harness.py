@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from bangride.svg import emit_svg, quantity_series
 def toy_traj():
     built = build_scenario(load_scenario("toy"))
     return run_closed_loop(built.model, built.new_controller(), built.spec,
-                           60, built.x0, model_name="toy-linear", seed=0)
+                           60, built.x0)
 
 
 class TestScenarioConfig:
@@ -82,16 +83,13 @@ class TestTrajectoryCsv:
     def test_pack_summary_channels(self, tmp_path):
         built = build_scenario(load_scenario("pack"))
         traj = run_closed_loop(built.model, built.new_controller(), built.spec,
-                               30, built.x0, model_name="pack")
-        path = write_trajectory_csv(traj, tmp_path / "p.csv", pack_summary=True)
+                               30, built.x0)
+        path = write_trajectory_csv(traj, tmp_path / "p.csv")
         cols = read_trajectory_csv(path)
         assert set(cols) >= {"V_pack", "T_max", "T_min", "dT_max"}
-        full = write_trajectory_csv(traj, tmp_path / "pf.csv", pack_summary=True,
-                                    full_dump=True)
-        assert "y_202" in read_trajectory_csv(full)
 
     def test_header_names(self, toy_traj):
-        assert trajectory_header(toy_traj, False) == [
+        assert trajectory_header(toy_traj) == [
             "t", "u", "y_1", "y_2", "e_active", "i_star",
             "theta_1", "theta_2", "alpha", "J", "J_star"]
 
@@ -111,10 +109,10 @@ class TestSvg:
     def test_two_series_and_legend(self, tmp_path):
         built = build_scenario(load_scenario("ecm"))
         free = run_closed_loop(built.model, built.new_controller(), built.spec,
-                               40, built.x0, model_name="ecm")
+                               40, built.x0)
         from bangride.oracle import oracle_trajectory
         oracle = oracle_trajectory(built.model, built.spec, 40, built.x0,
-                                   built.root_cfg, model_name="ecm")
+                                   built.root_cfg)
         path = emit_svg([(free, {"label": "model-free"}),
                          (oracle, {"label": "ideal", "dash": "6,4",
                                    "color": "#111"})],
@@ -127,7 +125,7 @@ class TestSvg:
     def test_pack_temperature_has_extrema_series(self, tmp_path):
         built = build_scenario(load_scenario("pack"))
         traj = run_closed_loop(built.model, built.new_controller(), built.spec,
-                               25, built.x0, model_name="pack")
+                               25, built.x0)
         series = quantity_series(traj, "temperature", label="pack")
         assert len(series) == 2
 
@@ -177,6 +175,22 @@ class TestCli:
         assert "ideal bang-ride" in ensemble and "model-free" in ensemble
         assert (out1 / "temperature_ensemble.svg").exists()
 
+    def test_unperturbed_ensemble_traces_the_oracle(self, tmp_path):
+        # at fraction 0 every model replays the true oracle's protocol, so
+        # each gray line lies on the oracle's line, step for step
+        out = tmp_path / "mc0"
+        assert main(["montecarlo", "--config", "ecm", "--steps", "300",
+                     "--models", "3", "--fraction", "0.0", "--svg",
+                     "--out", str(out)]) == 0
+        for quantity in ("current", "temperature"):
+            text = (out / f"{quantity}_ensemble.svg").read_text()
+            lines = re.findall(r'<polyline fill="none" stroke="(#\w+)"[^>]*'
+                               r' points="([^"]*)"', text)
+            gray = [pts for color, pts in lines if color == "#bbb"]
+            oracle = [pts for color, pts in lines if color == "#111"]
+            assert len(gray) == 3 and len(oracle) == 1
+            assert all(pts == oracle[0] for pts in gray), quantity
+
     def test_regret_subcommand(self, tmp_path):
         out = tmp_path / "rg"
         rc = main(["regret", "--config", "toy", "--steps", "800",
@@ -203,10 +217,12 @@ class TestCli:
         assert not out.exists()
 
     # SHA-256 of oracle.csv for the packaged scenarios. The oracle runs use
-    # only + - * / and sqrt, so the bytes hold on every IEEE-754 platform.
+    # only + - * / and sqrt, and the pack's summary channels add numpy sums,
+    # maxima and minima over its cells.
     GOLDEN_ORACLE_CSV = {
         "toy": "544d05c85541b047d995f671393f8676b56c6827d5019a6bca01584df0a927af",
         "ecm": "c11e70b64d65fe49e3a3d94a8ececa00215fa86a4665c4c082d1fb172c0e624f",
+        "pack": "6480241f65c2d035da5c81c20bde2b8df46da9c305d1aa081317069ef13f8066",
     }
 
     @pytest.mark.parametrize("config", sorted(GOLDEN_ORACLE_CSV))

@@ -98,9 +98,10 @@ class TestPackDynamics:
         x[:, 1] = rng.uniform(0, 2, 3)
         x[:, 2] = 0.3
         u = 6.0
-        manual = sum(base.v_ocv(x[i, 2]) + base.r_o * u + x[i, 0] + x[i, 1]
-                     for i in range(3))
-        assert pack.pack_voltage(x, u) == pytest.approx(manual, rel=1e-15)
+        manual = sum(base.ocv0 + base.ocv_slope * x[i, 2] + base.r_o * u
+                     + x[i, 0] + x[i, 1] for i in range(3))
+        tel = pack.telemetry(x[None], np.array([u]), pack.outputs(x, u)[None])
+        assert tel["v_pack"][0] == pytest.approx(manual, rel=1e-15)
 
     def test_pack_voltage_summation_along_run(self):
         pack = make_pack(n=3, var=0.2, seed=9)
@@ -110,9 +111,23 @@ class TestPackDynamics:
         base = pack.params.base
         for t, u in enumerate(traj.u):
             x = traj.states[t]
-            manual = sum(base.v_ocv(x[i, 2]) + base.r_o * u + x[i, 0] + x[i, 1]
-                         for i in range(3))
+            manual = sum(base.ocv0 + base.ocv_slope * x[i, 2] + base.r_o * u
+                         + x[i, 0] + x[i, 1] for i in range(3))
             assert traj.telemetry["v_pack"][t] == pytest.approx(manual, rel=1e-12)
+
+    def test_summary_channels_match_each_step(self):
+        # the whole-run columns against each step's own cell extrema and mean
+        pack = make_pack(n=5, var=0.3, seed=4)
+        spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
+        traj = oracle_trajectory(pack, spec, 80, pack.initial_state(),
+                                 RootConfig.for_bound(10.0))
+        tel, t_amb = traj.telemetry, pack.params.base.t_ambient
+        for t in range(len(traj)):
+            td, soc = traj.states[t][:, 3], traj.states[t][:, 2]
+            assert tel["t_max"][t] == td.max() + t_amb
+            assert tel["t_min"][t] == td.min() + t_amb
+            assert tel["dt_max"][t] == td.max() - td.min()
+            assert tel["soc"][t] == soc.mean()
 
 
 class TestPairwiseModes:

@@ -148,15 +148,6 @@ class TestRunClosedLoop:
         with pytest.raises(ConfigurationError):
             run_closed_loop(model, cs, spec, 3, model.initial_state())
 
-    def test_optional_hard_clamp_recorded(self):
-        model = ToyLinearPlant()
-        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-        cs = ControllerState()
-        traj = run_closed_loop(model, cs, spec, 20, model.initial_state(),
-                               u_clamp=(0.0, 10.0))
-        assert traj.extras["u_clamp"] == (0.0, 10.0)
-        assert np.all(traj.u <= 10.0) and np.all(traj.u >= 0.0)
-
 
 class FaultyToy(ToyLinearPlant):
     """Integrator whose state carries a step counter, so that it can fail at
