@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import ConstraintSpec, ControllerState, project_box
-from .errors import ConfigurationError, RootFindingError, SimulationDiverged
-from .models.ecm import EcmParams, EcmPlant, perturb_params
-from .oracle import RootConfig, oracle_trajectory
-from .plant import PlantModel, Trajectory, replay_open_loop, run_closed_loop
+from .errors import ConfigurationError, RootFindingError
+from .models.ecm import EcmEnsemble, EcmParams, EcmPlant, perturb_params
+from .oracle import RootConfig, oracle_batch, oracle_trajectory
+from .plant import BatchRun, PlantModel, Trajectory, replay_batch, run_closed_loop
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,6 @@ class PerStepOptimum:
     j_star: float
     u_star: float
     theta_star: np.ndarray
-    reachable: bool = True   # False when both history statistics are zero
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -98,8 +97,7 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
     if s[0] == 0.0 and s[1] == 0.0:
         e0 = err(0.0)
         return PerStepOptimum(j_star=e0 ** 2, u_star=0.0,
-                              theta_star=project_box(np.zeros(2), theta_lo, theta_hi),
-                              reachable=False)
+                              theta_star=project_box(np.zeros(2), theta_lo, theta_hi))
 
     image = _box_corners(theta_lo, theta_hi) @ s
     u_lo, u_hi = float(image.min()), float(image.max())
@@ -360,20 +358,22 @@ class RobustnessResult:
     free_run: Trajectory | None
 
 
-def _soc_objective(run: Trajectory) -> float:
-    """Charging objective: the run's SOC telemetry channel over steps 0..t_f,
+def _soc_objective(soc: np.ndarray) -> float:
+    """Charging objective: a run's SOC telemetry channel over steps 0..t_f,
     summed left to right."""
-    return float(sum(run.telemetry["soc"].tolist()))
+    return float(sum(soc.tolist()))
 
 
-def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
-                    spec: ConstraintSpec, x0, oracle_objective: float,
-                    violation_tol: float, keep_series: bool) -> ModelOutcome:
-    run = replay_open_loop(true_model, spec, x0, u_seq)
-    over = run.y - spec.y_bar[None, :]
+def _replay_outcome(index: int, u_seq: np.ndarray, replays: BatchRun, j: int,
+                    true_model: PlantModel, spec: ConstraintSpec,
+                    oracle_objective: float, violation_tol: float,
+                    keep_series: bool) -> ModelOutcome:
+    y = replays.y[:, j]
+    telemetry = true_model.telemetry(replays.states[:-1, j], u_seq, y)
+    over = y - spec.y_bar[None, :]
     depth = np.maximum(over, 0.0).max(axis=0)
     violated = over > violation_tol
-    achieved = _soc_objective(run)
+    achieved = _soc_objective(telemetry["soc"])
     return ModelOutcome(
         index=index,
         max_depth=depth,
@@ -381,26 +381,15 @@ def _replay_outcome(index: int, u_seq: np.ndarray, true_model: PlantModel,
         any_violation=bool(violated.any()),
         suboptimality=oracle_objective - achieved,
         u_seq=u_seq if keep_series else None,
-        temperature=run.telemetry["temperature"] if keep_series else None,
+        temperature=telemetry["temperature"] if keep_series else None,
     )
-
-
-def _one_perturbed_protocol(args) -> tuple[int, np.ndarray | None]:
-    (base, fraction, seed, index, spec, t_f, soc0, cfg) = args
-    params = perturb_params(base, fraction, (seed, index))
-    model = EcmPlant(params)
-    try:
-        traj = oracle_trajectory(model, spec, t_f, model.initial_state(soc0), cfg)
-    except (SimulationDiverged, RootFindingError):
-        return index, None
-    return index, traj.u
 
 
 def robustness_study(base: EcmParams, n_models: int, fraction: float,
                      spec: ConstraintSpec, t_f: int, seed: int, *,
                      soc0: float = 0.0, cfg: RootConfig | None = None,
                      controller: ControllerState | None = None,
-                     violation_tol: float = 1e-6, jobs: int = 1,
+                     violation_tol: float = 1e-6,
                      keep_series: bool = True) -> RobustnessResult:
     """Ideal protocols from randomly perturbed models, replayed on the truth.
 
@@ -408,8 +397,9 @@ def robustness_study(base: EcmParams, n_models: int, fraction: float,
     bang-ride protocol is computed in closed loop on the perturbed model and
     then applied open-loop to the true plant, recording violations and
     suboptimality. Optionally also runs the model-free controller on the true
-    plant for comparison. Per-model divergences are recorded, not fatal.
-    Results are merged by model index, so they do not depend on worker order.
+    plant for comparison. All perturbed models step together, through one
+    batched oracle and one batched replay; a model that diverges in either is
+    recorded as diverged, and the others go on.
     """
     if n_models < 1:
         raise ConfigurationError("n_models must be >= 1")
@@ -418,31 +408,21 @@ def robustness_study(base: EcmParams, n_models: int, fraction: float,
     true_model = EcmPlant(base)
     x0 = true_model.initial_state(soc0)
     true_oracle = oracle_trajectory(true_model, spec, t_f, x0, cfg)
-    oracle_objective = _soc_objective(true_oracle)
+    oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
 
-    work = [(base, fraction, seed, k, spec, t_f, soc0, cfg)
-            for k in range(n_models)]
-    if jobs > 1:
-        # imported here: the pool's import costs every command its start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            protocol_results = list(pool.map(_one_perturbed_protocol, work,
-                                             chunksize=max(1, n_models // (4 * jobs))))
-    else:
-        protocol_results = [_one_perturbed_protocol(w) for w in work]
-    protocol_results.sort(key=lambda pair: pair[0])
-
-    outcomes: list[ModelOutcome] = []
-    for index, u_seq in protocol_results:
-        if u_seq is None:
-            outcomes.append(ModelOutcome(index=index, diverged=True))
-            continue
-        try:
-            outcomes.append(_replay_outcome(index, u_seq, true_model, spec, x0,
-                                            oracle_objective, violation_tol,
-                                            keep_series))
-        except SimulationDiverged:
-            outcomes.append(ModelOutcome(index=index, diverged=True))
+    perturbed = EcmEnsemble([perturb_params(base, fraction, (seed, k))
+                             for k in range(n_models)])
+    protocols = oracle_batch(perturbed, spec, t_f, np.tile(x0, (n_models, 1)), cfg)
+    u_cols, ran = protocols.u, np.flatnonzero(protocols.failed < 0)
+    del protocols   # its outputs and states: 20 MB at 200 models, never read
+    replays = replay_batch(EcmEnsemble([base] * len(ran)),
+                           np.tile(x0, (len(ran), 1)), u_cols[:, ran])
+    outcomes = [ModelOutcome(index=k, diverged=True) for k in range(n_models)]
+    for j, k in enumerate(ran.tolist()):
+        if replays.failed[j] < 0:
+            outcomes[k] = _replay_outcome(k, u_cols[:, k], replays, j,
+                                          true_model, spec, oracle_objective,
+                                          violation_tol, keep_series)
 
     depths = [o.max_depth for o in outcomes if o.max_depth is not None]
     per_constraint = (np.max(depths, axis=0) if depths

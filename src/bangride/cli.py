@@ -65,7 +65,9 @@ def _build_parser() -> _Parser:
     common(mc)
     mc.add_argument("--models", type=int, default=200)
     mc.add_argument("--fraction", type=float, default=0.1)
-    mc.add_argument("--jobs", type=int, default=1)
+    mc.add_argument("--jobs", type=int, default=1,
+                    help="ignored: every model runs in one batch; "
+                         "accepted so that older command lines still parse")
     rg = sub.add_parser("regret", help="step-size-exponent sweep on the toy plant")
     common(rg, config_required=False)
     va = sub.add_parser("validate", help="monotonicity and invariant suite")
@@ -183,13 +185,11 @@ def cmd_montecarlo(args) -> int:
         raise ConfigurationError(f"--models must be >= 1, got {args.models}")
     if not 0.0 <= args.fraction < 1.0:
         raise ConfigurationError(f"--fraction must lie in [0, 1), got {args.fraction}")
-    from .config import load_ecm_params, params_path
-    base = load_ecm_params(params_path(built.cfg, "params_ecm.cfg"))
     out = _prepare_run_dir(built, "montecarlo")
-    result = robustness_study(base, args.models, args.fraction, built.spec,
-                              built.cfg.t_f, built.cfg.seed,
+    result = robustness_study(built.model.params, args.models, args.fraction,
+                              built.spec, built.cfg.t_f, built.cfg.seed,
                               controller=built.new_controller(),
-                              jobs=args.jobs, keep_series=args.svg)
+                              keep_series=args.svg)
     write_montecarlo_summary(result.stats, out / "summary.csv")
     if args.svg:
         _emit_ensemble_plots(out, result)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -131,6 +132,71 @@ class EcmPlant(PlantModel):
             "temperature": self.params.t_ambient + states[:, 3],
             "v_dynamic": self.params.r_o * u + states[:, 0] + states[:, 1],
         }
+
+
+class EcmEnsemble:
+    """M ECM cells, each with its own parameters, stepped together.
+
+    States are (M, 4) rows and every coefficient is an (M,) column. Each
+    expression repeats the operand order of ``EcmPlant``, so row k of every
+    result equals the scalar result of ``cells[k]`` bit for bit. Results are
+    transposed views of (columns, M) arrays, filled a column at a time: at
+    small M, numpy's per-call cost outweighs the arithmetic.
+    """
+
+    output_count = EcmPlant.output_count
+
+    def __init__(self, params: Sequence[EcmParams]):
+        self.params = list(params)
+        self.cells = [EcmPlant(p) for p in self.params]
+        for name in ("_k1", "_k2", "_b1", "_b2", "_ks", "_kt", "_bt"):
+            setattr(self, name, np.array([getattr(c, name) for c in self.cells]))
+        self._r_o = np.array([p.r_o for p in self.params])
+        self._ocv_slope = np.array([p.ocv_slope for p in self.params])
+        # products that EcmPlant forms first in its left-to-right expressions
+        self._bt_r_o = self._bt * self._r_o
+        self._4bt_r_o = 4.0 * self._bt * self._r_o
+        # the step's k*x + b*u for three columns at once (the exact factor 1
+        # leaves soc + ks*u as it is); the temperature column is set alone
+        m = len(self.params)
+        self._k = np.array([self._k1, self._k2, np.ones(m), np.zeros(m)])
+        self._b = np.array([self._b1, self._b2, self._ks, np.zeros(m)])
+
+    def take(self, keep: np.ndarray) -> "EcmEnsemble":
+        """The members where the boolean mask ``keep`` is true."""
+        return EcmEnsemble([p for p, k in zip(self.params, keep) if k])
+
+    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        v1, v2, soc, td = cols = x.T
+        nxt = self._k * cols + self._b * u
+        nxt[3] = self._kt * td + self._bt * u * (self._r_o * u + v1 + v2)
+        return nxt.T
+
+    def outputs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        v1, v2, soc, td = x.T
+        v12 = v1 + v2
+        y = np.empty((3, len(x)))
+        y[0] = u
+        y[1] = v12 + self._ocv_slope * soc + u
+        y[2] = self._kt * td + self._bt * v12 * u + self._bt_r_o * u * u
+        return y.T
+
+    def riding_currents(self, x: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
+        """``EcmPlant.riding_currents`` of every member, one row each."""
+        v1, v2, soc, td = x.T
+        v12 = v1 + v2
+        b = self._bt * v12
+        c = self._kt * td - float(y_bar[2])
+        disc = b * b - self._4bt_r_o * c
+        roots = np.empty((3, len(x)))
+        roots[0] = y_bar[0]
+        roots[1] = y_bar[1] - (v12 + self._ocv_slope * soc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = b + np.sqrt(disc)
+            np.divide(-2.0 * c, den, out=roots[2])
+        roots[2, (b < 0.0) | (den == 0.0)] = np.nan
+        roots[2, disc < 0.0] = -np.inf
+        return roots.T
 
 
 def perturb_params(base: EcmParams, fraction: float, seed) -> EcmParams:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .controller import ConstraintSpec
 from .errors import ConfigurationError, RootFindingError
-from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+from .plant import (DEFAULT_GUARD, BatchRun, PlantModel, Trajectory, simulate,
+                    simulate_batch)
 
 
 @dataclass
@@ -206,3 +207,33 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         return res.u
 
     return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
+
+
+def oracle_batch(model, spec: ConstraintSpec, t_f: int, x0: np.ndarray,
+                 cfg: RootConfig, *, guard: float = DEFAULT_GUARD) -> BatchRun:
+    """``oracle_trajectory`` for every member of a batched model at once.
+
+    ``model`` is batched as in ``plant.simulate_batch``, with a row-wise
+    ``riding_currents`` and its scalar ``cells``. Per step every member takes
+    the minimum of its riding currents clamped at 0, ties going to the lower
+    index and u_max to constraint 1, as ``selector`` does. A member with a NaN
+    riding current, which ``selector`` would bisect, runs ``selector`` on its
+    own cell; if that raises ``RootFindingError``, its input is NaN and the
+    member fails the guard.
+    """
+    if cfg.u_hi < spec.u_max:
+        raise ConfigurationError("RootConfig.u_hi must cover u_max")
+
+    def control(t: int, model, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        values = np.maximum(model.riding_currents(x, spec.y_bar), 0.0)
+        values[:, 0] = spec.u_max
+        u = values[np.arange(len(x)), values.argmin(axis=1)]
+        # argmin picks a row's first NaN: u is NaN where selector would bisect
+        for j in np.flatnonzero(np.isnan(u)):
+            try:
+                u[j] = selector(model.cells[j], x[j], spec, cfg).u
+            except RootFindingError:
+                pass  # the NaN input fails the guard
+        return u
+
+    return simulate_batch(model, t_f, x0, control, guard=guard)

@@ -3,13 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      EcmParams, EcmPlant, ToyLinearPlant, run_closed_loop)
+                      EcmParams, EcmPlant, RootConfig, RootFindingError,
+                      SimulationDiverged, ToyLinearPlant, oracle_trajectory,
+                      perturb_params, project_box, replay_open_loop,
+                      run_closed_loop)
+from bangride import oracle
 from bangride.analysis import (GradientSignCheck, attach_per_step_optima,
                                ct_diagnostic, ct_ratio_sign_changes, ct_series,
                                gradient_sign_check, mu_star,
                                per_step_optimal_cost, regret, robustness_study)
+from bangride.models.ecm import EcmEnsemble
+from bangride.oracle import oracle_batch
+from bangride.plant import replay_batch
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -53,9 +62,11 @@ class TestPerStepOptimum:
     def test_degenerate_statistics_flagged(self):
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
+        lo, hi = np.zeros(2), np.array([10.0, 1.0])
         opt = per_step_optimal_cost(model, np.array([1.0]), spec, 0.0, 0.0,
-                                    np.zeros(2), np.array([10.0, 1.0]), i_star=2)
-        assert not opt.reachable
+                                    lo, hi, i_star=2)
+        assert opt.u_star == 0.0
+        assert np.array_equal(opt.theta_star, project_box(np.zeros(2), lo, hi))
         assert opt.j_star == pytest.approx((5.0 - 1.0) ** 2)
 
     @pytest.mark.parametrize("i_star,le,es,x", [
@@ -202,15 +213,31 @@ class TestRobustnessStudy:
             medians.append(float(np.median(depths)))
         assert medians[0] < medians[1] < medians[2]
 
-    def test_parallel_matches_serial(self):
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), fraction=st.floats(0.0, 0.3),
+           n_models=st.integers(1, 6), t_f=st.integers(0, 150))
+    def test_batched_matches_scalar(self, seed, fraction, n_models, t_f):
+        # reference: every model alone through the scalar oracle and replay
         base = EcmParams(**ECM_KW)
         spec = ConstraintSpec(**ECM_SPEC)
-        serial = robustness_study(base, 8, 0.1, spec, 300, seed=9, jobs=1)
-        parallel = robustness_study(base, 8, 0.1, spec, 300, seed=9, jobs=2)
-        for a, b in zip(serial.stats.outcomes, parallel.stats.outcomes):
-            assert a.index == b.index
-            assert a.suboptimality == b.suboptimality
-            assert np.array_equal(a.max_depth, b.max_depth)
+        true_model = EcmPlant(base)
+        x0 = true_model.initial_state()
+        cfg = RootConfig.for_bound(spec.u_max)
+        true_soc = oracle_trajectory(true_model, spec, t_f, x0, cfg).telemetry["soc"]
+        objective = float(sum(true_soc.tolist()))
+        res = robustness_study(base, n_models, fraction, spec, t_f, seed)
+        assert [o.index for o in res.stats.outcomes] == list(range(n_models))
+        for k, o in enumerate(res.stats.outcomes):
+            model = EcmPlant(perturb_params(base, fraction, (seed, k)))
+            u_seq = oracle_trajectory(model, spec, t_f, x0, cfg).u
+            run = replay_open_loop(true_model, spec, x0, u_seq)
+            over = run.y - spec.y_bar[None, :]
+            assert not o.diverged
+            assert np.array_equal(o.u_seq, u_seq)
+            assert np.array_equal(o.max_depth, np.maximum(over, 0.0).max(axis=0))
+            assert o.violation_steps == int(np.any(over > 1e-6, axis=1).sum())
+            assert o.suboptimality == objective - float(sum(run.telemetry["soc"].tolist()))
+            assert np.array_equal(o.temperature, run.telemetry["temperature"])
 
     def test_free_run_comparison_included(self):
         base = EcmParams(**ECM_KW)
@@ -224,3 +251,103 @@ class TestRobustnessStudy:
         with pytest.raises(ConfigurationError):
             robustness_study(EcmParams(**ECM_KW), 0, 0.1,
                              ConstraintSpec(**ECM_SPEC), 10, seed=0)
+
+
+class TestBatchedEnsemble:
+    """Members that fail in the batched oracle or replay leave the batch
+    exactly where the scalar reference paths fail, and the others go on."""
+
+    BASE = EcmParams(**ECM_KW)
+    SPEC = ConstraintSpec(**ECM_SPEC)
+    PARAMS = [perturb_params(EcmParams(**ECM_KW), 0.3, (11, k)) for k in range(6)]
+
+    def scalar_runs(self, t_f, x0, cfg, guard):
+        """Per member: its (oracle, replay) runs, or where the oracle or the
+        replay diverged, or 'root' when its oracle raised RootFindingError."""
+        truth = EcmPlant(self.BASE)
+        runs = []
+        for params in self.PARAMS:
+            try:
+                ideal = oracle_trajectory(EcmPlant(params), self.SPEC, t_f, x0, cfg,
+                                          guard=guard)
+            except SimulationDiverged as exc:
+                runs.append(("oracle", exc.step))
+                continue
+            except RootFindingError:
+                runs.append("root")
+                continue
+            try:
+                runs.append((ideal, replay_open_loop(truth, self.SPEC, x0, ideal.u,
+                                                     guard=guard)))
+            except SimulationDiverged as exc:
+                runs.append(("replay", exc.step))
+        return runs
+
+    def batched_runs(self, t_f, x0, cfg, guard):
+        m = len(self.PARAMS)
+        protocols = oracle_batch(EcmEnsemble(self.PARAMS), self.SPEC, t_f,
+                                 np.tile(x0, (m, 1)), cfg, guard=guard)
+        ran = np.flatnonzero(protocols.failed < 0)
+        replays = replay_batch(EcmEnsemble([self.BASE] * len(ran)),
+                               np.tile(x0, (len(ran), 1)), protocols.u[:, ran],
+                               guard=guard)
+        return protocols, ran, replays
+
+    def assert_match(self, scalar, protocols, ran, replays):
+        for k, ref in enumerate(scalar):
+            if ref == "root":
+                assert protocols.failed[k] >= 0
+            elif ref[0] == "oracle":
+                assert protocols.failed[k] == ref[1]
+            else:
+                j = int(np.flatnonzero(ran == k)[0])
+                if ref[0] == "replay":
+                    assert replays.failed[j] == ref[1]
+                    continue
+                ideal, replay = ref
+                assert replays.failed[j] == -1
+                assert np.array_equal(protocols.u[:, k], ideal.u)
+                assert np.array_equal(protocols.states[:, k], ideal.states)
+                assert np.array_equal(replays.y[:, j], replay.y)
+                assert np.array_equal(replays.states[:, j], replay.states)
+
+    # guard 11.5 trips oracles at steps 79, 96 and 99 of 100, guard 12.15
+    # trips replays at steps 155, 155, 343 and 376 of 400 (voltage overshoot)
+    @pytest.mark.parametrize("guard, t_f, stage", [(11.5, 100, "oracle"),
+                                                   (12.15, 400, "replay")])
+    def test_guard_failures_match_scalar(self, guard, t_f, stage):
+        x0 = EcmPlant(self.BASE).initial_state()
+        cfg = RootConfig.for_bound(self.SPEC.u_max)
+        scalar = self.scalar_runs(t_f, x0, cfg, guard)
+        failed = [ref for ref in scalar if ref[0] == stage]
+        assert 1 <= len(failed) < len(scalar)
+        assert len({step for _, step in failed}) > 1
+        self.assert_match(scalar, *self.batched_runs(t_f, x0, cfg, guard))
+
+    def test_nan_riding_current_bisects_through_selector(self, monkeypatch):
+        # v1 < 0 makes the temperature quadratic's slope negative: no closed form
+        x0 = np.array([-0.5, 0.0, 0.0, 0.0])
+        cfg = RootConfig.for_bound(self.SPEC.u_max)
+        calls = []
+        selector = oracle.selector
+        monkeypatch.setattr(oracle, "selector",
+                            lambda *args: calls.append(1) or selector(*args))
+        batched = self.batched_runs(50, x0, cfg, 1e9)
+        monkeypatch.undo()
+        scalar = self.scalar_runs(50, x0, cfg, 1e9)
+        self.assert_match(scalar, *batched)
+        nan_steps = sum(
+            int(np.isnan(EcmPlant(p).riding_currents(x, self.SPEC.y_bar)).any())
+            for p, (ideal, _) in zip(self.PARAMS, scalar) for x in ideal.states[:-1])
+        assert len(calls) == nan_steps > 0
+
+    def test_root_finding_error_leaves_the_batch(self):
+        # near the temperature bound with v1 < 0, three bisection steps are too
+        # few for member 3, and enough (or not needed) for the others
+        x0 = np.array([-0.1, 0.0, 0.0, 8.013])
+        cfg = RootConfig.for_bound(self.SPEC.u_max, max_iter=3)
+        scalar = self.scalar_runs(50, x0, cfg, 1e9)
+        assert [k for k, ref in enumerate(scalar) if ref == "root"] == [3]
+        protocols, ran, replays = self.batched_runs(50, x0, cfg, 1e9)
+        assert ran.tolist() == [0, 1, 2, 4, 5]
+        self.assert_match(scalar, protocols, ran, replays)

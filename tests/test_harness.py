@@ -232,6 +232,21 @@ class TestCli:
         digest = hashlib.sha256((out / "oracle.csv").read_bytes()).hexdigest()
         assert digest == self.GOLDEN_ORACLE_CSV[config]
 
+    # SHA-256 of the montecarlo outputs, generated by the per-model scalar
+    # study that the batched one replaced
+    GOLDEN_MONTECARLO = {
+        "summary.csv": "c5540217e8c364a2a1309ef2d61ab3dfafd31dbbae6b92141f9ec3f42106b2f9",
+        "current_ensemble.svg": "5c9acc4949b28847bab13403e08784f6fdf87d0a20b5557228ec0a41f2d03ade",
+        "temperature_ensemble.svg": "b7cddd8fa8fb016d9ac63a3733902ef7e20c41811335bf9d1d192fa65f10e531",
+    }
+
+    def test_montecarlo_golden_bytes(self, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", "ecm", "--models", "6", "--seed", "7",
+                     "--svg", "--out", str(out)]) == 0
+        for name, digest in self.GOLDEN_MONTECARLO.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
     def test_exit_code_configuration_error(self):
         assert main(["simulate", "--config", "does-not-exist"]) == 1
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       oracle_trajectory, replay_open_loop, run_closed_loop,
                       validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
+from bangride.plant import PlantModel, simulate, simulate_batch
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -206,6 +209,77 @@ class TestDivergenceGuard:
         assert err.value.step == self.K
         assert str(err.value) == (f"simulation diverged at step {self.K}: "
                                   f"{GUARD_MESSAGES[fault]}")
+
+
+class Growth(PlantModel):
+    """x' = g*x + u with outputs (u, c*x): the state passes a guard first
+    when g is large, the outputs when c is."""
+
+    state_dim = 1
+    output_count = 2
+
+    def __init__(self, g, c):
+        self.g, self.c = g, c
+
+    def outputs(self, state, u):
+        return np.array([u, self.c * state[0]])
+
+    def step(self, state, u):
+        return np.array([self.g * state[0] + u])
+
+
+class GrowthBatch:
+    """``Growth`` members stepped together: (M, 1) states."""
+
+    output_count = 2
+
+    def __init__(self, g, c):
+        self.g, self.c = np.asarray(g), np.asarray(c)
+
+    def take(self, keep):
+        return GrowthBatch(self.g[keep], self.c[keep])
+
+    def outputs(self, x, u):
+        return np.stack([u, self.c * x[:, 0]], axis=1)
+
+    def step(self, x, u):
+        return (self.g * x[:, 0] + u)[:, None]
+
+
+class TestSimulateBatch:
+    # members fail first on their state (steps 13 and 8), on their outputs
+    # (step 6) or on a NaN input (step 3); member 3 runs to the end
+    G = [2.0, 3.0, 1.5, 1.0, 1.0]
+    C = [1.0, 1.0, 1000.0, 1.0, 1.0]
+
+    @staticmethod
+    def input_of(k: int, t: int) -> float:
+        return math.nan if (k, t) == (4, 3) else 0.0
+
+    def test_members_fail_where_simulate_fails(self):
+        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
+        x0 = np.array([0.01])
+        batch = simulate_batch(
+            GrowthBatch(self.G, self.C), 20, np.tile(x0, (5, 1)),
+            lambda t, model, x, rows: np.array([self.input_of(k, t) for k in rows]),
+            guard=100.0)
+        steps = []
+        for k, (g, c) in enumerate(zip(self.G, self.C)):
+            try:
+                traj = simulate(Growth(g, c), spec, 20, x0,
+                                lambda t, x: self.input_of(k, t), lambda t, e: 1,
+                                guard=100.0)
+            except SimulationDiverged as exc:
+                steps.append(exc.step)
+                assert np.isnan(batch.u[exc.step:, k]).all()
+                assert np.isnan(batch.states[exc.step + 1:, k]).all()
+                continue
+            steps.append(-1)
+            assert np.array_equal(batch.u[:, k], traj.u)
+            assert np.array_equal(batch.y[:, k], traj.y)
+            assert np.array_equal(batch.states[:, k], traj.states)
+        assert steps == [13, 8, 6, -1, 3]
+        assert batch.failed.tolist() == steps
 
 
 class TestValidateMonotonicity:

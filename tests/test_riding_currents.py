@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
                       RootConfig, oracle_trajectory, selector)
 from bangride.config import load_ecm_params, load_scenario, params_path
-from bangride.models.ecm import perturb_params
+from bangride.models.ecm import EcmEnsemble, perturb_params
 from bangride.models.pack import spread_root
 from bangride.plant import PlantModel
 
@@ -117,6 +117,29 @@ def test_ecm_closed_form_matches_bisection(seed, v1, v2, soc, td, u_max,
     spec = ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0])
     assert_roots_solve(plant, x, spec.y_bar)
     assert_same_selection(plant, x, spec, RootConfig.for_bound(u_max))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       rows=st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 3.0),
+                               st.floats(0.0, 1.2), st.floats(0.0, 30.0),
+                               st.floats(0.0, 60.0)), min_size=1, max_size=6),
+       y_temp=st.floats(0.0, 30.0))
+def test_ecm_ensemble_rows_equal_cells(seed, rows, y_temp):
+    # v1 + v2 < 0 gives NaN roots and a temperature deviation above the
+    # bound with little heating gives -inf: every branch, row by row
+    ensemble = EcmEnsemble([perturb_params(ECM_BASE, 0.3, (seed, k))
+                            for k in range(len(rows))])
+    x = np.array([r[:4] for r in rows])
+    u = np.array([r[4] for r in rows])
+    y_bar = np.array([10.0, 12.0, y_temp])
+    roots = ensemble.riding_currents(x, y_bar)
+    outputs, step = ensemble.outputs(x, u), ensemble.step(x, u)
+    for k, cell in enumerate(ensemble.cells):
+        assert np.array_equal(roots[k], cell.riding_currents(x[k], y_bar),
+                              equal_nan=True)
+        assert np.array_equal(outputs[k], cell.outputs(x[k], float(u[k])))
+        assert np.array_equal(step[k], cell.step(x[k], float(u[k])))
 
 
 @settings(max_examples=300, deadline=None)
