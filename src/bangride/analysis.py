@@ -2,9 +2,12 @@
 perturbed-model robustness study.
 
 Unlike the controller, everything here is deliberately model-aware: the
-per-step optimum re-simulates single plant steps, and the robustness study
+per-step optima and c_t evaluate the plant's outputs at the recorded states
+of every step at once (``PlantModel.output_rows``), and the robustness study
 builds ideal protocols from perturbed models and replays them on the true
-plant.
+plant. ``per_step_optimal_cost`` and ``ct_diagnostic`` are the one-step
+scalar references that the batched ``attach_per_step_optima`` and
+``ct_series`` equal bit for bit.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
     def err(u: float) -> float:
         return gamma_i * (y_bar_i - model.output(x, u, i_star - 1))
 
-    if s[0] == 0.0 and s[1] == 0.0:
+    if s @ s == 0.0:    # no history, or one too small to square (u is 0 within rounding)
         e0 = err(0.0)
         return PerStepOptimum(j_star=e0 ** 2, u_star=0.0,
                               theta_star=project_box(np.zeros(2), theta_lo, theta_hi))
@@ -127,6 +130,39 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
     return PerStepOptimum(j_star=e_opt ** 2, u_star=u_opt, theta_star=theta_star)
 
 
+def _min_norm_rows(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> np.ndarray:
+    """``_min_norm_on_line_in_box`` of every row of s with its c, bit for bit.
+
+    Keeps the scalar function's operand order, and its ``min``/``max``
+    choices through ``np.where``; rows that take the corner-touch fallback
+    call the scalar function itself.
+    """
+    s_sq = np.vecdot(s, s)     # rounds as the scalar s @ s; s0*s0 + s1*s1 does not
+    base = (c / s_sq)[:, None] * s
+    d = np.stack([-s[:, 1], s[:, 0]], axis=1) / np.sqrt(s_sq)[:, None]
+    eps = 1e-9 * (1.0 + float(np.max(np.abs(hi))) + np.abs(c))
+    t_min = np.full(len(c), -np.inf)
+    t_max = np.full(len(c), np.inf)
+    for j in range(2):
+        lo_j, hi_j, b_j, d_j = lo[j] - eps, hi[j] + eps, base[:, j], d[:, j]
+        flat = np.abs(d_j) < 1e-15
+        outside = flat & ~((lo_j <= b_j) & (b_j <= hi_j))
+        with np.errstate(all="ignore"):    # flat rows: a and b are unused
+            a, b = (lo_j - b_j) / d_j, (hi_j - b_j) / d_j
+        low, high = np.where(b < a, b, a), np.where(b > a, b, a)
+        t_min = np.where(~flat & (low > t_min), low, t_min)
+        t_max = np.where(~flat & (high < t_max), high, t_max)
+        t_min[outside], t_max[outside] = np.inf, -np.inf   # as the scalar break
+    t_star = np.where(t_min > 0.0, t_min, 0.0)
+    t_star = np.where(t_max < t_star, t_max, t_star)
+    with np.errstate(invalid="ignore"):    # corner-touch rows, replaced below
+        theta = project_box(base + t_star[:, None] * d, lo, hi)
+    for k in np.flatnonzero(t_min > t_max).tolist():
+        theta[k] = _min_norm_on_line_in_box(s[k], float(c[k]), lo, hi)
+    return theta
+
+
 def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
                            spec: ConstraintSpec, theta_lo, theta_hi,
                            *, tol_u: float = 1e-9, tol_y: float = 1e-6) -> Trajectory:
@@ -134,27 +170,63 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
 
     Reconstructs the history statistics exactly as the controller accumulated
     them and freezes the realized active index per step; the minimizers are
-    taken over the gain box [theta_lo, theta_hi].
+    taken over the gain box [theta_lo, theta_hi]. All steps are solved at
+    once, through ``PlantModel.output_rows``, with a lockstep bisection in
+    which each step stops on its own; every row equals
+    ``per_step_optimal_cost`` at that step bit for bit.
     """
     if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "
                                  "(oracle runs have no gains)")
     theta_lo = np.asarray(theta_lo, dtype=float)
     theta_hi = np.asarray(theta_hi, dtype=float)
-    j_stars: list[float] = []
-    theta_stars: list[np.ndarray] = []
-    le, es = 0.0, 0.0
-    steps = zip(trajectory.i_star.tolist(), trajectory.e_active.tolist())
-    for t, (i_star, e_active) in enumerate(steps):
-        opt = per_step_optimal_cost(model, trajectory.states[t], spec,
-                                    le, es, theta_lo, theta_hi, i_star,
-                                    tol_u=tol_u, tol_y=tol_y)
-        j_stars.append(opt.j_star)
-        theta_stars.append(opt.theta_star)
-        le = e_active
-        es += e_active
-    return replace(trajectory, J_star=np.array(j_stars),
-                   theta_star=np.array(theta_stars))
+    n = len(trajectory)
+    index = trajectory.i_star - 1
+    gamma, y_bar, states = spec.gamma[index], spec.y_bar[index], trajectory.states[:n]
+
+    def err(rows, u: np.ndarray) -> np.ndarray:
+        return gamma[rows] * (y_bar[rows] - model.output_rows(states[rows], u, index[rows]))
+
+    # the controller's statistics: cumsum adds left to right, as it does
+    last_error = np.concatenate(([0.0], trajectory.e_active[:-1]))
+    s = np.stack([last_error, np.cumsum(last_error)], axis=1)
+    zero = np.vecdot(s, s) == 0.0
+    # a stacked matmul rounds each row as the scalar corners @ s; the
+    # elementwise sum and s @ corners.T do not
+    image = (_box_corners(theta_lo, theta_hi)[None] @ s[:, :, None])[:, :, 0]
+    u_lo = np.where(zero, 0.0, image.min(axis=1))   # u = 0.0 exactly, not -0.0
+    u_hi = np.where(zero, 0.0, image.max(axis=1))
+    e_lo, e_hi = err(slice(None), u_lo), err(slice(None), u_hi)
+    high = e_hi >= 0.0
+    u_opt, e_opt = np.where(high, u_hi, u_lo), np.where(high, e_hi, e_lo)
+
+    rows = np.flatnonzero(~(zero | high | (e_lo <= 0.0)))
+    lo_u, hi_u, tol_e = u_lo[rows], u_hi[rows], gamma[rows] * tol_y
+    max_iter = 200    # per_step_optimal_cost's default
+    for _ in range(max_iter):
+        if not len(rows):
+            break
+        mid = 0.5 * (lo_u + hi_u)
+        e = err(rows, mid)
+        below = e < 0.0
+        hi_u, lo_u = np.where(below, mid, hi_u), np.where(below, lo_u, mid)
+        done = ((hi_u - lo_u) <= tol_u) & (np.abs(e) <= tol_e)
+        u_opt[rows[done]], e_opt[rows[done]] = mid[done], e[done]
+        go = ~done
+        rows, lo_u, hi_u, tol_e = rows[go], lo_u[go], hi_u[go], tol_e[go]
+    if len(rows):   # the scalar loop stops at the first of them
+        raise RootFindingError(f"per-step optimum bisection did not converge "
+                               f"at step {rows[0]}", float(lo_u[0]),
+                               float(hi_u[0]), max_iter)
+
+    # every midpoint lies in [u_lo, u_hi], so the scalar's final clamp is a no-op
+    theta_star = np.empty((n, 2))
+    theta_star[zero] = project_box(np.zeros(2), theta_lo, theta_hi)
+    theta_star[~zero] = _min_norm_rows(s[~zero], u_opt[~zero], theta_lo, theta_hi)
+    # Python's ** (libm pow), as per_step_optimal_cost squares; numpy's
+    # square rounds differently on rare values
+    j_star = np.array([e ** 2 for e in e_opt.tolist()])
+    return replace(trajectory, J_star=j_star, theta_star=theta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +249,6 @@ class RegretReport:
     mu2_hat: float | None        # drift exponent estimated from epsilon_t
     mu_star_ref: float
     epsilon: np.ndarray | None   # ||theta*_{t+1} - theta*_t||
-    negative_gap_steps: list[int]  # gaps below -gap_tol (numerical flags)
 
     @property
     def total(self) -> float:
@@ -190,7 +261,7 @@ class RegretReport:
 
 
 def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
-           min_tail: int = 100, gap_tol: float = 1e-6) -> RegretReport:
+           min_tail: int = 100) -> RegretReport:
     """Cumulative regret with a tail log-log slope fit.
 
     The fit window is the last ``tail_fraction`` of the horizon, at least
@@ -201,7 +272,6 @@ def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
     if j_star is None or np.any(np.isnan(j_star)):
         raise ConfigurationError("J_star missing; attach per-step optima first")
     gaps = trajectory.J - j_star
-    negative = [int(t) for t in np.nonzero(gaps < -gap_tol)[0]]
     cumulative = np.cumsum(gaps)
     n = len(gaps)
     window = min(n, max(min_tail, int(math.ceil(tail_fraction * n))))
@@ -227,7 +297,7 @@ def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
     return RegretReport(gaps=gaps, cumulative=cumulative, tail_start=tail_start,
                         tail_slope=slope, converged=converged, mu1=mu1,
                         mu2_hat=mu2_hat, mu_star_ref=mu_star(mu1, mu2_eff),
-                        epsilon=epsilon, negative_gap_steps=negative)
+                        epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +314,13 @@ def ct_diagnostic(model: PlantModel, x, u: float, i_star: int, gamma_i: float,
 
 def ct_series(trajectory: Trajectory, model: PlantModel, spec: ConstraintSpec,
               delta: float = 1e-5) -> np.ndarray:
-    """c_t along a trajectory, at the realized states/inputs/active indices."""
-    steps = zip(trajectory.u.tolist(), trajectory.i_star.tolist())
-    return np.array([
-        ct_diagnostic(model, trajectory.states[t], u, i_star,
-                      float(spec.gamma[i_star - 1]), delta)
-        for t, (u, i_star) in enumerate(steps)
-    ])
+    """c_t along a trajectory, at the realized states/inputs/active indices;
+    entry t equals ``ct_diagnostic`` at step t bit for bit."""
+    index = trajectory.i_star - 1
+    states = trajectory.states[:len(trajectory)]
+    hp = model.output_rows(states, trajectory.u + delta, index)
+    hm = model.output_rows(states, trajectory.u - delta, index)
+    return 2.0 * spec.gamma[index] * (hp - hm) / (2.0 * delta)
 
 
 def ct_ratio_sign_changes(ct: np.ndarray, alphas: np.ndarray) -> int:
@@ -260,68 +330,6 @@ def ct_ratio_sign_changes(ct: np.ndarray, alphas: np.ndarray) -> int:
     diff = np.diff(ratio)
     signs = np.sign(diff[diff != 0.0])
     return int(np.sum(signs[1:] != signs[:-1]))
-
-
-@dataclass
-class GradientSignCheck:
-    checked: int
-    agreed: int
-    skipped: int          # |finite-difference derivative| below the floor
-    ct_min: float
-    disagreements: list[tuple[int, int]]   # (step, component)
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-
-def gradient_sign_check(trajectory: Trajectory, model: PlantModel,
-                        spec: ConstraintSpec, *, delta: float = 1e-6,
-                        deriv_floor: float = 1e-8,
-                        ct_delta: float = 1e-5) -> GradientSignCheck:
-    """Compare sign(g_t) against finite differences of the one-step cost.
-
-    For every recorded step, re-simulates the step at perturbed gains and
-    differentiates J(theta) = e_active(theta)^2 numerically; component signs
-    must agree with g_t = -e_active * (last_error, error_sum) whenever the
-    derivative is distinguishable from zero. Also tracks min c_t.
-    """
-    checked = agreed = skipped = 0
-    disagreements: list[tuple[int, int]] = []
-    ct_min = math.inf
-    le, es = 0.0, 0.0
-    steps = zip(trajectory.u.tolist(), trajectory.i_star.tolist(),
-                trajectory.e_active.tolist())
-    for t, (u_t, i_star, e_active) in enumerate(steps):
-        x = trajectory.states[t]
-        s = np.array([le, es])
-        theta = trajectory.theta[t]
-        gamma_i = float(spec.gamma[i_star - 1])
-        y_bar_i = float(spec.y_bar[i_star - 1])
-
-        def cost(th: np.ndarray) -> float:
-            u = float(th @ s)
-            return (gamma_i * (y_bar_i - model.output(x, u, i_star - 1))) ** 2
-
-        g = -e_active * s
-        for m in range(2):
-            step_vec = np.zeros(2)
-            step_vec[m] = delta
-            fd = (cost(theta + step_vec) - cost(theta - step_vec)) / (2.0 * delta)
-            if abs(fd) <= deriv_floor:
-                skipped += 1
-                continue
-            checked += 1
-            if math.copysign(1.0, fd) == math.copysign(1.0, g[m]):
-                agreed += 1
-            else:
-                disagreements.append((t, m))
-        ct_min = min(ct_min, ct_diagnostic(model, x, u_t, i_star,
-                                           gamma_i, ct_delta))
-        le = e_active
-        es += e_active
-    return GradientSignCheck(checked=checked, agreed=agreed, skipped=skipped,
-                             ct_min=ct_min, disagreements=disagreements)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,6 @@ class ControllerState:
     grad_clip: float | None = None
     error_sum: float = 0.0
     last_error: float = 0.0
-    last_active: int = 1
     t: int = 0
 
     def __post_init__(self):
@@ -156,16 +155,14 @@ class ControllerState:
                 g *= self.grad_clip / norm
         return g
 
-    def update(self, g: np.ndarray, alpha: float, i_star: int, e_active: float) -> None:
+    def update(self, g: np.ndarray, alpha: float, e_active: float) -> None:
         """One projected gradient step, then absorb the step's active error.
 
         Order matters: the gains move using the pre-update statistics, after
-        which (i_star, e_active) extend the history and the step counter
-        advances.
+        which e_active extends the history and the step counter advances.
         """
         self.theta = project_box(self.theta - alpha * np.asarray(g, dtype=float),
                                  self.theta_lo, self.theta_hi)
         self.last_error = float(e_active)
         self.error_sum += float(e_active)
-        self.last_active = int(i_star)
         self.t += 1

@@ -39,3 +39,6 @@ class ToyLinearPlant(PlantModel):
         if index == 0:
             return u
         return self.c * float(state[0]) + self.d * u
+
+    def output_rows(self, states, u, index) -> np.ndarray:
+        return np.where(index == 0, u, self.c * states[:, 0] + self.d * u)

@@ -34,8 +34,8 @@ class PlantModel(abc.ABC):
     """Discrete-time plant with p monotone scalar outputs.
 
     Subclasses set ``state_dim`` and ``output_count`` and implement ``step``
-    and ``outputs``. ``output``, ``telemetry`` and ``riding_currents`` have
-    overridable defaults.
+    and ``outputs``. ``output``, ``output_rows``, ``telemetry`` and
+    ``riding_currents`` have overridable defaults.
     """
 
     state_dim: int
@@ -52,6 +52,19 @@ class PlantModel(abc.ABC):
     def output(self, state, u: float, index: int) -> float:
         """Single output by 0-based position; override for a scalar fast path."""
         return float(self.outputs(state, u)[index])
+
+    def output_rows(self, states: np.ndarray, u: np.ndarray,
+                    index: np.ndarray) -> np.ndarray:
+        """``output`` of each row: entry k is
+        ``output(states[k], u[k], index[k])``, bit for bit.
+
+        Takes (n, *state_shape) states with (n,) inputs and 0-based output
+        positions. The default loops over ``output``; an override must keep
+        the row-wise bit equality, which the analysis layer relies on to
+        match its scalar references exactly.
+        """
+        return np.array([self.output(x, u_k, i) for x, u_k, i
+                         in zip(states, u.tolist(), index.tolist())], dtype=float)
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray | None:
         """Closed-form riding currents of all p constraints, or None.
@@ -225,7 +238,7 @@ def run_closed_loop(model: PlantModel,
     def observe(t: int, e: np.ndarray) -> int:
         i_star = active_index(e)
         e_active = float(e[i_star - 1])
-        controller.update(controller.gradient(e_active), alphas[t], i_star, e_active)
+        controller.update(controller.gradient(e_active), alphas[t], e_active)
         return i_star
 
     traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)

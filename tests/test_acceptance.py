@@ -12,10 +12,10 @@ import numpy as np
 
 from bangride import (ConstraintSpec, RootConfig, oracle_trajectory,
                       run_closed_loop, selector, step_size)
-from bangride.analysis import (attach_per_step_optima, gradient_sign_check,
-                               regret, robustness_study)
+from bangride.analysis import attach_per_step_optima, regret, robustness_study
 from bangride.config import load_ecm_params, params_path
 from bangride.models import PackParams, PackPlant, ToyLinearPlant
+from gradient_check import gradient_sign_check
 
 
 def _report(cid: str, ok: bool, detail: str):

@@ -114,7 +114,6 @@ class TestControllerState:
     def test_empty_history_gives_zero_current(self):
         cs = ControllerState()
         assert cs.control() == 0.0
-        assert cs.last_active == 1
         assert cs.t == 0
 
     def test_control_gradient_matches_statistics(self):
@@ -144,17 +143,16 @@ class TestControllerState:
 
     def test_update_interior_step(self):
         cs = ControllerState(theta=np.array([5.0, 0.5]))
-        cs.update(np.array([1.0, 0.1]), 0.5, i_star=2, e_active=0.3)
+        cs.update(np.array([1.0, 0.1]), 0.5, e_active=0.3)
         assert cs.theta == pytest.approx([4.5, 0.45])
         assert cs.last_error == 0.3
         assert cs.error_sum == 0.3
-        assert cs.last_active == 2
         assert cs.t == 1
 
     def test_update_clamps_to_box(self):
         cs = ControllerState(theta=np.array([0.1, 0.1]),
                              theta_lo=np.zeros(2), theta_hi=np.array([10.0, 10.0]))
-        cs.update(np.array([0.5, 0.0]), 1.0, i_star=1, e_active=0.0)
+        cs.update(np.array([0.5, 0.0]), 1.0, e_active=0.0)
         assert cs.theta == pytest.approx([0.0, 0.1])
 
     def test_theta_must_start_in_box(self):

@@ -247,6 +247,25 @@ class TestCli:
         for name, digest in self.GOLDEN_MONTECARLO.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    # SHA-256 of the outputs that carry per-step optima or c_t, generated by
+    # the per-step scalar loop that the batched attach_per_step_optima and
+    # ct_series replaced
+    GOLDEN_OPTIMA = {
+        "regret-2000": (["regret", "--steps", "2000"], "regret.csv",
+                        "2c4504ef5ab06a2ffcb0bf7df4d214f0d853594490c126a679e4832517f61c36"),
+        "regret": (["regret"], "regret.csv",
+                   "df6f1be42b5fd0ce8c2f6a183d37311e28f3592f1ed85bfbf1190add98cc0a8b"),
+        "simulate": (["simulate"], "trajectory.csv",
+                     "8136e76610d90728215ee991c54356d2dc04e5d044aa1510ff6b970689264dec"),
+    }
+
+    @pytest.mark.parametrize("run", sorted(GOLDEN_OPTIMA))
+    def test_toy_optima_golden_bytes(self, run, tmp_path):
+        args, name, digest = self.GOLDEN_OPTIMA[run]
+        out = tmp_path / run
+        assert main([args[0], "--config", "toy", *args[1:], "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
     def test_exit_code_configuration_error(self):
         assert main(["simulate", "--config", "does-not-exist"]) == 1
 

@@ -46,7 +46,6 @@ class TestRunClosedLoop:
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         cs = ControllerState()
-        assert cs.last_active == 1  # active index initialized to 1 pre-measurement
         traj = run_closed_loop(model, cs, spec, 0, model.initial_state())
         assert len(traj) == 1
         assert traj.t_f == 0
