@@ -96,16 +96,6 @@ class EcmPlant(PlantModel):
         h3 = self._kt * td + self._bt * (v1 + v2) * u + self._bt * self.params.r_o * u * u
         return np.array([u, h2, h3])
 
-    def output(self, state, u: float, index: int) -> float:
-        if index == 0:
-            return u
-        v1, v2 = float(state[0]), float(state[1])
-        if index == 1:
-            return v1 + v2 + self.params.ocv_slope * float(state[2]) + u
-        return (self._kt * float(state[3])
-                + self._bt * (v1 + v2) * u
-                + self._bt * self.params.r_o * u * u)
-
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Current bound, affine voltage root, and the root where the
         temperature quadratic a*u**2 + b*u + c crosses the bound upward, in
@@ -153,9 +143,8 @@ class EcmEnsemble:
             setattr(self, name, np.array([getattr(c, name) for c in self.cells]))
         self._r_o = np.array([p.r_o for p in self.params])
         self._ocv_slope = np.array([p.ocv_slope for p in self.params])
-        # products that EcmPlant forms first in its left-to-right expressions
+        # the product that EcmPlant forms first in its left-to-right expressions
         self._bt_r_o = self._bt * self._r_o
-        self._4bt_r_o = 4.0 * self._bt * self._r_o
         # the step's k*x + b*u for three columns at once (the exact factor 1
         # leaves soc + ks*u as it is); the temperature column is set alone
         m = len(self.params)
@@ -185,18 +174,31 @@ class EcmEnsemble:
         """``EcmPlant.riding_currents`` of every member, one row each."""
         v1, v2, soc, td = x.T
         v12 = v1 + v2
-        b = self._bt * v12
-        c = self._kt * td - float(y_bar[2])
-        disc = b * b - self._4bt_r_o * c
         roots = np.empty((3, len(x)))
         roots[0] = y_bar[0]
         roots[1] = y_bar[1] - (v12 + self._ocv_slope * soc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = b + np.sqrt(disc)
-            np.divide(-2.0 * c, den, out=roots[2])
-        roots[2, (b < 0.0) | (den == 0.0)] = np.nan
-        roots[2, disc < 0.0] = -np.inf
+        roots[2] = rising_roots(self._bt_r_o, self._bt * v12,
+                                self._kt * td - float(y_bar[2]))
         return roots.T
+
+
+def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per element, the root of a*u**2 + b*u + c = 0 (a > 0) where the
+    quadratic crosses zero upward, in the cancellation-free form
+    -2c / (b + sqrt(b**2 - 4ac)): ``EcmPlant.riding_currents`` on arrays.
+
+    -inf where there is no real root (the quadratic is positive everywhere);
+    NaN where b < 0, since the quadratic is then not increasing on u >= 0,
+    and where the denominator is 0. The factor 4 is a power of two, so with
+    a = bt*r_o the product 4*a equals the scalar form's (4*bt)*r_o exactly.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        den = b + np.sqrt(disc)
+        root = -2.0 * c / den
+    root[(b < 0.0) | (den == 0.0)] = np.nan
+    root[disc < 0.0] = -np.inf
+    return root
 
 
 def perturb_params(base: EcmParams, fraction: float, seed) -> EcmParams:

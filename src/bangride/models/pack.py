@@ -37,7 +37,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..controller import ConstraintSpec
 from ..plant import PlantModel
-from .ecm import EcmParams
+from .ecm import EcmParams, rising_roots
 
 PAIR_MODES = ("all-pairs", "max-minus-min")
 VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
@@ -100,9 +100,6 @@ class PackPlant(PlantModel):
         cells = np.arange(n)
         self._prev = np.roll(cells, 1)    # ring neighbours i-1 and i+1
         self._next = np.roll(cells, -1)
-        if params.pairwise_mode == "all-pairs":
-            # ordered pairs (j, k), j != k, 0-based, lexicographic
-            self._pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
 
     @property
     def n_cells(self) -> int:
@@ -152,34 +149,6 @@ class PackPlant(PlantModel):
             pair_outs = np.array([t_outs.max() - t_outs.min()])
         return np.concatenate([[u], v_outs, t_outs, pair_outs])
 
-    def output(self, state, u: float, index: int) -> float:
-        n = self.n_cells
-        if index == 0:
-            return u
-        if index <= n:
-            cell = index - 1
-            return float(state[cell, 0] + state[cell, 1]
-                         + self.params.base.ocv_slope * state[cell, 2]) + u
-        if index <= 2 * n:
-            cell = index - 1 - n
-            return self._cell_temp_output(state, u, cell)
-        t_outs = self._temp_outputs(state, u)
-        if self.params.pairwise_mode == "all-pairs":
-            j, k = self._pairs[index - 1 - 2 * n]
-            return float(t_outs[j] - t_outs[k])
-        return float(t_outs.max() - t_outs.min())
-
-    def _cell_temp_output(self, state, u: float, cell: int) -> float:
-        p = self.params.base
-        n = self.n_cells
-        v1, v2, td = (float(state[cell, 0]), float(state[cell, 1]),
-                      float(state[cell, 3]))
-        td_prev = float(state[(cell - 1) % n, 3])
-        td_next = float(state[(cell + 1) % n, 3])
-        return (self._kt * td + self._bt * (v1 + v2) * u
-                + self._bt * p.r_o * u * u
-                + self._cl * (td_prev - td) + self._cr * (td_next - td))
-
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
         the temperature quadratics; the spread's root in max-minus-min mode,
@@ -201,18 +170,6 @@ class PackPlant(PlantModel):
         else:
             roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))
         return roots
-
-    def constraint_label(self, i_star: int) -> tuple:
-        """Mode-independent identity of a constraint: the pairwise family is
-        collapsed to a single label so active sequences compare across modes."""
-        n = self.n_cells
-        if i_star == 1:
-            return ("current",)
-        if i_star <= n + 1:
-            return ("voltage", i_star - 2)
-        if i_star <= 2 * n + 1:
-            return ("temp", i_star - 2 - n)
-        return ("pair",)
 
     def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
         """Series terminal voltage (sum over cells of OCV + Ro*u + v1 + v2),
@@ -278,18 +235,3 @@ def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:
         pair = active
         u -= excess / slope
     return max(float(u), 0.0)  # the spread is within bound at 0; undo rounding
-
-
-def rising_roots(a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per element, the root of a*u**2 + b*u + c = 0 (a > 0) where the
-    quadratic crosses zero upward, in the cancellation-free form
-    -2c / (b + sqrt(b**2 - 4ac)).
-
-    -inf where there is no real root (the quadratic is positive everywhere);
-    NaN where b < 0, since the quadratic is then not increasing on u >= 0,
-    and where the form is 0/0 (b <= 0, c == 0).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
-        root = -2.0 * c / (b + np.sqrt(disc))
-    return np.where(disc < 0.0, -np.inf, np.where(b < 0.0, np.nan, root))

@@ -15,7 +15,8 @@ Outputs: current and terminal voltage V = dU(x) + eta(u,x) + phi(u,x);
 SOC = (c_avg/c_max - theta_1)/(theta_2 - theta_1) is reported alongside but
 is not a constrained output.
 
-The three potential functions are pluggable. Defaults:
+The three potentials are ``SpmetParams`` methods of fixed form, set by its
+coefficients:
 
   * dU: cubic in the surface stoichiometry z = c_surf/c_max with positive
     linear and cubic coefficients (difference of two monotone open-circuit
@@ -26,14 +27,13 @@ The three potential functions are pluggable. Defaults:
     ratio term.
 
 Strict monotonicity of V in u on the operating range is checked numerically
-at construction.
+at construction, since the coefficients are read from a parameter file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class SpmetParams:
     q: float                  # capacity [A h]; the current bound is 2*q in A
     ce_rest_neg: float = 1200.0   # electrolyte rest concentration [mol/m^3]
     ce_rest_pos: float = 1200.0
-    # default-potential coefficients
+    # potential coefficients
     ocv_base: float = 3.0     # dU(z) = ocv_base + ocv_lin*z + ocv_cubic*z^3
     ocv_lin: float = 0.7
     ocv_cubic: float = 0.6
@@ -76,10 +76,6 @@ class SpmetParams:
     bv_scale: float = 15.0
     film_res: float = 0.005   # phi = film_res*u + phi_log_gain*ln(ce_pos/ce_neg)
     phi_log_gain: float = 0.02
-    # pluggable potentials; None selects the defaults above
-    delta_u: Callable | None = field(default=None, repr=False)
-    delta_eta: Callable | None = field(default=None, repr=False)
-    delta_phi: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         positive = ("dt", "v_p", "faraday", "g_hyd", "tau", "d_neg", "d_pos",
@@ -93,27 +89,21 @@ class SpmetParams:
             raise ConfigurationError("beta must lie in (0, 1)")
         if not 0.0 <= self.theta_1 < self.theta_2 <= 1.0:
             raise ConfigurationError("need 0 <= theta_1 < theta_2 <= 1")
-        if self.delta_u is None:
-            self.delta_u = self._default_delta_u
-        if self.delta_eta is None:
-            self.delta_eta = self._default_delta_eta
-        if self.delta_phi is None:
-            self.delta_phi = self._default_delta_phi
 
     @property
     def u_max(self) -> float:
         """Maximum charging current 2*q [A] (2C with q in A h)."""
         return 2.0 * self.q
 
-    def _default_delta_u(self, x: np.ndarray) -> float:
+    def delta_u(self, x: np.ndarray) -> float:
         z = float(x[1]) / self.c_max
         return self.ocv_base + self.ocv_lin * z + self.ocv_cubic * z ** 3
 
-    def _default_delta_eta(self, u: float, x: np.ndarray) -> float:
+    def delta_eta(self, u: float, x: np.ndarray) -> float:
         t_kelvin = float(x[4]) + KELVIN_OFFSET
         return self.bv_gain * (t_kelvin / REFERENCE_T_K) * math.asinh(u / self.bv_scale)
 
-    def _default_delta_phi(self, u: float, x: np.ndarray) -> float:
+    def delta_phi(self, u: float, x: np.ndarray) -> float:
         ce_neg, ce_pos = float(x[2]), float(x[3])
         if ce_neg <= 0.0 or ce_pos <= 0.0:
             raise PotentialDomainError(
@@ -126,7 +116,7 @@ class SpmetPlant(PlantModel):
     state_dim = 5
     output_count = 2
 
-    def __init__(self, params: SpmetParams, check_monotone: bool = True):
+    def __init__(self, params: SpmetParams):
         self.params = params
         p = params
         self._k_avg = p.dt / (p.v_p * p.faraday)
@@ -141,8 +131,7 @@ class SpmetPlant(PlantModel):
         self._fu_p = p.dt * p.n2_pos / (p.ve_pos * p.faraday * p.n3_pos)
         if not 0.0 < self._rex_n < 1.0 or not 0.0 < self._rex_p < 1.0:
             raise ConfigurationError("electrolyte relaxation unstable")
-        if check_monotone:
-            self._check_voltage_monotone()
+        self._check_voltage_monotone()
 
     def _check_voltage_monotone(self, n_z: int = 9, n_u: int = 9,
                                 delta: float = 1e-4) -> None:

@@ -35,10 +35,5 @@ class ToyLinearPlant(PlantModel):
             return np.array([u])
         return np.array([u, self.c * float(state[0]) + self.d * u])
 
-    def output(self, state, u: float, index: int) -> float:
-        if index == 0:
-            return u
-        return self.c * float(state[0]) + self.d * u
-
     def output_rows(self, states, u, index) -> np.ndarray:
         return np.where(index == 0, u, self.c * states[:, 0] + self.d * u)

@@ -56,37 +56,27 @@ class RootConfig:
 
 @dataclass
 class FeedbackValue:
-    """Riding current for one constraint: a finite root, or +inf when the
-    constraint cannot be reached inside the bracket.
-
-    When ``below_bracket`` is set the constraint is already violated at zero
-    current and the value is pinned to 0; otherwise a finite value satisfies
-    |h_i(x, value) - y_bar_i| <= tol_y.
+    """Riding current for one constraint: +inf when the constraint cannot be
+    reached inside the bracket, 0 when it is already violated at zero
+    current, and otherwise a root with |h_i(x, value) - y_bar_i| <= tol_y.
+    ``iterations`` counts the bisection halvings.
     """
 
     value: float
-    residual: float
-    below_bracket: bool = False
     iterations: int = 0
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
-                     cfg: RootConfig, trace: list | None = None) -> FeedbackValue:
+                     cfg: RootConfig) -> FeedbackValue:
     """Riding current of 1-based constraint i at state x, by bisection on
     [0, cfg.u_hi].
 
-    Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and a
-    flagged 0 when h_i(x, 0) > y_bar_i (violated already at zero current).
+    Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and 0
+    when h_i(x, 0) > y_bar_i (violated already at zero current).
     A residual of exactly 0 counts as below the bound, so the result lies
     within ``cfg.tol_u`` of the largest current whose computed output does
     not exceed y_bar_i. Where h_i is flat within rounding around the root,
     that current can exceed the exact root by more than ``cfg.tol_u``.
-    ``trace``, when given, collects the (lo, hi) bracket after every
-    iteration.
     """
     idx = i - 1
     hi = cfg.u_hi
@@ -95,11 +85,10 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
         raise RootFindingError(f"constraint {i}: non-finite output at bracket top",
                                0.0, hi, 0)
     if f_hi < y_bar_i:
-        return FeedbackValue(value=math.inf, residual=y_bar_i - f_hi)
+        return FeedbackValue(value=math.inf)
     lo = 0.0
-    f_lo = model.output(x, lo, idx)
-    if f_lo > y_bar_i:
-        return FeedbackValue(value=0.0, residual=f_lo - y_bar_i, below_bracket=True)
+    if model.output(x, lo, idx) > y_bar_i:
+        return FeedbackValue(value=0.0)
 
     # halve until the bracket meets tol_u and the residual meets tol_y (the
     # FeedbackValue contract); monotonicity keeps the root bracketed throughout
@@ -110,10 +99,8 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
             hi = mid
         else:
             lo = mid
-        if trace is not None:
-            trace.append((lo, hi))
         if (hi - lo) <= cfg.tol_u and abs(res) <= cfg.tol_y:
-            return FeedbackValue(value=mid, residual=res, iterations=k)
+            return FeedbackValue(value=mid, iterations=k)
     raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
                            cfg.max_iter)
 
@@ -124,8 +111,6 @@ class SelectorResult:
 
     u: float
     i_star: int            # 1-based constraint that attained the minimum
-    residual: float        # h_{i_star}(x, u) - y_bar_{i_star}
-    below_bracket: bool = False
 
 
 def selector(model: PlantModel, x, spec: ConstraintSpec,
@@ -135,9 +120,9 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
     Constraint 1 contributes u_max exactly. Riding currents come from
     ``model.riding_currents`` where the model provides them: a root at or
     above u_max cannot attain the minimum, and a negative root is pinned to
-    0 with ``below_bracket`` set. The remaining constraints are bisected in
-    index order, skipping those already satisfied at the current best
-    candidate: by monotonicity their riding currents can only be larger.
+    0. The remaining constraints are bisected in index order, skipping those
+    already satisfied at the current best candidate: by monotonicity their
+    riding currents can only be larger.
     """
     if model.output_count != spec.p:
         raise ConfigurationError(
@@ -147,7 +132,6 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
 
     u_star = spec.u_max
     i_star = 1
-    below = False
     roots = model.riding_currents(x, spec.y_bar)
     if roots is None:
         pending = range(2, spec.p + 1)
@@ -162,8 +146,7 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
             values[nan] = np.inf
             k = int(values.argmin())
         if values[k] < u_star:
-            u_star, i_star, below = float(values[k]), k + 1, bool(roots[k] < 0.0)
-    residual = model.output(x, u_star, i_star - 1) - float(spec.y_bar[i_star - 1])
+            u_star, i_star = float(values[k]), k + 1
     if pending:
         u_checked = u_star
         y_at_candidate = np.asarray(model.outputs(x, u_star), dtype=float)
@@ -178,17 +161,14 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
             if model.output(x, u_star, i - 1) <= y_bar_i:
                 continue
         if u_star == 0.0:
-            # violated at zero like a closed-form candidate of higher index
-            fv = FeedbackValue(value=0.0, residual=y_at_candidate[i - 1] - y_bar_i,
-                               below_bracket=True)
+            value = 0.0  # violated at zero like a closed-form candidate of higher index
         else:
             sub_cfg = RootConfig(u_hi=u_star, tol_u=cfg.tol_u, tol_y=cfg.tol_y,
                                  max_iter=cfg.max_iter)
-            fv = solve_constraint(model, x, i, y_bar_i, sub_cfg)
-        if fv.value < u_star or (fv.value == u_star and i < i_star):
-            u_star, i_star, residual, below = fv.value, i, fv.residual, fv.below_bracket
-    return SelectorResult(u=u_star, i_star=i_star, residual=residual,
-                          below_bracket=below)
+            value = solve_constraint(model, x, i, y_bar_i, sub_cfg).value
+        if value < u_star or (value == u_star and i < i_star):
+            u_star, i_star = value, i
+    return SelectorResult(u=u_star, i_star=i_star)
 
 
 def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,

@@ -50,7 +50,9 @@ class PlantModel(abc.ABC):
         """All p outputs h_i(x, u); index 0 holds y_1 = u."""
 
     def output(self, state, u: float, index: int) -> float:
-        """Single output by 0-based position; override for a scalar fast path."""
+        """Single output by 0-based position, read off ``outputs``, so that the
+        two agree by construction. This is the one path: only ``SpmetPlant``
+        overrides it, because its ``outputs`` is built from ``output``."""
         return float(self.outputs(state, u)[index])
 
     def output_rows(self, states: np.ndarray, u: np.ndarray,
@@ -335,8 +337,6 @@ class MonotonicityReport:
 
     min_slope: np.ndarray
     flagged: list[int]          # 1-based outputs with slope <= 0
-    delta: float
-    sample_size: int
 
     @property
     def ok(self) -> bool:
@@ -366,5 +366,4 @@ def validate_monotonicity(model: PlantModel, states: Sequence,
             min_slope = np.minimum(min_slope, (y1 - y0) / delta)
             count += 1
     flagged = [i + 1 for i in range(model.output_count) if min_slope[i] <= 0.0]
-    return MonotonicityReport(min_slope=min_slope, flagged=flagged,
-                              delta=delta, sample_size=count)
+    return MonotonicityReport(min_slope=min_slope, flagged=flagged)

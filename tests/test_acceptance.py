@@ -16,6 +16,7 @@ from bangride.analysis import attach_per_step_optima, regret, robustness_study
 from bangride.config import load_ecm_params, params_path
 from bangride.models import PackParams, PackPlant, ToyLinearPlant
 from gradient_check import gradient_sign_check
+from pack_labels import constraint_label
 
 
 def _report(cid: str, ok: bool, detail: str):
@@ -249,7 +250,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
     built = scenarios["pack"]
     traj = oracle_runs["pack"]
     model = built.model
-    labels = [model.constraint_label(i)[0] for i in traj.i_star]
+    labels = [constraint_label(model, i)[0] for i in traj.i_star]
     active = np.nonzero(np.array(labels) == "pair")[0]
     assert len(active), "pair constraint never activated"
     spread = traj.telemetry["dt_max"][int(active[0]):]
@@ -264,7 +265,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
                                        temp_dev_max=35.0)
         run = oracle_trajectory(plant, spec, 400, plant.initial_state(),
                                 RootConfig.for_bound(10.0))
-        return [plant.constraint_label(i) for i in run.i_star], run.u
+        return [constraint_label(plant, i) for i in run.i_star], run.u
 
     lab_ap, u_ap = five_cell("all-pairs")
     lab_mm, u_mm = five_cell("max-minus-min")

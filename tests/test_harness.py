@@ -266,6 +266,21 @@ class TestCli:
         assert main([args[0], "--config", "toy", *args[1:], "--out", str(out)]) == 0
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    # SHA-256 of trajectory.csv of the model-free runs of the ECM and pack
+    # scenarios. The SPMeT run is not pinned: its bytes depend on libm's
+    # asinh and log.
+    GOLDEN_FREE_RUN = {
+        "ecm": "cdfeaa675b006488c1e7b7504d15b8200d8e475cfa839325bbfc56e1257921c1",
+        "pack": "8c2b03a537ab3f4cc3683c796e547033c3060d670338c031716062346d4aada5",
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN_FREE_RUN))
+    def test_free_run_golden_bytes(self, config, tmp_path):
+        out = tmp_path / config
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_FREE_RUN[config]
+
     def test_exit_code_configuration_error(self):
         assert main(["simulate", "--config", "does-not-exist"]) == 1
 

@@ -41,9 +41,8 @@ class TestSolveConstraint:
         model = StaticModel(lambda u: u)
         cfg = RootConfig.for_bound(56.3739)
         fv = solve_constraint(model, np.zeros(1), 1, 56.3739, cfg)
-        assert fv.is_finite
         assert fv.value == pytest.approx(56.3739, abs=1e-6)
-        assert abs(fv.residual) <= cfg.tol_y
+        assert abs(model.output(np.zeros(1), fv.value, 0) - 56.3739) <= cfg.tol_y
 
     def test_affine_root(self):
         model = StaticModel(lambda u: u, lambda u: 1.0 + u)
@@ -54,25 +53,51 @@ class TestSolveConstraint:
         model = StaticModel(lambda u: u, lambda u: math.tanh(u))
         fv = solve_constraint(model, np.zeros(1), 2, 2.0, RootConfig(u_hi=50.0))
         assert fv.value == math.inf
-        assert not fv.is_finite
 
     def test_violated_at_zero_flagged(self):
         model = StaticModel(lambda u: u, lambda u: 7.0 + u)
         fv = solve_constraint(model, np.zeros(1), 2, 5.0, RootConfig(u_hi=20.0))
-        assert fv.value == 0.0
-        assert fv.below_bracket
-        assert fv.residual == pytest.approx(2.0)
+        assert (fv.value, fv.iterations) == (0.0, 0)
 
     def test_bracket_invariant_through_iterations(self):
-        model = StaticModel(lambda u: u, lambda u: u ** 3 / 50.0)
-        cfg = RootConfig(u_hi=30.0)
-        trace: list = []
+        # every current the bisection evaluates after the bracket ends lies
+        # inside the bracket, which keeps the root between its ends
+        def cube(u):
+            return u ** 3 / 50.0
+
+        def h(u):
+            evaluated.append(u)
+            return cube(u)
+
+        evaluated: list = []
+        model = StaticModel(lambda u: u, h)
         y_bar = 17.0
-        fv = solve_constraint(model, np.zeros(1), 2, y_bar, cfg, trace=trace)
-        assert fv.is_finite
-        assert len(trace) >= 30
-        for lo, hi in trace:
-            assert model.outputs(None, lo)[1] <= y_bar <= model.outputs(None, hi)[1]
+        fv = solve_constraint(model, np.zeros(1), 2, y_bar, RootConfig(u_hi=30.0))
+        assert evaluated[:2] == [30.0, 0.0]
+        assert len(evaluated) >= 32
+        assert fv.value == evaluated[-1]
+        lo, hi = 0.0, 30.0
+        for u in evaluated[2:]:
+            assert lo < u < hi
+            assert cube(lo) <= y_bar <= cube(hi)
+            lo, hi = (lo, u) if cube(u) > y_bar else (u, hi)
+
+    def test_iterations_count_halvings(self):
+        # perfbench/tracer.py reads FeedbackValue.iterations for its
+        # oracle.bisect_iters metrics: it counts the midpoints evaluated
+        def h(u):
+            evaluated.append(u)
+            return 0.4 * u + 0.02 * u ** 2
+
+        model = StaticModel(lambda u: u, h)
+        counts = []
+        for y_bar in (4.0, 50.0, -1.0):  # a root, unreachable, violated at 0
+            evaluated: list = []
+            fv = solve_constraint(model, np.zeros(1), 2, y_bar, RootConfig(u_hi=30.0))
+            counts.append((fv.iterations, len(evaluated)))
+        (halvings, calls), unreachable, violated = counts
+        assert halvings == calls - 2 >= 30
+        assert unreachable == (0, 1) and violated == (0, 2)
 
     def test_iteration_cap_raises_with_diagnostics(self):
         # discontinuity jumping across the bound: the residual never converges

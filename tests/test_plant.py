@@ -166,6 +166,9 @@ class FaultyToy(ToyLinearPlant):
     def initial_state(self, x0: float = 0.0) -> np.ndarray:
         return np.array([float(x0), 0.0])
 
+    def output(self, state, u, index):
+        return float(super().outputs(state, u)[index])
+
     def outputs(self, state, u):
         y = super().outputs(state, u)
         if state[1] == self.k and self.fault in OUTPUT_FAULTS:
@@ -279,6 +282,20 @@ class TestSimulateBatch:
             assert np.array_equal(batch.states[:, k], traj.states)
         assert steps == [13, 8, 6, -1, 3]
         assert batch.failed.tolist() == steps
+
+
+@pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])
+def test_output_is_an_entry_of_outputs(name, scenarios, free_runs, oracle_runs):
+    # exactly, on states the packaged scenario visits, at the applied
+    # current and across the current range
+    built = scenarios[name]
+    model, u_max = built.model, built.spec.u_max
+    for traj in (free_runs[name][0], oracle_runs[name]):
+        for t in np.linspace(0, len(traj) - 1, 20).astype(int):
+            x = traj.states[t]
+            for u in (float(traj.u[t]), 0.0, 0.5 * u_max, u_max):
+                single = [model.output(x, u, i) for i in range(model.output_count)]
+                assert single == model.outputs(x, u).tolist(), (int(t), u)
 
 
 class TestValidateMonotonicity:

@@ -4,6 +4,7 @@ import numpy as np
 
 from bangride.analysis import attach_per_step_optima, regret
 from bangride.cli import main
+from pack_labels import constraint_label
 
 
 class TestPerStepGapLimit:
@@ -33,7 +34,7 @@ class TestOracleStructure:
     def test_pack_rides_spread_bound(self, scenarios, oracle_runs):
         model = scenarios["pack"].model
         traj = oracle_runs["pack"]
-        labels = np.array([model.constraint_label(i)[0]
+        labels = np.array([constraint_label(model, i)[0]
                            for i in traj.i_star])
         active = np.nonzero(labels == "pair")[0]
         assert len(active) > 100
@@ -44,7 +45,7 @@ class TestModelFreePack:
     def test_pack_run_follows_structure_and_bound(self, scenarios, free_runs):
         model = scenarios["pack"].model
         traj, _ = free_runs["pack"]
-        labels = [model.constraint_label(i)[0] for i in traj.i_star]
+        labels = [constraint_label(model, i)[0] for i in traj.i_star]
         dom = []
         for kd in labels:
             if not dom or dom[-1] != kd:
