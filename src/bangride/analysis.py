@@ -411,16 +411,14 @@ def robustness_study(base: EcmParams, n_models: int, fraction: float,
     """
     if n_models < 1:
         raise ConfigurationError("n_models must be >= 1")
-    if cfg is None:
-        cfg = RootConfig.for_bound(spec.u_max)
     true_model = EcmPlant(base)
     x0 = true_model.initial_state(soc0)
-    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, cfg)
+    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, cfg or RootConfig())
     oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
 
     perturbed = EcmEnsemble([perturb_params(base, fraction, (seed, k))
                              for k in range(n_models)])
-    protocols = oracle_batch(perturbed, spec, t_f, np.tile(x0, (n_models, 1)), cfg)
+    protocols = oracle_batch(perturbed, spec, t_f, np.tile(x0, (n_models, 1)))
     u_cols, ran = protocols.u, np.flatnonzero(protocols.failed < 0)
     del protocols   # its outputs and states: 20 MB at 200 models, never read
     replays = replay_batch(EcmEnsemble([base] * len(ran)),

@@ -272,5 +272,5 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     else:  # unreachable: validated in __post_init__
         raise ConfigurationError(f"unknown model {cfg.model!r}")
     return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,
-                         root_cfg=RootConfig.for_bound(spec.u_max),
+                         root_cfg=RootConfig(),
                          config_hash=scenario_hash(cfg))

@@ -29,7 +29,7 @@ class ConstraintSpec:
 
     The weighted constraint errors are ``e_i = gamma_i * (y_bar_i - y_i)``.
     Constraint i is satisfied at a step iff ``e_i >= 0`` and active when
-    ``e_i == 0``. By convention bound 1 is the current limit ``u_max``.
+    ``e_i == 0``. Bound 1 is the current limit ``u_max``, which must be > 0.
     """
 
     y_bar: np.ndarray
@@ -46,6 +46,8 @@ class ConstraintSpec:
             )
         if not np.all(np.isfinite(self.y_bar)):
             raise ConfigurationError("y_bar entries must be finite")
+        if not self.y_bar[0] > 0.0:
+            raise ConfigurationError("bound 1 is the current limit and must be > 0")
         if not np.all(self.gamma > 0.0):
             raise ConfigurationError("all weights gamma_i must be > 0")
 

@@ -100,9 +100,15 @@ class EcmPlant(PlantModel):
         """Current bound, affine voltage root, and the root where the
         temperature quadratic a*u**2 + b*u + c crosses the bound upward, in
         the cancellation-free form -2c / (b + sqrt(b**2 - 4ac)): -inf where
-        the bound is exceeded at every u, NaN (bisection) where b < 0 or the
-        form is 0/0. Scalar arithmetic: for one cell numpy's per-call
-        overhead would exceed the work."""
+        the bound is exceeded at every u. Where that form fails (b < 0, or
+        0/0) it is -inf if c > 0 and otherwise the larger root
+        (sqrt(b**2 - 4ac) - b) / (2a), which has no cancellation for b <= 0.
+
+        With b < 0 and c > 0 the output falls before it rises, which breaks
+        the plant contract's monotonicity; the bound is exceeded at u = 0,
+        which is what -inf reports. No charging run reaches this case: v1
+        and v2 stay >= 0 from rest under u >= 0. Scalar arithmetic: for one
+        cell numpy's per-call overhead would exceed the work."""
         v1, v2, soc, td = (float(v) for v in state)
         b = self._bt * (v1 + v2)
         c = self._kt * td - float(y_bar[2])
@@ -110,7 +116,8 @@ class EcmPlant(PlantModel):
         if disc < 0.0:
             u_temp = -math.inf
         elif b < 0.0 or b + math.sqrt(disc) == 0.0:
-            u_temp = math.nan
+            u_temp = (-math.inf if c > 0.0 else
+                      (math.sqrt(disc) - b) / (2.0 * self._bt * self.params.r_o))
         else:
             u_temp = -2.0 * c / (b + math.sqrt(disc))
         return np.array([y_bar[0], y_bar[1] - (v1 + v2 + self.params.ocv_slope * soc),
@@ -184,19 +191,21 @@ class EcmEnsemble:
 
 def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Per element, the root of a*u**2 + b*u + c = 0 (a > 0) where the
-    quadratic crosses zero upward, in the cancellation-free form
-    -2c / (b + sqrt(b**2 - 4ac)): ``EcmPlant.riding_currents`` on arrays.
+    quadratic crosses zero upward: ``EcmPlant.riding_currents`` on arrays,
+    with the same forms and the same -inf rules.
 
-    -inf where there is no real root (the quadratic is positive everywhere);
-    NaN where b < 0, since the quadratic is then not increasing on u >= 0,
-    and where the denominator is 0. The factor 4 is a power of two, so with
-    a = bt*r_o the product 4*a equals the scalar form's (4*bt)*r_o exactly.
+    The factors 2 and 4 are powers of two, so with a = bt*r_o the products
+    2*a and 4*a equal the scalar form's (2*bt)*r_o and (4*bt)*r_o exactly.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b * b - 4.0 * a * c
         den = b + np.sqrt(disc)
         root = -2.0 * c / den
-    root[(b < 0.0) | (den == 0.0)] = np.nan
+        alt = (b < 0.0) | (den == 0.0)
+        if alt.any():  # rare: only these rows pay for the second form
+            a_alt = a[alt] if np.ndim(a) else a
+            root[alt] = np.where(c[alt] > 0.0, -np.inf,
+                                 (np.sqrt(disc[alt]) - b[alt]) / (2.0 * a_alt))
     root[disc < 0.0] = -np.inf
     return root
 

@@ -21,9 +21,9 @@ Output layout (1-based constraint indices):
 
 The argmin over all pairwise-difference errors is attained by the (hottest,
 coldest) pair, so "max-minus-min" keeps the selector semantics of "all-pairs"
-at O(N) cost; all-pairs is retained for small-N equivalence checks, and its
-pair constraints have no closed-form riding current, so the oracle bisects
-them independently of the spread's closed form.
+at O(N) cost. All-pairs stays as the small-N reference layout. Both have
+closed-form riding currents: a pair output is affine in u, and the spread is
+the convex maximum of those lines.
 
 State: ndarray of shape (N, 4) with per-cell rows [v1, v2, soc, temp_dev].
 """
@@ -151,8 +151,10 @@ class PackPlant(PlantModel):
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
-        the temperature quadratics; the spread's root in max-minus-min mode,
-        NaN for every pair in all-pairs mode."""
+        the temperature quadratics. A pair output t_j - t_k is affine in u,
+        since the u**2 terms cancel; its root is (bound - da)/db for a slope
+        db > 0, and otherwise -inf or +inf as the pair exceeds the bound at
+        u = 0 or not. In max-minus-min mode the spread's root."""
         p = self.params.base
         n = self.n_cells
         td = state[:, 3]
@@ -166,7 +168,13 @@ class PackPlant(PlantModel):
         roots[n + 1:2 * n + 1] = rising_roots(self._bt * p.r_o, beta,
                                               alpha - y_bar[n + 1:2 * n + 1])
         if self.params.pairwise_mode == "all-pairs":
-            roots[2 * n + 1:] = np.nan
+            off = ~np.eye(n, dtype=bool)
+            da, db = (alpha[:, None] - alpha)[off], (beta[:, None] - beta)[off]
+            bound = y_bar[2 * n + 1:]
+            pair = np.where(da > bound, -np.inf, np.inf)
+            rising = db > 0.0
+            pair[rising] = (bound[rising] - da[rising]) / db[rising]
+            roots[2 * n + 1:] = pair
         else:
             roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))
         return roots

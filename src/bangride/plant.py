@@ -69,14 +69,12 @@ class PlantModel(abc.ABC):
                          in zip(states, u.tolist(), index.tolist())], dtype=float)
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray | None:
-        """Closed-form riding currents of all p constraints, or None.
+        """Riding currents of all p constraints, or None.
 
-        Entry i is the u that solves h_i(x, u) = y_bar_i. It is negative when
-        the constraint is already violated at u = 0 (the root itself, or -inf
-        where the model does not locate one), +inf when the bound is never
-        reached for u >= 0, and NaN where the model has no closed form, so
-        that the oracle bisects that constraint instead. The default, None,
-        leaves every constraint to bisection.
+        Entry i is the u that solves h_i(x, u) = y_bar_i. It is negative or
+        -inf when the constraint is already violated at u = 0, and +inf when
+        the bound is never reached for u >= 0; no entry is NaN. The default,
+        None, makes the oracle bisect every constraint on [0, u_max].
         """
         return None
 

@@ -264,7 +264,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
         spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                        temp_dev_max=35.0)
         run = oracle_trajectory(plant, spec, 400, plant.initial_state(),
-                                RootConfig.for_bound(10.0))
+                                RootConfig())
         return [constraint_label(plant, i) for i in run.i_star], run.u
 
     lab_ap, u_ap = five_cell("all-pairs")
@@ -285,7 +285,7 @@ def test_c11_oracle_grid_equivalence(scenarios):
     # toy integrator
     toy = ToyLinearPlant()
     spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-    cfg = RootConfig.for_bound(10.0)
+    cfg = RootConfig()
     grid = np.linspace(0.0, 10.0, 10001)
     resolution = grid[1] - grid[0]
     x = toy.initial_state()
@@ -304,7 +304,7 @@ def test_c11_oracle_grid_equivalence(scenarios):
                         cell_variation=0.3, variation_seed=11)
     pack = PackPlant(params)
     pspec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
-    pcfg = RootConfig.for_bound(10.0)
+    pcfg = RootConfig()
     kt, bt = 1.0 - base.a * base.dt, base.b * base.dt
     cl = cr = 8e-5 * base.dt
     x = pack.initial_state()

@@ -107,7 +107,7 @@ class TestPerStepOptimum:
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         traj = oracle_trajectory(model, spec, 10, model.initial_state(),
-                                 RootConfig.for_bound(10.0))
+                                 RootConfig())
         with pytest.raises(ConfigurationError):
             attach_per_step_optima(traj, model, spec, np.zeros(2), np.ones(2))
 
@@ -445,7 +445,7 @@ class TestRobustnessStudy:
         spec = ConstraintSpec(**ECM_SPEC)
         true_model = EcmPlant(base)
         x0 = true_model.initial_state()
-        cfg = RootConfig.for_bound(spec.u_max)
+        cfg = RootConfig()
         true_soc = oracle_trajectory(true_model, spec, t_f, x0, cfg).telemetry["soc"]
         objective = float(sum(true_soc.tolist()))
         res = robustness_study(base, n_models, fraction, spec, t_f, seed)
@@ -486,7 +486,7 @@ class TestBatchedEnsemble:
 
     def scalar_runs(self, t_f, x0, cfg, guard):
         """Per member: its (oracle, replay) runs, or where the oracle or the
-        replay diverged, or 'root' when its oracle raised RootFindingError."""
+        replay diverged."""
         truth = EcmPlant(self.BASE)
         runs = []
         for params in self.PARAMS:
@@ -496,9 +496,6 @@ class TestBatchedEnsemble:
             except SimulationDiverged as exc:
                 runs.append(("oracle", exc.step))
                 continue
-            except RootFindingError:
-                runs.append("root")
-                continue
             try:
                 runs.append((ideal, replay_open_loop(truth, self.SPEC, x0, ideal.u,
                                                      guard=guard)))
@@ -506,10 +503,10 @@ class TestBatchedEnsemble:
                 runs.append(("replay", exc.step))
         return runs
 
-    def batched_runs(self, t_f, x0, cfg, guard):
+    def batched_runs(self, t_f, x0, guard):
         m = len(self.PARAMS)
         protocols = oracle_batch(EcmEnsemble(self.PARAMS), self.SPEC, t_f,
-                                 np.tile(x0, (m, 1)), cfg, guard=guard)
+                                 np.tile(x0, (m, 1)), guard=guard)
         ran = np.flatnonzero(protocols.failed < 0)
         replays = replay_batch(EcmEnsemble([self.BASE] * len(ran)),
                                np.tile(x0, (len(ran), 1)), protocols.u[:, ran],
@@ -518,9 +515,7 @@ class TestBatchedEnsemble:
 
     def assert_match(self, scalar, protocols, ran, replays):
         for k, ref in enumerate(scalar):
-            if ref == "root":
-                assert protocols.failed[k] >= 0
-            elif ref[0] == "oracle":
+            if ref[0] == "oracle":
                 assert protocols.failed[k] == ref[1]
             else:
                 j = int(np.flatnonzero(ran == k)[0])
@@ -540,37 +535,27 @@ class TestBatchedEnsemble:
                                                    (12.15, 400, "replay")])
     def test_guard_failures_match_scalar(self, guard, t_f, stage):
         x0 = EcmPlant(self.BASE).initial_state()
-        cfg = RootConfig.for_bound(self.SPEC.u_max)
+        cfg = RootConfig()
         scalar = self.scalar_runs(t_f, x0, cfg, guard)
         failed = [ref for ref in scalar if ref[0] == stage]
         assert 1 <= len(failed) < len(scalar)
         assert len({step for _, step in failed}) > 1
-        self.assert_match(scalar, *self.batched_runs(t_f, x0, cfg, guard))
+        self.assert_match(scalar, *self.batched_runs(t_f, x0, guard))
 
-    def test_nan_riding_current_bisects_through_selector(self, monkeypatch):
-        # v1 < 0 makes the temperature quadratic's slope negative: no closed form
+    def test_negative_slope_start_needs_no_selector(self, monkeypatch):
+        # v1 < 0 makes the temperature quadratic's slope negative, where the
+        # hook takes its second form: the batch still equals the scalar runs
+        # and never falls back to the scalar selector
         x0 = np.array([-0.5, 0.0, 0.0, 0.0])
-        cfg = RootConfig.for_bound(self.SPEC.u_max)
         calls = []
         selector = oracle.selector
         monkeypatch.setattr(oracle, "selector",
                             lambda *args: calls.append(1) or selector(*args))
-        batched = self.batched_runs(50, x0, cfg, 1e9)
+        batched = self.batched_runs(50, x0, 1e9)
         monkeypatch.undo()
-        scalar = self.scalar_runs(50, x0, cfg, 1e9)
+        assert calls == []
+        scalar = self.scalar_runs(50, x0, RootConfig(), 1e9)
         self.assert_match(scalar, *batched)
-        nan_steps = sum(
-            int(np.isnan(EcmPlant(p).riding_currents(x, self.SPEC.y_bar)).any())
-            for p, (ideal, _) in zip(self.PARAMS, scalar) for x in ideal.states[:-1])
-        assert len(calls) == nan_steps > 0
-
-    def test_root_finding_error_leaves_the_batch(self):
-        # near the temperature bound with v1 < 0, three bisection steps are too
-        # few for member 3, and enough (or not needed) for the others
-        x0 = np.array([-0.1, 0.0, 0.0, 8.013])
-        cfg = RootConfig.for_bound(self.SPEC.u_max, max_iter=3)
-        scalar = self.scalar_runs(50, x0, cfg, 1e9)
-        assert [k for k, ref in enumerate(scalar) if ref == "root"] == [3]
-        protocols, ran, replays = self.batched_runs(50, x0, cfg, 1e9)
-        assert ran.tolist() == [0, 1, 2, 4, 5]
-        self.assert_match(scalar, protocols, ran, replays)
+        for params in self.PARAMS:  # below the bound at u = 0: a finite root
+            root = EcmPlant(params).riding_currents(x0, self.SPEC.y_bar)[2]
+            assert 0.0 < root < math.inf

@@ -15,6 +15,11 @@ class TestConstraintSpec:
         with pytest.raises(ConfigurationError):
             ConstraintSpec(y_bar=[1.0, 2.0], gamma=[1.0, 0.0])
 
+    @pytest.mark.parametrize("u_max", [0.0, -1.0])
+    def test_current_bound_must_be_positive(self, u_max):
+        with pytest.raises(ConfigurationError, match="current limit"):
+            ConstraintSpec(y_bar=[u_max, 2.0], gamma=[1.0, 1.0])
+
     def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             ConstraintSpec(y_bar=[1.0, 2.0], gamma=[1.0])

@@ -284,6 +284,15 @@ class TestCli:
     def test_exit_code_configuration_error(self):
         assert main(["simulate", "--config", "does-not-exist"]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_zero_current_bound_rejected(self, command, tmp_path, capsys):
+        cfg = load_scenario("ecm")
+        cfg.y_bar = (0.0, 12.0, 8.0)
+        save_scenario(cfg, tmp_path / "zero.cfg")
+        assert main([command, "--config", str(tmp_path / "zero.cfg"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "current limit" in capsys.readouterr().err
+
     def test_exit_code_unknown_flag(self, capsys):
         assert main(["simulate", "--config", "toy", "--frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

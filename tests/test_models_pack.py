@@ -108,7 +108,7 @@ class TestPackDynamics:
         pack = make_pack(n=3, var=0.2, seed=9)
         spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
         traj = oracle_trajectory(pack, spec, 120, pack.initial_state(),
-                                 RootConfig.for_bound(10.0))
+                                 RootConfig())
         base = pack.params.base
         for t, u in enumerate(traj.u):
             x = traj.states[t]
@@ -121,7 +121,7 @@ class TestPackDynamics:
         pack = make_pack(n=5, var=0.3, seed=4)
         spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
         traj = oracle_trajectory(pack, spec, 80, pack.initial_state(),
-                                 RootConfig.for_bound(10.0))
+                                 RootConfig())
         tel, t_amb = traj.telemetry, pack.params.base.t_ambient
         for t in range(len(traj)):
             td, soc = traj.states[t][:, 3], traj.states[t][:, 2]
@@ -163,7 +163,7 @@ class TestPairwiseModes:
             spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                            temp_dev_max=35.0)
             traj = oracle_trajectory(plant, spec, 400, plant.initial_state(),
-                                     RootConfig.for_bound(10.0))
+                                     RootConfig())
             labels = [constraint_label(plant, i) for i in traj.i_star]
             results[mode] = (labels, traj.u)
         assert results["all-pairs"][0] == results["max-minus-min"][0]

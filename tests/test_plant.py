@@ -200,7 +200,7 @@ class TestDivergenceGuard:
             return run_closed_loop(model, ControllerState(), self.SPEC, 20, x0)
         if kind == "oracle":
             return oracle_trajectory(model, self.SPEC, 20, x0,
-                                     RootConfig.for_bound(10.0))
+                                     RootConfig())
         return replay_open_loop(model, self.SPEC, x0, np.full(21, 0.1))
 
     @pytest.mark.parametrize("fault", sorted(GUARD_MESSAGES))
