@@ -1,13 +1,15 @@
 """Regret accounting, per-step optimal costs, gradient diagnostics, and the
 perturbed-model robustness study.
 
-Unlike the controller, everything here is deliberately model-aware: the
-per-step optima and c_t evaluate the plant's outputs at the recorded states
-of every step at once (``PlantModel.output_rows``), and the robustness study
-builds ideal protocols from perturbed models and replays them on the true
-plant. ``per_step_optimal_cost`` and ``ct_diagnostic`` are the one-step
-scalar references that the batched ``attach_per_step_optima`` and
-``ct_series`` equal bit for bit.
+Unlike the controller, everything here is deliberately model-aware, but
+only through the plant contract of ``plant`` and the oracle: no concrete
+cell model is imported. The per-step optima and c_t evaluate the plant's
+outputs at the recorded states of every step at once
+(``PlantModel.output_rows``), and the robustness study takes the true plant
+and batched models from its caller, builds ideal protocols from the models
+and replays them on the true plant. ``per_step_optimal_cost`` and
+``ct_diagnostic`` are the one-step scalar references that the batched
+``attach_per_step_optima`` and ``ct_series`` equal bit for bit.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import ConstraintSpec, ControllerState, project_box
+from .controller import ConstraintSpec, project_box
 from .errors import ConfigurationError, RootFindingError
-from .models.ecm import EcmEnsemble, EcmParams, EcmPlant, perturb_params
 from .oracle import RootConfig, oracle_batch, oracle_trajectory
-from .plant import BatchRun, PlantModel, Trajectory, replay_batch, run_closed_loop
+from .plant import BatchRun, PlantModel, Trajectory, replay_batch
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,13 @@ def mu_star(mu1: float, mu2: float) -> float:
     return max(mu1, 1.0 - mu1, 1.0 + mu1 - mu2)
 
 
+# the regret fit window: the last TAIL_FRACTION of the horizon, at least
+# MIN_TAIL points when available
+TAIL_FRACTION = 0.5
+MIN_TAIL = 100
+GAP_TAIL_FRACTION = 0.1    # the window of RegretReport.gap_tail_mean
+
+
 @dataclass
 class RegretReport:
     gaps: np.ndarray              # J_t - J*_t
@@ -254,19 +262,17 @@ class RegretReport:
     def total(self) -> float:
         return float(self.cumulative[-1])
 
-    def gap_tail_mean(self, fraction: float = 0.1) -> float:
+    def gap_tail_mean(self) -> float:
         n = len(self.gaps)
-        start = max(0, n - max(1, int(round(fraction * n))))
+        start = max(0, n - max(1, int(round(GAP_TAIL_FRACTION * n))))
         return float(np.mean(self.gaps[start:]))
 
 
-def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
-           min_tail: int = 100) -> RegretReport:
+def regret(trajectory: Trajectory, mu1: float) -> RegretReport:
     """Cumulative regret with a tail log-log slope fit.
 
-    The fit window is the last ``tail_fraction`` of the horizon, at least
-    ``min_tail`` points when available; a window with non-positive R_t is
-    reported as converged regret instead of a slope.
+    A fit window with non-positive R_t is reported as converged regret
+    instead of a slope.
     """
     j_star = trajectory.J_star
     if j_star is None or np.any(np.isnan(j_star)):
@@ -274,7 +280,7 @@ def regret(trajectory: Trajectory, mu1: float, *, tail_fraction: float = 0.5,
     gaps = trajectory.J - j_star
     cumulative = np.cumsum(gaps)
     n = len(gaps)
-    window = min(n, max(min_tail, int(math.ceil(tail_fraction * n))))
+    window = min(n, max(MIN_TAIL, int(math.ceil(TAIL_FRACTION * n))))
     tail_start = max(1, n - window)   # t = 0 excluded from log fits
     tail_t = np.arange(tail_start, n)
     tail_r = cumulative[tail_start:]
@@ -363,24 +369,27 @@ class ViolationStats:
 class RobustnessResult:
     stats: ViolationStats
     true_oracle: Trajectory
-    free_run: Trajectory | None
+
+
+# an output counts as violated above y_bar + VIOLATION_TOL
+VIOLATION_TOL = 1e-6
 
 
 def _soc_objective(soc: np.ndarray) -> float:
     """Charging objective: a run's SOC telemetry channel over steps 0..t_f,
-    summed left to right."""
-    return float(sum(soc.tolist()))
+    summed left to right: cumsum adds in order on every Python version,
+    where the float ``sum`` compensates from Python 3.12 on."""
+    return float(np.cumsum(soc)[-1])
 
 
 def _replay_outcome(index: int, u_seq: np.ndarray, replays: BatchRun, j: int,
                     true_model: PlantModel, spec: ConstraintSpec,
-                    oracle_objective: float, violation_tol: float,
-                    keep_series: bool) -> ModelOutcome:
+                    oracle_objective: float, keep_series: bool) -> ModelOutcome:
     y = replays.y[:, j]
     telemetry = true_model.telemetry(replays.states[:-1, j], u_seq, y)
     over = y - spec.y_bar[None, :]
     depth = np.maximum(over, 0.0).max(axis=0)
-    violated = over > violation_tol
+    violated = over > VIOLATION_TOL
     achieved = _soc_objective(telemetry["soc"])
     return ModelOutcome(
         index=index,
@@ -393,42 +402,38 @@ def _replay_outcome(index: int, u_seq: np.ndarray, replays: BatchRun, j: int,
     )
 
 
-def robustness_study(base: EcmParams, n_models: int, fraction: float,
-                     spec: ConstraintSpec, t_f: int, seed: int, *,
-                     soc0: float = 0.0, cfg: RootConfig | None = None,
-                     controller: ControllerState | None = None,
-                     violation_tol: float = 1e-6,
+def robustness_study(true_model: PlantModel, true_batch, perturbed, x0,
+                     spec: ConstraintSpec, t_f: int, *,
                      keep_series: bool = True) -> RobustnessResult:
-    """Ideal protocols from randomly perturbed models, replayed on the truth.
+    """Ideal protocols from M models, replayed on the truth.
 
-    Each model k gets parameters perturbed by the stream keyed (seed, k); its
-    bang-ride protocol is computed in closed loop on the perturbed model and
-    then applied open-loop to the true plant, recording violations and
-    suboptimality. Optionally also runs the model-free controller on the true
-    plant for comparison. All perturbed models step together, through one
-    batched oracle and one batched replay; a model that diverges in either is
-    recorded as diverged, and the others go on.
+    ``perturbed`` and ``true_batch`` are batched models as in
+    ``plant.simulate_batch``, with M members each (``len``): the models
+    whose bang-ride protocols are computed, and M copies of ``true_model``,
+    from state x0. Each protocol is computed in closed loop on its model
+    and then applied open-loop to the true plant, recording violations and
+    suboptimality against the true model's own oracle. All models step
+    together, through one batched oracle and one batched replay; a model
+    that diverges in either is recorded as diverged, and the others go on.
+    The objective and the recorded temperatures are ``true_model``'s
+    ``soc`` and ``temperature`` telemetry channels.
     """
-    if n_models < 1:
-        raise ConfigurationError("n_models must be >= 1")
-    true_model = EcmPlant(base)
-    x0 = true_model.initial_state(soc0)
-    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, cfg or RootConfig())
+    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, RootConfig())
     oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
 
-    perturbed = EcmEnsemble([perturb_params(base, fraction, (seed, k))
-                             for k in range(n_models)])
-    protocols = oracle_batch(perturbed, spec, t_f, np.tile(x0, (n_models, 1)))
-    u_cols, ran = protocols.u, np.flatnonzero(protocols.failed < 0)
+    m = len(perturbed)
+    protocols = oracle_batch(perturbed, spec, t_f, np.tile(x0, (m, 1)))
+    u_cols, ok = protocols.u, protocols.failed < 0
     del protocols   # its outputs and states: 20 MB at 200 models, never read
-    replays = replay_batch(EcmEnsemble([base] * len(ran)),
-                           np.tile(x0, (len(ran), 1)), u_cols[:, ran])
-    outcomes = [ModelOutcome(index=k, diverged=True) for k in range(n_models)]
+    ran = np.flatnonzero(ok)
+    replays = replay_batch(true_batch.take(ok), np.tile(x0, (len(ran), 1)),
+                           u_cols[:, ran])
+    outcomes = [ModelOutcome(index=k, diverged=True) for k in range(m)]
     for j, k in enumerate(ran.tolist()):
         if replays.failed[j] < 0:
             outcomes[k] = _replay_outcome(k, u_cols[:, k], replays, j,
                                           true_model, spec, oracle_objective,
-                                          violation_tol, keep_series)
+                                          keep_series)
 
     depths = [o.max_depth for o in outcomes if o.max_depth is not None]
     per_constraint = (np.max(depths, axis=0) if depths
@@ -440,7 +445,4 @@ def robustness_study(base: EcmParams, n_models: int, fraction: float,
         diverged_runs=sum(o.diverged for o in outcomes),
         oracle_objective=oracle_objective,
     )
-    free_run = None
-    if controller is not None:
-        free_run = run_closed_loop(true_model, controller, spec, t_f, x0)
-    return RobustnessResult(stats=stats, true_oracle=true_oracle, free_run=free_run)
+    return RobustnessResult(stats=stats, true_oracle=true_oracle)

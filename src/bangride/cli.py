@@ -23,6 +23,7 @@ from .csvio import (GOLDEN_COLUMNS, read_trajectory_csv, write_gap_csv,
                     write_montecarlo_summary, write_regret_csv,
                     write_trajectory_csv)
 from .errors import BangrideError, ConfigurationError, SimulationDiverged
+from .models.ecm import EcmEnsemble, perturb_params
 from .oracle import oracle_trajectory
 from .plant import run_closed_loop, validate_monotonicity
 from .svg import emit_svg, plottable
@@ -186,13 +187,17 @@ def cmd_montecarlo(args) -> int:
     if not 0.0 <= args.fraction < 1.0:
         raise ConfigurationError(f"--fraction must lie in [0, 1), got {args.fraction}")
     out = _prepare_run_dir(built, "montecarlo")
-    result = robustness_study(built.model.params, args.models, args.fraction,
-                              built.spec, built.cfg.t_f, built.cfg.seed,
-                              controller=built.new_controller(),
+    base, seed = built.model.params, built.cfg.seed
+    perturbed = EcmEnsemble([perturb_params(base, args.fraction, (seed, k))
+                             for k in range(args.models)])
+    result = robustness_study(built.model, EcmEnsemble([base] * args.models),
+                              perturbed, built.x0, built.spec, built.cfg.t_f,
                               keep_series=args.svg)
     write_montecarlo_summary(result.stats, out / "summary.csv")
     if args.svg:
-        _emit_ensemble_plots(out, result)
+        free = run_closed_loop(built.model, built.new_controller(), built.spec,
+                               built.cfg.t_f, built.x0)
+        _emit_ensemble_plots(out, result, free)
     st = result.stats
     print(f"montecarlo: {args.models} models, fraction={args.fraction}, "
           f"violations={st.runs_with_violation}, diverged={st.diverged_runs} "
@@ -200,8 +205,9 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def _emit_ensemble_plots(out: Path, result) -> None:
-    """Perturbed-protocol ensemble in gray under the true runs."""
+def _emit_ensemble_plots(out: Path, result, free) -> None:
+    """Perturbed-protocol ensemble in gray under the true runs: the
+    model-free run ``free`` and the true oracle."""
     from .svg import Series, quantity_series, render_chart, UNITS
     kept = [o for o in result.stats.outcomes
             if not o.diverged and o.u_seq is not None]
@@ -212,9 +218,7 @@ def _emit_ensemble_plots(out: Path, result) -> None:
         for k, o in enumerate(kept):
             series.append(Series(label="perturbed ensemble", y=extract(o),
                                  color="#bbb", width=0.7, in_legend=(k == 0)))
-        if result.free_run is not None:
-            series.extend(quantity_series(result.free_run, quantity,
-                                          **_free_style()))
+        series.extend(quantity_series(free, quantity, **_free_style()))
         series.extend(quantity_series(result.true_oracle, quantity,
                                       **_oracle_style()))
         markup = render_chart(series, title=f"{quantity} over time",

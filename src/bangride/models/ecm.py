@@ -76,8 +76,8 @@ class EcmPlant(PlantModel):
         self._kt = 1.0 - p.a * p.dt
         self._bt = p.b * p.dt
 
-    def initial_state(self, soc0: float = 0.0, temp_dev0: float = 0.0) -> np.ndarray:
-        return np.array([0.0, 0.0, float(soc0), float(temp_dev0)])
+    def initial_state(self, soc0: float = 0.0) -> np.ndarray:
+        return np.array([0.0, 0.0, float(soc0), 0.0])
 
     def step(self, state, u: float):
         v1, v2, soc, td = state
@@ -134,11 +134,13 @@ class EcmPlant(PlantModel):
 class EcmEnsemble:
     """M ECM cells, each with its own parameters, stepped together.
 
-    States are (M, 4) rows and every coefficient is an (M,) column. Each
-    expression repeats the operand order of ``EcmPlant``, so row k of every
-    result equals the scalar result of ``cells[k]`` bit for bit. Results are
-    transposed views of (columns, M) arrays, filled a column at a time: at
-    small M, numpy's per-call cost outweighs the arithmetic.
+    States are (M, 4) rows and every coefficient is an (M,) column; inputs
+    are (M,) arrays, or one float for all members, as a pack's series
+    current (``models.pack``). Each expression repeats the operand order of
+    ``EcmPlant``, so row k of every result equals the scalar result of
+    ``cells[k]`` bit for bit. Results are transposed views of (columns, M)
+    arrays, filled a column at a time: at small M, numpy's per-call cost
+    outweighs the arithmetic.
     """
 
     output_count = EcmPlant.output_count
@@ -157,6 +159,9 @@ class EcmEnsemble:
         m = len(self.params)
         self._k = np.array([self._k1, self._k2, np.ones(m), np.zeros(m)])
         self._b = np.array([self._b1, self._b2, self._ks, np.zeros(m)])
+
+    def __len__(self) -> int:
+        return len(self.params)
 
     def take(self, keep: np.ndarray) -> "EcmEnsemble":
         """The members where the boolean mask ``keep`` is true."""

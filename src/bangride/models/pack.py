@@ -1,13 +1,14 @@
 """Series pack of ECM cells with nearest-neighbour thermal coupling.
 
-Each of the N cells follows the single-cell ECM dynamics; the temperature
-deviation of cell i additionally gains
+The N cells are one ``EcmEnsemble``, so each follows the single-cell ECM
+dynamics with the ensemble's arithmetic; the temperature deviation of cell i
+additionally gains
 
     dt*k1*(Td_{i-1} - Td_i) + dt*k2*(Td_{i+1} - Td_i)
 
-with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1). RC-link
-parameters (R1, C1, R2, C2) vary between cells by seeded uniform factors;
-Ro, Q, a, b are shared.
+with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1), added to
+the ensemble's step and temperature outputs. RC-link parameters (R1, C1, R2,
+C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
 
 Output layout (1-based constraint indices):
 
@@ -30,14 +31,14 @@ State: ndarray of shape (N, 4) with per-cell rows [v1, v2, soc, temp_dev].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..controller import ConstraintSpec
 from ..plant import PlantModel
-from .ecm import EcmParams, rising_roots
+from .ecm import EcmEnsemble, EcmParams, rising_roots
 
 PAIR_MODES = ("all-pairs", "max-minus-min")
 VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
@@ -78,24 +79,13 @@ class PackPlant(PlantModel):
         factors = rng.uniform(1.0 - params.cell_variation,
                               1.0 + params.cell_variation,
                               size=(n, len(VARIED_FIELDS)))
-        self.r_1 = base.r_1 * factors[:, 0]
-        self.c_1 = base.c_1 * factors[:, 1]
-        self.r_2 = base.r_2 * factors[:, 2]
-        self.c_2 = base.c_2 * factors[:, 3]
-        dt = base.dt
-        self._k1 = 1.0 - dt / (self.r_1 * self.c_1)
-        self._k2 = 1.0 - dt / (self.r_2 * self.c_2)
-        if np.any(self._k1 <= 0.0) or np.any(self._k2 <= 0.0):
-            raise ConfigurationError("cell variation breaks RC discretization stability")
-        self._b1 = dt / self.c_1
-        self._b2 = dt / self.c_2
-        self._ks = dt / base.q
-        self._kt = 1.0 - base.a * dt
-        self._bt = base.b * dt
-        self._cl = params.k_left * dt
-        self._cr = params.k_right * dt
-        if self._kt <= 0.0:
-            raise ConfigurationError("unstable thermal discretization")
+        # the cells without coupling; EcmParams validates each one
+        self.ensemble = EcmEnsemble([
+            replace(base, **{name: getattr(base, name) * f
+                             for name, f in zip(VARIED_FIELDS, row)})
+            for row in factors.tolist()])
+        self._cl = params.k_left * base.dt
+        self._cr = params.k_right * base.dt
         self.output_count = 1 + 2 * n + self.pair_count
         cells = np.arange(n)
         self._prev = np.roll(cells, 1)    # ring neighbours i-1 and i+1
@@ -116,38 +106,24 @@ class PackPlant(PlantModel):
         return x
 
     def step(self, state, u: float):
-        p = self.params.base
-        v1, v2, soc, td = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
-        heat = self._bt * u * (p.r_o * u + v1 + v2)
-        coupling = self._coupling(td)
-        out = np.empty_like(state)
-        out[:, 0] = self._k1 * v1 + self._b1 * u
-        out[:, 1] = self._k2 * v2 + self._b2 * u
-        out[:, 2] = soc + self._ks * u
-        out[:, 3] = self._kt * td + heat + coupling
+        out = self.ensemble.step(state, u)
+        out[:, 3] += self._coupling(state[:, 3])
         return out
 
     def _coupling(self, td: np.ndarray) -> np.ndarray:
         return (self._cl * (td[self._prev] - td)
                 + self._cr * (td[self._next] - td))
 
-    def _temp_outputs(self, state, u: float) -> np.ndarray:
-        """Per-cell one-step-ahead temperature deviation, coupling included."""
-        p = self.params.base
-        v1, v2, td = state[:, 0], state[:, 1], state[:, 3]
-        return (self._kt * td + self._bt * (v1 + v2) * u
-                + self._bt * p.r_o * u * u + self._coupling(td))
-
     def outputs(self, state, u: float) -> np.ndarray:
-        slope = self.params.base.ocv_slope
-        v_outs = state[:, 0] + state[:, 1] + slope * state[:, 2] + u
-        t_outs = self._temp_outputs(state, u)
+        cells = self.ensemble.outputs(state, u)
+        t_outs = cells[:, 2]
+        t_outs += self._coupling(state[:, 3])
         if self.params.pairwise_mode == "all-pairs":
             diff = t_outs[:, None] - t_outs[None, :]
             pair_outs = diff[~np.eye(self.n_cells, dtype=bool)]
         else:
             pair_outs = np.array([t_outs.max() - t_outs.min()])
-        return np.concatenate([[u], v_outs, t_outs, pair_outs])
+        return np.concatenate([[u], cells[:, 1], t_outs, pair_outs])
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
@@ -155,17 +131,19 @@ class PackPlant(PlantModel):
         since the u**2 terms cancel; its root is (bound - da)/db for a slope
         db > 0, and otherwise -inf or +inf as the pair exceeds the bound at
         u = 0 or not. In max-minus-min mode the spread's root."""
-        p = self.params.base
+        cells = self.ensemble
         n = self.n_cells
         td = state[:, 3]
         v_dyn = state[:, 0] + state[:, 1]
-        # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2
-        alpha = self._kt * td + self._coupling(td)
-        beta = self._bt * v_dyn
+        # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2; the
+        # bound comes off alpha after the coupling is added, as in outputs,
+        # so the ensemble's own riding currents would round differently
+        alpha = cells._kt * td + self._coupling(td)
+        beta = cells._bt * v_dyn
         roots = np.empty(self.output_count)
         roots[0] = y_bar[0]
-        roots[1:n + 1] = y_bar[1:n + 1] - (v_dyn + p.ocv_slope * state[:, 2])
-        roots[n + 1:2 * n + 1] = rising_roots(self._bt * p.r_o, beta,
+        roots[1:n + 1] = y_bar[1:n + 1] - (v_dyn + cells._ocv_slope * state[:, 2])
+        roots[n + 1:2 * n + 1] = rising_roots(cells._bt_r_o, beta,
                                               alpha - y_bar[n + 1:2 * n + 1])
         if self.params.pairwise_mode == "all-pairs":
             off = ~np.eye(n, dtype=bool)

@@ -133,27 +133,26 @@ class SpmetPlant(PlantModel):
             raise ConfigurationError("electrolyte relaxation unstable")
         self._check_voltage_monotone()
 
-    def _check_voltage_monotone(self, n_z: int = 9, n_u: int = 9,
-                                delta: float = 1e-4) -> None:
-        """Numerical spot check: V strictly increasing in u on the operating range."""
+    def _check_voltage_monotone(self) -> None:
+        """Numerical spot check: V strictly increasing in u on a 9 x 9 grid
+        of the operating range, by forward differences of 1e-4 A."""
         p = self.params
-        for z in np.linspace(0.05, 0.98, n_z):
+        for z in np.linspace(0.05, 0.98, 9):
             x = self.initial_state(stoich=z)
-            for u in np.linspace(0.0, 2.0 * p.u_max, n_u):
+            for u in np.linspace(0.0, 2.0 * p.u_max, 9):
                 v0 = self.output(x, u, 1)
-                v1 = self.output(x, u + delta, 1)
+                v1 = self.output(x, u + 1e-4, 1)
                 if not v1 > v0:
                     raise ConfigurationError(
                         f"terminal voltage not strictly increasing in u at "
                         f"z={z:.3f}, u={u:.3f}")
 
-    def initial_state(self, stoich: float = 0.1,
-                      temperature: float | None = None) -> np.ndarray:
-        """Rested state at the given negative-particle stoichiometry."""
+    def initial_state(self, stoich: float = 0.1) -> np.ndarray:
+        """Rested state at ambient temperature and the given
+        negative-particle stoichiometry."""
         p = self.params
         c0 = stoich * p.c_max
-        t0 = p.t_ambient if temperature is None else temperature
-        return np.array([c0, c0, p.ce_rest_neg, p.ce_rest_pos, t0])
+        return np.array([c0, c0, p.ce_rest_neg, p.ce_rest_pos, p.t_ambient])
 
     def step(self, state, u: float):
         p = self.params

@@ -99,10 +99,11 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(x: float) -> float:
+    # on a float or elementwise on an array, with the same rounding
+    def sx(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
     parts = [
@@ -133,9 +134,11 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
     parts.append(f'<text x="14" y="{MARGIN_T + plot_h/2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 14 {MARGIN_T + plot_h/2:.1f})">{ylabel}</text>')
-    # polylines
+    # polylines; every series starts at step 0, so they share the x strings
+    xs = [f"{x:.2f}," for x in sx(np.arange(n, dtype=float)).tolist()]
     for s in series:
-        pts = " ".join(f"{sx(i):.2f},{sy(float(v)):.2f}" for i, v in enumerate(s.y))
+        ys = sy(np.asarray(s.y, dtype=float)).tolist()
+        pts = " ".join([x + f"{y:.2f}" for x, y in zip(xs, ys)])
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(f'<polyline fill="none" stroke="{s.color}" '
                      f'stroke-width="{s.width}"{dash} points="{pts}"/>')

@@ -1,3 +1,6 @@
+import ast
+import importlib.util
+import inspect
 import math
 from dataclasses import replace
 
@@ -11,19 +14,37 @@ from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       PlantModel, SimulationDiverged, ToyLinearPlant, Trajectory,
                       oracle_trajectory, perturb_params, project_box,
                       replay_open_loop, run_closed_loop, step_size)
-from bangride import oracle
+from bangride import analysis, oracle
 from bangride.analysis import (_min_norm_on_line_in_box, _min_norm_rows,
                                attach_per_step_optima, ct_diagnostic,
                                ct_ratio_sign_changes, ct_series, mu_star,
-                               per_step_optimal_cost, regret, robustness_study)
+                               per_step_optimal_cost, regret)
 from bangride.models.ecm import EcmEnsemble
 from bangride.oracle import oracle_batch
 from bangride.plant import replay_batch
+from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
 ECM_SPEC = dict(y_bar=[10.0, 12.0, 8.0], gamma=[1.0, 1.0, 500.0])
+
+
+def test_analysis_imports_no_model_module():
+    # the analysis layer reads plants through the plant contract only; its
+    # callers build the models
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(analysis))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "bangride")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "bangride.oracle" in imported
+    assert not [name for name in imported
+                if name == "bangride.models" or name.startswith("bangride.models.")]
 
 
 def toy_run(t_f=300, gamma=0.2):
@@ -417,7 +438,7 @@ class TestRobustnessStudy:
     def test_zero_fraction_no_violations(self):
         base = EcmParams(**ECM_KW)
         spec = ConstraintSpec(**ECM_SPEC)
-        res = robustness_study(base, 5, 0.0, spec, 400, seed=3)
+        res = ecm_study(base, 5, 0.0, spec, 400, seed=3)
         st = res.stats
         assert st.runs_with_violation == 0
         assert np.all(st.per_constraint_max_depth <= 1e-6)
@@ -429,8 +450,8 @@ class TestRobustnessStudy:
         spec = ConstraintSpec(**ECM_SPEC)
         medians = []
         for fraction in (0.02, 0.05, 0.1):
-            res = robustness_study(base, 24, fraction, spec, 700, seed=5,
-                                   keep_series=False)
+            res = ecm_study(base, 24, fraction, spec, 700, seed=5,
+                            keep_series=False)
             depths = [float(o.max_depth.max()) for o in res.stats.outcomes
                       if o.max_depth is not None]
             medians.append(float(np.median(depths)))
@@ -447,8 +468,8 @@ class TestRobustnessStudy:
         x0 = true_model.initial_state()
         cfg = RootConfig()
         true_soc = oracle_trajectory(true_model, spec, t_f, x0, cfg).telemetry["soc"]
-        objective = float(sum(true_soc.tolist()))
-        res = robustness_study(base, n_models, fraction, spec, t_f, seed)
+        objective = float(np.cumsum(true_soc)[-1])
+        res = ecm_study(base, n_models, fraction, spec, t_f, seed)
         assert [o.index for o in res.stats.outcomes] == list(range(n_models))
         for k, o in enumerate(res.stats.outcomes):
             model = EcmPlant(perturb_params(base, fraction, (seed, k)))
@@ -459,21 +480,8 @@ class TestRobustnessStudy:
             assert np.array_equal(o.u_seq, u_seq)
             assert np.array_equal(o.max_depth, np.maximum(over, 0.0).max(axis=0))
             assert o.violation_steps == int(np.any(over > 1e-6, axis=1).sum())
-            assert o.suboptimality == objective - float(sum(run.telemetry["soc"].tolist()))
+            assert o.suboptimality == objective - float(np.cumsum(run.telemetry["soc"])[-1])
             assert np.array_equal(o.temperature, run.telemetry["temperature"])
-
-    def test_free_run_comparison_included(self):
-        base = EcmParams(**ECM_KW)
-        spec = ConstraintSpec(**ECM_SPEC)
-        res = robustness_study(base, 2, 0.05, spec, 200, seed=1,
-                               controller=ControllerState(grad_clip=0.05))
-        assert res.free_run is not None
-        assert len(res.free_run) == 201
-
-    def test_n_models_validated(self):
-        with pytest.raises(ConfigurationError):
-            robustness_study(EcmParams(**ECM_KW), 0, 0.1,
-                             ConstraintSpec(**ECM_SPEC), 10, seed=0)
 
 
 class TestBatchedEnsemble:

@@ -138,9 +138,8 @@ class TestPairwiseModes:
         rng = np.random.default_rng(4)
         x[:, 0] = rng.uniform(0, 1, 3)
         x[:, 3] = rng.uniform(0, 5, 3)
-        t_outs = plant._temp_outputs(x, 5.0)
         y = plant.outputs(x, 5.0)
-        pair_block = y[1 + 2 * 3:]
+        t_outs, pair_block = y[1 + 3:1 + 2 * 3], y[1 + 2 * 3:]
         expected = [t_outs[j] - t_outs[k] for j in range(3) for k in range(3) if j != k]
         assert np.allclose(pair_block, expected, rtol=1e-15)
 
@@ -175,9 +174,10 @@ class TestCellVariation:
         a = make_pack(n=8, var=0.3, seed=21)
         b = make_pack(n=8, var=0.3, seed=21)
         c = make_pack(n=8, var=0.3, seed=22)
-        assert np.array_equal(a.r_1, b.r_1)
-        assert not np.array_equal(a.r_1, c.r_1)
+        assert a.ensemble.params == b.ensemble.params
+        assert a.ensemble.params != c.ensemble.params
         base = a.params.base
-        for arr, ref in ((a.r_1, base.r_1), (a.c_1, base.c_1),
-                         (a.r_2, base.r_2), (a.c_2, base.c_2)):
+        for name in ("r_1", "c_1", "r_2", "c_2"):
+            arr = np.array([getattr(p, name) for p in a.ensemble.params])
+            ref = getattr(base, name)
             assert np.all(arr >= ref * 0.7) and np.all(arr <= ref * 1.3)

@@ -19,7 +19,7 @@ class TestPerStepGapLimit:
                                           np.array(built.cfg.theta_lo),
                                           np.array(built.cfg.theta_hi))
             report = regret(traj, built.cfg.mu1)
-            assert report.gap_tail_mean(0.1) < tol, name
+            assert report.gap_tail_mean() < tol, name
             assert not np.any(report.gaps < -1e-6), name
 
 
