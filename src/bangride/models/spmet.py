@@ -15,8 +15,8 @@ Outputs: current and terminal voltage V = dU(x) + eta(u,x) + phi(u,x);
 SOC = (c_avg/c_max - theta_1)/(theta_2 - theta_1) is reported alongside but
 is not a constrained output.
 
-The three potentials are ``SpmetParams`` methods of fixed form, set by its
-coefficients:
+The three potentials have a fixed form, set by ``SpmetParams`` coefficients;
+``SpmetParams.potential_terms`` gives their parts that do not depend on u:
 
   * dU: cubic in the surface stoichiometry z = c_surf/c_max with positive
     linear and cubic coefficients (difference of two monotone open-circuit
@@ -28,6 +28,15 @@ coefficients:
 
 Strict monotonicity of V in u on the operating range is checked numerically
 at construction, since the coefficients are read from a parameter file.
+
+``SpmetPlant.riding_currents`` gives the oracle its voltage root without
+bisection. V is increasing and concave in u >= 0, so Newton steps from u = 0
+climb to the root from the feasible side. They stop when a step makes no
+progress, or when rounding puts a step's computed voltage above the bound;
+then halving closes [last feasible iterate, overshoot] to the bisection
+tolerance ``RootConfig.tol_u``. The result is the largest current whose
+computed voltage does not exceed the bound, within that tolerance, as
+bisection's is.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, PotentialDomainError
+from ..oracle import RootConfig
 from ..plant import PlantModel
 
 KELVIN_OFFSET = 273.15
@@ -95,21 +105,22 @@ class SpmetParams:
         """Maximum charging current 2*q [A] (2C with q in A h)."""
         return 2.0 * self.q
 
-    def delta_u(self, x: np.ndarray) -> float:
+    def potential_terms(self, x: np.ndarray) -> tuple[float, float, float]:
+        """The parts of the three potentials that do not depend on u, at
+        state x: dU(z), the overpotential gain k(T) = bv_gain*(T_K/298.15),
+        and the electrolyte term phi_log_gain*ln(ce_pos/ce_neg). Every
+        voltage evaluation combines them in one operation order,
+        (dU + k*asinh(u/bv_scale)) + (film_res*u + log term)."""
         z = float(x[1]) / self.c_max
-        return self.ocv_base + self.ocv_lin * z + self.ocv_cubic * z ** 3
-
-    def delta_eta(self, u: float, x: np.ndarray) -> float:
-        t_kelvin = float(x[4]) + KELVIN_OFFSET
-        return self.bv_gain * (t_kelvin / REFERENCE_T_K) * math.asinh(u / self.bv_scale)
-
-    def delta_phi(self, u: float, x: np.ndarray) -> float:
         ce_neg, ce_pos = float(x[2]), float(x[3])
         if ce_neg <= 0.0 or ce_pos <= 0.0:
             raise PotentialDomainError(
                 "delta_phi_e", f"non-positive electrolyte concentration "
                 f"(ce_neg={ce_neg:g}, ce_pos={ce_pos:g})")
-        return self.film_res * u + self.phi_log_gain * math.log(ce_pos / ce_neg)
+        t_kelvin = float(x[4]) + KELVIN_OFFSET
+        return (self.ocv_base + self.ocv_lin * z + self.ocv_cubic * z ** 3,
+                self.bv_gain * (t_kelvin / REFERENCE_T_K),
+                self.phi_log_gain * math.log(ce_pos / ce_neg))
 
 
 class SpmetPlant(PlantModel):
@@ -157,7 +168,8 @@ class SpmetPlant(PlantModel):
     def step(self, state, u: float):
         p = self.params
         c_avg, c_surf, ce_n, ce_p, temp = (float(v) for v in state)
-        heat = (p.delta_eta(u, state) + p.delta_phi(u, state)) * u
+        _, k, log_term = p.potential_terms(state)
+        heat = (k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)) * u
         return np.array([
             c_avg + self._k_avg * u,
             self._lam * c_avg + (1.0 - self._lam) * c_surf + self._k_srf * u,
@@ -173,7 +185,42 @@ class SpmetPlant(PlantModel):
         if index == 0:
             return u
         p = self.params
-        return p.delta_u(state) + p.delta_eta(u, state) + p.delta_phi(u, state)
+        du, k, log_term = p.potential_terms(state)
+        return du + k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)
+
+    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
+        """Current bound, and the voltage root by Newton from u = 0 with the
+        stop rule of the module docstring: -inf when the bound is exceeded at
+        u = 0, and otherwise the root, also above u_max. Each voltage is
+        computed in the operation order of ``output``, bit for bit."""
+        p = self.params
+        du, k, log_term = p.potential_terms(state)
+        s, r, bound = p.bv_scale, p.film_res, float(y_bar[1])
+
+        def volts(u: float) -> float:
+            return du + k * math.asinh(u / s) + (r * u + log_term)
+
+        u, v = 0.0, volts(0.0)
+        if v > bound:
+            return np.array([y_bar[0], -math.inf])
+        while True:
+            hi = u + (bound - v) / (k / math.sqrt(s * s + u * u) + r)
+            if not hi > u:
+                break
+            v_hi = volts(hi)
+            if v_hi > bound:
+                break
+            u, v = hi, v_hi
+        # after an overshoot the crossing lies in [u, hi]; without one, hi <= u
+        while hi - u > RootConfig.tol_u:
+            mid = 0.5 * (u + hi)
+            if not u < mid < hi:
+                break
+            if volts(mid) > bound:
+                hi = mid
+            else:
+                u = mid
+        return np.array([y_bar[0], u])
 
     def soc(self, states):
         """SOC of one state, or of each row of a state array."""

@@ -73,8 +73,11 @@ class PlantModel(abc.ABC):
 
         Entry i is the u that solves h_i(x, u) = y_bar_i. It is negative or
         -inf when the constraint is already violated at u = 0, and +inf when
-        the bound is never reached for u >= 0; no entry is NaN. The default,
-        None, makes the oracle bisect every constraint on [0, u_max].
+        the bound is never reached for u >= 0; no entry is NaN. A root that
+        is computed, not closed-form, is the largest current whose computed
+        output does not exceed the bound, within ``RootConfig.tol_u``, as
+        bisection's is. The default, None, makes the oracle bisect every
+        constraint on [0, u_max].
         """
         return None
 

@@ -13,15 +13,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import bangride.oracle
 from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
-                      RootConfig, SimulationDiverged, oracle_trajectory, selector)
-from bangride.config import load_ecm_params, load_scenario, params_path
+                      PotentialDomainError, RootConfig, SimulationDiverged,
+                      SpmetPlant, oracle_trajectory, selector)
+from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
+                             params_path)
 from bangride.models.ecm import EcmEnsemble, perturb_params
 from bangride.models.pack import spread_root
-from bangride.oracle import oracle_batch
+from bangride.oracle import bisected_roots, oracle_batch
 from pack_labels import constraint_label
 
 ECM_BASE = load_ecm_params(params_path(load_scenario("ecm"), "params_ecm.cfg"))
+SPMET = SpmetPlant(load_spmet_params(params_path(load_scenario("spmet"),
+                                                 "params_spmet.cfg")))
 
 
 def bisection_only(model):
@@ -229,3 +234,97 @@ def test_pack_spread_closed_form_matches_all_pairs_bisection(scenarios):
     assert labels.count(("pair",)) >= 200
     assert np.max(np.abs(u_mm - runs["all-pairs"][1])) <= 1e-10
     assert np.max(np.abs(u_mm - runs["bisection"][1])) <= 1e-8
+
+
+@st.composite
+def spmet_cases(draw):
+    """An SPMeT state and a voltage bound placed, as above, where its riding
+    current lies in units of u_max: violated at zero, riding below u_max, or
+    riding above it."""
+    c_max, u_max = SPMET.params.c_max, SPMET.params.u_max
+    state = (draw(st.floats(0.0, 1.0)) * c_max, draw(st.floats(0.0, 1.0)) * c_max,
+             draw(st.floats(300.0, 2500.0)), draw(st.floats(300.0, 2500.0)),
+             draw(st.floats(-20.0, 60.0)))
+    w = draw(_where)
+    # a riding current within tol_u of u_max may pick either constraint
+    assume(abs(w - 1.0) > 1e-6 / u_max)
+    x = np.array(state)
+    h0, h_max = SPMET.output(x, 0.0, 1), SPMET.output(x, u_max, 1)
+    bound = h0 + w * (h_max - h0) if w < 0.0 else SPMET.output(x, w * u_max, 1)
+    return state, bound
+
+
+# state 2966 of the packaged spmet oracle run at its 4.2 V bound: the last
+# Newton step lands one ulp past the root, 2.7e-6 A above the previous iterate
+ONE_ULP_OVERSHOOT = ((28876.012765761217, 28906.06544525142, 1209.4681513387036,
+                      1206.4068073737328, 26.15831948303132), 4.2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=spmet_cases())
+@example(case=ONE_ULP_OVERSHOOT)
+def test_spmet_newton_matches_bisection(case):
+    # each side lies within tol_u of the same crossing of the computed voltage
+    state, bound = case
+    x, cfg = np.array(state), RootConfig()
+    spec = ConstraintSpec(y_bar=[SPMET.params.u_max, bound], gamma=[1.0, 1.0])
+    root = SPMET.riding_currents(x, spec.y_bar)[1]
+    ref_root = bisected_roots(SPMET, x, spec, cfg)[1]
+    if 0.0 < ref_root < spec.u_max:
+        assert abs(root - ref_root) <= 2.0 * cfg.tol_u
+    fast = selector(SPMET, x, spec, cfg)
+    ref = selector(bisection_only(SPMET), x, spec, cfg)
+    assert fast.i_star == ref.i_star
+    assert abs(fast.u - ref.u) <= 2.0 * cfg.tol_u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=spmet_cases())
+@example(case=ONE_ULP_OVERSHOOT)
+def test_spmet_riding_current_contract(case):
+    # -inf exactly when violated at zero; otherwise the largest current whose
+    # computed voltage does not exceed the bound, within tol_u, even past u_max
+    state, bound = case
+    x, tol_u = np.array(state), RootConfig().tol_u
+    roots = SPMET.riding_currents(x, np.array([SPMET.params.u_max, bound]))
+    assert roots[0] == SPMET.params.u_max
+    root = roots[1]
+    assert not math.isnan(root)
+    assert (root == -math.inf) == (SPMET.output(x, 0.0, 1) > bound)
+    if root != -math.inf:
+        assert 0.0 <= root < math.inf
+        assert SPMET.output(x, root, 1) <= bound
+        assert SPMET.output(x, root + tol_u, 1) > bound
+
+
+@pytest.mark.parametrize("ce", [(0.0, 1200.0), (1200.0, -1.0)])
+def test_spmet_domain_error_reaches_the_selector(ce):
+    x = SPMET.initial_state()
+    x[2], x[3] = ce
+    spec = ConstraintSpec(y_bar=[SPMET.params.u_max, 4.2], gamma=[1.0, 1.0])
+    with pytest.raises(PotentialDomainError, match="delta_phi_e"):
+        selector(SPMET, x, spec, RootConfig())
+
+
+def test_spmet_oracle_makes_no_solve(scenarios, monkeypatch):
+    built = scenarios["spmet"]
+    reference = oracle_trajectory(bisection_only(built.model), built.spec,
+                                  built.cfg.t_f, built.x0, built.root_cfg)
+    calls = []
+
+    def counted(name):
+        original = getattr(bangride.oracle, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("solve_constraint", "bisected_roots"):
+        monkeypatch.setattr(bangride.oracle, name, counted(name))
+    run = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0,
+                            built.root_cfg)
+    assert calls == []
+    assert np.array_equal(run.i_star, reference.i_star)
+    # measured 1.6e-9 A: each run within tol_u of its own crossings
+    assert np.max(np.abs(run.u - reference.u)) <= 2.0 * built.root_cfg.tol_u
