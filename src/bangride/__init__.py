@@ -14,8 +14,8 @@ from .controller import (ConstraintSpec, ControllerState, active_index,
 from .errors import (BangrideError, ConfigurationError, PotentialDomainError,
                      RootFindingError, SimulationDiverged)
 from .oracle import FeedbackValue, RootConfig, SelectorResult, oracle_trajectory, selector, solve_constraint
-from .plant import (MonotonicityReport, PlantModel, Trajectory, replay_open_loop,
-                    run_closed_loop, simulate, validate_monotonicity)
+from .plant import (MonotonicityReport, PlantModel, Trajectory, run_closed_loop,
+                    simulate, validate_monotonicity)
 from .models import (EcmParams, EcmPlant, PackParams, PackPlant, SpmetParams,
                      SpmetPlant, ToyLinearPlant, perturb_params)
 
@@ -26,7 +26,7 @@ __all__ = [
     "ConstraintSpec", "ControllerState", "active_index", "constraint_errors",
     "project_box", "step_size",
     "PlantModel", "Trajectory", "MonotonicityReport", "simulate",
-    "run_closed_loop", "replay_open_loop", "validate_monotonicity",
+    "run_closed_loop", "validate_monotonicity",
     "RootConfig", "FeedbackValue", "SelectorResult", "solve_constraint",
     "selector", "oracle_trajectory",
     "ToyLinearPlant", "EcmParams", "EcmPlant", "perturb_params",

@@ -7,9 +7,10 @@ cell model is imported. The per-step optima and c_t evaluate the plant's
 outputs at the recorded states of every step at once
 (``PlantModel.output_rows``), and the robustness study takes the true plant
 and batched models from its caller, builds ideal protocols from the models
-and replays them on the true plant. ``per_step_optimal_cost`` and
-``ct_diagnostic`` are the one-step scalar references that the batched
-``attach_per_step_optima`` and ``ct_series`` equal bit for bit.
+and replays them on the true plant. The one-step scalar references that
+``attach_per_step_optima`` and ``ct_series`` equal bit for bit,
+``per_step_optimal_cost`` and ``ct_diagnostic``, live in
+``tests/references.py``, because no command runs them.
 """
 
 from __future__ import annotations
@@ -21,21 +22,12 @@ import numpy as np
 
 from .controller import ConstraintSpec, project_box
 from .errors import ConfigurationError, RootFindingError
-from .oracle import RootConfig, oracle_batch, oracle_trajectory
+from .oracle import oracle_batch, oracle_trajectory
 from .plant import BatchRun, PlantModel, Trajectory, replay_batch
 
 
 # ---------------------------------------------------------------------------
 # per-step optimal cost
-
-
-@dataclass
-class PerStepOptimum:
-    """Minimizer of the one-step squared active error over the gain box."""
-
-    j_star: float
-    u_star: float
-    theta_star: np.ndarray
 
 
 def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -73,62 +65,6 @@ def _min_norm_on_line_in_box(s: np.ndarray, c: float, lo: np.ndarray,
         return project_box(theta, lo, hi)
     t_star = min(max(0.0, t_min), t_max)
     return project_box(base + t_star * d, lo, hi)
-
-
-def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
-                          last_error: float, error_sum: float,
-                          theta_lo: np.ndarray, theta_hi: np.ndarray,
-                          i_star: int, *, tol_u: float = 1e-9,
-                          tol_y: float = 1e-6,
-                          max_iter: int = 200) -> PerStepOptimum:
-    """Best achievable one-step cost at a recorded step.
-
-    The PI law makes u affine in theta given the frozen history statistics,
-    so the box maps onto a current interval (corner evaluation). On that
-    interval the weighted error of the realized active constraint is
-    decreasing in u; the minimizing current is the riding root when it is
-    reachable and the nearest interval endpoint otherwise.
-    """
-    theta_lo = np.asarray(theta_lo, dtype=float)
-    theta_hi = np.asarray(theta_hi, dtype=float)
-    s = np.array([float(last_error), float(error_sum)])
-    gamma_i = float(spec.gamma[i_star - 1])
-    y_bar_i = float(spec.y_bar[i_star - 1])
-
-    def err(u: float) -> float:
-        return gamma_i * (y_bar_i - model.output(x, u, i_star - 1))
-
-    if s @ s == 0.0:    # no history, or one too small to square (u is 0 within rounding)
-        e0 = err(0.0)
-        return PerStepOptimum(j_star=e0 ** 2, u_star=0.0,
-                              theta_star=project_box(np.zeros(2), theta_lo, theta_hi))
-
-    image = _box_corners(theta_lo, theta_hi) @ s
-    u_lo, u_hi = float(image.min()), float(image.max())
-    e_lo, e_hi = err(u_lo), err(u_hi)
-    if e_hi >= 0.0:           # under-riding even at the largest reachable u
-        u_opt, e_opt = u_hi, e_hi
-    elif e_lo <= 0.0:         # over-riding even at the smallest reachable u
-        u_opt, e_opt = u_lo, e_lo
-    else:
-        lo_u, hi_u = u_lo, u_hi
-        u_opt, e_opt = u_lo, e_lo
-        tol_e = gamma_i * tol_y
-        for _ in range(max_iter):
-            u_opt = 0.5 * (lo_u + hi_u)
-            e_opt = err(u_opt)
-            if e_opt < 0.0:
-                hi_u = u_opt
-            else:
-                lo_u = u_opt
-            if (hi_u - lo_u) <= tol_u and abs(e_opt) <= tol_e:
-                break
-        else:
-            raise RootFindingError("per-step optimum bisection did not converge",
-                                   lo_u, hi_u, max_iter)
-    u_opt = min(max(u_opt, u_lo), u_hi)
-    theta_star = _min_norm_on_line_in_box(s, u_opt, theta_lo, theta_hi)
-    return PerStepOptimum(j_star=e_opt ** 2, u_star=u_opt, theta_star=theta_star)
 
 
 def _min_norm_rows(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
@@ -173,8 +109,9 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     them and freezes the realized active index per step; the minimizers are
     taken over the gain box [theta_lo, theta_hi]. All steps are solved at
     once, through ``PlantModel.output_rows``, with a lockstep bisection in
-    which each step stops on its own; every row equals
-    ``per_step_optimal_cost`` at that step bit for bit.
+    which each step stops on its own; every row equals the scalar reference
+    ``per_step_optimal_cost`` (``tests/references.py``) at that step bit for
+    bit.
     """
     if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "
@@ -310,14 +247,6 @@ def regret(trajectory: Trajectory, mu1: float) -> RegretReport:
 # gradient and curvature diagnostics
 
 
-def ct_diagnostic(model: PlantModel, x, u: float, i_star: int, gamma_i: float,
-                  delta: float = 1e-5) -> float:
-    """Central-difference estimate of 2 * gamma_i * dh_{i*}/du at (x, u)."""
-    hp = model.output(x, u + delta, i_star - 1)
-    hm = model.output(x, u - delta, i_star - 1)
-    return 2.0 * gamma_i * (hp - hm) / (2.0 * delta)
-
-
 def ct_series(trajectory: Trajectory, model: PlantModel, spec: ConstraintSpec,
               delta: float = 1e-5) -> np.ndarray:
     """c_t along a trajectory, at the realized states/inputs/active indices;
@@ -418,7 +347,7 @@ def robustness_study(true_model: PlantModel, true_batch, perturbed, x0,
     The objective and the recorded temperatures are ``true_model``'s
     ``soc`` and ``temperature`` telemetry channels.
     """
-    true_oracle = oracle_trajectory(true_model, spec, t_f, x0, RootConfig())
+    true_oracle = oracle_trajectory(true_model, spec, t_f, x0)
     oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
 
     m = len(perturbed)

@@ -1,8 +1,8 @@
 """Command-line harness: run scenarios, compare against the oracle, sweep
 robustness and regret, and validate the shipped models.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 simulation divergence,
-3 validation-suite failure.
+Exit codes: 0 success, 1 configuration/usage or filesystem error, 2 simulation
+divergence, 3 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from . import __version__
 from .analysis import (attach_per_step_optima, ct_ratio_sign_changes, ct_series,
                        regret, robustness_study)
-from .config import BuiltScenario, load_scenario, build_scenario, save_scenario
-from .controller import step_size
+from .config import (BuiltScenario, build_scenario, load_scenario, parse_value,
+                     save_scenario)
+from .controller import project_box, step_size
 from .csvio import (GOLDEN_COLUMNS, read_trajectory_csv, write_gap_csv,
                     write_montecarlo_summary, write_regret_csv,
                     write_trajectory_csv)
@@ -88,7 +89,9 @@ def _load(args, default_config: str | None = None) -> BuiltScenario:
     if args.mu1 is not None:
         cfg.mu1 = args.mu1
     if args.gamma is not None:
-        cfg.gamma = tuple(float(v) for v in args.gamma.split(","))
+        cfg.gamma = parse_value(
+            args.gamma, lambda text: tuple(float(v) for v in text.split(",")),
+            "--gamma")
     if args.out is not None:
         cfg.out_dir = args.out
     cfg.__post_init__()
@@ -149,8 +152,7 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "oracle")
-    traj = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0,
-                             built.root_cfg)
+    traj = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
     write_trajectory_csv(traj, out / "oracle.csv")
     if args.svg:
         _emit_plots(out, [(traj, _oracle_style())])
@@ -164,8 +166,7 @@ def cmd_compare(args) -> int:
     free = run_closed_loop(built.model, built.new_controller(), built.spec,
                            built.cfg.t_f, built.x0)
     free = _maybe_attach_jstar(free, built)
-    oracle = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0,
-                               built.root_cfg)
+    oracle = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
     write_trajectory_csv(free, out / "trajectory.csv")
     write_trajectory_csv(oracle, out / "oracle.csv")
     write_gap_csv(free, oracle, out / "gap.csv")
@@ -272,8 +273,7 @@ def cmd_validate(args) -> int:
     for name in ("spmet", "ecm", "pack", "toy"):
         built = build_scenario(load_scenario(name))
         model = built.model
-        ref = oracle_trajectory(model, built.spec, built.cfg.t_f, built.x0,
-                                built.root_cfg)
+        ref = oracle_trajectory(model, built.spec, built.cfg.t_f, built.x0)
         # skip the exactly-symmetric initial pack state, where difference
         # outputs are constant in u
         pick = np.linspace(1, len(ref.states) - 2, 8).astype(int)
@@ -293,7 +293,7 @@ def cmd_validate(args) -> int:
     lo, hi = np.array([0.0, 0.0]), np.array([10.0, 1.0])
     a = rng.uniform(-30, 30, size=(10000, 2))
     b = rng.uniform(-30, 30, size=(10000, 2))
-    d_proj = np.linalg.norm(np.clip(a, lo, hi) - np.clip(b, lo, hi), axis=1)
+    d_proj = np.linalg.norm(project_box(a, lo, hi) - project_box(b, lo, hi), axis=1)
     d_raw = np.linalg.norm(a - b, axis=1)
     check("projection non-expansive", bool(np.all(d_proj <= d_raw + 1e-12)))
 
@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except BangrideError as exc:
+    except (BangrideError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

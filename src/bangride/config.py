@@ -87,6 +87,17 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def parse_value(text: str | None, convert, where: str):
+    """``convert(text)``; a missing or malformed value is a
+    ``ConfigurationError`` naming ``where``: a flag, or a file and its key."""
+    if text is None:
+        raise ConfigurationError(f"{where}: missing")
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: cannot read {text!r} ({exc})") from exc
+
+
 def load_scenario(name_or_path: str) -> ScenarioConfig:
     path = resolve_config_path(name_or_path)
     cp = _parser()
@@ -100,19 +111,23 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
         raise ConfigurationError(f"{path}: missing section {exc}") from exc
     ana = cp["analysis"] if cp.has_section("analysis") else {}
     out = cp["output"] if cp.has_section("output") else {}
-    clip = ctrl.get("grad_clip", "").strip()
+
+    def value(section, key: str, default: str, convert):
+        return parse_value(section.get(key, default), convert, f"{path}: {key}")
+
     cfg = ScenarioConfig(
         model=sc.get("model", ""),
         params_file=sc.get("params", "").strip(),
-        t_f=int(sc.get("t_f", "1000")),
-        seed=int(sc.get("seed", "0")),
-        y_bar=_floats(cons.get("y_bar", "")),
-        gamma=_floats(cons.get("gamma", "")),
-        theta0=_floats(ctrl.get("theta0", "0.1, 0.1")),
-        theta_lo=_floats(ctrl.get("theta_lo", "0, 0")),
-        theta_hi=_floats(ctrl.get("theta_hi", "10, 1")),
-        mu1=float(ctrl.get("mu1", "0.5")),
-        grad_clip=float(clip) if clip else None,
+        t_f=value(sc, "t_f", "1000", int),
+        seed=value(sc, "seed", "0", int),
+        y_bar=value(cons, "y_bar", "", _floats),
+        gamma=value(cons, "gamma", "", _floats),
+        theta0=value(ctrl, "theta0", "0.1, 0.1", _floats),
+        theta_lo=value(ctrl, "theta_lo", "0, 0", _floats),
+        theta_hi=value(ctrl, "theta_hi", "10, 1", _floats),
+        mu1=value(ctrl, "mu1", "0.5", float),
+        grad_clip=value(ctrl, "grad_clip", "",
+                        lambda text: float(text) if text.strip() else None),
         compute_jstar=str(ana.get("compute_jstar", "false")).lower() == "true",
         ct_diagnostics=str(ana.get("ct_diagnostics", "false")).lower() == "true",
         out_dir=str(out.get("dir", "runs")),
@@ -182,36 +197,42 @@ def params_path(cfg: ScenarioConfig, default_name: str):
     raise ConfigurationError(f"parameter file not found: {cfg.params_file}")
 
 
+def _params(make, path, section: str):
+    """``make(**values)`` over the numbers of one parameter-file section; an
+    unknown or missing key is a ``ConfigurationError``."""
+    raw = _read_section(path, section)
+    values = {k: parse_value(v, float, f"{path}: {k}") for k, v in raw.items()}
+    try:
+        return make(**values)
+    except TypeError as exc:
+        raise ConfigurationError(f"{path}: [{section}] {exc}") from exc
+
+
 def load_spmet_params(path) -> SpmetParams:
-    raw = _read_section(path, "spmet")
-    return SpmetParams(**{k: float(v) for k, v in raw.items()})
+    return _params(SpmetParams, path, "spmet")
 
 
 def load_ecm_params(path) -> EcmParams:
-    raw = _read_section(path, "ecm")
-    return EcmParams(**{k: float(v) for k, v in raw.items()})
+    return _params(EcmParams, path, "ecm")
 
 
 def load_pack_params(path) -> PackParams:
     base = load_ecm_params(path)
     raw = _read_section(path, "pack")
+
+    def value(key: str, convert, default: str | None = None):
+        return parse_value(raw.get(key, default), convert, f"{path}: {key}")
+
     return PackParams(
         base=base,
-        n_cells=int(raw["n_cells"]),
-        k_left=float(raw["k_left"]),
-        k_right=float(raw["k_right"]),
-        dt_pair_max=float(raw["dt_pair_max"]),
+        n_cells=value("n_cells", int),
+        k_left=value("k_left", float),
+        k_right=value("k_right", float),
+        dt_pair_max=value("dt_pair_max", float),
         pairwise_mode=raw.get("pairwise_mode", "max-minus-min").strip(),
-        cell_variation=float(raw.get("cell_variation", "0")),
-        variation_seed=int(raw.get("variation_seed", "0")),
+        cell_variation=value("cell_variation", float, "0"),
+        variation_seed=value("variation_seed", int, "0"),
     )
-
-
-def load_toy_params(path) -> dict:
-    raw = _read_section(path, "toy-linear")
-    out = {k: float(v) for k, v in raw.items()}
-    out["p"] = int(out.get("p", 2))
-    return out
 
 
 @dataclass
@@ -222,8 +243,9 @@ class BuiltScenario:
     model: PlantModel
     spec: ConstraintSpec
     x0: object
-    root_cfg: RootConfig
     config_hash: str
+    # read only by the benchmark child (perfbench/child.py), for tol_y
+    root_cfg: RootConfig = RootConfig()
 
     def new_controller(self) -> ControllerState:
         return ControllerState(
@@ -263,8 +285,8 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
             gamma_temp=cfg.gamma[2], gamma_pair=cfg.gamma[3])
         x0 = model.initial_state()
     elif cfg.model == "toy-linear":
-        kw = load_toy_params(params_path(cfg, "params_toy.cfg"))
-        model = ToyLinearPlant(**kw)
+        model = _params(ToyLinearPlant, params_path(cfg, "params_toy.cfg"),
+                        "toy-linear")
         if len(cfg.y_bar) != model.output_count or len(cfg.gamma) != model.output_count:
             raise ConfigurationError("toy bounds/weights must match output count")
         spec = ConstraintSpec(y_bar=np.array(cfg.y_bar), gamma=np.array(cfg.gamma))
@@ -272,5 +294,4 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     else:  # unreachable: validated in __post_init__
         raise ConfigurationError(f"unknown model {cfg.model!r}")
     return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,
-                         root_cfg=RootConfig(),
                          config_hash=scenario_hash(cfg))

@@ -64,13 +64,10 @@ def _trajectory_columns(traj: Trajectory) -> list[list[str]]:
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """One row per step; schema fixed across rows."""
     path = Path(path)
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(trajectory_header(traj))
-            writer.writerows(zip(*_trajectory_columns(traj)))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write trajectory CSV {path}: {exc}") from exc
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(trajectory_header(traj))
+        writer.writerows(zip(*_trajectory_columns(traj)))
     return path
 
 

@@ -22,7 +22,7 @@ class ToyLinearPlant(PlantModel):
         if b <= 0 or (p == 2 and d <= 0):
             raise ConfigurationError("b and d must be > 0 (monotone in u)")
         self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
-        self.output_count = p
+        self.output_count = int(p)
 
     def initial_state(self, x0: float = 0.0) -> np.ndarray:
         return np.array([float(x0)])

@@ -7,6 +7,7 @@ p roots at once. For a model without closed forms, ``bisected_roots`` supplies
 them by plain bisection on [0, u_max] (charging only), which is exact to
 tolerance and needs no derivatives. The ideal input is the minimum over the
 roots clamped at 0, which is always finite because constraint 1 pins u_max.
+The solve tolerances are the class constants of ``RootConfig``.
 
 Stateless given (model, x); runs over distinct scenarios may execute in
 parallel, successive time steps may not (the state evolves).
@@ -25,25 +26,19 @@ from .plant import (DEFAULT_GUARD, BatchRun, PlantModel, Trajectory, simulate,
                     simulate_batch)
 
 
-@dataclass
 class RootConfig:
-    """Tolerances for the riding-current solves.
+    """Tolerances for the riding-current solves, as class constants.
 
-    ``tol_u`` bounds the width of the final bisection bracket, which closes
-    on the largest current whose *computed* output does not exceed the
-    bound. Where the output is flat within rounding around the root, that
-    current can sit above the exact root by more than ``tol_u``.
+    ``RootConfig.tol_u`` bounds the width of the final bisection bracket,
+    which closes on the largest current whose *computed* output does not
+    exceed the bound. Where the output is flat within rounding around the
+    root, that current can sit above the exact root by more than
+    ``RootConfig.tol_u``.
     """
 
-    tol_u: float = 1e-9    # absolute tolerance on the current [A]
-    tol_y: float = 1e-6    # absolute residual tolerance in output units
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.tol_u <= 0.0 or self.tol_y <= 0.0:
-            raise ConfigurationError("tolerances must be > 0")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
+    tol_u = 1e-9    # absolute tolerance on the current [A]
+    tol_y = 1e-6    # absolute residual tolerance in output units
+    max_iter = 200
 
 
 @dataclass
@@ -58,17 +53,18 @@ class FeedbackValue:
     iterations: int = 0
 
 
-def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float, u_hi: float,
-                     cfg: RootConfig) -> FeedbackValue:
+def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
+                     u_hi: float) -> FeedbackValue:
     """Riding current of 1-based constraint i at state x, by bisection on
     [0, u_hi].
 
     Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and 0
     when h_i(x, 0) > y_bar_i (violated already at zero current).
     A residual of exactly 0 counts as below the bound, so the result lies
-    within ``cfg.tol_u`` of the largest current whose computed output does
-    not exceed y_bar_i. Where h_i is flat within rounding around the root,
-    that current can exceed the exact root by more than ``cfg.tol_u``.
+    within ``RootConfig.tol_u`` of the largest current whose computed output
+    does not exceed y_bar_i. Where h_i is flat within rounding around the
+    root, that current can exceed the exact root by more than
+    ``RootConfig.tol_u``.
     """
     idx = i - 1
     hi = u_hi
@@ -84,21 +80,20 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float, u_hi: float,
 
     # halve until the bracket meets tol_u and the residual meets tol_y (the
     # FeedbackValue contract); monotonicity keeps the root bracketed throughout
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, RootConfig.max_iter + 1):
         mid = 0.5 * (lo + hi)
         res = model.output(x, mid, idx) - y_bar_i
         if res > 0.0:
             hi = mid
         else:
             lo = mid
-        if (hi - lo) <= cfg.tol_u and abs(res) <= cfg.tol_y:
+        if (hi - lo) <= RootConfig.tol_u and abs(res) <= RootConfig.tol_y:
             return FeedbackValue(value=mid, iterations=k)
     raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
-                           cfg.max_iter)
+                           RootConfig.max_iter)
 
 
-def bisected_roots(model: PlantModel, x, spec: ConstraintSpec,
-                   cfg: RootConfig) -> np.ndarray:
+def bisected_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarray:
     """Riding currents of all p constraints by bisection on [0, u_max], in the
     form of ``PlantModel.riding_currents``: u_max for constraint 1, and +inf
     for a constraint met at u_max, which then cannot attain the minimum.
@@ -109,7 +104,7 @@ def bisected_roots(model: PlantModel, x, spec: ConstraintSpec,
     for i in range(2, spec.p + 1):
         y_bar_i = float(spec.y_bar[i - 1])
         roots.append(math.inf if y[i - 1] <= y_bar_i else
-                     solve_constraint(model, x, i, y_bar_i, u_max, cfg).value)
+                     solve_constraint(model, x, i, y_bar_i, u_max).value)
     return np.array(roots)
 
 
@@ -121,8 +116,7 @@ class SelectorResult:
     i_star: int            # 1-based constraint that attained the minimum
 
 
-def selector(model: PlantModel, x, spec: ConstraintSpec,
-             cfg: RootConfig) -> SelectorResult:
+def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
     """Minimum over the per-constraint riding currents (ties: lowest index).
 
     The riding currents come from ``model.riding_currents``, or from
@@ -134,15 +128,15 @@ def selector(model: PlantModel, x, spec: ConstraintSpec,
             f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
     roots = model.riding_currents(x, spec.y_bar)
     if roots is None:
-        roots = bisected_roots(model, x, spec, cfg)
+        roots = bisected_roots(model, x, spec)
     values = np.maximum(roots, 0.0)
     values[0] = spec.u_max
     k = int(values.argmin())
     return SelectorResult(u=float(values[k]), i_star=k + 1)
 
 
-def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
-                      cfg: RootConfig, *, guard: float = DEFAULT_GUARD) -> Trajectory:
+def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
+                      guard: float = DEFAULT_GUARD) -> Trajectory:
     """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
 
     Records which constraint attained the minimum at every step; the
@@ -152,7 +146,7 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
 
     def control(t: int, x) -> float:
         nonlocal i_star
-        res = selector(model, x, spec, cfg)
+        res = selector(model, x, spec)
         i_star = res.i_star
         return res.u
 

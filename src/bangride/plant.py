@@ -6,14 +6,16 @@ current u. Output 1 is the identity in u. States are numeric arrays that
 only the concrete models interpret.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
-callback) and fills the columns of a ``Trajectory``. The model-free
-controller (``run_closed_loop``), the oracle (``oracle.oracle_trajectory``)
-and open-loop replay (``replay_open_loop``) are its three policies. A single
-run is strictly sequential (feedback dependency); distinct runs share nothing
-mutable and may execute in parallel. Trajectories are treated as immutable
-once returned. ``simulate_batch`` steps the M cells of a batched model, such
-as ``models.ecm.EcmEnsemble``, in lockstep; the batched oracle
+callback) and fills the columns of a ``Trajectory``. The commands run two
+policies through it: the model-free controller (``run_closed_loop``) and the
+oracle (``oracle.oracle_trajectory``). A single run is strictly sequential
+(feedback dependency); distinct runs share nothing mutable and may execute in
+parallel. Trajectories are treated as immutable once returned.
+``simulate_batch`` steps the M cells of a batched model, such as
+``models.ecm.EcmEnsemble``, in lockstep; the batched oracle
 (``oracle.oracle_batch``) and replay (``replay_batch``) are its policies.
+Replay's scalar reference, ``replay_open_loop``, lives in
+``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -136,22 +138,9 @@ class Trajectory:
         return len(self.u)
 
     @property
-    def t_f(self) -> int:
-        return len(self.u) - 1
-
-    @property
-    def x0(self):
-        return self.states[0]
-
-    @property
     def e_active(self) -> np.ndarray:
         """Per-step error of the active constraint."""
         return self.e[np.arange(len(self.u)), self.i_star - 1]
-
-    def phases(self) -> list[int]:
-        """Active-index sequence with consecutive duplicates collapsed."""
-        starts = np.flatnonzero(np.diff(self.i_star)) + 1
-        return self.i_star[np.r_[0, starts]].tolist()
 
 
 def _diverged(value, what: str, t: int, guard: float) -> SimulationDiverged:
@@ -248,16 +237,6 @@ def run_closed_loop(model: PlantModel,
     return replace(traj, theta=np.array(thetas), alpha=np.array(alphas))
 
 
-def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,
-                     u_seq: Sequence[float], *,
-                     guard: float = DEFAULT_GUARD) -> Trajectory:
-    """Apply a recorded input sequence open-loop; the active index of each
-    step is the argmin of its errors."""
-    u_list = np.asarray(u_seq, dtype=float).tolist()
-    return simulate(model, spec, len(u_list) - 1, x0, lambda t, x: u_list[t],
-                    lambda t, e: active_index(e), guard=guard)
-
-
 @dataclass
 class BatchRun:
     """Completed lockstep run of M members, column k holding member k.
@@ -326,8 +305,8 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
 
 def replay_batch(model, x0: np.ndarray, u_cols: np.ndarray, *,
                  guard: float = DEFAULT_GUARD) -> BatchRun:
-    """``replay_open_loop`` for every member at once: member k applies
-    column k of the (n, M) input array."""
+    """Open-loop replay of every member at once: member k applies column k
+    of the (n, M) input array."""
     return simulate_batch(model, len(u_cols) - 1, x0,
                           lambda t, model, x, rows: u_cols[t, rows], guard=guard)
 

@@ -30,5 +30,5 @@ def oracle_runs(scenarios):
     out = {}
     for name, built in scenarios.items():
         out[name] = oracle_trajectory(built.model, built.spec, built.cfg.t_f,
-                                      built.x0, built.root_cfg)
+                                      built.x0)
     return out

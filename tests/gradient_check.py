@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bangride.analysis import ct_diagnostic
 from bangride.controller import ConstraintSpec
 from bangride.plant import PlantModel, Trajectory
+from references import ct_diagnostic
 
 
 @dataclass

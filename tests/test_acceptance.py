@@ -10,14 +10,15 @@ import time
 
 import numpy as np
 
-from bangride import (ConstraintSpec, RootConfig, oracle_trajectory,
-                      run_closed_loop, selector, step_size)
+from bangride import (ConstraintSpec, oracle_trajectory, run_closed_loop,
+                      selector, step_size)
 from bangride.analysis import attach_per_step_optima, regret
 from bangride.config import load_ecm_params, params_path
 from bangride.models import PackParams, PackPlant, ToyLinearPlant
 from ecm_study import ecm_study
 from gradient_check import gradient_sign_check
 from pack_labels import constraint_label
+from references import phases
 
 
 def _report(cid: str, ok: bool, detail: str):
@@ -76,7 +77,7 @@ def test_c2_ecm_switching_sequence(free_runs, oracle_runs):
     constraint errors cross is sub-visual in u and V); chatter may total at
     most 100 steps.
     """
-    oracle_phases = oracle_runs["ecm"].phases()
+    oracle_phases = phases(oracle_runs["ecm"])
     traj, _ = free_runs["ecm"]
     runs = _runs_of(traj.i_star)
     dominant = []
@@ -264,8 +265,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
         plant = PackPlant(params)
         spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                        temp_dev_max=35.0)
-        run = oracle_trajectory(plant, spec, 400, plant.initial_state(),
-                                RootConfig())
+        run = oracle_trajectory(plant, spec, 400, plant.initial_state())
         return [constraint_label(plant, i) for i in run.i_star], run.u
 
     lab_ap, u_ap = five_cell("all-pairs")
@@ -286,12 +286,11 @@ def test_c11_oracle_grid_equivalence(scenarios):
     # toy integrator
     toy = ToyLinearPlant()
     spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-    cfg = RootConfig()
     grid = np.linspace(0.0, 10.0, 10001)
     resolution = grid[1] - grid[0]
     x = toy.initial_state()
     for _ in range(200):
-        res = selector(toy, x, spec, cfg)
+        res = selector(toy, x, spec)
         feasible = ((grid <= spec.y_bar[0] + tol)
                     & (float(x[0]) + grid <= spec.y_bar[1] + tol))
         u_grid = float(grid[feasible].max())
@@ -305,12 +304,11 @@ def test_c11_oracle_grid_equivalence(scenarios):
                         cell_variation=0.3, variation_seed=11)
     pack = PackPlant(params)
     pspec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
-    pcfg = RootConfig()
     kt, bt = 1.0 - base.a * base.dt, base.b * base.dt
     cl = cr = 8e-5 * base.dt
     x = pack.initial_state()
     for _ in range(150):
-        res = selector(pack, x, pspec, pcfg)
+        res = selector(pack, x, pspec)
         v_cells = x[:, 0] + x[:, 1] + base.ocv_slope * x[:, 2]
         td = x[:, 3]
         coup = cl * (np.roll(td, 1) - td) + cr * (np.roll(td, -1) - td)

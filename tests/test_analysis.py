@@ -10,20 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      EcmParams, EcmPlant, RootConfig, RootFindingError,
-                      PlantModel, SimulationDiverged, ToyLinearPlant, Trajectory,
+                      EcmParams, EcmPlant, PlantModel, RootFindingError,
+                      SimulationDiverged, ToyLinearPlant, Trajectory,
                       oracle_trajectory, perturb_params, project_box,
-                      replay_open_loop, run_closed_loop, step_size)
-from bangride import analysis, oracle
+                      run_closed_loop, step_size)
+import bangride
+from bangride import analysis, oracle, plant
 from bangride.analysis import (_min_norm_on_line_in_box, _min_norm_rows,
-                               attach_per_step_optima, ct_diagnostic,
-                               ct_ratio_sign_changes, ct_series, mu_star,
-                               per_step_optimal_cost, regret)
+                               attach_per_step_optima, ct_ratio_sign_changes,
+                               ct_series, mu_star, regret)
 from bangride.models.ecm import EcmEnsemble
 from bangride.oracle import oracle_batch
 from bangride.plant import replay_batch
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
+from references import ct_diagnostic, per_step_optimal_cost, replay_open_loop
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -45,6 +46,15 @@ def test_analysis_imports_no_model_module():
     assert "bangride.oracle" in imported
     assert not [name for name in imported
                 if name == "bangride.models" or name.startswith("bangride.models.")]
+
+
+def test_public_surface():
+    # every export resolves, and the scalar references live beside the tests
+    assert all(hasattr(bangride, name) for name in bangride.__all__)
+    moved = ("replay_open_loop", "per_step_optimal_cost", "PerStepOptimum",
+             "ct_diagnostic")
+    assert not [name for module in (plant, analysis) for name in moved
+                if hasattr(module, name)]
 
 
 def toy_run(t_f=300, gamma=0.2):
@@ -124,11 +134,10 @@ class TestPerStepOptimum:
         assert np.all(traj.J_star <= traj.J + 1e-9)
 
     def test_oracle_trajectory_rejected(self):
-        from bangride import RootConfig, oracle_trajectory
+        from bangride import oracle_trajectory
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-        traj = oracle_trajectory(model, spec, 10, model.initial_state(),
-                                 RootConfig())
+        traj = oracle_trajectory(model, spec, 10, model.initial_state())
         with pytest.raises(ConfigurationError):
             attach_per_step_optima(traj, model, spec, np.zeros(2), np.ones(2))
 
@@ -466,14 +475,13 @@ class TestRobustnessStudy:
         spec = ConstraintSpec(**ECM_SPEC)
         true_model = EcmPlant(base)
         x0 = true_model.initial_state()
-        cfg = RootConfig()
-        true_soc = oracle_trajectory(true_model, spec, t_f, x0, cfg).telemetry["soc"]
+        true_soc = oracle_trajectory(true_model, spec, t_f, x0).telemetry["soc"]
         objective = float(np.cumsum(true_soc)[-1])
         res = ecm_study(base, n_models, fraction, spec, t_f, seed)
         assert [o.index for o in res.stats.outcomes] == list(range(n_models))
         for k, o in enumerate(res.stats.outcomes):
             model = EcmPlant(perturb_params(base, fraction, (seed, k)))
-            u_seq = oracle_trajectory(model, spec, t_f, x0, cfg).u
+            u_seq = oracle_trajectory(model, spec, t_f, x0).u
             run = replay_open_loop(true_model, spec, x0, u_seq)
             over = run.y - spec.y_bar[None, :]
             assert not o.diverged
@@ -492,14 +500,14 @@ class TestBatchedEnsemble:
     SPEC = ConstraintSpec(**ECM_SPEC)
     PARAMS = [perturb_params(EcmParams(**ECM_KW), 0.3, (11, k)) for k in range(6)]
 
-    def scalar_runs(self, t_f, x0, cfg, guard):
+    def scalar_runs(self, t_f, x0, guard):
         """Per member: its (oracle, replay) runs, or where the oracle or the
         replay diverged."""
         truth = EcmPlant(self.BASE)
         runs = []
         for params in self.PARAMS:
             try:
-                ideal = oracle_trajectory(EcmPlant(params), self.SPEC, t_f, x0, cfg,
+                ideal = oracle_trajectory(EcmPlant(params), self.SPEC, t_f, x0,
                                           guard=guard)
             except SimulationDiverged as exc:
                 runs.append(("oracle", exc.step))
@@ -543,8 +551,7 @@ class TestBatchedEnsemble:
                                                    (12.15, 400, "replay")])
     def test_guard_failures_match_scalar(self, guard, t_f, stage):
         x0 = EcmPlant(self.BASE).initial_state()
-        cfg = RootConfig()
-        scalar = self.scalar_runs(t_f, x0, cfg, guard)
+        scalar = self.scalar_runs(t_f, x0, guard)
         failed = [ref for ref in scalar if ref[0] == stage]
         assert 1 <= len(failed) < len(scalar)
         assert len({step for _, step in failed}) > 1
@@ -562,7 +569,7 @@ class TestBatchedEnsemble:
         batched = self.batched_runs(50, x0, 1e9)
         monkeypatch.undo()
         assert calls == []
-        scalar = self.scalar_runs(50, x0, RootConfig(), 1e9)
+        scalar = self.scalar_runs(50, x0, 1e9)
         self.assert_match(scalar, *batched)
         for params in self.PARAMS:  # below the bound at u = 0: a finite root
             root = EcmPlant(params).riding_currents(x0, self.SPEC.y_bar)[2]

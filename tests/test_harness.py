@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from bangride import ConfigurationError, run_closed_loop
+from bangride import ConfigurationError, cli, run_closed_loop
 from bangride.cli import main
 from bangride.config import (ScenarioConfig, build_scenario, load_scenario,
-                             save_scenario, scenario_hash)
+                             params_path, save_scenario, scenario_hash)
 from bangride.csvio import (read_trajectory_csv, trajectory_header,
                             write_trajectory_csv)
 from bangride.svg import emit_svg, quantity_series
@@ -111,8 +111,7 @@ class TestSvg:
         free = run_closed_loop(built.model, built.new_controller(), built.spec,
                                40, built.x0)
         from bangride.oracle import oracle_trajectory
-        oracle = oracle_trajectory(built.model, built.spec, 40, built.x0,
-                                   built.root_cfg)
+        oracle = oracle_trajectory(built.model, built.spec, 40, built.x0)
         path = emit_svg([(free, {"label": "model-free"}),
                          (oracle, {"label": "ideal", "dash": "6,4",
                                    "color": "#111"})],
@@ -210,7 +209,8 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [["--config", "toy"],
                                       ["--config", "ecm", "--models", "0"],
-                                      ["--config", "ecm", "--fraction", "1.5"]])
+                                      ["--config", "ecm", "--fraction", "1.5"],
+                                      ["--config", "ecm", "--gamma", "a,b"]])
     def test_rejected_montecarlo_writes_nothing(self, args, tmp_path):
         out = tmp_path / "mc"
         assert main(["montecarlo", *args, "--out", str(out)]) == 1
@@ -292,6 +292,33 @@ class TestCli:
         assert main([command, "--config", str(tmp_path / "zero.cfg"),
                      "--out", str(tmp_path / "out")]) == 1
         assert "current limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file, old, new", [("s.cfg", "t_f = 1800", "t_f = ten"),
+                                                ("p.cfg", "ocv_slope", "ocv_slop"),
+                                                ("p.cfg", "r_o = 0.05", "r_o = 0,05")],
+                             ids=["scenario-number", "params-key", "params-number"])
+    def test_malformed_file_names_its_key(self, file, old, new, tmp_path, capsys):
+        cfg = load_scenario("ecm")
+        params = tmp_path / "p.cfg"
+        params.write_text(params_path(cfg, "params_ecm.cfg").read_text())
+        cfg.params_file = str(params)
+        save_scenario(cfg, tmp_path / "s.cfg")
+        path = tmp_path / file
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["simulate", "--config", str(tmp_path / "s.cfg"),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and new.split(" =")[0] in err
+
+    def test_out_is_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        assert main(["simulate", "--config", "toy", "--steps", "5",
+                     "--out", str(tmp_path / "taken")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_validate_checks_the_package_projection(self, monkeypatch):
+        monkeypatch.setattr(cli, "project_box", lambda v, lo, hi: 2.0 * v)
+        assert main(["validate"]) == 3
 
     def test_exit_code_unknown_flag(self, capsys):
         assert main(["simulate", "--config", "toy", "--frobnicate"]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bangride import (ConfigurationError, EcmParams, EcmPlant, PackParams,
-                      PackPlant, RootConfig, oracle_trajectory)
+                      PackPlant, oracle_trajectory)
 from pack_labels import constraint_label
 
 BASE_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
@@ -107,8 +107,7 @@ class TestPackDynamics:
     def test_pack_voltage_summation_along_run(self):
         pack = make_pack(n=3, var=0.2, seed=9)
         spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
-        traj = oracle_trajectory(pack, spec, 120, pack.initial_state(),
-                                 RootConfig())
+        traj = oracle_trajectory(pack, spec, 120, pack.initial_state())
         base = pack.params.base
         for t, u in enumerate(traj.u):
             x = traj.states[t]
@@ -120,8 +119,7 @@ class TestPackDynamics:
         # the whole-run columns against each step's own cell extrema and mean
         pack = make_pack(n=5, var=0.3, seed=4)
         spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
-        traj = oracle_trajectory(pack, spec, 80, pack.initial_state(),
-                                 RootConfig())
+        traj = oracle_trajectory(pack, spec, 80, pack.initial_state())
         tel, t_amb = traj.telemetry, pack.params.base.t_ambient
         for t in range(len(traj)):
             td, soc = traj.states[t][:, 3], traj.states[t][:, 2]
@@ -161,8 +159,7 @@ class TestPairwiseModes:
             plant = make_pack(n=5, k=8e-5, var=0.3, seed=11, mode=mode)
             spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                            temp_dev_max=35.0)
-            traj = oracle_trajectory(plant, spec, 400, plant.initial_state(),
-                                     RootConfig())
+            traj = oracle_trajectory(plant, spec, 400, plant.initial_state())
             labels = [constraint_label(plant, i) for i in traj.i_star]
             results[mode] = (labels, traj.u)
         assert results["all-pairs"][0] == results["max-minus-min"][0]

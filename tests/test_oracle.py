@@ -26,34 +26,31 @@ class StaticModel(PlantModel):
         return np.array([fn(u) for fn in self.fns])
 
 
-class TestRootConfig:
-    def test_validation(self):
-        for bad in ({"tol_u": 0.0}, {"tol_y": -1e-6}, {"max_iter": 0}):
-            with pytest.raises(ConfigurationError):
-                RootConfig(**bad)
+def test_tolerances_are_constants():
+    with pytest.raises(TypeError):
+        RootConfig(tol_u=1e-6)
 
 
 class TestSolveConstraint:
     def test_identity_output_root_is_bound(self):
         model = StaticModel(lambda u: u)
-        cfg = RootConfig()
-        fv = solve_constraint(model, np.zeros(1), 1, 56.3739, 112.7478, cfg)
+        fv = solve_constraint(model, np.zeros(1), 1, 56.3739, 112.7478)
         assert fv.value == pytest.approx(56.3739, abs=1e-6)
-        assert abs(model.output(np.zeros(1), fv.value, 0) - 56.3739) <= cfg.tol_y
+        assert abs(model.output(np.zeros(1), fv.value, 0) - 56.3739) <= RootConfig.tol_y
 
     def test_affine_root(self):
         model = StaticModel(lambda u: u, lambda u: 1.0 + u)
-        fv = solve_constraint(model, np.zeros(1), 2, 4.2, 20.0, RootConfig())
+        fv = solve_constraint(model, np.zeros(1), 2, 4.2, 20.0)
         assert fv.value == pytest.approx(3.2, abs=1e-6)
 
     def test_unreachable_bound_gives_infinity(self):
         model = StaticModel(lambda u: u, lambda u: math.tanh(u))
-        fv = solve_constraint(model, np.zeros(1), 2, 2.0, 50.0, RootConfig())
+        fv = solve_constraint(model, np.zeros(1), 2, 2.0, 50.0)
         assert fv.value == math.inf
 
     def test_violated_at_zero_flagged(self):
         model = StaticModel(lambda u: u, lambda u: 7.0 + u)
-        fv = solve_constraint(model, np.zeros(1), 2, 5.0, 20.0, RootConfig())
+        fv = solve_constraint(model, np.zeros(1), 2, 5.0, 20.0)
         assert (fv.value, fv.iterations) == (0.0, 0)
 
     def test_bracket_invariant_through_iterations(self):
@@ -69,7 +66,7 @@ class TestSolveConstraint:
         evaluated: list = []
         model = StaticModel(lambda u: u, h)
         y_bar = 17.0
-        fv = solve_constraint(model, np.zeros(1), 2, y_bar, 30.0, RootConfig())
+        fv = solve_constraint(model, np.zeros(1), 2, y_bar, 30.0)
         assert evaluated[:2] == [30.0, 0.0]
         assert len(evaluated) >= 32
         assert fv.value == evaluated[-1]
@@ -90,7 +87,7 @@ class TestSolveConstraint:
         counts = []
         for y_bar in (4.0, 50.0, -1.0):  # a root, unreachable, violated at 0
             evaluated: list = []
-            fv = solve_constraint(model, np.zeros(1), 2, y_bar, 30.0, RootConfig())
+            fv = solve_constraint(model, np.zeros(1), 2, y_bar, 30.0)
             counts.append((fv.iterations, len(evaluated)))
         (halvings, calls), unreachable, violated = counts
         assert halvings == calls - 2 >= 30
@@ -100,7 +97,7 @@ class TestSolveConstraint:
         # discontinuity jumping across the bound: the residual never converges
         model = StaticModel(lambda u: u, lambda u: 0.0 if u < 1.0 else 10.0)
         with pytest.raises(RootFindingError) as err:
-            solve_constraint(model, np.zeros(1), 2, 5.0, 4.0, RootConfig())
+            solve_constraint(model, np.zeros(1), 2, 5.0, 4.0)
         assert err.value.iterations == 200
         assert 0.0 <= err.value.lo <= err.value.hi <= 4.0
 
@@ -113,7 +110,7 @@ class TestSelector:
                             lambda u: math.tanh(u) - 50)  # unreachable
         spec = ConstraintSpec(y_bar=[56.37, 40.0, 40.0, 0.5],
                               gamma=[1.0, 1.0, 1.0, 1.0])
-        res = selector(model, np.zeros(1), spec, RootConfig())
+        res = selector(model, np.zeros(1), spec)
         assert res.u == pytest.approx(40.0, abs=1e-6)
         assert res.i_star == 3
 
@@ -122,7 +119,7 @@ class TestSelector:
                             lambda u: math.tanh(u),
                             lambda u: math.tanh(u) - 1.0)
         spec = ConstraintSpec(y_bar=[10.0, 5.0, 5.0], gamma=[1.0, 1.0, 1.0])
-        res = selector(model, np.zeros(1), spec, RootConfig())
+        res = selector(model, np.zeros(1), spec)
         assert res.u == 10.0
         assert res.i_star == 1
 
@@ -132,11 +129,10 @@ class TestSelector:
                             lambda u: 0.4 * u + 0.02 * u ** 2,
                             lambda u: math.sinh(u / 4.0))
         spec = ConstraintSpec(y_bar=[10.0, 4.0, 3.0], gamma=[1.0, 1.0, 1.0])
-        cfg = RootConfig()
-        res = selector(model, np.zeros(1), spec, cfg)
+        res = selector(model, np.zeros(1), spec)
         grid = np.linspace(0.0, 10.0, 10001)
         ys = np.stack([grid, 0.4 * grid + 0.02 * grid ** 2, np.sinh(grid / 4.0)])
-        feasible = np.all(ys <= spec.y_bar[:, None] + cfg.tol_y, axis=0)
+        feasible = np.all(ys <= spec.y_bar[:, None] + RootConfig.tol_y, axis=0)
         u_grid = grid[feasible].max()
         assert res.u == pytest.approx(u_grid, abs=1e-3)
 
@@ -151,18 +147,18 @@ class TestSelector:
 
         model = StaticModel(lambda u: u, h, lambda u: u - 30.0, lambda u: u + 7.0)
         spec = ConstraintSpec(y_bar=[10.0, 4.0, 1.0, 5.0], gamma=[1.0] * 4)
-        roots = bisected_roots(model, np.zeros(1), spec, RootConfig())
+        roots = bisected_roots(model, np.zeros(1), spec)
         assert roots[0] == 10.0 and roots[2] == math.inf and roots[3] == 0.0
         assert roots[1] == pytest.approx(6.0, abs=1e-9)
         assert brackets[:3] == [10.0, 10.0, 0.0]  # outputs at u_max, then the solve
-        res = selector(model, np.zeros(1), spec, RootConfig())
+        res = selector(model, np.zeros(1), spec)
         assert (res.u, res.i_star) == (0.0, 4)
 
     def test_spec_size_mismatch(self):
         model = StaticModel(lambda u: u)
         spec = ConstraintSpec(y_bar=[1.0, 2.0], gamma=[1.0, 1.0])
         with pytest.raises(ConfigurationError):
-            selector(model, np.zeros(1), spec, RootConfig())
+            selector(model, np.zeros(1), spec)
 
 
 class TestOracleTrajectory:
@@ -170,8 +166,7 @@ class TestOracleTrajectory:
         # K2(x) = y_bar_2 - x for the integrator with h2 = x + u
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-        traj = oracle_trajectory(model, spec, 30, model.initial_state(),
-                                 RootConfig())
+        traj = oracle_trajectory(model, spec, 30, model.initial_state())
         x = 0.0
         for u in traj.u:
             expected = min(10.0, 5.0 - x)
@@ -197,5 +192,4 @@ class TestOracleTrajectory:
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         with pytest.raises(ConfigurationError):
-            oracle_trajectory(model, spec, -2, model.initial_state(),
-                              RootConfig())
+            oracle_trajectory(model, spec, -2, model.initial_state())

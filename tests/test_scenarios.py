@@ -5,6 +5,7 @@ import numpy as np
 from bangride.analysis import attach_per_step_optima, regret
 from bangride.cli import main
 from pack_labels import constraint_label
+from references import phases
 
 
 class TestPerStepGapLimit:
@@ -26,10 +27,10 @@ class TestPerStepGapLimit:
 class TestOracleStructure:
     def test_spmet_single_switch_current_then_voltage(self, oracle_runs):
         traj = oracle_runs["spmet"]
-        assert traj.phases() == [1, 2]
+        assert phases(traj) == [1, 2]
 
     def test_ecm_four_phases(self, oracle_runs):
-        assert oracle_runs["ecm"].phases() == [1, 2, 3, 2]
+        assert phases(oracle_runs["ecm"]) == [1, 2, 3, 2]
 
     def test_pack_rides_spread_bound(self, scenarios, oracle_runs):
         model = scenarios["pack"].model
