@@ -9,8 +9,7 @@ quantifies regret and robustness.
 
 __version__ = "0.1.0"
 
-from .controller import (ConstraintSpec, ControllerState, active_index,
-                         constraint_errors, project_box, step_size)
+from .controller import ConstraintSpec, ControllerState, project_box, step_size
 from .errors import (BangrideError, ConfigurationError, PotentialDomainError,
                      RootFindingError, SimulationDiverged)
 from .oracle import FeedbackValue, RootConfig, SelectorResult, oracle_trajectory, selector, solve_constraint
@@ -23,8 +22,7 @@ __all__ = [
     "__version__",
     "BangrideError", "ConfigurationError", "PotentialDomainError",
     "RootFindingError", "SimulationDiverged",
-    "ConstraintSpec", "ControllerState", "active_index", "constraint_errors",
-    "project_box", "step_size",
+    "ConstraintSpec", "ControllerState", "project_box", "step_size",
     "PlantModel", "Trajectory", "MonotonicityReport", "simulate",
     "run_closed_loop", "validate_monotonicity",
     "RootConfig", "FeedbackValue", "SelectorResult", "solve_constraint",

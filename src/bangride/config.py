@@ -31,7 +31,14 @@ from .oracle import RootConfig
 from .plant import PlantModel
 
 MODEL_NAMES = ("spmet", "ecm", "pack", "toy-linear")
-
+# the keys a scenario file may set, by section
+SCENARIO_KEYS = {
+    "scenario": ("model", "params", "t_f", "seed"),
+    "constraints": ("y_bar", "gamma"),
+    "controller": ("theta0", "theta_lo", "theta_hi", "mu1", "grad_clip"),
+    "analysis": ("compute_jstar", "ct_diagnostics"),
+    "output": ("dir",),
+}
 
 
 @dataclass
@@ -87,6 +94,13 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return word == "true"
+
+
 def parse_value(text: str | None, convert, where: str):
     """``convert(text)``; a missing or malformed value is a
     ``ConfigurationError`` naming ``where``: a flag, or a file and its key."""
@@ -109,6 +123,13 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
         ctrl = cp["controller"]
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing section {exc}") from exc
+    for section in cp.sections():
+        known = SCENARIO_KEYS.get(section)
+        if known is None:
+            raise ConfigurationError(f"{path}: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in known:
+                raise ConfigurationError(f"{path}: [{section}] unknown key {key!r}")
     ana = cp["analysis"] if cp.has_section("analysis") else {}
     out = cp["output"] if cp.has_section("output") else {}
 
@@ -128,8 +149,8 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
         mu1=value(ctrl, "mu1", "0.5", float),
         grad_clip=value(ctrl, "grad_clip", "",
                         lambda text: float(text) if text.strip() else None),
-        compute_jstar=str(ana.get("compute_jstar", "false")).lower() == "true",
-        ct_diagnostics=str(ana.get("ct_diagnostics", "false")).lower() == "true",
+        compute_jstar=value(ana, "compute_jstar", "false", _bool),
+        ct_diagnostics=value(ana, "ct_diagnostics", "false", _bool),
         out_dir=str(out.get("dir", "runs")),
     )
     return cfg

@@ -1,8 +1,11 @@
-"""Model-free bang-ride charging controller.
+"""Model-free bang-ride charging controller: its constraints and its state.
 
-Constraint errors and active-constraint switching, a PI control law on the
-active error, and an online projected-gradient update of the two PI gains
-driven by the one-step squared constraint error.
+``ConstraintSpec`` holds the output bounds and error weights, and
+``ControllerState`` the validated PI gains, their box, the step-size exponent
+and the compressed run history. The controller holds no stepping code: the
+PI law on the active error and the online projected-gradient update of the
+two gains run as float arithmetic inside ``plant.run_closed_loop``, with the
+step size of ``step_size`` and the projection of ``project_box``.
 
 Index convention used throughout the package: active-constraint indices
 (``i_star``) are 1-based (constraint 1 is always the explicit current bound
@@ -11,12 +14,11 @@ Index convention used throughout the package: active-constraint indices
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationDiverged
+from .errors import ConfigurationError
 
 DEFAULT_THETA0 = (0.1, 0.1)
 DEFAULT_THETA_LO = (0.0, 0.0)
@@ -59,22 +61,6 @@ class ConstraintSpec:
     def u_max(self) -> float:
         """Bound 1 is the explicit current limit."""
         return float(self.y_bar[0])
-
-
-def constraint_errors(spec: ConstraintSpec, y: np.ndarray) -> np.ndarray:
-    """Weighted slacks ``e_i = gamma_i * (y_bar_i - y_i)``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != spec.y_bar.shape:
-        raise ConfigurationError(
-            f"output vector has shape {y.shape}, expected {spec.y_bar.shape}"
-        )
-    return spec.gamma * (spec.y_bar - y)
-
-
-def active_index(e: np.ndarray) -> int:
-    """1-based index of the smallest constraint error (ties: lowest index)."""
-    e = np.asarray(e, dtype=float)
-    return int(np.argmin(e)) + 1
 
 
 def step_size(t: int, mu1: float) -> float:
@@ -128,43 +114,3 @@ class ControllerState:
         step_size(0, self.mu1)  # validates mu1
         if self.grad_clip is not None and self.grad_clip <= 0.0:
             raise ConfigurationError("grad_clip must be positive when set")
-
-    def control(self) -> float:
-        """Current command from the PI law on the stored history statistics."""
-        if not (np.all(np.isfinite(self.theta))
-                and math.isfinite(self.last_error)
-                and math.isfinite(self.error_sum)):
-            raise SimulationDiverged(self.t, "non-finite controller state")
-        return float(self.theta[0]) * self.last_error + float(self.theta[1]) * self.error_sum
-
-    def control_gradient(self) -> np.ndarray:
-        """Gradient of the control law in theta: (last_error, error_sum).
-
-        Always consistent with the statistics that produced the latest
-        control() value, since both read the same stored scalars.
-        """
-        return np.array([self.last_error, self.error_sum])
-
-    def gradient(self, e_active: float) -> np.ndarray:
-        """Descent direction ``g = -e_active * grad_theta(u)``.
-
-        Rescaled to norm <= grad_clip when a clip bound is set.
-        """
-        g = -float(e_active) * self.control_gradient()
-        if self.grad_clip is not None:
-            norm = float(np.linalg.norm(g))
-            if norm > self.grad_clip:
-                g *= self.grad_clip / norm
-        return g
-
-    def update(self, g: np.ndarray, alpha: float, e_active: float) -> None:
-        """One projected gradient step, then absorb the step's active error.
-
-        Order matters: the gains move using the pre-update statistics, after
-        which e_active extends the history and the step counter advances.
-        """
-        self.theta = project_box(self.theta - alpha * np.asarray(g, dtype=float),
-                                 self.theta_lo, self.theta_hi)
-        self.last_error = float(e_active)
-        self.error_sum += float(e_active)
-        self.t += 1

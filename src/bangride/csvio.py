@@ -20,12 +20,13 @@ from .plant import Trajectory
 GOLDEN_COLUMNS = ("t", "u", "e_active", "i_star", "theta_1", "theta_2",
                   "alpha", "J", "J_star")
 PACK_CHANNELS = ("v_pack", "t_max", "t_min", "dt_max")
+NUM = "%.12g"       # a number cell: 12 significant digits
 
 
 def _num(value) -> str:
     if value is None:
         return ""
-    return format(float(value), ".12g")
+    return NUM % float(value)
 
 
 def _has_pack_channels(traj: Trajectory) -> bool:
@@ -41,34 +42,29 @@ def trajectory_header(traj: Trajectory) -> list[str]:
                                "alpha", "J", "J_star"]
 
 
-def _trajectory_columns(traj: Trajectory) -> list[list[str]]:
-    """Formatted cells of each CSV column, in header order."""
-    n = len(traj)
+def _write_rows(path: Path, header: list[str], columns: list) -> Path:
+    """Header, then one row per entry of the columns. Each column is a
+    ``(format, values)`` pair; a None column is an empty cell in every row.
+    Each row is one ``%`` format of a template that holds the empty cells."""
+    template = ",".join("" if values is None else fmt for fmt, values in columns) + "\n"
+    rows = zip(*[values.tolist() for _, values in columns if values is not None])
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(template.__mod__, rows))
+    return path
 
-    def cells(values) -> list[str]:
-        if values is None:
-            return [""] * n
-        return [_num(v) for v in values.tolist()]
 
+def write_trajectory_csv(traj: Trajectory, path) -> Path:
+    """One row per step; schema fixed across rows."""
     if _has_pack_channels(traj):
         mid = [traj.telemetry[key] for key in PACK_CHANNELS]
     else:
         mid = list(traj.y.T)
     theta = (None, None) if traj.theta is None else traj.theta.T
-    return ([cells(np.arange(n)), cells(traj.u)] + [cells(m) for m in mid]
-            + [cells(traj.e_active), [str(i) for i in traj.i_star.tolist()],
-               cells(theta[0]), cells(theta[1]), cells(traj.alpha),
-               cells(traj.J), cells(traj.J_star)])
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """One row per step; schema fixed across rows."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_header(traj))
-        writer.writerows(zip(*_trajectory_columns(traj)))
-    return path
+    numbers = [np.arange(len(traj)), traj.u, *mid, traj.e_active]
+    return _write_rows(Path(path), trajectory_header(traj),
+                       [(NUM, c) for c in numbers] + [("%d", traj.i_star)]
+                       + [(NUM, c) for c in (*theta, traj.alpha, traj.J, traj.J_star)])
 
 
 def read_trajectory_csv(path) -> dict[str, list[float | None]]:
@@ -91,14 +87,9 @@ def write_gap_csv(free: Trajectory, oracle: Trajectory, path) -> Path:
     """Step-by-step current comparison between the model-free and oracle runs."""
     if len(free) != len(oracle):
         raise ConfigurationError("gap CSV needs runs over the same horizon")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "u_free", "u_oracle", "gap"])
-        for t, (u_free, u_oracle) in enumerate(zip(free.u.tolist(), oracle.u.tolist())):
-            writer.writerow([_num(t), _num(u_free), _num(u_oracle),
-                             _num(u_free - u_oracle)])
-    return path
+    columns = (np.arange(len(free)), free.u, oracle.u, free.u - oracle.u)
+    return _write_rows(Path(path), ["t", "u_free", "u_oracle", "gap"],
+                       [(NUM, c) for c in columns])
 
 
 def write_montecarlo_summary(stats, path) -> Path:

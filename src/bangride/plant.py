@@ -6,11 +6,12 @@ current u. Output 1 is the identity in u. States are numeric arrays that
 only the concrete models interpret.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
-callback) and fills the columns of a ``Trajectory``. The commands run two
-policies through it: the model-free controller (``run_closed_loop``) and the
-oracle (``oracle.oracle_trajectory``). A single run is strictly sequential
-(feedback dependency); distinct runs share nothing mutable and may execute in
-parallel. Trajectories are treated as immutable once returned.
+callback), computes the weighted errors inline and fills the columns of a
+``Trajectory``. The commands run two policies through it: the model-free
+controller (``run_closed_loop``) and the oracle (``oracle.oracle_trajectory``).
+A single run is strictly sequential (feedback dependency); distinct runs
+share nothing mutable and may execute in parallel. Trajectories are treated
+as immutable once returned.
 ``simulate_batch`` steps the M cells of a batched model, such as
 ``models.ecm.EcmEnsemble``, in lockstep; the batched oracle
 (``oracle.oracle_batch``) and replay (``replay_batch``) are its policies.
@@ -21,12 +22,13 @@ Replay's scalar reference, ``replay_open_loop``, lives in
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .controller import ConstraintSpec, ControllerState, active_index, constraint_errors, step_size
+from .controller import ConstraintSpec, ControllerState
 from .errors import ConfigurationError, SimulationDiverged
 
 DEFAULT_GUARD = 1e9
@@ -156,8 +158,9 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              guard: float = DEFAULT_GUARD) -> Trajectory:
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
-    Per step: ``u = control(t, x)``, the outputs at (x, u), the next state,
-    the weighted errors e, and ``i_star = observe(t, e)``. The telemetry
+    Per step: ``u = control(t, x)``, the outputs y at (x, u), the next state,
+    the weighted errors ``e = gamma * (y_bar - y)``, and
+    ``i_star = observe(t, e)``. The telemetry
     channels are computed once, from the columns, after the last step.
     The input, the outputs and the next state must stay finite and within
     ``guard`` in magnitude; the first that does not aborts the run with
@@ -178,6 +181,7 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     states = np.empty((n + 1,) + np.shape(x0))
     states[0] = x0
     x = x0
+    gamma, y_bar = spec.gamma, spec.y_bar
     for t in range(n):
         u = control(t, x)
         # one comparison per value: false for NaN, inf and anything past guard
@@ -189,7 +193,7 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         x = model.step(x, u)
         if not abs(x).max() <= guard:
             raise _diverged(x, "state", t, guard)
-        e = constraint_errors(spec, y)
+        e = gamma * (y_bar - y)
         i_star = observe(t, e)
         e_active = float(e[i_star - 1])
 
@@ -215,26 +219,64 @@ def run_closed_loop(model: PlantModel,
 
     Per step: compute u from the PI law, observe the outputs, pick the active
     constraint, take one projected gradient step on the gains, then append the
-    active error to the history. The controller is mutated to its final state.
+    active error to the history. The gains and the history are held as floats
+    during the run, in the operand order of the numpy ``ReferenceController``
+    in ``tests/references.py``, so every value matches the reference bit for bit.
+    The controller is mutated to its final state.
     """
     if controller.t != 0:
         raise ConfigurationError("run_closed_loop requires a fresh controller (t == 0)")
-    thetas: list[np.ndarray] = []
-    alphas: list[float] = []
+    n = t_f + 1
+    theta_col = np.empty((n, 2))
+    theta0_col, theta1_col = theta_col.T    # views: a scalar write each
+    alpha_col = np.empty(n)
+    t0, t1 = controller.theta.tolist()
+    lo0, lo1 = controller.theta_lo.tolist()
+    hi0, hi1 = controller.theta_hi.tolist()
+    neg_mu1, clip = -controller.mu1, controller.grad_clip
+    last, tot = controller.last_error, controller.error_sum
+    alpha, done = 1.0, 0
 
     def control(t: int, x) -> float:
-        thetas.append(controller.theta.copy())
-        alphas.append(step_size(t, controller.mu1))
-        return controller.control()
+        nonlocal alpha
+        theta0_col[t] = t0
+        theta1_col[t] = t1
+        alpha = 1.0 if t == 0 else float(t) ** neg_mu1     # step_size(t, mu1)
+        alpha_col[t] = alpha
+        if not (math.isfinite(t0) and math.isfinite(t1)
+                and math.isfinite(last) and math.isfinite(tot)):
+            raise SimulationDiverged(t, "non-finite controller state")
+        return t0 * last + t1 * tot
 
     def observe(t: int, e: np.ndarray) -> int:
-        i_star = active_index(e)
-        e_active = float(e[i_star - 1])
-        controller.update(controller.gradient(e_active), alphas[t], e_active)
-        return i_star
+        nonlocal t0, t1, last, tot, done
+        k = int(e.argmin())
+        ea = float(e[k])
+        g0, g1 = -ea * last, -ea * tot
+        if clip is not None:
+            norm = float(np.linalg.norm((g0, g1)))
+            if norm > clip:
+                scale = clip / norm
+                g0, g1 = g0 * scale, g1 * scale
+        # ties take the bound, as numpy's maximum and minimum do, so that a
+        # signed zero comes out as project_box gives it
+        v = t0 - alpha * g0
+        v = lo0 if v <= lo0 else v
+        t0 = hi0 if v >= hi0 else v
+        v = t1 - alpha * g1
+        v = lo1 if v <= lo1 else v
+        t1 = hi1 if v >= hi1 else v
+        last = ea
+        tot += ea
+        done = t + 1
+        return k + 1
 
-    traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
-    return replace(traj, theta=np.array(thetas), alpha=np.array(alphas))
+    try:
+        traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
+    finally:
+        controller.theta = np.array([t0, t1])
+        controller.last_error, controller.error_sum, controller.t = last, tot, done
+    return replace(traj, theta=theta_col, alpha=alpha_col)
 
 
 @dataclass

@@ -1,21 +1,106 @@
-"""One-step and one-run scalar references that the package's batched paths
-equal bit for bit, and ``phases``. No command runs them:
+"""One-step and one-run scalar references that the package's batched and
+float paths equal bit for bit, and ``phases``. No command runs them:
 ``per_step_optimal_cost`` is a row of ``analysis.attach_per_step_optima``,
-``ct_diagnostic`` an entry of ``analysis.ct_series``, and ``replay_open_loop``
-a member of ``plant.replay_batch``.
+``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
+a member of ``plant.replay_batch``, and ``ReferenceController`` stepped by
+``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from bangride.analysis import _box_corners, _min_norm_on_line_in_box
-from bangride.controller import ConstraintSpec, active_index, project_box
-from bangride.errors import RootFindingError
+from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
+from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+
+
+def constraint_errors(spec: ConstraintSpec, y: np.ndarray) -> np.ndarray:
+    """Weighted slacks ``e_i = gamma_i * (y_bar_i - y_i)``."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != spec.y_bar.shape:
+        raise ConfigurationError(
+            f"output vector has shape {y.shape}, expected {spec.y_bar.shape}"
+        )
+    return spec.gamma * (spec.y_bar - y)
+
+
+def active_index(e: np.ndarray) -> int:
+    """1-based index of the smallest constraint error (ties: lowest index)."""
+    e = np.asarray(e, dtype=float)
+    return int(np.argmin(e)) + 1
+
+
+class ReferenceController(ControllerState):
+    """``ControllerState`` with the numpy PI law and projected-gradient step."""
+
+    def control(self) -> float:
+        """Current command from the PI law on the stored history statistics."""
+        if not (np.all(np.isfinite(self.theta))
+                and math.isfinite(self.last_error)
+                and math.isfinite(self.error_sum)):
+            raise SimulationDiverged(self.t, "non-finite controller state")
+        return float(self.theta[0]) * self.last_error + float(self.theta[1]) * self.error_sum
+
+    def control_gradient(self) -> np.ndarray:
+        """Gradient of the control law in theta: (last_error, error_sum).
+
+        Always consistent with the statistics that produced the latest
+        control() value, since both read the same stored scalars.
+        """
+        return np.array([self.last_error, self.error_sum])
+
+    def gradient(self, e_active: float) -> np.ndarray:
+        """Descent direction ``g = -e_active * grad_theta(u)``.
+
+        Rescaled to norm <= grad_clip when a clip bound is set.
+        """
+        g = -float(e_active) * self.control_gradient()
+        if self.grad_clip is not None:
+            norm = float(np.linalg.norm(g))
+            if norm > self.grad_clip:
+                g *= self.grad_clip / norm
+        return g
+
+    def update(self, g: np.ndarray, alpha: float, e_active: float) -> None:
+        """One projected gradient step, then absorb the step's active error.
+
+        Order matters: the gains move using the pre-update statistics, after
+        which e_active extends the history and the step counter advances.
+        """
+        self.theta = project_box(self.theta - alpha * np.asarray(g, dtype=float),
+                                 self.theta_lo, self.theta_hi)
+        self.last_error = float(e_active)
+        self.error_sum += float(e_active)
+        self.t += 1
+
+
+def reference_closed_loop(model: PlantModel, controller: ReferenceController,
+                          spec: ConstraintSpec, t_f: int, x0, *,
+                          guard: float = DEFAULT_GUARD) -> Trajectory:
+    """``plant.run_closed_loop`` with the numpy controller: per step
+    ``control``, then ``gradient`` and ``update`` on the active error."""
+    thetas: list[np.ndarray] = []
+    alphas: list[float] = []
+
+    def control(t: int, x) -> float:
+        thetas.append(controller.theta.copy())
+        alphas.append(step_size(t, controller.mu1))
+        return controller.control()
+
+    def observe(t: int, e: np.ndarray) -> int:
+        i_star = active_index(e)
+        e_active = float(e[i_star - 1])
+        controller.update(controller.gradient(e_active), alphas[t], e_active)
+        return i_star
+
+    traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
+    return replace(traj, theta=np.array(thetas), alpha=np.array(alphas))
 
 
 @dataclass

@@ -24,7 +24,8 @@ from bangride.oracle import oracle_batch
 from bangride.plant import replay_batch
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
-from references import ct_diagnostic, per_step_optimal_cost, replay_open_loop
+from references import (ReferenceController, ct_diagnostic, per_step_optimal_cost,
+                        replay_open_loop)
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -55,6 +56,12 @@ def test_public_surface():
              "ct_diagnostic")
     assert not [name for module in (plant, analysis) for name in moved
                 if hasattr(module, name)]
+    # the controller holds no stepping code: run_closed_loop does its float
+    # arithmetic, and the numpy reference is tests/references.py
+    assert not [name for name in ("constraint_errors", "active_index")
+                if hasattr(bangride.controller, name) or hasattr(bangride, name)]
+    assert not [name for name in ("control", "control_gradient", "gradient", "update")
+                if hasattr(ControllerState, name)]
 
 
 def toy_run(t_f=300, gamma=0.2):
@@ -350,8 +357,8 @@ class TestBoxInvariant:
                                               mu1, clip, seed):
         lo, width = np.array(lo), np.array(width)
         hi = lo + width
-        cs = ControllerState(theta=lo + np.array(start) * width, theta_lo=lo,
-                             theta_hi=hi, mu1=mu1, grad_clip=clip)
+        cs = ReferenceController(theta=lo + np.array(start) * width, theta_lo=lo,
+                                 theta_hi=hi, mu1=mu1, grad_clip=clip)
         for t, e in enumerate(e_active):
             cs.update(cs.gradient(e), step_size(t, mu1), e)
             assert np.all(lo <= cs.theta) and np.all(cs.theta <= hi)

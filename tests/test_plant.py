@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       SimulationDiverged, ToyLinearPlant, oracle_trajectory,
                       run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, simulate, simulate_batch
-from references import replay_open_loop
+from references import ReferenceController, reference_closed_loop, replay_open_loop
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -149,6 +151,107 @@ class TestRunClosedLoop:
         run_closed_loop(model, cs, spec, 3, model.initial_state())
         with pytest.raises(ConfigurationError):
             run_closed_loop(model, cs, spec, 3, model.initial_state())
+
+
+class ScriptedPlant(PlantModel):
+    """Test plant whose outputs at step t are row t of a script, whatever the
+    input; the state counts the steps. Against the bounds (1, -0, -0, ...)
+    with unit weights, output i > 1 equal to -d gives the error d exactly,
+    signed zeros included."""
+
+    state_dim = 1
+
+    def __init__(self, errors: np.ndarray):
+        self.rows = np.concatenate([1.0 - errors[:, :1], -errors[:, 1:]], axis=1)
+        self.output_count = errors.shape[1]
+
+    def step(self, x, u):
+        return x + 1.0
+
+    def outputs(self, x, u):
+        return self.rows[int(x[0])]
+
+    def spec(self) -> ConstraintSpec:
+        return ConstraintSpec(y_bar=[1.0] + [-0.0] * (self.output_count - 1),
+                              gamma=[1.0] * self.output_count)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+error = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+bound = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def error_rows(draw, min_size=1, max_size=60):
+    p = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(error, min_size=p, max_size=p),
+                         min_size=min_size, max_size=max_size))
+    return np.array(rows, dtype=float).reshape(-1, p)
+
+
+@st.composite
+def controllers(draw):
+    """Keyword arguments of a controller: a box (lo == hi and signed-zero
+    bounds included), a start in it, mu1 and an optional clip."""
+    lo = np.array([draw(bound), draw(bound)])
+    width = np.array([draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 10.0))
+                      for _ in range(2)])
+    start = np.array([draw(st.floats(0.0, 1.0)) for _ in range(2)])
+    return dict(theta=lo + start * width, theta_lo=lo, theta_hi=lo + width,
+                mu1=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                grad_clip=draw(st.none() | st.floats(0.01, 10.0)))
+
+
+def both_loops(errors: np.ndarray, kw: dict):
+    """(outcome, controller) of run_closed_loop and of the numpy reference on
+    the scripted plant; the outcome is the trajectory or the divergence."""
+    model = ScriptedPlant(errors)
+    out = []
+    for loop, make in ((run_closed_loop, ControllerState),
+                       (reference_closed_loop, ReferenceController)):
+        cs = make(**kw)
+        try:
+            result = loop(model, cs, model.spec(), len(errors) - 1, np.zeros(1),
+                          guard=math.inf)
+        except SimulationDiverged as exc:
+            result = exc
+        out.append((result, cs))
+    return out
+
+
+class TestFloatLoopMatchesReference:
+    """run_closed_loop holds the gains as floats; the numpy ReferenceController
+    steps control -> gradient -> update over the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(errors=error_rows(), kw=controllers())
+    def test_equal_bit_for_bit(self, errors, kw):
+        (fast, cs), (ref, cs_ref) = both_loops(errors, kw)
+        assert same_bits(fast.e, ref.e)
+        assert same_bits(fast.u, ref.u)
+        assert same_bits(fast.theta, ref.theta)
+        assert same_bits(fast.alpha, ref.alpha)
+        assert same_bits(cs.error_sum, cs_ref.error_sum)
+        assert same_bits(cs.last_error, cs_ref.last_error)
+        assert same_bits(cs.theta, cs_ref.theta) and cs.t == cs_ref.t == len(errors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(errors=error_rows(max_size=20), inf=st.sampled_from([math.inf, -math.inf]),
+           kw=controllers())
+    def test_infinite_history_diverges_at_the_same_step(self, errors, inf, kw):
+        # an infinite active error makes the history infinite, so the next
+        # step stops at the controller state
+        errors = np.concatenate([errors, np.full((2, errors.shape[1]), inf)])
+        (fast, cs), (ref, cs_ref) = both_loops(errors, kw)
+        assert isinstance(fast, SimulationDiverged) and isinstance(ref, SimulationDiverged)
+        assert fast.step == ref.step == len(errors) - 1
+        assert str(fast) == str(ref) == (
+            f"simulation diverged at step {fast.step}: non-finite controller state")
+        assert same_bits(cs.error_sum, cs_ref.error_sum) and cs.t == cs_ref.t
 
 
 class FaultyToy(ToyLinearPlant):
