@@ -58,13 +58,16 @@ class ReferenceController(ControllerState):
     def gradient(self, e_active: float) -> np.ndarray:
         """Descent direction ``g = -e_active * grad_theta(u)``.
 
-        Rescaled to norm <= grad_clip when a clip bound is set.
+        Rescaled to norm <= grad_clip when a clip bound is set. An infinite
+        error or history gives NaN entries without a warning, as the float
+        loop's does; the next ``control()`` raises on the NaN gains.
         """
-        g = -float(e_active) * self.control_gradient()
-        if self.grad_clip is not None:
-            norm = float(np.linalg.norm(g))
-            if norm > self.grad_clip:
-                g *= self.grad_clip / norm
+        with np.errstate(invalid="ignore"):
+            g = -float(e_active) * self.control_gradient()
+            if self.grad_clip is not None:
+                norm = float(np.linalg.norm(g))
+                if norm > self.grad_clip:
+                    g *= self.grad_clip / norm
         return g
 
     def update(self, g: np.ndarray, alpha: float, e_active: float) -> None:
