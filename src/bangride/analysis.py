@@ -4,12 +4,12 @@ perturbed-model robustness study.
 Unlike the controller, everything here is deliberately model-aware, but
 only through the plant contract of ``plant`` and the oracle: no concrete
 cell model is imported. The per-step optima and c_t evaluate the plant's
-outputs at the recorded states of every step at once
-(``PlantModel.output_rows``), and the robustness study takes the true plant
-and batched models from its caller, builds ideal protocols from the models
-and replays them on the true plant. The one-step scalar references that
-``attach_per_step_optima`` and ``ct_series`` equal bit for bit,
-``per_step_optimal_cost`` and ``ct_diagnostic``, live in
+outputs at the recorded states of every step at once (``output_rows``), the
+optima bisecting in the oracle's ``bisect_rows``; the robustness study takes
+the true plant and batched models from its caller, builds ideal protocols
+from the models and replays them on the true plant. The one-step scalar
+references that ``attach_per_step_optima`` and ``ct_series`` equal bit for
+bit, ``per_step_optimal_cost`` and ``ct_diagnostic``, live in
 ``tests/references.py``, because no command runs them.
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import ConstraintSpec, project_box
-from .errors import ConfigurationError, RootFindingError
-from .oracle import oracle_batch, oracle_trajectory
+from .errors import ConfigurationError
+from .oracle import RootConfig, bisect_rows, oracle_batch, oracle_trajectory
 from .plant import BatchRun, PlantModel, Trajectory, replay_batch
 
 
@@ -101,17 +101,17 @@ def _min_norm_rows(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
 
 
 def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
-                           spec: ConstraintSpec, theta_lo, theta_hi,
-                           *, tol_u: float = 1e-9, tol_y: float = 1e-6) -> Trajectory:
+                           spec: ConstraintSpec, theta_lo, theta_hi) -> Trajectory:
     """New trajectory with J_star and theta_star filled for every step.
 
     Reconstructs the history statistics exactly as the controller accumulated
     them and freezes the realized active index per step; the minimizers are
     taken over the gain box [theta_lo, theta_hi]. All steps are solved at
-    once, through ``PlantModel.output_rows``, with a lockstep bisection in
-    which each step stops on its own; every row equals the scalar reference
-    ``per_step_optimal_cost`` (``tests/references.py``) at that step bit for
-    bit.
+    once, through ``PlantModel.output_rows``, with the oracle's lockstep
+    ``bisect_rows`` on the error's negative at the ``RootConfig``
+    tolerances, in which each step stops on its own; every row equals the
+    scalar reference ``per_step_optimal_cost`` (``tests/references.py``) at
+    that step bit for bit.
     """
     if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "
@@ -138,24 +138,13 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     high = e_hi >= 0.0
     u_opt, e_opt = np.where(high, u_hi, u_lo), np.where(high, e_hi, e_lo)
 
+    # the riding rows; -(-e) restores e bit for bit, signed zeros included
     rows = np.flatnonzero(~(zero | high | (e_lo <= 0.0)))
-    lo_u, hi_u, tol_e = u_lo[rows], u_hi[rows], gamma[rows] * tol_y
-    max_iter = 200    # per_step_optimal_cost's default
-    for _ in range(max_iter):
-        if not len(rows):
-            break
-        mid = 0.5 * (lo_u + hi_u)
-        e = err(rows, mid)
-        below = e < 0.0
-        hi_u, lo_u = np.where(below, mid, hi_u), np.where(below, lo_u, mid)
-        done = ((hi_u - lo_u) <= tol_u) & (np.abs(e) <= tol_e)
-        u_opt[rows[done]], e_opt[rows[done]] = mid[done], e[done]
-        go = ~done
-        rows, lo_u, hi_u, tol_e = rows[go], lo_u[go], hi_u[go], tol_e[go]
-    if len(rows):   # the scalar loop stops at the first of them
-        raise RootFindingError(f"per-step optimum bisection did not converge "
-                               f"at step {rows[0]}", float(lo_u[0]),
-                               float(hi_u[0]), max_iter)
+    u_opt[rows], r = bisect_rows(lambda k, u: -err(rows[k], u), u_lo[rows],
+                                 u_hi[rows], gamma[rows] * RootConfig.tol_y,
+                                 lambda k: f"per-step optimum bisection did "
+                                           f"not converge at step {rows[k]}")
+    e_opt[rows] = -r
 
     # every midpoint lies in [u_lo, u_hi], so the scalar's final clamp is a no-op
     theta_star = np.empty((n, 2))

@@ -58,22 +58,23 @@ def _build_parser() -> _Parser:
         p.add_argument("--mu1", type=float, default=None)
         p.add_argument("--gamma", default=None,
                        help="comma-separated error weights")
-        p.add_argument("--svg", action="store_true", help="emit line plots")
+        return p
 
-    common(sub.add_parser("simulate", help="run the model-free controller"))
-    common(sub.add_parser("oracle", help="run the ideal bang-ride protocol"))
-    common(sub.add_parser("compare", help="model-free vs oracle plus gap report"))
-    mc = sub.add_parser("montecarlo", help="perturbed-model robustness study")
-    common(mc)
+    for name, text in (("simulate", "run the model-free controller"),
+                       ("oracle", "run the ideal bang-ride protocol"),
+                       ("compare", "model-free vs oracle plus gap report"),
+                       ("montecarlo", "perturbed-model robustness study")):
+        common(sub.add_parser(name, help=text)).add_argument(
+            "--svg", action="store_true", help="emit line plots")
+    mc = sub.choices["montecarlo"]
     mc.add_argument("--models", type=int, default=200)
     mc.add_argument("--fraction", type=float, default=0.1)
     mc.add_argument("--jobs", type=int, default=1,
                     help="ignored: every model runs in one batch; "
                          "accepted so that older command lines still parse")
-    rg = sub.add_parser("regret", help="step-size-exponent sweep on the toy plant")
-    common(rg, config_required=False)
-    va = sub.add_parser("validate", help="monotonicity and invariant suite")
-    common(va, config_required=False)
+    common(sub.add_parser("regret", help="step-size-exponent sweep on the toy plant"),
+           config_required=False)
+    sub.add_parser("validate", help="monotonicity and invariant suite")
     return parser
 
 

@@ -240,6 +240,10 @@ def load_ecm_params(path) -> EcmParams:
 def load_pack_params(path) -> PackParams:
     base = load_ecm_params(path)
     raw = _read_section(path, "pack")
+    known = {f.name for f in dataclasses.fields(PackParams)} - {"base"}
+    for key in raw:
+        if key not in known:
+            raise ConfigurationError(f"{path}: [pack] unknown key {key!r}")
 
     def value(key: str, convert, default: str | None = None):
         return parse_value(raw.get(key, default), convert, f"{path}: {key}")

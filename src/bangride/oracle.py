@@ -5,9 +5,11 @@ h_i(x, u) = y_bar_i; monotonicity in u makes the solution unique. The oracle
 reads the plant through ``PlantModel.riding_currents`` alone, which gives all
 p roots at once. For a model without closed forms, ``bisected_roots`` supplies
 them by plain bisection on [0, u_max] (charging only), which is exact to
-tolerance and needs no derivatives. The ideal input is the minimum over the
-roots clamped at 0, which is always finite because constraint 1 pins u_max.
-The solve tolerances are the class constants of ``RootConfig``.
+tolerance and needs no derivatives; ``bisect_rows``, the package's one
+bisection kernel, halves them together, and the per-step optima of
+``analysis`` share it. The ideal input is the minimum over the roots clamped
+at 0, which is always finite because constraint 1 pins u_max. The solve
+tolerances are the class constants of ``RootConfig``.
 
 Stateless given (model, x); runs over distinct scenarios may execute in
 parallel, successive time steps may not (the state evolves).
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,71 +44,69 @@ class RootConfig:
     max_iter = 200
 
 
-@dataclass
-class FeedbackValue:
-    """Riding current for one constraint: +inf when the constraint cannot be
-    reached inside the bracket, 0 when it is already violated at zero
-    current, and otherwise a root with |h_i(x, value) - y_bar_i| <= tol_y.
-    ``iterations`` counts the bisection halvings.
+def bisect_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: np.ndarray, hi: np.ndarray, tol_r: np.ndarray,
+                label: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Bisection of n brackets [lo, hi] at once, on residuals increasing in u.
+
+    ``residual(rows, u)`` gives the residuals of the rows numbered ``rows``
+    at the currents u. Each row halves until its bracket is within
+    ``RootConfig.tol_u`` and its |residual| within its ``tol_r``; a positive
+    residual moves the top, a zero one the bottom. Returns each row's last
+    midpoint and residual; a row open after ``RootConfig.max_iter`` halvings
+    raises ``RootFindingError`` with the message ``label(row)``.
     """
-
-    value: float
-    iterations: int = 0
-
-
-def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
-                     u_hi: float) -> FeedbackValue:
-    """Riding current of 1-based constraint i at state x, by bisection on
-    [0, u_hi].
-
-    Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and 0
-    when h_i(x, 0) > y_bar_i (violated already at zero current).
-    A residual of exactly 0 counts as below the bound, so the result lies
-    within ``RootConfig.tol_u`` of the largest current whose computed output
-    does not exceed y_bar_i. Where h_i is flat within rounding around the
-    root, that current can exceed the exact root by more than
-    ``RootConfig.tol_u``.
-    """
-    idx = i - 1
-    hi = u_hi
-    f_hi = model.output(x, hi, idx)
-    if not math.isfinite(f_hi):
-        raise RootFindingError(f"constraint {i}: non-finite output at bracket top",
-                               0.0, hi, 0)
-    if f_hi < y_bar_i:
-        return FeedbackValue(value=math.inf)
-    lo = 0.0
-    if model.output(x, lo, idx) > y_bar_i:
-        return FeedbackValue(value=0.0)
-
-    # halve until the bracket meets tol_u and the residual meets tol_y (the
-    # FeedbackValue contract); monotonicity keeps the root bracketed throughout
-    for k in range(1, RootConfig.max_iter + 1):
+    u, r, rows = np.empty(len(lo)), np.empty(len(lo)), np.arange(len(lo))
+    for _ in range(RootConfig.max_iter):
+        if not len(rows):
+            break
         mid = 0.5 * (lo + hi)
-        res = model.output(x, mid, idx) - y_bar_i
-        if res > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) <= RootConfig.tol_u and abs(res) <= RootConfig.tol_y:
-            return FeedbackValue(value=mid, iterations=k)
-    raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
-                           RootConfig.max_iter)
+        res = residual(rows, mid)
+        above = res > 0.0
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+        done = ((hi - lo) <= RootConfig.tol_u) & (np.abs(res) <= tol_r)
+        u[rows[done]], r[rows[done]] = mid[done], res[done]
+        rows, lo, hi, tol_r = (v[~done] for v in (rows, lo, hi, tol_r))
+    if len(rows):
+        raise RootFindingError(label(int(rows[0])), float(lo[0]), float(hi[0]),
+                               RootConfig.max_iter)
+    return u, r
 
 
 def bisected_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarray:
     """Riding currents of all p constraints by bisection on [0, u_max], in the
     form of ``PlantModel.riding_currents``: u_max for constraint 1, and +inf
     for a constraint met at u_max, which then cannot attain the minimum.
+    The bracket checks run per constraint, then the constraints left halve
+    together, one ``output_rows`` call per halving; each root equals the
+    scalar ``solve_constraint`` of ``tests/references.py`` bit for bit.
     """
     u_max = spec.u_max
     y = model.outputs(x, u_max)
-    roots = [u_max]
-    for i in range(2, spec.p + 1):
-        y_bar_i = float(spec.y_bar[i - 1])
-        roots.append(math.inf if y[i - 1] <= y_bar_i else
-                     solve_constraint(model, x, i, y_bar_i, u_max).value)
-    return np.array(roots)
+    roots = np.array([u_max] + [math.inf] * (spec.p - 1))
+    pending = []
+    for idx in range(1, spec.p):
+        y_bar_i = float(spec.y_bar[idx])
+        if y[idx] <= y_bar_i:
+            continue
+        f_hi = model.output(x, u_max, idx)
+        if not math.isfinite(f_hi):
+            raise RootFindingError(f"constraint {idx + 1}: non-finite output at "
+                                   "bracket top", 0.0, u_max, 0)
+        if f_hi < y_bar_i:
+            continue
+        if model.output(x, 0.0, idx) > y_bar_i:
+            roots[idx] = 0.0
+        else:
+            pending.append(idx)
+    if pending:
+        index, n = np.array(pending), len(pending)
+        states, y_bar = np.broadcast_to(x, (n,) + np.shape(x)), spec.y_bar[index]
+        roots[index] = bisect_rows(
+            lambda k, u: model.output_rows(states[k], u, index[k]) - y_bar[k],
+            np.zeros(n), np.full(n, u_max), np.full(n, RootConfig.tol_y),
+            lambda k: f"constraint {pending[k] + 1}: bisection did not converge")[0]
+    return roots
 
 
 @dataclass

@@ -163,9 +163,9 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     ``i_star = observe(t, e)``. The telemetry
     channels are computed once, from the columns, after the last step.
     The input, the outputs and the next state must stay finite and within
-    ``guard`` in magnitude; the first that does not aborts the run with
-    ``SimulationDiverged`` at that step. States must be numeric arrays of
-    one shape.
+    ``guard`` in magnitude, and squaring the active error must not overflow;
+    the first that fails aborts the run with ``SimulationDiverged`` at that
+    step. States must be numeric arrays of one shape.
     """
     if t_f < 0:
         raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
@@ -201,7 +201,10 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         y_col[t] = y
         e_col[t] = e
         i_col[t] = i_star
-        j_col[t] = e_active ** 2
+        try:
+            j_col[t] = e_active ** 2
+        except OverflowError:   # |e_active| above about 1.3e154
+            raise SimulationDiverged(t, "squared active error overflowed") from None
         states[t + 1] = x
     telemetry = model.telemetry(states[:-1], u_col, y_col)
     return Trajectory(u=u_col, y=y_col, e=e_col, i_star=i_col, J=j_col,

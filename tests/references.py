@@ -1,6 +1,7 @@
 """One-step and one-run scalar references that the package's batched and
 float paths equal bit for bit, and ``phases``. No command runs them:
-``per_step_optimal_cost`` is a row of ``analysis.attach_per_step_optima``,
+``solve_constraint`` is one root of ``oracle.bisected_roots``,
+``per_step_optimal_cost`` a row of ``analysis.attach_per_step_optima``,
 ``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
 a member of ``plant.replay_batch``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
@@ -17,7 +18,73 @@ import numpy as np
 from bangride.analysis import _box_corners, _min_norm_on_line_in_box
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
+from bangride.oracle import RootConfig
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+
+
+@dataclass
+class FeedbackValue:
+    """Riding current for one constraint: +inf when the constraint cannot be
+    reached inside the bracket, 0 when it is already violated at zero
+    current, and otherwise a root with |h_i(x, value) - y_bar_i| <= tol_y.
+    ``iterations`` counts the bisection halvings.
+    """
+
+    value: float
+    iterations: int = 0
+
+
+def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
+                     u_hi: float) -> FeedbackValue:
+    """Riding current of 1-based constraint i at state x, by bisection on
+    [0, u_hi].
+
+    Returns +inf when h_i(x, u_hi) < y_bar_i (bound unreachable), and 0
+    when h_i(x, 0) > y_bar_i (violated already at zero current).
+    A residual of exactly 0 counts as below the bound, so the result lies
+    within ``RootConfig.tol_u`` of the largest current whose computed output
+    does not exceed y_bar_i. Where h_i is flat within rounding around the
+    root, that current can exceed the exact root by more than
+    ``RootConfig.tol_u``.
+    """
+    idx = i - 1
+    hi = u_hi
+    f_hi = model.output(x, hi, idx)
+    if not math.isfinite(f_hi):
+        raise RootFindingError(f"constraint {i}: non-finite output at bracket top",
+                               0.0, hi, 0)
+    if f_hi < y_bar_i:
+        return FeedbackValue(value=math.inf)
+    lo = 0.0
+    if model.output(x, lo, idx) > y_bar_i:
+        return FeedbackValue(value=0.0)
+
+    # halve until the bracket meets tol_u and the residual meets tol_y (the
+    # FeedbackValue contract); monotonicity keeps the root bracketed throughout
+    for k in range(1, RootConfig.max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        res = model.output(x, mid, idx) - y_bar_i
+        if res > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if (hi - lo) <= RootConfig.tol_u and abs(res) <= RootConfig.tol_y:
+            return FeedbackValue(value=mid, iterations=k)
+    raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
+                           RootConfig.max_iter)
+
+
+def per_constraint_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarray:
+    """``oracle.bisected_roots`` with one ``solve_constraint`` per constraint
+    not met at u_max, each bisecting on its own."""
+    u_max = spec.u_max
+    y = model.outputs(x, u_max)
+    roots = [u_max]
+    for i in range(2, spec.p + 1):
+        y_bar_i = float(spec.y_bar[i - 1])
+        roots.append(math.inf if y[i - 1] <= y_bar_i else
+                     solve_constraint(model, x, i, y_bar_i, u_max).value)
+    return np.array(roots)
 
 
 def constraint_errors(spec: ConstraintSpec, y: np.ndarray) -> np.ndarray:

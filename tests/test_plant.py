@@ -314,6 +314,18 @@ class TestDivergenceGuard:
         assert str(err.value) == (f"simulation diverged at step {self.K}: "
                                   f"{GUARD_MESSAGES[fault]}")
 
+    def test_squared_error_overflow_diverges(self):
+        # an input of 1e8 at step 3 makes |e_active| about 1e155, whose
+        # square overflows Python's **; the input, outputs and state stay
+        # inside the guard
+        model = ToyLinearPlant()
+        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1e147, 1e147])
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(model, spec, 5, model.initial_state(),
+                     lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: 1 + int(e.argmin()))
+        assert str(err.value) == ("simulation diverged at step 3: "
+                                  "squared active error overflowed")
+
 
 class Growth(PlantModel):
     """x' = g*x + u with outputs (u, c*x): the state passes a guard first

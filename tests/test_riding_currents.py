@@ -15,14 +15,17 @@ from hypothesis import strategies as st
 
 import bangride.oracle
 from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
-                      PotentialDomainError, RootConfig, SimulationDiverged,
-                      SpmetPlant, oracle_trajectory, selector)
+                      PotentialDomainError, RootConfig, RootFindingError,
+                      SimulationDiverged, SpmetPlant, ToyLinearPlant,
+                      oracle_trajectory, selector)
 from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
                              params_path)
 from bangride.models.ecm import EcmEnsemble, perturb_params
 from bangride.models.pack import spread_root
 from bangride.oracle import bisected_roots, oracle_batch
 from pack_labels import constraint_label
+from references import per_constraint_roots
+from test_oracle import StaticModel
 
 ECM_BASE = load_ecm_params(params_path(load_scenario("ecm"), "params_ecm.cfg"))
 SPMET = SpmetPlant(load_spmet_params(params_path(load_scenario("spmet"),
@@ -319,10 +322,90 @@ def test_spmet_oracle_makes_no_solve(scenarios, monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("solve_constraint", "bisected_roots"):
+    for name in ("bisected_roots", "bisect_rows"):
         monkeypatch.setattr(bangride.oracle, name, counted(name))
     run = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
     assert calls == []
     assert np.array_equal(run.i_star, reference.i_star)
     # measured 1.6e-9 A: each run within tol_u of its own crossings
     assert np.max(np.abs(run.u - reference.u)) <= 2.0 * built.root_cfg.tol_u
+
+
+# _where, or a fraction of u_max that bisection on [0, u_max] evaluates,
+# where the residual is exactly 0
+_placed = st.one_of(_where, st.sampled_from([0.25, 0.375, 0.5]))
+
+
+def placed_bound(h, u_max: float, w: float) -> float:
+    """A bound for the output h(u) placed as ``_placed`` says."""
+    h0, h_max = h(0.0), h(u_max)
+    return h0 + w * (h_max - h0) if w < 0.0 else h(w * u_max)
+
+
+@st.composite
+def static_cases(draw):
+    """One to five constraints past the current bound, each increasing: a
+    cubic, or now and then a jump of 10 that no bisection closes when its
+    bound lies inside the jump."""
+    u_max = draw(st.floats(0.5, 60.0))
+    fns, y_bar = [lambda u: u], [u_max]
+    for _ in range(draw(st.integers(1, 5))):
+        a, w = draw(st.floats(-5.0, 5.0)), draw(_placed)
+        if draw(st.integers(0, 19)) == 0:
+            at = draw(st.floats(0.0, 1.0)) * u_max
+            fns.append(lambda u, a=a, at=at: a if u < at else a + 10.0)
+            y_bar.append(a + 10.0 * w)
+        else:
+            b, c = draw(st.floats(0.01, 2.0)), draw(st.floats(0.0, 0.01))
+            fns.append(lambda u, a=a, b=b, c=c: a + b * u + c * u ** 3)
+            y_bar.append(placed_bound(fns[-1], u_max, w))
+    return StaticModel(*fns), np.zeros(1), ConstraintSpec(y_bar=y_bar,
+                                                          gamma=[1.0] * len(y_bar))
+
+
+@st.composite
+def toy_cases(draw):
+    plant = ToyLinearPlant(c=draw(st.floats(-2.0, 2.0)), d=draw(st.floats(0.05, 5.0)))
+    x, u_max = np.array([draw(st.floats(-20.0, 20.0))]), draw(st.floats(0.5, 60.0))
+    bound = placed_bound(lambda u: plant.output(x, u, 1), u_max, draw(_placed))
+    return plant, x, ConstraintSpec(y_bar=[u_max, bound], gamma=[1.0, 1.0])
+
+
+@st.composite
+def ecm_cases(draw):
+    plant = EcmPlant(perturb_params(ECM_BASE, 0.3, draw(st.integers(0, 2 ** 32 - 1))))
+    x = np.array([draw(st.floats(-1.0, 2.0)), draw(st.floats(-1.0, 3.0)),
+                  draw(st.floats(0.0, 1.2)), draw(st.floats(0.0, 30.0))])
+    u_max = draw(st.floats(0.5, 60.0))
+    y_bar = [u_max] + [placed_bound(lambda u: plant.output(x, u, idx), u_max,
+                                    draw(_placed)) for idx in (1, 2)]
+    return (bisection_only(plant), x,
+            ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0]))
+
+
+@st.composite
+def spmet_bisection_cases(draw):
+    state, bound = draw(spmet_cases())
+    return (bisection_only(SPMET), np.array(state),
+            ConstraintSpec(y_bar=[SPMET.params.u_max, bound], gamma=[1.0, 1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.one_of(static_cases(), toy_cases(), ecm_cases(),
+                      spmet_bisection_cases()))
+# three constraints riding at once, one of them on a midpoint
+@example(case=(StaticModel(lambda u: u, lambda u: 2.0 * u, lambda u: u ** 3 / 50.0,
+                           lambda u: 1.0 + u),
+               np.zeros(1), ConstraintSpec(y_bar=[30.0, 30.0, 17.0, 8.0],
+                                           gamma=[1.0] * 4)))
+def test_lockstep_roots_equal_per_constraint_bisection(case):
+    # every root bit for bit, or the same error where the reference raises
+    model, x, spec = case
+    try:
+        ref = per_constraint_roots(model, x, spec)
+    except RootFindingError as exc:
+        with pytest.raises(RootFindingError) as err:
+            bisected_roots(model, x, spec)
+        assert str(err.value) == str(exc)
+        return
+    assert bisected_roots(model, x, spec).tobytes() == ref.tobytes()
