@@ -83,20 +83,12 @@ def _load(args, default_config: str | None = None) -> BuiltScenario:
     if name is None:
         raise ConfigurationError("--config is required")
     cfg = load_scenario(name)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.steps is not None:
-        cfg.t_f = args.steps
-    if args.mu1 is not None:
-        cfg.mu1 = args.mu1
-    if args.gamma is not None:
-        cfg.gamma = parse_value(
-            args.gamma, lambda text: tuple(float(v) for v in text.split(",")),
-            "--gamma")
-    if args.out is not None:
-        cfg.out_dir = args.out
-    cfg.__post_init__()
-    return build_scenario(cfg)
+    gamma = None if args.gamma is None else parse_value(
+        args.gamma, lambda text: tuple(float(v) for v in text.split(",")), "--gamma")
+    overrides = {"seed": args.seed, "t_f": args.steps, "mu1": args.mu1,
+                 "gamma": gamma, "out_dir": args.out}
+    return build_scenario(dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
 def _prepare_run_dir(built: BuiltScenario, command: str) -> Path:

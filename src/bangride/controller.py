@@ -109,8 +109,8 @@ class ControllerState:
             raise ConfigurationError("theta box bounds must be 2-vectors")
         if not np.all(self.theta_lo <= self.theta_hi):
             raise ConfigurationError("theta box must satisfy lo <= hi")
-        if np.any(self.theta < self.theta_lo) or np.any(self.theta > self.theta_hi):
+        if not np.all((self.theta_lo <= self.theta) & (self.theta <= self.theta_hi)):
             raise ConfigurationError(f"theta {self.theta} outside box")
         step_size(0, self.mu1)  # validates mu1
-        if self.grad_clip is not None and self.grad_clip <= 0.0:
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
             raise ConfigurationError("grad_clip must be positive when set")

@@ -47,10 +47,10 @@ VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
 @dataclass
 class PackParams:
     base: EcmParams
-    n_cells: int = 100
-    k_left: float = 0.0        # k1: coupling to cell i-1 [1/s]
-    k_right: float = 0.0       # k2: coupling to cell i+1 [1/s]
-    dt_pair_max: float = 5.0   # max allowed temperature difference [K]
+    n_cells: int
+    k_left: float              # k1: coupling to cell i-1 [1/s]
+    k_right: float             # k2: coupling to cell i+1 [1/s]
+    dt_pair_max: float         # max allowed temperature difference [K]
     pairwise_mode: str = "max-minus-min"
     cell_variation: float = 0.0    # uniform +/- fraction on RC-link params
     variation_seed: int = 0

@@ -163,9 +163,9 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     ``i_star = observe(t, e)``. The telemetry
     channels are computed once, from the columns, after the last step.
     The input, the outputs and the next state must stay finite and within
-    ``guard`` in magnitude, and squaring the active error must not overflow;
-    the first that fails aborts the run with ``SimulationDiverged`` at that
-    step. States must be numeric arrays of one shape.
+    ``guard`` in magnitude, the weighted errors finite, and squaring the
+    active error must not overflow; the first that fails aborts the run with
+    ``SimulationDiverged`` at that step. States must be numeric arrays of one shape.
     """
     if t_f < 0:
         raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
@@ -182,6 +182,8 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     states[0] = x0
     x = x0
     gamma, y_bar = spec.gamma, spec.y_bar
+    # the outputs pass the guard, so e can overflow only if this bound does
+    check_e = not math.isfinite(float(gamma.max()) * (float(abs(y_bar).max()) + guard))
     for t in range(n):
         u = control(t, x)
         # one comparison per value: false for NaN, inf and anything past guard
@@ -193,7 +195,13 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         x = model.step(x, u)
         if not abs(x).max() <= guard:
             raise _diverged(x, "state", t, guard)
-        e = gamma * (y_bar - y)
+        if check_e:
+            with np.errstate(over="ignore"):
+                e = gamma * (y_bar - y)
+            if not np.isfinite(e).all():
+                raise SimulationDiverged(t, "non-finite weighted errors")
+        else:
+            e = gamma * (y_bar - y)
         i_star = observe(t, e)
         e_active = float(e[i_star - 1])
 

@@ -165,6 +165,12 @@ class TestControllerState:
         with pytest.raises(ConfigurationError):
             ControllerState(theta=np.array([20.0, 0.1]))
 
+    @pytest.mark.parametrize("kw", [{"theta": np.array([math.nan, 0.1])},
+                                    {"grad_clip": math.nan}], ids=["theta", "grad_clip"])
+    def test_nan_setting_rejected(self, kw):
+        with pytest.raises(ConfigurationError):
+            ControllerState(**kw)
+
     def test_divergent_statistics_raise(self):
         from bangride import SimulationDiverged
         cs = ReferenceController()

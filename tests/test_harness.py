@@ -3,11 +3,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import ConfigurationError, cli, run_closed_loop
 from bangride.cli import main
-from bangride.config import (ScenarioConfig, build_scenario, load_scenario,
-                             params_path, save_scenario, scenario_hash)
+from bangride.config import (MODEL_NAMES, ScenarioConfig, build_scenario,
+                             load_scenario, params_path, save_scenario,
+                             scenario_hash)
 from bangride.csvio import (read_trajectory_csv, trajectory_header,
                             write_trajectory_csv)
 from bangride.svg import emit_svg, quantity_series
@@ -18,6 +21,17 @@ def toy_traj():
     built = build_scenario(load_scenario("toy"))
     return run_closed_loop(built.model, built.new_controller(), built.spec,
                            60, built.x0)
+
+
+# an INI value cannot carry a comment prefix, a line break or outer whitespace
+INI_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                                 blacklist_characters="#;"),
+                   max_size=12).filter(lambda text: text == text.strip())
+NUMBER = st.floats(allow_nan=False)
+
+
+def numbers(min_size: int, max_size: int):
+    return st.lists(NUMBER, min_size=min_size, max_size=max_size).map(tuple)
 
 
 class TestScenarioConfig:
@@ -31,6 +45,27 @@ class TestScenarioConfig:
             cfg = load_scenario(name)
             save_scenario(cfg, tmp_path / "c.cfg")
             assert load_scenario(tmp_path / "c.cfg") == cfg
+
+    # scenario_hash pins the serialized format of each packaged scenario
+    PACKAGED_HASH = {"spmet": "71a247280b5c32e1", "ecm": "5e71a54a87d4038e",
+                     "pack": "8e9f7fc3eb162a20", "toy": "2f66e16ee46cceec"}
+
+    @pytest.mark.parametrize("name", sorted(PACKAGED_HASH))
+    def test_packaged_hash_pinned(self, name):
+        assert scenario_hash(load_scenario(name)) == self.PACKAGED_HASH[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=st.builds(
+        ScenarioConfig, model=st.sampled_from(MODEL_NAMES), params_file=INI_TEXT,
+        t_f=st.integers(), seed=st.integers(), y_bar=numbers(1, 4),
+        gamma=numbers(1, 4), theta0=numbers(2, 2), theta_lo=numbers(2, 2),
+        theta_hi=numbers(2, 2), mu1=NUMBER, grad_clip=st.none() | NUMBER,
+        compute_jstar=st.booleans(), ct_diagnostics=st.booleans(),
+        out_dir=INI_TEXT))
+    def test_save_then_load_is_identity(self, cfg, tmp_path_factory):
+        path = tmp_path_factory.mktemp("round-trip") / "c.cfg"
+        save_scenario(cfg, path)
+        assert load_scenario(str(path)) == cfg
 
     def test_hash_stable_and_sensitive(self):
         a = load_scenario("ecm")
@@ -293,28 +328,50 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         assert "current limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, file, old, new", [
-        ("ecm", "s.cfg", "t_f = 1800", "t_f = ten"),
-        ("ecm", "s.cfg", "mu1 = 0.5", "mu = 0.5"),
-        ("ecm", "s.cfg", "compute_jstar = false", "compute_jstar = yes"),
-        ("ecm", "p.cfg", "ocv_slope", "ocv_slop"),
-        ("ecm", "p.cfg", "r_o = 0.05", "r_o = 0,05"),
-        ("pack", "p.cfg", "cell_variation", "cell_variaton")],
+    @pytest.mark.parametrize("config, file, old, new, named", [
+        ("ecm", "s.cfg", "t_f = 1800", "t_f = ten", "t_f"),
+        ("ecm", "s.cfg", "mu1 = 0.5", "mu = 0.5", "mu"),
+        ("ecm", "s.cfg", "compute_jstar = false", "compute_jstar = yes",
+         "compute_jstar"),
+        ("ecm", "p.cfg", "ocv_slope", "ocv_slop", "ocv_slop"),
+        ("ecm", "p.cfg", "r_o = 0.05", "r_o = 0,05", "r_o"),
+        ("pack", "p.cfg", "cell_variation", "cell_variaton", "cell_variaton"),
+        ("pack", "p.cfg", "n_cells = 100", "", "n_cells"),
+        ("ecm", "s.cfg", "[constraints]\ny_bar = 10.0, 12.0, 8.0\n"
+         "gamma = 1.0, 1.0, 500.0\n", "", "constraints"),
+        ("ecm", "s.cfg", "[scenario]\n", "", "no section headers")],
         ids=["scenario-number", "scenario-key", "scenario-bool", "params-key",
-             "params-number", "pack-key"])
-    def test_malformed_file_names_its_key(self, config, file, old, new, tmp_path,
-                                          capsys):
+             "params-number", "pack-key", "pack-missing-key",
+             "scenario-missing-section", "scenario-no-header"])
+    def test_malformed_file_names_its_key(self, config, file, old, new, named,
+                                          tmp_path, capsys):
         cfg = load_scenario(config)
         params = tmp_path / "p.cfg"
         params.write_text(params_path(cfg, f"params_{config}.cfg").read_text())
         cfg.params_file = str(params)
         save_scenario(cfg, tmp_path / "s.cfg")
         path = tmp_path / file
+        assert old in path.read_text()
         path.write_text(path.read_text().replace(old, new))
         assert main(["simulate", "--config", str(tmp_path / "s.cfg"),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert str(path) in err and new.split(" =")[0] in err
+        assert str(path) in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--steps", "-1", "t_f"), ("--seed", "-1", "seed"), ("--mu1", "1.5", "mu1"),
+        ("--gamma", "1,-1", "gamma")])
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", "toy"), ("oracle", "toy"), ("compare", "toy"),
+        ("montecarlo", "ecm"), ("regret", "toy")])
+    def test_rejected_override_writes_nothing(self, command, config, flag, value,
+                                              field, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([command, "--config", config, flag, value, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_out_is_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("")
@@ -346,6 +403,16 @@ class TestCli:
                      "--gamma", "1e155,1e155", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: simulation diverged at step 0: squared active error overflowed\n")
+
+    @pytest.mark.parametrize("command, gamma", [("oracle", "1e308,1"),
+                                                ("simulate", "1e308,1e308")])
+    def test_overflowing_errors_exit_2_at_their_step(self, command, gamma, tmp_path,
+                                                      capsys):
+        # numpy's overflow warning would be an error under this suite's settings
+        assert main([command, "--config", "toy", "--steps", "3", "--gamma", gamma,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: simulation diverged at step 0: non-finite weighted errors\n")
 
     def test_gamma_override_changes_run(self, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"

@@ -243,14 +243,14 @@ class TestFloatLoopMatchesReference:
     @given(errors=error_rows(max_size=20), inf=st.sampled_from([math.inf, -math.inf]),
            kw=controllers())
     def test_infinite_history_diverges_at_the_same_step(self, errors, inf, kw):
-        # an infinite active error makes the history infinite, so the next
-        # step stops at the controller state
+        # infinite outputs pass an infinite guard, but their infinite errors
+        # stop both loops at that step, before they reach the history
         errors = np.concatenate([errors, np.full((2, errors.shape[1]), inf)])
         (fast, cs), (ref, cs_ref) = both_loops(errors, kw)
         assert isinstance(fast, SimulationDiverged) and isinstance(ref, SimulationDiverged)
-        assert fast.step == ref.step == len(errors) - 1
+        assert fast.step == ref.step == len(errors) - 2
         assert str(fast) == str(ref) == (
-            f"simulation diverged at step {fast.step}: non-finite controller state")
+            f"simulation diverged at step {fast.step}: non-finite weighted errors")
         assert same_bits(cs.error_sum, cs_ref.error_sum) and cs.t == cs_ref.t
 
 
