@@ -5,9 +5,11 @@ Unlike the controller, everything here is deliberately model-aware, but
 only through the plant contract of ``plant`` and the oracle: no concrete
 cell model is imported. The per-step optima and c_t evaluate the plant's
 outputs at the recorded states of every step at once (``output_rows``), the
-optima bisecting in the oracle's ``bisect_rows``; the robustness study takes
-the true plant and batched models from its caller, builds ideal protocols
-from the models and replays them on the true plant. The one-step scalar
+optima bisecting in the oracle's ``bisect_rows``. The robustness study
+takes the true plant and one batched model of 2M + 1 members from its
+caller, and in one lockstep pass (``plant.simulate_batch``) runs the true
+oracle, the ideal protocols of the M models and their replays on M copies of
+the true plant, storing only the columns it reads. The one-step scalar
 references that ``attach_per_step_optima`` and ``ct_series`` equal bit for
 bit, ``per_step_optimal_cost`` and ``ct_diagnostic``, live in
 ``tests/references.py``, because no command runs them.
@@ -21,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import ConstraintSpec, project_box
-from .errors import ConfigurationError
-from .oracle import RootConfig, bisect_rows, oracle_batch, oracle_trajectory
-from .plant import BatchRun, PlantModel, Trajectory, replay_batch
+from .errors import ConfigurationError, SimulationDiverged
+from .oracle import RootConfig, bisect_rows, selector_rows
+from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate_batch
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +267,17 @@ class ModelOutcome:
     """One perturbed model's ideal protocol replayed on the true plant."""
 
     index: int
-    diverged: bool = False
+    failure: SimulationDiverged | None = None   # the oracle's, else the replay's
     max_depth: np.ndarray | None = None    # per-constraint (y - y_bar)+ peak
     violation_steps: int = 0
     any_violation: bool = False
     suboptimality: float = 0.0             # true-oracle objective minus achieved
     u_seq: np.ndarray | None = None
     temperature: np.ndarray | None = None  # the replay's telemetry channel
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure is not None
 
 
 @dataclass
@@ -300,11 +306,12 @@ def _soc_objective(soc: np.ndarray) -> float:
     return float(np.cumsum(soc)[-1])
 
 
-def _replay_outcome(index: int, u_seq: np.ndarray, replays: BatchRun, j: int,
-                    true_model: PlantModel, spec: ConstraintSpec,
-                    oracle_objective: float, keep_series: bool) -> ModelOutcome:
-    y = replays.y[:, j]
-    telemetry = true_model.telemetry(replays.states[:-1, j], u_seq, y)
+def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
+                    states: np.ndarray, true_model: PlantModel,
+                    spec: ConstraintSpec, oracle_objective: float,
+                    keep_series: bool) -> ModelOutcome:
+    """A protocol's outcome from its replay's outputs and step-start states."""
+    telemetry = true_model.telemetry(states, u_seq, y)
     over = y - spec.y_bar[None, :]
     depth = np.maximum(over, 0.0).max(axis=0)
     violated = over > VIOLATION_TOL
@@ -320,38 +327,106 @@ def _replay_outcome(index: int, u_seq: np.ndarray, replays: BatchRun, j: int,
     )
 
 
-def robustness_study(true_model: PlantModel, true_batch, perturbed, x0,
-                     spec: ConstraintSpec, t_f: int, *,
-                     keep_series: bool = True) -> RobustnessResult:
-    """Ideal protocols from M models, replayed on the truth.
+def _oracle_run(model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
+                y: np.ndarray, index: np.ndarray, states: np.ndarray,
+                failure: SimulationDiverged | None) -> Trajectory:
+    """The ``Trajectory`` that ``oracle_trajectory`` returns, from a batch
+    member's input, output, 0-based constraint and state columns.
 
-    ``perturbed`` and ``true_batch`` are batched models as in
-    ``plant.simulate_batch``, with M members each (``len``): the models
-    whose bang-ride protocols are computed, and M copies of ``true_model``,
-    from state x0. Each protocol is computed in closed loop on its model
-    and then applied open-loop to the true plant, recording violations and
-    suboptimality against the true model's own oracle. All models step
-    together, through one batched oracle and one batched replay; a model
-    that diverges in either is recorded as diverged, and the others go on.
-    The objective and the recorded temperatures are ``true_model``'s
-    ``soc`` and ``temperature`` telemetry channels.
+    Makes the weighted-error and cost checks of ``simulate`` step by step,
+    then raises ``failure``, the member's guard failure, if it has one.
     """
-    true_oracle = oracle_trajectory(true_model, spec, t_f, x0)
-    oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = spec.gamma * (spec.y_bar - y)
+    steps = len(u) if failure is None else failure.step
+    finite = np.isfinite(e[:steps]).all(axis=1).tolist()
+    j = np.empty(len(u))
+    for t, e_active in enumerate(e[np.arange(steps), index[:steps]].tolist()):
+        if not finite[t]:
+            raise SimulationDiverged(t, "non-finite weighted errors")
+        try:
+            j[t] = e_active ** 2   # Python's **, as simulate squares
+        except OverflowError:
+            raise SimulationDiverged(t, "squared active error overflowed") from None
+    if failure is not None:
+        raise failure
+    return Trajectory(u=u, y=y, e=e, i_star=index + 1, J=j, states=states,
+                      telemetry=model.telemetry(states[:-1], u, y))
 
-    m = len(perturbed)
-    protocols = oracle_batch(perturbed, spec, t_f, np.tile(x0, (m, 1)))
-    u_cols, ok = protocols.u, protocols.failed < 0
-    del protocols   # its outputs and states: 20 MB at 200 models, never read
-    ran = np.flatnonzero(ok)
-    replays = replay_batch(true_batch.take(ok), np.tile(x0, (len(ran), 1)),
-                           u_cols[:, ran])
-    outcomes = [ModelOutcome(index=k, diverged=True) for k in range(m)]
-    for j, k in enumerate(ran.tolist()):
-        if replays.failed[j] < 0:
-            outcomes[k] = _replay_outcome(k, u_cols[:, k], replays, j,
-                                          true_model, spec, oracle_objective,
-                                          keep_series)
+
+def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
+                     t_f: int, *, keep_series: bool = True,
+                     guard: float = DEFAULT_GUARD) -> RobustnessResult:
+    """Ideal protocols from M models, replayed on the truth, in one lockstep
+    pass.
+
+    ``batch`` is a batched model as in ``plant.simulate_batch`` with 2M + 1
+    members (``len``), all started from x0: members 0..M-1 are the models
+    whose bang-ride protocols are computed, members M..2M copies of
+    ``true_model``. Per step, each model and the last copy take the minimum
+    of their clamped riding currents (``oracle.selector_rows``), and copy
+    M + k applies the current that model k chose: it replays model k's
+    protocol open loop on the truth. The last copy runs the true oracle,
+    whose run equals ``oracle_trajectory(true_model, ...)`` column for
+    column. A model whose oracle or replay fails the guard is recorded as
+    diverged, with the failure that ``oracle_trajectory`` or
+    ``replay_open_loop`` raises for it alone (``tests/references.py``), and
+    the others go on; a failing true oracle raises the
+    ``SimulationDiverged`` that ``oracle_trajectory`` raises. Violations and
+    suboptimality are measured against the true oracle; the objective and
+    the recorded temperatures are ``true_model``'s ``soc`` and
+    ``temperature`` telemetry channels.
+    """
+    m, odd = divmod(len(batch) - 1, 2)
+    if odd or m < 1:
+        raise ConfigurationError(
+            f"a study batch holds 2M + 1 members with M >= 1, got {len(batch)}")
+    size, n = 2 * m + 1, t_f + 1
+    # all the study reads: the models' and the true oracle's inputs, and the
+    # outputs and states of the true copies, the true oracle last
+    u_models, u_true = np.empty((n, m)), np.empty(n)
+    true_index = np.empty(n, dtype=int)
+    y_truth = np.empty((n, m + 1, spec.p))
+    x_truth = np.empty((n + 1, m + 1) + np.shape(x0))
+    x_truth[0] = x0
+
+    def scatter(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The running members' values in the batch's layout, NaN for the others."""
+        full = np.full((size,) + values.shape[1:], np.nan)
+        full[rows] = values
+        return full
+
+    def control(t: int, model, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        u, k = selector_rows(model, x, spec)
+        true_index[t] = k[-1]    # the last member's, while it runs
+        if len(rows) == size:
+            u[m:-1] = u[:m]
+            return u
+        # a copy whose model has left the batch gets NaN and leaves too
+        u = scatter(rows, u)
+        u[m:-1] = u[:m]
+        return u[rows]
+
+    def observe(t: int, rows: np.ndarray, u: np.ndarray, y: np.ndarray,
+                x: np.ndarray) -> None:
+        if len(rows) < size:
+            u, y, x = (scatter(rows, v) for v in (u, y, x))
+        u_models[t], u_true[t] = u[:m], u[-1]
+        y_truth[t], x_truth[t + 1] = y[m:], x[m:]
+
+    failures = simulate_batch(batch, t_f, np.tile(x0, (size, 1)), control,
+                              observe, guard=guard)
+    # copies, so that the shared columns are freed with the study
+    true_oracle = _oracle_run(true_model, spec, u_true, y_truth[:, m].copy(),
+                              true_index, x_truth[:, m].copy(), failures.get(2 * m))
+    oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
+    outcomes = []
+    for k in range(m):
+        failure = failures.get(k, failures.get(m + k))
+        outcomes.append(
+            ModelOutcome(index=k, failure=failure) if failure is not None else
+            _replay_outcome(k, u_models[:, k], y_truth[:, k], x_truth[:-1, k],
+                            true_model, spec, oracle_objective, keep_series))
 
     depths = [o.max_depth for o in outcomes if o.max_depth is not None]
     per_constraint = (np.max(depths, axis=0) if depths

@@ -182,11 +182,11 @@ def cmd_montecarlo(args) -> int:
         raise ConfigurationError(f"--fraction must lie in [0, 1), got {args.fraction}")
     out = _prepare_run_dir(built, "montecarlo")
     base, seed = built.model.params, built.cfg.seed
-    perturbed = EcmEnsemble([perturb_params(base, args.fraction, (seed, k))
-                             for k in range(args.models)])
-    result = robustness_study(built.model, EcmEnsemble([base] * args.models),
-                              perturbed, built.x0, built.spec, built.cfg.t_f,
-                              keep_series=args.svg)
+    # the study's layout: the perturbed models, then M + 1 copies of the truth
+    batch = EcmEnsemble([perturb_params(base, args.fraction, (seed, k))
+                         for k in range(args.models)] + [base] * (args.models + 1))
+    result = robustness_study(built.model, batch, built.x0, built.spec,
+                              built.cfg.t_f, keep_series=args.svg)
     write_montecarlo_summary(result.stats, out / "summary.csv")
     if args.svg:
         free = run_closed_loop(built.model, built.new_controller(), built.spec,

@@ -96,6 +96,14 @@ class EcmPlant(PlantModel):
         h3 = self._kt * td + self._bt * (v1 + v2) * u + self._bt * self.params.r_o * u * u
         return np.array([u, h2, h3])
 
+    def output_rows(self, states, u, index) -> np.ndarray:
+        """``outputs``' expressions on the rows' columns, then each row's entry."""
+        v12 = states[:, 0] + states[:, 1]
+        h2 = v12 + self.params.ocv_slope * states[:, 2] + u
+        h3 = (self._kt * states[:, 3] + self._bt * v12 * u
+              + self._bt * self.params.r_o * u * u)
+        return np.choose(index, (u, h2, h3))
+
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Current bound, affine voltage root, and the root where the
         temperature quadratic a*u**2 + b*u + c crosses the bound upward, in

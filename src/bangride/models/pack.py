@@ -125,6 +125,42 @@ class PackPlant(PlantModel):
             pair_outs = np.array([t_outs.max() - t_outs.min()])
         return np.concatenate([[u], cells[:, 1], t_outs, pair_outs])
 
+    def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
+        """The coupled temperature outputs of ``cells`` in ``rows`` (index
+        arrays that broadcast together), as ``outputs`` computes them."""
+        ens = self.ensemble
+        x, u = states[rows, cells], u[rows]
+        td = x[..., 3]
+        own = (ens._kt[cells] * td + ens._bt[cells] * (x[..., 0] + x[..., 1]) * u
+               + ens._bt_r_o[cells] * u * u)
+        return own + (self._cl * (states[rows, self._prev[cells], 3] - td)
+                      + self._cr * (states[rows, self._next[cells], 3] - td))
+
+    def output_rows(self, states, u, index) -> np.ndarray:
+        """Each row's output from the cells it reads: one cell for a voltage
+        or a temperature, two for a pair, all N for the spread."""
+        n, ocv_slope = self.n_cells, self.ensemble._ocv_slope
+        out = np.array(u, dtype=float)    # index 0: the current
+        rows = np.arange(len(index))
+        volt = (1 <= index) & (index <= n)
+        r, c = rows[volt], index[volt] - 1
+        x = states[r, c]
+        out[volt] = x[:, 0] + x[:, 1] + ocv_slope[c] * x[:, 2] + u[r]
+        temp = (n < index) & (index <= 2 * n)
+        out[temp] = self._cell_temperatures(states, u, rows[temp], index[temp] - n - 1)
+        pair = index > 2 * n
+        r = rows[pair]
+        if self.params.pairwise_mode == "all-pairs":
+            # pair p is (j, k), k != j, in the row-major order of outputs
+            j, k = divmod(index[pair] - 2 * n - 1, n - 1)
+            k += k >= j
+            out[pair] = (self._cell_temperatures(states, u, r, j)
+                         - self._cell_temperatures(states, u, r, k))
+        else:
+            t = self._cell_temperatures(states, u, r[:, None], np.arange(n))
+            out[pair] = t.max(axis=1) - t.min(axis=1)
+        return out
+
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
         the temperature quadratics. A pair output t_j - t_k is affine in u,

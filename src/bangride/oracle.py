@@ -25,8 +25,7 @@ import numpy as np
 
 from .controller import ConstraintSpec
 from .errors import ConfigurationError, RootFindingError
-from .plant import (DEFAULT_GUARD, BatchRun, PlantModel, Trajectory, simulate,
-                    simulate_batch)
+from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
 
 class RootConfig:
@@ -136,6 +135,19 @@ def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
     return SelectorResult(u=float(values[k]), i_star=k + 1)
 
 
+def selector_rows(model, x: np.ndarray,
+                  spec: ConstraintSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``selector`` of every member of a batched model at once, through its
+    row-wise ``riding_currents``: each row's input and 0-based constraint.
+
+    A NaN root, which only a broken hook returns, gives a NaN input.
+    """
+    values = np.maximum(model.riding_currents(x, spec.y_bar), 0.0)
+    values[:, 0] = spec.u_max
+    k = values.argmin(axis=1)
+    return values[np.arange(len(x)), k], k
+
+
 def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
                       guard: float = DEFAULT_GUARD) -> Trajectory:
     """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
@@ -152,22 +164,3 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
         return res.u
 
     return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
-
-
-def oracle_batch(model, spec: ConstraintSpec, t_f: int, x0: np.ndarray, *,
-                 guard: float = DEFAULT_GUARD) -> BatchRun:
-    """``oracle_trajectory`` for every member of a batched model at once.
-
-    ``model`` is batched as in ``plant.simulate_batch``, with a row-wise
-    ``riding_currents``. Per step every member takes the minimum of its
-    riding currents clamped at 0, ties going to the lower index and u_max to
-    constraint 1, as ``selector`` does. A NaN root, which only a broken hook
-    returns, gives a NaN input, and that member fails the guard at the step.
-    """
-
-    def control(t: int, model, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        values = np.maximum(model.riding_currents(x, spec.y_bar), 0.0)
-        values[:, 0] = spec.u_max
-        return values[np.arange(len(x)), values.argmin(axis=1)]
-
-    return simulate_batch(model, t_f, x0, control, guard=guard)

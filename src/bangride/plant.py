@@ -13,10 +13,12 @@ A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
 ``simulate_batch`` steps the M cells of a batched model, such as
-``models.ecm.EcmEnsemble``, in lockstep; the batched oracle
-(``oracle.oracle_batch``) and replay (``replay_batch``) are its policies.
-Replay's scalar reference, ``replay_open_loop``, lives in
-``tests/references.py``.
+``models.ecm.EcmEnsemble``, in lockstep under a policy of the same two
+callbacks, keeps no columns of its own, and returns each failed member's
+step and reason. Its one caller is ``analysis.robustness_study``, whose
+single pass runs the true oracle, the oracles of M models and their open-loop
+replays on the truth together. Replay's scalar reference,
+``replay_open_loop``, lives in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -290,78 +292,53 @@ def run_closed_loop(model: PlantModel,
     return replace(traj, theta=theta_col, alpha=alpha_col)
 
 
-@dataclass
-class BatchRun:
-    """Completed lockstep run of M members, column k holding member k.
-
-    ``u`` (n, M), ``y`` (n, M, p) and ``states`` (n + 1, M, state_dim) follow
-    the ``Trajectory`` column contract. ``failed`` (M,) holds the step at
-    which each member failed the guard and left the batch, or -1; a failed
-    member's inputs and outputs from that step on, and its states after it,
-    are NaN.
-    """
-
-    u: np.ndarray
-    y: np.ndarray
-    states: np.ndarray
-    failed: np.ndarray
-
-
 def simulate_batch(model, t_f: int, x0: np.ndarray,
                    control: Callable[[int, Any, np.ndarray, np.ndarray], np.ndarray],
-                   *, guard: float = DEFAULT_GUARD) -> BatchRun:
+                   observe: Callable[[int, np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray], None],
+                   *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
     ``model`` holds M cells: its ``outputs`` and ``step`` take (M, state_dim)
     state rows with (M,) inputs, and ``take(keep)`` returns the members a
     boolean mask keeps. Per step, ``u = control(t, model, x, rows)`` gives the
-    inputs of the members still running, whose batch indices are ``rows``.
-    Each member passes the guard tests of ``simulate`` in its order: the
-    input, the outputs, then the next state. A member that fails one leaves
-    the batch at that step; the others go on.
+    inputs of the members still running, whose batch indices are ``rows``
+    (ascending), and ``observe(t, rows, u, y, x)`` receives their inputs,
+    outputs and next states. Each member passes the guard tests of
+    ``simulate`` in its order: the input, the outputs, then the next state.
+    A member that fails one leaves the batch at that step; the others go on.
+    Returns member index -> the ``SimulationDiverged`` that ``simulate``
+    raises for that member alone, with its step and message.
     """
-    m, n = len(x0), t_f + 1
-    u_col = np.full((n, m), np.nan)
-    y_col = np.full((n, m, model.output_count), np.nan)
-    states = np.full((n + 1,) + np.shape(x0), np.nan)
-    states[0] = x0
-    failed = np.full(m, -1)
-    rows = np.arange(m)
+    failures: dict[int, SimulationDiverged] = {}
+    rows = np.arange(len(x0))
     x = np.asarray(x0, dtype=float)
 
-    def keep(ok: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    def keep(ok: np.ndarray, value: np.ndarray, what: str,
+             *arrays: np.ndarray) -> list[np.ndarray]:
         nonlocal model, rows
-        failed[rows[~ok]] = t
+        for j in np.flatnonzero(~ok).tolist():
+            failures[int(rows[j])] = _diverged(value[j], what, t, guard)
         model, rows = model.take(ok), rows[ok]
         return [a[ok] for a in arrays]
 
     # each test is first made on the whole batch (a batch emptied within the
     # step passes): one comparison, false for NaN, inf and anything past
     # guard; only a failure looks at the members
-    for t in range(n):
+    for t in range(t_f + 1):
         if not len(rows):
             break
         u = control(t, model, x, rows)
         if not abs(u).max() <= guard:
-            x, u = keep(abs(u) <= guard, x, u)
+            x, u = keep(abs(u) <= guard, u, "input current", x, u)
         y = model.outputs(x, u)
         if not abs(y).max(initial=0.0) <= guard:
-            x, u, y = keep(abs(y).max(axis=1) <= guard, x, u, y)
+            x, u, y = keep(abs(y).max(axis=1) <= guard, y, "outputs", x, u, y)
         x = model.step(x, u)
         if not abs(x).max(initial=0.0) <= guard:
-            x, u, y = keep(abs(x).max(axis=1) <= guard, x, u, y)
-        u_col[t, rows] = u
-        y_col[t, rows] = y
-        states[t + 1, rows] = x
-    return BatchRun(u=u_col, y=y_col, states=states, failed=failed)
-
-
-def replay_batch(model, x0: np.ndarray, u_cols: np.ndarray, *,
-                 guard: float = DEFAULT_GUARD) -> BatchRun:
-    """Open-loop replay of every member at once: member k applies column k
-    of the (n, M) input array."""
-    return simulate_batch(model, len(u_cols) - 1, x0,
-                          lambda t, model, x, rows: u_cols[t, rows], guard=guard)
+            x, u, y = keep(abs(x).max(axis=1) <= guard, x, "state", x, u, y)
+        observe(t, rows, u, y, x)
+    return failures
 
 
 @dataclass

@@ -134,11 +134,15 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
     parts.append(f'<text x="14" y="{MARGIN_T + plot_h/2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 14 {MARGIN_T + plot_h/2:.1f})">{ylabel}</text>')
-    # polylines; every series starts at step 0, so they share the x strings
-    xs = [f"{x:.2f}," for x in sx(np.arange(n, dtype=float)).tolist()]
+    # polylines; every series starts at step 0, so they share the x strings,
+    # baked into one % template per series length
+    xs = [f"{x:.2f},%.2f" for x in sx(np.arange(n, dtype=float)).tolist()]
+    templates: dict[int, str] = {}
     for s in series:
         ys = sy(np.asarray(s.y, dtype=float)).tolist()
-        pts = " ".join([x + f"{y:.2f}" for x, y in zip(xs, ys)])
+        if len(ys) not in templates:
+            templates[len(ys)] = " ".join(xs[:len(ys)])
+        pts = templates[len(ys)] % tuple(ys)
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(f'<polyline fill="none" stroke="{s.color}" '
                      f'stroke-width="{s.width}"{dash} points="{pts}"/>')

@@ -3,7 +3,7 @@ float paths equal bit for bit, and ``phases``. No command runs them:
 ``solve_constraint`` is one root of ``oracle.bisected_roots``,
 ``per_step_optimal_cost`` a row of ``analysis.attach_per_step_optima``,
 ``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
-a member of ``plant.replay_batch``, and ``ReferenceController`` stepped by
+a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
 """
 

@@ -1,8 +1,9 @@
 import ast
+import copy
 import importlib.util
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -21,8 +22,6 @@ from bangride.analysis import (_min_norm_on_line_in_box, _min_norm_rows,
                                attach_per_step_optima, ct_ratio_sign_changes,
                                ct_series, mu_star, regret)
 from bangride.models.ecm import EcmEnsemble
-from bangride.oracle import oracle_batch
-from bangride.plant import replay_batch
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
 from references import (ReferenceController, ct_diagnostic, per_step_optimal_cost,
@@ -333,10 +332,19 @@ class TestBatchedOptima:
 
     @pytest.mark.parametrize("name", ["spmet", "ecm"])
     def test_free_runs_through_default_output_rows(self, name, scenarios, free_runs):
+        # the ECM's own output_rows set aside: the default loop over output
         built = scenarios[name]
         traj, _ = free_runs[name]
-        assert type(built.model).output_rows is PlantModel.output_rows
-        out = assert_batched_equals_scalar(traj, built.model, built.spec,
+        model = copy.copy(built.model)
+        model.output_rows = PlantModel.output_rows.__get__(model)
+        out = assert_batched_equals_scalar(traj, model, built.spec,
+                                           built.cfg.theta_lo, built.cfg.theta_hi)
+        assert out is not None
+
+    def test_ecm_free_run_through_its_output_rows(self, scenarios, free_runs):
+        built = scenarios["ecm"]
+        assert type(built.model).output_rows is not PlantModel.output_rows
+        out = assert_batched_equals_scalar(free_runs["ecm"][0], built.model, built.spec,
                                            built.cfg.theta_lo, built.cfg.theta_hi)
         assert out is not None
 
@@ -497,9 +505,10 @@ class TestRobustnessStudy:
         spec = ConstraintSpec(**ECM_SPEC)
         true_model = EcmPlant(base)
         x0 = true_model.initial_state()
-        true_soc = oracle_trajectory(true_model, spec, t_f, x0).telemetry["soc"]
-        objective = float(np.cumsum(true_soc)[-1])
+        true_run = oracle_trajectory(true_model, spec, t_f, x0)
+        objective = float(np.cumsum(true_run.telemetry["soc"])[-1])
         res = ecm_study(base, n_models, fraction, spec, t_f, seed)
+        assert_same_fields(res.true_oracle, true_run)
         assert [o.index for o in res.stats.outcomes] == list(range(n_models))
         for k, o in enumerate(res.stats.outcomes):
             model = EcmPlant(perturb_params(base, fraction, (seed, k)))
@@ -514,85 +523,124 @@ class TestRobustnessStudy:
             assert np.array_equal(o.temperature, run.telemetry["temperature"])
 
 
+def assert_same_fields(a, b):
+    """Two dataclass instances (runs, outcomes) hold equal fields, arrays and
+    telemetry channels bit for bit."""
+    for f in fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, dict):
+            assert va.keys() == vb.keys(), f.name
+            assert all(np.array_equal(va[key], vb[key]) for key in va), f.name
+        elif isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb), f.name
+        else:
+            assert va == vb, f.name
+
+
 class TestBatchedEnsemble:
-    """Members that fail in the batched oracle or replay leave the batch
-    exactly where the scalar reference paths fail, and the others go on."""
+    """The fused study pass against the scalar references, member by member:
+    each model's oracle, its replay on the truth and the outcome reductions,
+    and the true oracle. Members that fail leave the batch where the scalar
+    runs fail, with their reasons, and the others go on."""
 
     BASE = EcmParams(**ECM_KW)
     SPEC = ConstraintSpec(**ECM_SPEC)
     PARAMS = [perturb_params(EcmParams(**ECM_KW), 0.3, (11, k)) for k in range(6)]
 
+    def study(self, t_f, x0, guard):
+        batch = EcmEnsemble(self.PARAMS + [self.BASE] * (len(self.PARAMS) + 1))
+        return analysis.robustness_study(EcmPlant(self.BASE), batch, x0, self.SPEC,
+                                         t_f, guard=guard)
+
     def scalar_runs(self, t_f, x0, guard):
-        """Per member: its (oracle, replay) runs, or where the oracle or the
-        replay diverged."""
+        """The true oracle and, per member, the outcome built from its scalar
+        oracle and replay, or the stage that diverged and its error."""
         truth = EcmPlant(self.BASE)
+        true_oracle = oracle_trajectory(truth, self.SPEC, t_f, x0, guard=guard)
+        objective = float(np.cumsum(true_oracle.telemetry["soc"])[-1])
         runs = []
-        for params in self.PARAMS:
+        for k, params in enumerate(self.PARAMS):
             try:
                 ideal = oracle_trajectory(EcmPlant(params), self.SPEC, t_f, x0,
                                           guard=guard)
             except SimulationDiverged as exc:
-                runs.append(("oracle", exc.step))
+                runs.append(("oracle", exc))
                 continue
             try:
-                runs.append((ideal, replay_open_loop(truth, self.SPEC, x0, ideal.u,
-                                                     guard=guard)))
+                replay = replay_open_loop(truth, self.SPEC, x0, ideal.u, guard=guard)
             except SimulationDiverged as exc:
-                runs.append(("replay", exc.step))
-        return runs
+                runs.append(("replay", exc))
+                continue
+            runs.append(analysis._replay_outcome(k, ideal.u, replay.y,
+                                                 replay.states[:-1], truth, self.SPEC,
+                                                 objective, True))
+        return true_oracle, runs
 
-    def batched_runs(self, t_f, x0, guard):
-        m = len(self.PARAMS)
-        protocols = oracle_batch(EcmEnsemble(self.PARAMS), self.SPEC, t_f,
-                                 np.tile(x0, (m, 1)), guard=guard)
-        ran = np.flatnonzero(protocols.failed < 0)
-        replays = replay_batch(EcmEnsemble([self.BASE] * len(ran)),
-                               np.tile(x0, (len(ran), 1)), protocols.u[:, ran],
-                               guard=guard)
-        return protocols, ran, replays
-
-    def assert_match(self, scalar, protocols, ran, replays):
-        for k, ref in enumerate(scalar):
-            if ref[0] == "oracle":
-                assert protocols.failed[k] == ref[1]
+    def assert_match(self, scalar, result):
+        true_oracle, runs = scalar
+        assert_same_fields(result.true_oracle, true_oracle)
+        for ref, outcome in zip(runs, result.stats.outcomes, strict=True):
+            if isinstance(ref, tuple):
+                assert outcome.diverged
+                assert outcome.failure.step == ref[1].step
+                assert str(outcome.failure) == str(ref[1])
             else:
-                j = int(np.flatnonzero(ran == k)[0])
-                if ref[0] == "replay":
-                    assert replays.failed[j] == ref[1]
-                    continue
-                ideal, replay = ref
-                assert replays.failed[j] == -1
-                assert np.array_equal(protocols.u[:, k], ideal.u)
-                assert np.array_equal(protocols.states[:, k], ideal.states)
-                assert np.array_equal(replays.y[:, j], replay.y)
-                assert np.array_equal(replays.states[:, j], replay.states)
+                assert_same_fields(outcome, ref)
 
-    # guard 11.5 trips oracles at steps 79, 96 and 99 of 100, guard 12.15
-    # trips replays at steps 155, 155, 343 and 376 of 400 (voltage overshoot)
-    @pytest.mark.parametrize("guard, t_f, stage", [(11.5, 100, "oracle"),
+    # guard 11.5 trips oracles at steps 79 and 96 of 98 (the true oracle's
+    # trips at 99), guard 12.15 trips replays at steps 155, 155, 343 and 376
+    # of 400 (voltage overshoot)
+    @pytest.mark.parametrize("guard, t_f, stage", [(11.5, 98, "oracle"),
                                                    (12.15, 400, "replay")])
     def test_guard_failures_match_scalar(self, guard, t_f, stage):
         x0 = EcmPlant(self.BASE).initial_state()
         scalar = self.scalar_runs(t_f, x0, guard)
-        failed = [ref for ref in scalar if ref[0] == stage]
-        assert 1 <= len(failed) < len(scalar)
-        assert len({step for _, step in failed}) > 1
-        self.assert_match(scalar, *self.batched_runs(t_f, x0, guard))
+        failed = [ref for ref in scalar[1] if isinstance(ref, tuple)]
+        assert {s for s, _ in failed} == {stage}
+        assert 1 <= len(failed) < len(self.PARAMS)
+        assert len({exc.step for _, exc in failed}) > 1
+        self.assert_match(scalar, self.study(t_f, x0, guard))
+
+    def test_true_oracle_failure_raises_its_error(self):
+        # at guard 11.5 the true oracle trips at step 99, after two models
+        x0 = EcmPlant(self.BASE).initial_state()
+        with pytest.raises(SimulationDiverged) as ref:
+            oracle_trajectory(EcmPlant(self.BASE), self.SPEC, 100, x0, guard=11.5)
+        with pytest.raises(SimulationDiverged) as err:
+            self.study(100, x0, 11.5)
+        assert (err.value.step, str(err.value)) == (ref.value.step, str(ref.value)) \
+            == (99, "simulation diverged at step 99: |outputs| exceeded guard "
+                    "magnitude 11.5")
+
+    def test_true_oracle_error_overflow_raises_its_error(self):
+        # a weight that overflows the temperature error: simulate's check
+        spec = ConstraintSpec(y_bar=[10.0, 12.0, 8.0], gamma=[1.0, 1.0, 1e308])
+        x0 = EcmPlant(self.BASE).initial_state()
+        with pytest.raises(SimulationDiverged) as ref:
+            oracle_trajectory(EcmPlant(self.BASE), spec, 5, x0)
+        batch = EcmEnsemble([self.BASE] * 3)
+        with pytest.raises(SimulationDiverged) as err:
+            analysis.robustness_study(EcmPlant(self.BASE), batch, x0, spec, 5)
+        assert (err.value.step, str(err.value)) == (ref.value.step, str(ref.value))
+
+    def test_batch_layout_checked(self):
+        with pytest.raises(ConfigurationError, match="2M \\+ 1"):
+            analysis.robustness_study(EcmPlant(self.BASE), EcmEnsemble([self.BASE] * 4),
+                                      np.zeros(4), self.SPEC, 5)
 
     def test_negative_slope_start_needs_no_selector(self, monkeypatch):
         # v1 < 0 makes the temperature quadratic's slope negative, where the
-        # hook takes its second form: the batch still equals the scalar runs
+        # hook takes its second form: the study still equals the scalar runs
         # and never falls back to the scalar selector
         x0 = np.array([-0.5, 0.0, 0.0, 0.0])
         calls = []
         selector = oracle.selector
         monkeypatch.setattr(oracle, "selector",
                             lambda *args: calls.append(1) or selector(*args))
-        batched = self.batched_runs(50, x0, 1e9)
+        result = self.study(50, x0, 1e9)
         monkeypatch.undo()
         assert calls == []
-        scalar = self.scalar_runs(50, x0, 1e9)
-        self.assert_match(scalar, *batched)
+        self.assert_match(self.scalar_runs(50, x0, 1e9), result)
         for params in self.PARAMS:  # below the bound at u = 0: a finite root
             root = EcmPlant(params).riding_currents(x0, self.SPEC.y_bar)[2]
             assert 0.0 < root < math.inf

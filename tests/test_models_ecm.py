@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import ConfigurationError, EcmParams, EcmPlant, perturb_params
 from bangride.models.ecm import PHYSICAL_FIELDS
@@ -97,6 +99,22 @@ class TestEcmOutputs:
         u = 3.0
         assert plant.output(x, u, 1) == pytest.approx(
             float(np.array([1.0, 1.0, KW["ocv_slope"], 0.0]) @ x) + u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+def test_output_rows_equal_output(seed, n):
+    # bit for bit, signed zeros included, on random rows of a perturbed cell
+    rng = np.random.default_rng(seed)
+    model = EcmPlant(perturb_params(EcmParams(**KW), 0.3, seed))
+    states = rng.uniform(-1.0, 3.0, (n, 4)) * rng.choice([0.0, 1.0, 10.0], (n, 4))
+    u = rng.uniform(-5.0, 60.0, n) * rng.choice([-0.0, 1.0], n)
+    index = rng.integers(0, model.output_count, n)
+    rows = model.output_rows(states, u, index)
+    scalar = [model.output(x, u_k, i)
+              for x, u_k, i in zip(states, u.tolist(), index.tolist())]
+    assert rows.tolist() == scalar
+    assert np.array_equal(np.signbit(rows), np.signbit(scalar))
 
 
 class TestParamValidation:

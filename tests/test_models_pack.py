@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, EcmParams, EcmPlant, PackParams,
                       PackPlant, oracle_trajectory)
@@ -14,6 +16,26 @@ def make_pack(n=4, k=1e-4, var=0.0, mode="max-minus-min", seed=0):
                                 k_left=k, k_right=k, dt_pair_max=5.0,
                                 pairwise_mode=mode, cell_variation=var,
                                 variation_seed=seed))
+
+
+@pytest.mark.parametrize("mode", ["max-minus-min", "all-pairs"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(2, 6),
+       rows=st.integers(1, 30))
+def test_output_rows_equal_output(mode, seed, n_cells, rows):
+    # bit for bit, signed zeros included, on random rows of a varied pack
+    rng = np.random.default_rng(seed)
+    plant = make_pack(n=n_cells, k=float(rng.uniform(0.0, 0.1)), var=0.3,
+                      mode=mode, seed=seed)
+    states = rng.uniform(-1.0, 6.0, (rows, n_cells, 4))
+    states *= rng.choice([0.0, 1.0, 10.0], states.shape)
+    u = rng.uniform(-5.0, 60.0, rows) * rng.choice([-0.0, 1.0], rows)
+    index = rng.integers(0, plant.output_count, rows)
+    out = plant.output_rows(states, u, index)
+    scalar = [plant.output(x, u_k, i)
+              for x, u_k, i in zip(states, u.tolist(), index.tolist())]
+    assert out.tolist() == scalar
+    assert np.array_equal(np.signbit(out), np.signbit(scalar))
 
 
 class TestPackLayout:

@@ -375,27 +375,41 @@ class TestSimulateBatch:
     def test_members_fail_where_simulate_fails(self):
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         x0 = np.array([0.01])
-        batch = simulate_batch(
-            GrowthBatch(self.G, self.C), 20, np.tile(x0, (5, 1)),
+        m, n = len(self.G), 21
+        u_col, y_col = np.full((n, m), np.nan), np.full((n, m, 2), np.nan)
+        states = np.full((n + 1, m, 1), np.nan)
+        states[0] = x0
+
+        def observe(t, rows, u, y, x):
+            u_col[t, rows], y_col[t, rows], states[t + 1, rows] = u, y, x
+
+        failures = simulate_batch(
+            GrowthBatch(self.G, self.C), n - 1, np.tile(x0, (m, 1)),
             lambda t, model, x, rows: np.array([self.input_of(k, t) for k in rows]),
-            guard=100.0)
+            observe, guard=100.0)
         steps = []
         for k, (g, c) in enumerate(zip(self.G, self.C)):
             try:
-                traj = simulate(Growth(g, c), spec, 20, x0,
+                traj = simulate(Growth(g, c), spec, n - 1, x0,
                                 lambda t, x: self.input_of(k, t), lambda t, e: 1,
                                 guard=100.0)
             except SimulationDiverged as exc:
                 steps.append(exc.step)
-                assert np.isnan(batch.u[exc.step:, k]).all()
-                assert np.isnan(batch.states[exc.step + 1:, k]).all()
+                assert failures[k].step == exc.step
+                assert str(failures[k]) == str(exc)
+                assert np.isnan(u_col[exc.step:, k]).all()
+                assert np.isnan(states[exc.step + 1:, k]).all()
                 continue
             steps.append(-1)
-            assert np.array_equal(batch.u[:, k], traj.u)
-            assert np.array_equal(batch.y[:, k], traj.y)
-            assert np.array_equal(batch.states[:, k], traj.states)
+            assert k not in failures
+            assert np.array_equal(u_col[:, k], traj.u)
+            assert np.array_equal(y_col[:, k], traj.y)
+            assert np.array_equal(states[:, k], traj.states)
         assert steps == [13, 8, 6, -1, 3]
-        assert batch.failed.tolist() == steps
+        # one reason per test: state, state, outputs, input
+        assert [str(failures[k]).split(": ")[1] for k in (0, 1, 2, 4)] == [
+            "|state| exceeded guard magnitude 100", "|state| exceeded guard magnitude 100",
+            "|outputs| exceeded guard magnitude 100", "non-finite input current"]
 
 
 @pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])

@@ -18,11 +18,12 @@ from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
                       PotentialDomainError, RootConfig, RootFindingError,
                       SimulationDiverged, SpmetPlant, ToyLinearPlant,
                       oracle_trajectory, selector)
+from bangride.analysis import robustness_study
 from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
                              params_path)
 from bangride.models.ecm import EcmEnsemble, perturb_params
 from bangride.models.pack import spread_root
-from bangride.oracle import bisected_roots, oracle_batch
+from bangride.oracle import bisected_roots
 from pack_labels import constraint_label
 from references import per_constraint_roots
 from test_oracle import StaticModel
@@ -82,14 +83,18 @@ def test_nan_root_fails_the_step(monkeypatch):
         oracle_trajectory(cell, spec, 100, x0)
     assert 0 < exc.value.step < 100
 
+    # the study's batch: the three models, then four copies of the base cell
     ensemble_hook = EcmEnsemble.riding_currents
     monkeypatch.setattr(EcmEnsemble, "riding_currents", lambda self, x, y_bar: broken(
         ensemble_hook(self, x, y_bar), self._r_o, x[:, 2]))
-    run = oracle_batch(EcmEnsemble(params), spec, 100, np.tile(x0, (3, 1)))
-    assert run.failed.tolist() == [-1, exc.value.step, -1]
+    result = robustness_study(EcmPlant(ECM_BASE), EcmEnsemble(params + [ECM_BASE] * 4),
+                              x0, spec, 100)
+    outcomes = result.stats.outcomes
+    assert [o.diverged for o in outcomes] == [False, True, False]
+    assert str(outcomes[1].failure) == str(exc.value)
     for k in (0, 2):
         ref = oracle_trajectory(EcmPlant(params[k]), spec, 100, x0)
-        assert np.array_equal(run.u[:, k], ref.u)
+        assert np.array_equal(outcomes[k].u_seq, ref.u)
 
 
 # Each bound is placed where its riding current lies, in units of u_max:
