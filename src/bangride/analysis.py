@@ -25,7 +25,7 @@ import numpy as np
 from .controller import ConstraintSpec, project_box
 from .errors import ConfigurationError, SimulationDiverged
 from .oracle import RootConfig, bisect_rows, selector_rows
-from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate_batch
+from .plant import DEFAULT_GUARD, PlantModel, Trajectory, check_run, simulate_batch
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
     pass.
 
     ``batch`` is a batched model as in ``plant.simulate_batch`` with 2M + 1
-    members (``len``), all started from x0: members 0..M-1 are the models
+    members (``len``) and an ``output_count``, all started from x0: members 0..M-1 are the models
     whose bang-ride protocols are computed, members M..2M copies of
     ``true_model``. Per step, each model and the last copy take the minimum
     of their clamped riding currents (``oracle.selector_rows``), and copy
@@ -381,6 +381,7 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
     if odd or m < 1:
         raise ConfigurationError(
             f"a study batch holds 2M + 1 members with M >= 1, got {len(batch)}")
+    check_run(batch, spec, t_f)
     size, n = 2 * m + 1, t_f + 1
     # all the study reads: the models' and the true oracle's inputs, and the
     # outputs and states of the true copies, the true oracle last

@@ -21,6 +21,7 @@ the bound), C = [1, 1, 0, 0] extracts the dynamic-voltage part that heats.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -97,12 +98,14 @@ class EcmPlant(PlantModel):
         return np.array([u, h2, h3])
 
     def output_rows(self, states, u, index) -> np.ndarray:
-        """``outputs``' expressions on the rows' columns, then each row's entry."""
-        v12 = states[:, 0] + states[:, 1]
-        h2 = v12 + self.params.ocv_slope * states[:, 2] + u
-        h3 = (self._kt * states[:, 3] + self._bt * v12 * u
-              + self._bt * self.params.r_o * u * u)
-        return np.choose(index, (u, h2, h3))
+        """The one-cell ensemble's outputs on the rows, then each row's entry."""
+        cell = self._ensemble
+        return np.choose(index, (u, cell.voltages(states, u),
+                                 cell.temperatures(states, u)))
+
+    @cached_property
+    def _ensemble(self) -> "EcmEnsemble":
+        return EcmEnsemble([self.params])
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Current bound, affine voltage root, and the root where the
@@ -182,13 +185,21 @@ class EcmEnsemble:
         return nxt.T
 
     def outputs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        v1, v2, soc, td = x.T
-        v12 = v1 + v2
         y = np.empty((3, len(x)))
         y[0] = u
-        y[1] = v12 + self._ocv_slope * soc + u
-        y[2] = self._kt * td + self._bt * v12 * u + self._bt_r_o * u * u
+        y[1] = self.voltages(x, u)
+        y[2] = self.temperatures(x, u)
         return y.T
+
+    def voltages(self, x: np.ndarray, u, cells=slice(None)) -> np.ndarray:
+        """Voltage readouts of members ``cells`` at state rows x (..., 4)
+        under inputs u; the members, rows and inputs broadcast together."""
+        return x[..., 0] + x[..., 1] + self._ocv_slope[cells] * x[..., 2] + u
+
+    def temperatures(self, x: np.ndarray, u, cells=slice(None)) -> np.ndarray:
+        """One-step-ahead temperature deviations, as ``voltages``."""
+        return (self._kt[cells] * x[..., 3] + self._bt[cells] * (x[..., 0] + x[..., 1]) * u
+                + self._bt_r_o[cells] * u * u)
 
     def riding_currents(self, x: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
         """``EcmPlant.riding_currents`` of every member, one row each."""

@@ -128,24 +128,21 @@ class PackPlant(PlantModel):
     def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
         """The coupled temperature outputs of ``cells`` in ``rows`` (index
         arrays that broadcast together), as ``outputs`` computes them."""
-        ens = self.ensemble
-        x, u = states[rows, cells], u[rows]
+        x = states[rows, cells]
         td = x[..., 3]
-        own = (ens._kt[cells] * td + ens._bt[cells] * (x[..., 0] + x[..., 1]) * u
-               + ens._bt_r_o[cells] * u * u)
+        own = self.ensemble.temperatures(x, u[rows], cells)
         return own + (self._cl * (states[rows, self._prev[cells], 3] - td)
                       + self._cr * (states[rows, self._next[cells], 3] - td))
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """Each row's output from the cells it reads: one cell for a voltage
         or a temperature, two for a pair, all N for the spread."""
-        n, ocv_slope = self.n_cells, self.ensemble._ocv_slope
+        n = self.n_cells
         out = np.array(u, dtype=float)    # index 0: the current
         rows = np.arange(len(index))
         volt = (1 <= index) & (index <= n)
         r, c = rows[volt], index[volt] - 1
-        x = states[r, c]
-        out[volt] = x[:, 0] + x[:, 1] + ocv_slope[c] * x[:, 2] + u[r]
+        out[volt] = self.ensemble.voltages(states[r, c], u[r], c)
         temp = (n < index) & (index <= 2 * n)
         out[temp] = self._cell_temperatures(states, u, rows[temp], index[temp] - n - 1)
         pair = index > 2 * n

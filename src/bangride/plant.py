@@ -154,6 +154,15 @@ def _diverged(value, what: str, t: int, guard: float) -> SimulationDiverged:
     return SimulationDiverged(t, f"|{what}| exceeded guard magnitude {guard:g}")
 
 
+def check_run(model, spec: ConstraintSpec, t_f: int) -> None:
+    """The run checks of ``simulate``: t_f >= 0 and one bound per output."""
+    if t_f < 0:
+        raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
+    if model.output_count != spec.p:
+        raise ConfigurationError(
+            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
+
+
 def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              control: Callable[[int, Any], float],
              observe: Callable[[int, np.ndarray], int], *,
@@ -169,11 +178,7 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     active error must not overflow; the first that fails aborts the run with
     ``SimulationDiverged`` at that step. States must be numeric arrays of one shape.
     """
-    if t_f < 0:
-        raise ConfigurationError(f"t_f must be >= 0, got {t_f}")
-    if model.output_count != spec.p:
-        raise ConfigurationError(
-            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
+    check_run(model, spec, t_f)
     n = t_f + 1
     u_col = np.empty(n)
     y_col = np.empty((n, spec.p))

@@ -627,6 +627,14 @@ class TestBatchedEnsemble:
         with pytest.raises(ConfigurationError, match="2M \\+ 1"):
             analysis.robustness_study(EcmPlant(self.BASE), EcmEnsemble([self.BASE] * 4),
                                       np.zeros(4), self.SPEC, 5)
+        # the run checks of simulate, which the scalar oracle made
+        batch = EcmEnsemble([self.BASE] * 5)
+        with pytest.raises(ConfigurationError, match="t_f must be >= 0"):
+            analysis.robustness_study(EcmPlant(self.BASE), batch, np.zeros(4),
+                                      self.SPEC, -1)
+        short = ConstraintSpec(y_bar=self.SPEC.y_bar[:2], gamma=self.SPEC.gamma[:2])
+        with pytest.raises(ConfigurationError, match="3 outputs but spec has 2"):
+            analysis.robustness_study(EcmPlant(self.BASE), batch, np.zeros(4), short, 5)
 
     def test_negative_slope_start_needs_no_selector(self, monkeypatch):
         # v1 < 0 makes the temperature quadratic's slope negative, where the
