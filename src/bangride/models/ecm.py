@@ -80,10 +80,11 @@ class EcmPlant(PlantModel):
     def initial_state(self, soc0: float = 0.0) -> np.ndarray:
         return np.array([0.0, 0.0, float(soc0), 0.0])
 
-    def step(self, state, u: float):
-        v1, v2, soc, td = state
+    def advance(self, state, u: float):
+        x = state.tolist()
+        v1, v2, soc, td = x
         heat = self._bt * u * (self.params.r_o * u + v1 + v2)
-        return np.array([
+        return self._outputs(x, u), np.array([
             self._k1 * v1 + self._b1 * u,
             self._k2 * v2 + self._b2 * u,
             soc + self._ks * u,
@@ -91,8 +92,10 @@ class EcmPlant(PlantModel):
         ])
 
     def outputs(self, state, u: float) -> np.ndarray:
-        v1, v2, soc = float(state[0]), float(state[1]), float(state[2])
-        td = float(state[3])
+        return self._outputs(state.tolist(), u)
+
+    def _outputs(self, x: list[float], u: float) -> np.ndarray:
+        v1, v2, soc, td = x
         h2 = v1 + v2 + self.params.ocv_slope * soc + u
         h3 = self._kt * td + self._bt * (v1 + v2) * u + self._bt * self.params.r_o * u * u
         return np.array([u, h2, h3])
@@ -178,7 +181,11 @@ class EcmEnsemble:
         """The members where the boolean mask ``keep`` is true."""
         return EcmEnsemble([p for p, k in zip(self.params, keep) if k])
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def advance(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.outputs(x, u), self.next_states(x, u)
+
+    def next_states(self, x: np.ndarray, u) -> np.ndarray:
+        """The next state rows alone: the pack adds its coupling to them."""
         v1, v2, soc, td = cols = x.T
         nxt = self._k * cols + self._b * u
         nxt[3] = self._kt * td + self._bt * u * (self._r_o * u + v1 + v2)

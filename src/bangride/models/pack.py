@@ -7,8 +7,8 @@ additionally gains
     dt*k1*(Td_{i-1} - Td_i) + dt*k2*(Td_{i+1} - Td_i)
 
 with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1), added to
-the ensemble's step and temperature outputs. RC-link parameters (R1, C1, R2,
-C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
+the cells' next states and temperature outputs. RC-link parameters (R1, C1,
+R2, C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
 
 Output layout (1-based constraint indices):
 
@@ -105,34 +105,39 @@ class PackPlant(PlantModel):
         x[:, 2] = soc0
         return x
 
-    def step(self, state, u: float):
-        out = self.ensemble.step(state, u)
-        out[:, 3] += self._coupling(state[:, 3])
-        return out
-
-    def _coupling(self, td: np.ndarray) -> np.ndarray:
-        return (self._cl * (td[self._prev] - td)
-                + self._cr * (td[self._next] - td))
+    def advance(self, state, u: float):
+        coupling = self._coupling(state[:, 3])
+        x_next = self.ensemble.next_states(state, u)
+        x_next[:, 3] += coupling
+        return self._outputs(state, u, coupling), x_next
 
     def outputs(self, state, u: float) -> np.ndarray:
-        cells = self.ensemble.outputs(state, u)
-        t_outs = cells[:, 2]
-        t_outs += self._coupling(state[:, 3])
+        return self._outputs(state, u, self._coupling(state[:, 3]))
+
+    def _outputs(self, state, u: float, coupling: np.ndarray) -> np.ndarray:
+        """The output vector, given the coupling of the state's cells."""
+        t_outs = self.ensemble.temperatures(state, u) + coupling
         if self.params.pairwise_mode == "all-pairs":
             diff = t_outs[:, None] - t_outs[None, :]
             pair_outs = diff[~np.eye(self.n_cells, dtype=bool)]
         else:
             pair_outs = np.array([t_outs.max() - t_outs.min()])
-        return np.concatenate([[u], cells[:, 1], t_outs, pair_outs])
+        return np.concatenate([[u], self.ensemble.voltages(state, u), t_outs, pair_outs])
+
+    def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
+        """Ring coupling of deviations td to their neighbours' i-1 (``left``)
+        and i+1 (``right``), by default read off td, a whole state's column."""
+        if left is None:
+            left, right = td[self._prev], td[self._next]
+        return self._cl * (left - td) + self._cr * (right - td)
 
     def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
         """The coupled temperature outputs of ``cells`` in ``rows`` (index
         arrays that broadcast together), as ``outputs`` computes them."""
         x = states[rows, cells]
-        td = x[..., 3]
         own = self.ensemble.temperatures(x, u[rows], cells)
-        return own + (self._cl * (states[rows, self._prev[cells], 3] - td)
-                      + self._cr * (states[rows, self._next[cells], 3] - td))
+        return own + self._coupling(x[..., 3], states[rows, self._prev[cells], 3],
+                                    states[rows, self._next[cells], 3])
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """Each row's output from the cells it reads: one cell for a voltage

@@ -13,7 +13,8 @@ updates (step dt, charging positive):
 
 Outputs: current and terminal voltage V = dU(x) + eta(u,x) + phi(u,x);
 SOC = (c_avg/c_max - theta_1)/(theta_2 - theta_1) is reported alongside but
-is not a constrained output.
+is not a constrained output. ``SpmetPlant.advance`` computes eta + phi once
+per step, for the voltage and the heat alike.
 
 The three potentials have a fixed form, set by ``SpmetParams`` coefficients;
 ``SpmetParams.potential_terms`` gives their parts that do not depend on u:
@@ -105,19 +106,20 @@ class SpmetParams:
         """Maximum charging current 2*q [A] (2C with q in A h)."""
         return 2.0 * self.q
 
-    def potential_terms(self, x: np.ndarray) -> tuple[float, float, float]:
-        """The parts of the three potentials that do not depend on u, at
-        state x: dU(z), the overpotential gain k(T) = bv_gain*(T_K/298.15),
-        and the electrolyte term phi_log_gain*ln(ce_pos/ce_neg). Every
-        voltage evaluation combines them in one operation order,
-        (dU + k*asinh(u/bv_scale)) + (film_res*u + log term)."""
-        z = float(x[1]) / self.c_max
-        ce_neg, ce_pos = float(x[2]), float(x[3])
+    def potential_terms(self, x: list[float]) -> tuple[float, float, float]:
+        """The parts of the three potentials that do not depend on u, at the
+        state x as floats (``state.tolist()``): dU(z), the overpotential gain
+        k(T) = bv_gain*(T_K/298.15), and the electrolyte term
+        phi_log_gain*ln(ce_pos/ce_neg). Every voltage evaluation combines them
+        in one operation order, dU + eta + phi with eta = k*asinh(u/bv_scale)
+        and phi = film_res*u + log term."""
+        z = x[1] / self.c_max
+        ce_neg, ce_pos = x[2], x[3]
         if ce_neg <= 0.0 or ce_pos <= 0.0:
             raise PotentialDomainError(
                 "delta_phi_e", f"non-positive electrolyte concentration "
                 f"(ce_neg={ce_neg:g}, ce_pos={ce_pos:g})")
-        t_kelvin = float(x[4]) + KELVIN_OFFSET
+        t_kelvin = x[4] + KELVIN_OFFSET
         return (self.ocv_base + self.ocv_lin * z + self.ocv_cubic * z ** 3,
                 self.bv_gain * (t_kelvin / REFERENCE_T_K),
                 self.phi_log_gain * math.log(ce_pos / ce_neg))
@@ -165,12 +167,15 @@ class SpmetPlant(PlantModel):
         c0 = stoich * p.c_max
         return np.array([c0, c0, p.ce_rest_neg, p.ce_rest_pos, p.t_ambient])
 
-    def step(self, state, u: float):
+    def advance(self, state, u: float):
         p = self.params
-        c_avg, c_surf, ce_n, ce_p, temp = (float(v) for v in state)
-        _, k, log_term = p.potential_terms(state)
-        heat = (k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)) * u
-        return np.array([
+        x = state.tolist()
+        c_avg, c_surf, ce_n, ce_p, temp = x
+        du, k, log_term = p.potential_terms(x)
+        eta = k * math.asinh(u / p.bv_scale)
+        phi = p.film_res * u + log_term
+        heat = (eta + phi) * u
+        return np.array([u, du + eta + phi]), np.array([
             c_avg + self._k_avg * u,
             self._lam * c_avg + (1.0 - self._lam) * c_surf + self._k_srf * u,
             ce_n + self._rex_n * (p.ce_rest_neg - ce_n) + self._fu_n * u,
@@ -185,7 +190,7 @@ class SpmetPlant(PlantModel):
         if index == 0:
             return u
         p = self.params
-        du, k, log_term = p.potential_terms(state)
+        du, k, log_term = p.potential_terms(state.tolist())
         return du + k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
@@ -194,7 +199,7 @@ class SpmetPlant(PlantModel):
         u = 0, and otherwise the root, also above u_max. Each voltage is
         computed in the operation order of ``output``, bit for bit."""
         p = self.params
-        du, k, log_term = p.potential_terms(state)
+        du, k, log_term = p.potential_terms(state.tolist())
         s, r, bound = p.bv_scale, p.film_res, float(y_bar[1])
 
         def volts(u: float) -> float:

@@ -27,8 +27,8 @@ class ToyLinearPlant(PlantModel):
     def initial_state(self, x0: float = 0.0) -> np.ndarray:
         return np.array([float(x0)])
 
-    def step(self, state, u: float):
-        return np.array([self.a * float(state[0]) + self.b * u])
+    def advance(self, state, u: float):
+        return self.outputs(state, u), np.array([self.a * float(state[0]) + self.b * u])
 
     def outputs(self, state, u: float) -> np.ndarray:
         if self.output_count == 1:

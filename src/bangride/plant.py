@@ -6,19 +6,21 @@ current u. Output 1 is the identity in u. States are numeric arrays that
 only the concrete models interpret.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
-callback), computes the weighted errors inline and fills the columns of a
-``Trajectory``. The commands run two policies through it: the model-free
-controller (``run_closed_loop``) and the oracle (``oracle.oracle_trajectory``).
+callback) with one ``advance`` call per step, computes the weighted errors
+inline and fills the columns of a ``Trajectory``. The commands run two
+policies through it: the model-free controller (``run_closed_loop``) and the
+oracle (``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
 ``simulate_batch`` steps the M cells of a batched model, such as
 ``models.ecm.EcmEnsemble``, in lockstep under a policy of the same two
-callbacks, keeps no columns of its own, and returns each failed member's
-step and reason. Its one caller is ``analysis.robustness_study``, whose
-single pass runs the true oracle, the oracles of M models and their open-loop
-replays on the truth together. Replay's scalar reference,
-``replay_open_loop``, lives in ``tests/references.py``.
+callbacks with one batched ``advance`` call per step, keeps no columns of its
+own, and returns each failed member's step and reason. Its one caller is
+``analysis.robustness_study``, whose single pass runs the true oracle, the
+oracles of M models and their open-loop replays on the truth together.
+Replay's scalar reference, ``replay_open_loop``, lives in
+``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -39,21 +41,25 @@ DEFAULT_GUARD = 1e9
 class PlantModel(abc.ABC):
     """Discrete-time plant with p monotone scalar outputs.
 
-    Subclasses set ``state_dim`` and ``output_count`` and implement ``step``
-    and ``outputs``. ``output``, ``output_rows``, ``telemetry`` and
-    ``riding_currents`` have overridable defaults.
+    Subclasses set ``state_dim`` and ``output_count`` and implement
+    ``outputs`` and ``advance`` (a step's outputs and next state from one
+    call). ``output``, ``output_rows``, ``telemetry`` and ``riding_currents``
+    have overridable defaults.
     """
 
     state_dim: int
     output_count: int
 
     @abc.abstractmethod
-    def step(self, state, u: float):
-        """Next state f(x, u)."""
-
-    @abc.abstractmethod
     def outputs(self, state, u: float) -> np.ndarray:
         """All p outputs h_i(x, u); index 0 holds y_1 = u."""
+
+    @abc.abstractmethod
+    def advance(self, state, u: float) -> tuple[np.ndarray, Any]:
+        """One step: the outputs, equal to ``outputs(state, u)`` bit for bit,
+        and the next state f(x, u). The loops test the outputs against their
+        guard before the next state, so where the outputs fail it the next
+        state may be non-finite, but its computation must not raise."""
 
     def output(self, state, u: float, index: int) -> float:
         """Single output by 0-based position, read off ``outputs``, so that the
@@ -163,20 +169,23 @@ def check_run(model, spec: ConstraintSpec, t_f: int) -> None:
             f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
 
 
+@np.errstate(all="ignore")
 def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              control: Callable[[int, Any], float],
              observe: Callable[[int, np.ndarray], int], *,
              guard: float = DEFAULT_GUARD) -> Trajectory:
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
-    Per step: ``u = control(t, x)``, the outputs y at (x, u), the next state,
-    the weighted errors ``e = gamma * (y_bar - y)``, and
-    ``i_star = observe(t, e)``. The telemetry
+    Per step: ``u = control(t, x)``, the outputs y and the next state from
+    one ``model.advance(x, u)``, the weighted errors
+    ``e = gamma * (y_bar - y)``, and ``i_star = observe(t, e)``. The telemetry
     channels are computed once, from the columns, after the last step.
     The input, the outputs and the next state must stay finite and within
-    ``guard`` in magnitude, the weighted errors finite, and squaring the
-    active error must not overflow; the first that fails aborts the run with
-    ``SimulationDiverged`` at that step. States must be numeric arrays of one shape.
+    ``guard`` in magnitude, in that order, the weighted errors finite, and
+    squaring the active error must not overflow; the first that fails aborts
+    the run with ``SimulationDiverged`` at that step. These tests report
+    every non-finite value at its step, so floating-point warnings are off
+    during the run. States must be numeric arrays of one shape.
     """
     check_run(model, spec, t_f)
     n = t_f + 1
@@ -196,19 +205,14 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         # one comparison per value: false for NaN, inf and anything past guard
         if not abs(u) <= guard:
             raise _diverged(u, "input current", t, guard)
-        y = model.outputs(x, u)
+        y, x = model.advance(x, u)
         if not abs(y).max() <= guard:
             raise _diverged(y, "outputs", t, guard)
-        x = model.step(x, u)
         if not abs(x).max() <= guard:
             raise _diverged(x, "state", t, guard)
-        if check_e:
-            with np.errstate(over="ignore"):
-                e = gamma * (y_bar - y)
-            if not np.isfinite(e).all():
-                raise SimulationDiverged(t, "non-finite weighted errors")
-        else:
-            e = gamma * (y_bar - y)
+        e = gamma * (y_bar - y)
+        if check_e and not np.isfinite(e).all():
+            raise SimulationDiverged(t, "non-finite weighted errors")
         i_star = observe(t, e)
         e_active = float(e[i_star - 1])
 
@@ -297,6 +301,7 @@ def run_closed_loop(model: PlantModel,
     return replace(traj, theta=theta_col, alpha=alpha_col)
 
 
+@np.errstate(all="ignore")
 def simulate_batch(model, t_f: int, x0: np.ndarray,
                    control: Callable[[int, Any, np.ndarray, np.ndarray], np.ndarray],
                    observe: Callable[[int, np.ndarray, np.ndarray, np.ndarray,
@@ -304,14 +309,16 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
                    *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
-    ``model`` holds M cells: its ``outputs`` and ``step`` take (M, state_dim)
-    state rows with (M,) inputs, and ``take(keep)`` returns the members a
-    boolean mask keeps. Per step, ``u = control(t, model, x, rows)`` gives the
-    inputs of the members still running, whose batch indices are ``rows``
-    (ascending), and ``observe(t, rows, u, y, x)`` receives their inputs,
-    outputs and next states. Each member passes the guard tests of
-    ``simulate`` in its order: the input, the outputs, then the next state.
-    A member that fails one leaves the batch at that step; the others go on.
+    ``model`` holds M cells: its ``advance`` takes (M, state_dim) state rows
+    with (M,) inputs and returns their (M, p) outputs and next state rows, as
+    ``PlantModel.advance`` does for one cell, and ``take(keep)`` returns the
+    members a boolean mask keeps. Per step, ``u = control(t, model, x, rows)``
+    gives the inputs of the members still running, whose batch indices are
+    ``rows`` (ascending), and ``observe(t, rows, u, y, x)`` receives their
+    inputs, outputs and next states. Each member passes the guard tests of
+    ``simulate`` in its order: the input, the outputs, then the next state,
+    with floating-point warnings off as there. A member that fails one
+    leaves the batch at that step; the others go on.
     Returns member index -> the ``SimulationDiverged`` that ``simulate``
     raises for that member alone, with its step and message.
     """
@@ -336,10 +343,9 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
         u = control(t, model, x, rows)
         if not abs(u).max() <= guard:
             x, u = keep(abs(u) <= guard, u, "input current", x, u)
-        y = model.outputs(x, u)
+        y, x = model.advance(x, u)
         if not abs(y).max(initial=0.0) <= guard:
             x, u, y = keep(abs(y).max(axis=1) <= guard, y, "outputs", x, u, y)
-        x = model.step(x, u)
         if not abs(x).max(initial=0.0) <= guard:
             x, u, y = keep(abs(x).max(axis=1) <= guard, x, "state", x, u, y)
         observe(t, rows, u, y, x)

@@ -5,6 +5,8 @@ float paths equal bit for bit, and ``phases``. No command runs them:
 ``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
 a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
+The ``*_step`` functions are each packaged plant's next state as a separate
+computation, which the next state of its ``advance`` equals.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 from bangride.analysis import _box_corners, _min_norm_on_line_in_box
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
+from bangride.models import EcmPlant, PackPlant, SpmetPlant, ToyLinearPlant
+from bangride.models.ecm import EcmEnsemble
+from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
 from bangride.oracle import RootConfig
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
@@ -260,3 +265,48 @@ def phases(traj: Trajectory) -> list[int]:
     """Active-index sequence with consecutive duplicates collapsed."""
     starts = np.flatnonzero(np.diff(traj.i_star)) + 1
     return traj.i_star[np.r_[0, starts]].tolist()
+
+
+def toy_step(plant: ToyLinearPlant, state, u: float) -> np.ndarray:
+    return np.array([plant.a * float(state[0]) + plant.b * u])
+
+
+def ecm_step(plant: EcmPlant, state, u: float) -> np.ndarray:
+    v1, v2, soc, td = state
+    heat = plant._bt * u * (plant.params.r_o * u + v1 + v2)
+    return np.array([
+        plant._k1 * v1 + plant._b1 * u,
+        plant._k2 * v2 + plant._b2 * u,
+        soc + plant._ks * u,
+        plant._kt * td + heat,
+    ])
+
+
+def ecm_ensemble_step(ensemble: EcmEnsemble, x: np.ndarray, u) -> np.ndarray:
+    v1, v2, soc, td = cols = x.T
+    nxt = ensemble._k * cols + ensemble._b * u
+    nxt[3] = ensemble._kt * td + ensemble._bt * u * (ensemble._r_o * u + v1 + v2)
+    return nxt.T
+
+
+def pack_step(pack: PackPlant, state, u: float) -> np.ndarray:
+    out = ecm_ensemble_step(pack.ensemble, state, u)
+    td = state[:, 3]
+    out[:, 3] += (pack._cl * (td[pack._prev] - td)
+                  + pack._cr * (td[pack._next] - td))
+    return out
+
+
+def spmet_step(plant: SpmetPlant, state, u: float) -> np.ndarray:
+    p = plant.params
+    c_avg, c_surf, ce_n, ce_p, temp = (float(v) for v in state)
+    k = p.bv_gain * ((temp + KELVIN_OFFSET) / REFERENCE_T_K)
+    log_term = p.phi_log_gain * math.log(ce_p / ce_n)
+    heat = (k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)) * u
+    return np.array([
+        c_avg + plant._k_avg * u,
+        plant._lam * c_avg + (1.0 - plant._lam) * c_surf + plant._k_srf * u,
+        ce_n + plant._rex_n * (p.ce_rest_neg - ce_n) + plant._fu_n * u,
+        ce_p + plant._rex_p * (p.ce_rest_pos - ce_p) + plant._fu_p * u,
+        temp - p.a * p.dt * (temp - p.t_ambient) + p.b * p.dt * heat,
+    ])

@@ -295,7 +295,7 @@ def test_c11_oracle_grid_equivalence(scenarios):
                     & (float(x[0]) + grid <= spec.y_bar[1] + tol))
         u_grid = float(grid[feasible].max())
         worst = max(worst, abs(res.u - u_grid))
-        x = toy.step(x, res.u)
+        x = toy.advance(x, res.u)[1]
 
     # 3-cell pack, all-pairs mode; grid evaluation vectorized independently
     base = scenarios["pack"].model.params.base
@@ -322,7 +322,7 @@ def test_c11_oracle_grid_equivalence(scenarios):
                     & (pair_max <= 5.0 + tol))
         u_grid = float(grid[feasible].max())
         worst = max(worst, abs(res.u - u_grid))
-        x = pack.step(x, res.u)
+        x = pack.advance(x, res.u)[1]
     ok = worst <= resolution
     _report("C11 oracle/grid equivalence", ok,
             f"worst |selector - grid| = {worst:.2e} "

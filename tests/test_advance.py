@@ -1,0 +1,96 @@
+"""``PlantModel.advance`` against the plant's own ``outputs`` and against a
+separate next-state computation (``tests/references.py``), bit for bit."""
+
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bangride.models
+from bangride import EcmParams, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
+from bangride.config import load_spmet_params, resolve_config_path
+from bangride.models.ecm import EcmPlant, perturb_params
+from bangride.plant import PlantModel
+from references import ecm_step, pack_step, spmet_step, toy_step
+
+ECM_BASE = EcmParams(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
+                     q=12000.0, a=0.002, b=1.8e-3, ocv0=3.0, ocv_slope=3.0, dt=1.0)
+SPMET = SpmetPlant(load_spmet_params(resolve_config_path("params_spmet")))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_advance(plant, x, u, reference) -> None:
+    y, x_next = plant.advance(x, u)
+    assert same_bits(y, plant.outputs(x, u))
+    assert same_bits(x_next, reference(plant, x, u))
+
+
+def signed(lo: float, hi: float):
+    return st.sampled_from([0.0, -0.0]) | st.floats(lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       ce=st.tuples(st.floats(50.0, 3000.0), st.floats(50.0, 3000.0)),
+       # near 0 degC the next temperature is small, so that the heat's last
+       # bits reach it
+       temp=st.floats(-20.0, 80.0) | st.floats(-0.05, 0.05), u=signed(-100.0, 200.0))
+def test_spmet(c, ce, temp, u):
+    c_max = SPMET.params.c_max
+    x = np.array([c[0] * c_max, c[1] * c_max, ce[0], ce[1], temp])
+    assert_advance(SPMET, x, u, spmet_step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       x=st.tuples(signed(-1.0, 2.0), signed(-1.0, 3.0), signed(0.0, 1.2),
+                   signed(-5.0, 30.0)),
+       u=signed(-10.0, 60.0))
+def test_ecm_cell(seed, x, u):
+    plant = EcmPlant(perturb_params(ECM_BASE, 0.3, seed))
+    assert_advance(plant, np.array(x), u, ecm_step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["max-minus-min", "all-pairs"]),
+       seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(2, 6),
+       u=signed(-5.0, 60.0))
+def test_pack(mode, seed, n_cells, u):
+    rng = np.random.default_rng(seed)
+    pack = PackPlant(PackParams(base=ECM_BASE, n_cells=n_cells,
+                                k_left=float(rng.uniform(0.0, 0.1)),
+                                k_right=float(rng.uniform(0.0, 0.1)),
+                                dt_pair_max=5.0, pairwise_mode=mode,
+                                cell_variation=0.3, variation_seed=seed))
+    x = rng.uniform(-1.0, 6.0, (n_cells, 4)) * rng.choice([-0.0, 1.0, 10.0], (n_cells, 4))
+    assert_advance(pack, x, u, pack_step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coef=st.tuples(signed(-2.0, 2.0), st.floats(0.1, 3.0), signed(-2.0, 2.0),
+                      st.floats(0.1, 3.0)),
+       p=st.sampled_from([1, 2]), x=signed(-1e3, 1e3), u=signed(-1e3, 1e3))
+def test_toy(coef, p, x, u):
+    plant = ToyLinearPlant(*coef, p=p)
+    assert_advance(plant, np.array([x]), u, toy_step)
+
+
+def test_contract_is_outputs_and_advance():
+    # step left the contract: no plant defines it, and the abstract
+    # methods are as many as before
+    assert PlantModel.__abstractmethods__ == {"outputs", "advance"}
+    classes = []
+    for info in pkgutil.iter_modules(bangride.models.__path__):
+        module = importlib.import_module(f"bangride.models.{info.name}")
+        classes += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if cls.__module__ == module.__name__]
+    assert {"EcmPlant", "EcmEnsemble", "PackPlant", "SpmetPlant",
+            "ToyLinearPlant"} <= {cls.__name__ for cls in classes}
+    assert [cls.__name__ for cls in classes if "step" in vars(cls)] == []

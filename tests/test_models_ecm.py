@@ -23,7 +23,7 @@ class TestEcmDynamics:
         x = np.array([0.0, 0.0, 0.2, 4.0])
         td = 4.0
         for _ in range(50):
-            x = plant.step(x, 0.0)
+            x = plant.advance(x, 0.0)[1]
             td *= 1.0 - KW["a"] * KW["dt"]
             assert x[3] == pytest.approx(td, rel=1e-12)
 
@@ -32,7 +32,7 @@ class TestEcmDynamics:
         u = 4.0
         x = plant.initial_state()
         for _ in range(20000):
-            x = plant.step(x, u)
+            x = plant.advance(x, u)[1]
         assert x[0] == pytest.approx(KW["r_1"] * u, rel=1e-9)
         assert x[1] == pytest.approx(KW["r_2"] * u, rel=1e-9)
 
@@ -42,7 +42,7 @@ class TestEcmDynamics:
         rng = np.random.default_rng(3)
         for _ in range(200):
             u = rng.uniform(0.0, 10.0)
-            x = plant.step(x, u)
+            x = plant.advance(x, u)[1]
             throughput += u * KW["dt"]
             assert x[2] == pytest.approx(throughput / KW["q"], rel=1e-12)
 
@@ -57,7 +57,7 @@ class TestEcmDynamics:
             plant = EcmPlant(EcmParams(**{**KW, "dt": dt}))
             x = plant.initial_state()
             for _ in range(int(horizon / dt)):
-                x = plant.step(x, u)
+                x = plant.advance(x, u)[1]
             return x[0]
 
         errs = [abs(terminal_v1(dt) - exact) for dt in (1.0, 0.5, 0.25)]
@@ -83,7 +83,7 @@ class TestEcmOutputs:
     def test_h3_is_next_step_temperature_deviation_at_k_zero_coupling(self, plant):
         x = np.array([0.5, 0.9, 0.3, 2.0])
         u = 4.0
-        assert plant.output(x, u, 2) == pytest.approx(plant.step(x, u)[3], rel=1e-15)
+        assert plant.output(x, u, 2) == pytest.approx(plant.advance(x, u)[1][3], rel=1e-15)
 
     def test_scalar_fast_path_matches_vector_outputs(self, plant):
         rng = np.random.default_rng(11)

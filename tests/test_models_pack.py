@@ -82,8 +82,8 @@ class TestPackDynamics:
         xp = pack.initial_state()
         xc = cell.initial_state()
         for u in (9.0, 7.0, 5.0, 8.0):
-            xp = pack.step(xp, u)
-            xc = cell.step(xc, u)
+            xp = pack.advance(xp, u)[1]
+            xc = cell.advance(xc, u)[1]
             for i in range(3):
                 assert np.allclose(xp[i], xc, rtol=1e-15)
 
@@ -92,20 +92,21 @@ class TestPackDynamics:
         x = pack.initial_state()
         x[:, 3] = 2.5
         uncoupled = make_pack(n=5, k=0.0)
-        assert np.allclose(pack.step(x, 4.0), uncoupled.step(x, 4.0), rtol=1e-15)
+        assert np.allclose(pack.advance(x, 4.0)[1], uncoupled.advance(x, 4.0)[1],
+                           rtol=1e-15)
 
     def test_symmetric_pack_stays_symmetric(self):
         pack = make_pack(n=6, k=2e-4, var=0.0)
         x = pack.initial_state()
         for t in range(300):
-            x = pack.step(x, 8.0)
+            x = pack.advance(x, 8.0)[1]
             assert np.all(x == x[0])
 
     def test_ring_indexing_wraps(self):
         pack = make_pack(n=4, k=0.1)
         x = pack.initial_state()
         x[0, 3] = 1.0  # only cell 0 warm
-        x_next = pack.step(x, 0.0)
+        x_next = pack.advance(x, 0.0)[1]
         # neighbours 1 and 3 receive the same flux through the ring
         assert x_next[1, 3] == pytest.approx(x_next[3, 3], rel=1e-15)
         assert x_next[1, 3] > 0.0

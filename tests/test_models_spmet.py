@@ -21,7 +21,7 @@ class TestSpmetStep:
     def test_zero_current_leaves_average_concentration(self, plant):
         x = plant.initial_state(stoich=0.3)
         for _ in range(25):
-            x_next = plant.step(x, 0.0)
+            x_next = plant.advance(x, 0.0)[1]
             assert x_next[0] == x[0]
             x = x_next
 
@@ -31,7 +31,7 @@ class TestSpmetStep:
         x = plant.initial_state()
         c0 = x[0]
         for k in range(1, 301):
-            x = plant.step(x, u)
+            x = plant.advance(x, u)[1]
             expected = c0 + k * params.dt * u / (params.v_p * params.faraday)
             assert x[0] == pytest.approx(expected, rel=1e-12)
 
@@ -39,7 +39,7 @@ class TestSpmetStep:
         x = plant.initial_state(stoich=0.5)
         x[1] = 0.4 * plant.params.c_max  # start away from the average
         for _ in range(3000):
-            x = plant.step(x, 0.0)
+            x = plant.advance(x, 0.0)[1]
         assert x[1] == pytest.approx(x[0], rel=1e-6)
 
     def test_zero_potentials_keep_ambient_temperature(self, params):
@@ -50,14 +50,14 @@ class TestSpmetStep:
         x = plant.initial_state()
         assert x[4] == params.t_ambient
         for _ in range(100):
-            x = plant.step(x, 30.0)
+            x = plant.advance(x, 30.0)[1]
             assert x[4] == params.t_ambient
 
     def test_electrolyte_relaxes_to_rest(self, plant, params):
         x = plant.initial_state()
         x[2], x[3] = 900.0, 1500.0
         for _ in range(4000):
-            x = plant.step(x, 0.0)
+            x = plant.advance(x, 0.0)[1]
         assert x[2] == pytest.approx(params.ce_rest_neg, rel=1e-6)
         assert x[3] == pytest.approx(params.ce_rest_pos, rel=1e-6)
 

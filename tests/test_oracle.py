@@ -20,11 +20,11 @@ class StaticModel(PlantModel):
         self.fns = fns
         self.output_count = len(fns)
 
-    def step(self, state, u):
-        return state
-
     def outputs(self, state, u):
         return np.array([fn(u) for fn in self.fns])
+
+    def advance(self, state, u):
+        return self.outputs(state, u), state
 
 
 def test_tolerances_are_constants():

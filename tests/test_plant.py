@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,11 +166,11 @@ class ScriptedPlant(PlantModel):
         self.rows = np.concatenate([1.0 - errors[:, :1], -errors[:, 1:]], axis=1)
         self.output_count = errors.shape[1]
 
-    def step(self, x, u):
-        return x + 1.0
-
     def outputs(self, x, u):
         return self.rows[int(x[0])]
+
+    def advance(self, x, u):
+        return self.outputs(x, u), x + 1.0
 
     def spec(self) -> ConstraintSpec:
         return ConstraintSpec(y_bar=[1.0] + [-0.0] * (self.output_count - 1),
@@ -278,11 +279,12 @@ class FaultyToy(ToyLinearPlant):
             y[1] = OUTPUT_FAULTS[self.fault]
         return y
 
-    def step(self, state, u):
-        x = np.array([super().step(state, u)[0], state[1] + 1.0])
+    def advance(self, state, u):
+        y, x = super().advance(state, u)
+        x = np.array([x[0], state[1] + 1.0])
         if state[1] == self.k and self.fault == "state-past-guard":
             x[0] = 2e9
-        return x
+        return y, x
 
 
 OUTPUT_FAULTS = {"nan-outputs": np.nan, "inf-outputs": np.inf,
@@ -340,8 +342,8 @@ class Growth(PlantModel):
     def outputs(self, state, u):
         return np.array([u, self.c * state[0]])
 
-    def step(self, state, u):
-        return np.array([self.g * state[0] + u])
+    def advance(self, state, u):
+        return self.outputs(state, u), np.array([self.g * state[0] + u])
 
 
 class GrowthBatch:
@@ -358,8 +360,8 @@ class GrowthBatch:
     def outputs(self, x, u):
         return np.stack([u, self.c * x[:, 0]], axis=1)
 
-    def step(self, x, u):
-        return (self.g * x[:, 0] + u)[:, None]
+    def advance(self, x, u):
+        return self.outputs(x, u), (self.g * x[:, 0] + u)[:, None]
 
 
 class TestSimulateBatch:
@@ -410,6 +412,47 @@ class TestSimulateBatch:
         assert [str(failures[k]).split(": ")[1] for k in (0, 1, 2, 4)] == [
             "|state| exceeded guard magnitude 100", "|state| exceeded guard magnitude 100",
             "|outputs| exceeded guard magnitude 100", "non-finite input current"]
+
+
+class TestGuardOrder:
+    """``advance`` computes the next state before the outputs are tested.
+    At step 3 the outputs of member 0 fail the guard (c*x = 500 > 100) and
+    its next state overflows (1e307 * 50): the failure names the outputs,
+    and the overflow raises no warning."""
+
+    G, C = [1e307, 1.0], [10.0, 1.0]
+    MESSAGE = "simulation diverged at step 3: |outputs| exceeded guard magnitude 100"
+
+    @staticmethod
+    def input_of(t: int) -> float:
+        return 50.0 if t == 2 else 0.0
+
+    def test_premise(self):
+        with np.errstate(over="ignore"):
+            y, x = Growth(self.G[0], self.C[0]).advance(np.array([50.0]), 0.0)
+        assert abs(y).max() > 100.0 and not np.isfinite(x).all()
+
+    def test_scalar(self):
+        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationDiverged) as err:
+                simulate(Growth(self.G[0], self.C[0]), spec, 10, np.zeros(1),
+                         lambda t, x: self.input_of(t), lambda t, e: 1, guard=100.0)
+        assert err.value.step == 3 and str(err.value) == self.MESSAGE
+
+    def test_batched(self):
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            failures = simulate_batch(
+                GrowthBatch(self.G, self.C), 10, np.zeros((2, 1)),
+                lambda t, model, x, rows: np.full(len(rows), self.input_of(t)),
+                lambda t, rows, u, y, x: seen.append((t, rows.tolist(), x.tolist())),
+                guard=100.0)
+        assert list(failures) == [0]
+        assert failures[0].step == 3 and str(failures[0]) == self.MESSAGE
+        assert seen[3] == (3, [1], [[50.0]]) and len(seen) == 11
 
 
 @pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])

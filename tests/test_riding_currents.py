@@ -181,11 +181,14 @@ def test_ecm_ensemble_rows_equal_cells(seed, rows, y_temp):
     y_bar = np.array([10.0, 12.0, y_temp])
     roots = ensemble.riding_currents(x, y_bar)
     assert not np.isnan(roots).any()
-    outputs, step = ensemble.outputs(x, u), ensemble.step(x, u)
+    outputs, (y, x_next) = ensemble.outputs(x, u), ensemble.advance(x, u)
+    assert np.array_equal(y, outputs)
     for k, cell in enumerate(ensemble.cells):
         assert np.array_equal(roots[k], cell.riding_currents(x[k], y_bar))
         assert np.array_equal(outputs[k], cell.outputs(x[k], float(u[k])))
-        assert np.array_equal(step[k], cell.step(x[k], float(u[k])))
+        y_cell, x_cell = cell.advance(x[k], float(u[k]))
+        assert np.array_equal(y[k], y_cell)
+        assert np.array_equal(x_next[k], x_cell)
 
 
 @settings(max_examples=300, deadline=None)
