@@ -76,24 +76,22 @@ def bisected_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarray:
     """Riding currents of all p constraints by bisection on [0, u_max], in the
     form of ``PlantModel.riding_currents``: u_max for constraint 1, and +inf
     for a constraint met at u_max, which then cannot attain the minimum.
-    The bracket checks run per constraint, then the constraints left halve
-    together, one ``output_rows`` call per halving; each root equals the
-    scalar ``solve_constraint`` of ``tests/references.py`` bit for bit.
+    The bracket checks run per constraint, the top read off the one
+    ``outputs(x, u_max)`` call, then the constraints left halve together,
+    one ``output_rows`` call per halving; each root equals the scalar
+    ``solve_constraint`` of ``tests/references.py`` bit for bit.
     """
     u_max = spec.u_max
     y = model.outputs(x, u_max)
     roots = np.array([u_max] + [math.inf] * (spec.p - 1))
     pending = []
     for idx in range(1, spec.p):
-        y_bar_i = float(spec.y_bar[idx])
-        if y[idx] <= y_bar_i:
+        y_bar_i, f_hi = float(spec.y_bar[idx]), float(y[idx])
+        if f_hi <= y_bar_i:
             continue
-        f_hi = model.output(x, u_max, idx)
         if not math.isfinite(f_hi):
             raise RootFindingError(f"constraint {idx + 1}: non-finite output at "
                                    "bracket top", 0.0, u_max, 0)
-        if f_hi < y_bar_i:
-            continue
         if model.output(x, 0.0, idx) > y_bar_i:
             roots[idx] = 0.0
         else:

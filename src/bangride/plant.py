@@ -7,9 +7,13 @@ only the concrete models interpret.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
 callback) with one ``advance`` call per step, computes the weighted errors
-inline and fills the columns of a ``Trajectory``. The commands run two
-policies through it: the model-free controller (``run_closed_loop``) and the
-oracle (``oracle.oracle_trajectory``).
+inline and fills the columns of a ``Trajectory``. The state's shape picks
+its loop body once per run: a vector state (a single cell) runs on Python
+floats and ``observe`` receives the errors as a list; the pack's (N, 4)
+state runs on numpy arrays and ``observe`` receives an array. The two
+bodies give the same columns bit for bit. The commands run two policies
+through it: the model-free controller (``run_closed_loop``) and the oracle
+(``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
@@ -172,7 +176,7 @@ def check_run(model, spec: ConstraintSpec, t_f: int) -> None:
 @np.errstate(all="ignore")
 def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              control: Callable[[int, Any], float],
-             observe: Callable[[int, np.ndarray], int], *,
+             observe: Callable[[int, Any], int], *,
              guard: float = DEFAULT_GUARD) -> Trajectory:
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
@@ -186,21 +190,76 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     the run with ``SimulationDiverged`` at that step. These tests report
     every non-finite value at its step, so floating-point warnings are off
     during the run. States must be numeric arrays of one shape.
+
+    The state's shape picks one of two loop bodies with the same columns,
+    failures and messages. A vector state (a single cell) runs the float
+    body, which reads each step's outputs and state as Python floats and
+    hands ``observe`` the errors as a list; any other state (the pack's
+    (N, 4)) runs the array body, which hands ``observe`` a numpy array.
     """
     check_run(model, spec, t_f)
     n = t_f + 1
-    u_col = np.empty(n)
-    y_col = np.empty((n, spec.p))
-    e_col = np.empty((n, spec.p))
-    i_col = np.empty(n, dtype=int)
-    j_col = np.empty(n)
-    states = np.empty((n + 1,) + np.shape(x0))
-    states[0] = x0
-    x = x0
+    cols = (np.empty(n), np.empty((n, spec.p)), np.empty((n, spec.p)),
+            np.empty(n, dtype=int), np.empty(n), np.empty((n + 1,) + np.shape(x0)))
+    steps = _float_steps if np.ndim(x0) == 1 else _array_steps
+    steps(model, spec, x0, control, observe, guard, *cols)
+    u_col, y_col, e_col, i_col, j_col, states = cols
+    return Trajectory(u=u_col, y=y_col, e=e_col, i_star=i_col, J=j_col, states=states,
+                      telemetry=model.telemetry(states[:-1], u_col, y_col))
+
+
+def _check_e(spec: ConstraintSpec, guard: float) -> bool:
+    """Whether the weighted errors need a finiteness test: outputs that pass
+    the guard make them overflow only if this bound does."""
+    return not math.isfinite(float(spec.gamma.max()) * (float(abs(spec.y_bar).max()) + guard))
+
+
+def _float_steps(model, spec, x0, control, observe, guard,
+                 u_col, y_col, e_col, i_col, j_col, states) -> None:
+    """``simulate``'s loop for a vector state, on Python floats; fills the
+    columns. Each guard test is a chained comparison per value, false for
+    NaN, inf and anything past guard, as ``abs(v) <= guard`` is."""
+    weights = list(zip(spec.gamma.tolist(), spec.y_bar.tolist()))
+    check_e = _check_e(spec, guard)
+    low = -guard
+    states[0] = x = x0
+    for t in range(len(u_col)):
+        u = control(t, x)
+        if not low <= u <= guard:
+            raise _diverged(u, "input current", t, guard)
+        y, x = model.advance(x, u)
+        y_list = y.tolist()
+        for v in y_list:
+            if not low <= v <= guard:
+                raise _diverged(y, "outputs", t, guard)
+        for v in x.tolist():
+            if not low <= v <= guard:
+                raise _diverged(x, "state", t, guard)
+        e = [g * (b - v) for (g, b), v in zip(weights, y_list)]
+        if check_e and not np.isfinite(e).all():
+            raise SimulationDiverged(t, "non-finite weighted errors")
+        i_star = observe(t, e)
+        e_active = e[i_star - 1]
+
+        u_col[t] = u
+        y_col[t] = y
+        e_col[t] = e
+        i_col[t] = i_star
+        try:
+            j_col[t] = e_active ** 2
+        except OverflowError:   # |e_active| above about 1.3e154
+            raise SimulationDiverged(t, "squared active error overflowed") from None
+        states[t + 1] = x
+
+
+def _array_steps(model, spec, x0, control, observe, guard,
+                 u_col, y_col, e_col, i_col, j_col, states) -> None:
+    """``simulate``'s loop for any state, on numpy arrays; fills the
+    columns. The reference of ``_float_steps``."""
     gamma, y_bar = spec.gamma, spec.y_bar
-    # the outputs pass the guard, so e can overflow only if this bound does
-    check_e = not math.isfinite(float(gamma.max()) * (float(abs(y_bar).max()) + guard))
-    for t in range(n):
+    check_e = _check_e(spec, guard)
+    states[0] = x = x0
+    for t in range(len(u_col)):
         u = control(t, x)
         # one comparison per value: false for NaN, inf and anything past guard
         if not abs(u) <= guard:
@@ -225,9 +284,6 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         except OverflowError:   # |e_active| above about 1.3e154
             raise SimulationDiverged(t, "squared active error overflowed") from None
         states[t + 1] = x
-    telemetry = model.telemetry(states[:-1], u_col, y_col)
-    return Trajectory(u=u_col, y=y_col, e=e_col, i_star=i_col, J=j_col,
-                      states=states, telemetry=telemetry)
 
 
 def run_closed_loop(model: PlantModel,
@@ -270,10 +326,15 @@ def run_closed_loop(model: PlantModel,
             raise SimulationDiverged(t, "non-finite controller state")
         return t0 * last + t1 * tot
 
-    def observe(t: int, e: np.ndarray) -> int:
+    def observe(t: int, e) -> int:
         nonlocal t0, t1, last, tot, done
-        k = int(e.argmin())
-        ea = float(e[k])
+        # the first minimum, as argmin gives it: the guard keeps NaN out
+        if isinstance(e, list):
+            ea = min(e)
+            k = e.index(ea)
+        else:
+            k = int(e.argmin())
+            ea = float(e[k])
         g0, g1 = -ea * last, -ea * tot
         if clip is not None:
             norm = float(np.linalg.norm((g0, g1)))

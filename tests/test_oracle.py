@@ -8,7 +8,7 @@ from bangride import (ConfigurationError, ConstraintSpec, RootConfig,
                       selector)
 from bangride.oracle import bisected_roots
 from bangride.plant import PlantModel
-from references import solve_constraint
+from references import per_constraint_roots, solve_constraint
 
 
 class StaticModel(PlantModel):
@@ -150,9 +150,27 @@ class TestSelector:
         roots = bisected_roots(model, np.zeros(1), spec)
         assert roots[0] == 10.0 and roots[2] == math.inf and roots[3] == 0.0
         assert roots[1] == pytest.approx(6.0, abs=1e-9)
-        assert brackets[:3] == [10.0, 10.0, 0.0]  # outputs at u_max, then the solve
+        # outputs at u_max, the zero-current checks of constraints 2 and 4,
+        # then the solve
+        assert brackets[:3] == [10.0, 0.0, 0.0]
         res = selector(model, np.zeros(1), spec)
         assert (res.u, res.i_star) == (0.0, 4)
+
+    def test_bisected_roots_read_the_bracket_top_off_outputs(self):
+        # no output call at u_max; the roots equal the scalar bisection's
+        currents = []
+
+        class CountingToy(ToyLinearPlant):
+            def output(self, state, u, index):
+                currents.append(u)
+                return super().output(state, u, index)
+
+        model, spec = CountingToy(), ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
+        for x0 in (-10.0, -3.0, 0.0, 2.5, 12.0):
+            x = model.initial_state(x0)
+            assert (bisected_roots(model, x, spec).tobytes()
+                    == per_constraint_roots(ToyLinearPlant(), x, spec).tobytes())
+        assert currents == [0.0] * 4
 
     def test_spec_size_mismatch(self):
         model = StaticModel(lambda u: u)

@@ -10,8 +10,10 @@ from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       SimulationDiverged, ToyLinearPlant, oracle_trajectory,
                       run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
+from bangride import plant
 from bangride.plant import PlantModel, simulate, simulate_batch
-from references import ReferenceController, reference_closed_loop, replay_open_loop
+from references import (ReferenceController, active_index, reference_closed_loop,
+                        replay_open_loop)
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -258,8 +260,8 @@ class TestFloatLoopMatchesReference:
 class FaultyToy(ToyLinearPlant):
     """Integrator whose state carries a step counter, so that it can fail at
     a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
-    The scalar ``output`` stays finite, so the oracle's bisection still runs
-    and the failure reaches the stepping loop."""
+    Only ``advance`` fails: ``outputs`` stays finite, so the oracle's
+    bisection still runs and the failure reaches the stepping loop."""
 
     state_dim = 2
 
@@ -270,18 +272,11 @@ class FaultyToy(ToyLinearPlant):
     def initial_state(self, x0: float = 0.0) -> np.ndarray:
         return np.array([float(x0), 0.0])
 
-    def output(self, state, u, index):
-        return float(super().outputs(state, u)[index])
-
-    def outputs(self, state, u):
-        y = super().outputs(state, u)
-        if state[1] == self.k and self.fault in OUTPUT_FAULTS:
-            y[1] = OUTPUT_FAULTS[self.fault]
-        return y
-
     def advance(self, state, u):
         y, x = super().advance(state, u)
         x = np.array([x[0], state[1] + 1.0])
+        if state[1] == self.k and self.fault in OUTPUT_FAULTS:
+            y[1] = OUTPUT_FAULTS[self.fault]
         if state[1] == self.k and self.fault == "state-past-guard":
             x[0] = 2e9
         return y, x
@@ -295,23 +290,24 @@ GUARD_MESSAGES = {"nan-outputs": "non-finite outputs",
                   "state-past-guard": "|state| exceeded guard magnitude 1e+09"}
 
 
-class TestDivergenceGuard:
-    SPEC = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2])
-    K = 7
+def faulty_run(kind: str, model: FaultyToy):
+    """A 21-step closed-loop, oracle or replay run of a faulty toy."""
+    spec, x0 = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2]), model.initial_state()
+    if kind == "closed-loop":
+        return run_closed_loop(model, ControllerState(), spec, 20, x0)
+    if kind == "oracle":
+        return oracle_trajectory(model, spec, 20, x0)
+    return replay_open_loop(model, spec, x0, np.full(21, 0.1))
 
-    def run(self, kind: str, model: FaultyToy):
-        x0 = model.initial_state()
-        if kind == "closed-loop":
-            return run_closed_loop(model, ControllerState(), self.SPEC, 20, x0)
-        if kind == "oracle":
-            return oracle_trajectory(model, self.SPEC, 20, x0)
-        return replay_open_loop(model, self.SPEC, x0, np.full(21, 0.1))
+
+class TestDivergenceGuard:
+    K = 7
 
     @pytest.mark.parametrize("fault", sorted(GUARD_MESSAGES))
     @pytest.mark.parametrize("kind", ["closed-loop", "oracle", "replay"])
     def test_fault_reported_at_its_step(self, kind, fault):
         with pytest.raises(SimulationDiverged) as err:
-            self.run(kind, FaultyToy(fault, self.K))
+            faulty_run(kind, FaultyToy(fault, self.K))
         assert err.value.step == self.K
         assert str(err.value) == (f"simulation diverged at step {self.K}: "
                                   f"{GUARD_MESSAGES[fault]}")
@@ -324,7 +320,7 @@ class TestDivergenceGuard:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1e147, 1e147])
         with pytest.raises(SimulationDiverged) as err:
             simulate(model, spec, 5, model.initial_state(),
-                     lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: 1 + int(e.argmin()))
+                     lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: active_index(e))
         assert str(err.value) == ("simulation diverged at step 3: "
                                   "squared active error overflowed")
 
@@ -453,6 +449,65 @@ class TestGuardOrder:
         assert list(failures) == [0]
         assert failures[0].step == 3 and str(failures[0]) == self.MESSAGE
         assert seen[3] == (3, [1], [[50.0]]) and len(seen) == 11
+
+
+def same_run(a, b) -> bool:
+    """Every column of two trajectories equal, the telemetry's included."""
+    return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in
+                ("u", "y", "e", "i_star", "J", "states", "theta", "alpha"))
+            and a.telemetry.keys() == b.telemetry.keys()
+            and all(np.array_equal(a.telemetry[k], b.telemetry[k]) for k in a.telemetry))
+
+
+def outcome(run):
+    """The trajectory of a run, or its divergence as (step, message)."""
+    try:
+        return run()
+    except SimulationDiverged as exc:
+        return exc.step, str(exc)
+
+
+def on_both_bodies(monkeypatch, run):
+    """``run()`` through ``simulate``'s float body, then through its array
+    body, which is swapped in for vector states."""
+    first = outcome(run)
+    with monkeypatch.context() as patch:
+        patch.setattr(plant, "_float_steps", plant._array_steps)
+        return first, outcome(run)
+
+
+class TestLoopBodies:
+    """The float body of ``simulate`` against the array body, its reference:
+    the same columns bit for bit, the same failures at the same steps."""
+
+    @pytest.mark.parametrize("name", ["toy", "ecm", "spmet"])
+    def test_same_columns(self, name, scenarios, monkeypatch):
+        built = scenarios[name]
+        model, spec, t_f, x0 = built.model, built.spec, built.cfg.t_f, built.x0
+        for run in (lambda: run_closed_loop(model, built.new_controller(), spec, t_f, x0),
+                    lambda: oracle_trajectory(model, spec, t_f, x0)):
+            fast, ref = on_both_bodies(monkeypatch, run)
+            assert same_run(fast, ref)
+
+    @pytest.mark.parametrize("fault", sorted(GUARD_MESSAGES))
+    @pytest.mark.parametrize("kind", ["closed-loop", "oracle", "replay"])
+    def test_same_faults(self, kind, fault, monkeypatch):
+        fast, ref = on_both_bodies(monkeypatch, lambda: faulty_run(kind, FaultyToy(fault, 7)))
+        assert fast == ref == (7, f"simulation diverged at step 7: {GUARD_MESSAGES[fault]}")
+
+    def test_same_guard_order(self, monkeypatch):
+        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
+        fast, ref = on_both_bodies(monkeypatch, lambda: simulate(
+            Growth(TestGuardOrder.G[0], TestGuardOrder.C[0]), spec, 10, np.zeros(1),
+            lambda t, x: TestGuardOrder.input_of(t), lambda t, e: 1, guard=100.0))
+        assert fast == ref == (3, TestGuardOrder.MESSAGE)
+
+    @pytest.mark.parametrize("name, kind", [("toy", list), ("pack", np.ndarray)])
+    def test_state_shape_picks_the_body(self, name, kind, scenarios):
+        built, seen = scenarios[name], []
+        simulate(built.model, built.spec, 0, built.x0, lambda t, x: 0.0,
+                 lambda t, e: seen.append(type(e)) or 1)
+        assert seen == [kind]
 
 
 @pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])
