@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       SimulationDiverged, ToyLinearPlant, oracle_trajectory,
                       run_closed_loop, validate_monotonicity)
-from bangride.models.ecm import EcmParams, EcmPlant
 from bangride import plant
+from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, simulate, simulate_batch
 from references import (ReferenceController, active_index, reference_closed_loop,
                         replay_open_loop)
