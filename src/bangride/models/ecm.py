@@ -81,24 +81,17 @@ class EcmPlant(PlantModel):
         return np.array([0.0, 0.0, float(soc0), 0.0])
 
     def advance(self, state, u: float):
-        x = state.tolist()
-        v1, v2, soc, td = x
-        heat = self._bt * u * (self.params.r_o * u + v1 + v2)
-        return self._outputs(x, u), np.array([
+        v1, v2, soc, td = state.tolist()
+        p = self.params
+        h2 = v1 + v2 + p.ocv_slope * soc + u
+        h3 = self._kt * td + self._bt * (v1 + v2) * u + self._bt * p.r_o * u * u
+        heat = self._bt * u * (p.r_o * u + v1 + v2)
+        return np.array([u, h2, h3]), np.array([
             self._k1 * v1 + self._b1 * u,
             self._k2 * v2 + self._b2 * u,
             soc + self._ks * u,
             self._kt * td + heat,
         ])
-
-    def outputs(self, state, u: float) -> np.ndarray:
-        return self._outputs(state.tolist(), u)
-
-    def _outputs(self, x: list[float], u: float) -> np.ndarray:
-        v1, v2, soc, td = x
-        h2 = v1 + v2 + self.params.ocv_slope * soc + u
-        h3 = self._kt * td + self._bt * (v1 + v2) * u + self._bt * self.params.r_o * u * u
-        return np.array([u, h2, h3])
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """The one-cell ensemble's outputs on the rows, then each row's entry."""
@@ -182,7 +175,11 @@ class EcmEnsemble:
         return EcmEnsemble([p for p, k in zip(self.params, keep) if k])
 
     def advance(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.outputs(x, u), self.next_states(x, u)
+        y = np.empty((3, len(x)))
+        y[0] = u
+        y[1] = self.voltages(x, u)
+        y[2] = self.temperatures(x, u)
+        return y.T, self.next_states(x, u)
 
     def next_states(self, x: np.ndarray, u) -> np.ndarray:
         """The next state rows alone: the pack adds its coupling to them."""
@@ -190,13 +187,6 @@ class EcmEnsemble:
         nxt = self._k * cols + self._b * u
         nxt[3] = self._kt * td + self._bt * u * (self._r_o * u + v1 + v2)
         return nxt.T
-
-    def outputs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        y = np.empty((3, len(x)))
-        y[0] = u
-        y[1] = self.voltages(x, u)
-        y[2] = self.temperatures(x, u)
-        return y.T
 
     def voltages(self, x: np.ndarray, u, cells=slice(None)) -> np.ndarray:
         """Voltage readouts of members ``cells`` at state rows x (..., 4)

@@ -10,7 +10,7 @@ with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1), added to
 the cells' next states and temperature outputs. RC-link parameters (R1, C1,
 R2, C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
 
-Output layout (1-based constraint indices):
+Output layout of ``PackPlant.advance`` (1-based constraint indices):
 
     1                 current u
     2     .. N+1      per-cell voltage readout K.x_i + u
@@ -109,20 +109,14 @@ class PackPlant(PlantModel):
         coupling = self._coupling(state[:, 3])
         x_next = self.ensemble.next_states(state, u)
         x_next[:, 3] += coupling
-        return self._outputs(state, u, coupling), x_next
-
-    def outputs(self, state, u: float) -> np.ndarray:
-        return self._outputs(state, u, self._coupling(state[:, 3]))
-
-    def _outputs(self, state, u: float, coupling: np.ndarray) -> np.ndarray:
-        """The output vector, given the coupling of the state's cells."""
         t_outs = self.ensemble.temperatures(state, u) + coupling
         if self.params.pairwise_mode == "all-pairs":
             diff = t_outs[:, None] - t_outs[None, :]
             pair_outs = diff[~np.eye(self.n_cells, dtype=bool)]
         else:
             pair_outs = np.array([t_outs.max() - t_outs.min()])
-        return np.concatenate([[u], self.ensemble.voltages(state, u), t_outs, pair_outs])
+        return (np.concatenate([[u], self.ensemble.voltages(state, u), t_outs, pair_outs]),
+                x_next)
 
     def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
         """Ring coupling of deviations td to their neighbours' i-1 (``left``)
@@ -133,7 +127,7 @@ class PackPlant(PlantModel):
 
     def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
         """The coupled temperature outputs of ``cells`` in ``rows`` (index
-        arrays that broadcast together), as ``outputs`` computes them."""
+        arrays that broadcast together), as ``advance`` computes them."""
         x = states[rows, cells]
         own = self.ensemble.temperatures(x, u[rows], cells)
         return own + self._coupling(x[..., 3], states[rows, self._prev[cells], 3],
@@ -153,7 +147,7 @@ class PackPlant(PlantModel):
         pair = index > 2 * n
         r = rows[pair]
         if self.params.pairwise_mode == "all-pairs":
-            # pair p is (j, k), k != j, in the row-major order of outputs
+            # pair p is (j, k), k != j, in the row-major order of advance
             j, k = divmod(index[pair] - 2 * n - 1, n - 1)
             k += k >= j
             out[pair] = (self._cell_temperatures(states, u, r, j)
@@ -174,7 +168,7 @@ class PackPlant(PlantModel):
         td = state[:, 3]
         v_dyn = state[:, 0] + state[:, 1]
         # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2; the
-        # bound comes off alpha after the coupling is added, as in outputs,
+        # bound comes off alpha after the coupling is added, as in advance,
         # so the ensemble's own riding currents would round differently
         alpha = cells._kt * td + self._coupling(td)
         beta = cells._bt * v_dyn

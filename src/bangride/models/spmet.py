@@ -14,7 +14,9 @@ updates (step dt, charging positive):
 Outputs: current and terminal voltage V = dU(x) + eta(u,x) + phi(u,x);
 SOC = (c_avg/c_max - theta_1)/(theta_2 - theta_1) is reported alongside but
 is not a constrained output. ``SpmetPlant.advance`` computes eta + phi once
-per step, for the voltage and the heat alike.
+per step, for the voltage and the heat alike; every other voltage (the
+riding current, ``output_rows``, the build-time monotonicity check) comes
+from ``SpmetPlant._volts``, in the same operation order.
 
 The three potentials have a fixed form, set by ``SpmetParams`` coefficients;
 ``SpmetParams.potential_terms`` gives their parts that do not depend on u:
@@ -151,14 +153,19 @@ class SpmetPlant(PlantModel):
         of the operating range, by forward differences of 1e-4 A."""
         p = self.params
         for z in np.linspace(0.05, 0.98, 9):
-            x = self.initial_state(stoich=z)
+            terms = p.potential_terms(self.initial_state(stoich=z).tolist())
             for u in np.linspace(0.0, 2.0 * p.u_max, 9):
-                v0 = self.output(x, u, 1)
-                v1 = self.output(x, u + 1e-4, 1)
-                if not v1 > v0:
+                if not self._volts(terms, u + 1e-4) > self._volts(terms, u):
                     raise ConfigurationError(
                         f"terminal voltage not strictly increasing in u at "
                         f"z={z:.3f}, u={u:.3f}")
+
+    def _volts(self, terms: tuple[float, float, float], u: float) -> float:
+        """Terminal voltage dU + eta + phi at input u, from the state's
+        ``potential_terms``, in the operation order of ``advance``."""
+        du, k, log_term = terms
+        p = self.params
+        return du + k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)
 
     def initial_state(self, stoich: float = 0.1) -> np.ndarray:
         """Rested state at ambient temperature and the given
@@ -183,36 +190,30 @@ class SpmetPlant(PlantModel):
             temp - p.a * p.dt * (temp - p.t_ambient) + p.b * p.dt * heat,
         ])
 
-    def outputs(self, state, u: float) -> np.ndarray:
-        return np.array([u, self.output(state, u, 1)])
-
-    def output(self, state, u: float, index: int) -> float:
-        if index == 0:
-            return u
-        p = self.params
-        du, k, log_term = p.potential_terms(state.tolist())
-        return du + k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)
+    def output_rows(self, states, u, index) -> np.ndarray:
+        """Each row's output on Python floats; a voltage row through
+        ``_volts``, so that it equals ``advance``'s bit for bit."""
+        terms, volts = self.params.potential_terms, self._volts
+        return np.array([volts(terms(x), u_k) if i else u_k for x, u_k, i
+                         in zip(states.tolist(), u.tolist(), index.tolist())], dtype=float)
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Current bound, and the voltage root by Newton from u = 0 with the
         stop rule of the module docstring: -inf when the bound is exceeded at
         u = 0, and otherwise the root, also above u_max. Each voltage is
-        computed in the operation order of ``output``, bit for bit."""
+        computed by ``_volts``, bit for bit as ``advance`` does."""
         p = self.params
-        du, k, log_term = p.potential_terms(state.tolist())
-        s, r, bound = p.bv_scale, p.film_res, float(y_bar[1])
-
-        def volts(u: float) -> float:
-            return du + k * math.asinh(u / s) + (r * u + log_term)
-
-        u, v = 0.0, volts(0.0)
+        terms = p.potential_terms(state.tolist())
+        k, s, r, bound = terms[1], p.bv_scale, p.film_res, float(y_bar[1])
+        volts = self._volts
+        u, v = 0.0, volts(terms, 0.0)
         if v > bound:
             return np.array([y_bar[0], -math.inf])
         while True:
             hi = u + (bound - v) / (k / math.sqrt(s * s + u * u) + r)
             if not hi > u:
                 break
-            v_hi = volts(hi)
+            v_hi = volts(terms, hi)
             if v_hi > bound:
                 break
             u, v = hi, v_hi
@@ -221,7 +222,7 @@ class SpmetPlant(PlantModel):
             mid = 0.5 * (u + hi)
             if not u < mid < hi:
                 break
-            if volts(mid) > bound:
+            if volts(terms, mid) > bound:
                 hi = mid
             else:
                 u = mid

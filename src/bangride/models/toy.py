@@ -28,12 +28,9 @@ class ToyLinearPlant(PlantModel):
         return np.array([float(x0)])
 
     def advance(self, state, u: float):
-        return self.outputs(state, u), np.array([self.a * float(state[0]) + self.b * u])
-
-    def outputs(self, state, u: float) -> np.ndarray:
-        if self.output_count == 1:
-            return np.array([u])
-        return np.array([u, self.c * float(state[0]) + self.d * u])
+        x = float(state[0])
+        y = [u] if self.output_count == 1 else [u, self.c * x + self.d * u]
+        return np.array(y), np.array([self.a * x + self.b * u])
 
     def output_rows(self, states, u, index) -> np.ndarray:
         return np.where(index == 0, u, self.c * states[:, 0] + self.d * u)

@@ -5,11 +5,13 @@ h_i(x, u) = y_bar_i; monotonicity in u makes the solution unique. The oracle
 reads the plant through ``PlantModel.riding_currents`` alone, which gives all
 p roots at once. For a model without closed forms, ``bisected_roots`` supplies
 them by plain bisection on [0, u_max] (charging only), which is exact to
-tolerance and needs no derivatives; ``bisect_rows``, the package's one
-bisection kernel, halves them together, and the per-step optima of
-``analysis`` share it. The ideal input is the minimum over the roots clamped
-at 0, which is always finite because constraint 1 pins u_max. The solve
-tolerances are the class constants of ``RootConfig``.
+tolerance and needs no derivatives. It reads the bracket ends off the
+plant's ``advance`` and the halvings off its ``output_rows``;
+``bisect_rows``, the package's one bisection kernel, halves them together,
+and the per-step optima of ``analysis`` share it. The ideal input is the
+minimum over the roots clamped at 0, which is always finite because
+constraint 1 pins u_max. The solve tolerances are the class constants of
+``RootConfig``.
 
 Stateless given (model, x); runs over distinct scenarios may execute in
 parallel, successive time steps may not (the state evolves).
@@ -76,23 +78,24 @@ def bisected_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarray:
     """Riding currents of all p constraints by bisection on [0, u_max], in the
     form of ``PlantModel.riding_currents``: u_max for constraint 1, and +inf
     for a constraint met at u_max, which then cannot attain the minimum.
-    The bracket checks run per constraint, the top read off the one
-    ``outputs(x, u_max)`` call, then the constraints left halve together,
-    one ``output_rows`` call per halving; each root equals the scalar
-    ``solve_constraint`` of ``tests/references.py`` bit for bit.
+    The bracket checks run per constraint, the top and the bottom read off
+    one ``advance(x, u_max)`` and one ``advance(x, 0.0)`` call, then the
+    constraints left halve together, one ``output_rows`` call per halving;
+    each root equals the scalar ``solve_constraint`` of
+    ``tests/references.py`` bit for bit.
     """
     u_max = spec.u_max
-    y = model.outputs(x, u_max)
+    y_hi, y_lo = model.advance(x, u_max)[0], model.advance(x, 0.0)[0]
     roots = np.array([u_max] + [math.inf] * (spec.p - 1))
     pending = []
     for idx in range(1, spec.p):
-        y_bar_i, f_hi = float(spec.y_bar[idx]), float(y[idx])
+        y_bar_i, f_hi = float(spec.y_bar[idx]), float(y_hi[idx])
         if f_hi <= y_bar_i:
             continue
         if not math.isfinite(f_hi):
             raise RootFindingError(f"constraint {idx + 1}: non-finite output at "
                                    "bracket top", 0.0, u_max, 0)
-        if model.output(x, 0.0, idx) > y_bar_i:
+        if y_lo[idx] > y_bar_i:
             roots[idx] = 0.0
         else:
             pending.append(idx)

@@ -2,8 +2,9 @@
 
 A plant is a discrete-time system ``x_{t+1} = f(x_t, u_t)`` with p scalar
 outputs ``y_i = h_i(x_t, u_t)`` that are strictly increasing in the input
-current u. Output 1 is the identity in u. States are numeric arrays that
-only the concrete models interpret.
+current u. Output 1 is the identity in u. A plant's one required method,
+``advance``, gives a step's outputs and next state from one call. States
+are numeric arrays that only the concrete models interpret.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
 callback) with one ``advance`` call per step, computes the weighted errors
@@ -46,42 +47,32 @@ class PlantModel(abc.ABC):
     """Discrete-time plant with p monotone scalar outputs.
 
     Subclasses set ``state_dim`` and ``output_count`` and implement
-    ``outputs`` and ``advance`` (a step's outputs and next state from one
-    call). ``output``, ``output_rows``, ``telemetry`` and ``riding_currents``
-    have overridable defaults.
+    ``advance`` (a step's outputs and next state from one call), the one
+    place where a plant computes its outputs. ``output_rows``, ``telemetry``
+    and ``riding_currents`` are overridable fast paths.
     """
 
     state_dim: int
     output_count: int
 
     @abc.abstractmethod
-    def outputs(self, state, u: float) -> np.ndarray:
-        """All p outputs h_i(x, u); index 0 holds y_1 = u."""
-
-    @abc.abstractmethod
     def advance(self, state, u: float) -> tuple[np.ndarray, Any]:
-        """One step: the outputs, equal to ``outputs(state, u)`` bit for bit,
-        and the next state f(x, u). The loops test the outputs against their
-        guard before the next state, so where the outputs fail it the next
-        state may be non-finite, but its computation must not raise."""
-
-    def output(self, state, u: float, index: int) -> float:
-        """Single output by 0-based position, read off ``outputs``, so that the
-        two agree by construction. This is the one path: only ``SpmetPlant``
-        overrides it, because its ``outputs`` is built from ``output``."""
-        return float(self.outputs(state, u)[index])
+        """One step: all p outputs h_i(x, u), index 0 holding y_1 = u, and the
+        next state f(x, u). The loops test the outputs against their guard
+        before the next state, so where the outputs fail it the next state
+        may be non-finite, but its computation must not raise."""
 
     def output_rows(self, states: np.ndarray, u: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
-        """``output`` of each row: entry k is
-        ``output(states[k], u[k], index[k])``, bit for bit.
+        """One output of each row: entry k is
+        ``advance(states[k], u[k])[0][index[k]]``, bit for bit.
 
         Takes (n, *state_shape) states with (n,) inputs and 0-based output
-        positions. The default loops over ``output``; an override must keep
+        positions. The default loops over ``advance``; an override must keep
         the row-wise bit equality, which the analysis layer relies on to
         match its scalar references exactly.
         """
-        return np.array([self.output(x, u_k, i) for x, u_k, i
+        return np.array([self.advance(x, u_k)[0][i] for x, u_k, i
                          in zip(states, u.tolist(), index.tolist())], dtype=float)
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray | None:
@@ -430,8 +421,9 @@ def validate_monotonicity(model: PlantModel, states: Sequence,
                           delta: float = 1e-6) -> MonotonicityReport:
     """Check all outputs are strictly increasing in u on the given sample.
 
-    Uses forward differences (y(x, u + delta) - y(x, u)) / delta and reports
-    the per-output minimum slope; any output with slope <= 0 is flagged.
+    Uses forward differences (y(x, u + delta) - y(x, u)) / delta of the
+    outputs of ``advance`` and reports the per-output minimum slope; any
+    output with slope <= 0 is flagged.
     """
     states = list(states)
     u_grid = [float(u) for u in u_grid]
@@ -441,8 +433,8 @@ def validate_monotonicity(model: PlantModel, states: Sequence,
     count = 0
     for x in states:
         for u in u_grid:
-            y0 = model.outputs(x, u)
-            y1 = model.outputs(x, u + delta)
+            y0 = model.advance(x, u)[0]
+            y1 = model.advance(x, u + delta)[0]
             if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(y1))):
                 raise SimulationDiverged(count, "non-finite output during monotonicity scan")
             min_slope = np.minimum(min_slope, (y1 - y0) / delta)

@@ -14,7 +14,7 @@ import numpy as np
 
 from bangride.controller import ConstraintSpec
 from bangride.plant import PlantModel, Trajectory
-from references import ct_diagnostic
+from references import ct_diagnostic, output
 
 
 @dataclass
@@ -56,7 +56,7 @@ def gradient_sign_check(trajectory: Trajectory, model: PlantModel,
 
         def cost(th: np.ndarray) -> float:
             u = float(th @ s)
-            return (gamma_i * (y_bar_i - model.output(x, u, i_star - 1))) ** 2
+            return (gamma_i * (y_bar_i - output(model, x, u, i_star - 1))) ** 2
 
         g = -e_active * s
         for m in range(2):

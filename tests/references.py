@@ -6,7 +6,9 @@ float paths equal bit for bit, and ``phases``. No command runs them:
 a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
 The ``*_step`` functions are each packaged plant's next state as a separate
-computation, which the next state of its ``advance`` equals.
+computation, which the next state of its ``advance`` equals. ``output``
+reads one output off ``advance``, the plant's one output path, for the
+scalar references and the model tests.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
 from bangride.oracle import RootConfig
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+
+
+def output(model: PlantModel, x, u: float, i: int) -> float:
+    """Output i (0-based) of ``model`` at state x and input u, read off
+    ``advance``."""
+    return float(model.advance(x, u)[0][i])
 
 
 @dataclass
@@ -54,21 +62,21 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
     """
     idx = i - 1
     hi = u_hi
-    f_hi = model.output(x, hi, idx)
+    f_hi = output(model, x, hi, idx)
     if not math.isfinite(f_hi):
         raise RootFindingError(f"constraint {i}: non-finite output at bracket top",
                                0.0, hi, 0)
     if f_hi < y_bar_i:
         return FeedbackValue(value=math.inf)
     lo = 0.0
-    if model.output(x, lo, idx) > y_bar_i:
+    if output(model, x, lo, idx) > y_bar_i:
         return FeedbackValue(value=0.0)
 
     # halve until the bracket meets tol_u and the residual meets tol_y (the
     # FeedbackValue contract); monotonicity keeps the root bracketed throughout
     for k in range(1, RootConfig.max_iter + 1):
         mid = 0.5 * (lo + hi)
-        res = model.output(x, mid, idx) - y_bar_i
+        res = output(model, x, mid, idx) - y_bar_i
         if res > 0.0:
             hi = mid
         else:
@@ -83,11 +91,10 @@ def per_constraint_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarr
     """``oracle.bisected_roots`` with one ``solve_constraint`` per constraint
     not met at u_max, each bisecting on its own."""
     u_max = spec.u_max
-    y = model.outputs(x, u_max)
     roots = [u_max]
     for i in range(2, spec.p + 1):
         y_bar_i = float(spec.y_bar[i - 1])
-        roots.append(math.inf if y[i - 1] <= y_bar_i else
+        roots.append(math.inf if output(model, x, u_max, i - 1) <= y_bar_i else
                      solve_constraint(model, x, i, y_bar_i, u_max).value)
     return np.array(roots)
 
@@ -208,7 +215,7 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
     y_bar_i = float(spec.y_bar[i_star - 1])
 
     def err(u: float) -> float:
-        return gamma_i * (y_bar_i - model.output(x, u, i_star - 1))
+        return gamma_i * (y_bar_i - output(model, x, u, i_star - 1))
 
     if s @ s == 0.0:    # no history, or one too small to square (u is 0 within rounding)
         e0 = err(0.0)
@@ -246,8 +253,8 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
 def ct_diagnostic(model: PlantModel, x, u: float, i_star: int, gamma_i: float,
                   delta: float = 1e-5) -> float:
     """Central-difference estimate of 2 * gamma_i * dh_{i*}/du at (x, u)."""
-    hp = model.output(x, u + delta, i_star - 1)
-    hm = model.output(x, u - delta, i_star - 1)
+    hp = output(model, x, u + delta, i_star - 1)
+    hm = output(model, x, u - delta, i_star - 1)
     return 2.0 * gamma_i * (hp - hm) / (2.0 * delta)
 
 

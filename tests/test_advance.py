@@ -1,5 +1,6 @@
-"""``PlantModel.advance`` against the plant's own ``outputs`` and against a
-separate next-state computation (``tests/references.py``), bit for bit."""
+"""``PlantModel.advance``, the plant contract's one method: each packaged
+plant's next state against a separate computation (``tests/references.py``),
+bit for bit, and the contract itself."""
 
 import importlib
 import inspect
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bangride.models
+import bangride
 from bangride import EcmParams, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.config import load_spmet_params, resolve_config_path
 from bangride.models.ecm import EcmPlant, perturb_params
@@ -27,9 +28,7 @@ def same_bits(a, b) -> bool:
 
 
 def assert_advance(plant, x, u, reference) -> None:
-    y, x_next = plant.advance(x, u)
-    assert same_bits(y, plant.outputs(x, u))
-    assert same_bits(x_next, reference(plant, x, u))
+    assert same_bits(plant.advance(x, u)[1], reference(plant, x, u))
 
 
 def signed(lo: float, hi: float):
@@ -82,15 +81,22 @@ def test_toy(coef, p, x, u):
     assert_advance(plant, np.array([x]), u, toy_step)
 
 
-def test_contract_is_outputs_and_advance():
-    # step left the contract: no plant defines it, and the abstract
-    # methods are as many as before
-    assert PlantModel.__abstractmethods__ == {"outputs", "advance"}
+def test_contract_is_advance(scenarios):
+    # advance is the one required method: no class under bangride defines
+    # step, outputs or output, and each packaged plant's advance returns
+    # output_count outputs and a next state of its state's shape
+    assert PlantModel.__abstractmethods__ == {"advance"}
     classes = []
-    for info in pkgutil.iter_modules(bangride.models.__path__):
-        module = importlib.import_module(f"bangride.models.{info.name}")
+    for info in pkgutil.walk_packages(bangride.__path__, "bangride."):
+        module = importlib.import_module(info.name)
         classes += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
                     if cls.__module__ == module.__name__]
     assert {"EcmPlant", "EcmEnsemble", "PackPlant", "SpmetPlant",
             "ToyLinearPlant"} <= {cls.__name__ for cls in classes}
-    assert [cls.__name__ for cls in classes if "step" in vars(cls)] == []
+    assert [cls.__name__ for cls in classes
+            if {"step", "outputs", "output"} & vars(cls).keys()] == []
+    for name in ("spmet", "ecm", "pack", "toy"):
+        built = scenarios[name]
+        y, x_next = built.model.advance(built.x0, 0.0)
+        assert y.shape == (built.model.output_count,)
+        assert x_next.shape == np.shape(built.x0)

@@ -24,8 +24,8 @@ from bangride.analysis import (_min_norm_on_line_in_box, _min_norm_rows,
 from bangride.models.ecm import EcmEnsemble
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
-from references import (ReferenceController, ct_diagnostic, per_step_optimal_cost,
-                        replay_open_loop)
+from references import (ReferenceController, ct_diagnostic, output,
+                        per_step_optimal_cost, replay_open_loop)
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -135,7 +135,7 @@ class TestPerStepOptimum:
         for a in th1:
             u_row = a * le + th2 * es
             for u in u_row:
-                err = gamma_i * (y_bar_i - model.output(x, float(u), i_star - 1))
+                err = gamma_i * (y_bar_i - output(model, x, float(u), i_star - 1))
                 best = min(best, err * err)
         assert opt.j_star <= best + 1e-9
         # grid resolution bound: the optimum cannot be far below the grid best
@@ -325,14 +325,14 @@ class TestBatchedOptima:
         n = len(traj)
         index = np.array(index[:n]) % model.output_count
         rows = model.output_rows(traj.states[:n], traj.u, index)
-        scalar = [model.output(traj.states[k], u, i)
+        scalar = [model.advance(traj.states[k], u)[0][i]
                   for k, (u, i) in enumerate(zip(traj.u.tolist(), index.tolist()))]
         assert rows.tolist() == scalar
         assert np.array_equal(np.signbit(rows), np.signbit(scalar))
 
     @pytest.mark.parametrize("name", ["spmet", "ecm"])
     def test_free_runs_through_default_output_rows(self, name, scenarios, free_runs):
-        # the ECM's own output_rows set aside: the default loop over output
+        # the plant's own output_rows set aside: the default loop over advance
         built = scenarios[name]
         traj, _ = free_runs[name]
         model = copy.copy(built.model)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bangride import ConfigurationError, EcmParams, EcmPlant, perturb_params
 from bangride.models.ecm import PHYSICAL_FIELDS
+from references import output
 
 KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
           q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -69,7 +70,7 @@ class TestEcmOutputs:
     def test_h2_at_zero_state_equals_u(self, plant):
         x = np.zeros(4)
         for u in (0.0, 1.0, 7.5):
-            assert plant.output(x, u, 1) == u
+            assert output(plant, x, u, 1) == u
 
     def test_h3_formula_exact(self, plant):
         p = plant.params
@@ -78,26 +79,17 @@ class TestEcmOutputs:
         expected = (x[3] * (1.0 - p.a * p.dt)
                     + p.b * p.dt * (x[0] + x[1]) * u
                     + p.b * p.dt * p.r_o * u ** 2)
-        assert plant.output(x, u, 2) == pytest.approx(expected, rel=1e-15)
+        assert output(plant, x, u, 2) == pytest.approx(expected, rel=1e-15)
 
     def test_h3_is_next_step_temperature_deviation_at_k_zero_coupling(self, plant):
         x = np.array([0.5, 0.9, 0.3, 2.0])
         u = 4.0
-        assert plant.output(x, u, 2) == pytest.approx(plant.advance(x, u)[1][3], rel=1e-15)
-
-    def test_scalar_fast_path_matches_vector_outputs(self, plant):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.uniform(0, 3, size=4)
-            u = rng.uniform(-2, 12)
-            y = plant.outputs(x, u)
-            for i in range(3):
-                assert plant.output(x, u, i) == y[i]
+        assert output(plant, x, u, 2) == pytest.approx(plant.advance(x, u)[1][3], rel=1e-15)
 
     def test_voltage_readout_matches_row(self, plant):
         x = np.array([0.4, 0.6, 0.5, 1.0])
         u = 3.0
-        assert plant.output(x, u, 1) == pytest.approx(
+        assert output(plant, x, u, 1) == pytest.approx(
             float(np.array([1.0, 1.0, KW["ocv_slope"], 0.0]) @ x) + u)
 
 
@@ -111,7 +103,7 @@ def test_output_rows_equal_output(seed, n):
     u = rng.uniform(-5.0, 60.0, n) * rng.choice([-0.0, 1.0], n)
     index = rng.integers(0, model.output_count, n)
     rows = model.output_rows(states, u, index)
-    scalar = [model.output(x, u_k, i)
+    scalar = [model.advance(x, u_k)[0][i]
               for x, u_k, i in zip(states, u.tolist(), index.tolist())]
     assert rows.tolist() == scalar
     assert np.array_equal(np.signbit(rows), np.signbit(scalar))

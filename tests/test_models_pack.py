@@ -32,7 +32,7 @@ def test_output_rows_equal_output(mode, seed, n_cells, rows):
     u = rng.uniform(-5.0, 60.0, rows) * rng.choice([-0.0, 1.0], rows)
     index = rng.integers(0, plant.output_count, rows)
     out = plant.output_rows(states, u, index)
-    scalar = [plant.output(x, u_k, i)
+    scalar = [plant.advance(x, u_k)[0][i]
               for x, u_k, i in zip(states, u.tolist(), index.tolist())]
     assert out.tolist() == scalar
     assert np.array_equal(np.signbit(out), np.signbit(scalar))
@@ -42,21 +42,6 @@ class TestPackLayout:
     def test_output_count(self):
         assert make_pack(n=4).output_count == 1 + 4 + 4 + 1
         assert make_pack(n=4, mode="all-pairs").output_count == 1 + 4 + 4 + 12
-
-    def test_scalar_fast_path_matches_vector_outputs(self):
-        for mode in ("max-minus-min", "all-pairs"):
-            plant = make_pack(n=5, var=0.2, mode=mode, seed=3)
-            rng = np.random.default_rng(8)
-            x = plant.initial_state()
-            x[:, 0] = rng.uniform(0, 1.5, 5)
-            x[:, 1] = rng.uniform(0, 2.5, 5)
-            x[:, 2] = 0.4
-            x[:, 3] = rng.uniform(0, 6, 5)
-            for u in (0.0, 3.0, 9.0):
-                y = plant.outputs(x, u)
-                assert len(y) == plant.output_count
-                for i in range(plant.output_count):
-                    assert plant.output(x, u, i) == y[i]
 
     def test_constraint_labels(self):
         plant = make_pack(n=4)
@@ -124,7 +109,7 @@ class TestPackDynamics:
         u = 6.0
         manual = sum(base.ocv0 + base.ocv_slope * x[i, 2] + base.r_o * u
                      + x[i, 0] + x[i, 1] for i in range(3))
-        tel = pack.telemetry(x[None], np.array([u]), pack.outputs(x, u)[None])
+        tel = pack.telemetry(x[None], np.array([u]), pack.advance(x, u)[0][None])
         assert tel["v_pack"][0] == pytest.approx(manual, rel=1e-15)
 
     def test_pack_voltage_summation_along_run(self):
@@ -159,7 +144,7 @@ class TestPairwiseModes:
         rng = np.random.default_rng(4)
         x[:, 0] = rng.uniform(0, 1, 3)
         x[:, 3] = rng.uniform(0, 5, 3)
-        y = plant.outputs(x, 5.0)
+        y = plant.advance(x, 5.0)[0]
         t_outs, pair_block = y[1 + 3:1 + 2 * 3], y[1 + 2 * 3:]
         expected = [t_outs[j] - t_outs[k] for j in range(3) for k in range(3) if j != k]
         assert np.allclose(pair_block, expected, rtol=1e-15)
@@ -172,8 +157,8 @@ class TestPairwiseModes:
         x[:, 0] = rng.uniform(0, 1, 5)
         x[:, 3] = rng.uniform(0, 6, 5)
         u = 4.0
-        ap_pairs = ap.outputs(x, u)[1 + 10:]
-        assert mm.outputs(x, u)[-1] == pytest.approx(ap_pairs.max(), rel=1e-15)
+        ap_pairs = ap.advance(x, u)[0][1 + 10:]
+        assert mm.advance(x, u)[0][-1] == pytest.approx(ap_pairs.max(), rel=1e-15)
 
     def test_selector_equivalence_between_modes(self):
         # identical active-constraint labels and identical ideal currents

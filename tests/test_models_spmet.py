@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import ConfigurationError, PotentialDomainError, SpmetPlant
 from bangride.config import load_spmet_params, resolve_config_path
+from references import output
 
 
 @pytest.fixture(scope="module")
@@ -94,30 +97,41 @@ class TestSpmetOutputs:
         for z in np.linspace(0.05, 0.95, 7):
             x = plant.initial_state(stoich=z)
             grid = np.linspace(0.0, 2.0 * plant.params.u_max, 9)
-            v = [plant.output(x, u, 1) for u in grid]
+            v = [output(plant, x, u, 1) for u in grid]
             assert np.all(np.diff(v) > 0)
 
     def test_first_output_is_identity(self, plant):
         x = plant.initial_state()
         for u in (0.0, 13.0, 56.3739):
-            assert plant.outputs(x, u)[0] == u
+            assert output(plant, x, u, 0) == u
 
     def test_potential_domain_error_names_function(self, plant):
         x = plant.initial_state()
         x[2] = -1.0
         with pytest.raises(PotentialDomainError, match="delta_phi_e"):
-            plant.output(x, 1.0, 1)
-
-    def test_scalar_fast_path_matches_vector_outputs(self, plant):
-        x = plant.initial_state(stoich=0.4)
-        for u in (0.0, 5.0, 50.0):
-            y = plant.outputs(x, u)
-            assert plant.output(x, u, 0) == y[0]
-            assert plant.output(x, u, 1) == y[1]
+            output(plant, x, 1.0, 1)
 
     def test_current_bound_is_twice_capacity(self, params):
         assert params.u_max == pytest.approx(2.0 * params.q)
         assert params.u_max == pytest.approx(56.3739)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+def test_output_rows_equal_output(plant, seed, n):
+    # bit for bit, signed zeros included, on random rows of the cell's range
+    rng = np.random.default_rng(seed)
+    c_max = plant.params.c_max
+    states = np.column_stack([rng.uniform(0.0, c_max, (n, 2)),
+                              rng.uniform(50.0, 3000.0, (n, 2)),
+                              rng.uniform(-20.0, 80.0, n) * rng.choice([0.0, 1.0], n)])
+    u = rng.uniform(-5.0, 120.0, n) * rng.choice([-0.0, 1.0], n)
+    index = rng.integers(0, plant.output_count, n)
+    rows = plant.output_rows(states, u, index)
+    scalar = [plant.advance(x, u_k)[0][i]
+              for x, u_k, i in zip(states, u.tolist(), index.tolist())]
+    assert rows.tolist() == scalar
+    assert np.array_equal(np.signbit(rows), np.signbit(scalar))
 
 
 class TestSpmetValidation:

@@ -8,7 +8,7 @@ from bangride import (ConfigurationError, ConstraintSpec, RootConfig,
                       selector)
 from bangride.oracle import bisected_roots
 from bangride.plant import PlantModel
-from references import per_constraint_roots, solve_constraint
+from references import output, per_constraint_roots, solve_constraint
 
 
 class StaticModel(PlantModel):
@@ -20,11 +20,8 @@ class StaticModel(PlantModel):
         self.fns = fns
         self.output_count = len(fns)
 
-    def outputs(self, state, u):
-        return np.array([fn(u) for fn in self.fns])
-
     def advance(self, state, u):
-        return self.outputs(state, u), state
+        return np.array([fn(u) for fn in self.fns]), state
 
 
 def test_tolerances_are_constants():
@@ -37,7 +34,7 @@ class TestSolveConstraint:
         model = StaticModel(lambda u: u)
         fv = solve_constraint(model, np.zeros(1), 1, 56.3739, 112.7478)
         assert fv.value == pytest.approx(56.3739, abs=1e-6)
-        assert abs(model.output(np.zeros(1), fv.value, 0) - 56.3739) <= RootConfig.tol_y
+        assert abs(output(model, np.zeros(1), fv.value, 0) - 56.3739) <= RootConfig.tol_y
 
     def test_affine_root(self):
         model = StaticModel(lambda u: u, lambda u: 1.0 + u)
@@ -139,38 +136,43 @@ class TestSelector:
     def test_bisected_roots_cover_u_max_only(self):
         # every constraint violated at u_max is bisected on [0, u_max]; one
         # met there contributes +inf, one violated at zero 0
-        brackets = []
+        currents = []
 
-        def h(u):
-            brackets.append(u)
-            return u - 2.0
+        class Counting(StaticModel):
+            def advance(self, state, u):
+                currents.append(u)
+                return super().advance(state, u)
 
-        model = StaticModel(lambda u: u, h, lambda u: u - 30.0, lambda u: u + 7.0)
+        model = Counting(lambda u: u, lambda u: u - 2.0, lambda u: u - 30.0,
+                         lambda u: u + 7.0)
         spec = ConstraintSpec(y_bar=[10.0, 4.0, 1.0, 5.0], gamma=[1.0] * 4)
         roots = bisected_roots(model, np.zeros(1), spec)
         assert roots[0] == 10.0 and roots[2] == math.inf and roots[3] == 0.0
         assert roots[1] == pytest.approx(6.0, abs=1e-9)
-        # outputs at u_max, the zero-current checks of constraints 2 and 4,
-        # then the solve
-        assert brackets[:3] == [10.0, 0.0, 0.0]
+        # one advance call at u_max and one at zero current; the halvings
+        # go through output_rows
+        assert currents[:2] == [10.0, 0.0]
+        assert currents.count(10.0) == currents.count(0.0) == 1
         res = selector(model, np.zeros(1), spec)
         assert (res.u, res.i_star) == (0.0, 4)
 
     def test_bisected_roots_read_the_bracket_top_off_outputs(self):
-        # no output call at u_max; the roots equal the scalar bisection's
+        # the bracket's top and bottom from one advance call each; the
+        # roots equal the scalar bisection's
         currents = []
 
         class CountingToy(ToyLinearPlant):
-            def output(self, state, u, index):
+            def advance(self, state, u):
                 currents.append(u)
-                return super().output(state, u, index)
+                return super().advance(state, u)
 
         model, spec = CountingToy(), ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         for x0 in (-10.0, -3.0, 0.0, 2.5, 12.0):
             x = model.initial_state(x0)
-            assert (bisected_roots(model, x, spec).tobytes()
-                    == per_constraint_roots(ToyLinearPlant(), x, spec).tobytes())
-        assert currents == [0.0] * 4
+            currents.clear()
+            roots = bisected_roots(model, x, spec)
+            assert currents == [10.0, 0.0]
+            assert roots.tobytes() == per_constraint_roots(ToyLinearPlant(), x, spec).tobytes()
 
     def test_spec_size_mismatch(self):
         model = StaticModel(lambda u: u)

@@ -168,11 +168,8 @@ class ScriptedPlant(PlantModel):
         self.rows = np.concatenate([1.0 - errors[:, :1], -errors[:, 1:]], axis=1)
         self.output_count = errors.shape[1]
 
-    def outputs(self, x, u):
-        return self.rows[int(x[0])]
-
     def advance(self, x, u):
-        return self.outputs(x, u), x + 1.0
+        return self.rows[int(x[0])], x + 1.0
 
     def spec(self) -> ConstraintSpec:
         return ConstraintSpec(y_bar=[1.0] + [-0.0] * (self.output_count - 1),
@@ -260,8 +257,8 @@ class TestFloatLoopMatchesReference:
 class FaultyToy(ToyLinearPlant):
     """Integrator whose state carries a step counter, so that it can fail at
     a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
-    Only ``advance`` fails: ``outputs`` stays finite, so the oracle's
-    bisection still runs and the failure reaches the stepping loop."""
+    Its riding currents are the toy's closed forms, so that the oracle reads
+    no faulty output and the failure reaches the stepping loop."""
 
     state_dim = 2
 
@@ -280,6 +277,9 @@ class FaultyToy(ToyLinearPlant):
         if state[1] == self.k and self.fault == "state-past-guard":
             x[0] = 2e9
         return y, x
+
+    def riding_currents(self, state, y_bar):
+        return np.array([y_bar[0], (y_bar[1] - self.c * state[0]) / self.d])
 
 
 OUTPUT_FAULTS = {"nan-outputs": np.nan, "inf-outputs": np.inf,
@@ -335,11 +335,8 @@ class Growth(PlantModel):
     def __init__(self, g, c):
         self.g, self.c = g, c
 
-    def outputs(self, state, u):
-        return np.array([u, self.c * state[0]])
-
     def advance(self, state, u):
-        return self.outputs(state, u), np.array([self.g * state[0] + u])
+        return np.array([u, self.c * state[0]]), np.array([self.g * state[0] + u])
 
 
 class GrowthBatch:
@@ -353,11 +350,8 @@ class GrowthBatch:
     def take(self, keep):
         return GrowthBatch(self.g[keep], self.c[keep])
 
-    def outputs(self, x, u):
-        return np.stack([u, self.c * x[:, 0]], axis=1)
-
     def advance(self, x, u):
-        return self.outputs(x, u), (self.g * x[:, 0] + u)[:, None]
+        return np.stack([u, self.c * x[:, 0]], axis=1), (self.g * x[:, 0] + u)[:, None]
 
 
 class TestSimulateBatch:
@@ -510,20 +504,6 @@ class TestLoopBodies:
         assert seen == [kind]
 
 
-@pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])
-def test_output_is_an_entry_of_outputs(name, scenarios, free_runs, oracle_runs):
-    # exactly, on states the packaged scenario visits, at the applied
-    # current and across the current range
-    built = scenarios[name]
-    model, u_max = built.model, built.spec.u_max
-    for traj in (free_runs[name][0], oracle_runs[name]):
-        for t in np.linspace(0, len(traj) - 1, 20).astype(int):
-            x = traj.states[t]
-            for u in (float(traj.u[t]), 0.0, 0.5 * u_max, u_max):
-                single = [model.output(x, u, i) for i in range(model.output_count)]
-                assert single == model.outputs(x, u).tolist(), (int(t), u)
-
-
 class TestValidateMonotonicity:
     def test_identity_output_slope_one(self):
         model = ToyLinearPlant()
@@ -558,11 +538,8 @@ class TestValidateMonotonicity:
 
     def test_flags_non_monotone_output(self):
         class Decreasing(ToyLinearPlant):
-            def outputs(self, state, u):
-                return np.array([u, -u])
-
-            def output(self, state, u, index):
-                return u if index == 0 else -u
+            def advance(self, state, u):
+                return np.array([u, -u]), state
 
         rep = validate_monotonicity(Decreasing(), [np.zeros(1)], [0.0, 1.0])
         assert rep.flagged == [2]

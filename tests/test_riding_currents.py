@@ -25,7 +25,7 @@ from bangride.models.ecm import EcmEnsemble, perturb_params
 from bangride.models.pack import spread_root
 from bangride.oracle import bisected_roots
 from pack_labels import constraint_label
-from references import per_constraint_roots
+from references import output, per_constraint_roots
 from test_oracle import StaticModel
 
 ECM_BASE = load_ecm_params(params_path(load_scenario("ecm"), "params_ecm.cfg"))
@@ -45,11 +45,11 @@ def assert_roots_solve(model, x, y_bar):
     roots = model.riding_currents(x, y_bar)
     for i, root in enumerate(roots):
         if root < 0.0:
-            assert model.output(x, 0.0, i) > y_bar[i]
+            assert output(model, x, 0.0, i) > y_bar[i]
         elif root == math.inf:
-            assert model.output(x, 1e3, i) < y_bar[i]
+            assert output(model, x, 1e3, i) < y_bar[i]
         elif not math.isnan(root):
-            assert abs(model.output(x, root, i) - y_bar[i]) <= 1e-9 * (1.0 + abs(y_bar[i]))
+            assert abs(output(model, x, root, i) - y_bar[i]) <= 1e-9 * (1.0 + abs(y_bar[i]))
 
 
 def assert_same_selection(model, x, spec):
@@ -57,7 +57,7 @@ def assert_same_selection(model, x, spec):
     ref = selector(bisection_only(model), x, spec)
     assert fast.i_star == ref.i_star
     assert abs(fast.u - ref.u) <= RootConfig.tol_u
-    residual = model.output(x, fast.u, fast.i_star - 1) - spec.y_bar[fast.i_star - 1]
+    residual = output(model, x, fast.u, fast.i_star - 1) - spec.y_bar[fast.i_star - 1]
     if fast.u == 0.0 and residual > 0.0:
         assert ref.u == 0.0  # violated at zero on both paths
     else:
@@ -119,9 +119,9 @@ def test_ecm_closed_form_matches_bisection(seed, v1, v2, soc, td, u_max,
     x = np.array([v1, v2, soc, td])
     y_bar = [u_max]
     for idx, w in ((1, w_volt), (2, w_temp)):
-        h0, h_max = plant.output(x, 0.0, idx), plant.output(x, u_max, idx)
+        h0, h_max = output(plant, x, 0.0, idx), output(plant, x, u_max, idx)
         y_bar.append(h0 + w * (h_max - h0) if w < 0.0
-                     else plant.output(x, w * u_max, idx))
+                     else output(plant, x, w * u_max, idx))
     # where the temperature slope at its root is tiny (v1 + v2 and the root
     # near 0) the output rounds to the bound over more than tol_u, and
     # bisection may stop anywhere on that flat stretch
@@ -146,11 +146,11 @@ def test_ecm_negative_slope_matches_bisection(seed, v1, v2, soc, td, u_max, w_te
     assume(abs(w_temp - 1.0) > 1e-6 / u_max)
     plant = EcmPlant(perturb_params(ECM_BASE, 0.3, seed))
     x = np.array([v1, v2, soc, td])
-    y_bar = [u_max, plant.output(x, 2.0 * u_max, 1) + 1.0,
-             plant.output(x, w_temp * u_max, 2)]
+    y_bar = [u_max, output(plant, x, 2.0 * u_max, 1) + 1.0,
+             output(plant, x, w_temp * u_max, 2)]
     spec = ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0])
     root = plant.riding_currents(x, spec.y_bar)[2]
-    if plant.output(x, 0.0, 2) > y_bar[2]:
+    if output(plant, x, 0.0, 2) > y_bar[2]:
         assert root == -math.inf
         return
     # the slope at the root is sqrt(b**2 - 4ac) >= |b|; where it is tiny the
@@ -181,11 +181,9 @@ def test_ecm_ensemble_rows_equal_cells(seed, rows, y_temp):
     y_bar = np.array([10.0, 12.0, y_temp])
     roots = ensemble.riding_currents(x, y_bar)
     assert not np.isnan(roots).any()
-    outputs, (y, x_next) = ensemble.outputs(x, u), ensemble.advance(x, u)
-    assert np.array_equal(y, outputs)
+    y, x_next = ensemble.advance(x, u)
     for k, cell in enumerate(ensemble.cells):
         assert np.array_equal(roots[k], cell.riding_currents(x[k], y_bar))
-        assert np.array_equal(outputs[k], cell.outputs(x[k], float(u[k])))
         y_cell, x_cell = cell.advance(x[k], float(u[k]))
         assert np.array_equal(y[k], y_cell)
         assert np.array_equal(x_next[k], x_cell)
@@ -259,8 +257,8 @@ def spmet_cases(draw):
     # a riding current within tol_u of u_max may pick either constraint
     assume(abs(w - 1.0) > 1e-6 / u_max)
     x = np.array(state)
-    h0, h_max = SPMET.output(x, 0.0, 1), SPMET.output(x, u_max, 1)
-    bound = h0 + w * (h_max - h0) if w < 0.0 else SPMET.output(x, w * u_max, 1)
+    h0, h_max = output(SPMET, x, 0.0, 1), output(SPMET, x, u_max, 1)
+    bound = h0 + w * (h_max - h0) if w < 0.0 else output(SPMET, x, w * u_max, 1)
     return state, bound
 
 
@@ -300,11 +298,11 @@ def test_spmet_riding_current_contract(case):
     assert roots[0] == SPMET.params.u_max
     root = roots[1]
     assert not math.isnan(root)
-    assert (root == -math.inf) == (SPMET.output(x, 0.0, 1) > bound)
+    assert (root == -math.inf) == (output(SPMET, x, 0.0, 1) > bound)
     if root != -math.inf:
         assert 0.0 <= root < math.inf
-        assert SPMET.output(x, root, 1) <= bound
-        assert SPMET.output(x, root + tol_u, 1) > bound
+        assert output(SPMET, x, root, 1) <= bound
+        assert output(SPMET, x, root + tol_u, 1) > bound
 
 
 @pytest.mark.parametrize("ce", [(0.0, 1200.0), (1200.0, -1.0)])
@@ -375,7 +373,7 @@ def static_cases(draw):
 def toy_cases(draw):
     plant = ToyLinearPlant(c=draw(st.floats(-2.0, 2.0)), d=draw(st.floats(0.05, 5.0)))
     x, u_max = np.array([draw(st.floats(-20.0, 20.0))]), draw(st.floats(0.5, 60.0))
-    bound = placed_bound(lambda u: plant.output(x, u, 1), u_max, draw(_placed))
+    bound = placed_bound(lambda u: output(plant, x, u, 1), u_max, draw(_placed))
     return plant, x, ConstraintSpec(y_bar=[u_max, bound], gamma=[1.0, 1.0])
 
 
@@ -385,7 +383,7 @@ def ecm_cases(draw):
     x = np.array([draw(st.floats(-1.0, 2.0)), draw(st.floats(-1.0, 3.0)),
                   draw(st.floats(0.0, 1.2)), draw(st.floats(0.0, 30.0))])
     u_max = draw(st.floats(0.5, 60.0))
-    y_bar = [u_max] + [placed_bound(lambda u: plant.output(x, u, idx), u_max,
+    y_bar = [u_max] + [placed_bound(lambda u: output(plant, x, u, idx), u_max,
                                     draw(_placed)) for idx in (1, 2)]
     return (bisection_only(plant), x,
             ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0]))
