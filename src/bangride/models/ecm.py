@@ -81,17 +81,17 @@ class EcmPlant(PlantModel):
         return np.array([0.0, 0.0, float(soc0), 0.0])
 
     def advance(self, state, u: float):
-        v1, v2, soc, td = state.tolist()
+        v1, v2, soc, td = map(float, state)
         p = self.params
         h2 = v1 + v2 + p.ocv_slope * soc + u
         h3 = self._kt * td + self._bt * (v1 + v2) * u + self._bt * p.r_o * u * u
         heat = self._bt * u * (p.r_o * u + v1 + v2)
-        return np.array([u, h2, h3]), np.array([
+        return [u, h2, h3], [
             self._k1 * v1 + self._b1 * u,
             self._k2 * v2 + self._b2 * u,
             soc + self._ks * u,
             self._kt * td + heat,
-        ])
+        ]
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """The one-cell ensemble's outputs on the rows, then each row's entry."""
@@ -103,7 +103,7 @@ class EcmPlant(PlantModel):
     def _ensemble(self) -> "EcmEnsemble":
         return EcmEnsemble([self.params])
 
-    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
+    def riding_currents(self, state, y_bar: np.ndarray) -> list[float]:
         """Current bound, affine voltage root, and the root where the
         temperature quadratic a*u**2 + b*u + c crosses the bound upward, in
         the cancellation-free form -2c / (b + sqrt(b**2 - 4ac)): -inf where
@@ -116,9 +116,10 @@ class EcmPlant(PlantModel):
         which is what -inf reports. No charging run reaches this case: v1
         and v2 stay >= 0 from rest under u >= 0. Scalar arithmetic: for one
         cell numpy's per-call overhead would exceed the work."""
-        v1, v2, soc, td = (float(v) for v in state)
+        v1, v2, soc, td = map(float, state)
+        u_max, v_max, t_max = map(float, y_bar)
         b = self._bt * (v1 + v2)
-        c = self._kt * td - float(y_bar[2])
+        c = self._kt * td - t_max
         disc = b * b - 4.0 * self._bt * self.params.r_o * c
         if disc < 0.0:
             u_temp = -math.inf
@@ -127,8 +128,7 @@ class EcmPlant(PlantModel):
                       (math.sqrt(disc) - b) / (2.0 * self._bt * self.params.r_o))
         else:
             u_temp = -2.0 * c / (b + math.sqrt(disc))
-        return np.array([y_bar[0], y_bar[1] - (v1 + v2 + self.params.ocv_slope * soc),
-                         u_temp])
+        return [u_max, v_max - (v1 + v2 + self.params.ocv_slope * soc), u_temp]
 
     def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
         return {

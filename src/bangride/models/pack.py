@@ -238,14 +238,14 @@ def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:
     """
     if alpha.max() - alpha.min() > bound:
         return -np.inf
-    pair = (int(np.argmax(beta)), int(np.argmin(beta)))
+    pair = (int(beta.argmax()), int(beta.argmin()))
     slope = beta[pair[0]] - beta[pair[1]]
     if slope <= 0.0:
         return np.inf  # parallel lines: the spread stays at its value at u = 0
     u = (bound - (alpha[pair[0]] - alpha[pair[1]])) / slope
     for _ in range(2 * len(alpha)):
         lines = alpha + beta * u
-        active = (int(np.argmax(lines)), int(np.argmin(lines)))
+        active = (int(lines.argmax()), int(lines.argmin()))
         excess = lines[active[0]] - lines[active[1]] - bound
         slope = beta[active[0]] - beta[active[1]]
         if active == pair or excess <= 0.0 or slope <= 0.0:

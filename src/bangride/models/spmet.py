@@ -110,7 +110,7 @@ class SpmetParams:
 
     def potential_terms(self, x: list[float]) -> tuple[float, float, float]:
         """The parts of the three potentials that do not depend on u, at the
-        state x as floats (``state.tolist()``): dU(z), the overpotential gain
+        state x as a list of floats: dU(z), the overpotential gain
         k(T) = bv_gain*(T_K/298.15), and the electrolyte term
         phi_log_gain*ln(ce_pos/ce_neg). Every voltage evaluation combines them
         in one operation order, dU + eta + phi with eta = k*asinh(u/bv_scale)
@@ -176,19 +176,19 @@ class SpmetPlant(PlantModel):
 
     def advance(self, state, u: float):
         p = self.params
-        x = state.tolist()
+        x = list(map(float, state))
         c_avg, c_surf, ce_n, ce_p, temp = x
         du, k, log_term = p.potential_terms(x)
         eta = k * math.asinh(u / p.bv_scale)
         phi = p.film_res * u + log_term
         heat = (eta + phi) * u
-        return np.array([u, du + eta + phi]), np.array([
+        return [u, du + eta + phi], [
             c_avg + self._k_avg * u,
             self._lam * c_avg + (1.0 - self._lam) * c_surf + self._k_srf * u,
             ce_n + self._rex_n * (p.ce_rest_neg - ce_n) + self._fu_n * u,
             ce_p + self._rex_p * (p.ce_rest_pos - ce_p) + self._fu_p * u,
             temp - p.a * p.dt * (temp - p.t_ambient) + p.b * p.dt * heat,
-        ])
+        ]
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """Each row's output on Python floats; a voltage row through
@@ -197,18 +197,19 @@ class SpmetPlant(PlantModel):
         return np.array([volts(terms(x), u_k) if i else u_k for x, u_k, i
                          in zip(states.tolist(), u.tolist(), index.tolist())], dtype=float)
 
-    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
+    def riding_currents(self, state, y_bar: np.ndarray) -> list[float]:
         """Current bound, and the voltage root by Newton from u = 0 with the
         stop rule of the module docstring: -inf when the bound is exceeded at
         u = 0, and otherwise the root, also above u_max. Each voltage is
         computed by ``_volts``, bit for bit as ``advance`` does."""
         p = self.params
-        terms = p.potential_terms(state.tolist())
-        k, s, r, bound = terms[1], p.bv_scale, p.film_res, float(y_bar[1])
+        terms = p.potential_terms(list(map(float, state)))
+        u_max, bound = map(float, y_bar)
+        k, s, r = terms[1], p.bv_scale, p.film_res
         volts = self._volts
         u, v = 0.0, volts(terms, 0.0)
         if v > bound:
-            return np.array([y_bar[0], -math.inf])
+            return [u_max, -math.inf]
         while True:
             hi = u + (bound - v) / (k / math.sqrt(s * s + u * u) + r)
             if not hi > u:
@@ -226,7 +227,7 @@ class SpmetPlant(PlantModel):
                 hi = mid
             else:
                 u = mid
-        return np.array([y_bar[0], u])
+        return [u_max, u]
 
     def soc(self, states):
         """SOC of one state, or of each row of a state array."""

@@ -30,7 +30,7 @@ class ToyLinearPlant(PlantModel):
     def advance(self, state, u: float):
         x = float(state[0])
         y = [u] if self.output_count == 1 else [u, self.c * x + self.d * u]
-        return np.array(y), np.array([self.a * x + self.b * u])
+        return y, [self.a * x + self.b * u]
 
     def output_rows(self, states, u, index) -> np.ndarray:
         return np.where(index == 0, u, self.c * states[:, 0] + self.d * u)

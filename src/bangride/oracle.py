@@ -122,7 +122,9 @@ def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
 
     The riding currents come from ``model.riding_currents``, or from
     ``bisected_roots`` for a model without them. A negative root is pinned
-    to 0, and constraint 1 contributes u_max exactly.
+    to 0, and constraint 1 contributes u_max exactly. A vector plant's list
+    of roots is selected on floats as the pack's array is by numpy: -0.0
+    gives +0.0, and the first NaN root is the minimum.
     """
     if model.output_count != spec.p:
         raise ConfigurationError(
@@ -130,6 +132,15 @@ def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
     roots = model.riding_currents(x, spec.y_bar)
     if roots is None:
         roots = bisected_roots(model, x, spec)
+    if isinstance(roots, list):
+        u, k = spec.u_max, 0
+        for i, v in enumerate(roots[1:], 1):
+            v = 0.0 if v <= 0.0 else v  # NaN passes
+            if not v >= u:              # below the minimum so far, or NaN
+                u, k = v, i
+                if v != v:
+                    break
+        return SelectorResult(u=u, i_star=k + 1)
     values = np.maximum(roots, 0.0)
     values[0] = spec.u_max
     k = int(values.argmin())

@@ -4,7 +4,9 @@ A plant is a discrete-time system ``x_{t+1} = f(x_t, u_t)`` with p scalar
 outputs ``y_i = h_i(x_t, u_t)`` that are strictly increasing in the input
 current u. Output 1 is the identity in u. A plant's one required method,
 ``advance``, gives a step's outputs and next state from one call. States
-are numeric arrays that only the concrete models interpret.
+are numeric values that only the concrete models interpret; a single cell's
+vector state and results are Python float lists (the vector-state rule of
+``PlantModel.advance``), the pack's are numpy arrays.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
 callback) with one ``advance`` call per step, computes the weighted errors
@@ -56,11 +58,16 @@ class PlantModel(abc.ABC):
     output_count: int
 
     @abc.abstractmethod
-    def advance(self, state, u: float) -> tuple[np.ndarray, Any]:
+    def advance(self, state, u: float) -> tuple[Any, Any]:
         """One step: all p outputs h_i(x, u), index 0 holding y_1 = u, and the
         next state f(x, u). The loops test the outputs against their guard
         before the next state, so where the outputs fail it the next state
-        may be non-finite, but its computation must not raise."""
+        may be non-finite, but its computation must not raise.
+        The vector-state rule: a vector state comes as a float list or a 1-D
+        array, u as a Python float, and both results are Python float lists,
+        which ``simulate``'s float body relies on (a numpy scalar there would
+        square to inf where a float raises ``OverflowError``); callers apply
+        ``np.asarray`` for numpy arithmetic. Other states give arrays."""
 
     def output_rows(self, states: np.ndarray, u: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
@@ -75,8 +82,9 @@ class PlantModel(abc.ABC):
         return np.array([self.advance(x, u_k)[0][i] for x, u_k, i
                          in zip(states, u.tolist(), index.tolist())], dtype=float)
 
-    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray | None:
-        """Riding currents of all p constraints, or None.
+    def riding_currents(self, state, y_bar: np.ndarray) -> Any:
+        """Riding currents of all p constraints, or None; a float list or an
+        array, as ``advance`` returns its results.
 
         Entry i is the u that solves h_i(x, u) = y_bar_i. It is negative or
         -inf when the constraint is already violated at u = 0, and +inf when
@@ -184,9 +192,10 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
 
     The state's shape picks one of two loop bodies with the same columns,
     failures and messages. A vector state (a single cell) runs the float
-    body, which reads each step's outputs and state as Python floats and
-    hands ``observe`` the errors as a list; any other state (the pack's
-    (N, 4)) runs the array body, which hands ``observe`` a numpy array.
+    body on the float lists of ``PlantModel.advance`` from ``x0.tolist()``
+    on, and hands ``control`` the state and ``observe`` the errors as lists;
+    any other state (the pack's (N, 4)) runs the array body, which hands
+    them numpy arrays.
     """
     check_run(model, spec, t_f)
     n = t_f + 1
@@ -213,20 +222,20 @@ def _float_steps(model, spec, x0, control, observe, guard,
     weights = list(zip(spec.gamma.tolist(), spec.y_bar.tolist()))
     check_e = _check_e(spec, guard)
     low = -guard
-    states[0] = x = x0
+    states[0] = x0
+    x = states[0].tolist()
     for t in range(len(u_col)):
         u = control(t, x)
         if not low <= u <= guard:
             raise _diverged(u, "input current", t, guard)
         y, x = model.advance(x, u)
-        y_list = y.tolist()
-        for v in y_list:
+        for v in y:
             if not low <= v <= guard:
                 raise _diverged(y, "outputs", t, guard)
-        for v in x.tolist():
+        for v in x:
             if not low <= v <= guard:
                 raise _diverged(x, "state", t, guard)
-        e = [g * (b - v) for (g, b), v in zip(weights, y_list)]
+        e = [g * (b - v) for (g, b), v in zip(weights, y)]
         if check_e and not np.isfinite(e).all():
             raise SimulationDiverged(t, "non-finite weighted errors")
         i_star = observe(t, e)
@@ -246,7 +255,8 @@ def _float_steps(model, spec, x0, control, observe, guard,
 def _array_steps(model, spec, x0, control, observe, guard,
                  u_col, y_col, e_col, i_col, j_col, states) -> None:
     """``simulate``'s loop for any state, on numpy arrays; fills the
-    columns. The reference of ``_float_steps``."""
+    columns. The reference of ``_float_steps``: it takes a vector plant's
+    float lists as arrays."""
     gamma, y_bar = spec.gamma, spec.y_bar
     check_e = _check_e(spec, guard)
     states[0] = x = x0
@@ -255,7 +265,7 @@ def _array_steps(model, spec, x0, control, observe, guard,
         # one comparison per value: false for NaN, inf and anything past guard
         if not abs(u) <= guard:
             raise _diverged(u, "input current", t, guard)
-        y, x = model.advance(x, u)
+        y, x = map(np.asarray, model.advance(x, u))
         if not abs(y).max() <= guard:
             raise _diverged(y, "outputs", t, guard)
         if not abs(x).max() <= guard:
@@ -303,6 +313,7 @@ def run_closed_loop(model: PlantModel,
     lo0, lo1 = controller.theta_lo.tolist()
     hi0, hi1 = controller.theta_hi.tolist()
     neg_mu1, clip = -controller.mu1, controller.grad_clip
+    grad = np.empty(2)      # the gradient, for its norm when clipped
     last, tot = controller.last_error, controller.error_sum
     alpha, done = 1.0, 0
 
@@ -328,7 +339,9 @@ def run_closed_loop(model: PlantModel,
             ea = float(e[k])
         g0, g1 = -ea * last, -ea * tot
         if clip is not None:
-            norm = float(np.linalg.norm((g0, g1)))
+            # np.linalg.norm's own sqrt(g.dot(g)), without its per-call cost
+            grad[0], grad[1] = g0, g1
+            norm = math.sqrt(grad.dot(grad))
             if norm > clip:
                 scale = clip / norm
                 g0, g1 = g0 * scale, g1 * scale
@@ -433,8 +446,8 @@ def validate_monotonicity(model: PlantModel, states: Sequence,
     count = 0
     for x in states:
         for u in u_grid:
-            y0 = model.advance(x, u)[0]
-            y1 = model.advance(x, u + delta)[0]
+            y0 = np.asarray(model.advance(x, u)[0])
+            y1 = np.asarray(model.advance(x, u + delta)[0])
             if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(y1))):
                 raise SimulationDiverged(count, "non-finite output during monotonicity scan")
             min_slope = np.minimum(min_slope, (y1 - y0) / delta)

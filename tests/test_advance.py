@@ -81,10 +81,16 @@ def test_toy(coef, p, x, u):
     assert_advance(plant, np.array([x]), u, toy_step)
 
 
+def floats(values) -> bool:
+    return type(values) is list and all(type(v) is float for v in values)
+
+
 def test_contract_is_advance(scenarios):
     # advance is the one required method: no class under bangride defines
     # step, outputs or output, and each packaged plant's advance returns
-    # output_count outputs and a next state of its state's shape
+    # output_count outputs and a next state of its state's shape. A vector
+    # plant's advance and riding_currents return lists of Python floats,
+    # given the state as a list or a 1-D array; the pack's return arrays
     assert PlantModel.__abstractmethods__ == {"advance"}
     classes = []
     for info in pkgutil.walk_packages(bangride.__path__, "bangride."):
@@ -95,8 +101,20 @@ def test_contract_is_advance(scenarios):
             "ToyLinearPlant"} <= {cls.__name__ for cls in classes}
     assert [cls.__name__ for cls in classes
             if {"step", "outputs", "output"} & vars(cls).keys()] == []
-    for name in ("spmet", "ecm", "pack", "toy"):
+    for name in ("spmet", "ecm", "toy"):
         built = scenarios[name]
-        y, x_next = built.model.advance(built.x0, 0.0)
-        assert y.shape == (built.model.output_count,)
-        assert x_next.shape == np.shape(built.x0)
+        model, x0, y_bar = built.model, built.x0, built.spec.y_bar
+        assert x0.ndim == 1
+        for x in (x0, x0.tolist()):
+            y, x_next = model.advance(x, 1.0)
+            assert floats(y) and len(y) == model.output_count
+            assert floats(x_next) and len(x_next) == len(x0)
+            roots = model.riding_currents(x, y_bar)
+            assert roots is None if name == "toy" else (
+                floats(roots) and len(roots) == model.output_count)
+    pack = scenarios["pack"]
+    y, x_next = pack.model.advance(pack.x0, 1.0)
+    assert type(y) is type(x_next) is np.ndarray
+    assert y.shape == (pack.model.output_count,) and x_next.shape == pack.x0.shape
+    roots = pack.model.riding_currents(pack.x0, pack.spec.y_bar)
+    assert type(roots) is np.ndarray and roots.shape == (pack.model.output_count,)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, RootConfig,
                       RootFindingError, ToyLinearPlant, oracle_trajectory,
@@ -21,7 +23,7 @@ class StaticModel(PlantModel):
         self.output_count = len(fns)
 
     def advance(self, state, u):
-        return np.array([fn(u) for fn in self.fns]), state
+        return [float(fn(u)) for fn in self.fns], list(map(float, state))
 
 
 def test_tolerances_are_constants():
@@ -97,6 +99,48 @@ class TestSolveConstraint:
             solve_constraint(model, np.zeros(1), 2, 5.0, 4.0)
         assert err.value.iterations == 200
         assert 0.0 <= err.value.lo <= err.value.hi <= 4.0
+
+
+class FixedRoots(PlantModel):
+    """A plant whose riding currents are given: a list, as a vector plant's,
+    or an array, as the pack's."""
+
+    state_dim = 1
+
+    def __init__(self, roots):
+        self.roots, self.output_count = roots, len(roots)
+
+    def advance(self, state, u):
+        raise AssertionError("the selector reads riding_currents only")
+
+    def riding_currents(self, state, y_bar):
+        return self.roots
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal with the sign of zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+root = st.sampled_from([-0.0, 0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@settings(max_examples=500, deadline=None)
+@given(roots=st.lists(root, min_size=1, max_size=6),
+       u_max=st.sampled_from([1.0, 2.0]) | st.floats(1e-300, 1e300))
+def test_list_selector_equals_numpy_selector(roots, u_max):
+    # the float selection of a list keeps np.maximum(r, 0.0) and argmin:
+    # -0.0 becomes +0.0, the first NaN wins, u_max pins constraint 1, and
+    # ties (the sampled 1.0 and 2.0 against each other and u_max) go to the
+    # lowest index
+    spec = ConstraintSpec(y_bar=[u_max] + [1.0] * len(roots), gamma=[1.0] * (len(roots) + 1))
+    roots = [math.nan] + roots  # constraint 1's root is never read
+    fast = selector(FixedRoots(roots), np.zeros(1), spec)
+    ref = selector(FixedRoots(np.array(roots)), np.zeros(1), spec)
+    assert fast.i_star == ref.i_star
+    assert type(fast.u) is float and same_float(fast.u, ref.u)
 
 
 class TestSelector:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
@@ -165,11 +165,11 @@ class ScriptedPlant(PlantModel):
     state_dim = 1
 
     def __init__(self, errors: np.ndarray):
-        self.rows = np.concatenate([1.0 - errors[:, :1], -errors[:, 1:]], axis=1)
+        self.rows = np.concatenate([1.0 - errors[:, :1], -errors[:, 1:]], axis=1).tolist()
         self.output_count = errors.shape[1]
 
     def advance(self, x, u):
-        return self.rows[int(x[0])], x + 1.0
+        return self.rows[int(x[0])], [float(x[0]) + 1.0]
 
     def spec(self) -> ConstraintSpec:
         return ConstraintSpec(y_bar=[1.0] + [-0.0] * (self.output_count - 1),
@@ -229,6 +229,11 @@ class TestFloatLoopMatchesReference:
 
     @settings(max_examples=300, deadline=None)
     @given(errors=error_rows(), kw=controllers())
+    # a clipped step whose norm math.hypot would round differently from
+    # np.linalg.norm, which the float loop's sqrt(g.dot(g)) matches
+    @example(errors=np.array([[2.96, 1.69], [-0.09, -0.46], [2.27, -2.48]]),
+             kw=dict(theta=[0.5, 0.5], theta_lo=[0.0, 0.0], theta_hi=[10.0, 10.0],
+                     mu1=0.5, grad_clip=0.1))
     def test_equal_bit_for_bit(self, errors, kw):
         (fast, cs), (ref, cs_ref) = both_loops(errors, kw)
         assert same_bits(fast.e, ref.e)
@@ -254,6 +259,52 @@ class TestFloatLoopMatchesReference:
         assert same_bits(cs.error_sum, cs_ref.error_sum) and cs.t == cs_ref.t
 
 
+component = (st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.3e154,
+                             1.8e308, -math.inf, math.inf, math.nan])
+             | st.floats(-1e-300, 1e-300) | st.floats())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(g=st.tuples(component, component))
+def test_clip_norm_equals_numpy_norm(g):
+    # run_closed_loop clips by sqrt(g.dot(g)) on a preallocated 2-vector: the
+    # ReferenceController's np.linalg.norm, bit for bit, from zeros and
+    # subnormals to squares that overflow to inf
+    grad = np.empty(2)
+    with np.errstate(all="ignore"):
+        grad[0], grad[1] = g
+        fast = math.sqrt(grad.dot(grad))
+        ref = float(np.linalg.norm(g))
+    assert type(fast) is float
+    assert (math.isnan(fast) and math.isnan(ref)) or same_bits(fast, ref)
+
+
+@pytest.mark.parametrize("name", ["toy", "ecm", "spmet"])
+def test_vector_runs_step_on_floats(name, scenarios, monkeypatch):
+    # every step of a vector-state closed loop and oracle gets the plant's
+    # float lists, and the clipped closed loop calls no np.linalg.norm
+    built = scenarios[name]
+    model, spec, x0 = built.model, built.spec, built.x0
+    results = []
+    advance = model.advance
+
+    def checked(x, u):
+        y, x_next = advance(x, u)
+        results.append([type(y), type(x_next)] + [type(v) for v in y + x_next])
+        return y, x_next
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(model, "advance", checked)
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    run_closed_loop(model, built.new_controller(), spec, 300, x0)
+    oracle_trajectory(model, spec, 300, x0)
+    assert built.cfg.grad_clip is not None or name == "toy"
+    assert len(results) >= 602
+    assert all(r == [list, list] + [float] * (len(r) - 2) for r in results)
+
+
 class FaultyToy(ToyLinearPlant):
     """Integrator whose state carries a step counter, so that it can fail at
     a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
@@ -271,7 +322,7 @@ class FaultyToy(ToyLinearPlant):
 
     def advance(self, state, u):
         y, x = super().advance(state, u)
-        x = np.array([x[0], state[1] + 1.0])
+        x = [x[0], float(state[1]) + 1.0]
         if state[1] == self.k and self.fault in OUTPUT_FAULTS:
             y[1] = OUTPUT_FAULTS[self.fault]
         if state[1] == self.k and self.fault == "state-past-guard":
@@ -279,7 +330,8 @@ class FaultyToy(ToyLinearPlant):
         return y, x
 
     def riding_currents(self, state, y_bar):
-        return np.array([y_bar[0], (y_bar[1] - self.c * state[0]) / self.d])
+        u_max, y_max = y_bar.tolist()
+        return [u_max, (y_max - self.c * float(state[0])) / self.d]
 
 
 OUTPUT_FAULTS = {"nan-outputs": np.nan, "inf-outputs": np.inf,
@@ -315,8 +367,11 @@ class TestDivergenceGuard:
     def test_squared_error_overflow_diverges(self):
         # an input of 1e8 at step 3 makes |e_active| about 1e155, whose
         # square overflows Python's **; the input, outputs and state stay
-        # inside the guard
+        # inside the guard. The toy's outputs are Python floats, so the
+        # float body squares a float: a numpy scalar would give inf silently
         model = ToyLinearPlant()
+        y, x = model.advance(model.initial_state(), 1e8)
+        assert [type(v) for v in y + x] == [float] * 3
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1e147, 1e147])
         with pytest.raises(SimulationDiverged) as err:
             simulate(model, spec, 5, model.initial_state(),
@@ -336,7 +391,8 @@ class Growth(PlantModel):
         self.g, self.c = g, c
 
     def advance(self, state, u):
-        return np.array([u, self.c * state[0]]), np.array([self.g * state[0] + u])
+        x = float(state[0])
+        return [u, self.c * x], [self.g * x + u]
 
 
 class GrowthBatch:
@@ -419,8 +475,8 @@ class TestGuardOrder:
 
     def test_premise(self):
         with np.errstate(over="ignore"):
-            y, x = Growth(self.G[0], self.C[0]).advance(np.array([50.0]), 0.0)
-        assert abs(y).max() > 100.0 and not np.isfinite(x).all()
+            y, x = Growth(self.G[0], self.C[0]).advance([50.0], 0.0)
+        assert max(map(abs, y)) > 100.0 and not math.isfinite(x[0])
 
     def test_scalar(self):
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
@@ -539,7 +595,7 @@ class TestValidateMonotonicity:
     def test_flags_non_monotone_output(self):
         class Decreasing(ToyLinearPlant):
             def advance(self, state, u):
-                return np.array([u, -u]), state
+                return [u, -u], list(map(float, state))
 
         rep = validate_monotonicity(Decreasing(), [np.zeros(1)], [0.0, 1.0])
         assert rep.flagged == [2]

@@ -78,7 +78,8 @@ def test_nan_root_fails_the_step(monkeypatch):
 
     cell = EcmPlant(params[1])
     hook = cell.riding_currents
-    cell.riding_currents = lambda x, y_bar: broken(hook(x, y_bar), cell.params.r_o, x[2])
+    cell.riding_currents = lambda x, y_bar: broken(
+        np.array(hook(x, y_bar)), cell.params.r_o, x[2]).tolist()
     with pytest.raises(SimulationDiverged) as exc:
         oracle_trajectory(cell, spec, 100, x0)
     assert 0 < exc.value.step < 100
