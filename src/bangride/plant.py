@@ -4,9 +4,9 @@ A plant is a discrete-time system ``x_{t+1} = f(x_t, u_t)`` with p scalar
 outputs ``y_i = h_i(x_t, u_t)`` that are strictly increasing in the input
 current u. Output 1 is the identity in u. A plant's one required method,
 ``advance``, gives a step's outputs and next state from one call. States
-are numeric values that only the concrete models interpret; a single cell's
-vector state and results are Python float lists (the vector-state rule of
-``PlantModel.advance``), the pack's are numpy arrays.
+are numeric values that only the concrete models interpret; a single cell
+steps its vector state as Python float lists (the vector-state rule of
+``PlantModel.advance``), the pack its (N, 4) state as numpy arrays.
 
 ``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
 callback) with one ``advance`` call per step, computes the weighted errors
