@@ -122,16 +122,16 @@ def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
 
     The riding currents come from ``model.riding_currents``, or from
     ``bisected_roots`` for a model without them. A negative root is pinned
-    to 0, and constraint 1 contributes u_max exactly. A vector plant's list
-    of roots is selected on floats as the pack's array is by numpy: -0.0
-    gives +0.0, and the first NaN root is the minimum.
+    to 0, and constraint 1 contributes u_max exactly. A list of roots (a
+    vector plant's, or the bisected ones) is selected on floats, the pack's
+    202 by numpy: -0.0 gives +0.0, and the first NaN root is the minimum.
     """
     if model.output_count != spec.p:
         raise ConfigurationError(
             f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
     roots = model.riding_currents(x, spec.y_bar)
     if roots is None:
-        roots = bisected_roots(model, x, spec)
+        roots = bisected_roots(model, x, spec).tolist()
     if isinstance(roots, list):
         u, k = spec.u_max, 0
         for i, v in enumerate(roots[1:], 1):

@@ -65,9 +65,9 @@ class PlantModel(abc.ABC):
         may be non-finite, but its computation must not raise.
         The vector-state rule: a vector state comes as a float list or a 1-D
         array, u as a Python float, and both results are Python float lists,
-        which ``simulate``'s float body relies on (a numpy scalar there would
-        square to inf where a float raises ``OverflowError``); callers apply
-        ``np.asarray`` for numpy arithmetic. Other states give arrays."""
+        which ``simulate``'s float body steps on without converting them;
+        callers apply ``np.asarray`` for numpy arithmetic. Other states give
+        arrays."""
 
     def output_rows(self, states: np.ndarray, u: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
@@ -239,7 +239,7 @@ def _float_steps(model, spec, x0, control, observe, guard,
         if check_e and not np.isfinite(e).all():
             raise SimulationDiverged(t, "non-finite weighted errors")
         i_star = observe(t, e)
-        e_active = e[i_star - 1]
+        e_active = float(e[i_star - 1])  # a float's ** raises on overflow
 
         u_col[t] = u
         y_col[t] = y

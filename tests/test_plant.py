@@ -379,6 +379,23 @@ class TestDivergenceGuard:
         assert str(err.value) == ("simulation diverged at step 3: "
                                   "squared active error overflowed")
 
+    def test_squared_error_overflow_diverges_on_numpy_results(self):
+        # a vector plant that returns numpy arrays breaks the vector-state
+        # rule, but its overflowing squared error still stops the run at
+        # step 3 instead of recording an np.float64's silent inf
+        class ArrayToy(ToyLinearPlant):
+            def advance(self, state, u):
+                return tuple(map(np.array, super().advance(state, u)))
+
+        model = ArrayToy()
+        assert isinstance(model.advance(model.initial_state(), 1e8)[0], np.ndarray)
+        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1e147, 1e147])
+        with pytest.raises(SimulationDiverged) as err:
+            simulate(model, spec, 5, model.initial_state(),
+                     lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: active_index(e))
+        assert str(err.value) == ("simulation diverged at step 3: "
+                                  "squared active error overflowed")
+
 
 class Growth(PlantModel):
     """x' = g*x + u with outputs (u, c*x): the state passes a guard first
