@@ -367,34 +367,25 @@ class TestDivergenceGuard:
     def test_squared_error_overflow_diverges(self):
         # an input of 1e8 at step 3 makes |e_active| about 1e155, whose
         # square overflows Python's **; the input, outputs and state stay
-        # inside the guard. The toy's outputs are Python floats, so the
-        # float body squares a float: a numpy scalar would give inf silently
-        model = ToyLinearPlant()
-        y, x = model.advance(model.initial_state(), 1e8)
-        assert [type(v) for v in y + x] == [float] * 3
-        spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1e147, 1e147])
-        with pytest.raises(SimulationDiverged) as err:
-            simulate(model, spec, 5, model.initial_state(),
-                     lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: active_index(e))
-        assert str(err.value) == ("simulation diverged at step 3: "
-                                  "squared active error overflowed")
-
-    def test_squared_error_overflow_diverges_on_numpy_results(self):
-        # a vector plant that returns numpy arrays breaks the vector-state
-        # rule, but its overflowing squared error still stops the run at
-        # step 3 instead of recording an np.float64's silent inf
+        # inside the guard. The toy returns Python floats; a toy returning
+        # numpy arrays breaks the vector-state rule, but the float body
+        # squares a float of its active error all the same, where an
+        # np.float64 would give inf silently
         class ArrayToy(ToyLinearPlant):
             def advance(self, state, u):
                 return tuple(map(np.array, super().advance(state, u)))
 
-        model = ArrayToy()
-        assert isinstance(model.advance(model.initial_state(), 1e8)[0], np.ndarray)
+        toy, array_toy = ToyLinearPlant(), ArrayToy()
+        y, x = toy.advance(toy.initial_state(), 1e8)
+        assert [type(v) for v in y + x] == [float] * 3
+        assert type(array_toy.advance(toy.initial_state(), 1e8)[0]) is np.ndarray
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1e147, 1e147])
-        with pytest.raises(SimulationDiverged) as err:
-            simulate(model, spec, 5, model.initial_state(),
-                     lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: active_index(e))
-        assert str(err.value) == ("simulation diverged at step 3: "
-                                  "squared active error overflowed")
+        for model in (toy, array_toy):
+            with pytest.raises(SimulationDiverged) as err:
+                simulate(model, spec, 5, model.initial_state(),
+                         lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: active_index(e))
+            assert str(err.value) == ("simulation diverged at step 3: "
+                                      "squared active error overflowed")
 
 
 class Growth(PlantModel):
