@@ -336,22 +336,19 @@ def _oracle_run(model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
     Makes the weighted-error and cost checks of ``simulate`` step by step,
     then raises ``failure``, the member's guard failure, if it has one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = spec.gamma * (spec.y_bar - y)
+    run = Trajectory.from_columns(model, spec, u, y, index + 1, np.empty(len(u)), states)
     steps = len(u) if failure is None else failure.step
-    finite = np.isfinite(e[:steps]).all(axis=1).tolist()
-    j = np.empty(len(u))
-    for t, e_active in enumerate(e[np.arange(steps), index[:steps]].tolist()):
+    finite = np.isfinite(run.e[:steps]).all(axis=1).tolist()
+    for t, e_active in enumerate(run.e[np.arange(steps), index[:steps]].tolist()):
         if not finite[t]:
             raise SimulationDiverged(t, "non-finite weighted errors")
         try:
-            j[t] = e_active ** 2   # Python's **, as simulate squares
+            run.J[t] = e_active ** 2   # Python's **, as simulate squares
         except OverflowError:
             raise SimulationDiverged(t, "squared active error overflowed") from None
     if failure is not None:
         raise failure
-    return Trajectory(u=u, y=y, e=e, i_star=index + 1, J=j, states=states,
-                      telemetry=model.telemetry(states[:-1], u, y))
+    return run
 
 
 def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
@@ -391,27 +388,15 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
     x_truth = np.empty((n + 1, m + 1) + np.shape(x0))
     x_truth[0] = x0
 
-    def scatter(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The running members' values in the batch's layout, NaN for the others."""
-        full = np.full((size,) + values.shape[1:], np.nan)
-        full[rows] = values
-        return full
-
-    def control(t: int, model, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        u, k = selector_rows(model, x, spec)
-        true_index[t] = k[-1]    # the last member's, while it runs
-        if len(rows) == size:
-            u[m:-1] = u[:m]
-            return u
-        # a copy whose model has left the batch gets NaN and leaves too
-        u = scatter(rows, u)
+    def control(t: int, x: np.ndarray) -> np.ndarray:
+        u, k = selector_rows(batch, x, spec)
+        true_index[t] = k[-1]
+        # copy M + k replays model k's input: NaN once model k is out, so
+        # that the copy is out too
         u[m:-1] = u[:m]
-        return u[rows]
+        return u
 
-    def observe(t: int, rows: np.ndarray, u: np.ndarray, y: np.ndarray,
-                x: np.ndarray) -> None:
-        if len(rows) < size:
-            u, y, x = (scatter(rows, v) for v in (u, y, x))
+    def observe(t: int, u: np.ndarray, y: np.ndarray, x: np.ndarray) -> None:
         u_models[t], u_true[t] = u[:m], u[-1]
         y_truth[t], x_truth[t + 1] = y[m:], x[m:]
 

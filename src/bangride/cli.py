@@ -243,7 +243,8 @@ def cmd_regret(args) -> int:
             "mu_star_ref": report.mu_star_ref,
             "ct_sign_changes": ct_ratio_sign_changes(ct, traj.alpha),
         })
-        slope = "converged" if report.converged else f"{report.tail_slope:.3f}"
+        slope = ("converged" if report.converged else "none" if report.tail_slope is None
+                 else f"{report.tail_slope:.3f}")
         print(f"mu1={mu1:.2f}: R={report.total:.6g} tail_slope={slope} "
               f"gap_tail_mean={report.gap_tail_mean():.3g} "
               f"mu*_ref={report.mu_star_ref:.3f}")

@@ -52,6 +52,8 @@ class ConstraintSpec:
             raise ConfigurationError("bound 1 is the current limit and must be > 0")
         if not np.all(self.gamma > 0.0):
             raise ConfigurationError("all weights gamma_i must be > 0")
+        if not np.all(np.isfinite(self.gamma)):
+            raise ConfigurationError("gamma entries must be finite")
 
     @property
     def p(self) -> int:

@@ -170,10 +170,6 @@ class EcmEnsemble:
     def __len__(self) -> int:
         return len(self.params)
 
-    def take(self, keep: np.ndarray) -> "EcmEnsemble":
-        """The members where the boolean mask ``keep`` is true."""
-        return EcmEnsemble([p for p, k in zip(self.params, keep) if k])
-
     def advance(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.empty((3, len(x)))
         y[0] = u

@@ -152,7 +152,8 @@ def selector_rows(model, x: np.ndarray,
     """``selector`` of every member of a batched model at once, through its
     row-wise ``riding_currents``: each row's input and 0-based constraint.
 
-    A NaN root, which only a broken hook returns, gives a NaN input.
+    A NaN root gives a NaN input: a broken hook returns one, and so does a
+    member that is out of ``simulate_batch``, whose state row is NaN.
     """
     values = np.maximum(model.riding_currents(x, spec.y_bar), 0.0)
     values[:, 0] = spec.u_max

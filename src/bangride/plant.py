@@ -8,24 +8,22 @@ are numeric values that only the concrete models interpret; a single cell
 steps its vector state as Python float lists (the vector-state rule of
 ``PlantModel.advance``), the pack its (N, 4) state as numpy arrays.
 
-``simulate`` steps a plant under a policy (a ``control`` and an ``observe``
-callback) with one ``advance`` call per step, computes the weighted errors
-inline and fills the columns of a ``Trajectory``. The state's shape picks
-its loop body once per run: a vector state (a single cell) runs on Python
-floats and ``observe`` receives the errors as a list; the pack's (N, 4)
-state runs on numpy arrays and ``observe`` receives an array. The two
-bodies give the same columns bit for bit. The commands run two policies
-through it: the model-free controller (``run_closed_loop``) and the oracle
-(``oracle.oracle_trajectory``).
+``simulate`` steps any plant under a policy (a ``control`` and an
+``observe`` callback) in one loop, with one ``advance`` call per step, and
+fills the columns of a ``Trajectory``; the state's shape picks only how
+values are tested against the guard and how the weighted errors are formed.
+The commands run two policies through it: the model-free controller
+(``run_closed_loop``) and the oracle (``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
 ``simulate_batch`` steps the M cells of a batched model, such as
 ``models.ecm.EcmEnsemble``, in lockstep under a policy of the same two
 callbacks with one batched ``advance`` call per step, keeps no columns of its
-own, and returns each failed member's step and reason. Its one caller is
-``analysis.robustness_study``, whose single pass runs the true oracle, the
-oracles of M models and their open-loop replays on the truth together.
+own, and returns each failed member's step and reason; a failed member stays
+in the batch with NaN rows. Its one caller is ``analysis.robustness_study``,
+whose single pass runs the true oracle, the oracles of M models and their
+open-loop replays on the truth together.
 Replay's scalar reference, ``replay_open_loop``, lives in
 ``tests/references.py``.
 """
@@ -65,9 +63,10 @@ class PlantModel(abc.ABC):
         may be non-finite, but its computation must not raise.
         The vector-state rule: a vector state comes as a float list or a 1-D
         array, u as a Python float, and both results are Python float lists,
-        which ``simulate``'s float body steps on without converting them;
-        callers apply ``np.asarray`` for numpy arithmetic. Other states give
-        arrays."""
+        which ``simulate`` steps on without converting them; callers apply
+        ``np.asarray`` for numpy arithmetic. Other states give arrays, which
+        ``simulate`` tests and weighs as arrays. A batched model's
+        ``advance`` (``simulate_batch``) must accept NaN rows."""
 
     def output_rows(self, states: np.ndarray, u: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
@@ -150,6 +149,18 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.u)
 
+    @classmethod
+    @np.errstate(all="ignore")
+    def from_columns(cls, model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
+                     y: np.ndarray, i_star: np.ndarray, J: np.ndarray,
+                     states: np.ndarray) -> Trajectory:
+        """A run's trajectory from its stepped columns, deriving the weighted
+        errors (a step's operations, so its bits) and the telemetry."""
+        e = spec.y_bar - y
+        e *= spec.gamma     # in place: no second (n, p) temporary
+        return cls(u=u, y=y, e=e, i_star=i_star, J=J, states=states,
+                   telemetry=model.telemetry(states[:-1], u, y))
+
     @property
     def e_active(self) -> np.ndarray:
         """Per-step error of the active constraint."""
@@ -181,110 +192,76 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
 
     Per step: ``u = control(t, x)``, the outputs y and the next state from
     one ``model.advance(x, u)``, the weighted errors
-    ``e = gamma * (y_bar - y)``, and ``i_star = observe(t, e)``. The telemetry
-    channels are computed once, from the columns, after the last step.
-    The input, the outputs and the next state must stay finite and within
-    ``guard`` in magnitude, in that order, the weighted errors finite, and
-    squaring the active error must not overflow; the first that fails aborts
-    the run with ``SimulationDiverged`` at that step. These tests report
-    every non-finite value at its step, so floating-point warnings are off
-    during the run. States must be numeric arrays of one shape.
+    ``e = gamma * (y_bar - y)``, and ``i_star = observe(t, e)``. The input,
+    the outputs and the next state must stay finite and within ``guard`` in
+    magnitude, in that order, the weighted errors finite, and squaring the
+    active error must not overflow; the first that fails aborts the run with
+    ``SimulationDiverged`` at that step. These tests report every non-finite
+    value at its step, so floating-point warnings are off during the run.
+    States must be numeric arrays of one shape. The e and telemetry columns
+    are derived after the last step.
 
-    The state's shape picks one of two loop bodies with the same columns,
-    failures and messages. A vector state (a single cell) runs the float
-    body on the float lists of ``PlantModel.advance`` from ``x0.tolist()``
-    on, and hands ``control`` the state and ``observe`` the errors as lists;
-    any other state (the pack's (N, 4)) runs the array body, which hands
-    them numpy arrays.
+    One loop serves every plant. A vector state (a single cell) is held as
+    the float lists of ``PlantModel.advance`` from ``x0.tolist()`` on, tested
+    value by value, and ``observe`` gets the errors as a list; any other
+    state (the pack's (N, 4)) is held as arrays, tested by their largest
+    magnitude, and ``observe`` gets an array.
     """
     check_run(model, spec, t_f)
     n = t_f + 1
-    cols = (np.empty(n), np.empty((n, spec.p)), np.empty((n, spec.p)),
-            np.empty(n, dtype=int), np.empty(n), np.empty((n + 1,) + np.shape(x0)))
-    steps = _float_steps if np.ndim(x0) == 1 else _array_steps
-    steps(model, spec, x0, control, observe, guard, *cols)
-    u_col, y_col, e_col, i_col, j_col, states = cols
-    return Trajectory(u=u_col, y=y_col, e=e_col, i_star=i_col, J=j_col, states=states,
-                      telemetry=model.telemetry(states[:-1], u_col, y_col))
-
-
-def _check_e(spec: ConstraintSpec, guard: float) -> bool:
-    """Whether the weighted errors need a finiteness test: outputs that pass
-    the guard make them overflow only if this bound does."""
-    return not math.isfinite(float(spec.gamma.max()) * (float(abs(spec.y_bar).max()) + guard))
-
-
-def _float_steps(model, spec, x0, control, observe, guard,
-                 u_col, y_col, e_col, i_col, j_col, states) -> None:
-    """``simulate``'s loop for a vector state, on Python floats; fills the
-    columns. Each guard test is a chained comparison per value, false for
-    NaN, inf and anything past guard, as ``abs(v) <= guard`` is."""
-    weights = list(zip(spec.gamma.tolist(), spec.y_bar.tolist()))
-    check_e = _check_e(spec, guard)
-    low = -guard
+    u_col, y_col, i_col, j_col = (np.empty(n), np.empty((n, spec.p)),
+                                  np.empty(n, dtype=int), np.empty(n))
+    states = np.empty((n + 1,) + np.shape(x0))
     states[0] = x0
-    x = states[0].tolist()
-    for t in range(len(u_col)):
+    low = -guard
+    # outputs that pass the guard make the errors overflow only if this does
+    check_e = not math.isfinite(float(spec.gamma.max())
+                                * (float(abs(spec.y_bar).max()) + guard))
+    if states.ndim == 2:
+        x = states[0].tolist()
+        weights = list(zip(spec.gamma.tolist(), spec.y_bar.tolist()))
+
+        def passes(values) -> bool:
+            # one comparison per value: false for NaN, inf and anything past guard
+            for v in values:
+                if not low <= v <= guard:
+                    return False
+            return True
+
+        def weigh(y) -> list[float]:
+            return [g * (b - v) for (g, b), v in zip(weights, y)]
+    else:
+        x, gamma, y_bar = x0, spec.gamma, spec.y_bar
+
+        def passes(values) -> bool:
+            return abs(values).max() <= guard
+
+        def weigh(y) -> np.ndarray:
+            return gamma * (y_bar - y)
+
+    for t in range(n):
         u = control(t, x)
         if not low <= u <= guard:
             raise _diverged(u, "input current", t, guard)
         y, x = model.advance(x, u)
-        for v in y:
-            if not low <= v <= guard:
-                raise _diverged(y, "outputs", t, guard)
-        for v in x:
-            if not low <= v <= guard:
-                raise _diverged(x, "state", t, guard)
-        e = [g * (b - v) for (g, b), v in zip(weights, y)]
-        if check_e and not np.isfinite(e).all():
-            raise SimulationDiverged(t, "non-finite weighted errors")
-        i_star = observe(t, e)
-        e_active = float(e[i_star - 1])  # a float's ** raises on overflow
-
-        u_col[t] = u
-        y_col[t] = y
-        e_col[t] = e
-        i_col[t] = i_star
-        try:
-            j_col[t] = e_active ** 2
-        except OverflowError:   # |e_active| above about 1.3e154
-            raise SimulationDiverged(t, "squared active error overflowed") from None
-        states[t + 1] = x
-
-
-def _array_steps(model, spec, x0, control, observe, guard,
-                 u_col, y_col, e_col, i_col, j_col, states) -> None:
-    """``simulate``'s loop for any state, on numpy arrays; fills the
-    columns. The reference of ``_float_steps``: it takes a vector plant's
-    float lists as arrays."""
-    gamma, y_bar = spec.gamma, spec.y_bar
-    check_e = _check_e(spec, guard)
-    states[0] = x = x0
-    for t in range(len(u_col)):
-        u = control(t, x)
-        # one comparison per value: false for NaN, inf and anything past guard
-        if not abs(u) <= guard:
-            raise _diverged(u, "input current", t, guard)
-        y, x = map(np.asarray, model.advance(x, u))
-        if not abs(y).max() <= guard:
+        if not passes(y):
             raise _diverged(y, "outputs", t, guard)
-        if not abs(x).max() <= guard:
+        if not passes(x):
             raise _diverged(x, "state", t, guard)
-        e = gamma * (y_bar - y)
+        e = weigh(y)
         if check_e and not np.isfinite(e).all():
             raise SimulationDiverged(t, "non-finite weighted errors")
         i_star = observe(t, e)
-        e_active = float(e[i_star - 1])
 
         u_col[t] = u
         y_col[t] = y
-        e_col[t] = e
         i_col[t] = i_star
-        try:
-            j_col[t] = e_active ** 2
+        try:    # a float's ** raises on overflow, where an np.float64's gives inf
+            j_col[t] = float(e[i_star - 1]) ** 2
         except OverflowError:   # |e_active| above about 1.3e154
             raise SimulationDiverged(t, "squared active error overflowed") from None
         states[t + 1] = x
+    return Trajectory.from_columns(model, spec, u_col, y_col, i_col, j_col, states)
 
 
 def run_closed_loop(model: PlantModel,
@@ -368,52 +345,51 @@ def run_closed_loop(model: PlantModel,
 
 @np.errstate(all="ignore")
 def simulate_batch(model, t_f: int, x0: np.ndarray,
-                   control: Callable[[int, Any, np.ndarray, np.ndarray], np.ndarray],
-                   observe: Callable[[int, np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray], None],
+                   control: Callable[[int, np.ndarray], np.ndarray],
+                   observe: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
                    *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
     ``model`` holds M cells: its ``advance`` takes (M, state_dim) state rows
     with (M,) inputs and returns their (M, p) outputs and next state rows, as
-    ``PlantModel.advance`` does for one cell, and ``take(keep)`` returns the
-    members a boolean mask keeps. Per step, ``u = control(t, model, x, rows)``
-    gives the inputs of the members still running, whose batch indices are
-    ``rows`` (ascending), and ``observe(t, rows, u, y, x)`` receives their
+    ``PlantModel.advance`` does for one cell. Per step, ``u = control(t, x)``
+    gives all members' inputs, and ``observe(t, u, y, x)`` receives their
     inputs, outputs and next states. Each member passes the guard tests of
-    ``simulate`` in its order: the input, the outputs, then the next state,
-    with floating-point warnings off as there. A member that fails one
-    leaves the batch at that step; the others go on.
+    ``simulate`` in its order, with floating-point warnings off as there. A
+    member that fails one is out: its rows of u, y and x are NaN from that
+    step on, written into the arrays ``control`` and ``advance`` return,
+    whatever they give for it. So ``advance`` and both callbacks must accept
+    NaN rows.
     Returns member index -> the ``SimulationDiverged`` that ``simulate``
     raises for that member alone, with its step and message.
     """
     failures: dict[int, SimulationDiverged] = {}
-    rows = np.arange(len(x0))
     x = np.asarray(x0, dtype=float)
+    size = running = len(x)
+    out = np.zeros(size, dtype=bool)
 
-    def keep(ok: np.ndarray, value: np.ndarray, what: str,
-             *arrays: np.ndarray) -> list[np.ndarray]:
-        nonlocal model, rows
-        for j in np.flatnonzero(~ok).tolist():
-            failures[int(rows[j])] = _diverged(value[j], what, t, guard)
-        model, rows = model.take(ok), rows[ok]
-        return [a[ok] for a in arrays]
+    def drop(ok: np.ndarray, value: np.ndarray, what: str) -> None:
+        nonlocal running
+        for k in np.flatnonzero(~(ok | out)).tolist():
+            failures[k] = _diverged(value[k], what, t, guard)
+            out[k] = True
+            running -= 1
 
-    # each test is first made on the whole batch (a batch emptied within the
-    # step passes): one comparison, false for NaN, inf and anything past
-    # guard; only a failure looks at the members
+    # each test is first made on the whole batch: one comparison, false for
+    # NaN, inf and anything past guard, so also for the rows of members that
+    # are out; only a failure looks at the members
     for t in range(t_f + 1):
-        if not len(rows):
-            break
-        u = control(t, model, x, rows)
+        u = control(t, x)
         if not abs(u).max() <= guard:
-            x, u = keep(abs(u) <= guard, u, "input current", x, u)
+            drop(abs(u) <= guard, u, "input current")
         y, x = model.advance(x, u)
-        if not abs(y).max(initial=0.0) <= guard:
-            x, u, y = keep(abs(y).max(axis=1) <= guard, y, "outputs", x, u, y)
-        if not abs(x).max(initial=0.0) <= guard:
-            x, u, y = keep(abs(x).max(axis=1) <= guard, x, "state", x, u, y)
-        observe(t, rows, u, y, x)
+        if not abs(y).max() <= guard:
+            drop(abs(y).max(axis=1) <= guard, y, "outputs")
+        if not abs(x).max() <= guard:
+            drop(abs(x).max(axis=1) <= guard, x, "state")
+        if running < size:
+            u[out] = y[out] = x[out] = np.nan
+        observe(t, u, y, x)
     return failures
 
 

@@ -12,6 +12,10 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 class TestConstraintSpec:
+    def test_gamma_must_be_finite(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ConstraintSpec(y_bar=[1.0, 2.0], gamma=[1.0, np.inf])
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             ConstraintSpec(y_bar=[1.0, 2.0], gamma=[1.0, 0.0])

@@ -234,6 +234,16 @@ class TestCli:
         assert lines[0].startswith("mu1,total_regret,tail_slope")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_regret_without_a_fit_window(self, steps, tmp_path, capsys):
+        # fewer than 2 points to fit and not converged: no slope to print
+        out = tmp_path / "rg"
+        assert main(["regret", "--config", "toy", "--steps", steps,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count("tail_slope=none") == 3
+        rows = (out / "regret.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.split(",")[2] == "" for row in rows)
+
     @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
     def test_toy_svg_plots_current_only(self, command, tmp_path):
         # the toy plant reports no voltage, temperature or SOC channel
@@ -361,7 +371,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--steps", "-1", "t_f"), ("--seed", "-1", "seed"), ("--mu1", "1.5", "mu1"),
-        ("--gamma", "1,-1", "gamma")])
+        ("--gamma", "1,-1", "gamma"), ("--gamma", "inf,1", "gamma")])
     @pytest.mark.parametrize("command, config", [
         ("simulate", "toy"), ("oracle", "toy"), ("compare", "toy"),
         ("montecarlo", "ecm"), ("regret", "toy")])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       SimulationDiverged, ToyLinearPlant, oracle_trajectory,
                       run_closed_loop, validate_monotonicity)
-from bangride import plant
 from bangride.models.ecm import EcmParams, EcmPlant
-from bangride.plant import PlantModel, simulate, simulate_batch
+from bangride.oracle import bisected_roots
+from bangride.plant import PlantModel, Trajectory, simulate, simulate_batch
 from references import (ReferenceController, active_index, reference_closed_loop,
                         replay_open_loop)
 
@@ -342,9 +343,11 @@ GUARD_MESSAGES = {"nan-outputs": "non-finite outputs",
                   "state-past-guard": "|state| exceeded guard magnitude 1e+09"}
 
 
-def faulty_run(kind: str, model: FaultyToy):
-    """A 21-step closed-loop, oracle or replay run of a faulty toy."""
-    spec, x0 = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2]), model.initial_state()
+def faulty_run(kind: str, model: FaultyToy, x0=None):
+    """A 21-step closed-loop, oracle or replay run of a faulty toy, from its
+    initial state unless given x0."""
+    spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2])
+    x0 = model.initial_state() if x0 is None else x0
     if kind == "closed-loop":
         return run_closed_loop(model, ControllerState(), spec, 20, x0)
     if kind == "oracle":
@@ -411,9 +414,6 @@ class GrowthBatch:
     def __init__(self, g, c):
         self.g, self.c = np.asarray(g), np.asarray(c)
 
-    def take(self, keep):
-        return GrowthBatch(self.g[keep], self.c[keep])
-
     def advance(self, x, u):
         return np.stack([u, self.c * x[:, 0]], axis=1), (self.g * x[:, 0] + u)[:, None]
 
@@ -432,29 +432,41 @@ class TestSimulateBatch:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         x0 = np.array([0.01])
         m, n = len(self.G), 21
-        u_col, y_col = np.full((n, m), np.nan), np.full((n, m, 2), np.nan)
-        states = np.full((n + 1, m, 1), np.nan)
+        # zeros: every NaN below is the loop's
+        u_col, y_col = np.zeros((n, m)), np.zeros((n, m, 2))
+        states = np.zeros((n + 1, m, 1))
         states[0] = x0
 
-        def observe(t, rows, u, y, x):
-            u_col[t, rows], y_col[t, rows], states[t + 1, rows] = u, y, x
+        def observe(t, u, y, x):
+            u_col[t], y_col[t], states[t + 1] = u, y, x
 
+        # member 4's input is finite again after step 3, when it is out
         failures = simulate_batch(
             GrowthBatch(self.G, self.C), n - 1, np.tile(x0, (m, 1)),
-            lambda t, model, x, rows: np.array([self.input_of(k, t) for k in rows]),
+            lambda t, x: np.array([self.input_of(k, t) for k in range(m)]),
             observe, guard=100.0)
+
+        def run(k, t_f):
+            return simulate(Growth(self.G[k], self.C[k]), spec, t_f, x0,
+                            lambda t, x: self.input_of(k, t), lambda t, e: 1,
+                            guard=100.0)
+
         steps = []
-        for k, (g, c) in enumerate(zip(self.G, self.C)):
+        for k in range(m):
             try:
-                traj = simulate(Growth(g, c), spec, n - 1, x0,
-                                lambda t, x: self.input_of(k, t), lambda t, e: 1,
-                                guard=100.0)
+                traj = run(k, n - 1)
             except SimulationDiverged as exc:
                 steps.append(exc.step)
                 assert failures[k].step == exc.step
                 assert str(failures[k]) == str(exc)
+                # out from its step to the end, whatever its policy gives
                 assert np.isnan(u_col[exc.step:, k]).all()
+                assert np.isnan(y_col[exc.step:, k]).all()
                 assert np.isnan(states[exc.step + 1:, k]).all()
+                before = run(k, exc.step - 1)
+                assert np.array_equal(u_col[:exc.step, k], before.u)
+                assert np.array_equal(y_col[:exc.step, k], before.y)
+                assert np.array_equal(states[:exc.step + 1, k], before.states)
                 continue
             steps.append(-1)
             assert k not in failures
@@ -501,12 +513,13 @@ class TestGuardOrder:
             warnings.simplefilter("error", RuntimeWarning)
             failures = simulate_batch(
                 GrowthBatch(self.G, self.C), 10, np.zeros((2, 1)),
-                lambda t, model, x, rows: np.full(len(rows), self.input_of(t)),
-                lambda t, rows, u, y, x: seen.append((t, rows.tolist(), x.tolist())),
-                guard=100.0)
+                lambda t, x: np.full(len(x), self.input_of(t)),
+                lambda t, u, y, x: seen.append((t, x.tolist())), guard=100.0)
         assert list(failures) == [0]
         assert failures[0].step == 3 and str(failures[0]) == self.MESSAGE
-        assert seen[3] == (3, [1], [[50.0]]) and len(seen) == 11
+        # member 0 is out with a NaN row, member 1 goes on
+        assert len(seen) == 11 and all(math.isnan(x[0][0]) for t, x in seen[3:])
+        assert seen[3][0] == 3 and seen[3][1][1] == [50.0]
 
 
 def same_run(a, b) -> bool:
@@ -525,39 +538,67 @@ def outcome(run):
         return exc.step, str(exc)
 
 
-def on_both_bodies(monkeypatch, run):
-    """``run()`` through ``simulate``'s float body, then through its array
-    body, which is swapped in for vector states."""
-    first = outcome(run)
-    with monkeypatch.context() as patch:
-        patch.setattr(plant, "_float_steps", plant._array_steps)
-        return first, outcome(run)
+class RowForm(PlantModel):
+    """A vector plant seen through a (1, d) state, with array results:
+    ``simulate`` steps it as it steps the pack, and its riding currents,
+    bisected where the plant has none, go to the numpy selector."""
+
+    def __init__(self, plant: PlantModel):
+        self.plant = plant
+        self.state_dim, self.output_count = plant.state_dim, plant.output_count
+
+    def advance(self, state, u):
+        y, x = self.plant.advance(state[0], u)
+        return np.array(y, dtype=float), np.array([x], dtype=float)
+
+    def riding_currents(self, state, y_bar):
+        roots = self.plant.riding_currents(state[0], y_bar)
+        if roots is None:
+            spec = ConstraintSpec(y_bar=y_bar, gamma=np.ones_like(y_bar))
+            return bisected_roots(self.plant, state[0], spec)
+        return np.array(roots, dtype=float)
+
+    def telemetry(self, states, u, y):
+        return self.plant.telemetry(states[:, 0], u, y)
+
+
+def in_both_forms(run, model, x0):
+    """The outcome of ``run(model, x0)``, then that of the same run of the
+    plant in its row form, the state's added axis dropped."""
+    first = outcome(lambda: run(model, x0))
+    second = outcome(lambda: run(RowForm(model), x0[None]))
+    if isinstance(second, Trajectory):
+        second = replace(second, states=second.states[:, 0])
+    return first, second
 
 
 class TestLoopBodies:
-    """The float body of ``simulate`` against the array body, its reference:
-    the same columns bit for bit, the same failures at the same steps."""
+    """The one loop of ``simulate`` on a vector state's float lists against
+    the same loop on arrays, through ``RowForm``: the same columns bit for
+    bit, the same failures at the same steps."""
 
     @pytest.mark.parametrize("name", ["toy", "ecm", "spmet"])
-    def test_same_columns(self, name, scenarios, monkeypatch):
+    def test_same_columns(self, name, scenarios):
         built = scenarios[name]
-        model, spec, t_f, x0 = built.model, built.spec, built.cfg.t_f, built.x0
-        for run in (lambda: run_closed_loop(model, built.new_controller(), spec, t_f, x0),
-                    lambda: oracle_trajectory(model, spec, t_f, x0)):
-            fast, ref = on_both_bodies(monkeypatch, run)
+        spec, t_f = built.spec, built.cfg.t_f
+        for run in (lambda m, x0: run_closed_loop(m, built.new_controller(), spec, t_f, x0),
+                    lambda m, x0: oracle_trajectory(m, spec, t_f, x0)):
+            fast, ref = in_both_forms(run, built.model, built.x0)
             assert same_run(fast, ref)
 
     @pytest.mark.parametrize("fault", sorted(GUARD_MESSAGES))
     @pytest.mark.parametrize("kind", ["closed-loop", "oracle", "replay"])
-    def test_same_faults(self, kind, fault, monkeypatch):
-        fast, ref = on_both_bodies(monkeypatch, lambda: faulty_run(kind, FaultyToy(fault, 7)))
+    def test_same_faults(self, kind, fault):
+        model = FaultyToy(fault, 7)
+        fast, ref = in_both_forms(lambda m, x0: faulty_run(kind, m, x0), model,
+                                  model.initial_state())
         assert fast == ref == (7, f"simulation diverged at step 7: {GUARD_MESSAGES[fault]}")
 
-    def test_same_guard_order(self, monkeypatch):
+    def test_same_guard_order(self):
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-        fast, ref = on_both_bodies(monkeypatch, lambda: simulate(
-            Growth(TestGuardOrder.G[0], TestGuardOrder.C[0]), spec, 10, np.zeros(1),
-            lambda t, x: TestGuardOrder.input_of(t), lambda t, e: 1, guard=100.0))
+        fast, ref = in_both_forms(lambda m, x0: simulate(
+            m, spec, 10, x0, lambda t, x: TestGuardOrder.input_of(t), lambda t, e: 1,
+            guard=100.0), Growth(TestGuardOrder.G[0], TestGuardOrder.C[0]), np.zeros(1))
         assert fast == ref == (3, TestGuardOrder.MESSAGE)
 
     @pytest.mark.parametrize("name, kind", [("toy", list), ("pack", np.ndarray)])
