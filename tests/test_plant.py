@@ -371,7 +371,7 @@ class TestDivergenceGuard:
         # an input of 1e8 at step 3 makes |e_active| about 1e155, whose
         # square overflows Python's **; the input, outputs and state stay
         # inside the guard. The toy returns Python floats; a toy returning
-        # numpy arrays breaks the vector-state rule, but the float body
+        # numpy arrays breaks the vector-state rule, but the loop
         # squares a float of its active error all the same, where an
         # np.float64 would give inf silently
         class ArrayToy(ToyLinearPlant):
