@@ -21,6 +21,7 @@ the bound), C = [1, 1, 0, 0] extracts the dynamic-voltage part that heats.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from functools import cached_property
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -96,8 +97,10 @@ class EcmPlant(PlantModel):
     def output_rows(self, states, u, index) -> np.ndarray:
         """The one-cell ensemble's outputs on the rows, then each row's entry."""
         cell = self._ensemble
-        return np.choose(index, (u, cell.voltages(states, u),
-                                 cell.temperatures(states, u)))
+        v1, v2, soc, td = states.T
+        v12 = v1 + v2
+        return np.choose(index, (u, cell.voltages(v12, soc, u),
+                                 cell.temperatures(cell._kt * td, v12, u)))
 
     @cached_property
     def _ensemble(self) -> "EcmEnsemble":
@@ -145,9 +148,10 @@ class EcmEnsemble:
     are (M,) arrays, or one float for all members, as a pack's series
     current (``models.pack``). Each expression repeats the operand order of
     ``EcmPlant``, so row k of every result equals the scalar result of
-    ``cells[k]`` bit for bit. Results are transposed views of (columns, M)
-    arrays, filled a column at a time: at small M, numpy's per-call cost
-    outweighs the arithmetic.
+    ``cells[k]`` bit for bit. A step reads the state once, forms the shared
+    terms v1 + v2 and kt*td once, and writes its outputs into given rows (a
+    pack's output vector); results are transposed views of (columns, M)
+    arrays. At small M, numpy's per-call cost outweighs the arithmetic.
     """
 
     output_count = EcmPlant.output_count
@@ -161,11 +165,11 @@ class EcmEnsemble:
         self._ocv_slope = np.array([p.ocv_slope for p in self.params])
         # the product that EcmPlant forms first in its left-to-right expressions
         self._bt_r_o = self._bt * self._r_o
-        # the step's k*x + b*u for three columns at once (the exact factor 1
-        # leaves soc + ks*u as it is); the temperature column is set alone
-        m = len(self.params)
-        self._k = np.array([self._k1, self._k2, np.ones(m), np.zeros(m)])
-        self._b = np.array([self._b1, self._b2, self._ks, np.zeros(m)])
+        # the step's products k*x and b*u for all four columns at once (the
+        # exact factor 1 leaves soc + ks*u as it is); their temperature rows
+        # are kt*td and the heat's bt*u, and that column is set alone
+        self._k = np.array([self._k1, self._k2, np.ones(len(self.params)), self._kt])
+        self._b = np.array([self._b1, self._b2, self._ks, self._bt])
 
     def __len__(self) -> int:
         return len(self.params)
@@ -173,26 +177,28 @@ class EcmEnsemble:
     def advance(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.empty((3, len(x)))
         y[0] = u
-        y[1] = self.voltages(x, u)
-        y[2] = self.temperatures(x, u)
-        return y.T, self.next_states(x, u)
+        return y.T, self.advance_into(x, u, y[1], y[2])
 
-    def next_states(self, x: np.ndarray, u) -> np.ndarray:
-        """The next state rows alone: the pack adds its coupling to them."""
-        v1, v2, soc, td = cols = x.T
-        nxt = self._k * cols + self._b * u
-        nxt[3] = self._kt * td + self._bt * u * (self._r_o * u + v1 + v2)
+    def advance_into(self, x: np.ndarray, u, volts, temps) -> np.ndarray:
+        """``advance``'s next state rows, its voltage and temperature outputs
+        written into ``volts`` and ``temps``; the pack adds its coupling."""
+        v1, v2, soc, _ = cols = x.T
+        kx, bu = self._k * cols, self._b * u
+        v12, ktd = v1 + v2, kx[3]
+        volts[:] = self.voltages(v12, soc, u)
+        temps[:] = self.temperatures(ktd, v12, u)
+        nxt = kx + bu
+        nxt[3] = ktd + bu[3] * (self._r_o * u + v1 + v2)
         return nxt.T
 
-    def voltages(self, x: np.ndarray, u, cells=slice(None)) -> np.ndarray:
-        """Voltage readouts of members ``cells`` at state rows x (..., 4)
+    def voltages(self, v12, soc, u, cells=slice(None)) -> np.ndarray:
+        """Voltage readouts of members ``cells`` from their v1 + v2 and soc
         under inputs u; the members, rows and inputs broadcast together."""
-        return x[..., 0] + x[..., 1] + self._ocv_slope[cells] * x[..., 2] + u
+        return v12 + self._ocv_slope[cells] * soc + u
 
-    def temperatures(self, x: np.ndarray, u, cells=slice(None)) -> np.ndarray:
-        """One-step-ahead temperature deviations, as ``voltages``."""
-        return (self._kt[cells] * x[..., 3] + self._bt[cells] * (x[..., 0] + x[..., 1]) * u
-                + self._bt_r_o[cells] * u * u)
+    def temperatures(self, ktd, v12, u, cells=slice(None)) -> np.ndarray:
+        """One-step-ahead temperature deviations from kt*td and v1 + v2, as ``voltages``."""
+        return ktd + self._bt[cells] * v12 * u + self._bt_r_o[cells] * u * u
 
     def riding_currents(self, x: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
         """``EcmPlant.riding_currents`` of every member, one row each."""
@@ -214,16 +220,21 @@ def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
     The factors 2 and 4 are powers of two, so with a = bt*r_o the products
     2*a and 4*a equal the scalar form's (2*bt)*r_o and (4*bt)*r_o exactly.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
+    disc = b * b - 4.0 * a * c
+    # b > 0 on every row rules out b < 0 and a zero den, which b + sqrt(disc)
+    # is only for b <= 0; disc >= 0 on every row leaves no -inf and nothing
+    # to warn of. A NaN row fails both tests, so its batch takes the masks
+    plain, real = b.min() > 0.0, disc.min() >= 0.0
+    with nullcontext() if plain and real else np.errstate(divide="ignore", invalid="ignore"):
         den = b + np.sqrt(disc)
         root = -2.0 * c / den
-        alt = (b < 0.0) | (den == 0.0)
-        if alt.any():  # rare: only these rows pay for the second form
+        if not plain:
+            alt = (b < 0.0) | (den == 0.0)
             a_alt = a[alt] if np.ndim(a) else a
             root[alt] = np.where(c[alt] > 0.0, -np.inf,
                                  (np.sqrt(disc[alt]) - b[alt]) / (2.0 * a_alt))
-    root[disc < 0.0] = -np.inf
+    if not real:
+        root[disc < 0.0] = -np.inf
     return root
 
 

@@ -10,6 +10,10 @@ with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1), added to
 the cells' next states and temperature outputs. RC-link parameters (R1, C1,
 R2, C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
 
+``advance`` is one pass: the ensemble's kernel writes the cells' voltages and
+temperatures into the pack's one output vector, and the coupling is added
+once to those temperatures and once to the next states.
+
 Output layout of ``PackPlant.advance`` (1-based constraint indices):
 
     1                 current u
@@ -106,17 +110,19 @@ class PackPlant(PlantModel):
         return x
 
     def advance(self, state, u: float):
+        n = self.n_cells
+        y = np.empty(self.output_count)
+        y[0] = u
+        t_outs = y[n + 1:2 * n + 1]
+        x_next = self.ensemble.advance_into(state, u, y[1:n + 1], t_outs)
         coupling = self._coupling(state[:, 3])
-        x_next = self.ensemble.next_states(state, u)
+        t_outs += coupling
         x_next[:, 3] += coupling
-        t_outs = self.ensemble.temperatures(state, u) + coupling
         if self.params.pairwise_mode == "all-pairs":
-            diff = t_outs[:, None] - t_outs[None, :]
-            pair_outs = diff[~np.eye(self.n_cells, dtype=bool)]
+            y[2 * n + 1:] = (t_outs[:, None] - t_outs)[~np.eye(n, dtype=bool)]
         else:
-            pair_outs = np.array([t_outs.max() - t_outs.min()])
-        return (np.concatenate([[u], self.ensemble.voltages(state, u), t_outs, pair_outs]),
-                x_next)
+            y[-1] = t_outs.max() - t_outs.min()
+        return y, x_next
 
     def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
         """Ring coupling of deviations td to their neighbours' i-1 (``left``)
@@ -129,8 +135,9 @@ class PackPlant(PlantModel):
         """The coupled temperature outputs of ``cells`` in ``rows`` (index
         arrays that broadcast together), as ``advance`` computes them."""
         x = states[rows, cells]
-        own = self.ensemble.temperatures(x, u[rows], cells)
-        return own + self._coupling(x[..., 3], states[rows, self._prev[cells], 3],
+        e, td = self.ensemble, x[..., 3]
+        own = e.temperatures(e._kt[cells] * td, x[..., 0] + x[..., 1], u[rows], cells)
+        return own + self._coupling(td, states[rows, self._prev[cells], 3],
                                     states[rows, self._next[cells], 3])
 
     def output_rows(self, states, u, index) -> np.ndarray:
@@ -141,7 +148,8 @@ class PackPlant(PlantModel):
         rows = np.arange(len(index))
         volt = (1 <= index) & (index <= n)
         r, c = rows[volt], index[volt] - 1
-        out[volt] = self.ensemble.voltages(states[r, c], u[r], c)
+        x = states[r, c]
+        out[volt] = self.ensemble.voltages(x[:, 0] + x[:, 1], x[:, 2], u[r], c)
         temp = (n < index) & (index <= 2 * n)
         out[temp] = self._cell_temperatures(states, u, rows[temp], index[temp] - n - 1)
         pair = index > 2 * n
@@ -165,16 +173,16 @@ class PackPlant(PlantModel):
         u = 0 or not. In max-minus-min mode the spread's root."""
         cells = self.ensemble
         n = self.n_cells
-        td = state[:, 3]
-        v_dyn = state[:, 0] + state[:, 1]
+        v1, v2, soc, td = state.T
+        v12 = v1 + v2
         # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2; the
         # bound comes off alpha after the coupling is added, as in advance,
         # so the ensemble's own riding currents would round differently
         alpha = cells._kt * td + self._coupling(td)
-        beta = cells._bt * v_dyn
+        beta = cells._bt * v12
         roots = np.empty(self.output_count)
         roots[0] = y_bar[0]
-        roots[1:n + 1] = y_bar[1:n + 1] - (v_dyn + cells._ocv_slope * state[:, 2])
+        roots[1:n + 1] = y_bar[1:n + 1] - (v12 + cells._ocv_slope * soc)
         roots[n + 1:2 * n + 1] = rising_roots(cells._bt_r_o, beta,
                                               alpha - y_bar[n + 1:2 * n + 1])
         if self.params.pairwise_mode == "all-pairs":
@@ -236,20 +244,21 @@ def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:
     the spread has at most 2N - 2 breakpoints, so the iteration ends once the
     active pair repeats, after at most 2N - 1 steps of O(N) each.
     """
-    if alpha.max() - alpha.min() > bound:
+    # the scalar steps on Python floats, read off the arrays with item
+    if alpha.item(alpha.argmax()) - alpha.item(alpha.argmin()) > bound:
         return -np.inf
     pair = (int(beta.argmax()), int(beta.argmin()))
-    slope = beta[pair[0]] - beta[pair[1]]
+    slope = beta.item(pair[0]) - beta.item(pair[1])
     if slope <= 0.0:
         return np.inf  # parallel lines: the spread stays at its value at u = 0
-    u = (bound - (alpha[pair[0]] - alpha[pair[1]])) / slope
+    u = (bound - (alpha.item(pair[0]) - alpha.item(pair[1]))) / slope
     for _ in range(2 * len(alpha)):
         lines = alpha + beta * u
         active = (int(lines.argmax()), int(lines.argmin()))
-        excess = lines[active[0]] - lines[active[1]] - bound
-        slope = beta[active[0]] - beta[active[1]]
+        excess = lines.item(active[0]) - lines.item(active[1]) - bound
+        slope = beta.item(active[0]) - beta.item(active[1])
         if active == pair or excess <= 0.0 or slope <= 0.0:
             break
         pair = active
         u -= excess / slope
-    return max(float(u), 0.0)  # the spread is within bound at 0; undo rounding
+    return max(u, 0.0)  # the spread is within bound at 0; undo rounding

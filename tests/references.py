@@ -6,9 +6,10 @@ float paths equal bit for bit, and ``phases``. No command runs them:
 a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
 The ``*_step`` functions are each packaged plant's next state as a separate
-computation, which the next state of its ``advance`` equals. ``output``
-reads one output off ``advance``, the plant's one output path, for the
-scalar references and the model tests.
+computation, which the next state of its ``advance`` equals; the
+``*_outputs`` functions are the outputs of the ECM ensemble's and the pack's
+``advance``, likewise. ``output`` reads one output off ``advance``, the
+plant's one output path, for the scalar references and the model tests.
 """
 
 from __future__ import annotations
@@ -290,18 +291,46 @@ def ecm_step(plant: EcmPlant, state, u: float) -> np.ndarray:
 
 
 def ecm_ensemble_step(ensemble: EcmEnsemble, x: np.ndarray, u) -> np.ndarray:
-    v1, v2, soc, td = cols = x.T
-    nxt = ensemble._k * cols + ensemble._b * u
-    nxt[3] = ensemble._kt * td + ensemble._bt * u * (ensemble._r_o * u + v1 + v2)
-    return nxt.T
+    v1, v2, soc, td = x.T
+    return np.array([
+        ensemble._k1 * v1 + ensemble._b1 * u,
+        ensemble._k2 * v2 + ensemble._b2 * u,
+        soc + ensemble._ks * u,
+        ensemble._kt * td + ensemble._bt * u * (ensemble._r_o * u + v1 + v2),
+    ]).T
+
+
+def ecm_ensemble_outputs(ensemble: EcmEnsemble, x: np.ndarray, u) -> np.ndarray:
+    v1, v2, soc, td = x.T
+    return np.array([
+        np.broadcast_to(u, v1.shape),
+        v1 + v2 + ensemble._ocv_slope * soc + u,
+        (ensemble._kt * td + ensemble._bt * (v1 + v2) * u
+         + ensemble._bt * ensemble._r_o * u * u),
+    ]).T
+
+
+def _pack_coupling(pack: PackPlant, td: np.ndarray) -> np.ndarray:
+    return pack._cl * (td[pack._prev] - td) + pack._cr * (td[pack._next] - td)
 
 
 def pack_step(pack: PackPlant, state, u: float) -> np.ndarray:
     out = ecm_ensemble_step(pack.ensemble, state, u)
-    td = state[:, 3]
-    out[:, 3] += (pack._cl * (td[pack._prev] - td)
-                  + pack._cr * (td[pack._next] - td))
+    out[:, 3] += _pack_coupling(pack, state[:, 3])
     return out
+
+
+def pack_outputs(pack: PackPlant, state, u: float) -> np.ndarray:
+    """The pack's outputs in the layout of ``models.pack``, pairs (j, k)
+    enumerated one by one."""
+    n = pack.n_cells
+    cells = ecm_ensemble_outputs(pack.ensemble, state, u)
+    temps = cells[:, 2] + _pack_coupling(pack, state[:, 3])
+    if pack.params.pairwise_mode == "all-pairs":
+        pairs = [temps[j] - temps[k] for j in range(n) for k in range(n) if k != j]
+    else:
+        pairs = [temps.max() - temps.min()]
+    return np.concatenate([[u], cells[:, 1], temps, pairs])
 
 
 def spmet_step(plant: SpmetPlant, state, u: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """``PlantModel.advance``, the plant contract's one method: each packaged
-plant's next state against a separate computation (``tests/references.py``),
-bit for bit, and the contract itself."""
+plant's next state, and the ECM ensemble's and the pack's outputs, against a
+separate computation (``tests/references.py``), bit for bit, and the
+contract itself."""
 
 import importlib
 import inspect
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 import bangride
 from bangride import EcmParams, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.config import load_spmet_params, resolve_config_path
-from bangride.models.ecm import EcmPlant, perturb_params
+from bangride.models.ecm import EcmEnsemble, EcmPlant, perturb_params
 from bangride.plant import PlantModel
-from references import ecm_step, pack_step, spmet_step, toy_step
+from references import (ecm_ensemble_outputs, ecm_ensemble_step, ecm_step, pack_outputs,
+                        pack_step, spmet_step, toy_step)
 
 ECM_BASE = EcmParams(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
                      q=12000.0, a=0.002, b=1.8e-3, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -27,8 +29,11 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_advance(plant, x, u, reference) -> None:
-    assert same_bits(plant.advance(x, u)[1], reference(plant, x, u))
+def assert_advance(plant, x, u, reference, outputs=None) -> None:
+    y, x_next = plant.advance(x, u)
+    assert same_bits(x_next, reference(plant, x, u))
+    if outputs is not None:
+        assert same_bits(y, outputs(plant, x, u))
 
 
 def signed(lo: float, hi: float):
@@ -57,6 +62,22 @@ def test_ecm_cell(seed, x, u):
     assert_advance(plant, np.array(x), u, ecm_step)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       rows=st.lists(st.tuples(signed(-1.0, 2.0), signed(-1.0, 3.0), signed(0.0, 1.2),
+                               signed(-5.0, 30.0), signed(-10.0, 60.0)),
+                     min_size=1, max_size=6),
+       nan_row=st.booleans())
+def test_ecm_ensemble(seed, rows, nan_row):
+    # per-member inputs, and a NaN row as simulate_batch gives a member
+    # that is out
+    ensemble = EcmEnsemble([perturb_params(ECM_BASE, 0.3, (seed, k))
+                            for k in range(len(rows) + nan_row)])
+    x = np.array([r[:4] for r in rows] + [[np.nan] * 4] * nan_row)
+    u = np.array([r[4] for r in rows] + [np.nan] * nan_row)
+    assert_advance(ensemble, x, u, ecm_ensemble_step, ecm_ensemble_outputs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(["max-minus-min", "all-pairs"]),
        seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(2, 6),
@@ -69,7 +90,7 @@ def test_pack(mode, seed, n_cells, u):
                                 dt_pair_max=5.0, pairwise_mode=mode,
                                 cell_variation=0.3, variation_seed=seed))
     x = rng.uniform(-1.0, 6.0, (n_cells, 4)) * rng.choice([-0.0, 1.0, 10.0], (n_cells, 4))
-    assert_advance(pack, x, u, pack_step)
+    assert_advance(pack, x, u, pack_step, pack_outputs)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,15 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bangride
 from bangride import ConfigurationError, cli, run_closed_loop
 from bangride.cli import main
 from bangride.config import (MODEL_NAMES, ScenarioConfig, build_scenario,
@@ -328,6 +332,14 @@ class TestCli:
 
     def test_exit_code_configuration_error(self):
         assert main(["simulate", "--config", "does-not-exist"]) == 1
+
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(bangride.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "bangride", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and done.stdout.strip() == bangride.__version__
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_zero_current_bound_rejected(self, command, tmp_path, capsys):

@@ -21,7 +21,7 @@ from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
 from bangride.analysis import robustness_study
 from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
                              params_path)
-from bangride.models.ecm import EcmEnsemble, perturb_params
+from bangride.models.ecm import EcmEnsemble, perturb_params, rising_roots
 from bangride.models.pack import spread_root
 from bangride.oracle import bisected_roots
 from pack_labels import constraint_label
@@ -188,6 +188,36 @@ def test_ecm_ensemble_rows_equal_cells(seed, rows, y_temp):
         y_cell, x_cell = cell.advance(x[k], float(u[k]))
         assert np.array_equal(y[k], y_cell)
         assert np.array_equal(x_next[k], x_cell)
+
+
+def test_ecm_ensemble_rare_branches_beside_a_nan_row():
+    # a member that is out of simulate_batch (a NaN row) in one batch with a
+    # row in every rare branch of the temperature root: the NaN row makes
+    # every reduction over the batch NaN, so a test for the rare rows that
+    # is false on NaN, as b.min() < 0.0 is, would miss all of them
+    rows = [(0.1, 0.2, 0.5, -1.0),      # the regular form
+            (-0.5, 0.0, 0.5, -1.0),     # b < 0, c < 0: the larger root
+            (-2.0, -1.0, 0.5, 1e-6),    # b < 0, c > 0: -inf
+            (0.0, 0.0, 0.5, 1e-320),    # 4ac underflows: a zero denominator
+            (0.0, 0.0, 0.5, -1e-320),   # likewise, with c < 0: 0
+            (0.1, 0.0, 0.5, 30.0),      # disc < 0: -inf
+            (math.nan,) * 4]
+    y_bar = np.array([10.0, 12.0, 0.0])
+    ensemble = EcmEnsemble([ECM_BASE] * len(rows))
+    x = np.array(rows)
+    a, b = ensemble._bt_r_o, ensemble._bt * (x[:, 0] + x[:, 1])
+    c = ensemble._kt * x[:, 3] - y_bar[2]
+    disc = b * b - 4.0 * a * c
+    assert (b[1:3] < 0.0).all() and disc[2] > 0.0 and (disc[3:5] == 0.0).all()
+    assert disc[5] < 0.0
+    roots = ensemble.riding_currents(x, y_bar)
+    for k, row in enumerate(rows[:-1]):
+        assert np.array_equal(roots[k], ensemble.cells[k].riding_currents(row, y_bar))
+    assert (roots[:2, 2] > 0.0).all() and roots[4, 2] == 0.0
+    assert (roots[[2, 3, 5], 2] == -math.inf).all()
+    assert roots[-1, 0] == y_bar[0] and np.isnan(roots[-1, 1:]).all()
+    # rising_roots alone, with the scalar a of identical members
+    assert np.array_equal(rising_roots(float(a[0]), b, c), roots[:, 2], equal_nan=True)
 
 
 @settings(max_examples=300, deadline=None)
