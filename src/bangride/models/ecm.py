@@ -151,7 +151,8 @@ class EcmEnsemble:
     ``cells[k]`` bit for bit. A step reads the state once, forms the shared
     terms v1 + v2 and kt*td once, and writes its outputs into given rows (a
     pack's output vector); results are transposed views of (columns, M)
-    arrays. At small M, numpy's per-call cost outweighs the arithmetic.
+    arrays. At small M, numpy's per-call cost outweighs the arithmetic, so
+    columns are taken by index, which costs less than iterating ``x.T``.
     """
 
     output_count = EcmPlant.output_count
@@ -182,7 +183,8 @@ class EcmEnsemble:
     def advance_into(self, x: np.ndarray, u, volts, temps) -> np.ndarray:
         """``advance``'s next state rows, its voltage and temperature outputs
         written into ``volts`` and ``temps``; the pack adds its coupling."""
-        v1, v2, soc, _ = cols = x.T
+        cols = x.T
+        v1, v2, soc = cols[0], cols[1], cols[2]
         kx, bu = self._k * cols, self._b * u
         v12, ktd = v1 + v2, kx[3]
         volts[:] = self.voltages(v12, soc, u)
@@ -202,7 +204,7 @@ class EcmEnsemble:
 
     def riding_currents(self, x: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
         """``EcmPlant.riding_currents`` of every member, one row each."""
-        v1, v2, soc, td = x.T
+        v1, v2, soc, td = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
         v12 = v1 + v2
         roots = np.empty((3, len(x)))
         roots[0] = y_bar[0]

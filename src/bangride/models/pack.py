@@ -173,7 +173,7 @@ class PackPlant(PlantModel):
         u = 0 or not. In max-minus-min mode the spread's root."""
         cells = self.ensemble
         n = self.n_cells
-        v1, v2, soc, td = state.T
+        v1, v2, soc, td = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
         v12 = v1 + v2
         # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2; the
         # bound comes off alpha after the coupling is added, as in advance,
