@@ -5,7 +5,8 @@ Unlike the controller, everything here is deliberately model-aware, but
 only through the plant contract of ``plant`` and the oracle: no concrete
 cell model is imported. The per-step optima and c_t evaluate the plant's
 outputs at the recorded states of every step at once (``output_rows``), the
-optima bisecting in the oracle's ``bisect_rows``. The robustness study
+optima taking each riding step's root from the plant's riding currents
+(``riding_rows``). The robustness study
 takes the true plant and one batched model of 2M + 1 members from its
 caller, and in one lockstep pass (``plant.simulate_batch``) runs the true
 oracle, the ideal protocols of the M models and their replays on M copies of
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import ConstraintSpec, project_box
-from .errors import ConfigurationError, SimulationDiverged
-from .oracle import RootConfig, bisect_rows, selector_rows
+from .errors import ConfigurationError, RootFindingError, SimulationDiverged
+from .oracle import RootConfig, selector_rows
 from .plant import DEFAULT_GUARD, PlantModel, Trajectory, check_run, simulate_batch
 
 
@@ -109,11 +110,14 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     Reconstructs the history statistics exactly as the controller accumulated
     them and freezes the realized active index per step; the minimizers are
     taken over the gain box [theta_lo, theta_hi]. All steps are solved at
-    once, through ``PlantModel.output_rows``, with the oracle's lockstep
-    ``bisect_rows`` on the error's negative at the ``RootConfig``
-    tolerances, in which each step stops on its own; every row equals the
-    scalar reference ``per_step_optimal_cost`` (``tests/references.py``) at
-    that step bit for bit.
+    once, through ``PlantModel.output_rows``; a step whose error changes
+    sign on its current interval takes the frozen constraint's riding
+    current from one ``PlantModel.riding_rows`` call, clamped to the
+    interval. A riding current that is NaN or lies more than
+    ``RootConfig.tol_u`` outside the interval raises ``RootFindingError``
+    naming the step. Every row equals the scalar reference
+    ``per_step_optimal_cost`` (``tests/references.py``) at that step bit for
+    bit.
     """
     if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "
@@ -140,15 +144,22 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     high = e_hi >= 0.0
     u_opt, e_opt = np.where(high, u_hi, u_lo), np.where(high, e_hi, e_lo)
 
-    # the riding rows; -(-e) restores e bit for bit, signed zeros included
+    # the riding rows: the error falls through zero inside the interval
     rows = np.flatnonzero(~(zero | high | (e_lo <= 0.0)))
-    u_opt[rows], r = bisect_rows(lambda k, u: -err(rows[k], u), u_lo[rows],
-                                 u_hi[rows], gamma[rows] * RootConfig.tol_y,
-                                 lambda k: f"per-step optimum bisection did "
-                                           f"not converge at step {rows[k]}")
-    e_opt[rows] = -r
+    lo, hi = u_lo[rows], u_hi[rows]
+    root = model.riding_rows(states[rows], spec.y_bar, index[rows])
+    bad = ~((lo - RootConfig.tol_u <= root) & (root <= hi + RootConfig.tol_u))
+    if bad.any():
+        k = int(bad.argmax())
+        raise RootFindingError(
+            f"per-step optimum at step {rows[k]} has riding current {root.item(k)!r} "
+            f"of constraint {index[rows[k]] + 1}, outside its current interval",
+            float(lo[k]), float(hi[k]), 0)
+    # the scalar's min(max(root, u_lo), u_hi)
+    root = np.where(root < lo, lo, root)
+    u_opt[rows] = np.where(root > hi, hi, root)
+    e_opt[rows] = err(rows, u_opt[rows])
 
-    # every midpoint lies in [u_lo, u_hi], so the scalar's final clamp is a no-op
     theta_star = np.empty((n, 2))
     theta_star[zero] = project_box(np.zeros(2), theta_lo, theta_hi)
     theta_star[~zero] = _min_norm_rows(s[~zero], u_opt[~zero], theta_lo, theta_hi)

@@ -21,7 +21,8 @@ class SimulationDiverged(BangrideError):
 
 
 class RootFindingError(BangrideError):
-    """Bisection failed to converge; carries bracket diagnostics."""
+    """A root was not found, or fell outside its bracket; carries the
+    bracket and the iterations spent on it (0 for a root that was read)."""
 
     def __init__(self, message: str, lo: float, hi: float, iterations: int):
         self.lo = lo

@@ -102,6 +102,11 @@ class EcmPlant(PlantModel):
         return np.choose(index, (u, cell.voltages(v12, soc, u),
                                  cell.temperatures(cell._kt * td, v12, u)))
 
+    def riding_rows(self, states, y_bar, index) -> np.ndarray:
+        """The one-cell ensemble's riding currents on the rows, then each row's entry."""
+        roots = self._ensemble.riding_currents(states, y_bar)
+        return roots[np.arange(len(index)), index]
+
     @cached_property
     def _ensemble(self) -> "EcmEnsemble":
         return EcmEnsemble([self.params])
@@ -221,20 +226,22 @@ def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
 
     The factors 2 and 4 are powers of two, so with a = bt*r_o the products
     2*a and 4*a equal the scalar form's (2*bt)*r_o and (4*bt)*r_o exactly.
+    a is a float, or an array that broadcasts with b and c: one member's
+    coefficient over many rows, or one per member.
     """
     disc = b * b - 4.0 * a * c
     # b > 0 on every row rules out b < 0 and a zero den, which b + sqrt(disc)
     # is only for b <= 0; disc >= 0 on every row leaves no -inf and nothing
-    # to warn of. A NaN row fails both tests, so its batch takes the masks
-    plain, real = b.min() > 0.0, disc.min() >= 0.0
+    # to warn of. A NaN row fails both tests, so its batch takes the masks;
+    # an empty batch passes them
+    plain, real = b.min(initial=np.inf) > 0.0, disc.min(initial=np.inf) >= 0.0
     with nullcontext() if plain and real else np.errstate(divide="ignore", invalid="ignore"):
         den = b + np.sqrt(disc)
         root = -2.0 * c / den
         if not plain:
             alt = (b < 0.0) | (den == 0.0)
-            a_alt = a[alt] if np.ndim(a) else a
-            root[alt] = np.where(c[alt] > 0.0, -np.inf,
-                                 (np.sqrt(disc[alt]) - b[alt]) / (2.0 * a_alt))
+            root[alt] = np.where(c[alt] > 0.0, -np.inf, (np.sqrt(disc[alt]) - b[alt])
+                                 / (2.0 * np.broadcast_to(a, b.shape)[alt]))
     if not real:
         root[disc < 0.0] = -np.inf
     return root

@@ -126,10 +126,20 @@ class PackPlant(PlantModel):
 
     def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
         """Ring coupling of deviations td to their neighbours' i-1 (``left``)
-        and i+1 (``right``), by default read off td, a whole state's column."""
+        and i+1 (``right``), by default read off td, the cells' last axis."""
         if left is None:
-            left, right = td[self._prev], td[self._next]
+            left, right = td[..., self._prev], td[..., self._next]
         return self._cl * (left - td) + self._cr * (right - td)
+
+    def _lines(self, states) -> tuple[np.ndarray, ...]:
+        """v1 + v2, soc and the temperature outputs' lines alpha + beta*u
+        (the shared bt*r_o*u**2 aside) of every cell of one state (N, 4) or
+        of state rows (n, N, 4). The bound comes off alpha after the
+        coupling is added, as in ``advance``, so the ensemble's own riding
+        currents would round differently."""
+        cells, td = self.ensemble, states[..., 3]
+        v12 = states[..., 0] + states[..., 1]
+        return v12, states[..., 2], cells._kt * td + self._coupling(td), cells._bt * v12
 
     def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
         """The coupled temperature outputs of ``cells`` in ``rows`` (index
@@ -168,18 +178,11 @@ class PackPlant(PlantModel):
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
         the temperature quadratics. A pair output t_j - t_k is affine in u,
-        since the u**2 terms cancel; its root is (bound - da)/db for a slope
-        db > 0, and otherwise -inf or +inf as the pair exceeds the bound at
-        u = 0 or not. In max-minus-min mode the spread's root."""
+        since the u**2 terms cancel (``pair_roots``). In max-minus-min mode
+        the spread's root."""
         cells = self.ensemble
         n = self.n_cells
-        v1, v2, soc, td = state[:, 0], state[:, 1], state[:, 2], state[:, 3]
-        v12 = v1 + v2
-        # temperature output of cell i: alpha_i + beta_i*u + bt*r_o*u**2; the
-        # bound comes off alpha after the coupling is added, as in advance,
-        # so the ensemble's own riding currents would round differently
-        alpha = cells._kt * td + self._coupling(td)
-        beta = cells._bt * v12
+        v12, soc, alpha, beta = self._lines(state)
         roots = np.empty(self.output_count)
         roots[0] = y_bar[0]
         roots[1:n + 1] = y_bar[1:n + 1] - (v12 + cells._ocv_slope * soc)
@@ -187,15 +190,38 @@ class PackPlant(PlantModel):
                                               alpha - y_bar[n + 1:2 * n + 1])
         if self.params.pairwise_mode == "all-pairs":
             off = ~np.eye(n, dtype=bool)
-            da, db = (alpha[:, None] - alpha)[off], (beta[:, None] - beta)[off]
-            bound = y_bar[2 * n + 1:]
-            pair = np.where(da > bound, -np.inf, np.inf)
-            rising = db > 0.0
-            pair[rising] = (bound[rising] - da[rising]) / db[rising]
-            roots[2 * n + 1:] = pair
+            roots[2 * n + 1:] = pair_roots((alpha[:, None] - alpha)[off],
+                                           (beta[:, None] - beta)[off], y_bar[2 * n + 1:])
         else:
             roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))
         return roots
+
+    def riding_rows(self, states, y_bar, index) -> np.ndarray:
+        """Each row's riding current from the cells it reads, in the
+        arithmetic of ``riding_currents``: one cell for a voltage or a
+        temperature, two for a pair, all N for the spread."""
+        cells = self.ensemble
+        n = self.n_cells
+        v12, soc, alpha, beta = self._lines(states)
+        out = np.full(len(index), float(y_bar[0]))    # index 0: the current bound
+        rows, bound = np.arange(len(index)), y_bar[index]
+        volt = (1 <= index) & (index <= n)
+        r, c = rows[volt], index[volt] - 1
+        out[volt] = bound[volt] - (v12[r, c] + cells._ocv_slope[c] * soc[r, c])
+        temp = (n < index) & (index <= 2 * n)
+        r, c = rows[temp], index[temp] - n - 1
+        out[temp] = rising_roots(cells._bt_r_o[c], beta[r, c], alpha[r, c] - bound[temp])
+        pair = index > 2 * n
+        r = rows[pair]
+        if self.params.pairwise_mode == "all-pairs":
+            # pair p is (j, k), k != j, in the row-major order of advance
+            j, k = divmod(index[pair] - 2 * n - 1, n - 1)
+            k += k >= j
+            out[pair] = pair_roots(alpha[r, j] - alpha[r, k], beta[r, j] - beta[r, k],
+                                   bound[pair])
+        else:
+            out[pair] = [spread_root(alpha[k], beta[k], float(y_bar[-1])) for k in r.tolist()]
+        return out
 
     def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
         """Series terminal voltage (sum over cells of OCV + Ro*u + v1 + v2),
@@ -230,6 +256,16 @@ class PackPlant(PlantModel):
         gamma = np.concatenate([[gamma_current], np.full(n, gamma_voltage),
                                 np.full(n, gamma_temp), np.full(d, gamma_pair)])
         return ConstraintSpec(y_bar=y_bar, gamma=gamma)
+
+
+def pair_roots(da: np.ndarray, db: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Riding currents of the pair outputs da + db*u: (bound - da)/db for a
+    slope db > 0, and otherwise -inf or +inf as the pair exceeds the bound
+    at u = 0 or not."""
+    roots = np.where(da > bound, -np.inf, np.inf)
+    rising = db > 0.0
+    roots[rising] = (bound[rising] - da[rising]) / db[rising]
+    return roots
 
 
 def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:

@@ -36,10 +36,9 @@ at construction, since the coefficients are read from a parameter file.
 bisection. V is increasing and concave in u >= 0, so Newton steps from u = 0
 climb to the root from the feasible side. They stop when a step makes no
 progress, or when rounding puts a step's computed voltage above the bound;
-then halving closes [last feasible iterate, overshoot] to the bisection
-tolerance ``RootConfig.tol_u``. The result is the largest current whose
-computed voltage does not exceed the bound, within that tolerance, as
-bisection's is.
+then halving closes [last feasible iterate, overshoot] to the tolerance
+``RootConfig.tol_u``. The result is the largest current whose computed
+voltage does not exceed the bound, within that tolerance.
 """
 
 from __future__ import annotations

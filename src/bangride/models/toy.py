@@ -34,3 +34,12 @@ class ToyLinearPlant(PlantModel):
 
     def output_rows(self, states, u, index) -> np.ndarray:
         return np.where(index == 0, u, self.c * states[:, 0] + self.d * u)
+
+    def riding_currents(self, state, y_bar) -> list[float]:
+        """The current bound and, with two outputs, (y_bar_2 - c*x)/d."""
+        u_max, *bound = map(float, y_bar)
+        return [u_max] + [(b - self.c * float(state[0])) / self.d for b in bound]
+
+    def riding_rows(self, states, y_bar, index) -> np.ndarray:
+        # with one output every index is 0, and y_bar[-1] is never selected
+        return np.where(index == 0, y_bar[0], (y_bar[-1] - self.c * states[:, 0]) / self.d)

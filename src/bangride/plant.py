@@ -2,8 +2,10 @@
 
 A plant is a discrete-time system ``x_{t+1} = f(x_t, u_t)`` with p scalar
 outputs ``y_i = h_i(x_t, u_t)`` that are strictly increasing in the input
-current u. Output 1 is the identity in u. A plant's one required method,
-``advance``, gives a step's outputs and next state from one call. States
+current u. Output 1 is the identity in u. A plant has two required methods:
+``advance`` gives a step's outputs and next state from one call, and
+``riding_currents`` the current at which each output meets its bound, in
+closed form or by Newton steps; ``riding_rows`` is its row form. States
 are numeric values that only the concrete models interpret; a single cell
 steps its vector state as Python float lists (the vector-state rule of
 ``PlantModel.advance``), the pack its (N, 4) state as numpy arrays.
@@ -48,8 +50,9 @@ class PlantModel(abc.ABC):
 
     Subclasses set ``state_dim`` and ``output_count`` and implement
     ``advance`` (a step's outputs and next state from one call), the one
-    place where a plant computes its outputs. ``output_rows``, ``telemetry``
-    and ``riding_currents`` are overridable fast paths.
+    place where a plant computes its outputs, and ``riding_currents``, the
+    roots the oracle and the per-step optima read. ``output_rows``,
+    ``riding_rows`` and ``telemetry`` are overridable fast paths.
     """
 
     state_dim: int
@@ -81,19 +84,31 @@ class PlantModel(abc.ABC):
         return np.array([self.advance(x, u_k)[0][i] for x, u_k, i
                          in zip(states, u.tolist(), index.tolist())], dtype=float)
 
+    @abc.abstractmethod
     def riding_currents(self, state, y_bar: np.ndarray) -> Any:
-        """Riding currents of all p constraints, or None; a float list or an
-        array, as ``advance`` returns its results.
+        """Riding currents of all p constraints: a float list or an array, as
+        ``advance`` returns its results.
 
         Entry i is the u that solves h_i(x, u) = y_bar_i. It is negative or
         -inf when the constraint is already violated at u = 0, and +inf when
-        the bound is never reached for u >= 0; no entry is NaN. A root that
-        is computed, not closed-form, is the largest current whose computed
-        output does not exceed the bound, within ``RootConfig.tol_u``, as
-        bisection's is. The default, None, makes the oracle bisect every
-        constraint on [0, u_max].
+        the bound is never reached for u >= 0; no entry is NaN. A closed-form
+        root's computed output lies within a few ulps of the bound; a root
+        found by iteration (the SPMeT's Newton steps) is the largest current
+        whose computed output does not exceed the bound, within
+        ``RootConfig.tol_u``.
         """
-        return None
+
+    def riding_rows(self, states: np.ndarray, y_bar: np.ndarray,
+                    index: np.ndarray) -> np.ndarray:
+        """One riding current of each row: entry k is
+        ``riding_currents(states[k], y_bar)[index[k]]``, bit for bit, as
+        ``output_rows`` is of ``advance``.
+
+        Takes (n, *state_shape) states and 0-based constraint positions. The
+        default loops over ``riding_currents``.
+        """
+        return np.array([self.riding_currents(x, y_bar)[i]
+                         for x, i in zip(states, index.tolist())], dtype=float)
 
     def telemetry(self, states: np.ndarray, u: np.ndarray,
                   y: np.ndarray) -> dict[str, np.ndarray]:

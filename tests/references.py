@@ -1,7 +1,9 @@
 """One-step and one-run scalar references that the package's batched and
-float paths equal bit for bit, and ``phases``. No command runs them:
-``solve_constraint`` is one root of ``oracle.bisected_roots``,
-``per_step_optimal_cost`` a row of ``analysis.attach_per_step_optima``,
+float paths equal bit for bit, the bisection that every plant's riding
+currents are checked against, and ``phases``. No command runs them:
+``bisected_roots`` gives all riding currents of a plant by bisection, and
+``solve_constraint`` is one of its roots on its own;
+``per_step_optimal_cost`` is a row of ``analysis.attach_per_step_optima``,
 ``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
 a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
 from bangride.oracle import RootConfig
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+
+MAX_ITER = 200    # halvings before a bisection gives up
 
 
 def output(model: PlantModel, x, u: float, i: int) -> float:
@@ -75,7 +79,7 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
 
     # halve until the bracket meets tol_u and the residual meets tol_y (the
     # FeedbackValue contract); monotonicity keeps the root bracketed throughout
-    for k in range(1, RootConfig.max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         res = output(model, x, mid, idx) - y_bar_i
         if res > 0.0:
@@ -85,12 +89,75 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
         if (hi - lo) <= RootConfig.tol_u and abs(res) <= RootConfig.tol_y:
             return FeedbackValue(value=mid, iterations=k)
     raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
-                           RootConfig.max_iter)
+                           MAX_ITER)
+
+
+def bisect_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: np.ndarray, hi: np.ndarray, tol_r: np.ndarray,
+                label: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Bisection of n brackets [lo, hi] at once, on residuals increasing in u.
+
+    ``residual(rows, u)`` gives the residuals of the rows numbered ``rows``
+    at the currents u. Each row halves until its bracket is within
+    ``RootConfig.tol_u`` and its |residual| within its ``tol_r``; a positive
+    residual moves the top, a zero one the bottom. Returns each row's last
+    midpoint and residual; a row open after ``MAX_ITER`` halvings raises
+    ``RootFindingError`` with the message ``label(row)``.
+    """
+    u, r, rows = np.empty(len(lo)), np.empty(len(lo)), np.arange(len(lo))
+    for _ in range(MAX_ITER):
+        if not len(rows):
+            break
+        mid = 0.5 * (lo + hi)
+        res = residual(rows, mid)
+        above = res > 0.0
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+        done = ((hi - lo) <= RootConfig.tol_u) & (np.abs(res) <= tol_r)
+        u[rows[done]], r[rows[done]] = mid[done], res[done]
+        rows, lo, hi, tol_r = (v[~done] for v in (rows, lo, hi, tol_r))
+    if len(rows):
+        raise RootFindingError(label(int(rows[0])), float(lo[0]), float(hi[0]), MAX_ITER)
+    return u, r
+
+
+def bisected_roots(model: PlantModel, x, y_bar) -> np.ndarray:
+    """Riding currents of all p constraints by bisection on [0, u_max], in the
+    form of ``PlantModel.riding_currents``: u_max = y_bar[0] for constraint 1,
+    and +inf for a constraint met at u_max, which then cannot attain the
+    minimum. The bracket checks run per constraint, the top and the bottom
+    read off one ``advance(x, u_max)`` and one ``advance(x, 0.0)`` call, then
+    the constraints left halve together, one ``output_rows`` call per
+    halving; each root equals ``solve_constraint``'s bit for bit.
+    """
+    y_bar = np.asarray(y_bar, dtype=float)
+    u_max = float(y_bar[0])
+    y_hi, y_lo = model.advance(x, u_max)[0], model.advance(x, 0.0)[0]
+    roots = np.array([u_max] + [math.inf] * (len(y_bar) - 1))
+    pending = []
+    for idx in range(1, len(y_bar)):
+        y_bar_i, f_hi = float(y_bar[idx]), float(y_hi[idx])
+        if f_hi <= y_bar_i:
+            continue
+        if not math.isfinite(f_hi):
+            raise RootFindingError(f"constraint {idx + 1}: non-finite output at "
+                                   "bracket top", 0.0, u_max, 0)
+        if y_lo[idx] > y_bar_i:
+            roots[idx] = 0.0
+        else:
+            pending.append(idx)
+    if pending:
+        index, n = np.array(pending), len(pending)
+        states, bound = np.broadcast_to(x, (n,) + np.shape(x)), y_bar[index]
+        roots[index] = bisect_rows(
+            lambda k, u: model.output_rows(states[k], u, index[k]) - bound[k],
+            np.zeros(n), np.full(n, u_max), np.full(n, RootConfig.tol_y),
+            lambda k: f"constraint {pending[k] + 1}: bisection did not converge")[0]
+    return roots
 
 
 def per_constraint_roots(model: PlantModel, x, spec: ConstraintSpec) -> np.ndarray:
-    """``oracle.bisected_roots`` with one ``solve_constraint`` per constraint
-    not met at u_max, each bisecting on its own."""
+    """``bisected_roots`` with one ``solve_constraint`` per constraint not
+    met at u_max, each bisecting on its own."""
     u_max = spec.u_max
     roots = [u_max]
     for i in range(2, spec.p + 1):
@@ -198,16 +265,21 @@ class PerStepOptimum:
 def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
                           last_error: float, error_sum: float,
                           theta_lo: np.ndarray, theta_hi: np.ndarray,
-                          i_star: int, *, tol_u: float = 1e-9,
-                          tol_y: float = 1e-6,
-                          max_iter: int = 200) -> PerStepOptimum:
+                          i_star: int, *, tol_u: float = RootConfig.tol_u,
+                          tol_y: float = RootConfig.tol_y) -> PerStepOptimum:
     """Best achievable one-step cost at a recorded step.
 
     The PI law makes u affine in theta given the frozen history statistics,
     so the box maps onto a current interval (corner evaluation). On that
     interval the weighted error of the realized active constraint is
-    decreasing in u; the minimizing current is the riding root when it is
-    reachable and the nearest interval endpoint otherwise.
+    decreasing in u; the minimizing current is the constraint's riding
+    current (``riding_currents``), clamped to the interval, where the error
+    changes sign on it, and the nearest interval endpoint otherwise.
+
+    A riding current that is NaN or lies more than tol_u outside the
+    interval raises ``RootFindingError``. Bisection on the interval, to tol_u
+    and a residual of gamma_i*tol_y, is the independent check of the
+    plant's root: the two must lie within 2*tol_u of each other.
     """
     theta_lo = np.asarray(theta_lo, dtype=float)
     theta_hi = np.asarray(theta_hi, dtype=float)
@@ -231,22 +303,26 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
     elif e_lo <= 0.0:         # over-riding even at the smallest reachable u
         u_opt, e_opt = u_lo, e_lo
     else:
-        lo_u, hi_u = u_lo, u_hi
-        u_opt, e_opt = u_lo, e_lo
-        tol_e = gamma_i * tol_y
-        for _ in range(max_iter):
-            u_opt = 0.5 * (lo_u + hi_u)
-            e_opt = err(u_opt)
-            if e_opt < 0.0:
-                hi_u = u_opt
+        root = float(model.riding_currents(x, spec.y_bar)[i_star - 1])
+        if not u_lo - tol_u <= root <= u_hi + tol_u:
+            raise RootFindingError(f"riding current {root!r} of constraint {i_star} "
+                                   "outside its current interval", u_lo, u_hi, 0)
+        u_opt = min(max(root, u_lo), u_hi)
+        e_opt = err(u_opt)
+        lo_u, hi_u, tol_e = u_lo, u_hi, gamma_i * tol_y
+        for _ in range(MAX_ITER):
+            mid = 0.5 * (lo_u + hi_u)
+            e_mid = err(mid)
+            if e_mid < 0.0:
+                hi_u = mid
             else:
-                lo_u = u_opt
-            if (hi_u - lo_u) <= tol_u and abs(e_opt) <= tol_e:
+                lo_u = mid
+            if (hi_u - lo_u) <= tol_u and abs(e_mid) <= tol_e:
                 break
         else:
             raise RootFindingError("per-step optimum bisection did not converge",
-                                   lo_u, hi_u, max_iter)
-    u_opt = min(max(u_opt, u_lo), u_hi)
+                                   lo_u, hi_u, MAX_ITER)
+        assert abs(u_opt - mid) <= 2.0 * tol_u, (u_opt, mid)
     theta_star = _min_norm_on_line_in_box(s, u_opt, theta_lo, theta_hi)
     return PerStepOptimum(j_star=e_opt ** 2, u_star=u_opt, theta_star=theta_star)
 

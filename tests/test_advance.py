@@ -107,12 +107,13 @@ def floats(values) -> bool:
 
 
 def test_contract_is_advance(scenarios):
-    # advance is the one required method: no class under bangride defines
-    # step, outputs or output, and each packaged plant's advance returns
-    # output_count outputs and a next state of its state's shape. A vector
-    # plant's advance and riding_currents return lists of Python floats,
-    # given the state as a list or a 1-D array; the pack's return arrays
-    assert PlantModel.__abstractmethods__ == {"advance"}
+    # advance and riding_currents are the required methods: no class under
+    # bangride defines step, outputs or output, and each packaged plant's
+    # advance returns output_count outputs and a next state of its state's
+    # shape. A vector plant's advance and riding_currents return lists of
+    # Python floats, given the state as a list or a 1-D array; the pack's
+    # return arrays
+    assert PlantModel.__abstractmethods__ == {"advance", "riding_currents"}
     classes = []
     for info in pkgutil.walk_packages(bangride.__path__, "bangride."):
         module = importlib.import_module(info.name)
@@ -131,8 +132,7 @@ def test_contract_is_advance(scenarios):
             assert floats(y) and len(y) == model.output_count
             assert floats(x_next) and len(x_next) == len(x0)
             roots = model.riding_currents(x, y_bar)
-            assert roots is None if name == "toy" else (
-                floats(roots) and len(roots) == model.output_count)
+            assert floats(roots) and len(roots) == model.output_count
     pack = scenarios["pack"]
     y, x_next = pack.model.advance(pack.x0, 1.0)
     assert type(y) is type(x_next) is np.ndarray

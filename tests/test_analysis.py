@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -59,9 +60,16 @@ def test_public_surface():
     assert not [name for module in (bangride, oracle)
                 for name in ("solve_constraint", "FeedbackValue")
                 if hasattr(module, name)]
-    # the optima bisect at RootConfig's tolerances, through the oracle's kernel
+    # the optima read the plant's riding currents: bisection is a test
+    # reference (tests/references.py), and no module under src/ names it
     assert list(inspect.signature(attach_per_step_optima).parameters) == [
         "trajectory", "model", "spec", "theta_lo", "theta_hi"]
+    sources = [path.read_text(encoding="utf-8")
+               for path in Path(bangride.__file__).parent.rglob("*.py")]
+    assert len(sources) >= 10
+    assert not [name for name in ("bisected_roots", "bisect_rows")
+                if any(name in text for text in sources)]
+    assert not hasattr(oracle.RootConfig, "max_iter")
     # the controller holds no stepping code: run_closed_loop does its float
     # arithmetic, and the numpy reference is tests/references.py
     assert not [name for name in ("constraint_errors", "active_index")
@@ -359,12 +367,26 @@ class TestBatchedOptima:
                                            built.cfg.theta_lo, built.cfg.theta_hi)
         assert out is not None
 
-    def test_non_convergence_names_the_step(self):
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e3])
+    def test_bad_riding_current_names_the_step(self, bad):
+        # a hook whose riding current is NaN, or lies outside the current
+        # interval, from the state 0.5 on: no clamp, no NaN J_star, but the
+        # error of the scalar reference at the first riding step past it
+        class BrokenToy(ToyLinearPlant):
+            riding_rows = PlantModel.riding_rows   # the loop over riding_currents
+
+            def riding_currents(self, state, y_bar):
+                roots = super().riding_currents(state, y_bar)
+                return roots[:1] + [bad] if float(state[0]) >= 0.5 else roots
+
         model, spec, cs, traj = toy_run(300)
+        broken = BrokenToy()
         with pytest.raises(RootFindingError) as exc:
-            scalar_optima(traj, model, spec, cs.theta_lo, cs.theta_hi, tol_u=1e-300)
-        with pytest.raises(RootFindingError, match=f"at step {exc.value.step} "):
-            batched_optima(traj, model, spec, cs.theta_lo, cs.theta_hi, tol_u=1e-300)
+            scalar_optima(traj, broken, spec, cs.theta_lo, cs.theta_hi)
+        assert exc.value.step > 0
+        with pytest.raises(RootFindingError, match=f"at step {exc.value.step} ") as err:
+            attach_per_step_optima(traj, broken, spec, cs.theta_lo, cs.theta_hi)
+        assert f"riding current {bad!r} of constraint 2" in str(err.value)
 
 
 class TestBoxInvariant:

@@ -267,9 +267,10 @@ class TestCli:
 
     # SHA-256 of oracle.csv for the packaged scenarios. The oracle runs use
     # only + - * / and sqrt, and the pack's summary channels add numpy sums,
-    # maxima and minima over its cells.
+    # maxima and minima over its cells. The toy's rows ride exactly on its
+    # bound, through its closed-form riding current.
     GOLDEN_ORACLE_CSV = {
-        "toy": "544d05c85541b047d995f671393f8676b56c6827d5019a6bca01584df0a927af",
+        "toy": "a955b213026b05386df37cefa9d75a3bb6f095f6ce956bfc0ed9b6c121fb5bf2",
         "ecm": "c11e70b64d65fe49e3a3d94a8ececa00215fa86a4665c4c082d1fb172c0e624f",
         "pack": "6480241f65c2d035da5c81c20bde2b8df46da9c305d1aa081317069ef13f8066",
     }
@@ -296,16 +297,16 @@ class TestCli:
         for name, digest in self.GOLDEN_MONTECARLO.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
-    # SHA-256 of the outputs that carry per-step optima or c_t, generated by
-    # the per-step scalar loop that the batched attach_per_step_optima and
-    # ct_series replaced
+    # SHA-256 of the outputs that carry per-step optima or c_t, whose riding
+    # steps take the toy's closed-form riding current; the per-step scalar
+    # references of tests/references.py give the same bytes
     GOLDEN_OPTIMA = {
         "regret-2000": (["regret", "--steps", "2000"], "regret.csv",
-                        "2c4504ef5ab06a2ffcb0bf7df4d214f0d853594490c126a679e4832517f61c36"),
+                        "459808d4b1c832160e83e48256219da592eddf303b5f73d9aeaec33ed837b73a"),
         "regret": (["regret"], "regret.csv",
-                   "df6f1be42b5fd0ce8c2f6a183d37311e28f3592f1ed85bfbf1190add98cc0a8b"),
+                   "45ceab6f7e13a14ed97edacd4b98df0bbeb89e889cb085ebacbe75589425e778"),
         "simulate": (["simulate"], "trajectory.csv",
-                     "8136e76610d90728215ee991c54356d2dc04e5d044aa1510ff6b970689264dec"),
+                     "4c750553d4cb77b40e76f720e343f5402942056cb0cf1b39d7127e1547b4fedb"),
     }
 
     @pytest.mark.parametrize("run", sorted(GOLDEN_OPTIMA))

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from bangride import (ConfigurationError, ConstraintSpec, RootConfig,
                       RootFindingError, ToyLinearPlant, oracle_trajectory,
                       selector)
-from bangride.oracle import bisected_roots
 from bangride.plant import PlantModel
-from references import output, per_constraint_roots, solve_constraint
+from references import bisected_roots, output, per_constraint_roots, solve_constraint
 
 
 class StaticModel(PlantModel):
-    """Stateless outputs defined by callables of u; for pinning K values."""
+    """Stateless outputs defined by callables of u; for pinning K values.
+    Its riding currents are bisected."""
 
     state_dim = 1
 
@@ -24,6 +24,9 @@ class StaticModel(PlantModel):
 
     def advance(self, state, u):
         return [float(fn(u)) for fn in self.fns], list(map(float, state))
+
+    def riding_currents(self, state, y_bar):
+        return bisected_roots(self, state, y_bar).tolist()
 
 
 def test_tolerances_are_constants():
@@ -190,7 +193,7 @@ class TestSelector:
         model = Counting(lambda u: u, lambda u: u - 2.0, lambda u: u - 30.0,
                          lambda u: u + 7.0)
         spec = ConstraintSpec(y_bar=[10.0, 4.0, 1.0, 5.0], gamma=[1.0] * 4)
-        roots = bisected_roots(model, np.zeros(1), spec)
+        roots = bisected_roots(model, np.zeros(1), spec.y_bar)
         assert roots[0] == 10.0 and roots[2] == math.inf and roots[3] == 0.0
         assert roots[1] == pytest.approx(6.0, abs=1e-9)
         # one advance call at u_max and one at zero current; the halvings
@@ -214,7 +217,7 @@ class TestSelector:
         for x0 in (-10.0, -3.0, 0.0, 2.5, 12.0):
             x = model.initial_state(x0)
             currents.clear()
-            roots = bisected_roots(model, x, spec)
+            roots = bisected_roots(model, x, spec.y_bar)
             assert currents == [10.0, 0.0]
             assert roots.tobytes() == per_constraint_roots(ToyLinearPlant(), x, spec).tobytes()
 

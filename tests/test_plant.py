@@ -11,7 +11,6 @@ from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       SimulationDiverged, ToyLinearPlant, oracle_trajectory,
                       run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
-from bangride.oracle import bisected_roots
 from bangride.plant import PlantModel, Trajectory, simulate, simulate_batch
 from references import (ReferenceController, active_index, reference_closed_loop,
                         replay_open_loop)
@@ -172,6 +171,11 @@ class ScriptedPlant(PlantModel):
     def advance(self, x, u):
         return self.rows[int(x[0])], [float(x[0]) + 1.0]
 
+    def riding_currents(self, x, y_bar):
+        # no output depends on u: each is violated at every u, or at none
+        return [-math.inf if y > b else math.inf
+                for y, b in zip(self.rows[int(x[0])], y_bar.tolist())]
+
     def spec(self) -> ConstraintSpec:
         return ConstraintSpec(y_bar=[1.0] + [-0.0] * (self.output_count - 1),
                               gamma=[1.0] * self.output_count)
@@ -309,8 +313,8 @@ def test_vector_runs_step_on_floats(name, scenarios, monkeypatch):
 class FaultyToy(ToyLinearPlant):
     """Integrator whose state carries a step counter, so that it can fail at
     a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
-    Its riding currents are the toy's closed forms, so that the oracle reads
-    no faulty output and the failure reaches the stepping loop."""
+    Its riding currents are the toy's closed form, which reads no faulty
+    output, so that the failure reaches the stepping loop."""
 
     state_dim = 2
 
@@ -329,10 +333,6 @@ class FaultyToy(ToyLinearPlant):
         if state[1] == self.k and self.fault == "state-past-guard":
             x[0] = 2e9
         return y, x
-
-    def riding_currents(self, state, y_bar):
-        u_max, y_max = y_bar.tolist()
-        return [u_max, (y_max - self.c * float(state[0])) / self.d]
 
 
 OUTPUT_FAULTS = {"nan-outputs": np.nan, "inf-outputs": np.inf,
@@ -404,6 +404,11 @@ class Growth(PlantModel):
     def advance(self, state, u):
         x = float(state[0])
         return [u, self.c * x], [self.g * x + u]
+
+    def riding_currents(self, state, y_bar):
+        # c*x does not depend on u: violated at every u, or at none
+        bound = float(y_bar[1])
+        return [float(y_bar[0]), -math.inf if self.c * float(state[0]) > bound else math.inf]
 
 
 class GrowthBatch:
@@ -540,8 +545,8 @@ def outcome(run):
 
 class RowForm(PlantModel):
     """A vector plant seen through a (1, d) state, with array results:
-    ``simulate`` steps it as it steps the pack, and its riding currents,
-    bisected where the plant has none, go to the numpy selector."""
+    ``simulate`` steps it as it steps the pack, and its riding currents go
+    to the numpy selector."""
 
     def __init__(self, plant: PlantModel):
         self.plant = plant
@@ -552,11 +557,7 @@ class RowForm(PlantModel):
         return np.array(y, dtype=float), np.array([x], dtype=float)
 
     def riding_currents(self, state, y_bar):
-        roots = self.plant.riding_currents(state[0], y_bar)
-        if roots is None:
-            spec = ConstraintSpec(y_bar=y_bar, gamma=np.ones_like(y_bar))
-            return bisected_roots(self.plant, state[0], spec)
-        return np.array(roots, dtype=float)
+        return np.array(self.plant.riding_currents(state[0], y_bar), dtype=float)
 
     def telemetry(self, states, u, y):
         return self.plant.telemetry(states[:, 0], u, y)

@@ -1,8 +1,8 @@
 """Closed-form riding currents against the bisection reference.
 
-Every model that provides ``riding_currents`` must give the selector the same
-active constraint and the same current as the scalar loop with bisection,
-which runs when the hook is removed.
+Every plant's ``riding_currents`` must give the selector the same active
+constraint and the same current as the scalar loop with bisection, which
+runs when the hook is replaced by ``references.bisected_roots``.
 """
 
 import copy
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import bangride.oracle
 from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
                       PotentialDomainError, RootConfig, RootFindingError,
                       SimulationDiverged, SpmetPlant, ToyLinearPlant,
@@ -23,9 +22,8 @@ from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
                              params_path)
 from bangride.models.ecm import EcmEnsemble, perturb_params, rising_roots
 from bangride.models.pack import spread_root
-from bangride.oracle import bisected_roots
 from pack_labels import constraint_label
-from references import output, per_constraint_roots
+from references import bisected_roots, output, per_constraint_roots
 from test_oracle import StaticModel
 
 ECM_BASE = load_ecm_params(params_path(load_scenario("ecm"), "params_ecm.cfg"))
@@ -34,9 +32,9 @@ SPMET = SpmetPlant(load_spmet_params(params_path(load_scenario("spmet"),
 
 
 def bisection_only(model):
-    """The same plant without its closed forms: the scalar reference path."""
+    """The same plant with its riding currents bisected: the reference path."""
     ref = copy.copy(model)
-    ref.riding_currents = lambda state, y_bar: None
+    ref.riding_currents = lambda state, y_bar: bisected_roots(model, state, y_bar).tolist()
     return ref
 
 
@@ -276,14 +274,20 @@ def test_pack_spread_closed_form_matches_all_pairs_bisection(scenarios):
 
 
 @st.composite
+def spmet_states(draw):
+    c_max = SPMET.params.c_max
+    return (draw(st.floats(0.0, 1.0)) * c_max, draw(st.floats(0.0, 1.0)) * c_max,
+            draw(st.floats(300.0, 2500.0)), draw(st.floats(300.0, 2500.0)),
+            draw(st.floats(-20.0, 60.0)))
+
+
+@st.composite
 def spmet_cases(draw):
     """An SPMeT state and a voltage bound placed, as above, where its riding
     current lies in units of u_max: violated at zero, riding below u_max, or
     riding above it."""
-    c_max, u_max = SPMET.params.c_max, SPMET.params.u_max
-    state = (draw(st.floats(0.0, 1.0)) * c_max, draw(st.floats(0.0, 1.0)) * c_max,
-             draw(st.floats(300.0, 2500.0)), draw(st.floats(300.0, 2500.0)),
-             draw(st.floats(-20.0, 60.0)))
+    u_max = SPMET.params.u_max
+    state = draw(spmet_states())
     w = draw(_where)
     # a riding current within tol_u of u_max may pick either constraint
     assume(abs(w - 1.0) > 1e-6 / u_max)
@@ -308,7 +312,7 @@ def test_spmet_newton_matches_bisection(case):
     x = np.array(state)
     spec = ConstraintSpec(y_bar=[SPMET.params.u_max, bound], gamma=[1.0, 1.0])
     root = SPMET.riding_currents(x, spec.y_bar)[1]
-    ref_root = bisected_roots(SPMET, x, spec)[1]
+    ref_root = bisected_roots(SPMET, x, spec.y_bar)[1]
     if 0.0 < ref_root < spec.u_max:
         assert abs(root - ref_root) <= 2.0 * RootConfig.tol_u
     fast = selector(SPMET, x, spec)
@@ -345,24 +349,13 @@ def test_spmet_domain_error_reaches_the_selector(ce):
         selector(SPMET, x, spec)
 
 
-def test_spmet_oracle_makes_no_solve(scenarios, monkeypatch):
+def test_spmet_oracle_makes_no_solve(scenarios):
+    # the oracle reads the Newton roots (src/ holds no bisection, see
+    # test_public_surface); its run matches the bisection reference's
     built = scenarios["spmet"]
     reference = oracle_trajectory(bisection_only(built.model), built.spec,
                                   built.cfg.t_f, built.x0)
-    calls = []
-
-    def counted(name):
-        original = getattr(bangride.oracle, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapper
-
-    for name in ("bisected_roots", "bisect_rows"):
-        monkeypatch.setattr(bangride.oracle, name, counted(name))
     run = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
-    assert calls == []
     assert np.array_equal(run.i_star, reference.i_star)
     # measured 1.6e-9 A: each run within tol_u of its own crossings
     assert np.max(np.abs(run.u - reference.u)) <= 2.0 * built.root_cfg.tol_u
@@ -416,14 +409,13 @@ def ecm_cases(draw):
     u_max = draw(st.floats(0.5, 60.0))
     y_bar = [u_max] + [placed_bound(lambda u: output(plant, x, u, idx), u_max,
                                     draw(_placed)) for idx in (1, 2)]
-    return (bisection_only(plant), x,
-            ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0]))
+    return plant, x, ConstraintSpec(y_bar=y_bar, gamma=[1.0, 1.0, 500.0])
 
 
 @st.composite
 def spmet_bisection_cases(draw):
     state, bound = draw(spmet_cases())
-    return (bisection_only(SPMET), np.array(state),
+    return (SPMET, np.array(state),
             ConstraintSpec(y_bar=[SPMET.params.u_max, bound], gamma=[1.0, 1.0]))
 
 
@@ -442,7 +434,109 @@ def test_lockstep_roots_equal_per_constraint_bisection(case):
         ref = per_constraint_roots(model, x, spec)
     except RootFindingError as exc:
         with pytest.raises(RootFindingError) as err:
-            bisected_roots(model, x, spec)
+            bisected_roots(model, x, spec.y_bar)
         assert str(err.value) == str(exc)
         return
-    assert bisected_roots(model, x, spec).tobytes() == ref.tobytes()
+    assert bisected_roots(model, x, spec.y_bar).tobytes() == ref.tobytes()
+
+
+# The hook contract on every plant. The stated tolerance of each plant's
+# roots: the computed output at a root exceeds its bound by at most this
+# many ulps of the output scale, the largest |bound|, or |output| at u = 0
+# or at the root, past the current. The toy's and the ECM's voltage roots
+# are affine, the ECM's and the pack's temperature roots quadratic, the
+# pack's pairs affine in exact arithmetic (their u**2 terms cancel) and its
+# spread piecewise affine: 5.3e-15 above a bound on its packaged oracle
+# run, 1.5 ulps of its 30 K outputs. The SPMeT's Newton root is the largest
+# current whose computed voltage does not exceed the bound.
+CONTRACT_ULPS = {"toy": 4, "ecm": 4, "ensemble": 4, "all-pairs": 4,
+                 "max-minus-min": 4, "spmet": 0}
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def contract_cases(draw):
+    """A plant, or an ECM ensemble, with one to four states and a bound for
+    every output past the current, placed at the first state as
+    ``_placed`` says."""
+    kind = draw(st.sampled_from(sorted(CONTRACT_ULPS)))
+    n, u_max = draw(st.integers(1, 4)), draw(st.floats(0.5, 60.0))
+    ecm_state = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 3.0),
+                          st.floats(0.0, 1.2), st.floats(0.0, 30.0))
+    if kind == "toy":
+        model = ToyLinearPlant(c=draw(st.floats(-2.0, 2.0)), d=draw(st.floats(0.05, 5.0)))
+        states = [[draw(st.floats(-20.0, 20.0))] for _ in range(n)]
+    elif kind == "ecm":
+        model = EcmPlant(perturb_params(ECM_BASE, 0.3, draw(seeds)))
+        states = [draw(ecm_state) for _ in range(n)]
+    elif kind == "ensemble":
+        seed = draw(seeds)
+        model = EcmEnsemble([perturb_params(ECM_BASE, 0.3, (seed, k)) for k in range(n)])
+        states = [draw(ecm_state) for _ in range(n)]
+    elif kind == "spmet":
+        model, u_max = SPMET, SPMET.params.u_max
+        states = [draw(spmet_states()) for _ in range(n)]
+    else:
+        model = PackPlant(PackParams(base=ECM_BASE, n_cells=draw(st.integers(2, 5)),
+                                     k_left=8e-5, k_right=8e-5, dt_pair_max=0.5,
+                                     pairwise_mode=kind, cell_variation=0.3,
+                                     variation_seed=draw(seeds)))
+        states = [[draw(ecm_state) for _ in range(model.n_cells)] for _ in range(n)]
+    states = np.array(states, dtype=float)
+    outputs = contract_outputs(model, states)
+    y_bar = [u_max] + [placed_bound(lambda u: outputs(0, u)[i], u_max, draw(_placed))
+                       for i in range(1, model.output_count)]
+    return kind, model, states, np.array(y_bar)
+
+
+def contract_outputs(model, states):
+    """outputs(k, u): the outputs of row k at the current u, a plant's from
+    its ``advance`` on that state, an ensemble member's from the batch's."""
+    if isinstance(model, EcmEnsemble):
+        return lambda k, u: model.advance(states, np.full(len(states), u))[0][k]
+    return lambda k, u: np.asarray(model.advance(states[k], u)[0], dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=contract_cases(), picks=st.lists(st.integers(0, 10 ** 6), min_size=4,
+                                             max_size=4))
+def test_riding_current_contract(case, picks):
+    # every root of every row: not NaN; negative (-inf included) exactly
+    # where the bound is violated at u = 0; the output at a finite root
+    # within the stated ulps of the bound, and past it at root + tol_u where
+    # its slope lifts it by more than 16 ulps over tol_u (a flatter output
+    # rounds to the bound over more than tol_u); an output whose root is
+    # +inf within them of its bound at u_max and 10 u_max. riding_rows reads
+    # the same roots bit for bit
+    kind, model, states, y_bar = case
+    outputs, tol_u = contract_outputs(model, states), RootConfig.tol_u
+    if kind == "ensemble":
+        roots = model.riding_currents(states, y_bar)
+    else:
+        roots = np.array([model.riding_currents(x, y_bar) for x in states], dtype=float)
+    assert not np.isnan(roots).any() and (roots[:, 0] == y_bar[0]).all()
+
+    def within(k, u, i):
+        """Output i of row k at u, and whether it lies within the stated
+        ulps of its bound."""
+        y = outputs(k, u)
+        scale = max(np.abs(y_bar[1:]).max(), np.abs(y0[1:]).max(), np.abs(y[1:]).max())
+        return y[i], y[i] <= y_bar[i] + CONTRACT_ULPS[kind] * np.spacing(scale), scale
+
+    for k, row in enumerate(roots):
+        y0 = outputs(k, 0.0)
+        assert np.array_equal(row[1:] < 0.0, y0[1:] > y_bar[1:])
+        for i, root in enumerate(row.tolist()[1:], 1):
+            if root == math.inf:
+                assert within(k, y_bar[0], i)[1] and within(k, 10.0 * y_bar[0], i)[1]
+            elif root != -math.inf:
+                y_root, ok, scale = within(k, root, i)
+                assert ok
+                slope = (outputs(k, root + 1e-3)[i] - y_root) / 1e-3
+                if slope * tol_u > 16.0 * np.spacing(scale):
+                    assert outputs(k, root + tol_u)[i] > y_bar[i]
+    if kind != "ensemble":
+        index = np.array(picks[:len(states)]) % model.output_count
+        rows = model.riding_rows(states, y_bar, index)
+        assert rows.tobytes() == roots[np.arange(len(states)), index].tobytes()
+        assert model.riding_rows(states[:0], y_bar, index[:0]).shape == (0,)
