@@ -112,12 +112,10 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     taken over the gain box [theta_lo, theta_hi]. All steps are solved at
     once, through ``PlantModel.output_rows``; a step whose error changes
     sign on its current interval takes the frozen constraint's riding
-    current from one ``PlantModel.riding_rows`` call, clamped to the
-    interval. A riding current that is NaN or lies more than
-    ``RootConfig.tol_u`` outside the interval raises ``RootFindingError``
-    naming the step. Every row equals the scalar reference
-    ``per_step_optimal_cost`` (``tests/references.py``) at that step bit for
-    bit.
+    current from one ``riding_rows`` call, clamped to the interval, and one
+    NaN or more than ``RootConfig.tol_u`` outside it raises
+    ``RootFindingError`` naming the step. Every row equals the scalar
+    reference ``per_step_optimal_cost`` (``tests/references.py``) bit for bit.
     """
     if trajectory.theta is None:
         raise ConfigurationError("per-step optima need a closed-loop trajectory "

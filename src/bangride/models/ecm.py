@@ -232,9 +232,8 @@ def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
     disc = b * b - 4.0 * a * c
     # b > 0 on every row rules out b < 0 and a zero den, which b + sqrt(disc)
     # is only for b <= 0; disc >= 0 on every row leaves no -inf and nothing
-    # to warn of. A NaN row fails both tests, so its batch takes the masks;
-    # an empty batch passes them
-    plain, real = b.min(initial=np.inf) > 0.0, disc.min(initial=np.inf) >= 0.0
+    # to warn of. A NaN row fails both tests, so its batch takes the masks
+    plain, real = (b.min() > 0.0, disc.min() >= 0.0) if b.size else (True, True)
     with nullcontext() if plain and real else np.errstate(divide="ignore", invalid="ignore"):
         den = b + np.sqrt(disc)
         root = -2.0 * c / den

@@ -126,20 +126,20 @@ class PackPlant(PlantModel):
 
     def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
         """Ring coupling of deviations td to their neighbours' i-1 (``left``)
-        and i+1 (``right``), by default read off td, the cells' last axis."""
+        and i+1 (``right``), by default read off td, a whole state's column."""
         if left is None:
-            left, right = td[..., self._prev], td[..., self._next]
+            left, right = td[self._prev], td[self._next]
         return self._cl * (left - td) + self._cr * (right - td)
 
     def _lines(self, states) -> tuple[np.ndarray, ...]:
-        """v1 + v2, soc and the temperature outputs' lines alpha + beta*u
-        (the shared bt*r_o*u**2 aside) of every cell of one state (N, 4) or
-        of state rows (n, N, 4). The bound comes off alpha after the
-        coupling is added, as in ``advance``, so the ensemble's own riding
-        currents would round differently."""
+        """v1 + v2, soc and the temperature lines alpha + beta*u (bt*r_o*u**2
+        aside) of the cells of a state (N, 4) or of state rows (n, N, 4). The
+        bound comes off alpha after the coupling is added, as in ``advance``,
+        so the ensemble's own riding currents would round differently."""
         cells, td = self.ensemble, states[..., 3]
         v12 = states[..., 0] + states[..., 1]
-        return v12, states[..., 2], cells._kt * td + self._coupling(td), cells._bt * v12
+        coupling = self._coupling(td, td.T[self._prev].T, td.T[self._next].T)
+        return v12, states[..., 2], cells._kt * td + coupling, cells._bt * v12
 
     def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
         """The coupled temperature outputs of ``cells`` in ``rows`` (index

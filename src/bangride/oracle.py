@@ -25,14 +25,10 @@ from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
 
 class RootConfig:
-    """Tolerances for the riding currents, as class constants.
-
-    ``RootConfig.tol_u`` bounds how far a root found by iteration (the
-    SPMeT's Newton steps) may lie below the largest current whose computed
-    output does not exceed the bound, and how far a riding root may fall
-    outside the current interval of a per-step optimum before
-    ``analysis.attach_per_step_optima`` rejects it. ``RootConfig.tol_y`` is
-    the residual, in output units, that an oracle's active constraint meets.
+    """Tolerances for the riding currents, as class constants: ``tol_u``
+    for an iterated root (the SPMeT's Newton steps), and for a root outside a
+    per-step optimum's current interval, which ``attach_per_step_optima``
+    rejects beyond it; ``tol_y``, the residual of an oracle's active output.
     """
 
     tol_u = 1e-9    # absolute tolerance on the current [A]

@@ -100,13 +100,9 @@ class PlantModel(abc.ABC):
 
     def riding_rows(self, states: np.ndarray, y_bar: np.ndarray,
                     index: np.ndarray) -> np.ndarray:
-        """One riding current of each row: entry k is
-        ``riding_currents(states[k], y_bar)[index[k]]``, bit for bit, as
-        ``output_rows`` is of ``advance``.
-
-        Takes (n, *state_shape) states and 0-based constraint positions. The
-        default loops over ``riding_currents``.
-        """
+        """One riding current of each row, as ``output_rows`` is of
+        ``advance``: entry k is ``riding_currents(states[k], y_bar)[index[k]]``
+        bit for bit. The default loops over ``riding_currents``."""
         return np.array([self.riding_currents(x, y_bar)[i]
                          for x, i in zip(states, index.tolist())], dtype=float)
 
