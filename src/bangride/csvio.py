@@ -44,10 +44,12 @@ def trajectory_header(traj: Trajectory) -> list[str]:
 
 def _write_rows(path: Path, header: list[str], columns: list) -> Path:
     """Header, then one row per entry of the columns. Each column is a
-    ``(format, values)`` pair; a None column is an empty cell in every row.
-    Each row is one ``%`` format of a template that holds the empty cells."""
+    ``(format, values)`` pair of an array or a list; a None column is an
+    empty cell in every row. Each row is one ``%`` format of a template that
+    holds the empty cells."""
     template = ",".join("" if values is None else fmt for fmt, values in columns) + "\n"
-    rows = zip(*[values.tolist() for _, values in columns if values is not None])
+    rows = zip(*[values if isinstance(values, list) else values.tolist()
+                 for _, values in columns if values is not None])
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(map(template.__mod__, rows))
@@ -55,15 +57,19 @@ def _write_rows(path: Path, header: list[str], columns: list) -> Path:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """One row per step; schema fixed across rows."""
+    """One row per step; schema fixed across rows. Where ``y_1`` is ``u`` bit
+    for bit, as every plant's ``advance`` gives it, its cells are ``u``'s."""
+    u = (NUM, traj.u)
     if _has_pack_channels(traj):
-        mid = [traj.telemetry[key] for key in PACK_CHANNELS]
+        mid = [(NUM, traj.telemetry[key]) for key in PACK_CHANNELS]
     else:
-        mid = list(traj.y.T)
+        mid = [(NUM, c) for c in traj.y.T]
+        if np.array_equal(traj.y[:, 0].view(np.int64), traj.u.view(np.int64)):
+            u = mid[0] = ("%s", [NUM % v for v in traj.u.tolist()])
     theta = (None, None) if traj.theta is None else traj.theta.T
-    numbers = [np.arange(len(traj)), traj.u, *mid, traj.e_active]
     return _write_rows(Path(path), trajectory_header(traj),
-                       [(NUM, c) for c in numbers] + [("%d", traj.i_star)]
+                       [("%d", np.arange(len(traj))), u, *mid, (NUM, traj.e_active),
+                        ("%d", traj.i_star)]
                        + [(NUM, c) for c in (*theta, traj.alpha, traj.J, traj.J_star)])
 
 
@@ -87,9 +93,9 @@ def write_gap_csv(free: Trajectory, oracle: Trajectory, path) -> Path:
     """Step-by-step current comparison between the model-free and oracle runs."""
     if len(free) != len(oracle):
         raise ConfigurationError("gap CSV needs runs over the same horizon")
-    columns = (np.arange(len(free)), free.u, oracle.u, free.u - oracle.u)
+    columns = (free.u, oracle.u, free.u - oracle.u)
     return _write_rows(Path(path), ["t", "u_free", "u_oracle", "gap"],
-                       [(NUM, c) for c in columns])
+                       [("%d", np.arange(len(free)))] + [(NUM, c) for c in columns])
 
 
 def write_montecarlo_summary(stats, path) -> Path:

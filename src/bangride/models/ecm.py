@@ -125,7 +125,7 @@ class EcmPlant(PlantModel):
         and v2 stay >= 0 from rest under u >= 0. Scalar arithmetic: for one
         cell numpy's per-call overhead would exceed the work."""
         v1, v2, soc, td = map(float, state)
-        u_max, v_max, t_max = map(float, y_bar)
+        u_max, v_max, t_max = y_bar.tolist()
         b = self._bt * (v1 + v2)
         c = self._kt * td - t_max
         disc = b * b - 4.0 * self._bt * self.params.r_o * c

@@ -203,7 +203,7 @@ class SpmetPlant(PlantModel):
         computed by ``_volts``, bit for bit as ``advance`` does."""
         p = self.params
         terms = p.potential_terms(list(map(float, state)))
-        u_max, bound = map(float, y_bar)
+        u_max, bound = y_bar.tolist()
         k, s, r = terms[1], p.bv_scale, p.film_res
         volts = self._volts
         u, v = 0.0, volts(terms, 0.0)

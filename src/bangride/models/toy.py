@@ -37,7 +37,7 @@ class ToyLinearPlant(PlantModel):
 
     def riding_currents(self, state, y_bar) -> list[float]:
         """The current bound and, with two outputs, (y_bar_2 - c*x)/d."""
-        u_max, *bound = map(float, y_bar)
+        u_max, *bound = y_bar.tolist()
         return [u_max] + [(b - self.c * float(state[0])) / self.d for b in bound]
 
     def riding_rows(self, states, y_bar, index) -> np.ndarray:

@@ -43,6 +43,24 @@ class SelectorResult:
     i_star: int            # 1-based constraint that attained the minimum
 
 
+def _minimum(roots, u_max: float) -> tuple[float, int]:
+    """``selector``'s input and 1-based constraint from a state's riding
+    currents."""
+    if isinstance(roots, list):
+        u, k = u_max, 1
+        for i, v in enumerate(roots[1:], 2):
+            v = 0.0 if v <= 0.0 else v  # NaN passes
+            if not v >= u:              # below the minimum so far, or NaN
+                u, k = v, i
+                if v != v:
+                    break
+        return u, k
+    values = np.maximum(roots, 0.0)
+    values[0] = u_max
+    k = int(values.argmin())
+    return float(values[k]), k + 1
+
+
 def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
     """Minimum over the per-constraint riding currents (ties: lowest index).
 
@@ -54,20 +72,8 @@ def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
     if model.output_count != spec.p:
         raise ConfigurationError(
             f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
-    roots = model.riding_currents(x, spec.y_bar)
-    if isinstance(roots, list):
-        u, k = spec.u_max, 0
-        for i, v in enumerate(roots[1:], 1):
-            v = 0.0 if v <= 0.0 else v  # NaN passes
-            if not v >= u:              # below the minimum so far, or NaN
-                u, k = v, i
-                if v != v:
-                    break
-        return SelectorResult(u=u, i_star=k + 1)
-    values = np.maximum(roots, 0.0)
-    values[0] = spec.u_max
-    k = int(values.argmin())
-    return SelectorResult(u=float(values[k]), i_star=k + 1)
+    u, i_star = _minimum(model.riding_currents(x, spec.y_bar), spec.u_max)
+    return SelectorResult(u=u, i_star=i_star)
 
 
 def selector_rows(model, x: np.ndarray,
@@ -91,12 +97,13 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
     Records which constraint attained the minimum at every step; the
     gain/step-size columns are absent (model-based law, nothing learned).
     """
+    # the selector's checks are simulate's run checks, so each step only selects
+    y_bar, u_max, riding = spec.y_bar, spec.u_max, model.riding_currents
     i_star = 1
 
     def control(t: int, x) -> float:
         nonlocal i_star
-        res = selector(model, x, spec)
-        i_star = res.i_star
-        return res.u
+        u, i_star = _minimum(riding(x, y_bar), u_max)
+        return u
 
     return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)

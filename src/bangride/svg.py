@@ -8,6 +8,7 @@ model-free run solid, the oracle dashed, and perturbed ensembles in gray.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,8 @@ UNITS = {"current": "A", "voltage": "V", "temperature": "degC", "soc": "-"}
 
 WIDTH, HEIGHT = 720, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 28, 44
+PLOT_W = WIDTH - MARGIN_L - MARGIN_R
+PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 
 
 @dataclass
@@ -86,6 +89,20 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def sx(x, x_hi: float):
+    """Position of step x on a time axis from step 0 to x_hi; on a float or
+    elementwise on an array, with the same rounding."""
+    return MARGIN_L + x / x_hi * PLOT_W
+
+
+@functools.lru_cache(maxsize=16)
+def _x_template(x_hi: float, m: int) -> str:
+    """The points of a series of m steps on a time axis to x_hi, each x
+    baked in and each y a ``%.2f`` slot. Every series starts at step 0, so
+    the series and the charts of a run that share both sizes share it."""
+    return " ".join(["%.2f,%%.2f"] * m) % tuple(sx(np.arange(m, dtype=float), x_hi).tolist())
+
+
 def render_chart(series: list[Series], title: str, ylabel: str) -> str:
     if not series:
         raise ConfigurationError("nothing to plot")
@@ -94,17 +111,11 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
     y_hi = max(float(np.max(s.y)) for s in series)
     pad = 0.05 * (y_hi - y_lo if y_hi > y_lo else max(abs(y_hi), 1.0))
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = 0.0, float(max(n - 1, 1))
-
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    x_hi = float(max(n - 1, 1))
 
     # on a float or elementwise on an array, with the same rounding
-    def sx(x):
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
-
     def sy(y):
-        return MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        return MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * PLOT_H
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -114,12 +125,12 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # axes and ticks
-    parts.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
-                 f'height="{plot_h}" fill="none" stroke="#444"/>')
-    for xv in _ticks(x_lo, x_hi):
-        parts.append(f'<line x1="{sx(xv):.1f}" y1="{MARGIN_T+plot_h}" '
-                     f'x2="{sx(xv):.1f}" y2="{MARGIN_T+plot_h+4}" stroke="#444"/>')
-        parts.append(f'<text x="{sx(xv):.1f}" y="{MARGIN_T+plot_h+18}" '
+    parts.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" '
+                 f'height="{PLOT_H}" fill="none" stroke="#444"/>')
+    for xv in _ticks(0.0, x_hi):
+        parts.append(f'<line x1="{sx(xv, x_hi):.1f}" y1="{MARGIN_T+PLOT_H}" '
+                     f'x2="{sx(xv, x_hi):.1f}" y2="{MARGIN_T+PLOT_H+4}" stroke="#444"/>')
+        parts.append(f'<text x="{sx(xv, x_hi):.1f}" y="{MARGIN_T+PLOT_H+18}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="11">{_fmt(xv)}</text>')
     for yv in _ticks(y_lo, y_hi):
@@ -128,28 +139,22 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
         parts.append(f'<text x="{MARGIN_L-7}" y="{sy(yv)+4:.1f}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_fmt(yv)}</text>')
-    parts.append(f'<text x="{MARGIN_L + plot_w/2:.1f}" y="{HEIGHT-6}" '
+    parts.append(f'<text x="{MARGIN_L + PLOT_W/2:.1f}" y="{HEIGHT-6}" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="12">time step [-]</text>')
-    parts.append(f'<text x="14" y="{MARGIN_T + plot_h/2:.1f}" text-anchor="middle" '
+    parts.append(f'<text x="14" y="{MARGIN_T + PLOT_H/2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 14 {MARGIN_T + plot_h/2:.1f})">{ylabel}</text>')
-    # polylines; every series starts at step 0, so they share the x strings,
-    # baked into one % template per series length
-    xs = [f"{x:.2f},%.2f" for x in sx(np.arange(n, dtype=float)).tolist()]
-    templates: dict[int, str] = {}
+                 f'transform="rotate(-90 14 {MARGIN_T + PLOT_H/2:.1f})">{ylabel}</text>')
+    # polylines
     for s in series:
-        ys = sy(np.asarray(s.y, dtype=float)).tolist()
-        if len(ys) not in templates:
-            templates[len(ys)] = " ".join(xs[:len(ys)])
-        pts = templates[len(ys)] % tuple(ys)
+        pts = _x_template(x_hi, len(s.y)) % tuple(sy(np.asarray(s.y, dtype=float)).tolist())
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(f'<polyline fill="none" stroke="{s.color}" '
                      f'stroke-width="{s.width}"{dash} points="{pts}"/>')
     # legend (upper right)
     legend = [s for s in series if s.in_legend]
     if legend:
-        lx, ly = MARGIN_L + plot_w - 170, MARGIN_T + 10
+        lx, ly = MARGIN_L + PLOT_W - 170, MARGIN_T + 10
         parts.append(f'<rect x="{lx-8}" y="{ly-12}" width="178" '
                      f'height="{len(legend)*17 + 8}" fill="white" '
                      f'stroke="#999" opacity="0.9"/>')

@@ -12,6 +12,10 @@ computation, which the next state of its ``advance`` equals; the
 ``*_outputs`` functions are the outputs of the ECM ensemble's and the pack's
 ``advance``, likewise. ``output`` reads one output off ``advance``, the
 plant's one output path, for the scalar references and the model tests.
+``selector_oracle`` is ``oracle.oracle_trajectory`` stepped through the
+public ``selector``. ``plain_trajectory_csv`` and ``plain_gap_csv`` are the
+CSV writers cell by cell, and ``plain_x_template`` a polyline's x part as
+each chart built it before the charts shared it.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from bangride import svg
 from bangride.analysis import _box_corners, _min_norm_on_line_in_box
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
+from bangride.csvio import PACK_CHANNELS, trajectory_header
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
 from bangride.models import EcmPlant, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
-from bangride.oracle import RootConfig
+from bangride.oracle import RootConfig, selector
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
 MAX_ITER = 200    # halvings before a bisection gives up
@@ -343,6 +349,62 @@ def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,
     u_list = np.asarray(u_seq, dtype=float).tolist()
     return simulate(model, spec, len(u_list) - 1, x0, lambda t, x: u_list[t],
                     lambda t, e: active_index(e), guard=guard)
+
+
+def selector_oracle(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
+                    guard: float = DEFAULT_GUARD) -> Trajectory:
+    """The oracle run with one public ``selector`` call per step."""
+    i_star = 1
+
+    def control(t: int, x) -> float:
+        nonlocal i_star
+        res = selector(model, x, spec)
+        i_star = res.i_star
+        return res.u
+
+    return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
+
+
+def plain_rows(header: list[str], columns: list) -> str:
+    """CSV text cell by cell: an integer column's cells ``%d``, any other
+    column's ``'%.12g' % float(v)``, a None column's empty. The first column
+    is never None."""
+    def cell(column, t: int) -> str:
+        if column is None:
+            return ""
+        if column.dtype.kind == "i":
+            return "%d" % column[t]
+        return "%.12g" % float(column[t])
+
+    rows = [[cell(c, t) for c in columns] for t in range(len(columns[0]))]
+    return "".join(",".join(cells) + "\n" for cells in [header] + rows)
+
+
+def plain_trajectory_csv(traj: Trajectory) -> str:
+    """``csvio.write_trajectory_csv``'s text; only i_star is an integer column."""
+    if all(key in traj.telemetry for key in PACK_CHANNELS):
+        mid = [traj.telemetry[key] for key in PACK_CHANNELS]
+    else:
+        mid = list(traj.y.T)
+    theta = (None, None) if traj.theta is None else traj.theta.T
+    return plain_rows(trajectory_header(traj),
+                      [np.arange(len(traj), dtype=float), traj.u, *mid, traj.e_active,
+                       traj.i_star, *theta, traj.alpha, traj.J, traj.J_star])
+
+
+def plain_gap_csv(free: Trajectory, oracle: Trajectory) -> str:
+    """``csvio.write_gap_csv``'s text."""
+    return plain_rows(["t", "u_free", "u_oracle", "gap"],
+                      [np.arange(len(free), dtype=float), free.u, oracle.u,
+                       free.u - oracle.u])
+
+
+def plain_x_template(x_hi: float, m: int) -> str:
+    """A polyline's x part, one string per point, with the time axis's
+    mapping written out: ``svg._x_template`` without its cache."""
+    plot_w = svg.WIDTH - svg.MARGIN_L - svg.MARGIN_R
+    x = svg.MARGIN_L + (np.arange(m, dtype=float) - 0.0) / (x_hi - 0.0) * plot_w
+    return " ".join([f"{v:.2f},%.2f" for v in x.tolist()])
 
 
 def phases(traj: Trajectory) -> list[int]:

@@ -1,7 +1,7 @@
 """``PlantModel.advance``, the plant contract's one method: each packaged
 plant's next state, and the ECM ensemble's and the pack's outputs, against a
-separate computation (``tests/references.py``), bit for bit, and the
-contract itself."""
+separate computation (``tests/references.py``), bit for bit, y_1 = u bit
+for bit on every plant, and the contract itself."""
 
 import importlib
 import inspect
@@ -30,7 +30,10 @@ def same_bits(a, b) -> bool:
 
 
 def assert_advance(plant, x, u, reference, outputs=None) -> None:
+    # y_1 is u bit for bit, -0.0 and an ensemble's NaN rows included: the
+    # trajectory CSV writes u's cells for it
     y, x_next = plant.advance(x, u)
+    assert same_bits(np.asarray(y, dtype=float)[..., 0], u)
     assert same_bits(x_next, reference(plant, x, u))
     if outputs is not None:
         assert same_bits(y, outputs(plant, x, u))
@@ -133,6 +136,8 @@ def test_contract_is_advance(scenarios):
             assert floats(x_next) and len(x_next) == len(x0)
             roots = model.riding_currents(x, y_bar)
             assert floats(roots) and len(roots) == model.output_count
+    for built in scenarios.values():
+        assert same_bits(built.model.advance(built.x0, -0.0)[0][0], -0.0)
     pack = scenarios["pack"]
     y, x_next = pack.model.advance(pack.x0, 1.0)
     assert type(y) is type(x_next) is np.ndarray

@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,14 +13,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bangride
-from bangride import ConfigurationError, cli, run_closed_loop
+from bangride import ConfigurationError, cli, oracle_trajectory, run_closed_loop, svg
+from bangride.analysis import attach_per_step_optima
 from bangride.cli import main
 from bangride.config import (MODEL_NAMES, ScenarioConfig, build_scenario,
                              load_scenario, params_path, save_scenario,
                              scenario_hash)
-from bangride.csvio import (read_trajectory_csv, trajectory_header,
+from bangride.csvio import (read_trajectory_csv, trajectory_header, write_gap_csv,
                             write_trajectory_csv)
 from bangride.svg import emit_svg, quantity_series
+from references import plain_gap_csv, plain_trajectory_csv, plain_x_template
+
+
+def load_benchmark_workloads():
+    """The benchmark's workloads and output checks (perfbench/workloads.py),
+    imported without writing bytecode next to them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses resolves annotations through it
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+BENCH = load_benchmark_workloads()
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +189,72 @@ class TestSvg:
                                25, built.x0)
         series = quantity_series(traj, "temperature", label="pack")
         assert len(series) == 2
+
+
+class TestWritersMatchPlainReferences:
+    """The writers' bytes equal those of the cell-by-cell writers of
+    tests/references.py."""
+
+    @pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])
+    def test_csv_bytes(self, name, scenarios, tmp_path):
+        built = scenarios[name]
+        free = attach_per_step_optima(
+            run_closed_loop(built.model, built.new_controller(), built.spec, 40, built.x0),
+            built.model, built.spec, built.cfg.theta_lo, built.cfg.theta_hi)
+        oracle = oracle_trajectory(built.model, built.spec, 40, built.x0)
+        for traj in (free, oracle):
+            path = write_trajectory_csv(traj, tmp_path / "t.csv")
+            assert path.read_bytes() == plain_trajectory_csv(traj).encode()
+        path = write_gap_csv(free, oracle, tmp_path / "gap.csv")
+        assert path.read_bytes() == plain_gap_csv(free, oracle).encode()
+
+    @pytest.mark.parametrize("u_cell, y_cell", [(0.0, -0.0), (1.5, math.nan)])
+    def test_csv_y1_apart_from_u(self, toy_traj, u_cell, y_cell, tmp_path):
+        # y_1 differs from u in one cell, by the sign of a zero or as a NaN,
+        # so it is formatted on its own
+        u, y = toy_traj.u.copy(), toy_traj.y.copy()
+        u[3], y[3, 0] = u_cell, y_cell
+        traj = replace(toy_traj, u=u, y=y)
+        text = write_trajectory_csv(traj, tmp_path / "t.csv").read_text()
+        assert text == plain_trajectory_csv(traj)
+        assert text.splitlines()[4].split(",")[1:3] == ["%.12g" % u_cell, "%.12g" % y_cell]
+
+    def test_svg_bytes_of_charts_in_turn(self, scenarios, monkeypatch, tmp_path):
+        # charts of two lengths, and one with a series shorter than its axis,
+        # rendered in turn through the shared x parts, equal those rendered
+        # with the x part built per chart
+        built = scenarios["ecm"]
+        runs = {n: run_closed_loop(built.model, built.new_controller(), built.spec,
+                                   n, built.x0) for n in (40, 25)}
+        charts = [[40], [25], [40, 25], [40]]
+
+        def render() -> list[bytes]:
+            return [emit_svg([(runs[n], {"label": str(n)}) for n in chart], "voltage",
+                             tmp_path / "c.svg").read_bytes() for chart in charts]
+
+        svg._x_template.cache_clear()
+        shared = render()
+        monkeypatch.setattr(svg, "_x_template", plain_x_template)
+        assert shared == render()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH.WORKLOADS))
+def test_benchmark_workload_passes_its_gate(name, tmp_path, capsys):
+    # each benchmark command at a tiny size, in process, through the
+    # benchmark's own output checks, so that a failing gate shows here first
+    workload, seed, steps = BENCH.WORKLOADS[name], BENCH.DEFAULT_SEED, 50
+    cfg = load_scenario(workload.config)
+    cfg.seed, cfg.t_f = seed, steps
+    built = build_scenario(cfg)
+    capsys.readouterr()
+    assert main(workload.argv(seed, str(tmp_path), steps, models=2)) == 0
+    scenario = {"t_f": steps, "theta_lo": list(built.cfg.theta_lo),
+                "theta_hi": list(built.cfg.theta_hi), "u_max": built.spec.u_max,
+                "gamma": built.spec.gamma.tolist(), "tol_y": built.root_cfg.tol_y,
+                "models": 2, "svg": workload.svg}
+    errors, _ = BENCH.check_outputs(workload, tmp_path, scenario, capsys.readouterr().out,
+                                    seed, full_size=False)
+    assert errors == []
 
 
 class TestCli:

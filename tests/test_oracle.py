@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bangride import (ConfigurationError, ConstraintSpec, RootConfig,
-                      RootFindingError, ToyLinearPlant, oracle_trajectory,
-                      selector)
+from bangride import (ConfigurationError, ConstraintSpec, PackParams, PackPlant,
+                      RootConfig, RootFindingError, SimulationDiverged,
+                      ToyLinearPlant, oracle_trajectory, selector)
 from bangride.plant import PlantModel
-from references import bisected_roots, output, per_constraint_roots, solve_constraint
+from references import (bisected_roots, output, per_constraint_roots, selector_oracle,
+                        solve_constraint)
 
 
 class StaticModel(PlantModel):
@@ -260,3 +261,65 @@ class TestOracleTrajectory:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         with pytest.raises(ConfigurationError):
             oracle_trajectory(model, spec, -2, model.initial_state())
+
+
+def same_run(a, b) -> bool:
+    """Every column and telemetry channel of two runs, bit for bit."""
+    columns = ("u", "y", "e", "i_star", "J", "states")
+    return (all(getattr(a, c).tobytes() == getattr(b, c).tobytes() for c in columns)
+            and a.telemetry.keys() == b.telemetry.keys()
+            and all(a.telemetry[k].tobytes() == b.telemetry[k].tobytes()
+                    for k in a.telemetry))
+
+
+def five_cell_pack(mode: str, base):
+    """A five-cell pack whose 400-step oracle reaches the pair phase (C10)."""
+    plant = PackPlant(PackParams(base=base, n_cells=5, k_left=8e-5,
+                                 k_right=8e-5, dt_pair_max=5.0, pairwise_mode=mode,
+                                 cell_variation=0.3, variation_seed=11))
+    spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
+    return plant, spec, 400, plant.initial_state()
+
+
+@pytest.mark.parametrize("case", ["toy", "ecm", "spmet", "pack", "all-pairs"])
+def test_oracle_equals_a_selector_loop(case, scenarios, oracle_runs):
+    # the oracle's own selection equals one public selector call per step:
+    # the packaged runs (the pack's in max-minus-min mode), and a small pack
+    # in all-pairs mode
+    if case in scenarios:
+        built = scenarios[case]
+        run = oracle_runs[case]
+        ref = selector_oracle(built.model, built.spec, built.cfg.t_f, built.x0)
+    else:
+        args = five_cell_pack(case, scenarios["pack"].model.params.base)
+        run, ref = oracle_trajectory(*args), selector_oracle(*args)
+    assert same_run(run, ref)
+
+
+class NanRoots(ToyLinearPlant):
+    """The integrator whose constraint-2 riding current is NaN from x = 2 on,
+    as a list or, for numpy's selection, as an array."""
+
+    def __init__(self, as_array: bool):
+        super().__init__()
+        self.as_array = as_array
+
+    def riding_currents(self, state, y_bar):
+        roots = super().riding_currents(state, y_bar)
+        if float(state[0]) >= 2.0:
+            roots[1] = math.nan
+        return np.array(roots) if self.as_array else roots
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_nan_root_fails_both_paths_at_its_step(as_array):
+    # u = min(1, 5 - x) brings x to 2 at step 2, whose NaN root is the input
+    model = NanRoots(as_array)
+    spec = ConstraintSpec(y_bar=[1.0, 5.0], gamma=[1.0, 1.0])
+    errors = []
+    for run in (oracle_trajectory, selector_oracle):
+        with pytest.raises(SimulationDiverged) as err:
+            run(model, spec, 10, model.initial_state())
+        errors.append((err.value.step, str(err.value)))
+    assert errors[0] == errors[1] == (2, "simulation diverged at step 2: "
+                                         "non-finite input current")
