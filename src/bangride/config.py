@@ -21,6 +21,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -71,6 +72,13 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _floats_text(values) -> str:
     return ", ".join(repr(float(v)) for v in values)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _bool(text: str) -> bool:
@@ -197,18 +205,22 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 def _params(make, path, section: str, **given):
     """``make(**given, **values)`` over one parameter-file section, each value
-    read as the type ``make.__init__`` declares for its key; an unknown or
-    missing key is a ``ConfigurationError``."""
+    read as the type ``make.__init__`` declares for its key, a float only if
+    it is finite. An unknown key, a malformed value, a missing key or a value
+    the model rejects is a ``ConfigurationError`` naming the file."""
     cp = _read(path)
     if not cp.has_section(section):
         raise ConfigurationError(f"{path}: missing [{section}] section")
     types = make.__init__.__annotations__
-    values = {key: parse_value(text, {"int": int, "str": str}.get(types.get(key), float),
-                               f"{path}: {key}")
-              for key, text in cp[section].items()}
+    values = {}
+    for key, text in cp[section].items():
+        if key not in types:
+            raise ConfigurationError(f"{path}: [{section}] unknown key {key!r}")
+        values[key] = parse_value(text, int if types[key] == "int" else _finite,
+                                  f"{path}: {key}")
     try:
         return make(**given, **values)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: [{section}] {exc}") from exc
 
 

@@ -19,16 +19,14 @@ Output layout of ``PackPlant.advance`` (1-based constraint indices):
     1                 current u
     2     .. N+1      per-cell voltage readout K.x_i + u
     N+2   .. 2N+1     per-cell one-step-ahead temperature deviation, coupling included
-    2N+2  ..          temperature-deviation differences between cells:
-                      all ordered pairs (j, k), j != k, lexicographic, in
-                      "all-pairs" mode (N*(N-1) outputs); the single
-                      max-minus-min spread in "max-minus-min" mode.
+    2N+2              temperature spread: the hottest minus the coldest
+                      cell's temperature output
 
-The argmin over all pairwise-difference errors is attained by the (hottest,
-coldest) pair, so "max-minus-min" keeps the selector semantics of "all-pairs"
-at O(N) cost. All-pairs stays as the small-N reference layout. Both have
-closed-form riding currents: a pair output is affine in u, and the spread is
-the convex maximum of those lines.
+The spread bounds every difference between two cells, and the argmin over
+all N*(N-1) pairwise-difference errors is attained by the (hottest, coldest)
+pair, so the one spread output selects as enumerating the pairs would, at
+O(N) cost. Its riding current has a closed form: the spread is the convex
+maximum of the pair lines, each affine in u.
 
 State: ndarray of shape (N, 4) with per-cell rows [v1, v2, soc, temp_dev].
 """
@@ -44,7 +42,6 @@ from ..controller import ConstraintSpec
 from ..plant import PlantModel
 from .ecm import EcmEnsemble, EcmParams, rising_roots
 
-PAIR_MODES = ("all-pairs", "max-minus-min")
 VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
 
 
@@ -55,7 +52,6 @@ class PackParams:
     k_left: float              # k1: coupling to cell i-1 [1/s]
     k_right: float             # k2: coupling to cell i+1 [1/s]
     dt_pair_max: float         # max allowed temperature difference [K]
-    pairwise_mode: str = "max-minus-min"
     cell_variation: float = 0.0    # uniform +/- fraction on RC-link params
     variation_seed: int = 0
 
@@ -64,9 +60,6 @@ class PackParams:
             raise ConfigurationError("a pack needs at least 2 cells")
         if self.k_left < 0.0 or self.k_right < 0.0:
             raise ConfigurationError("coupling coefficients must be >= 0")
-        if self.pairwise_mode not in PAIR_MODES:
-            raise ConfigurationError(
-                f"pairwise_mode must be one of {PAIR_MODES}, got {self.pairwise_mode!r}")
         if not 0.0 <= self.cell_variation < 1.0:
             raise ConfigurationError("cell_variation must lie in [0, 1)")
 
@@ -90,7 +83,7 @@ class PackPlant(PlantModel):
             for row in factors.tolist()])
         self._cl = params.k_left * base.dt
         self._cr = params.k_right * base.dt
-        self.output_count = 1 + 2 * n + self.pair_count
+        self.output_count = 2 * n + 2
         cells = np.arange(n)
         self._prev = np.roll(cells, 1)    # ring neighbours i-1 and i+1
         self._next = np.roll(cells, -1)
@@ -98,11 +91,6 @@ class PackPlant(PlantModel):
     @property
     def n_cells(self) -> int:
         return self.params.n_cells
-
-    @property
-    def pair_count(self) -> int:
-        n = self.params.n_cells
-        return n * (n - 1) if self.params.pairwise_mode == "all-pairs" else 1
 
     def initial_state(self, soc0: float = 0.0) -> np.ndarray:
         x = np.zeros((self.n_cells, 4))
@@ -118,10 +106,7 @@ class PackPlant(PlantModel):
         coupling = self._coupling(state[:, 3])
         t_outs += coupling
         x_next[:, 3] += coupling
-        if self.params.pairwise_mode == "all-pairs":
-            y[2 * n + 1:] = (t_outs[:, None] - t_outs)[~np.eye(n, dtype=bool)]
-        else:
-            y[-1] = t_outs.max() - t_outs.min()
+        y[-1] = t_outs.max() - t_outs.min()
         return y, x_next
 
     def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
@@ -152,7 +137,7 @@ class PackPlant(PlantModel):
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """Each row's output from the cells it reads: one cell for a voltage
-        or a temperature, two for a pair, all N for the spread."""
+        or a temperature, all N for the spread."""
         n = self.n_cells
         out = np.array(u, dtype=float)    # index 0: the current
         rows = np.arange(len(index))
@@ -162,24 +147,14 @@ class PackPlant(PlantModel):
         out[volt] = self.ensemble.voltages(x[:, 0] + x[:, 1], x[:, 2], u[r], c)
         temp = (n < index) & (index <= 2 * n)
         out[temp] = self._cell_temperatures(states, u, rows[temp], index[temp] - n - 1)
-        pair = index > 2 * n
-        r = rows[pair]
-        if self.params.pairwise_mode == "all-pairs":
-            # pair p is (j, k), k != j, in the row-major order of advance
-            j, k = divmod(index[pair] - 2 * n - 1, n - 1)
-            k += k >= j
-            out[pair] = (self._cell_temperatures(states, u, r, j)
-                         - self._cell_temperatures(states, u, r, k))
-        else:
-            t = self._cell_temperatures(states, u, r[:, None], np.arange(n))
-            out[pair] = t.max(axis=1) - t.min(axis=1)
+        spread = index > 2 * n
+        t = self._cell_temperatures(states, u, rows[spread, None], np.arange(n))
+        out[spread] = t.max(axis=1) - t.min(axis=1)
         return out
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
-        the temperature quadratics. A pair output t_j - t_k is affine in u,
-        since the u**2 terms cancel (``pair_roots``). In max-minus-min mode
-        the spread's root."""
+        the temperature quadratics; and the spread's root."""
         cells = self.ensemble
         n = self.n_cells
         v12, soc, alpha, beta = self._lines(state)
@@ -188,18 +163,13 @@ class PackPlant(PlantModel):
         roots[1:n + 1] = y_bar[1:n + 1] - (v12 + cells._ocv_slope * soc)
         roots[n + 1:2 * n + 1] = rising_roots(cells._bt_r_o, beta,
                                               alpha - y_bar[n + 1:2 * n + 1])
-        if self.params.pairwise_mode == "all-pairs":
-            off = ~np.eye(n, dtype=bool)
-            roots[2 * n + 1:] = pair_roots((alpha[:, None] - alpha)[off],
-                                           (beta[:, None] - beta)[off], y_bar[2 * n + 1:])
-        else:
-            roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))
+        roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))
         return roots
 
     def riding_rows(self, states, y_bar, index) -> np.ndarray:
         """Each row's riding current from the cells it reads, in the
         arithmetic of ``riding_currents``: one cell for a voltage or a
-        temperature, two for a pair, all N for the spread."""
+        temperature, all N for the spread."""
         cells = self.ensemble
         n = self.n_cells
         v12, soc, alpha, beta = self._lines(states)
@@ -211,16 +181,9 @@ class PackPlant(PlantModel):
         temp = (n < index) & (index <= 2 * n)
         r, c = rows[temp], index[temp] - n - 1
         out[temp] = rising_roots(cells._bt_r_o[c], beta[r, c], alpha[r, c] - bound[temp])
-        pair = index > 2 * n
-        r = rows[pair]
-        if self.params.pairwise_mode == "all-pairs":
-            # pair p is (j, k), k != j, in the row-major order of advance
-            j, k = divmod(index[pair] - 2 * n - 1, n - 1)
-            k += k >= j
-            out[pair] = pair_roots(alpha[r, j] - alpha[r, k], beta[r, j] - beta[r, k],
-                                   bound[pair])
-        else:
-            out[pair] = [spread_root(alpha[k], beta[k], float(y_bar[-1])) for k in r.tolist()]
+        spread = index > 2 * n
+        out[spread] = [spread_root(alpha[k], beta[k], float(y_bar[-1]))
+                       for k in rows[spread].tolist()]
         return out
 
     def telemetry(self, states, u, y) -> dict[str, np.ndarray]:
@@ -249,23 +212,12 @@ class PackPlant(PlantModel):
                           gamma_temp: float = 500.0,
                           gamma_pair: float = 500.0) -> ConstraintSpec:
         """Bound/weight families for this pack's output layout."""
-        n, d = self.n_cells, self.pair_count
+        n = self.n_cells
         y_bar = np.concatenate([[u_max], np.full(n, v_cell_max),
-                                np.full(n, temp_dev_max),
-                                np.full(d, self.params.dt_pair_max)])
+                                np.full(n, temp_dev_max), [self.params.dt_pair_max]])
         gamma = np.concatenate([[gamma_current], np.full(n, gamma_voltage),
-                                np.full(n, gamma_temp), np.full(d, gamma_pair)])
+                                np.full(n, gamma_temp), [gamma_pair]])
         return ConstraintSpec(y_bar=y_bar, gamma=gamma)
-
-
-def pair_roots(da: np.ndarray, db: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Riding currents of the pair outputs da + db*u: (bound - da)/db for a
-    slope db > 0, and otherwise -inf or +inf as the pair exceeds the bound
-    at u = 0 or not."""
-    roots = np.where(da > bound, -np.inf, np.inf)
-    rising = db > 0.0
-    roots[rising] = (bound[rising] - da[rising]) / db[rising]
-    return roots
 
 
 def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:

@@ -1,8 +1,10 @@
-"""Mode-independent names of a pack's constraints.
+"""Layout-independent names of a pack's constraints.
 
 Used by the acceptance criterion C10 and the pack tests to compare active
-sequences between the "all-pairs" and "max-minus-min" pairwise modes, so it
-is a test of the package rather than part of it.
+sequences between the package's pack, whose one spread output bounds the
+cells' temperature differences, and the all-pairs reference layout
+(``references.AllPairsPack``), so it is a test of the package rather than
+part of it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from bangride.models import PackPlant
 
 def constraint_label(plant: PackPlant, i_star: int) -> tuple:
     """Identity of 1-based constraint ``i_star``: the pairwise family is
-    collapsed to a single label so active sequences compare across modes."""
+    collapsed to a single label so active sequences compare across layouts."""
     n = plant.n_cells
     if i_star == 1:
         return ("current",)

@@ -10,8 +10,11 @@ a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` 
 The ``*_step`` functions are each packaged plant's next state as a separate
 computation, which the next state of its ``advance`` equals; the
 ``*_outputs`` functions are the outputs of the ECM ensemble's and the pack's
-``advance``, likewise. ``output`` reads one output off ``advance``, the
-plant's one output path, for the scalar references and the model tests.
+``advance``, likewise. ``AllPairsPack`` is the pack with its spread output
+replaced by one output per ordered pair of cells, the layout whose selection
+the equivalence tests hold the spread's to. ``output`` reads one output off
+``advance``, the plant's one output path, for the scalar references and the
+model tests.
 ``selector_oracle`` is ``oracle.oracle_trajectory`` stepped through the
 public ``selector``. ``plain_trajectory_csv`` and ``plain_gap_csv`` are the
 CSV writers cell by cell, and ``plain_x_template`` a polyline's x part as
@@ -31,7 +34,7 @@ from bangride.analysis import _box_corners, _min_norm_on_line_in_box
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
 from bangride.csvio import PACK_CHANNELS, trajectory_header
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
-from bangride.models import EcmPlant, PackPlant, SpmetPlant, ToyLinearPlant
+from bangride.models import EcmPlant, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
 from bangride.oracle import RootConfig, selector
@@ -458,13 +461,60 @@ def pack_step(pack: PackPlant, state, u: float) -> np.ndarray:
     return out
 
 
+class AllPairsPack(PackPlant):
+    """The pack with the spread output replaced by the N*(N-1) differences
+    t_j - t_k of the cells' temperature outputs, ordered pairs (j, k),
+    j != k, in lexicographic order, each bounded by ``dt_pair_max``. A pair
+    is affine in u, since the u**2 terms cancel, so its riding current is
+    closed-form (``pair_roots``). ``output_rows`` and ``riding_rows`` are
+    ``PlantModel``'s loops."""
+
+    output_rows = PlantModel.output_rows
+    riding_rows = PlantModel.riding_rows
+
+    def __init__(self, params: PackParams):
+        super().__init__(params)
+        n = params.n_cells
+        self.output_count = 1 + 2 * n + n * (n - 1)
+        self._off = ~np.eye(n, dtype=bool)
+
+    def advance(self, state, u: float):
+        n = self.n_cells
+        y, x_next = super().advance(state, u)
+        t = y[n + 1:2 * n + 1]
+        return np.concatenate([y[:2 * n + 1], (t[:, None] - t)[self._off]]), x_next
+
+    def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
+        n = self.n_cells
+        _, _, alpha, beta = self._lines(state)
+        pairs = pair_roots((alpha[:, None] - alpha)[self._off],
+                           (beta[:, None] - beta)[self._off], y_bar[2 * n + 1:])
+        return np.concatenate([super().riding_currents(state, y_bar)[:2 * n + 1], pairs])
+
+    def build_constraints(self, *args, **kwargs) -> ConstraintSpec:
+        spec, n = super().build_constraints(*args, **kwargs), self.n_cells
+        counts = [1] * (2 * n + 1) + [n * (n - 1)]
+        return ConstraintSpec(y_bar=np.repeat(spec.y_bar, counts),
+                              gamma=np.repeat(spec.gamma, counts))
+
+
+def pair_roots(da: np.ndarray, db: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Riding currents of the pair outputs da + db*u: (bound - da)/db for a
+    slope db > 0, and otherwise -inf or +inf as the pair exceeds the bound
+    at u = 0 or not."""
+    roots = np.where(da > bound, -np.inf, np.inf)
+    rising = db > 0.0
+    roots[rising] = (bound[rising] - da[rising]) / db[rising]
+    return roots
+
+
 def pack_outputs(pack: PackPlant, state, u: float) -> np.ndarray:
-    """The pack's outputs in the layout of ``models.pack``, pairs (j, k)
-    enumerated one by one."""
+    """The pack's outputs in the layout of its class: ``models.pack``'s, or
+    ``AllPairsPack``'s with pairs (j, k) enumerated one by one."""
     n = pack.n_cells
     cells = ecm_ensemble_outputs(pack.ensemble, state, u)
     temps = cells[:, 2] + _pack_coupling(pack, state[:, 3])
-    if pack.params.pairwise_mode == "all-pairs":
+    if isinstance(pack, AllPairsPack):
         pairs = [temps[j] - temps[k] for j in range(n) for k in range(n) if k != j]
     else:
         pairs = [temps.max() - temps.min()]

@@ -18,7 +18,7 @@ from bangride.models import PackParams, PackPlant, ToyLinearPlant
 from ecm_study import ecm_study
 from gradient_check import gradient_sign_check
 from pack_labels import constraint_label
-from references import phases
+from references import AllPairsPack, phases
 
 
 def _report(cid: str, ok: bool, detail: str):
@@ -247,8 +247,8 @@ def test_c9_robustness_study(scenarios):
 def test_c10_pack_constraints(scenarios, oracle_runs):
     """C10: after the temperature-difference constraint activates on the
     100-cell ideal run, the max pairwise spread stays at most 5 + 0.05 K;
-    and on a 5-cell pack both pairwise modes yield identical active labels
-    and currents."""
+    and on a 5-cell pack the spread output and the all-pairs reference
+    layout yield identical active labels and currents."""
     built = scenarios["pack"]
     traj = oracle_runs["pack"]
     model = built.model
@@ -258,18 +258,18 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
     spread = traj.telemetry["dt_max"][int(active[0]):]
     spread_ok = float(spread.max()) <= 5.0 + 0.05
 
-    def five_cell(mode):
+    def five_cell(layout):
         params = PackParams(base=model.params.base, n_cells=5, k_left=8e-5,
-                            k_right=8e-5, dt_pair_max=5.0, pairwise_mode=mode,
+                            k_right=8e-5, dt_pair_max=5.0,
                             cell_variation=0.3, variation_seed=11)
-        plant = PackPlant(params)
+        plant = layout(params)
         spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                        temp_dev_max=35.0)
         run = oracle_trajectory(plant, spec, 400, plant.initial_state())
         return [constraint_label(plant, i) for i in run.i_star], run.u
 
-    lab_ap, u_ap = five_cell("all-pairs")
-    lab_mm, u_mm = five_cell("max-minus-min")
+    lab_ap, u_ap = five_cell(AllPairsPack)
+    lab_mm, u_mm = five_cell(PackPlant)
     equiv_ok = lab_ap == lab_mm and np.array_equal(u_ap, u_mm)
     _report("C10 pack constraints", spread_ok and equiv_ok,
             f"max spread after activation {float(spread.max()):.4f} K, "
@@ -297,11 +297,10 @@ def test_c11_oracle_grid_equivalence(scenarios):
         worst = max(worst, abs(res.u - u_grid))
         x = toy.advance(x, res.u)[1]
 
-    # 3-cell pack, all-pairs mode; grid evaluation vectorized independently
+    # 3-cell pack; grid evaluation vectorized independently
     base = scenarios["pack"].model.params.base
     params = PackParams(base=base, n_cells=3, k_left=8e-5, k_right=8e-5,
-                        dt_pair_max=5.0, pairwise_mode="all-pairs",
-                        cell_variation=0.3, variation_seed=11)
+                        dt_pair_max=5.0, cell_variation=0.3, variation_seed=11)
     pack = PackPlant(params)
     pspec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
     kt, bt = 1.0 - base.a * base.dt, base.b * base.dt

@@ -16,8 +16,8 @@ from bangride import EcmParams, PackParams, PackPlant, SpmetPlant, ToyLinearPlan
 from bangride.config import load_spmet_params, resolve_config_path
 from bangride.models.ecm import EcmEnsemble, EcmPlant, perturb_params
 from bangride.plant import PlantModel
-from references import (ecm_ensemble_outputs, ecm_ensemble_step, ecm_step, pack_outputs,
-                        pack_step, spmet_step, toy_step)
+from references import (AllPairsPack, ecm_ensemble_outputs, ecm_ensemble_step, ecm_step,
+                        pack_outputs, pack_step, spmet_step, toy_step)
 
 ECM_BASE = EcmParams(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
                      q=12000.0, a=0.002, b=1.8e-3, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -82,16 +82,15 @@ def test_ecm_ensemble(seed, rows, nan_row):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mode=st.sampled_from(["max-minus-min", "all-pairs"]),
+@given(layout=st.sampled_from([PackPlant, AllPairsPack]),
        seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(2, 6),
        u=signed(-5.0, 60.0))
-def test_pack(mode, seed, n_cells, u):
+def test_pack(layout, seed, n_cells, u):
     rng = np.random.default_rng(seed)
-    pack = PackPlant(PackParams(base=ECM_BASE, n_cells=n_cells,
-                                k_left=float(rng.uniform(0.0, 0.1)),
-                                k_right=float(rng.uniform(0.0, 0.1)),
-                                dt_pair_max=5.0, pairwise_mode=mode,
-                                cell_variation=0.3, variation_seed=seed))
+    pack = layout(PackParams(base=ECM_BASE, n_cells=n_cells,
+                             k_left=float(rng.uniform(0.0, 0.1)),
+                             k_right=float(rng.uniform(0.0, 0.1)),
+                             dt_pair_max=5.0, cell_variation=0.3, variation_seed=seed))
     x = rng.uniform(-1.0, 6.0, (n_cells, 4)) * rng.choice([-0.0, 1.0, 10.0], (n_cells, 4))
     assert_advance(pack, x, u, pack_step, pack_outputs)
 

@@ -69,6 +69,10 @@ def test_public_surface():
     assert len(sources) >= 10
     assert not [name for name in ("bisected_roots", "bisect_rows")
                 if any(name in text for text in sources)]
+    # the pack's spread constraint has one layout; the all-pairs one is a
+    # test reference (references.AllPairsPack)
+    assert not [name for name in ("pairwise_mode", "all-pairs", "pair_roots")
+                if any(name in text for text in sources)]
     assert not hasattr(oracle.RootConfig, "max_iter")
     # the controller holds no stepping code: run_closed_loop does its float
     # arithmetic, and the numpy reference is tests/references.py

@@ -447,13 +447,20 @@ class TestCli:
          "compute_jstar"),
         ("ecm", "p.cfg", "ocv_slope", "ocv_slop", "ocv_slop"),
         ("ecm", "p.cfg", "r_o = 0.05", "r_o = 0,05", "r_o"),
+        ("ecm", "p.cfg", "r_o = 0.05", "r_o = nan", "r_o"),
+        ("ecm", "p.cfg", "q = 12000.0", "q = inf", "q"),
+        ("ecm", "p.cfg", "r_o = 0.05", "r_o = -0.05", "r_o"),
         ("pack", "p.cfg", "cell_variation", "cell_variaton", "cell_variaton"),
         ("pack", "p.cfg", "n_cells = 100", "", "n_cells"),
+        ("pack", "p.cfg", "k_left = 8e-5", "k_left = nan", "k_left"),
+        ("pack", "p.cfg", "n_cells = 100", "n_cells = 100\npairwise_mode = max-minus-min",
+         "unknown key 'pairwise_mode'"),
         ("ecm", "s.cfg", "[constraints]\ny_bar = 10.0, 12.0, 8.0\n"
          "gamma = 1.0, 1.0, 500.0\n", "", "constraints"),
         ("ecm", "s.cfg", "[scenario]\n", "", "no section headers")],
         ids=["scenario-number", "scenario-key", "scenario-bool", "params-key",
-             "params-number", "pack-key", "pack-missing-key",
+             "params-number", "params-nan", "params-inf", "params-rejected",
+             "pack-key", "pack-missing-key", "pack-nan", "pack-old-key",
              "scenario-missing-section", "scenario-no-header"])
     def test_malformed_file_names_its_key(self, config, file, old, new, named,
                                           tmp_path, capsys):

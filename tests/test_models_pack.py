@@ -6,27 +6,25 @@ from hypothesis import strategies as st
 from bangride import (ConfigurationError, EcmParams, EcmPlant, PackParams,
                       PackPlant, oracle_trajectory)
 from pack_labels import constraint_label
+from references import AllPairsPack
 
 BASE_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
                q=12000.0, a=0.002, b=1.8e-3, ocv0=3.0, ocv_slope=3.0, dt=1.0)
 
 
-def make_pack(n=4, k=1e-4, var=0.0, mode="max-minus-min", seed=0):
-    return PackPlant(PackParams(base=EcmParams(**BASE_KW), n_cells=n,
-                                k_left=k, k_right=k, dt_pair_max=5.0,
-                                pairwise_mode=mode, cell_variation=var,
-                                variation_seed=seed))
+def make_pack(n=4, k=1e-4, var=0.0, seed=0, layout=PackPlant):
+    return layout(PackParams(base=EcmParams(**BASE_KW), n_cells=n,
+                             k_left=k, k_right=k, dt_pair_max=5.0,
+                             cell_variation=var, variation_seed=seed))
 
 
-@pytest.mark.parametrize("mode", ["max-minus-min", "all-pairs"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(2, 6),
        rows=st.integers(1, 30))
-def test_output_rows_equal_output(mode, seed, n_cells, rows):
+def test_output_rows_equal_output(seed, n_cells, rows):
     # bit for bit, signed zeros included, on random rows of a varied pack
     rng = np.random.default_rng(seed)
-    plant = make_pack(n=n_cells, k=float(rng.uniform(0.0, 0.1)), var=0.3,
-                      mode=mode, seed=seed)
+    plant = make_pack(n=n_cells, k=float(rng.uniform(0.0, 0.1)), var=0.3, seed=seed)
     states = rng.uniform(-1.0, 6.0, (rows, n_cells, 4))
     states *= rng.choice([0.0, 1.0, 10.0], states.shape)
     u = rng.uniform(-5.0, 60.0, rows) * rng.choice([-0.0, 1.0], rows)
@@ -41,7 +39,7 @@ def test_output_rows_equal_output(mode, seed, n_cells, rows):
 class TestPackLayout:
     def test_output_count(self):
         assert make_pack(n=4).output_count == 1 + 4 + 4 + 1
-        assert make_pack(n=4, mode="all-pairs").output_count == 1 + 4 + 4 + 12
+        assert make_pack(n=4, layout=AllPairsPack).output_count == 1 + 4 + 4 + 12
 
     def test_constraint_labels(self):
         plant = make_pack(n=4)
@@ -50,10 +48,6 @@ class TestPackLayout:
         assert constraint_label(plant, 5) == ("voltage", 3)
         assert constraint_label(plant, 6) == ("temp", 0)
         assert constraint_label(plant, 10) == ("pair",)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_pack(mode="sum")
 
     def test_needs_two_cells(self):
         with pytest.raises(ConfigurationError):
@@ -138,8 +132,10 @@ class TestPackDynamics:
 
 
 class TestPairwiseModes:
+    # the package's spread output against the all-pairs reference layout
+
     def test_all_pairs_enumeration(self):
-        plant = make_pack(n=3, mode="all-pairs", var=0.3, seed=1)
+        plant = make_pack(n=3, var=0.3, seed=1, layout=AllPairsPack)
         x = plant.initial_state()
         rng = np.random.default_rng(4)
         x[:, 0] = rng.uniform(0, 1, 3)
@@ -150,8 +146,8 @@ class TestPairwiseModes:
         assert np.allclose(pair_block, expected, rtol=1e-15)
 
     def test_max_minus_min_equals_largest_pairwise(self):
-        ap = make_pack(n=5, mode="all-pairs", var=0.3, seed=6)
-        mm = make_pack(n=5, mode="max-minus-min", var=0.3, seed=6)
+        ap = make_pack(n=5, var=0.3, seed=6, layout=AllPairsPack)
+        mm = make_pack(n=5, var=0.3, seed=6)
         x = ap.initial_state()
         rng = np.random.default_rng(12)
         x[:, 0] = rng.uniform(0, 1, 5)
@@ -163,15 +159,15 @@ class TestPairwiseModes:
     def test_selector_equivalence_between_modes(self):
         # identical active-constraint labels and identical ideal currents
         results = {}
-        for mode in ("all-pairs", "max-minus-min"):
-            plant = make_pack(n=5, k=8e-5, var=0.3, seed=11, mode=mode)
+        for layout in (AllPairsPack, PackPlant):
+            plant = make_pack(n=5, k=8e-5, var=0.3, seed=11, layout=layout)
             spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                            temp_dev_max=35.0)
             traj = oracle_trajectory(plant, spec, 400, plant.initial_state())
             labels = [constraint_label(plant, i) for i in traj.i_star]
-            results[mode] = (labels, traj.u)
-        assert results["all-pairs"][0] == results["max-minus-min"][0]
-        assert np.array_equal(results["all-pairs"][1], results["max-minus-min"][1])
+            results[layout] = (labels, traj.u)
+        assert results[AllPairsPack][0] == results[PackPlant][0]
+        assert np.array_equal(results[AllPairsPack][1], results[PackPlant][1])
 
 
 class TestCellVariation:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bangride import (ConfigurationError, ConstraintSpec, PackParams, PackPlant,
+from bangride import (ConfigurationError, ConstraintSpec, PackParams,
                       RootConfig, RootFindingError, SimulationDiverged,
                       ToyLinearPlant, oracle_trajectory, selector)
 from bangride.plant import PlantModel
-from references import (bisected_roots, output, per_constraint_roots, selector_oracle,
-                        solve_constraint)
+from references import (AllPairsPack, bisected_roots, output, per_constraint_roots,
+                        selector_oracle, solve_constraint)
 
 
 class StaticModel(PlantModel):
@@ -272,11 +272,13 @@ def same_run(a, b) -> bool:
                     for k in a.telemetry))
 
 
-def five_cell_pack(mode: str, base):
-    """A five-cell pack whose 400-step oracle reaches the pair phase (C10)."""
-    plant = PackPlant(PackParams(base=base, n_cells=5, k_left=8e-5,
-                                 k_right=8e-5, dt_pair_max=5.0, pairwise_mode=mode,
-                                 cell_variation=0.3, variation_seed=11))
+def five_cell_pack(layout, base):
+    """C10's five-cell pack with a 0.5 K spread bound, so that its 400-step
+    oracle rides the pair phase for most of the run (at C10's 5 K it never
+    does)."""
+    plant = layout(PackParams(base=base, n_cells=5, k_left=8e-5,
+                              k_right=8e-5, dt_pair_max=0.5,
+                              cell_variation=0.3, variation_seed=11))
     spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
     return plant, spec, 400, plant.initial_state()
 
@@ -284,14 +286,13 @@ def five_cell_pack(mode: str, base):
 @pytest.mark.parametrize("case", ["toy", "ecm", "spmet", "pack", "all-pairs"])
 def test_oracle_equals_a_selector_loop(case, scenarios, oracle_runs):
     # the oracle's own selection equals one public selector call per step:
-    # the packaged runs (the pack's in max-minus-min mode), and a small pack
-    # in all-pairs mode
+    # the packaged runs, and a small pack in the all-pairs reference layout
     if case in scenarios:
         built = scenarios[case]
         run = oracle_runs[case]
         ref = selector_oracle(built.model, built.spec, built.cfg.t_f, built.x0)
     else:
-        args = five_cell_pack(case, scenarios["pack"].model.params.base)
+        args = five_cell_pack(AllPairsPack, scenarios["pack"].model.params.base)
         run, ref = oracle_trajectory(*args), selector_oracle(*args)
     assert same_run(run, ref)
 

@@ -23,7 +23,7 @@ from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
 from bangride.models.ecm import EcmEnsemble, perturb_params, rising_roots
 from bangride.models.pack import spread_root
 from pack_labels import constraint_label
-from references import bisected_roots, output, per_constraint_roots
+from references import AllPairsPack, bisected_roots, output, per_constraint_roots
 from test_oracle import StaticModel
 
 ECM_BASE = load_ecm_params(params_path(load_scenario("ecm"), "params_ecm.cfg"))
@@ -252,15 +252,15 @@ def test_pack_closed_form_matches_bisection_along_oracle_run(scenarios, oracle_r
 
 def test_pack_spread_closed_form_matches_all_pairs_bisection(scenarios):
     # a 0.5 K spread bound makes the spread ride for most of the run; the
-    # all-pairs layout runs with its pair closed forms and by bisection
+    # all-pairs reference layout runs with its pair closed forms and by
+    # bisection
     base = scenarios["pack"].model.params.base
     runs = {}
-    for name, mode in (("all-pairs", "all-pairs"), ("bisection", "all-pairs"),
-                       ("max-minus-min", "max-minus-min")):
-        plant = PackPlant(PackParams(base=base, n_cells=5, k_left=8e-5,
-                                     k_right=8e-5, dt_pair_max=0.5,
-                                     pairwise_mode=mode, cell_variation=0.3,
-                                     variation_seed=11))
+    for name, layout in (("all-pairs", AllPairsPack), ("bisection", AllPairsPack),
+                         ("max-minus-min", PackPlant)):
+        plant = layout(PackParams(base=base, n_cells=5, k_left=8e-5,
+                                  k_right=8e-5, dt_pair_max=0.5,
+                                  cell_variation=0.3, variation_seed=11))
         spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
                                        temp_dev_max=35.0)
         model = bisection_only(plant) if name == "bisection" else plant
@@ -477,10 +477,10 @@ def contract_cases(draw):
         model, u_max = SPMET, SPMET.params.u_max
         states = [draw(spmet_states()) for _ in range(n)]
     else:
-        model = PackPlant(PackParams(base=ECM_BASE, n_cells=draw(st.integers(2, 5)),
-                                     k_left=8e-5, k_right=8e-5, dt_pair_max=0.5,
-                                     pairwise_mode=kind, cell_variation=0.3,
-                                     variation_seed=draw(seeds)))
+        layout = AllPairsPack if kind == "all-pairs" else PackPlant
+        model = layout(PackParams(base=ECM_BASE, n_cells=draw(st.integers(2, 5)),
+                                  k_left=8e-5, k_right=8e-5, dt_pair_max=0.5,
+                                  cell_variation=0.3, variation_seed=draw(seeds)))
         states = [[draw(ecm_state) for _ in range(model.n_cells)] for _ in range(n)]
     states = np.array(states, dtype=float)
     outputs = contract_outputs(model, states)
