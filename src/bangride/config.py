@@ -264,7 +264,11 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     elif cfg.model == "ecm":
         model = EcmPlant(load_ecm_params(params_path(cfg, "params_ecm.cfg")))
     elif cfg.model == "pack":
-        model = PackPlant(load_pack_params(params_path(cfg, "params_pack.cfg")))
+        params = load_pack_params(path := params_path(cfg, "params_pack.cfg"))
+        try:    # the varied cells are checked as the plant builds them
+            model = PackPlant(params)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
     else:
         model = _params(ToyLinearPlant, params_path(cfg, "params_toy.cfg"),
                         "toy-linear")

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..plant import PlantModel
+from ..plant import PlantModel, _extreme
 
 # perturbed in this documented order by perturb_params
 PHYSICAL_FIELDS = ("r_o", "r_1", "r_2", "c_1", "c_2", "q", "a", "b")
@@ -96,11 +96,8 @@ class EcmPlant(PlantModel):
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """The one-cell ensemble's outputs on the rows, then each row's entry."""
-        cell = self._ensemble
-        v1, v2, soc, td = states.T
-        v12 = v1 + v2
-        return np.choose(index, (u, cell.voltages(v12, soc, u),
-                                 cell.temperatures(cell._kt * td, v12, u)))
+        y = self._ensemble.advance(states, u)[0]
+        return y[np.arange(len(index)), index]
 
     def riding_rows(self, states, y_bar, index) -> np.ndarray:
         """The one-cell ensemble's riding currents on the rows, then each row's entry."""
@@ -153,8 +150,8 @@ class EcmEnsemble:
     are (M,) arrays, or one float for all members, as a pack's series
     current (``models.pack``). Each expression repeats the operand order of
     ``EcmPlant``, so row k of every result equals the scalar result of
-    ``cells[k]`` bit for bit. A step reads the state once, forms the shared
-    terms v1 + v2 and kt*td once, and writes its outputs into given rows (a
+    ``cells[k]`` bit for bit. A step reads the state once, forms v1 + v2 and
+    kt*td once, and computes in place, writing its outputs into given rows (a
     pack's output vector); results are transposed views of (columns, M)
     arrays. At small M, numpy's per-call cost outweighs the arithmetic, so
     columns are taken by index, which costs less than iterating ``x.T``.
@@ -171,9 +168,8 @@ class EcmEnsemble:
         self._ocv_slope = np.array([p.ocv_slope for p in self.params])
         # the product that EcmPlant forms first in its left-to-right expressions
         self._bt_r_o = self._bt * self._r_o
-        # the step's products k*x and b*u for all four columns at once (the
-        # exact factor 1 leaves soc + ks*u as it is); their temperature rows
-        # are kt*td and the heat's bt*u, and that column is set alone
+        # the step's products k*x and b*u for all four columns at once (the exact
+        # factor 1 leaves soc + ks*u as it is); b*u's row bt*u becomes the heat
         self._k = np.array([self._k1, self._k2, np.ones(len(self.params)), self._kt])
         self._b = np.array([self._b1, self._b2, self._ks, self._bt])
 
@@ -186,31 +182,38 @@ class EcmEnsemble:
         return y.T, self.advance_into(x, u, y[1], y[2])
 
     def advance_into(self, x: np.ndarray, u, volts, temps) -> np.ndarray:
-        """``advance``'s next state rows, its voltage and temperature outputs
-        written into ``volts`` and ``temps``; the pack adds its coupling."""
+        """``advance``'s next state rows, a new array, its voltage and temperature
+        outputs written in place into the rows ``volts`` and ``temps`` (the pack
+        adds its coupling); one buffer holds the u**2 term, then the heat's factor."""
         cols = x.T
         v1, v2, soc = cols[0], cols[1], cols[2]
-        kx, bu = self._k * cols, self._b * u
-        v12, ktd = v1 + v2, kx[3]
-        volts[:] = self.voltages(v12, soc, u)
-        temps[:] = self.temperatures(ktd, v12, u)
-        nxt = kx + bu
-        nxt[3] = ktd + bu[3] * (self._r_o * u + v1 + v2)
+        nxt, bu = self._k * cols, self._b * u
+        v12, ktd, heat = v1 + v2, nxt[3], bu[3]
+        np.add(v12, np.multiply(self._ocv_slope, soc, out=volts), out=volts)
+        volts += u
+        np.multiply(self._bt, v12, out=temps)
+        temps *= u
+        np.add(ktd, temps, out=temps)
+        buf = self._bt_r_o * u
+        temps += np.multiply(buf, u, out=buf)
+        np.multiply(self._r_o, u, out=buf)
+        buf += v1
+        heat *= np.add(buf, v2, out=buf)    # bt*u becomes the heat
+        nxt += bu
         return nxt.T
 
-    def voltages(self, v12, soc, u, cells=slice(None)) -> np.ndarray:
+    def voltages(self, v12, soc, u, cells) -> np.ndarray:
         """Voltage readouts of members ``cells`` from their v1 + v2 and soc
         under inputs u; the members, rows and inputs broadcast together."""
         return v12 + self._ocv_slope[cells] * soc + u
 
-    def temperatures(self, ktd, v12, u, cells=slice(None)) -> np.ndarray:
+    def temperatures(self, ktd, v12, u, cells) -> np.ndarray:
         """One-step-ahead temperature deviations from kt*td and v1 + v2, as ``voltages``."""
         return ktd + self._bt[cells] * v12 * u + self._bt_r_o[cells] * u * u
 
     def riding_currents(self, x: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
         """``EcmPlant.riding_currents`` of every member, one row each."""
-        v1, v2, soc, td = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-        v12 = v1 + v2
+        soc, td, v12 = x[:, 2], x[:, 3], x[:, 0] + x[:, 1]
         roots = np.empty((3, len(x)))
         roots[0] = y_bar[0]
         roots[1] = y_bar[1] - (v12 + self._ocv_slope * soc)
@@ -229,14 +232,18 @@ def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
     a is a float, or an array that broadcasts with b and c: one member's
     coefficient over many rows, or one per member.
     """
-    disc = b * b - 4.0 * a * c
+    disc = b * b
+    disc -= 4.0 * a * c
     # b > 0 on every row rules out b < 0 and a zero den, which b + sqrt(disc)
     # is only for b <= 0; disc >= 0 on every row leaves no -inf and nothing
-    # to warn of. A NaN row fails both tests, so its batch takes the masks
-    plain, real = (b.min() > 0.0, disc.min() >= 0.0) if b.size else (True, True)
+    # to warn of. A NaN row fails both (argmin reads it): its batch takes the masks
+    plain, real = ((_extreme(b, True) > 0.0, _extreme(disc, True) >= 0.0) if b.size
+                   else (True, True))
     with nullcontext() if plain and real else np.errstate(divide="ignore", invalid="ignore"):
-        den = b + np.sqrt(disc)
-        root = -2.0 * c / den
+        den = np.sqrt(disc)
+        den += b
+        root = -2.0 * c
+        root /= den
         if not plain:
             alt = (b < 0.0) | (den == 0.0)
             root[alt] = np.where(c[alt] > 0.0, -np.inf, (np.sqrt(disc[alt]) - b[alt])

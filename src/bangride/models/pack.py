@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..controller import ConstraintSpec
-from ..plant import PlantModel
+from ..plant import PlantModel, _extreme
 from .ecm import EcmEnsemble, EcmParams, rising_roots
 
 VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
@@ -77,10 +77,14 @@ class PackPlant(PlantModel):
                               1.0 + params.cell_variation,
                               size=(n, len(VARIED_FIELDS)))
         # the cells without coupling; EcmParams validates each one
-        self.ensemble = EcmEnsemble([
-            replace(base, **{name: getattr(base, name) * f
-                             for name, f in zip(VARIED_FIELDS, row)})
-            for row in factors.tolist()])
+        cells = []
+        for k, row in enumerate(factors.tolist()):
+            try:
+                cells.append(replace(base, **{name: getattr(base, name) * f
+                                              for name, f in zip(VARIED_FIELDS, row)}))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"[pack] cell {k}: {exc}") from exc
+        self.ensemble = EcmEnsemble(cells)
         self._cl = params.k_left * base.dt
         self._cr = params.k_right * base.dt
         self.output_count = 2 * n + 2
@@ -103,10 +107,10 @@ class PackPlant(PlantModel):
         y[0] = u
         t_outs = y[n + 1:2 * n + 1]
         x_next = self.ensemble.advance_into(state, u, y[1:n + 1], t_outs)
-        coupling = self._coupling(state[:, 3])
+        coupling, td_next = self._coupling(state[:, 3]), x_next[:, 3]
         t_outs += coupling
-        x_next[:, 3] += coupling
-        y[-1] = t_outs.max() - t_outs.min()
+        td_next += coupling
+        y[-1] = _extreme(t_outs) - _extreme(t_outs, True)
         return y, x_next
 
     def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
@@ -114,7 +118,9 @@ class PackPlant(PlantModel):
         and i+1 (``right``), by default read off td, a whole state's column."""
         if left is None:
             left, right = td[self._prev], td[self._next]
-        return self._cl * (left - td) + self._cr * (right - td)
+        out = left - td
+        out *= self._cl
+        return np.add(out, self._cr * (right - td), out=out)
 
     def _lines(self, states) -> tuple[np.ndarray, ...]:
         """v1 + v2, soc and the temperature lines alpha + beta*u (bt*r_o*u**2
@@ -149,7 +155,8 @@ class PackPlant(PlantModel):
         out[temp] = self._cell_temperatures(states, u, rows[temp], index[temp] - n - 1)
         spread = index > 2 * n
         t = self._cell_temperatures(states, u, rows[spread, None], np.arange(n))
-        out[spread] = t.max(axis=1) - t.min(axis=1)
+        k = np.arange(len(t))    # the extremes advance reads, a zero's sign included
+        out[spread] = t[k, t.argmax(axis=1)] - t[k, t.argmin(axis=1)]
         return out
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
@@ -160,7 +167,7 @@ class PackPlant(PlantModel):
         v12, soc, alpha, beta = self._lines(state)
         roots = np.empty(self.output_count)
         roots[0] = y_bar[0]
-        roots[1:n + 1] = y_bar[1:n + 1] - (v12 + cells._ocv_slope * soc)
+        np.subtract(y_bar[1:n + 1], v12 + cells._ocv_slope * soc, out=roots[1:n + 1])
         roots[n + 1:2 * n + 1] = rising_roots(cells._bt_r_o, beta,
                                               alpha - y_bar[n + 1:2 * n + 1])
         roots[-1] = spread_root(alpha, beta, float(y_bar[-1]))

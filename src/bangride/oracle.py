@@ -58,7 +58,7 @@ def _minimum(roots, u_max: float) -> tuple[float, int]:
     values = np.maximum(roots, 0.0)
     values[0] = u_max
     k = int(values.argmin())
-    return float(values[k]), k + 1
+    return values.item(k), k + 1
 
 
 def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:

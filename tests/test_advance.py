@@ -143,3 +143,30 @@ def test_contract_is_advance(scenarios):
     assert y.shape == (pack.model.output_count,) and x_next.shape == pack.x0.shape
     roots = pack.model.riding_currents(pack.x0, pack.spec.y_bar)
     assert type(roots) is np.ndarray and roots.shape == (pack.model.output_count,)
+
+
+def test_kernels_only_read_their_inputs():
+    # the in-place kernels write into buffers of their own: the state, the
+    # inputs and y_bar are left as they were, and two calls share no memory
+    rng = np.random.default_rng(3)
+    pack = PackPlant(PackParams(base=ECM_BASE, n_cells=6, k_left=0.01, k_right=0.02,
+                                dt_pair_max=0.5, cell_variation=0.3, variation_seed=4))
+    ensemble = EcmEnsemble([perturb_params(ECM_BASE, 0.3, (5, k)) for k in range(6)])
+    x = rng.uniform(0.0, 3.0, (6, 4))
+    u = rng.uniform(0.0, 20.0, 6)
+    y_bar = np.array([10.0, 4.0, 1.5])
+    spec = pack.build_constraints(u_max=10.0, v_cell_max=4.0, temp_dev_max=1.5)
+    kept = x.copy(), u.copy(), y_bar.copy(), spec.y_bar.copy()
+
+    def twice(call):
+        first, second = (r if isinstance(r, tuple) else (r,) for r in (call(), call()))
+        for a, b in zip(first, second):
+            assert same_bits(a, b) and not np.shares_memory(a, b)
+
+    twice(lambda: pack.advance(x, 7.0))
+    twice(lambda: pack.riding_currents(x, spec.y_bar))
+    twice(lambda: ensemble.advance(x, u))
+    twice(lambda: ensemble.advance_into(x, u, np.empty(6), np.empty(6)))
+    twice(lambda: ensemble.riding_currents(x, y_bar))
+    for a, b in zip((x, u, y_bar, spec.y_bar), kept):
+        assert same_bits(a, b)

@@ -455,12 +455,14 @@ class TestCli:
         ("pack", "p.cfg", "k_left = 8e-5", "k_left = nan", "k_left"),
         ("pack", "p.cfg", "n_cells = 100", "n_cells = 100\npairwise_mode = max-minus-min",
          "unknown key 'pairwise_mode'"),
+        # the base cell passes, but varied cell 5 is unstable at this dt
+        ("pack", "p.cfg", "dt = 1.0 ", "dt = 100.0 ", "[pack] cell 5: unstable"),
         ("ecm", "s.cfg", "[constraints]\ny_bar = 10.0, 12.0, 8.0\n"
          "gamma = 1.0, 1.0, 500.0\n", "", "constraints"),
         ("ecm", "s.cfg", "[scenario]\n", "", "no section headers")],
         ids=["scenario-number", "scenario-key", "scenario-bool", "params-key",
              "params-number", "params-nan", "params-inf", "params-rejected",
-             "pack-key", "pack-missing-key", "pack-nan", "pack-old-key",
+             "pack-key", "pack-missing-key", "pack-nan", "pack-old-key", "pack-cell",
              "scenario-missing-section", "scenario-no-header"])
     def test_malformed_file_names_its_key(self, config, file, old, new, named,
                                           tmp_path, capsys):

@@ -11,7 +11,7 @@ from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       SimulationDiverged, ToyLinearPlant, oracle_trajectory,
                       run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
-from bangride.plant import PlantModel, Trajectory, simulate, simulate_batch
+from bangride.plant import PlantModel, Trajectory, _extreme, simulate, simulate_batch
 from references import (ReferenceController, active_index, reference_closed_loop,
                         replay_open_loop)
 
@@ -655,3 +655,31 @@ class TestValidateMonotonicity:
         model = ToyLinearPlant()
         with pytest.raises(ConfigurationError):
             validate_monotonicity(model, [], [0.0])
+
+
+# finite floats, both zeros, both infinities and NaN
+extreme_entries = (st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, math.nan])
+                   | st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(extreme_entries, min_size=1, max_size=90),
+       form=st.sampled_from(["1-D", "rows", "transposed"]), k=st.integers(1, 5))
+def test_extreme_reads_max_and_min(values, form, k):
+    # bit for bit ndarray.max and .min, NaN included, on 1-D arrays, (n, k)
+    # rows and their transposed views; a zero extreme is the first zero in
+    # memory order, where ndarray.max and .min may give the other sign
+    a = np.array(values)
+    if form != "1-D":
+        a = np.resize(a, (-(-len(values) // k), k))
+        if form == "transposed":
+            a = a.T
+    memory = a.ravel("K")
+    for smallest, reference in ((False, a.max()), (True, a.min())):
+        value = _extreme(a, smallest)
+        assert type(value) is float
+        if value == 0.0:
+            first = memory[memory == 0.0][0]
+            assert reference == 0.0 and same_bits(value, first)
+        else:
+            assert same_bits(value, reference)
