@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .controller import ConstraintSpec, ControllerState, project_box, step_size
 from .errors import (BangrideError, ConfigurationError, PotentialDomainError,
                      RootFindingError, SimulationDiverged)
-from .oracle import RootConfig, SelectorResult, oracle_trajectory, selector
+from .oracle import RootConfig, oracle_trajectory
 from .plant import (MonotonicityReport, PlantModel, Trajectory, run_closed_loop,
                     simulate, validate_monotonicity)
 from .models import (EcmParams, EcmPlant, PackParams, PackPlant, SpmetParams,
@@ -25,7 +25,7 @@ __all__ = [
     "ConstraintSpec", "ControllerState", "project_box", "step_size",
     "PlantModel", "Trajectory", "MonotonicityReport", "simulate",
     "run_closed_loop", "validate_monotonicity",
-    "RootConfig", "SelectorResult", "selector", "oracle_trajectory",
+    "RootConfig", "oracle_trajectory",
     "ToyLinearPlant", "EcmParams", "EcmPlant", "perturb_params",
     "SpmetParams", "SpmetPlant", "PackParams", "PackPlant",
 ]

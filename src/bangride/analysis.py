@@ -336,30 +336,6 @@ def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
     )
 
 
-def _oracle_run(model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
-                y: np.ndarray, index: np.ndarray, states: np.ndarray,
-                failure: SimulationDiverged | None) -> Trajectory:
-    """The ``Trajectory`` that ``oracle_trajectory`` returns, from a batch
-    member's input, output, 0-based constraint and state columns.
-
-    Makes the weighted-error and cost checks of ``simulate`` step by step,
-    then raises ``failure``, the member's guard failure, if it has one.
-    """
-    run = Trajectory.from_columns(model, spec, u, y, index + 1, np.empty(len(u)), states)
-    steps = len(u) if failure is None else failure.step
-    finite = np.isfinite(run.e[:steps]).all(axis=1).tolist()
-    for t, e_active in enumerate(run.e[np.arange(steps), index[:steps]].tolist()):
-        if not finite[t]:
-            raise SimulationDiverged(t, "non-finite weighted errors")
-        try:
-            run.J[t] = e_active ** 2   # Python's **, as simulate squares
-        except OverflowError:
-            raise SimulationDiverged(t, "squared active error overflowed") from None
-    if failure is not None:
-        raise failure
-    return run
-
-
 def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
                      t_f: int, *, keep_series: bool = True,
                      guard: float = DEFAULT_GUARD) -> RobustnessResult:
@@ -411,9 +387,11 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
 
     failures = simulate_batch(batch, t_f, np.tile(x0, (size, 1)), control,
                               observe, guard=guard)
-    # copies, so that the shared columns are freed with the study
-    true_oracle = _oracle_run(true_model, spec, u_true, y_truth[:, m].copy(),
-                              true_index, x_truth[:, m].copy(), failures.get(2 * m))
+    # simulate's checks and failure; copies free the shared columns with the study
+    failure = failures.get(2 * m)
+    true_oracle = Trajectory.from_columns(
+        true_model, spec, u_true, y_truth[:, m].copy(), true_index + 1, x_truth[:, m].copy(),
+        steps=None if failure is None else failure.step, failure=failure)
     oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
     outcomes = []
     for k in range(m):

@@ -1,8 +1,8 @@
-"""Model-free bang-ride charging controller: its constraints and its state.
+"""Model-free bang-ride charging controller: its constraints and its settings.
 
 ``ConstraintSpec`` holds the output bounds and error weights, and
-``ControllerState`` the validated PI gains, their box, the step-size exponent
-and the compressed run history. The controller holds no stepping code: the
+``ControllerState`` the controller's validated settings: the start gains,
+their box, the step-size exponent and the clip. It holds no stepping code: the
 PI law on the active error and the online projected-gradient update of the
 two gains run as float arithmetic inside ``plant.run_closed_loop``, with the
 step size of ``step_size`` and the projection of ``project_box``.
@@ -83,13 +83,12 @@ def project_box(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ControllerState:
-    """PI gains, their admissible box, and the compressed run history.
+    """Settings of the model-free controller: start gains, their box, mu1, clip.
 
     The PI law ``u_t = theta_1 * e_active(t-1) + theta_2 * sum_{k<t} e_active(k)``
-    depends on the observed history only through the last active error and the
-    running error sum, so those two scalars are the full stored state. Both
-    start at zero, hence ``u_0 = 0``. Single-owner mutable within one run;
-    create a fresh instance per closed-loop run.
+    reads the history only through the last active error and the running error
+    sum. ``run_closed_loop`` holds both from zero (so ``u_0 = 0``), and the
+    gains, as floats, and only reads this record, which serves any number of runs.
     """
 
     theta: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_THETA0))
@@ -97,9 +96,6 @@ class ControllerState:
     theta_hi: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_THETA_HI))
     mu1: float = 0.5
     grad_clip: float | None = None
-    error_sum: float = 0.0
-    last_error: float = 0.0
-    t: int = 0
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float).copy()

@@ -5,9 +5,10 @@ h_i(x, u) = y_bar_i; monotonicity in u makes the solution unique. The oracle
 reads the plant through ``PlantModel.riding_currents`` alone, which gives all
 p roots at once, in closed form or by Newton steps. The ideal input is the
 minimum over the roots clamped at 0, which is always finite because
-constraint 1 pins u_max. The solve tolerances are the class constants of
-``RootConfig``. The bisection that every hook is checked against lives in
-``tests/references.py``.
+constraint 1 pins u_max (``_minimum``, per step in ``oracle_trajectory`` and
+per batch row in ``selector_rows``). The solve tolerances are the class
+constants of ``RootConfig``. The bisection that every hook is checked against
+lives in ``tests/references.py``, beside a one-state selection for the tests.
 
 Stateless given (model, x); runs over distinct scenarios may execute in
 parallel, successive time steps may not (the state evolves).
@@ -15,12 +16,9 @@ parallel, successive time steps may not (the state evolves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .controller import ConstraintSpec
-from .errors import ConfigurationError
 from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
 
@@ -35,17 +33,12 @@ class RootConfig:
     tol_y = 1e-6    # absolute residual tolerance in output units
 
 
-@dataclass
-class SelectorResult:
-    """Ideal input at one state: the minimum feedback value and its constraint."""
-
-    u: float
-    i_star: int            # 1-based constraint that attained the minimum
-
-
 def _minimum(roots, u_max: float) -> tuple[float, int]:
-    """``selector``'s input and 1-based constraint from a state's riding
-    currents."""
+    """The ideal input and its 1-based constraint from a state's riding
+    currents: their minimum, with u_max for constraint 1 and a negative root
+    pinned to 0 (ties: lowest index). A vector plant's list of roots is
+    selected on floats, the pack's 202 by numpy, where a float loop is slower;
+    both as numpy: -0.0 gives +0.0, and the first NaN root is the minimum."""
     if isinstance(roots, list):
         u, k = u_max, 1
         for i, v in enumerate(roots[1:], 2):
@@ -61,24 +54,9 @@ def _minimum(roots, u_max: float) -> tuple[float, int]:
     return values.item(k), k + 1
 
 
-def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
-    """Minimum over the per-constraint riding currents (ties: lowest index).
-
-    The riding currents come from ``model.riding_currents``. A negative
-    root is pinned to 0, and constraint 1 contributes u_max exactly. A list
-    of roots (a vector plant's) is selected on floats, the pack's 202 by
-    numpy: -0.0 gives +0.0, and the first NaN root is the minimum.
-    """
-    if model.output_count != spec.p:
-        raise ConfigurationError(
-            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
-    u, i_star = _minimum(model.riding_currents(x, spec.y_bar), spec.u_max)
-    return SelectorResult(u=u, i_star=i_star)
-
-
 def selector_rows(model, x: np.ndarray,
                   spec: ConstraintSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``selector`` of every member of a batched model at once, through its
+    """``_minimum`` of every member of a batched model at once, through its
     row-wise ``riding_currents``: each row's input and 0-based constraint.
 
     A NaN root gives a NaN input: a broken hook returns one, and so does a
@@ -97,7 +75,7 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
     Records which constraint attained the minimum at every step; the
     gain/step-size columns are absent (model-based law, nothing learned).
     """
-    # the selector's checks are simulate's run checks, so each step only selects
+    # simulate checks the sizes once per run, so each step only selects
     y_bar, u_max, riding = spec.y_bar, spec.u_max, model.riding_currents
     i_star = 1
 

@@ -129,7 +129,7 @@ class Trajectory:
     - ``u`` (n,): applied current;
     - ``y``, ``e`` (n, p): outputs and weighted errors ``e = gamma*(y_bar - y)``;
     - ``i_star`` (n,) int: 1-based active index, from this step's errors
-      (closed loop, replay) or the constraint the selector picked (oracle);
+      (closed loop, replay) or the constraint the oracle picked;
     - ``J`` (n,): ``e_active**2`` exactly;
     - ``states`` (n + 1, *x0.shape): the state at the start of step t, so
       ``states[0]`` is x0 and ``states[n]`` the post-horizon state;
@@ -163,12 +163,34 @@ class Trajectory:
     @classmethod
     @np.errstate(all="ignore")
     def from_columns(cls, model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
-                     y: np.ndarray, i_star: np.ndarray, J: np.ndarray,
-                     states: np.ndarray) -> Trajectory:
+                     y: np.ndarray, i_star: np.ndarray, states: np.ndarray, *,
+                     steps: int | None = None, failure: Exception | None = None) -> Trajectory:
         """A run's trajectory from its stepped columns, deriving the weighted
-        errors (a step's operations, so its bits) and the telemetry."""
-        e = spec.y_bar - y
+        errors (a step's operations, so its bits), J and the telemetry.
+
+        Checks rows 0..steps-1 (every row by default) in step order: a row's
+        weighted errors must be finite, and its active error must square by
+        Python's ``**``, which raises on overflow where numpy gives inf. The
+        first row that fails raises ``SimulationDiverged`` at its step; then
+        ``failure``, the run's own error, is raised if one is given.
+        """
+        e = spec.y_bar - y[:steps]
         e *= spec.gamma     # in place: no second (n, p) temporary
+        active = e[np.arange(len(e)), i_star[:len(e)] - 1].tolist()
+        try:
+            J = np.fromiter((v ** 2 for v in active), float, len(active))
+        except OverflowError:
+            J = None
+        if J is None or not math.isfinite(e.sum()):     # a row may fail: find the first
+            for t, v in enumerate(active):
+                if not np.isfinite(e[t]).all():
+                    raise SimulationDiverged(t, "non-finite weighted errors") from None
+                try:
+                    v ** 2
+                except OverflowError:   # |e_active| above about 1.3e154
+                    raise SimulationDiverged(t, "squared active error overflowed") from None
+        if failure is not None:
+            raise failure
         return cls(u=u, y=y, e=e, i_star=i_star, J=J, states=states,
                    telemetry=model.telemetry(states[:-1], u, y))
 
@@ -214,10 +236,13 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     the outputs and the next state must stay finite and within ``guard`` in
     magnitude, in that order, the weighted errors finite, and squaring the
     active error must not overflow; the first that fails aborts the run with
-    ``SimulationDiverged`` at that step. These tests report every non-finite
-    value at its step, so floating-point warnings are off during the run.
-    States must be numeric arrays of one shape. The e and telemetry columns
-    are derived after the last step.
+    ``SimulationDiverged`` at that step. The loop tests the first three, and
+    ``Trajectory.from_columns`` the others after it; when the loop raises at
+    step t (a guard, the policy or the plant), steps 0..t-1 are checked
+    first, so the earliest failure is the one reported, and ``observe`` may
+    be given non-finite errors. These tests report every non-finite value at
+    its step, so floating-point warnings are off during the run. States must
+    be numeric arrays of one shape.
 
     One loop serves every plant. A vector state (a single cell) is held as
     the float lists of ``PlantModel.advance`` from ``x0.tolist()`` on, tested
@@ -227,14 +252,10 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     """
     check_run(model, spec, t_f)
     n = t_f + 1
-    u_col, y_col, i_col, j_col = (np.empty(n), np.empty((n, spec.p)),
-                                  np.empty(n, dtype=int), np.empty(n))
+    u_col, y_col, i_col = np.empty(n), np.empty((n, spec.p)), np.empty(n, dtype=int)
     states = np.empty((n + 1,) + np.shape(x0))
     states[0] = x0
     low = -guard
-    # outputs that pass the guard make the errors overflow only if this does
-    check_e = not math.isfinite(float(spec.gamma.max())
-                                * (float(abs(spec.y_bar).max()) + guard))
     if states.ndim == 2:
         x = states[0].tolist()
         weights = list(zip(spec.gamma.tolist(), spec.y_bar.tolist()))
@@ -257,29 +278,24 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         def weigh(y) -> np.ndarray:
             return gamma * (y_bar - y)
 
-    for t in range(n):
-        u = control(t, x)
-        if not low <= u <= guard:
-            raise _diverged(u, "input current", t, guard)
-        y, x = model.advance(x, u)
-        if not passes(y):
-            raise _diverged(y, "outputs", t, guard)
-        if not passes(x):
-            raise _diverged(x, "state", t, guard)
-        e = weigh(y)
-        if check_e and not np.isfinite(e).all():
-            raise SimulationDiverged(t, "non-finite weighted errors")
-        i_star = observe(t, e)
-
-        u_col[t] = u
-        y_col[t] = y
-        i_col[t] = i_star
-        try:    # a float's ** raises on overflow, where an np.float64's gives inf
-            j_col[t] = float(e[i_star - 1]) ** 2
-        except OverflowError:   # |e_active| above about 1.3e154
-            raise SimulationDiverged(t, "squared active error overflowed") from None
-        states[t + 1] = x
-    return Trajectory.from_columns(model, spec, u_col, y_col, i_col, j_col, states)
+    try:
+        for t in range(n):
+            u = control(t, x)
+            if not low <= u <= guard:
+                raise _diverged(u, "input current", t, guard)
+            y, x = model.advance(x, u)
+            if not passes(y):
+                raise _diverged(y, "outputs", t, guard)
+            if not passes(x):
+                raise _diverged(x, "state", t, guard)
+            i_col[t] = observe(t, weigh(y))
+            u_col[t] = u
+            y_col[t] = y
+            states[t + 1] = x
+    except Exception as failure:
+        Trajectory.from_columns(model, spec, u_col, y_col, i_col, states,
+                                steps=t, failure=failure)
+    return Trajectory.from_columns(model, spec, u_col, y_col, i_col, states)
 
 
 def run_closed_loop(model: PlantModel,
@@ -296,10 +312,8 @@ def run_closed_loop(model: PlantModel,
     active error to the history. The gains and the history are held as floats
     during the run, in the operand order of the numpy ``ReferenceController``
     in ``tests/references.py``, so every value matches the reference bit for bit.
-    The controller is mutated to its final state.
+    The controller is only read: the history starts at zero in every run.
     """
-    if controller.t != 0:
-        raise ConfigurationError("run_closed_loop requires a fresh controller (t == 0)")
     n = t_f + 1
     theta_col = np.empty((n, 2))
     theta0_col, theta1_col = theta_col.T    # views: a scalar write each
@@ -309,8 +323,7 @@ def run_closed_loop(model: PlantModel,
     hi0, hi1 = controller.theta_hi.tolist()
     neg_mu1, clip = -controller.mu1, controller.grad_clip
     grad = np.empty(2)      # the gradient, for its norm when clipped
-    last, tot = controller.last_error, controller.error_sum
-    alpha, done = 1.0, 0
+    last = tot = alpha = 0.0
 
     def control(t: int, x) -> float:
         nonlocal alpha
@@ -324,7 +337,7 @@ def run_closed_loop(model: PlantModel,
         return t0 * last + t1 * tot
 
     def observe(t: int, e) -> int:
-        nonlocal t0, t1, last, tot, done
+        nonlocal t0, t1, last, tot
         # the first minimum, as argmin gives it: the guard keeps NaN out
         if isinstance(e, list):
             ea = min(e)
@@ -350,14 +363,9 @@ def run_closed_loop(model: PlantModel,
         t1 = hi1 if v >= hi1 else v
         last = ea
         tot += ea
-        done = t + 1
         return k + 1
 
-    try:
-        traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
-    finally:
-        controller.theta = np.array([t0, t1])
-        controller.last_error, controller.error_sum, controller.t = last, tot, done
+    traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
     return replace(traj, theta=theta_col, alpha=alpha_col)
 
 

@@ -15,8 +15,9 @@ replaced by one output per ordered pair of cells, the layout whose selection
 the equivalence tests hold the spread's to. ``output`` reads one output off
 ``advance``, the plant's one output path, for the scalar references and the
 model tests.
-``selector_oracle`` is ``oracle.oracle_trajectory`` stepped through the
-public ``selector``. ``plain_trajectory_csv`` and ``plain_gap_csv`` are the
+``selector`` is the oracle's selection at one state, ``oracle._minimum``
+behind a size check, and ``selector_oracle`` is ``oracle.oracle_trajectory``
+stepped through it. ``plain_trajectory_csv`` and ``plain_gap_csv`` are the
 CSV writers cell by cell, and ``plain_x_template`` a polyline's x part as
 each chart built it before the charts shared it.
 """
@@ -37,7 +38,7 @@ from bangride.errors import ConfigurationError, RootFindingError, SimulationDive
 from bangride.models import EcmPlant, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
-from bangride.oracle import RootConfig, selector
+from bangride.oracle import RootConfig, _minimum
 from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 
 MAX_ITER = 200    # halvings before a bisection gives up
@@ -192,8 +193,14 @@ def active_index(e: np.ndarray) -> int:
     return int(np.argmin(e)) + 1
 
 
+@dataclass
 class ReferenceController(ControllerState):
-    """``ControllerState`` with the numpy PI law and projected-gradient step."""
+    """``ControllerState`` with the numpy PI law and projected-gradient step,
+    and the compressed run history they read and extend."""
+
+    error_sum: float = 0.0
+    last_error: float = 0.0
+    t: int = 0
 
     def control(self) -> float:
         """Current command from the PI law on the stored history statistics."""
@@ -354,9 +361,29 @@ def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,
                     lambda t, e: active_index(e), guard=guard)
 
 
+@dataclass
+class SelectorResult:
+    """Ideal input at one state: the minimum feedback value and its constraint."""
+
+    u: float
+    i_star: int            # 1-based constraint that attained the minimum
+
+
+def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
+    """Minimum over the per-constraint riding currents (ties: lowest index),
+    as ``oracle_trajectory`` selects each step through ``oracle._minimum``:
+    a negative root is pinned to 0, and constraint 1 contributes u_max
+    exactly. Checks the sizes, as ``simulate`` does once per run."""
+    if model.output_count != spec.p:
+        raise ConfigurationError(
+            f"model provides {model.output_count} outputs but spec has {spec.p} bounds")
+    u, i_star = _minimum(model.riding_currents(x, spec.y_bar), spec.u_max)
+    return SelectorResult(u=u, i_star=i_star)
+
+
 def selector_oracle(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
                     guard: float = DEFAULT_GUARD) -> Trajectory:
-    """The oracle run with one public ``selector`` call per step."""
+    """The oracle run with one ``selector`` call per step."""
     i_star = 1
 
     def control(t: int, x) -> float:

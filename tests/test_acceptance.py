@@ -10,15 +10,14 @@ import time
 
 import numpy as np
 
-from bangride import (ConstraintSpec, oracle_trajectory, run_closed_loop,
-                      selector, step_size)
+from bangride import ConstraintSpec, oracle_trajectory, run_closed_loop, step_size
 from bangride.analysis import attach_per_step_optima, regret
 from bangride.config import load_ecm_params, params_path
 from bangride.models import PackParams, PackPlant, ToyLinearPlant
 from ecm_study import ecm_study
 from gradient_check import gradient_sign_check
 from pack_labels import constraint_label
-from references import AllPairsPack, phases
+from references import AllPairsPack, phases, selector
 
 
 def _report(cid: str, ok: bool, detail: str):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, PackParams,
                       RootConfig, RootFindingError, SimulationDiverged,
-                      ToyLinearPlant, oracle_trajectory, selector)
+                      ToyLinearPlant, oracle_trajectory)
 from bangride.plant import PlantModel
 from references import (AllPairsPack, bisected_roots, output, per_constraint_roots,
-                        selector_oracle, solve_constraint)
+                        selector, selector_oracle, solve_constraint)
 
 
 class StaticModel(PlantModel):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
-                      SimulationDiverged, ToyLinearPlant, oracle_trajectory,
-                      run_closed_loop, validate_monotonicity)
+                      PotentialDomainError, SimulationDiverged, ToyLinearPlant,
+                      oracle_trajectory, run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, Trajectory, _extreme, simulate, simulate_batch
 from references import (ReferenceController, active_index, reference_closed_loop,
@@ -113,7 +113,6 @@ class TestRunClosedLoop:
             assert u == theta[0] * le + theta[1] * es
             le = e_active
             es += e_active
-        assert cs.error_sum == es
 
     def test_replay_reproduces_outputs_bit_for_bit(self):
         params = EcmParams(**ECM_KW)
@@ -151,9 +150,10 @@ class TestRunClosedLoop:
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         cs = ControllerState()
-        run_closed_loop(model, cs, spec, 3, model.initial_state())
-        with pytest.raises(ConfigurationError):
-            run_closed_loop(model, cs, spec, 3, model.initial_state())
+        # the run only reads the controller's settings, so no stale history
+        # is left to reject: a second run is the first one again
+        first = run_closed_loop(model, cs, spec, 3, model.initial_state())
+        assert same_run(run_closed_loop(model, cs, spec, 3, model.initial_state()), first)
 
 
 class ScriptedPlant(PlantModel):
@@ -212,19 +212,18 @@ def controllers(draw):
 
 
 def both_loops(errors: np.ndarray, kw: dict):
-    """(outcome, controller) of run_closed_loop and of the numpy reference on
-    the scripted plant; the outcome is the trajectory or the divergence."""
+    """The outcomes of run_closed_loop and of the numpy reference on the
+    scripted plant: each the trajectory or the divergence."""
     model = ScriptedPlant(errors)
     out = []
     for loop, make in ((run_closed_loop, ControllerState),
                        (reference_closed_loop, ReferenceController)):
-        cs = make(**kw)
         try:
-            result = loop(model, cs, model.spec(), len(errors) - 1, np.zeros(1),
-                          guard=math.inf)
+            result = loop(model, make(**kw), model.spec(), len(errors) - 1,
+                          np.zeros(1), guard=math.inf)
         except SimulationDiverged as exc:
             result = exc
-        out.append((result, cs))
+        out.append(result)
     return out
 
 
@@ -240,14 +239,11 @@ class TestFloatLoopMatchesReference:
              kw=dict(theta=[0.5, 0.5], theta_lo=[0.0, 0.0], theta_hi=[10.0, 10.0],
                      mu1=0.5, grad_clip=0.1))
     def test_equal_bit_for_bit(self, errors, kw):
-        (fast, cs), (ref, cs_ref) = both_loops(errors, kw)
+        fast, ref = both_loops(errors, kw)
         assert same_bits(fast.e, ref.e)
         assert same_bits(fast.u, ref.u)
         assert same_bits(fast.theta, ref.theta)
         assert same_bits(fast.alpha, ref.alpha)
-        assert same_bits(cs.error_sum, cs_ref.error_sum)
-        assert same_bits(cs.last_error, cs_ref.last_error)
-        assert same_bits(cs.theta, cs_ref.theta) and cs.t == cs_ref.t == len(errors)
 
     @settings(max_examples=100, deadline=None)
     @given(errors=error_rows(max_size=20), inf=st.sampled_from([math.inf, -math.inf]),
@@ -256,12 +252,11 @@ class TestFloatLoopMatchesReference:
         # infinite outputs pass an infinite guard, but their infinite errors
         # stop both loops at that step, before they reach the history
         errors = np.concatenate([errors, np.full((2, errors.shape[1]), inf)])
-        (fast, cs), (ref, cs_ref) = both_loops(errors, kw)
+        fast, ref = both_loops(errors, kw)
         assert isinstance(fast, SimulationDiverged) and isinstance(ref, SimulationDiverged)
         assert fast.step == ref.step == len(errors) - 2
         assert str(fast) == str(ref) == (
             f"simulation diverged at step {fast.step}: non-finite weighted errors")
-        assert same_bits(cs.error_sum, cs_ref.error_sum) and cs.t == cs_ref.t
 
 
 component = (st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.3e154,
@@ -683,3 +678,56 @@ def test_extreme_reads_max_and_min(values, form, k):
             assert reference == 0.0 and same_bits(value, first)
         else:
             assert same_bits(value, reference)
+
+
+class TestEarliestFailure:
+    """At step 2 the active error squares to overflow, or is non-finite under
+    an infinite guard; ``simulate`` checks both after the loop. At step 3 the
+    run fails a second way: the plant raises its own error, or its outputs
+    fail the guard (NaN). The run reports step 2, with that step's message."""
+
+    FIRST = {"overflow": (-1e155, "squared active error overflowed"),
+             "non-finite": (-math.inf, "non-finite weighted errors")}
+
+    class Breaking(ScriptedPlant):
+        def advance(self, x, u):
+            if int(x[0]) == 3:
+                raise PotentialDomainError("advance", "outside its domain at step 3")
+            return super().advance(x, u)
+
+    def run(self, errors: np.ndarray, then: str, form: str):
+        model = (self.Breaking if then == "plant error" else ScriptedPlant)(errors)
+        spec, x0 = model.spec(), np.zeros(1)
+        if form == "rows":
+            model, x0 = RowForm(model), np.zeros((1, 1))
+        return simulate(model, spec, 5, x0, lambda t, x: 0.0,
+                        lambda t, e: active_index(e), guard=math.inf)
+
+    @pytest.mark.parametrize("form", ["vector", "rows"])
+    @pytest.mark.parametrize("then", ["plant error", "guard"])
+    @pytest.mark.parametrize("first", sorted(FIRST))
+    def test_first_failing_step_is_reported(self, first, then, form):
+        value, message = self.FIRST[first]
+        errors = np.zeros((6, 2))
+        errors[3, 0] = math.nan     # outputs (NaN, 0): the guard fails
+        # step 3 alone fails its own way
+        with pytest.raises(PotentialDomainError if then == "plant error"
+                           else SimulationDiverged) as err:
+            self.run(errors, then, form)
+        if then == "guard":
+            assert str(err.value) == "simulation diverged at step 3: non-finite outputs"
+        errors[2, 1] = value
+        with pytest.raises(SimulationDiverged) as err:
+            self.run(errors, then, form)
+        assert (err.value.step, str(err.value)) == (
+            2, f"simulation diverged at step 2: {message}")
+
+    @pytest.mark.parametrize("steps", [5, 50])
+    def test_overflowing_cost_of_the_cli_run(self, steps, tmp_path, capsys):
+        # the controller carries the overflowing error into step 1, whose
+        # input fails the guard: the run still reports step 0
+        from bangride.cli import main
+        assert main(["simulate", "--config", "toy", "--steps", str(steps),
+                     "--gamma", "1e155,1e155", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith(
+            "diverged at step 0: squared active error overflowed\n")

@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 from bangride import (ConstraintSpec, EcmPlant, PackParams, PackPlant,
                       PotentialDomainError, RootConfig, RootFindingError,
                       SimulationDiverged, SpmetPlant, ToyLinearPlant,
-                      oracle_trajectory, selector)
+                      oracle_trajectory)
 from bangride.analysis import robustness_study
 from bangride.config import (load_ecm_params, load_scenario, load_spmet_params,
                              params_path)
 from bangride.models.ecm import EcmEnsemble, perturb_params, rising_roots
 from bangride.models.pack import spread_root
 from pack_labels import constraint_label
-from references import AllPairsPack, bisected_roots, output, per_constraint_roots
+from references import (AllPairsPack, bisected_roots, output, per_constraint_roots,
+                        selector)
 from test_oracle import StaticModel
 
 ECM_BASE = load_ecm_params(params_path(load_scenario("ecm"), "params_ecm.cfg"))
