@@ -128,7 +128,7 @@ def _oracle_style():
 def cmd_simulate(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "simulate")
-    traj = run_closed_loop(built.model, built.new_controller(), built.spec,
+    traj = run_closed_loop(built.model, built.controller, built.spec,
                            built.cfg.t_f, built.x0)
     traj = _maybe_attach_jstar(traj, built)
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -156,7 +156,7 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "compare")
-    free = run_closed_loop(built.model, built.new_controller(), built.spec,
+    free = run_closed_loop(built.model, built.controller, built.spec,
                            built.cfg.t_f, built.x0)
     free = _maybe_attach_jstar(free, built)
     oracle = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
@@ -189,7 +189,7 @@ def cmd_montecarlo(args) -> int:
                               built.cfg.t_f, keep_series=args.svg)
     write_montecarlo_summary(result.stats, out / "summary.csv")
     if args.svg:
-        free = run_closed_loop(built.model, built.new_controller(), built.spec,
+        free = run_closed_loop(built.model, built.controller, built.spec,
                                built.cfg.t_f, built.x0)
         _emit_ensemble_plots(out, result, free)
     st = result.stats
@@ -226,7 +226,7 @@ def cmd_regret(args) -> int:
     mu1_list = [args.mu1] if args.mu1 is not None else [0.3, 0.5, 0.7]
     rows = []
     for mu1 in mu1_list:
-        controller = dataclasses.replace(built.new_controller(), mu1=mu1)
+        controller = dataclasses.replace(built.controller, mu1=mu1)
         traj = run_closed_loop(built.model, controller, built.spec,
                                built.cfg.t_f, built.x0)
         traj = attach_per_step_optima(traj, built.model, built.spec,
@@ -291,11 +291,16 @@ def cmd_validate(args) -> int:
     d_raw = np.linalg.norm(a - b, axis=1)
     check("projection non-expansive", bool(np.all(d_proj <= d_raw + 1e-12)))
 
-    # golden CSV schema on a small run
-    import tempfile
+    # run_closed_loop inlines both: its step sizes and gains on a toy run
     built = build_scenario(load_scenario("toy"))
-    traj = run_closed_loop(built.model, built.new_controller(), built.spec,
-                           20, built.x0)
+    c = built.controller
+    traj = run_closed_loop(built.model, c, built.spec, 20, built.x0)
+    check("run step sizes", traj.alpha.tolist() == [step_size(t, c.mu1) for t in range(21)])
+    check("run gains in box",
+          bool(np.all((c.theta_lo <= traj.theta) & (traj.theta <= c.theta_hi))))
+
+    # golden CSV schema on the same run
+    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         path = write_trajectory_csv(traj, Path(tmp) / "t.csv")
         cols = read_trajectory_csv(path)

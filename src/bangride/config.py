@@ -238,20 +238,16 @@ def load_pack_params(path) -> PackParams:
 
 @dataclass
 class BuiltScenario:
-    """Everything needed to run one scenario; controllers are minted fresh."""
+    """Everything needed to run one scenario; every run reads its one controller."""
 
     cfg: ScenarioConfig
     model: PlantModel
     spec: ConstraintSpec
     x0: object
     config_hash: str
+    controller: ControllerState
     # read only by the benchmark child (perfbench/child.py), for tol_y
     root_cfg: RootConfig = RootConfig()
-
-    def new_controller(self) -> ControllerState:
-        c = self.cfg
-        return ControllerState(theta=c.theta0, theta_lo=c.theta_lo, theta_hi=c.theta_hi,
-                               mu1=c.mu1, grad_clip=c.grad_clip)
 
 
 def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
@@ -286,7 +282,7 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
         spec = ConstraintSpec(y_bar=np.array(cfg.y_bar), gamma=np.array(cfg.gamma))
     x0 = (model.initial_state(stoich=model.params.theta_1) if cfg.model == "spmet"
           else model.initial_state())
-    built = BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,
-                          config_hash=scenario_hash(cfg))
-    built.new_controller()  # rejects a bad mu1, theta box or grad_clip
-    return built
+    controller = ControllerState(theta=cfg.theta0, theta_lo=cfg.theta_lo,
+                                 theta_hi=cfg.theta_hi, mu1=cfg.mu1, grad_clip=cfg.grad_clip)
+    return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,
+                         config_hash=scenario_hash(cfg), controller=controller)

@@ -63,7 +63,6 @@ class EcmParams:
 
 
 class EcmPlant(PlantModel):
-    state_dim = 4
     output_count = 3
 
     def __init__(self, params: EcmParams):
@@ -201,15 +200,6 @@ class EcmEnsemble:
         heat *= np.add(buf, v2, out=buf)    # bt*u becomes the heat
         nxt += bu
         return nxt.T
-
-    def voltages(self, v12, soc, u, cells) -> np.ndarray:
-        """Voltage readouts of members ``cells`` from their v1 + v2 and soc
-        under inputs u; the members, rows and inputs broadcast together."""
-        return v12 + self._ocv_slope[cells] * soc + u
-
-    def temperatures(self, ktd, v12, u, cells) -> np.ndarray:
-        """One-step-ahead temperature deviations from kt*td and v1 + v2, as ``voltages``."""
-        return ktd + self._bt[cells] * v12 * u + self._bt_r_o[cells] * u * u
 
     def riding_currents(self, x: np.ndarray, y_bar: np.ndarray) -> np.ndarray:
         """``EcmPlant.riding_currents`` of every member, one row each."""

@@ -65,8 +65,6 @@ class PackParams:
 
 
 class PackPlant(PlantModel):
-    state_dim = 4  # per cell
-
     def __init__(self, params: PackParams):
         self.params = params
         base = params.base
@@ -113,14 +111,17 @@ class PackPlant(PlantModel):
         y[-1] = _extreme(t_outs) - _extreme(t_outs, True)
         return y, x_next
 
-    def _coupling(self, td: np.ndarray, left=None, right=None) -> np.ndarray:
-        """Ring coupling of deviations td to their neighbours' i-1 (``left``)
-        and i+1 (``right``), by default read off td, a whole state's column."""
-        if left is None:
-            left, right = td[self._prev], td[self._next]
-        out = left - td
+    def _coupling(self, td: np.ndarray) -> np.ndarray:
+        """Ring coupling of deviations td, a state's column (N,) or one row per
+        state (n, N), to their neighbours i-1 and i+1, gathered on ``td.T``'s
+        first axis: on the strided column every step reads, cheaper than ``take``."""
+        out, right = td.T[self._prev].T, td.T[self._next].T
+        out -= td
+        right -= td
         out *= self._cl
-        return np.add(out, self._cr * (right - td), out=out)
+        right *= self._cr
+        out += right
+        return out
 
     def _lines(self, states) -> tuple[np.ndarray, ...]:
         """v1 + v2, soc and the temperature lines alpha + beta*u (bt*r_o*u**2
@@ -129,35 +130,22 @@ class PackPlant(PlantModel):
         so the ensemble's own riding currents would round differently."""
         cells, td = self.ensemble, states[..., 3]
         v12 = states[..., 0] + states[..., 1]
-        coupling = self._coupling(td, td.T[self._prev].T, td.T[self._next].T)
-        return v12, states[..., 2], cells._kt * td + coupling, cells._bt * v12
-
-    def _cell_temperatures(self, states, u, rows, cells) -> np.ndarray:
-        """The coupled temperature outputs of ``cells`` in ``rows`` (index
-        arrays that broadcast together), as ``advance`` computes them."""
-        x = states[rows, cells]
-        e, td = self.ensemble, x[..., 3]
-        own = e.temperatures(e._kt[cells] * td, x[..., 0] + x[..., 1], u[rows], cells)
-        return own + self._coupling(td, states[rows, self._prev[cells], 3],
-                                    states[rows, self._next[cells], 3])
+        return v12, states[..., 2], cells._kt * td + self._coupling(td), cells._bt * v12
 
     def output_rows(self, states, u, index) -> np.ndarray:
-        """Each row's output from the cells it reads: one cell for a voltage
-        or a temperature, all N for the spread."""
-        n = self.n_cells
-        out = np.array(u, dtype=float)    # index 0: the current
-        rows = np.arange(len(index))
-        volt = (1 <= index) & (index <= n)
-        r, c = rows[volt], index[volt] - 1
-        x = states[r, c]
-        out[volt] = self.ensemble.voltages(x[:, 0] + x[:, 1], x[:, 2], u[r], c)
-        temp = (n < index) & (index <= 2 * n)
-        out[temp] = self._cell_temperatures(states, u, rows[temp], index[temp] - n - 1)
-        spread = index > 2 * n
-        t = self._cell_temperatures(states, u, rows[spread, None], np.arange(n))
-        k = np.arange(len(t))    # the extremes advance reads, a zero's sign included
-        out[spread] = t[k, t.argmax(axis=1)] - t[k, t.argmin(axis=1)]
-        return out
+        """Every output of every row in ``advance``'s operation order, then
+        entry ``index[k]`` of row k."""
+        e, n = self.ensemble, self.n_cells
+        td, uc = states[..., 3], u[:, None]
+        v12 = states[..., 0] + states[..., 1]
+        y = np.empty((len(index), self.output_count))
+        y[:, 0] = u
+        y[:, 1:n + 1] = v12 + e._ocv_slope * states[..., 2] + uc
+        t = e._kt * td + e._bt * v12 * uc + e._bt_r_o * uc * uc + self._coupling(td)
+        y[:, n + 1:2 * n + 1] = t
+        rows = np.arange(len(index))    # the extremes advance reads, a zero's sign included
+        y[:, -1] = t[rows, t.argmax(axis=1)] - t[rows, t.argmin(axis=1)]
+        return y[rows, index]
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of

@@ -127,7 +127,6 @@ class SpmetParams:
 
 
 class SpmetPlant(PlantModel):
-    state_dim = 5
     output_count = 2
 
     def __init__(self, params: SpmetParams):

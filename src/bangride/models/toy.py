@@ -13,8 +13,6 @@ from ..plant import PlantModel
 
 
 class ToyLinearPlant(PlantModel):
-    state_dim = 1
-
     def __init__(self, a: float = 1.0, b: float = 1.0,
                  c: float = 1.0, d: float = 1.0, p: int = 2):
         if p not in (1, 2):

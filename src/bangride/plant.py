@@ -48,14 +48,13 @@ DEFAULT_GUARD = 1e9
 class PlantModel(abc.ABC):
     """Discrete-time plant with p monotone scalar outputs.
 
-    Subclasses set ``state_dim`` and ``output_count`` and implement
+    Subclasses set ``output_count`` and implement
     ``advance`` (a step's outputs and next state from one call), the one
     place where a plant computes its outputs, and ``riding_currents``, the
     roots the oracle and the per-step optima read. ``output_rows``,
     ``riding_rows`` and ``telemetry`` are overridable fast paths.
     """
 
-    state_dim: int
     output_count: int
 
     @abc.abstractmethod
@@ -376,7 +375,7 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
                    *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
-    ``model`` holds M cells: its ``advance`` takes (M, state_dim) state rows
+    ``model`` holds M cells: its ``advance`` takes (M, d) state rows
     with (M,) inputs and returns their (M, p) outputs and next state rows, as
     ``PlantModel.advance`` does for one cell. Per step, ``u = control(t, x)``
     gives all members' inputs, and ``observe(t, u, y, x)`` receives their

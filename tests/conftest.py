@@ -18,7 +18,7 @@ def free_runs(scenarios):
     out = {}
     for name, built in scenarios.items():
         t0 = time.perf_counter()
-        traj = run_closed_loop(built.model, built.new_controller(), built.spec,
+        traj = run_closed_loop(built.model, built.controller, built.spec,
                                built.cfg.t_f, built.x0)
         out[name] = (traj, time.perf_counter() - t0)
     return out

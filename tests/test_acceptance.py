@@ -150,7 +150,7 @@ def test_c6_regret_sublinearity(scenarios):
     built = scenarios["toy"]
     assert built.cfg.mu1 == 0.5 and built.cfg.t_f == 10000
     t0 = time.perf_counter()
-    traj = run_closed_loop(built.model, built.new_controller(), built.spec,
+    traj = run_closed_loop(built.model, built.controller, built.spec,
                            built.cfg.t_f, built.x0)
     traj = attach_per_step_optima(traj, built.model, built.spec,
                                   np.array(built.cfg.theta_lo),
@@ -204,7 +204,7 @@ def test_c8_gamma_scaling_effect(scenarios):
     def settling(gamma3):
         spec = ConstraintSpec(y_bar=np.array(built.spec.y_bar),
                               gamma=np.array([1.0, 1.0, gamma3]))
-        cs = built.new_controller()
+        cs = built.controller
         traj = run_closed_loop(built.model, cs, spec, built.cfg.t_f, built.x0)
         iseq = traj.i_star
         active = np.nonzero(iseq == 3)[0]

@@ -87,6 +87,11 @@ def test_public_surface():
     assert not [name for name in ("_oracle_run", "check_e", "selector", "SelectorResult")
                 if any(re.search(rf"\b{name}\b", text) for text in sources)]
     assert not {"error_sum", "last_error", "t"} & {f.name for f in fields(ControllerState)}
+    # the pack's output_rows gathers from whole rows, a built scenario holds
+    # its one controller, and the plant contract has no state dimension
+    assert not [name for name in ("_cell_temperatures", "def voltages", "def temperatures",
+                                  "new_controller", "state_dim")
+                if any(name in text for text in sources)]
 
 
 def resolves(path: str) -> bool:
@@ -386,10 +391,17 @@ class TestBatchedOptima:
                                            built.cfg.theta_lo, built.cfg.theta_hi)
         assert out is not None
 
-    def test_ecm_free_run_through_its_output_rows(self, scenarios, free_runs):
-        built = scenarios["ecm"]
-        assert type(built.model).output_rows is not PlantModel.output_rows
-        out = assert_batched_equals_scalar(free_runs["ecm"][0], built.model, built.spec,
+    @pytest.mark.parametrize("name", ["ecm", "pack"])
+    def test_free_run_through_its_row_forms(self, name, scenarios, free_runs):
+        # the plant's own output_rows and riding_rows over the whole packaged
+        # run, which reaches its last constraint: the ECM's temperature, and
+        # the pack's spread from step 614 on
+        built = scenarios[name]
+        traj, model = free_runs[name][0], built.model
+        assert type(model).output_rows is not PlantModel.output_rows
+        assert type(model).riding_rows is not PlantModel.riding_rows
+        assert (traj.i_star == model.output_count).any()
+        out = assert_batched_equals_scalar(traj, model, built.spec,
                                            built.cfg.theta_lo, built.cfg.theta_hi)
         assert out is not None
 
@@ -398,7 +410,7 @@ class TestBatchedOptima:
         # the runs of regret --steps 2000; at mu1 = 0.7 numpy's square of
         # one step's error rounds differently from Python's **
         built = scenarios["toy"]
-        controller = replace(built.new_controller(), mu1=mu1)
+        controller = replace(built.controller, mu1=mu1)
         traj = run_closed_loop(built.model, controller, built.spec, 2000, built.x0)
         out = assert_batched_equals_scalar(traj, built.model, built.spec,
                                            built.cfg.theta_lo, built.cfg.theta_hi)

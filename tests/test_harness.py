@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ BENCH = load_benchmark_workloads()
 @pytest.fixture(scope="module")
 def toy_traj():
     built = build_scenario(load_scenario("toy"))
-    return run_closed_loop(built.model, built.new_controller(), built.spec,
+    return run_closed_loop(built.model, built.controller, built.spec,
                            60, built.x0)
 
 
@@ -144,7 +145,7 @@ class TestTrajectoryCsv:
 
     def test_pack_summary_channels(self, tmp_path):
         built = build_scenario(load_scenario("pack"))
-        traj = run_closed_loop(built.model, built.new_controller(), built.spec,
+        traj = run_closed_loop(built.model, built.controller, built.spec,
                                30, built.x0)
         path = write_trajectory_csv(traj, tmp_path / "p.csv")
         cols = read_trajectory_csv(path)
@@ -170,7 +171,7 @@ class TestSvg:
 
     def test_two_series_and_legend(self, tmp_path):
         built = build_scenario(load_scenario("ecm"))
-        free = run_closed_loop(built.model, built.new_controller(), built.spec,
+        free = run_closed_loop(built.model, built.controller, built.spec,
                                40, built.x0)
         from bangride.oracle import oracle_trajectory
         oracle = oracle_trajectory(built.model, built.spec, 40, built.x0)
@@ -185,7 +186,7 @@ class TestSvg:
 
     def test_pack_temperature_has_extrema_series(self, tmp_path):
         built = build_scenario(load_scenario("pack"))
-        traj = run_closed_loop(built.model, built.new_controller(), built.spec,
+        traj = run_closed_loop(built.model, built.controller, built.spec,
                                25, built.x0)
         series = quantity_series(traj, "temperature", label="pack")
         assert len(series) == 2
@@ -199,7 +200,7 @@ class TestWritersMatchPlainReferences:
     def test_csv_bytes(self, name, scenarios, tmp_path):
         built = scenarios[name]
         free = attach_per_step_optima(
-            run_closed_loop(built.model, built.new_controller(), built.spec, 40, built.x0),
+            run_closed_loop(built.model, built.controller, built.spec, 40, built.x0),
             built.model, built.spec, built.cfg.theta_lo, built.cfg.theta_hi)
         oracle = oracle_trajectory(built.model, built.spec, 40, built.x0)
         for traj in (free, oracle):
@@ -224,7 +225,7 @@ class TestWritersMatchPlainReferences:
         # rendered in turn through the shared x parts, equal those rendered
         # with the x part built per chart
         built = scenarios["ecm"]
-        runs = {n: run_closed_loop(built.model, built.new_controller(), built.spec,
+        runs = {n: run_closed_loop(built.model, built.controller, built.spec,
                                    n, built.x0) for n in (40, 25)}
         charts = [[40], [25], [40, 25], [40]]
 
@@ -503,6 +504,27 @@ class TestCli:
     def test_validate_checks_the_package_projection(self, monkeypatch):
         monkeypatch.setattr(cli, "project_box", lambda v, lo, hi: 2.0 * v)
         assert main(["validate"]) == 3
+
+    @pytest.mark.parametrize("column", ["alpha", "theta"])
+    def test_validate_checks_the_run_it_makes(self, column, monkeypatch, capsys):
+        # the run validate makes, with step 7's step size one ulp below the
+        # schedule's, or its second gain one ulp above the box
+        hi = load_scenario("toy").theta_hi[1]
+
+        def faulty(*args, **kw):
+            traj = run_closed_loop(*args, **kw)
+            values = getattr(traj, column).copy()
+            if column == "alpha":
+                values[7] = np.nextafter(values[7], 0.0)
+            else:
+                values[7, 1] = np.nextafter(hi, np.inf)
+            return replace(traj, **{column: values})
+
+        monkeypatch.setattr(cli, "run_closed_loop", faulty)
+        assert main(["validate"]) == 3
+        out = capsys.readouterr().out
+        assert ("[FAIL] run step sizes" in out) == (column == "alpha")
+        assert ("[FAIL] run gains in box" in out) == (column == "theta")
 
     def test_exit_code_unknown_flag(self, capsys):
         assert main(["simulate", "--config", "toy", "--frobnicate"]) == 1

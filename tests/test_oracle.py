@@ -17,8 +17,6 @@ class StaticModel(PlantModel):
     """Stateless outputs defined by callables of u; for pinning K values.
     Its riding currents are bisected."""
 
-    state_dim = 1
-
     def __init__(self, *fns):
         self.fns = fns
         self.output_count = len(fns)
@@ -108,8 +106,6 @@ class TestSolveConstraint:
 class FixedRoots(PlantModel):
     """A plant whose riding currents are given: a list, as a vector plant's,
     or an array, as the pack's."""
-
-    state_dim = 1
 
     def __init__(self, roots):
         self.roots, self.output_count = roots, len(roots)

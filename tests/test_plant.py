@@ -162,8 +162,6 @@ class ScriptedPlant(PlantModel):
     with unit weights, output i > 1 equal to -d gives the error d exactly,
     signed zeros included."""
 
-    state_dim = 1
-
     def __init__(self, errors: np.ndarray):
         self.rows = np.concatenate([1.0 - errors[:, :1], -errors[:, 1:]], axis=1).tolist()
         self.output_count = errors.shape[1]
@@ -298,7 +296,7 @@ def test_vector_runs_step_on_floats(name, scenarios, monkeypatch):
 
     monkeypatch.setattr(model, "advance", checked)
     monkeypatch.setattr(np.linalg, "norm", no_norm)
-    run_closed_loop(model, built.new_controller(), spec, 300, x0)
+    run_closed_loop(model, built.controller, spec, 300, x0)
     oracle_trajectory(model, spec, 300, x0)
     assert built.cfg.grad_clip is not None or name == "toy"
     assert len(results) >= 602
@@ -310,8 +308,6 @@ class FaultyToy(ToyLinearPlant):
     a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
     Its riding currents are the toy's closed form, which reads no faulty
     output, so that the failure reaches the stepping loop."""
-
-    state_dim = 2
 
     def __init__(self, fault: str, k: int):
         super().__init__()
@@ -390,7 +386,6 @@ class Growth(PlantModel):
     """x' = g*x + u with outputs (u, c*x): the state passes a guard first
     when g is large, the outputs when c is."""
 
-    state_dim = 1
     output_count = 2
 
     def __init__(self, g, c):
@@ -545,7 +540,7 @@ class RowForm(PlantModel):
 
     def __init__(self, plant: PlantModel):
         self.plant = plant
-        self.state_dim, self.output_count = plant.state_dim, plant.output_count
+        self.output_count = plant.output_count
 
     def advance(self, state, u):
         y, x = self.plant.advance(state[0], u)
@@ -577,7 +572,7 @@ class TestLoopBodies:
     def test_same_columns(self, name, scenarios):
         built = scenarios[name]
         spec, t_f = built.spec, built.cfg.t_f
-        for run in (lambda m, x0: run_closed_loop(m, built.new_controller(), spec, t_f, x0),
+        for run in (lambda m, x0: run_closed_loop(m, built.controller, spec, t_f, x0),
                     lambda m, x0: oracle_trajectory(m, spec, t_f, x0)):
             fast, ref = in_both_forms(run, built.model, built.x0)
             assert same_run(fast, ref)
