@@ -8,7 +8,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -515,9 +514,9 @@ class TestCli:
             traj = run_closed_loop(*args, **kw)
             values = getattr(traj, column).copy()
             if column == "alpha":
-                values[7] = np.nextafter(values[7], 0.0)
+                values[7] = math.nextafter(values[7], 0.0)
             else:
-                values[7, 1] = np.nextafter(hi, np.inf)
+                values[7, 1] = math.nextafter(hi, math.inf)
             return replace(traj, **{column: values})
 
         monkeypatch.setattr(cli, "run_closed_loop", faulty)
