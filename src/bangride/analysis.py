@@ -37,47 +37,14 @@ def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
 
 
-def _min_norm_on_line_in_box(s: np.ndarray, c: float, lo: np.ndarray,
-                             hi: np.ndarray) -> np.ndarray:
-    """Minimum-norm point of {theta in box : theta . s = c}.
-
-    The minimizer set of an affine-in-theta one-step problem is a segment;
-    picking the minimum-norm point makes theta* deterministic.
-    """
-    s_sq = float(s @ s)
-    base = (c / s_sq) * s                      # closest point of the line to 0
-    d = np.array([-s[1], s[0]]) / math.sqrt(s_sq)   # line direction
-    t_min, t_max = -math.inf, math.inf
-    eps = 1e-9 * (1.0 + float(np.max(np.abs(hi))) + abs(c))
-    for j in range(2):
-        if abs(d[j]) < 1e-15:
-            if not (lo[j] - eps <= base[j] <= hi[j] + eps):
-                t_min, t_max = math.inf, -math.inf
-                break
-            continue
-        a = (lo[j] - eps - base[j]) / d[j]
-        b = (hi[j] + eps - base[j]) / d[j]
-        t_min = max(t_min, min(a, b))
-        t_max = min(t_max, max(a, b))
-    if t_min > t_max:
-        # numerical corner touch: fall back to the box point closest to the line
-        corners = _box_corners(lo, hi)
-        gaps = np.abs(corners @ s - c)
-        best = corners[gaps <= gaps.min() + 1e-12]
-        theta = best[np.argmin(np.linalg.norm(best, axis=1))]
-        return project_box(theta, lo, hi)
-    t_star = min(max(0.0, t_min), t_max)
-    return project_box(base + t_star * d, lo, hi)
-
-
 def _min_norm_rows(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray) -> np.ndarray:
-    """``_min_norm_on_line_in_box`` of every row of s with its c, bit for bit.
-
-    Keeps the scalar function's operand order, and its ``min``/``max``
-    choices through ``np.where``; rows that take the corner-touch fallback
-    call the scalar function itself.
-    """
+    """Minimum-norm point of {theta in box : theta . s = c} per row of s and c,
+    which makes theta* on an affine one-step problem's minimizer segment
+    deterministic. A row whose line misses the box by rounding (a corner
+    touch) takes the nearest corner, the first of least norm among ties. Each
+    row equals ``min_norm_on_line_in_box`` (``tests/references.py``) bit for
+    bit: its operand order, and its ``min``/``max`` choices by ``np.where``."""
     s_sq = np.vecdot(s, s)     # rounds as the scalar s @ s; s0*s0 + s1*s1 does not
     base = (c / s_sq)[:, None] * s
     d = np.stack([-s[:, 1], s[:, 0]], axis=1) / np.sqrt(s_sq)[:, None]
@@ -98,8 +65,14 @@ def _min_norm_rows(s: np.ndarray, c: np.ndarray, lo: np.ndarray,
     t_star = np.where(t_max < t_star, t_max, t_star)
     with np.errstate(invalid="ignore"):    # corner-touch rows, replaced below
         theta = project_box(base + t_star[:, None] * d, lo, hi)
-    for k in np.flatnonzero(t_min > t_max).tolist():
-        theta[k] = _min_norm_on_line_in_box(s[k], float(c[k]), lo, hi)
+    touch = t_min > t_max
+    if touch.any():
+        corners = _box_corners(lo, hi)
+        # the stacked matmul rounds each row as the scalar corners @ s
+        gaps = np.abs((corners[None] @ s[touch][:, :, None])[:, :, 0] - c[touch][:, None])
+        near = gaps <= gaps.min(axis=1, keepdims=True) + 1e-12
+        pick = np.where(near, np.linalg.norm(corners, axis=1), np.inf).argmin(axis=1)
+        theta[touch] = project_box(corners[pick], lo, hi)
     return theta
 
 
@@ -190,10 +163,8 @@ class RegretReport:
     tail_start: int               # first step of the fit window
     tail_slope: float | None     # log-log slope of R_t on the window
     converged: bool               # R_t non-positive in the window (no fit)
-    mu1: float
     mu2_hat: float | None        # drift exponent estimated from epsilon_t
     mu_star_ref: float
-    epsilon: np.ndarray | None   # ||theta*_{t+1} - theta*_t||
 
     @property
     def total(self) -> float:
@@ -226,10 +197,10 @@ def regret(trajectory: Trajectory, mu1: float) -> RegretReport:
     if not converged and len(tail_t) >= 2:
         slope = float(np.polyfit(np.log(tail_t), np.log(tail_r), 1)[0])
 
-    epsilon = None
     mu2_hat = None
     theta_star = trajectory.theta_star
     if theta_star is not None and len(theta_star) >= 2:
+        # epsilon_t = ||theta*_{t+1} - theta*_t||
         epsilon = np.linalg.norm(np.diff(theta_star, axis=0), axis=1)
         eps_t = np.arange(1, len(epsilon) + 1)
         mask = (eps_t >= tail_start) & (epsilon > 0.0)
@@ -238,9 +209,8 @@ def regret(trajectory: Trajectory, mu1: float) -> RegretReport:
                                         np.log(epsilon[mask]), 1)[0])
     mu2_eff = mu2_hat if mu2_hat is not None else math.inf
     return RegretReport(gaps=gaps, cumulative=cumulative, tail_start=tail_start,
-                        tail_slope=slope, converged=converged, mu1=mu1,
-                        mu2_hat=mu2_hat, mu_star_ref=mu_star(mu1, mu2_eff),
-                        epsilon=epsilon)
+                        tail_slope=slope, converged=converged,
+                        mu2_hat=mu2_hat, mu_star_ref=mu_star(mu1, mu2_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +249,6 @@ class ModelOutcome:
     failure: SimulationDiverged | None = None   # the oracle's, else the replay's
     max_depth: np.ndarray | None = None    # per-constraint (y - y_bar)+ peak
     violation_steps: int = 0
-    any_violation: bool = False
     suboptimality: float = 0.0             # true-oracle objective minus achieved
     u_seq: np.ndarray | None = None
     temperature: np.ndarray | None = None  # the replay's telemetry channel
@@ -292,10 +261,8 @@ class ModelOutcome:
 @dataclass
 class ViolationStats:
     outcomes: list[ModelOutcome]
-    per_constraint_max_depth: np.ndarray
     runs_with_violation: int
     diverged_runs: int
-    oracle_objective: float
 
 
 @dataclass
@@ -322,14 +289,11 @@ def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
     """A protocol's outcome from its replay's outputs and step-start states."""
     telemetry = true_model.telemetry(states, u_seq, y)
     over = y - spec.y_bar[None, :]
-    depth = np.maximum(over, 0.0).max(axis=0)
-    violated = over > VIOLATION_TOL
     achieved = _soc_objective(telemetry["soc"])
     return ModelOutcome(
         index=index,
-        max_depth=depth,
-        violation_steps=int(np.any(violated, axis=1).sum()),
-        any_violation=bool(violated.any()),
+        max_depth=np.maximum(over, 0.0).max(axis=0),
+        violation_steps=int(np.any(over > VIOLATION_TOL, axis=1).sum()),
         suboptimality=oracle_objective - achieved,
         u_seq=u_seq if keep_series else None,
         temperature=telemetry["temperature"] if keep_series else None,
@@ -400,15 +364,9 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
             ModelOutcome(index=k, failure=failure) if failure is not None else
             _replay_outcome(k, u_models[:, k], y_truth[:, k], x_truth[:-1, k],
                             true_model, spec, oracle_objective, keep_series))
-
-    depths = [o.max_depth for o in outcomes if o.max_depth is not None]
-    per_constraint = (np.max(depths, axis=0) if depths
-                      else np.zeros(spec.p))
     stats = ViolationStats(
         outcomes=outcomes,
-        per_constraint_max_depth=per_constraint,
-        runs_with_violation=sum(o.any_violation for o in outcomes),
+        runs_with_violation=sum(o.violation_steps > 0 for o in outcomes),
         diverged_runs=sum(o.diverged for o in outcomes),
-        oracle_objective=oracle_objective,
     )
     return RobustnessResult(stats=stats, true_oracle=true_oracle)

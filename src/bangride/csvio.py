@@ -110,7 +110,7 @@ def write_montecarlo_summary(stats, path) -> Path:
             if o.diverged:
                 writer.writerow([o.index, 1, "", "", "", "", "", ""])
                 continue
-            writer.writerow([o.index, 0, int(o.any_violation), o.violation_steps,
+            writer.writerow([o.index, 0, int(o.violation_steps > 0), o.violation_steps,
                              _num(o.max_depth[0]), _num(o.max_depth[1]),
                              _num(o.max_depth[2]), _num(o.suboptimality)])
     return path

@@ -143,9 +143,9 @@ class PackPlant(PlantModel):
         y[:, 1:n + 1] = v12 + e._ocv_slope * states[..., 2] + uc
         t = e._kt * td + e._bt * v12 * uc + e._bt_r_o * uc * uc + self._coupling(td)
         y[:, n + 1:2 * n + 1] = t
-        rows = np.arange(len(index))    # the extremes advance reads, a zero's sign included
-        y[:, -1] = t[rows, t.argmax(axis=1)] - t[rows, t.argmin(axis=1)]
-        return y[rows, index]
+        # advance's extremes, as no temperature is -0.0 and a NaN reaches both
+        y[:, -1] = t.max(axis=1) - t.min(axis=1)
+        return y[np.arange(len(index)), index]
 
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of

@@ -4,6 +4,7 @@ currents are checked against, and ``phases``. No command runs them:
 ``bisected_roots`` gives all riding currents of a plant by bisection, and
 ``solve_constraint`` is one of its roots on its own;
 ``per_step_optimal_cost`` is a row of ``analysis.attach_per_step_optima``,
+its ``min_norm_on_line_in_box`` a row of ``analysis._min_norm_rows``,
 ``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
 a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
 ``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bangride import svg
-from bangride.analysis import _box_corners, _min_norm_on_line_in_box
+from bangride.analysis import _box_corners
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
 from bangride.csvio import PACK_CHANNELS, trajectory_header
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
@@ -269,6 +270,39 @@ def reference_closed_loop(model: PlantModel, controller: ReferenceController,
     return replace(traj, theta=np.array(thetas), alpha=np.array(alphas))
 
 
+def min_norm_on_line_in_box(s: np.ndarray, c: float, lo: np.ndarray,
+                            hi: np.ndarray) -> np.ndarray:
+    """Minimum-norm point of {theta in box : theta . s = c}.
+
+    The minimizer set of an affine-in-theta one-step problem is a segment;
+    picking the minimum-norm point makes theta* deterministic.
+    """
+    s_sq = float(s @ s)
+    base = (c / s_sq) * s                      # closest point of the line to 0
+    d = np.array([-s[1], s[0]]) / math.sqrt(s_sq)   # line direction
+    t_min, t_max = -math.inf, math.inf
+    eps = 1e-9 * (1.0 + float(np.max(np.abs(hi))) + abs(c))
+    for j in range(2):
+        if abs(d[j]) < 1e-15:
+            if not (lo[j] - eps <= base[j] <= hi[j] + eps):
+                t_min, t_max = math.inf, -math.inf
+                break
+            continue
+        a = (lo[j] - eps - base[j]) / d[j]
+        b = (hi[j] + eps - base[j]) / d[j]
+        t_min = max(t_min, min(a, b))
+        t_max = min(t_max, max(a, b))
+    if t_min > t_max:
+        # numerical corner touch: fall back to the box point closest to the line
+        corners = _box_corners(lo, hi)
+        gaps = np.abs(corners @ s - c)
+        best = corners[gaps <= gaps.min() + 1e-12]
+        theta = best[np.argmin(np.linalg.norm(best, axis=1))]
+        return project_box(theta, lo, hi)
+    t_star = min(max(0.0, t_min), t_max)
+    return project_box(base + t_star * d, lo, hi)
+
+
 @dataclass
 class PerStepOptimum:
     """Minimizer of the one-step squared active error over the gain box."""
@@ -339,7 +373,7 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
             raise RootFindingError("per-step optimum bisection did not converge",
                                    lo_u, hi_u, MAX_ITER)
         assert abs(u_opt - mid) <= 2.0 * tol_u, (u_opt, mid)
-    theta_star = _min_norm_on_line_in_box(s, u_opt, theta_lo, theta_hi)
+    theta_star = min_norm_on_line_in_box(s, u_opt, theta_lo, theta_hi)
     return PerStepOptimum(j_star=e_opt ** 2, u_star=u_opt, theta_star=theta_star)
 
 
