@@ -87,7 +87,8 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     sign on its current interval takes the frozen constraint's riding
     current from one ``riding_rows`` call, clamped to the interval, and one
     NaN or more than ``RootConfig.tol_u`` outside it raises
-    ``RootFindingError`` naming the step. Every row equals the scalar
+    ``RootFindingError`` naming the step, the root, the constraint and the
+    interval. Every row equals the scalar
     reference ``per_step_optimal_cost`` (``tests/references.py``) bit for bit.
     """
     if trajectory.theta is None:
@@ -97,7 +98,7 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     theta_hi = np.asarray(theta_hi, dtype=float)
     n = len(trajectory)
     index = trajectory.i_star - 1
-    gamma, y_bar, states = spec.gamma[index], spec.y_bar[index], trajectory.states[:n]
+    gamma, y_bar, states = spec.gamma[index], spec.y_bar[index], trajectory.states
 
     def err(rows, u: np.ndarray) -> np.ndarray:
         return gamma[rows] * (y_bar[rows] - model.output_rows(states[rows], u, index[rows]))
@@ -124,8 +125,8 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
         k = int(bad.argmax())
         raise RootFindingError(
             f"per-step optimum at step {rows[k]} has riding current {root.item(k)!r} "
-            f"of constraint {index[rows[k]] + 1}, outside its current interval",
-            float(lo[k]), float(hi[k]), 0)
+            f"of constraint {index[rows[k]] + 1}, outside its current interval "
+            f"[{lo.item(k)!r}, {hi.item(k)!r}]")
     # the scalar's min(max(root, u_lo), u_hi)
     root = np.where(root < lo, lo, root)
     u_opt[rows] = np.where(root > hi, hi, root)
@@ -221,8 +222,7 @@ def ct_series(trajectory: Trajectory, model: PlantModel, spec: ConstraintSpec,
               delta: float = 1e-5) -> np.ndarray:
     """c_t along a trajectory, at the realized states/inputs/active indices;
     entry t equals ``ct_diagnostic`` at step t bit for bit."""
-    index = trajectory.i_star - 1
-    states = trajectory.states[:len(trajectory)]
+    index, states = trajectory.i_star - 1, trajectory.states
     hp = model.output_rows(states, trajectory.u + delta, index)
     hm = model.output_rows(states, trajectory.u - delta, index)
     return 2.0 * spec.gamma[index] * (hp - hm) / (2.0 * delta)
@@ -330,14 +330,14 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
     check_run(batch, spec, t_f)
     size, n = 2 * m + 1, t_f + 1
     # all the study reads: the models' and the true oracle's inputs, and the
-    # outputs and states of the true copies, the true oracle last
+    # outputs and step-start states of the true copies, the true oracle last
     u_models, u_true = np.empty((n, m)), np.empty(n)
     true_index = np.empty(n, dtype=int)
     y_truth = np.empty((n, m + 1, spec.p))
-    x_truth = np.empty((n + 1, m + 1) + np.shape(x0))
-    x_truth[0] = x0
+    x_truth = np.empty((n, m + 1) + np.shape(x0))
 
     def control(t: int, x: np.ndarray) -> np.ndarray:
+        x_truth[t] = x[m:]
         u, k = selector_rows(batch, x, spec)
         true_index[t] = k[-1]
         # copy M + k replays model k's input: NaN once model k is out, so
@@ -347,7 +347,7 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
 
     def observe(t: int, u: np.ndarray, y: np.ndarray, x: np.ndarray) -> None:
         u_models[t], u_true[t] = u[:m], u[-1]
-        y_truth[t], x_truth[t + 1] = y[m:], x[m:]
+        y_truth[t] = y[m:]
 
     failures = simulate_batch(batch, t_f, np.tile(x0, (size, 1)), control,
                               observe, guard=guard)
@@ -362,7 +362,7 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
         failure = failures.get(k, failures.get(m + k))
         outcomes.append(
             ModelOutcome(index=k, failure=failure) if failure is not None else
-            _replay_outcome(k, u_models[:, k], y_truth[:, k], x_truth[:-1, k],
+            _replay_outcome(k, u_models[:, k], y_truth[:, k], x_truth[:, k],
                             true_model, spec, oracle_objective, keep_series))
     stats = ViolationStats(
         outcomes=outcomes,

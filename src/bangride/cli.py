@@ -27,7 +27,7 @@ from .errors import BangrideError, ConfigurationError, SimulationDiverged
 from .models.ecm import EcmEnsemble, perturb_params
 from .oracle import oracle_trajectory
 from .plant import run_closed_loop, validate_monotonicity
-from .svg import emit_svg, plottable
+from .svg import Series, emit_svg, plottable
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -116,13 +116,9 @@ def _emit_plots(out: Path, entries) -> None:
         emit_svg(entries, q, out / f"{q}.svg")
 
 
-def _free_style():
-    return {"label": "model-free", "color": "#c22", "width": 1.7}
-
-
-def _oracle_style():
-    return {"label": "ideal bang-ride", "color": "#111", "width": 1.4,
-            "dash": "6,4"}
+FREE_STYLE = {"label": "model-free", "color": "#c22", "width": 1.7}
+ORACLE_STYLE = {"label": "ideal bang-ride", "color": "#111", "width": 1.4,
+                "dash": "6,4"}
 
 
 def cmd_simulate(args) -> int:
@@ -137,7 +133,7 @@ def cmd_simulate(args) -> int:
         print(f"c_t diagnostics: min={ct.min():.6g} "
               f"sign_changes={ct_ratio_sign_changes(ct, traj.alpha)}")
     if args.svg:
-        _emit_plots(out, [(traj, _free_style())])
+        _emit_plots(out, [(traj, FREE_STYLE)])
     print(f"simulate: {len(traj)} steps -> {out / 'trajectory.csv'}")
     return EXIT_OK
 
@@ -148,7 +144,7 @@ def cmd_oracle(args) -> int:
     traj = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
     write_trajectory_csv(traj, out / "oracle.csv")
     if args.svg:
-        _emit_plots(out, [(traj, _oracle_style())])
+        _emit_plots(out, [(traj, ORACLE_STYLE)])
     print(f"oracle: {len(traj)} steps -> {out / 'oracle.csv'}")
     return EXIT_OK
 
@@ -167,7 +163,7 @@ def cmd_compare(args) -> int:
     denom = float(np.linalg.norm(oracle.u[w]))
     rel = float(np.linalg.norm(free.u[w] - oracle.u[w])) / denom if denom else 0.0
     if args.svg:
-        _emit_plots(out, [(free, _free_style()), (oracle, _oracle_style())])
+        _emit_plots(out, [(free, FREE_STYLE), (oracle, ORACLE_STYLE)])
     print(f"compare: relative L2 current distance (post-transient) = {rel:.4%}")
     return EXIT_OK
 
@@ -202,22 +198,15 @@ def cmd_montecarlo(args) -> int:
 def _emit_ensemble_plots(out: Path, result, free) -> None:
     """Perturbed-protocol ensemble in gray under the true runs: the
     model-free run ``free`` and the true oracle."""
-    from .svg import Series, quantity_series, render_chart, UNITS
     kept = [o for o in result.stats.outcomes
             if not o.diverged and o.u_seq is not None]
     for quantity, extract in (
             ("current", lambda o: o.u_seq),
             ("temperature", lambda o: o.temperature)):
-        series = []
-        for k, o in enumerate(kept):
-            series.append(Series(label="perturbed ensemble", y=extract(o),
-                                 color="#bbb", width=0.7, in_legend=(k == 0)))
-        series.extend(quantity_series(free, quantity, **_free_style()))
-        series.extend(quantity_series(result.true_oracle, quantity,
-                                      **_oracle_style()))
-        markup = render_chart(series, title=f"{quantity} over time",
-                              ylabel=f"{quantity} [{UNITS[quantity]}]")
-        (out / f"{quantity}_ensemble.svg").write_text(markup, encoding="utf-8")
+        ensemble = [Series(label="perturbed ensemble", y=extract(o), color="#bbb",
+                           width=0.7, in_legend=(k == 0)) for k, o in enumerate(kept)]
+        emit_svg([(free, FREE_STYLE), (result.true_oracle, ORACLE_STYLE)], quantity,
+                 out / f"{quantity}_ensemble.svg", under=ensemble)
 
 
 def cmd_regret(args) -> int:
@@ -270,7 +259,7 @@ def cmd_validate(args) -> int:
         ref = oracle_trajectory(model, built.spec, built.cfg.t_f, built.x0)
         # skip the exactly-symmetric initial pack state, where difference
         # outputs are constant in u
-        pick = np.linspace(1, len(ref.states) - 2, 8).astype(int)
+        pick = np.linspace(1, len(ref.states) - 1, 8).astype(int)
         states = [ref.states[k] for k in pick]
         u_grid = np.linspace(0.0, built.spec.u_max, 6)
         rep = validate_monotonicity(model, states, u_grid)

@@ -14,7 +14,7 @@ Index convention used throughout the package: active-constraint indices
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +91,10 @@ class ControllerState:
     gains, as floats, and only reads this record, which serves any number of runs.
     """
 
-    theta: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_THETA0))
-    theta_lo: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_THETA_LO))
-    theta_hi: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_THETA_HI))
+    # tuples by default: __post_init__ makes every bound an array
+    theta: np.ndarray = DEFAULT_THETA0
+    theta_lo: np.ndarray = DEFAULT_THETA_LO
+    theta_hi: np.ndarray = DEFAULT_THETA_HI
     mu1: float = 0.5
     grad_clip: float | None = None
 

@@ -21,22 +21,11 @@ class SimulationDiverged(BangrideError):
 
 
 class RootFindingError(BangrideError):
-    """A root was not found, or fell outside its bracket; carries the
-    bracket and the iterations spent on it (0 for a root that was read)."""
-
-    def __init__(self, message: str, lo: float, hi: float, iterations: int):
-        self.lo = lo
-        self.hi = hi
-        self.iterations = iterations
-        super().__init__(
-            f"{message} (bracket [{lo!r}, {hi!r}] after {iterations} iterations)"
-        )
+    """A root was not found, or fell outside its interval; the message names
+    the interval."""
 
 
 class PotentialDomainError(BangrideError):
     """A potential function was evaluated outside its domain (e.g. log of a
-    non-positive concentration ratio). Names the offending function."""
-
-    def __init__(self, function_name: str, message: str):
-        self.function_name = function_name
-        super().__init__(f"{function_name}: {message}")
+    non-positive concentration ratio); the message starts with the
+    function's name."""

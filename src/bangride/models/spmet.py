@@ -118,7 +118,7 @@ class SpmetParams:
         ce_neg, ce_pos = x[2], x[3]
         if ce_neg <= 0.0 or ce_pos <= 0.0:
             raise PotentialDomainError(
-                "delta_phi_e", f"non-positive electrolyte concentration "
+                f"delta_phi_e: non-positive electrolyte concentration "
                 f"(ce_neg={ce_neg:g}, ce_pos={ce_pos:g})")
         t_kelvin = x[4] + KELVIN_OFFSET
         return (self.ocv_base + self.ocv_lin * z + self.ocv_cubic * z ** 3,

@@ -72,8 +72,9 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
                       guard: float = DEFAULT_GUARD) -> Trajectory:
     """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
 
-    Records which constraint attained the minimum at every step; the
-    gain/step-size columns are absent (model-based law, nothing learned).
+    Records which constraint attained the minimum at every step and weighs
+    no errors on the way; the gain/step-size columns are absent (model-based
+    law, nothing learned).
     """
     # simulate checks the sizes once per run, so each step only selects
     y_bar, u_max, riding = spec.y_bar, spec.u_max, model.riding_currents
@@ -84,4 +85,4 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
         u, i_star = _minimum(riding(x, y_bar), u_max)
         return u
 
-    return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
+    return simulate(model, spec, t_f, x0, control, lambda t, y: i_star, guard=guard)

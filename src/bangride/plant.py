@@ -13,9 +13,9 @@ steps its vector state as Python float lists (the vector-state rule of
 ``simulate`` steps any plant under a policy (a ``control`` and an
 ``observe`` callback) in one loop, with one ``advance`` call per step, and
 fills the columns of a ``Trajectory``; the state's shape picks only how
-values are tested against the guard and how the weighted errors are formed.
-The commands run two policies through it: the model-free controller
-(``run_closed_loop``) and the oracle (``oracle.oracle_trajectory``).
+values are tested against the guard. The commands run two policies through
+it: the model-free controller (``run_closed_loop``), the one policy that
+weighs the errors step by step, and the oracle (``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
@@ -67,7 +67,7 @@ class PlantModel(abc.ABC):
         array, u as a Python float, and both results are Python float lists,
         which ``simulate`` steps on without converting them; callers apply
         ``np.asarray`` for numpy arithmetic. Other states give arrays, which
-        ``simulate`` tests and weighs as arrays. A batched model's
+        ``simulate`` tests as arrays. A batched model's
         ``advance`` (``simulate_batch``) must accept NaN rows."""
 
     def output_rows(self, states: np.ndarray, u: np.ndarray,
@@ -126,12 +126,14 @@ class Trajectory:
     holding step t:
 
     - ``u`` (n,): applied current;
-    - ``y``, ``e`` (n, p): outputs and weighted errors ``e = gamma*(y_bar - y)``;
+    - ``y`` (n, p): outputs;
     - ``i_star`` (n,) int: 1-based active index, from this step's errors
       (closed loop, replay) or the constraint the oracle picked;
+    - ``e_active`` (n,): the weighted error ``gamma*(y_bar - y)`` of the
+      active constraint;
     - ``J`` (n,): ``e_active**2`` exactly;
-    - ``states`` (n + 1, *x0.shape): the state at the start of step t, so
-      ``states[0]`` is x0 and ``states[n]`` the post-horizon state;
+    - ``states`` (n, *x0.shape): the state at the start of step t, so
+      ``states[0]`` is x0; the state after the last step is not kept;
     - ``telemetry``: channel name -> (n,) array, computed once from the
       other columns by ``PlantModel.telemetry``;
     - ``theta`` (n, 2), ``alpha`` (n,): the gains and step size at the
@@ -146,7 +148,7 @@ class Trajectory:
 
     u: np.ndarray
     y: np.ndarray
-    e: np.ndarray
+    e_active: np.ndarray
     i_star: np.ndarray
     J: np.ndarray
     states: np.ndarray
@@ -164,8 +166,8 @@ class Trajectory:
     def from_columns(cls, model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
                      y: np.ndarray, i_star: np.ndarray, states: np.ndarray, *,
                      steps: int | None = None, failure: Exception | None = None) -> Trajectory:
-        """A run's trajectory from its stepped columns, deriving the weighted
-        errors (a step's operations, so its bits), J and the telemetry.
+        """A run's trajectory from its stepped columns, deriving the active
+        weighted errors (a step's operations, so its bits), J and the telemetry.
 
         Checks rows 0..steps-1 (every row by default) in step order: a row's
         weighted errors must be finite, and its active error must square by
@@ -175,7 +177,8 @@ class Trajectory:
         """
         e = spec.y_bar - y[:steps]
         e *= spec.gamma     # in place: no second (n, p) temporary
-        active = e[np.arange(len(e)), i_star[:len(e)] - 1].tolist()
+        e_active = e[np.arange(len(e)), i_star[:len(e)] - 1]
+        active = e_active.tolist()
         try:
             J = np.fromiter((v ** 2 for v in active), float, len(active))
         except OverflowError:
@@ -190,13 +193,8 @@ class Trajectory:
                     raise SimulationDiverged(t, "squared active error overflowed") from None
         if failure is not None:
             raise failure
-        return cls(u=u, y=y, e=e, i_star=i_star, J=J, states=states,
-                   telemetry=model.telemetry(states[:-1], u, y))
-
-    @property
-    def e_active(self) -> np.ndarray:
-        """Per-step error of the active constraint."""
-        return self.e[np.arange(len(self.u)), self.i_star - 1]
+        return cls(u=u, y=y, e_active=e_active, i_star=i_star, J=J, states=states,
+                   telemetry=model.telemetry(states, u, y))
 
 
 def _extreme(a: np.ndarray, smallest: bool = False) -> float:
@@ -230,34 +228,33 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
     Per step: ``u = control(t, x)``, the outputs y and the next state from
-    one ``model.advance(x, u)``, the weighted errors
-    ``e = gamma * (y_bar - y)``, and ``i_star = observe(t, e)``. The input,
+    one ``model.advance(x, u)``, and ``i_star = observe(t, y)``. The input,
     the outputs and the next state must stay finite and within ``guard`` in
-    magnitude, in that order, the weighted errors finite, and squaring the
-    active error must not overflow; the first that fails aborts the run with
-    ``SimulationDiverged`` at that step. The loop tests the first three, and
-    ``Trajectory.from_columns`` the others after it; when the loop raises at
-    step t (a guard, the policy or the plant), steps 0..t-1 are checked
-    first, so the earliest failure is the one reported, and ``observe`` may
-    be given non-finite errors. These tests report every non-finite value at
-    its step, so floating-point warnings are off during the run. States must
-    be numeric arrays of one shape.
+    magnitude, in that order, the weighted errors ``gamma * (y_bar - y)``
+    finite, and squaring the active error must not overflow; the first that
+    fails aborts the run with ``SimulationDiverged`` at that step. The loop
+    tests the first three, and ``Trajectory.from_columns`` the others after
+    it; when the loop raises at step t (a guard, the policy or the plant),
+    steps 0..t-1 are checked first, so the earliest failure is the one
+    reported, and ``observe`` may be given outputs whose errors are
+    non-finite. These tests report every non-finite value at its step, so
+    floating-point warnings are off during the run. States must be numeric
+    arrays of one shape; the state after the last step is tested, not kept.
 
     One loop serves every plant. A vector state (a single cell) is held as
-    the float lists of ``PlantModel.advance`` from ``x0.tolist()`` on, tested
-    value by value, and ``observe`` gets the errors as a list; any other
-    state (the pack's (N, 4)) is held as arrays, tested by their largest
-    magnitude (a NaN's, if any: ``_extreme``), and ``observe`` gets an array.
+    the float lists of ``PlantModel.advance`` from ``x0.tolist()`` on and
+    tested value by value, and ``observe`` gets the outputs as a list; any
+    other state (the pack's (N, 4)) is held as arrays, tested by their
+    largest magnitude (a NaN's, if any: ``_extreme``), and ``observe`` gets
+    an array.
     """
     check_run(model, spec, t_f)
     n = t_f + 1
     u_col, y_col, i_col = np.empty(n), np.empty((n, spec.p)), np.empty(n, dtype=int)
-    states = np.empty((n + 1,) + np.shape(x0))
-    states[0] = x0
+    states = np.empty((n,) + np.shape(x0))
     low = -guard
     if states.ndim == 2:
-        x = states[0].tolist()
-        weights = list(zip(spec.gamma.tolist(), spec.y_bar.tolist()))
+        x = np.asarray(x0, dtype=float).tolist()
 
         def passes(values) -> bool:
             # one comparison per value: false for NaN, inf and anything past guard
@@ -265,20 +262,15 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
                 if not low <= v <= guard:
                     return False
             return True
-
-        def weigh(y) -> list[float]:
-            return [g * (b - v) for (g, b), v in zip(weights, y)]
     else:
-        x, gamma, y_bar = x0, spec.gamma, spec.y_bar
+        x = x0
 
         def passes(values) -> bool:
             return _extreme(abs(values)) <= guard
 
-        def weigh(y) -> np.ndarray:
-            return gamma * (y_bar - y)
-
     try:
         for t in range(n):
+            states[t] = x
             u = control(t, x)
             if not low <= u <= guard:
                 raise _diverged(u, "input current", t, guard)
@@ -287,10 +279,9 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
                 raise _diverged(y, "outputs", t, guard)
             if not passes(x):
                 raise _diverged(x, "state", t, guard)
-            i_col[t] = observe(t, weigh(y))
+            i_col[t] = observe(t, y)
             u_col[t] = u
             y_col[t] = y
-            states[t + 1] = x
     except Exception as failure:
         Trajectory.from_columns(model, spec, u_col, y_col, i_col, states,
                                 steps=t, failure=failure)
@@ -306,11 +297,12 @@ def run_closed_loop(model: PlantModel,
                     guard: float = DEFAULT_GUARD) -> Trajectory:
     """Run the data-driven bang-ride loop for steps t = 0..t_f.
 
-    Per step: compute u from the PI law, observe the outputs, pick the active
-    constraint, take one projected gradient step on the gains, then append the
-    active error to the history. The gains and the history are held as floats
-    during the run, in the operand order of the numpy ``ReferenceController``
-    in ``tests/references.py``, so every value matches the reference bit for bit.
+    Per step: compute u from the PI law, weigh the outputs' errors
+    ``gamma * (y_bar - y)``, pick the active constraint, take one projected
+    gradient step on the gains, then append the active error to the history.
+    The gains and the history are held as floats during the run, in the
+    operand order of the numpy ``ReferenceController`` in
+    ``tests/references.py``, so every value matches the reference bit for bit.
     The controller is only read: the history starts at zero in every run.
     """
     n = t_f + 1
@@ -321,6 +313,8 @@ def run_closed_loop(model: PlantModel,
     lo0, lo1 = controller.theta_lo.tolist()
     hi0, hi1 = controller.theta_hi.tolist()
     neg_mu1, clip = -controller.mu1, controller.grad_clip
+    gamma, y_bar = spec.gamma, spec.y_bar
+    weights = list(zip(gamma.tolist(), y_bar.tolist()))
     grad = np.empty(2)      # the gradient, for its norm when clipped
     last = tot = alpha = 0.0
 
@@ -335,13 +329,15 @@ def run_closed_loop(model: PlantModel,
             raise SimulationDiverged(t, "non-finite controller state")
         return t0 * last + t1 * tot
 
-    def observe(t: int, e) -> int:
+    def observe(t: int, y) -> int:
         nonlocal t0, t1, last, tot
         # the first minimum, as argmin gives it: the guard keeps NaN out
-        if isinstance(e, list):
+        if isinstance(y, list):
+            e = [g * (b - v) for (g, b), v in zip(weights, y)]
             ea = min(e)
             k = e.index(ea)
         else:
+            e = gamma * (y_bar - y)
             k = int(e.argmin())
             ea = float(e[k])
         g0, g1 = -ea * last, -ea * tot

@@ -170,15 +170,16 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
 
 
 def emit_svg(trajectories: list[tuple[Trajectory, dict]], quantity: str,
-             path) -> Path:
+             path, under=()) -> Path:
     """Render one quantity for a set of trajectories.
 
     Each entry pairs a trajectory with style hints: label, color, width,
-    dash, in_legend. Ensembles pass gray thin styles with in_legend=False.
+    dash, in_legend. ``under`` holds ready ``Series`` drawn before the
+    trajectories, such as a perturbed ensemble in gray.
     """
     if not trajectories:
         raise ConfigurationError("emit_svg needs at least one trajectory")
-    series: list[Series] = []
+    series: list[Series] = list(under)
     for traj, style in trajectories:
         series.extend(quantity_series(traj, quantity, **style))
     markup = render_chart(series, title=f"{quantity} over time",

@@ -45,6 +45,15 @@ from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
 MAX_ITER = 200    # halvings before a bisection gives up
 
 
+class BisectionError(RootFindingError):
+    """A bisection that could not start or did not converge: carries its
+    bracket and the halvings spent on it (0 for a root that was read)."""
+
+    def __init__(self, message: str, lo: float, hi: float, iterations: int):
+        self.lo, self.hi, self.iterations = lo, hi, iterations
+        super().__init__(f"{message} (bracket [{lo!r}, {hi!r}] after {iterations} iterations)")
+
+
 def output(model: PlantModel, x, u: float, i: int) -> float:
     """Output i (0-based) of ``model`` at state x and input u, read off
     ``advance``."""
@@ -80,8 +89,8 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
     hi = u_hi
     f_hi = output(model, x, hi, idx)
     if not math.isfinite(f_hi):
-        raise RootFindingError(f"constraint {i}: non-finite output at bracket top",
-                               0.0, hi, 0)
+        raise BisectionError(f"constraint {i}: non-finite output at bracket top",
+                             0.0, hi, 0)
     if f_hi < y_bar_i:
         return FeedbackValue(value=math.inf)
     lo = 0.0
@@ -99,8 +108,8 @@ def solve_constraint(model: PlantModel, x, i: int, y_bar_i: float,
             lo = mid
         if (hi - lo) <= RootConfig.tol_u and abs(res) <= RootConfig.tol_y:
             return FeedbackValue(value=mid, iterations=k)
-    raise RootFindingError(f"constraint {i}: bisection did not converge", lo, hi,
-                           MAX_ITER)
+    raise BisectionError(f"constraint {i}: bisection did not converge", lo, hi,
+                         MAX_ITER)
 
 
 def bisect_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -113,7 +122,7 @@ def bisect_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``RootConfig.tol_u`` and its |residual| within its ``tol_r``; a positive
     residual moves the top, a zero one the bottom. Returns each row's last
     midpoint and residual; a row open after ``MAX_ITER`` halvings raises
-    ``RootFindingError`` with the message ``label(row)``.
+    ``BisectionError`` with the message ``label(row)``.
     """
     u, r, rows = np.empty(len(lo)), np.empty(len(lo)), np.arange(len(lo))
     for _ in range(MAX_ITER):
@@ -127,7 +136,7 @@ def bisect_rows(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
         u[rows[done]], r[rows[done]] = mid[done], res[done]
         rows, lo, hi, tol_r = (v[~done] for v in (rows, lo, hi, tol_r))
     if len(rows):
-        raise RootFindingError(label(int(rows[0])), float(lo[0]), float(hi[0]), MAX_ITER)
+        raise BisectionError(label(int(rows[0])), float(lo[0]), float(hi[0]), MAX_ITER)
     return u, r
 
 
@@ -150,8 +159,8 @@ def bisected_roots(model: PlantModel, x, y_bar) -> np.ndarray:
         if f_hi <= y_bar_i:
             continue
         if not math.isfinite(f_hi):
-            raise RootFindingError(f"constraint {idx + 1}: non-finite output at "
-                                   "bracket top", 0.0, u_max, 0)
+            raise BisectionError(f"constraint {idx + 1}: non-finite output at "
+                                 "bracket top", 0.0, u_max, 0)
         if y_lo[idx] > y_bar_i:
             roots[idx] = 0.0
         else:
@@ -260,7 +269,8 @@ def reference_closed_loop(model: PlantModel, controller: ReferenceController,
         alphas.append(step_size(t, controller.mu1))
         return controller.control()
 
-    def observe(t: int, e: np.ndarray) -> int:
+    def observe(t: int, y) -> int:
+        e = constraint_errors(spec, y)
         i_star = active_index(e)
         e_active = float(e[i_star - 1])
         controller.update(controller.gradient(e_active), alphas[t], e_active)
@@ -356,7 +366,7 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
         root = float(model.riding_currents(x, spec.y_bar)[i_star - 1])
         if not u_lo - tol_u <= root <= u_hi + tol_u:
             raise RootFindingError(f"riding current {root!r} of constraint {i_star} "
-                                   "outside its current interval", u_lo, u_hi, 0)
+                                   f"outside its current interval [{u_lo!r}, {u_hi!r}]")
         u_opt = min(max(root, u_lo), u_hi)
         e_opt = err(u_opt)
         lo_u, hi_u, tol_e = u_lo, u_hi, gamma_i * tol_y
@@ -370,8 +380,8 @@ def per_step_optimal_cost(model: PlantModel, x, spec: ConstraintSpec,
             if (hi_u - lo_u) <= tol_u and abs(e_mid) <= tol_e:
                 break
         else:
-            raise RootFindingError("per-step optimum bisection did not converge",
-                                   lo_u, hi_u, MAX_ITER)
+            raise BisectionError("per-step optimum bisection did not converge",
+                                 lo_u, hi_u, MAX_ITER)
         assert abs(u_opt - mid) <= 2.0 * tol_u, (u_opt, mid)
     theta_star = min_norm_on_line_in_box(s, u_opt, theta_lo, theta_hi)
     return PerStepOptimum(j_star=e_opt ** 2, u_star=u_opt, theta_star=theta_star)
@@ -392,7 +402,7 @@ def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,
     step is the argmin of its errors."""
     u_list = np.asarray(u_seq, dtype=float).tolist()
     return simulate(model, spec, len(u_list) - 1, x0, lambda t, x: u_list[t],
-                    lambda t, e: active_index(e), guard=guard)
+                    lambda t, y: active_index(constraint_errors(spec, y)), guard=guard)
 
 
 @dataclass
@@ -426,7 +436,7 @@ def selector_oracle(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
         i_star = res.i_star
         return res.u
 
-    return simulate(model, spec, t_f, x0, control, lambda t, e: i_star, guard=guard)
+    return simulate(model, spec, t_f, x0, control, lambda t, y: i_star, guard=guard)
 
 
 def plain_rows(header: list[str], columns: list) -> str:

@@ -112,7 +112,7 @@ def test_c4_oracle_exactness(scenarios, oracle_runs):
         spec = scenarios[name].spec
         traj = oracle_runs[name]
         gamma = np.asarray(spec.gamma)
-        e = traj.e
+        e = spec.gamma * (spec.y_bar - traj.y)
         rides = np.abs(traj.e_active) / gamma[traj.i_star - 1]
         worst_ride = max(worst_ride, float(rides.max()))
         worst_feas = max(worst_feas, float((-e).max() / gamma.max()))
@@ -211,7 +211,8 @@ def test_c8_gamma_scaling_effect(scenarios):
         if not len(active):
             return None
         t_act, t_end = int(active[0]), int(active[-1])
-        below = np.abs(traj.e[:, 2]) <= 0.01 * 8.0 * gamma3
+        e = spec.gamma * (spec.y_bar - traj.y)
+        below = np.abs(e[:, 2]) <= 0.01 * 8.0 * gamma3
         for s in range(t_act, t_end + 1):
             if below[s:t_end + 1].all():
                 return s - t_act

@@ -94,11 +94,16 @@ def test_public_surface():
     # the corner-touch rows are vectorized, the scalar minimum-norm point is a
     # test reference, and the analysis records hold only fields a command reads
     assert not [text for text in sources if "_min_norm_on_line_in_box" in text]
+    # a run keeps its active errors, not the (n, p) block, and simulate weighs
+    # no errors: only the controller does
     removed = {analysis.ViolationStats: ("per_constraint_max_depth", "oracle_objective"),
                analysis.ModelOutcome: ("any_violation",),
-               analysis.RegretReport: ("mu1", "epsilon")}
+               analysis.RegretReport: ("mu1", "epsilon"),
+               Trajectory: ("e",)}
     assert not [(record.__name__, name) for record, names in removed.items()
                 for name in names if name in {f.name for f in fields(record)}]
+    assert "e_active" in {f.name for f in fields(Trajectory)}
+    assert not re.search(r"\bdef weigh\b|spec\.gamma", inspect.getsource(plant.simulate))
 
 
 def resolves(path: str) -> bool:
@@ -272,9 +277,7 @@ def recorded_run(e_active, i_star, states, u, p):
     optima read only the states, the active errors and indices, and c_t
     also the inputs."""
     n = len(e_active)
-    e = np.zeros((n, p))
-    e[np.arange(n), i_star - 1] = e_active
-    return Trajectory(u=np.asarray(u, dtype=float), y=np.zeros((n, p)), e=e,
+    return Trajectory(u=np.asarray(u, dtype=float), y=np.zeros((n, p)), e_active=e_active,
                       i_star=i_star, J=e_active ** 2, states=states,
                       theta=np.zeros((n, 2)))
 
@@ -297,8 +300,8 @@ def toy_cases(draw):
     e_active = np.array(draw(st.lists(errors, min_size=1, max_size=60)))
     n = len(e_active)
     i_star = np.array(draw(st.lists(st.integers(1, p), min_size=n, max_size=n)))
-    states = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n + 1,
-                                    max_size=n + 1)))[:, None]
+    states = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n,
+                                    max_size=n)))[:, None]
     u = draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n))
     # looser current and tighter error tolerances make each half of the
     # bisection's stop rule decide in turn
@@ -326,7 +329,7 @@ class TestBatchedOptima:
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         lo, hi = np.array([-1.0, -0.5]), np.array([2.0, 1.0])
-        states = np.array([[2.0], [1.0], [3.0], [-40.0], [60.0], [4.25], [0.0]])
+        states = np.array([[2.0], [1.0], [3.0], [-40.0], [60.0], [4.25]])
         traj = recorded_run(np.array([0.0, 1.0, 0.5, -3.0, 0.0, 0.0]), np.full(6, 2),
                             states, np.zeros(6), 2)
         out = assert_batched_equals_scalar(traj, model, spec, lo, hi)
@@ -373,7 +376,7 @@ class TestBatchedOptima:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         lo, hi = np.zeros(2), np.array([10.0, 1.0])
         traj = recorded_run(np.array([1e-170, 0.0]), np.full(2, 2),
-                            np.array([[1.0], [1.0], [1.0]]), np.zeros(2), 2)
+                            np.array([[1.0], [1.0]]), np.zeros(2), 2)
         out = assert_batched_equals_scalar(traj, model, spec, lo, hi)
         assert out.J_star[1] == (5.0 - 1.0) ** 2
         assert np.array_equal(out.theta_star[1], np.zeros(2))
@@ -384,7 +387,7 @@ class TestBatchedOptima:
         model, traj = case[0], case[4]
         n = len(traj)
         index = np.array(index[:n]) % model.output_count
-        rows = model.output_rows(traj.states[:n], traj.u, index)
+        rows = model.output_rows(traj.states, traj.u, index)
         scalar = [model.advance(traj.states[k], u)[0][i]
                   for k, (u, i) in enumerate(zip(traj.u.tolist(), index.tolist()))]
         assert rows.tolist() == scalar
@@ -469,7 +472,7 @@ class TestBoxInvariant:
         n = len(e_active)
         rng = np.random.default_rng(seed)
         traj = recorded_run(np.array(e_active), rng.integers(1, 3, n),
-                            rng.uniform(-20.0, 20.0, (n + 1, 1)), np.zeros(n), 2)
+                            rng.uniform(-20.0, 20.0, (n, 1)), np.zeros(n), 2)
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.2, 0.2])
         out = attach_per_step_optima(traj, ToyLinearPlant(), spec, lo, hi)
         assert np.all(lo <= out.theta_star) and np.all(out.theta_star <= hi)
@@ -653,7 +656,7 @@ class TestBatchedEnsemble:
                 runs.append(("replay", exc))
                 continue
             runs.append(analysis._replay_outcome(k, ideal.u, replay.y,
-                                                 replay.states[:-1], truth, self.SPEC,
+                                                 replay.states, truth, self.SPEC,
                                                  objective, True))
         return true_oracle, runs
 

@@ -1,7 +1,7 @@
 """Every function under ``src/`` serves a command: run a fixed list of CLI
-commands under a profiler and require that each ``def`` in the package was
-called, apart from an allowlist that gives its reason per entry. Code that
-only tests use belongs in ``tests/references.py``."""
+commands under a profiler and require that each ``def`` and ``lambda`` in the
+package was called, apart from an allowlist that gives its reason per entry.
+Code that only tests use belongs in ``tests/references.py``."""
 
 import inspect
 import sys
@@ -20,8 +20,6 @@ ALLOWED = {
     "PlantModel.output_rows": "the default, which every packaged plant overrides; "
                               "the tests use it as the overrides' reference",
     "simulate_batch.<locals>.drop": "runs only when a member fails the guard",
-    "RootFindingError.__init__": "runs only on a failed root",
-    "PotentialDomainError.__init__": "runs only on a potential outside its domain",
 }
 
 COMMANDS = [[command, "--config", config, "--steps", "30"] + svg
@@ -36,10 +34,14 @@ DIVERGING = ["simulate", "--config", "toy", "--steps", "5", "--gamma", "1e155,1e
 USAGE_ERROR = ["simulate", "--config", "toy", "--frobnicate"]
 
 
-def defined_functions() -> dict[tuple[str, int, str], str]:
-    """(file, first line, name) of every ``def`` under src/ -> its qualified
-    name; class bodies, lambdas and comprehensions are not counted."""
+def defined_functions() -> dict[tuple[str, types.CodeType], str]:
+    """(file, code) of every ``def`` and ``lambda`` under src/ -> its name:
+    a def's qualified name, and a lambda's with its file, first line and
+    order on that line, as ``Owner.<lambda>@file.py:line#order``.
+    Class bodies and comprehensions are not counted. A code object equals
+    the one the imported module runs, as both compile the same source."""
     found = {}
+    on_line: dict[tuple[str, int], int] = {}
 
     def walk(code: types.CodeType, prefix: str) -> None:
         for const in code.co_consts:
@@ -47,9 +49,18 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
                 continue
             if not const.co_flags & inspect.CO_OPTIMIZED:     # a class body
                 walk(const, f"{prefix}{const.co_name}.")
-            elif not const.co_name.startswith("<"):
+            elif const.co_name == "<lambda>":
+                line = (const.co_filename, const.co_firstlineno)
+                on_line[line] = on_line.get(line, 0) + 1
+                where = Path(const.co_filename).relative_to(SRC).as_posix()
+                found[(const.co_filename, const)] = (
+                    f"{prefix}<lambda>@{where}:{const.co_firstlineno}#{on_line[line]}")
+                walk(const, f"{prefix}<lambda>.<locals>.")
+            elif const.co_name.startswith("<"):              # a comprehension
+                walk(const, prefix)
+            else:
                 qualname = prefix + const.co_name
-                found[(const.co_filename, const.co_firstlineno, const.co_name)] = qualname
+                found[(const.co_filename, const)] = qualname
                 walk(const, f"{qualname}.<locals>.")
 
     for path in sorted(SRC.rglob("*.py")):
@@ -62,8 +73,7 @@ def test_every_src_function_serves_a_command(tmp_path, capsys):
 
     def collect(frame, event, arg):
         if event == "call":
-            code = frame.f_code
-            called.add((code.co_filename, code.co_firstlineno, code.co_name))
+            called.add((frame.f_code.co_filename, frame.f_code))
 
     runs = [(argv, 0) for argv in COMMANDS] + [(DIVERGING, 2), (USAGE_ERROR, 1)]
     previous = sys.getprofile()

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from bangride.config import (MODEL_NAMES, ScenarioConfig, build_scenario,
                              scenario_hash)
 from bangride.csvio import (read_trajectory_csv, trajectory_header, write_gap_csv,
                             write_trajectory_csv)
+from bangride.plant import Trajectory
 from bangride.svg import emit_svg, quantity_series
 from references import plain_gap_csv, plain_trajectory_csv, plain_x_template
 
@@ -317,6 +318,33 @@ class TestCli:
             oracle = [pts for color, pts in lines if color == "#111"]
             assert len(gray) == 3 and len(oracle) == 1
             assert all(pts == oracle[0] for pts in gray), quantity
+
+    @pytest.mark.parametrize("config", ["spmet", "ecm", "pack", "toy"])
+    def test_every_column_has_a_row_per_step(self, config, monkeypatch, tmp_path, capsys):
+        # every run that compare and regret make: each array column and
+        # telemetry channel holds one row per step, the states included
+        runs = []
+        for name in ("run_closed_loop", "oracle_trajectory", "attach_per_step_optima"):
+            def record(*args, make=getattr(cli, name), **kwargs):
+                runs.append(make(*args, **kwargs))
+                return runs[-1]
+            monkeypatch.setattr(cli, name, record)
+        for command in ("compare", "regret"):
+            assert main([command, "--config", config, "--steps", "40",
+                         "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        checked = set()
+        for traj in runs:
+            for f in fields(Trajectory):
+                value = getattr(traj, f.name)
+                for name, column in (value.items() if isinstance(value, dict)
+                                     else [(f.name, value)]):
+                    if column is not None:
+                        assert len(column) == len(traj) == 41, name
+                        checked.add(name)
+        assert {"u", "y", "i_star", "e_active", "J", "states", "theta", "alpha",
+                "J_star", "theta_star"} <= checked
+        assert ("soc" in checked) == (config != "toy")     # the toy has no telemetry
 
     def test_regret_subcommand(self, tmp_path):
         out = tmp_path / "rg"

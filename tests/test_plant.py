@@ -12,8 +12,8 @@ from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       oracle_trajectory, run_closed_loop, validate_monotonicity)
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, Trajectory, _extreme, simulate, simulate_batch
-from references import (ReferenceController, active_index, reference_closed_loop,
-                        replay_open_loop)
+from references import (ReferenceController, active_index, constraint_errors,
+                        reference_closed_loop, replay_open_loop)
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -67,12 +67,14 @@ class TestRunClosedLoop:
         expected = hand_simulation(60, (0.1, 0.1), (0.0, 0.0), (10.0, 1.0),
                                    0.5, y_bar, gamma)
         assert len(traj) == len(expected)
+        errors = spec.gamma * (spec.y_bar - traj.y)
         for k, (t, u, y, e, i_star, th, alpha, J) in enumerate(expected):
             assert k == t
             assert traj.u[t] == u
             assert tuple(traj.y[t]) == y
-            assert tuple(traj.e[t]) == e
+            assert tuple(errors[t]) == e
             assert traj.i_star[t] == i_star
+            assert traj.e_active[t] == e[i_star - 1]
             assert tuple(traj.theta[t]) == th
             assert traj.alpha[t] == alpha
             assert traj.J[t] == J
@@ -91,16 +93,18 @@ class TestRunClosedLoop:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[0.3, 0.7])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 40, model.initial_state())
+        errors = spec.gamma * (spec.y_bar - traj.y)
         for t in range(len(traj)):
-            assert traj.J[t] == traj.e[t, traj.i_star[t] - 1] ** 2
-            assert traj.i_star[t] == int(np.argmin(traj.e[t])) + 1
+            assert traj.J[t] == errors[t, traj.i_star[t] - 1] ** 2
+            assert traj.i_star[t] == int(np.argmin(errors[t])) + 1
 
     def test_errors_consistent_with_weights(self):
         model = ToyLinearPlant()
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[2.0, 0.5])
         cs = ControllerState()
         traj = run_closed_loop(model, cs, spec, 30, model.initial_state())
-        assert np.array_equal(traj.e, spec.gamma * (spec.y_bar - traj.y))
+        errors = spec.gamma * (spec.y_bar - traj.y)
+        assert np.array_equal(traj.e_active, errors[np.arange(len(traj)), traj.i_star - 1])
 
     def test_controller_trajectory_consistency(self):
         # recorded u_t must equal th1*e_active(t-1) + th2*sum_{k<t} e_active(k)
@@ -238,7 +242,8 @@ class TestFloatLoopMatchesReference:
                      mu1=0.5, grad_clip=0.1))
     def test_equal_bit_for_bit(self, errors, kw):
         fast, ref = both_loops(errors, kw)
-        assert same_bits(fast.e, ref.e)
+        assert same_bits(fast.y, ref.y)
+        assert same_bits(fast.e_active, ref.e_active)
         assert same_bits(fast.u, ref.u)
         assert same_bits(fast.theta, ref.theta)
         assert same_bits(fast.alpha, ref.alpha)
@@ -377,7 +382,8 @@ class TestDivergenceGuard:
         for model in (toy, array_toy):
             with pytest.raises(SimulationDiverged) as err:
                 simulate(model, spec, 5, model.initial_state(),
-                         lambda t, x: 0.0 if t < 3 else 1e8, lambda t, e: active_index(e))
+                         lambda t, x: 0.0 if t < 3 else 1e8,
+                         lambda t, y: active_index(constraint_errors(spec, y)))
             assert str(err.value) == ("simulation diverged at step 3: "
                                       "squared active error overflowed")
 
@@ -443,7 +449,7 @@ class TestSimulateBatch:
 
         def run(k, t_f):
             return simulate(Growth(self.G[k], self.C[k]), spec, t_f, x0,
-                            lambda t, x: self.input_of(k, t), lambda t, e: 1,
+                            lambda t, x: self.input_of(k, t), lambda t, y: 1,
                             guard=100.0)
 
         steps = []
@@ -461,13 +467,13 @@ class TestSimulateBatch:
                 before = run(k, exc.step - 1)
                 assert np.array_equal(u_col[:exc.step, k], before.u)
                 assert np.array_equal(y_col[:exc.step, k], before.y)
-                assert np.array_equal(states[:exc.step + 1, k], before.states)
+                assert np.array_equal(states[:exc.step, k], before.states)
                 continue
             steps.append(-1)
             assert k not in failures
             assert np.array_equal(u_col[:, k], traj.u)
             assert np.array_equal(y_col[:, k], traj.y)
-            assert np.array_equal(states[:, k], traj.states)
+            assert np.array_equal(states[:-1, k], traj.states)
         assert steps == [13, 8, 6, -1, 3]
         # one reason per test: state, state, outputs, input
         assert [str(failures[k]).split(": ")[1] for k in (0, 1, 2, 4)] == [
@@ -499,7 +505,7 @@ class TestGuardOrder:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SimulationDiverged) as err:
                 simulate(Growth(self.G[0], self.C[0]), spec, 10, np.zeros(1),
-                         lambda t, x: self.input_of(t), lambda t, e: 1, guard=100.0)
+                         lambda t, x: self.input_of(t), lambda t, y: 1, guard=100.0)
         assert err.value.step == 3 and str(err.value) == self.MESSAGE
 
     def test_batched(self):
@@ -520,7 +526,7 @@ class TestGuardOrder:
 def same_run(a, b) -> bool:
     """Every column of two trajectories equal, the telemetry's included."""
     return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in
-                ("u", "y", "e", "i_star", "J", "states", "theta", "alpha"))
+                ("u", "y", "e_active", "i_star", "J", "states", "theta", "alpha"))
             and a.telemetry.keys() == b.telemetry.keys()
             and all(np.array_equal(a.telemetry[k], b.telemetry[k]) for k in a.telemetry))
 
@@ -588,7 +594,7 @@ class TestLoopBodies:
     def test_same_guard_order(self):
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         fast, ref = in_both_forms(lambda m, x0: simulate(
-            m, spec, 10, x0, lambda t, x: TestGuardOrder.input_of(t), lambda t, e: 1,
+            m, spec, 10, x0, lambda t, x: TestGuardOrder.input_of(t), lambda t, y: 1,
             guard=100.0), Growth(TestGuardOrder.G[0], TestGuardOrder.C[0]), np.zeros(1))
         assert fast == ref == (3, TestGuardOrder.MESSAGE)
 
@@ -596,7 +602,7 @@ class TestLoopBodies:
     def test_state_shape_picks_the_body(self, name, kind, scenarios):
         built, seen = scenarios[name], []
         simulate(built.model, built.spec, 0, built.x0, lambda t, x: 0.0,
-                 lambda t, e: seen.append(type(e)) or 1)
+                 lambda t, y: seen.append(type(y)) or 1)
         assert seen == [kind]
 
 
@@ -687,7 +693,7 @@ class TestEarliestFailure:
     class Breaking(ScriptedPlant):
         def advance(self, x, u):
             if int(x[0]) == 3:
-                raise PotentialDomainError("advance", "outside its domain at step 3")
+                raise PotentialDomainError("advance: outside its domain at step 3")
             return super().advance(x, u)
 
     def run(self, errors: np.ndarray, then: str, form: str):
@@ -696,7 +702,7 @@ class TestEarliestFailure:
         if form == "rows":
             model, x0 = RowForm(model), np.zeros((1, 1))
         return simulate(model, spec, 5, x0, lambda t, x: 0.0,
-                        lambda t, e: active_index(e), guard=math.inf)
+                        lambda t, y: active_index(constraint_errors(spec, y)), guard=math.inf)
 
     @pytest.mark.parametrize("form", ["vector", "rows"])
     @pytest.mark.parametrize("then", ["plant error", "guard"])
