@@ -345,7 +345,7 @@ def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
         u[m:-1] = u[:m]
         return u
 
-    def observe(t: int, u: np.ndarray, y: np.ndarray, x: np.ndarray) -> None:
+    def observe(t: int, u: np.ndarray, y: np.ndarray) -> None:
         u_models[t], u_true[t] = u[:m], u[-1]
         y_truth[t] = y[m:]
 

@@ -13,9 +13,12 @@ steps its vector state as Python float lists (the vector-state rule of
 ``simulate`` steps any plant under a policy (a ``control`` and an
 ``observe`` callback) in one loop, with one ``advance`` call per step, and
 fills the columns of a ``Trajectory``; the state's shape picks only how
-values are tested against the guard. The commands run two policies through
-it: the model-free controller (``run_closed_loop``), the one policy that
-weighs the errors step by step, and the oracle (``oracle.oracle_trajectory``).
+values are tested against the guard and kept. A single cell's values are
+gathered in Python lists per step and copied into the columns once after the
+loop; the pack's state and output rows are written per step. The commands
+run two policies through it: the model-free controller
+(``run_closed_loop``), the one policy that weighs the errors step by step,
+and the oracle (``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
@@ -243,18 +246,22 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
 
     One loop serves every plant. A vector state (a single cell) is held as
     the float lists of ``PlantModel.advance`` from ``x0.tolist()`` on and
-    tested value by value, and ``observe`` gets the outputs as a list; any
-    other state (the pack's (N, 4)) is held as arrays, tested by their
-    largest magnitude (a NaN's, if any: ``_extreme``), and ``observe`` gets
-    an array.
+    tested value by value, and ``observe`` gets the outputs as a list; the
+    values of x and y are gathered by ``list.extend`` and copied into their
+    columns once, after the loop or before a failure's checks. Any other
+    state (the pack's (N, 4)) is held as arrays, tested by their largest
+    magnitude (a NaN's, if any: ``_extreme``), written into its row at each
+    step with the outputs, and ``observe`` gets an array. The inputs and
+    active indices are appended to lists on both paths.
     """
     check_run(model, spec, t_f)
     n = t_f + 1
-    u_col, y_col, i_col = np.empty(n), np.empty((n, spec.p)), np.empty(n, dtype=int)
-    states = np.empty((n,) + np.shape(x0))
+    states, y_col = np.empty((n,) + np.shape(x0)), np.empty((n, spec.p))
+    us, i_stars, xs, ys = [], [], [], []
     low = -guard
     if states.ndim == 2:
         x = np.asarray(x0, dtype=float).tolist()
+        keep_x, keep_y = xs.extend, ys.extend
 
         def passes(values) -> bool:
             # one comparison per value: false for NaN, inf and anything past guard
@@ -265,12 +272,25 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     else:
         x = x0
 
+        def keep_x(x) -> None:
+            states[t] = x
+
+        def keep_y(y) -> None:
+            y_col[t] = y
+
         def passes(values) -> bool:
             return _extreme(abs(values)) <= guard
 
+    def columns() -> tuple:
+        # a single cell's values in one copy each; xs and ys stay empty on
+        # the pack's path, whose rows are written per step
+        states.flat[:len(xs)] = xs
+        y_col.flat[:len(ys)] = ys
+        return np.array(us, dtype=float), y_col, np.array(i_stars, dtype=int), states
+
     try:
         for t in range(n):
-            states[t] = x
+            keep_x(x)
             u = control(t, x)
             if not low <= u <= guard:
                 raise _diverged(u, "input current", t, guard)
@@ -279,13 +299,12 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
                 raise _diverged(y, "outputs", t, guard)
             if not passes(x):
                 raise _diverged(x, "state", t, guard)
-            i_col[t] = observe(t, y)
-            u_col[t] = u
-            y_col[t] = y
+            i_stars.append(observe(t, y))
+            us.append(u)
+            keep_y(y)
     except Exception as failure:
-        Trajectory.from_columns(model, spec, u_col, y_col, i_col, states,
-                                steps=t, failure=failure)
-    return Trajectory.from_columns(model, spec, u_col, y_col, i_col, states)
+        Trajectory.from_columns(model, spec, *columns(), steps=t, failure=failure)
+    return Trajectory.from_columns(model, spec, *columns())
 
 
 def run_closed_loop(model: PlantModel,
@@ -305,10 +324,7 @@ def run_closed_loop(model: PlantModel,
     ``tests/references.py``, so every value matches the reference bit for bit.
     The controller is only read: the history starts at zero in every run.
     """
-    n = t_f + 1
-    theta_col = np.empty((n, 2))
-    theta0_col, theta1_col = theta_col.T    # views: a scalar write each
-    alpha_col = np.empty(n)
+    thetas, alphas = [], []     # the gains and step sizes, copied once
     t0, t1 = controller.theta.tolist()
     lo0, lo1 = controller.theta_lo.tolist()
     hi0, hi1 = controller.theta_hi.tolist()
@@ -320,10 +336,9 @@ def run_closed_loop(model: PlantModel,
 
     def control(t: int, x) -> float:
         nonlocal alpha
-        theta0_col[t] = t0
-        theta1_col[t] = t1
+        thetas.extend((t0, t1))
         alpha = 1.0 if t == 0 else float(t) ** neg_mu1     # step_size(t, mu1)
-        alpha_col[t] = alpha
+        alphas.append(alpha)
         if not (math.isfinite(t0) and math.isfinite(t1)
                 and math.isfinite(last) and math.isfinite(tot)):
             raise SimulationDiverged(t, "non-finite controller state")
@@ -361,26 +376,26 @@ def run_closed_loop(model: PlantModel,
         return k + 1
 
     traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
-    return replace(traj, theta=theta_col, alpha=alpha_col)
+    return replace(traj, theta=np.reshape(thetas, (-1, 2)), alpha=np.array(alphas))
 
 
 @np.errstate(all="ignore")
 def simulate_batch(model, t_f: int, x0: np.ndarray,
                    control: Callable[[int, np.ndarray], np.ndarray],
-                   observe: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
+                   observe: Callable[[int, np.ndarray, np.ndarray], None],
                    *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
     ``model`` holds M cells: its ``advance`` takes (M, d) state rows
     with (M,) inputs and returns their (M, p) outputs and next state rows, as
     ``PlantModel.advance`` does for one cell. Per step, ``u = control(t, x)``
-    gives all members' inputs, and ``observe(t, u, y, x)`` receives their
-    inputs, outputs and next states. Each member passes the guard tests of
-    ``simulate`` in its order, with floating-point warnings off as there. A
-    member that fails one is out: its rows of u, y and x are NaN from that
-    step on, written into the arrays ``control`` and ``advance`` return,
-    whatever they give for it. So ``advance`` and both callbacks must accept
-    NaN rows.
+    gives all members' inputs from their step-start states, and
+    ``observe(t, u, y)`` receives their inputs and outputs. Each member
+    passes the guard tests of ``simulate`` in its order, with floating-point
+    warnings off as there. A member that fails one at step t is out: its rows
+    of u and y are NaN from step t on, and its state row from step t + 1,
+    written into the arrays ``control`` and ``advance`` return, whatever they
+    give for it. So ``advance`` and both callbacks must accept NaN rows.
     Returns member index -> the ``SimulationDiverged`` that ``simulate``
     raises for that member alone, with its step and message.
     """
@@ -410,7 +425,7 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
             drop(abs(x).max(axis=1) <= guard, x, "state")
         if running < size:
             u[out] = y[out] = x[out] = np.nan
-        observe(t, u, y, x)
+        observe(t, u, y)
     return failures
 
 

@@ -5,9 +5,11 @@ currents are checked against, and ``phases``. No command runs them:
 ``solve_constraint`` is one of its roots on its own;
 ``per_step_optimal_cost`` is a row of ``analysis.attach_per_step_optima``,
 its ``min_norm_on_line_in_box`` a row of ``analysis._min_norm_rows``,
-``ct_diagnostic`` an entry of ``analysis.ct_series``, ``replay_open_loop``
-a true copy's run in ``analysis.robustness_study``, and ``ReferenceController`` stepped by
-``reference_closed_loop`` is the float controller of ``plant.run_closed_loop``.
+``ct_diagnostic`` an entry of ``analysis.ct_series``, ``reference_simulate``
+the loop of ``plant.simulate`` with one numpy write per value per step,
+``replay_open_loop`` a true copy's run in ``analysis.robustness_study``, and
+``ReferenceController`` stepped by ``reference_closed_loop`` is the float
+controller of ``plant.run_closed_loop``.
 The ``*_step`` functions are each packaged plant's next state as a separate
 computation, which the next state of its ``advance`` equals; the
 ``*_outputs`` functions are the outputs of the ECM ensemble's and the pack's
@@ -40,7 +42,8 @@ from bangride.models import EcmPlant, PackParams, PackPlant, SpmetPlant, ToyLine
 from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
 from bangride.oracle import RootConfig, _minimum
-from bangride.plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+from bangride.plant import (DEFAULT_GUARD, PlantModel, Trajectory, _diverged, _extreme,
+                            check_run, simulate)
 
 MAX_ITER = 200    # halvings before a bisection gives up
 
@@ -393,6 +396,52 @@ def ct_diagnostic(model: PlantModel, x, u: float, i_star: int, gamma_i: float,
     hp = output(model, x, u + delta, i_star - 1)
     hm = output(model, x, u - delta, i_star - 1)
     return 2.0 * gamma_i * (hp - hm) / (2.0 * delta)
+
+
+@np.errstate(all="ignore")
+def reference_simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
+                       control: Callable[[int, object], float],
+                       observe: Callable[[int, object], int], *,
+                       guard: float = DEFAULT_GUARD) -> Trajectory:
+    """``plant.simulate`` writing every value into its numpy column at its
+    step: the same loop, guard tests and checks, with no per-step lists."""
+    check_run(model, spec, t_f)
+    n = t_f + 1
+    u_col, y_col, i_col = np.empty(n), np.empty((n, spec.p)), np.empty(n, dtype=int)
+    states = np.empty((n,) + np.shape(x0))
+    low = -guard
+    if states.ndim == 2:
+        x = np.asarray(x0, dtype=float).tolist()
+
+        def passes(values) -> bool:
+            for v in values:
+                if not low <= v <= guard:
+                    return False
+            return True
+    else:
+        x = x0
+
+        def passes(values) -> bool:
+            return _extreme(abs(values)) <= guard
+
+    try:
+        for t in range(n):
+            states[t] = x
+            u = control(t, x)
+            if not low <= u <= guard:
+                raise _diverged(u, "input current", t, guard)
+            y, x = model.advance(x, u)
+            if not passes(y):
+                raise _diverged(y, "outputs", t, guard)
+            if not passes(x):
+                raise _diverged(x, "state", t, guard)
+            i_col[t] = observe(t, y)
+            u_col[t] = u
+            y_col[t] = y
+    except Exception as failure:
+        Trajectory.from_columns(model, spec, u_col, y_col, i_col, states,
+                                steps=t, failure=failure)
+    return Trajectory.from_columns(model, spec, u_col, y_col, i_col, states)
 
 
 def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,

@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,27 +322,37 @@ class TestCli:
 
     @pytest.mark.parametrize("config", ["spmet", "ecm", "pack", "toy"])
     def test_every_column_has_a_row_per_step(self, config, monkeypatch, tmp_path, capsys):
-        # every run that compare and regret make: each array column and
-        # telemetry channel holds one row per step, the states included
+        # every run that compare and regret make, over 41 steps and over 1:
+        # each array column and telemetry channel holds one row per step, the
+        # states included, and each array field is a C-contiguous float64
+        # column, i_star's int64, theta's (n, 2)
         runs = []
         for name in ("run_closed_loop", "oracle_trajectory", "attach_per_step_optima"):
             def record(*args, make=getattr(cli, name), **kwargs):
                 runs.append(make(*args, **kwargs))
                 return runs[-1]
             monkeypatch.setattr(cli, name, record)
-        for command in ("compare", "regret"):
-            assert main([command, "--config", config, "--steps", "40",
-                         "--out", str(tmp_path / command)]) == 0
+        for steps in ("40", "0"):
+            for command in ("compare", "regret"):
+                assert main([command, "--config", config, "--steps", steps,
+                             "--out", str(tmp_path / command / steps)]) == 0
         capsys.readouterr()
-        checked = set()
+        checked, lengths = set(), set()
         for traj in runs:
+            lengths.add(len(traj))
             for f in fields(Trajectory):
                 value = getattr(traj, f.name)
+                if isinstance(value, np.ndarray):
+                    assert value.flags.c_contiguous, f.name
+                    assert value.dtype == (np.int64 if f.name == "i_star" else np.float64), f.name
                 for name, column in (value.items() if isinstance(value, dict)
                                      else [(f.name, value)]):
                     if column is not None:
-                        assert len(column) == len(traj) == 41, name
+                        assert len(column) == len(traj), name
                         checked.add(name)
+            if traj.theta is not None:
+                assert traj.theta.shape == (len(traj), 2)
+        assert lengths == {41, 1}
         assert {"u", "y", "i_star", "e_active", "J", "states", "theta", "alpha",
                 "J_star", "theta_star"} <= checked
         assert ("soc" in checked) == (config != "toy")     # the toy has no telemetry

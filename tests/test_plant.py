@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       PotentialDomainError, SimulationDiverged, ToyLinearPlant,
                       oracle_trajectory, run_closed_loop, validate_monotonicity)
+from bangride import oracle as oracle_module
+from bangride import plant as plant_module
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, Trajectory, _extreme, simulate, simulate_batch
+import references
 from references import (ReferenceController, active_index, constraint_errors,
-                        reference_closed_loop, replay_open_loop)
+                        reference_closed_loop, reference_simulate, replay_open_loop)
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -310,12 +313,13 @@ def test_vector_runs_step_on_floats(name, scenarios, monkeypatch):
 
 class FaultyToy(ToyLinearPlant):
     """Integrator whose state carries a step counter, so that it can fail at
-    a chosen step k: NaN, inf or past-guard outputs, or a past-guard state.
+    a chosen step k: NaN, inf or past-guard outputs, a past-guard state, or
+    an error raised by ``advance``.
     Its riding currents are the toy's closed form, which reads no faulty
     output, so that the failure reaches the stepping loop."""
 
-    def __init__(self, fault: str, k: int):
-        super().__init__()
+    def __init__(self, fault: str, k: int, **gains):
+        super().__init__(**gains)
         self.fault, self.k = fault, k
 
     def initial_state(self, x0: float = 0.0) -> np.ndarray:
@@ -325,9 +329,11 @@ class FaultyToy(ToyLinearPlant):
         y, x = super().advance(state, u)
         x = [x[0], float(state[1]) + 1.0]
         if state[1] == self.k and self.fault in OUTPUT_FAULTS:
-            y[1] = OUTPUT_FAULTS[self.fault]
+            y[-1] = OUTPUT_FAULTS[self.fault]
         if state[1] == self.k and self.fault == "state-past-guard":
             x[0] = 2e9
+        if state[1] == self.k and self.fault == "domain-error":
+            raise PotentialDomainError("advance: outside the model's domain")
         return y, x
 
 
@@ -435,17 +441,18 @@ class TestSimulateBatch:
         m, n = len(self.G), 21
         # zeros: every NaN below is the loop's
         u_col, y_col = np.zeros((n, m)), np.zeros((n, m, 2))
-        states = np.zeros((n + 1, m, 1))
-        states[0] = x0
+        states = np.zeros((n, m, 1))
 
-        def observe(t, u, y, x):
-            u_col[t], y_col[t], states[t + 1] = u, y, x
+        def control(t, x):
+            # member 4's input is finite again after step 3, when it is out
+            states[t] = x
+            return np.array([self.input_of(k, t) for k in range(m)])
 
-        # member 4's input is finite again after step 3, when it is out
-        failures = simulate_batch(
-            GrowthBatch(self.G, self.C), n - 1, np.tile(x0, (m, 1)),
-            lambda t, x: np.array([self.input_of(k, t) for k in range(m)]),
-            observe, guard=100.0)
+        def observe(t, u, y):
+            u_col[t], y_col[t] = u, y
+
+        failures = simulate_batch(GrowthBatch(self.G, self.C), n - 1,
+                                  np.tile(x0, (m, 1)), control, observe, guard=100.0)
 
         def run(k, t_f):
             return simulate(Growth(self.G[k], self.C[k]), spec, t_f, x0,
@@ -473,7 +480,7 @@ class TestSimulateBatch:
             assert k not in failures
             assert np.array_equal(u_col[:, k], traj.u)
             assert np.array_equal(y_col[:, k], traj.y)
-            assert np.array_equal(states[:-1, k], traj.states)
+            assert np.array_equal(states[:, k], traj.states)
         assert steps == [13, 8, 6, -1, 3]
         # one reason per test: state, state, outputs, input
         assert [str(failures[k]).split(": ")[1] for k in (0, 1, 2, 4)] == [
@@ -510,25 +517,35 @@ class TestGuardOrder:
 
     def test_batched(self):
         seen = []
+
+        def control(t, x):
+            seen.append((t, x.tolist()))
+            return np.full(len(x), self.input_of(t))
+
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            failures = simulate_batch(
-                GrowthBatch(self.G, self.C), 10, np.zeros((2, 1)),
-                lambda t, x: np.full(len(x), self.input_of(t)),
-                lambda t, u, y, x: seen.append((t, x.tolist())), guard=100.0)
+            failures = simulate_batch(GrowthBatch(self.G, self.C), 10, np.zeros((2, 1)),
+                                      control, lambda t, u, y: None, guard=100.0)
         assert list(failures) == [0]
         assert failures[0].step == 3 and str(failures[0]) == self.MESSAGE
-        # member 0 is out with a NaN row, member 1 goes on
-        assert len(seen) == 11 and all(math.isnan(x[0][0]) for t, x in seen[3:])
-        assert seen[3][0] == 3 and seen[3][1][1] == [50.0]
+        # both members enter step 3 at 50; after it member 0 is out with a
+        # NaN row and member 1 goes on
+        assert seen[3] == (3, [[50.0], [50.0]])
+        assert len(seen) == 11 and all(math.isnan(x[0][0]) for t, x in seen[4:])
+        assert seen[4][0] == 4 and seen[4][1][1] == [50.0]
 
 
 def same_run(a, b) -> bool:
-    """Every column of two trajectories equal, the telemetry's included."""
-    return (all(np.array_equal(getattr(a, f), getattr(b, f)) for f in
-                ("u", "y", "e_active", "i_star", "J", "states", "theta", "alpha"))
-            and a.telemetry.keys() == b.telemetry.keys()
-            and all(np.array_equal(a.telemetry[k], b.telemetry[k]) for k in a.telemetry))
+    """Every column of two trajectories equal in dtype, shape and bytes, the
+    telemetry's included."""
+    if a.telemetry.keys() != b.telemetry.keys():
+        return False
+    pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in fields(Trajectory)
+             if f.name != "telemetry"]
+    pairs += [(a.telemetry[k], b.telemetry[k]) for k in a.telemetry]
+    return all((u is None and v is None) or (
+        u is not None and v is not None and u.dtype == v.dtype
+        and u.shape == v.shape and u.tobytes() == v.tobytes()) for u, v in pairs)
 
 
 def outcome(run):
@@ -604,6 +621,88 @@ class TestLoopBodies:
         simulate(built.model, built.spec, 0, built.x0, lambda t, x: 0.0,
                  lambda t, y: seen.append(type(y)) or 1)
         assert seen == [kind]
+
+
+def run_outcome(run):
+    """A run's trajectory, or the type, step and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:    # the loop re-raises the policy's and plant's own
+        return type(exc), getattr(exc, "step", None), str(exc)
+
+
+def against_reference_loop(run):
+    """The outcome of ``run()``, then that of the same run with every
+    ``simulate`` replaced by ``references.reference_simulate``."""
+    fast, calls = run_outcome(run), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return reference_simulate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (plant_module, oracle_module, references):
+            patch.setattr(module, "simulate", counted)
+        ref = run_outcome(run)
+    assert calls == [None]
+    return fast, ref
+
+
+INPUT_FAULTS = {"nan-input": math.nan, "input-past-guard": -2e9}
+
+
+@st.composite
+def faulty_toy_runs(draw):
+    """A toy of random gains with a fault at a random step, the first and
+    the last included, under a closed loop of random gains, the oracle or a
+    replay of random inputs; large weights make the active error's square
+    overflow, or the weighted errors infinite."""
+    t_f = draw(st.integers(0, 300))
+    k = draw(st.sampled_from([0, t_f]) | st.integers(0, t_f))
+    fault = draw(st.sampled_from(["none", "domain-error", *GUARD_MESSAGES, *INPUT_FAULTS]))
+    p = draw(st.integers(1, 2))
+    gains = dict(a=draw(st.floats(-1.2, 1.2)), b=draw(st.floats(0.1, 2.0)),
+                 c=draw(st.floats(-2.0, 2.0)), d=draw(st.floats(0.1, 2.0)), p=p)
+    model = FaultyToy(fault, k, **gains)
+    spec = ConstraintSpec(y_bar=[10.0, 5.0][:p],
+                          gamma=[draw(st.floats(0.01, 1.0) | st.sampled_from([1e153, 1e300]))
+                                 for _ in range(p)])
+    x0 = model.initial_state(draw(st.floats(-3.0, 3.0)))
+    kind = draw(st.sampled_from(["closed-loop", "oracle", "replay"]))
+    if kind == "closed-loop":
+        controller = ControllerState(**draw(controllers()))
+        return lambda: run_closed_loop(model, controller, spec, t_f, x0)
+    if kind == "oracle":
+        return lambda: oracle_trajectory(model, spec, t_f, x0)
+    u_seq = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 12.0, t_f + 1)
+    u_seq[k] = INPUT_FAULTS.get(fault, u_seq[k])
+    return lambda: replay_open_loop(model, spec, x0, u_seq)
+
+
+class TestRecordingMatchesReference:
+    """``simulate`` gathers a single cell's values per step and copies them
+    into the columns once; ``references.reference_simulate`` writes each
+    value at its step. Every column, dtype, failure, step and message of the
+    two are equal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=faulty_toy_runs())
+    def test_toy_runs(self, run):
+        fast, ref = against_reference_loop(run)
+        assert same_run(fast, ref) if isinstance(fast, Trajectory) else fast == ref
+
+    @pytest.mark.parametrize("name", ["spmet", "ecm", "pack"])
+    @pytest.mark.parametrize("kind", ["closed-loop", "oracle"])
+    @settings(max_examples=8, deadline=None)
+    @given(t_f=st.sampled_from([0, 1]) | st.integers(0, 40))
+    def test_packaged_runs(self, name, kind, t_f, scenarios):
+        built = scenarios[name]
+        fast, ref = against_reference_loop(
+            (lambda: run_closed_loop(built.model, built.controller, built.spec, t_f, built.x0))
+            if kind == "closed-loop" else
+            (lambda: oracle_trajectory(built.model, built.spec, t_f, built.x0)))
+        assert isinstance(fast, Trajectory) and len(fast) == t_f + 1
+        assert same_run(fast, ref)
 
 
 class TestValidateMonotonicity:
