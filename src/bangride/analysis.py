@@ -7,10 +7,11 @@ cell model is imported. The per-step optima and c_t evaluate the plant's
 outputs at the recorded states of every step at once (``output_rows``), the
 optima taking each riding step's root from the plant's riding currents
 (``riding_rows``). The robustness study
-takes the true plant and one batched model of 2M + 1 members from its
-caller, and in one lockstep pass (``plant.simulate_batch``) runs the true
-oracle, the ideal protocols of the M models and their replays on M copies of
-the true plant, storing only the columns it reads. The one-step scalar
+takes the true plant and M perturbed plants of its family from its caller,
+builds their batched model with the true plant's ``ensemble``, and in one
+lockstep pass (``plant.simulate_batch``) runs the true oracle, the ideal
+protocols of the M models and their replays on copies of the true plant,
+storing only the columns it reads. The one-step scalar
 references that ``attach_per_step_optima`` and ``ct_series`` equal bit for
 bit, ``per_step_optimal_cost`` and ``ct_diagnostic``, live in
 ``tests/references.py``, because no command runs them.
@@ -300,34 +301,34 @@ def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
     )
 
 
-def robustness_study(true_model: PlantModel, batch, x0, spec: ConstraintSpec,
-                     t_f: int, *, keep_series: bool = True,
+def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
+                     spec: ConstraintSpec, t_f: int, *, keep_series: bool = True,
                      guard: float = DEFAULT_GUARD) -> RobustnessResult:
     """Ideal protocols from M models, replayed on the truth, in one lockstep
     pass.
 
-    ``batch`` is a batched model as in ``plant.simulate_batch`` with 2M + 1
-    members (``len``) and an ``output_count``, all started from x0: members 0..M-1 are the models
-    whose bang-ride protocols are computed, members M..2M copies of
-    ``true_model``. Per step, each model and the last copy take the minimum
-    of their clamped riding currents (``oracle.selector_rows``), and copy
-    M + k applies the current that model k chose: it replays model k's
-    protocol open loop on the truth. The last copy runs the true oracle,
-    whose run equals ``oracle_trajectory(true_model, ...)`` column for
-    column. A model whose oracle or replay fails the guard is recorded as
-    diverged, with the failure that ``oracle_trajectory`` or
-    ``replay_open_loop`` raises for it alone (``tests/references.py``), and
-    the others go on; a failing true oracle raises the
-    ``SimulationDiverged`` that ``oracle_trajectory`` raises. Violations and
-    suboptimality are measured against the true oracle; the objective and
-    the recorded temperatures are ``true_model``'s ``soc`` and
-    ``temperature`` telemetry channels.
+    ``models`` are M >= 1 plants of ``true_model``'s perturbed family
+    (``PlantModel.perturbed``). One batch, ``true_model.ensemble``, stepped
+    from x0 by ``plant.simulate_batch``, holds the M models, whose bang-ride
+    protocols are computed, then M + 1 copies of the truth. Per step, each
+    model and the last copy take the minimum of their clamped riding
+    currents (``oracle.selector_rows``), and member M + k, a copy, applies
+    the current that model k chose: it replays model k's protocol open loop
+    on the truth. The last copy runs the true oracle, whose run equals
+    ``oracle_trajectory(true_model, ...)`` column for column. A model whose
+    oracle or replay fails the guard is recorded as diverged, with the
+    failure that ``oracle_trajectory`` or ``replay_open_loop`` raises for it
+    alone (``tests/references.py``), and the others go on; a failing true
+    oracle raises the ``SimulationDiverged`` that ``oracle_trajectory``
+    raises. Violations and suboptimality are measured against the true
+    oracle; the objective and the recorded temperatures are ``true_model``'s
+    ``soc`` and ``temperature`` telemetry channels.
     """
-    m, odd = divmod(len(batch) - 1, 2)
-    if odd or m < 1:
-        raise ConfigurationError(
-            f"a study batch holds 2M + 1 members with M >= 1, got {len(batch)}")
-    check_run(batch, spec, t_f)
+    m = len(models)
+    if m < 1:
+        raise ConfigurationError("a robustness study needs at least one model")
+    check_run(true_model, spec, t_f)
+    batch = true_model.ensemble(models + [true_model] * (m + 1))
     size, n = 2 * m + 1, t_f + 1
     # all the study reads: the models' and the true oracle's inputs, and the
     # outputs and step-start states of the true copies, the true oracle last

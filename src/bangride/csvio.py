@@ -73,22 +73,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
                        + [(NUM, c) for c in (*theta, traj.alpha, traj.J, traj.J_star)])
 
 
-def read_trajectory_csv(path) -> dict[str, list[float | None]]:
-    """Columns by name; empty cells map to None."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns: dict[str, list] = {name: [] for name in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise ConfigurationError(
-                    f"{path}: row has {len(row)} cells, header has {len(header)}")
-            for name, cell in zip(header, row):
-                columns[name].append(None if cell == "" else float(cell))
-    return columns
-
-
 def write_gap_csv(free: Trajectory, oracle: Trajectory, path) -> Path:
     """Step-by-step current comparison between the model-free and oracle runs."""
     if len(free) != len(oracle):

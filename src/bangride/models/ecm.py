@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from functools import cached_property
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -95,17 +94,21 @@ class EcmPlant(PlantModel):
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """The one-cell ensemble's outputs on the rows, then each row's entry."""
-        y = self._ensemble.advance(states, u)[0]
+        y = self.ensemble([self]).advance(states, u)[0]
         return y[np.arange(len(index)), index]
 
     def riding_rows(self, states, y_bar, index) -> np.ndarray:
         """The one-cell ensemble's riding currents on the rows, then each row's entry."""
-        roots = self._ensemble.riding_currents(states, y_bar)
+        roots = self.ensemble([self]).riding_currents(states, y_bar)
         return roots[np.arange(len(index)), index]
 
-    @cached_property
-    def _ensemble(self) -> "EcmEnsemble":
-        return EcmEnsemble([self.params])
+    def perturbed(self, fraction: float, seed) -> EcmPlant:
+        """The cell with ``perturb_params(self.params, fraction, seed)``."""
+        return EcmPlant(perturb_params(self.params, fraction, seed))
+
+    def ensemble(self, cells: Sequence[EcmPlant]) -> EcmEnsemble:
+        """The given ECM cells as one batched model."""
+        return EcmEnsemble([c.params for c in cells])
 
     def riding_currents(self, state, y_bar: np.ndarray) -> list[float]:
         """Current bound, affine voltage root, and the root where the
@@ -171,9 +174,6 @@ class EcmEnsemble:
         # factor 1 leaves soc + ks*u as it is); b*u's row bt*u becomes the heat
         self._k = np.array([self._k1, self._k2, np.ones(len(self.params)), self._kt])
         self._b = np.array([self._b1, self._b2, self._ks, self._bt])
-
-    def __len__(self) -> int:
-        return len(self.params)
 
     def advance(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.empty((3, len(x)))

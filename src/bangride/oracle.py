@@ -56,8 +56,9 @@ def _minimum(roots, u_max: float) -> tuple[float, int]:
 
 def selector_rows(model, x: np.ndarray,
                   spec: ConstraintSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``_minimum`` of every member of a batched model at once, through its
-    row-wise ``riding_currents``: each row's input and 0-based constraint.
+    """``_minimum`` of every member of a batched model (``plant.simulate_batch``)
+    at once, through its row-wise ``riding_currents``: each row's input and
+    0-based constraint.
 
     A NaN root gives a NaN input: a broken hook returns one, and so does a
     member that is out of ``simulate_batch``, whose state row is NaN.

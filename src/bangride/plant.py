@@ -22,11 +22,12 @@ and the oracle (``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
-``simulate_batch`` steps the M cells of a batched model, such as
-``models.ecm.EcmEnsemble``, in lockstep under a policy of the same two
-callbacks with one batched ``advance`` call per step, keeps no columns of its
-own, and returns each failed member's step and reason; a failed member stays
-in the batch with NaN rows. Its one caller is ``analysis.robustness_study``,
+``simulate_batch`` steps the M cells of a batched model in lockstep under a
+policy of the same two callbacks with one batched ``advance`` call per step,
+keeps no columns of its own, and returns each failed member's step and
+reason; a failed member stays in the batch with NaN rows. A plant with a
+perturbed family (``PlantModel.perturbed``) builds such a model of its
+members with ``ensemble``. The one caller is ``analysis.robustness_study``,
 whose single pass runs the true oracle, the oracles of M models and their
 open-loop replays on the truth together.
 Replay's scalar reference, ``replay_open_loop``, lives in
@@ -119,6 +120,13 @@ class PlantModel(abc.ABC):
         reads them; the default reports none.
         """
         return {}
+
+    def perturbed(self, fraction: float, seed) -> PlantModel:
+        """A member of this plant's perturbed family, its parameters scaled by
+        factors in [1 - fraction, 1 + fraction] from the stream keyed by
+        ``seed``. A plant with a family overrides this and defines
+        ``ensemble(cells)``, its members' batched model (``simulate_batch``)."""
+        raise ConfigurationError(f"{type(self).__name__} has no perturbed family")
 
 
 @dataclass
@@ -248,7 +256,8 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     the float lists of ``PlantModel.advance`` from ``x0.tolist()`` on and
     tested value by value, and ``observe`` gets the outputs as a list; the
     values of x and y are gathered by ``list.extend`` and copied into their
-    columns once, after the loop or before a failure's checks. Any other
+    columns once, after the loop or before a failure's checks, where counts
+    that do not fit the steps raise ``ConfigurationError``. Any other
     state (the pack's (N, 4)) is held as arrays, tested by their largest
     magnitude (a NaN's, if any: ``_extreme``), written into its row at each
     step with the outputs, and ``observe`` gets an array. The inputs and
@@ -283,7 +292,13 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
 
     def columns() -> tuple:
         # a single cell's values in one copy each; xs and ys stay empty on
-        # the pack's path, whose rows are written per step
+        # the pack's path, whose rows are written per step. Steps 0..t kept
+        # their states, the len(us) completed steps their outputs
+        if states.ndim == 2 and (len(xs) != (t + 1) * states.shape[1]
+                                 or len(ys) != len(us) * spec.p):
+            raise ConfigurationError(
+                f"{type(model).__name__}.advance returned values of the wrong length: "
+                f"{len(xs)} state values in {t + 1} steps, {len(ys)} outputs in {len(us)}")
         states.flat[:len(xs)] = xs
         y_col.flat[:len(ys)] = ys
         return np.array(us, dtype=float), y_col, np.array(i_stars, dtype=int), states
@@ -386,9 +401,11 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
                    *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
-    ``model`` holds M cells: its ``advance`` takes (M, d) state rows
-    with (M,) inputs and returns their (M, p) outputs and next state rows, as
-    ``PlantModel.advance`` does for one cell. Per step, ``u = control(t, x)``
+    ``model`` is a batched model of M cells, such as a plant's ``ensemble``:
+    its ``advance`` takes (M, d) state rows with (M,) inputs and returns
+    their (M, p) outputs and next state rows, and its ``riding_currents``
+    (``oracle.selector_rows``) the (M, p) rows of riding currents, as
+    ``PlantModel``'s methods do for one cell. Per step, ``u = control(t, x)``
     gives all members' inputs from their step-start states, and
     ``observe(t, u, y)`` receives their inputs and outputs. Each member
     passes the guard tests of ``simulate`` in its order, with floating-point

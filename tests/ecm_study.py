@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bangride.analysis import robustness_study
 from bangride.models import EcmParams, EcmPlant, perturb_params
-from bangride.models.ecm import EcmEnsemble
 
 
 def ecm_study(base: EcmParams, n_models: int, fraction: float, spec, t_f: int,
@@ -17,7 +16,6 @@ def ecm_study(base: EcmParams, n_models: int, fraction: float, spec, t_f: int,
     """``robustness_study`` of ``n_models`` ECMs, model k perturbed by the
     stream keyed (seed, k), replayed on the ECM with ``base`` from rest."""
     truth = EcmPlant(base)
-    batch = EcmEnsemble([perturb_params(base, fraction, (seed, k))
-                         for k in range(n_models)] + [base] * (n_models + 1))
-    return robustness_study(truth, batch, truth.initial_state(), spec, t_f,
+    models = [EcmPlant(perturb_params(base, fraction, (seed, k))) for k in range(n_models)]
+    return robustness_study(truth, models, truth.initial_state(), spec, t_f,
                             keep_series=keep_series)

@@ -23,7 +23,6 @@ import bangride
 from bangride import analysis, oracle, plant
 from bangride.analysis import (_min_norm_rows, attach_per_step_optima,
                                ct_ratio_sign_changes, ct_series, mu_star, regret)
-from bangride.models.ecm import EcmEnsemble
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
 from references import (ReferenceController, ct_diagnostic, min_norm_on_line_in_box,
@@ -104,6 +103,21 @@ def test_public_surface():
                 for name in names if name in {f.name for f in fields(record)}]
     assert "e_active" in {f.name for f in fields(Trajectory)}
     assert not re.search(r"\bdef weigh\b|spec\.gamma", inspect.getsource(plant.simulate))
+
+
+def test_cli_imports_no_model_module():
+    # montecarlo asks the scenario's plant for its perturbed family, so the
+    # commands name no concrete model
+    tree = ast.parse((Path(bangride.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):   # cli's relative imports are from bangride
+            base = ".".join(filter(None, ["bangride" if node.level else "", node.module]))
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+    assert "bangride.analysis.robustness_study" in imported
+    assert not [name for name in imported if name.startswith("bangride.models")]
 
 
 def resolves(path: str) -> bool:
@@ -632,9 +646,9 @@ class TestBatchedEnsemble:
     PARAMS = [perturb_params(EcmParams(**ECM_KW), 0.3, (11, k)) for k in range(6)]
 
     def study(self, t_f, x0, guard):
-        batch = EcmEnsemble(self.PARAMS + [self.BASE] * (len(self.PARAMS) + 1))
-        return analysis.robustness_study(EcmPlant(self.BASE), batch, x0, self.SPEC,
-                                         t_f, guard=guard)
+        return analysis.robustness_study(EcmPlant(self.BASE),
+                                         [EcmPlant(p) for p in self.PARAMS], x0,
+                                         self.SPEC, t_f, guard=guard)
 
     def scalar_runs(self, t_f, x0, guard):
         """The true oracle and, per member, the outcome built from its scalar
@@ -702,23 +716,22 @@ class TestBatchedEnsemble:
         x0 = EcmPlant(self.BASE).initial_state()
         with pytest.raises(SimulationDiverged) as ref:
             oracle_trajectory(EcmPlant(self.BASE), spec, 5, x0)
-        batch = EcmEnsemble([self.BASE] * 3)
         with pytest.raises(SimulationDiverged) as err:
-            analysis.robustness_study(EcmPlant(self.BASE), batch, x0, spec, 5)
+            analysis.robustness_study(EcmPlant(self.BASE), [EcmPlant(self.BASE)], x0,
+                                      spec, 5)
         assert (err.value.step, str(err.value)) == (ref.value.step, str(ref.value))
 
     def test_batch_layout_checked(self):
-        with pytest.raises(ConfigurationError, match="2M \\+ 1"):
-            analysis.robustness_study(EcmPlant(self.BASE), EcmEnsemble([self.BASE] * 4),
-                                      np.zeros(4), self.SPEC, 5)
+        truth = EcmPlant(self.BASE)
+        with pytest.raises(ConfigurationError, match="at least one model"):
+            analysis.robustness_study(truth, [], np.zeros(4), self.SPEC, 5)
         # the run checks of simulate, which the scalar oracle made
-        batch = EcmEnsemble([self.BASE] * 5)
+        models = [EcmPlant(self.BASE)] * 2
         with pytest.raises(ConfigurationError, match="t_f must be >= 0"):
-            analysis.robustness_study(EcmPlant(self.BASE), batch, np.zeros(4),
-                                      self.SPEC, -1)
+            analysis.robustness_study(truth, models, np.zeros(4), self.SPEC, -1)
         short = ConstraintSpec(y_bar=self.SPEC.y_bar[:2], gamma=self.SPEC.gamma[:2])
         with pytest.raises(ConfigurationError, match="3 outputs but spec has 2"):
-            analysis.robustness_study(EcmPlant(self.BASE), batch, np.zeros(4), short, 5)
+            analysis.robustness_study(truth, models, np.zeros(4), short, 5)
 
     def test_negative_slope_start_needs_no_selector(self, monkeypatch):
         # v1 < 0 makes the temperature quadratic's slope negative, where the

@@ -32,6 +32,7 @@ COMMANDS += [
 ]
 DIVERGING = ["simulate", "--config", "toy", "--steps", "5", "--gamma", "1e155,1e155"]
 USAGE_ERROR = ["simulate", "--config", "toy", "--frobnicate"]
+NO_FAMILY = ["montecarlo", "--config", "spmet", "--steps", "30"]   # PlantModel.perturbed
 
 
 def defined_functions() -> dict[tuple[str, types.CodeType], str]:
@@ -75,7 +76,8 @@ def test_every_src_function_serves_a_command(tmp_path, capsys):
         if event == "call":
             called.add((frame.f_code.co_filename, frame.f_code))
 
-    runs = [(argv, 0) for argv in COMMANDS] + [(DIVERGING, 2), (USAGE_ERROR, 1)]
+    runs = [(argv, 0) for argv in COMMANDS] + [(DIVERGING, 2), (USAGE_ERROR, 1),
+                                               (NO_FAMILY, 1)]
     previous = sys.getprofile()
     sys.setprofile(collect)
     try:

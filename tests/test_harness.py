@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import math
@@ -20,8 +21,7 @@ from bangride.cli import main
 from bangride.config import (MODEL_NAMES, ScenarioConfig, build_scenario,
                              load_scenario, params_path, save_scenario,
                              scenario_hash)
-from bangride.csvio import (read_trajectory_csv, trajectory_header, write_gap_csv,
-                            write_trajectory_csv)
+from bangride.csvio import trajectory_header, write_gap_csv, write_trajectory_csv
 from bangride.plant import Trajectory
 from bangride.svg import emit_svg, quantity_series
 from references import plain_gap_csv, plain_trajectory_csv, plain_x_template
@@ -116,6 +116,16 @@ class TestScenarioConfig:
         cfg.y_bar = (10.0, 12.0)
         with pytest.raises(ConfigurationError):
             build_scenario(cfg)
+
+
+def read_trajectory_csv(path) -> dict[str, list[float | None]]:
+    """A trajectory CSV's columns by name, every row as wide as the header;
+    empty cells map to None."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows and {len(row) for row in rows} == {len(header)}
+    return {name: [None if cell == "" else float(cell) for cell in column]
+            for name, column in zip(header, zip(*rows))}
 
 
 class TestTrajectoryCsv:
@@ -387,11 +397,19 @@ class TestCli:
     @pytest.mark.parametrize("args", [["--config", "toy"],
                                       ["--config", "ecm", "--models", "0"],
                                       ["--config", "ecm", "--fraction", "1.5"],
-                                      ["--config", "ecm", "--gamma", "a,b"]])
+                                      ["--config", "ecm", "--gamma", "a,b"],
+                                      ["--config", "spmet"],
+                                      ["--config", "pack"]])
     def test_rejected_montecarlo_writes_nothing(self, args, tmp_path):
         out = tmp_path / "mc"
         assert main(["montecarlo", *args, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, plant", [("spmet", "SpmetPlant"), ("pack", "PackPlant"),
+                                               ("toy", "ToyLinearPlant")])
+    def test_montecarlo_names_a_plant_without_family(self, config, plant, tmp_path, capsys):
+        assert main(["montecarlo", "--config", config, "--out", str(tmp_path / "mc")]) == 1
+        assert capsys.readouterr().err == f"error: {plant} has no perturbed family\n"
 
     # SHA-256 of oracle.csv for the packaged scenarios. The oracle runs use
     # only + - * / and sqrt, and the pack's summary channels add numpy sums,

@@ -394,6 +394,29 @@ class TestDivergenceGuard:
                                       "squared active error overflowed")
 
 
+class LongToy(ToyLinearPlant):
+    """The toy, with one value too many in its outputs or in its next state:
+    a plant that breaks the vector-state rule's lengths."""
+
+    def __init__(self, extra: str):
+        super().__init__()
+        self.extra = extra
+
+    def advance(self, state, u):
+        y, x = super().advance(state, u)
+        return (y + [123.0], x) if self.extra == "outputs" else (y, x + [99.0])
+
+
+@pytest.mark.parametrize("extra", ["outputs", "state"])
+@pytest.mark.parametrize("kind", ["closed-loop", "oracle"])
+def test_wrong_length_values_rejected(kind, extra):
+    # the values are copied flat into the columns after the loop: a count
+    # that does not fit the steps names the plant, not shifted rows
+    with pytest.raises(ConfigurationError, match=r"^LongToy\.advance returned values "
+                                                 r"of the wrong length"):
+        faulty_run(kind, LongToy(extra))
+
+
 class Growth(PlantModel):
     """x' = g*x + u with outputs (u, c*x): the state passes a guard first
     when g is large, the outputs when c is."""

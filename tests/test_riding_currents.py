@@ -83,11 +83,11 @@ def test_nan_root_fails_the_step(monkeypatch):
         oracle_trajectory(cell, spec, 100, x0)
     assert 0 < exc.value.step < 100
 
-    # the study's batch: the three models, then four copies of the base cell
+    # the study's batch, which the base cell builds as an EcmEnsemble
     ensemble_hook = EcmEnsemble.riding_currents
     monkeypatch.setattr(EcmEnsemble, "riding_currents", lambda self, x, y_bar: broken(
         ensemble_hook(self, x, y_bar), self._r_o, x[:, 2]))
-    result = robustness_study(EcmPlant(ECM_BASE), EcmEnsemble(params + [ECM_BASE] * 4),
+    result = robustness_study(EcmPlant(ECM_BASE), [EcmPlant(p) for p in params],
                               x0, spec, 100)
     outcomes = result.stats.outcomes
     assert [o.diverged for o in outcomes] == [False, True, False]
