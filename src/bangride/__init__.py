@@ -9,14 +9,19 @@ quantifies regret and robustness.
 
 __version__ = "0.1.0"
 
+import functools
+
+from . import models
 from .controller import ConstraintSpec, ControllerState, project_box, step_size
 from .errors import (BangrideError, ConfigurationError, PotentialDomainError,
                      RootFindingError, SimulationDiverged)
 from .oracle import RootConfig, oracle_trajectory
 from .plant import (MonotonicityReport, PlantModel, Trajectory, run_closed_loop,
                     simulate, validate_monotonicity)
-from .models import (EcmParams, EcmPlant, PackParams, PackPlant, SpmetParams,
-                     SpmetPlant, ToyLinearPlant, perturb_params)
+
+# the plant names resolve through bangride.models, which imports each plant's
+# module on first use
+__getattr__ = functools.partial(models.__getattr__, module=__name__)
 
 __all__ = [
     "__version__",
@@ -26,6 +31,5 @@ __all__ = [
     "PlantModel", "Trajectory", "MonotonicityReport", "simulate",
     "run_closed_loop", "validate_monotonicity",
     "RootConfig", "oracle_trajectory",
-    "ToyLinearPlant", "EcmParams", "EcmPlant", "perturb_params",
-    "SpmetParams", "SpmetPlant", "PackParams", "PackPlant",
+    *models.__all__,
 ]

@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
     mc.add_argument("--jobs", type=int, default=1,
                     help="ignored: every model runs in one batch; "
                          "accepted so that older command lines still parse")
-    common(sub.add_parser("regret", help="step-size-exponent sweep on the toy plant"),
+    common(sub.add_parser("regret", help="step-size-exponent sweep on the "
+                                         "scenario's plant (toy by default)"),
            config_required=False)
     sub.add_parser("validate", help="monotonicity and invariant suite")
     return parser

@@ -8,11 +8,8 @@ default. Parameter files hold one section per model with units in comments,
 each value read as the type its model class declares. Both formats are plain
 INI, hand-editable and diff-friendly; configs round-trip (serialize -> parse)
 to the identical dataclass. ``build_scenario`` checks every setting, so a
-command rejects a scenario before it writes anything.
-
-The packaged defaults (``spmet``, ``ecm``, ``pack``, ``toy-linear``) live in
-``bangride/data`` and can be referenced by bare name wherever a path is
-accepted.
+command rejects a scenario before it writes anything, and imports only the
+plant module its scenario names (``PLANTS``).
 """
 
 from __future__ import annotations
@@ -28,15 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import models
 from .controller import (DEFAULT_THETA0, DEFAULT_THETA_HI, DEFAULT_THETA_LO,
                          ConstraintSpec, ControllerState)
 from .errors import ConfigurationError
-from .models import (EcmParams, EcmPlant, PackParams, PackPlant, SpmetParams,
-                     SpmetPlant, ToyLinearPlant)
 from .oracle import RootConfig
 from .plant import PlantModel
-
-MODEL_NAMES = ("spmet", "ecm", "pack", "toy-linear")
 
 
 @dataclass
@@ -224,16 +218,36 @@ def _params(make, path, section: str, **given):
         raise ConfigurationError(f"{path}: [{section}] {exc}") from exc
 
 
-def load_spmet_params(path) -> SpmetParams:
-    return _params(SpmetParams, path, "spmet")
+def load_spmet_params(path) -> models.SpmetParams:
+    return _params(models.SpmetParams, path, "spmet")
 
 
-def load_ecm_params(path) -> EcmParams:
-    return _params(EcmParams, path, "ecm")
+def load_ecm_params(path) -> models.EcmParams:
+    return _params(models.EcmParams, path, "ecm")
 
 
-def load_pack_params(path) -> PackParams:
-    return _params(PackParams, path, "pack", base=load_ecm_params(path))
+def _pack_plant(path) -> models.PackPlant:
+    params = _params(models.PackParams, path, "pack", base=load_ecm_params(path))
+    try:    # the varied cells are checked as the plant builds them
+        return models.PackPlant(params)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+# A scenario's ``model`` -> (its packaged parameter file, its plant built
+# from a parameter file). Each ``models.X`` imports only X's module, on first
+# use. The packaged scenarios are named ``spmet``, ``ecm``, ``pack`` and
+# ``toy`` (whose model is ``toy-linear``); each can be given by that bare
+# name wherever a scenario path is accepted.
+PLANTS = {
+    "spmet": ("params_spmet.cfg",
+              lambda path: models.SpmetPlant(load_spmet_params(path))),
+    "ecm": ("params_ecm.cfg", lambda path: models.EcmPlant(load_ecm_params(path))),
+    "pack": ("params_pack.cfg", _pack_plant),
+    "toy-linear": ("params_toy.cfg",
+                   lambda path: _params(models.ToyLinearPlant, path, "toy-linear")),
+}
+MODEL_NAMES = tuple(PLANTS)
 
 
 @dataclass
@@ -255,19 +269,8 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     checked here, the controller's included, so a scenario that builds runs."""
     if cfg.t_f < 0 or cfg.seed < 0:
         raise ConfigurationError(f"t_f and seed must be >= 0, got {cfg.t_f}, {cfg.seed}")
-    if cfg.model == "spmet":
-        model = SpmetPlant(load_spmet_params(params_path(cfg, "params_spmet.cfg")))
-    elif cfg.model == "ecm":
-        model = EcmPlant(load_ecm_params(params_path(cfg, "params_ecm.cfg")))
-    elif cfg.model == "pack":
-        params = load_pack_params(path := params_path(cfg, "params_pack.cfg"))
-        try:    # the varied cells are checked as the plant builds them
-            model = PackPlant(params)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-    else:
-        model = _params(ToyLinearPlant, params_path(cfg, "params_toy.cfg"),
-                        "toy-linear")
+    packaged, plant = PLANTS[cfg.model]
+    model = plant(params_path(cfg, packaged))
     if cfg.model == "pack":
         if len(cfg.y_bar) != 3 or len(cfg.gamma) != 4:
             raise ConfigurationError("pack expects 3 family bounds (u, cell V, cell dT) "

@@ -1,0 +1,67 @@
+"""The package's import surface: a command loads only its scenario's plant
+module, and the plant names resolve on first use to their defining modules."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bangride
+import bangride.models
+
+SRC = str(Path(bangride.__file__).parents[1])
+
+# what a command's set-up imports, then the plant modules it has loaded
+SETUP = """
+import sys
+import bangride.cli
+from bangride.config import build_scenario, load_scenario
+build_scenario(load_scenario(sys.argv[1]))
+print(" ".join(sorted(name.rpartition(".")[2] for name in sys.modules
+                      if name.startswith("bangride.models."))))
+"""
+
+
+@pytest.mark.parametrize("scenario, loaded", [
+    ("toy", "toy"), ("spmet", "spmet"), ("ecm", "ecm"),
+    ("pack", "ecm pack"),      # the pack stacks ECM cells
+])
+def test_a_scenario_loads_only_its_plant_module(scenario, loaded):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SETUP, scenario],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == loaded.split()
+
+
+def test_plant_names_are_their_defining_modules_objects():
+    for package in (bangride, bangride.models):
+        for name in set(package.__all__) - {"__version__"}:
+            value = getattr(package, name)
+            assert value is getattr(sys.modules[value.__module__], name), name
+    assert bangride.EcmPlant is bangride.models.ecm.EcmPlant
+    assert bangride.models.PackParams is bangride.models.pack.PackParams
+    assert set(bangride.models.__all__) <= set(bangride.__all__)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from bangride import *", namespace)
+    assert [name for name in bangride.__all__ if name not in namespace] == []
+    assert namespace["SpmetPlant"] is bangride.models.spmet.SpmetPlant
+
+
+@pytest.mark.parametrize("package", [bangride, bangride.models])
+def test_unknown_name_names_the_package_it_was_looked_up_on(package):
+    with pytest.raises(AttributeError) as info:
+        package.Nope
+    assert str(info.value) == f"module {package.__name__!r} has no attribute 'Nope'"
+    assert not hasattr(package, "nope")
+
+
+def test_importing_an_unknown_name_is_an_import_error():
+    with pytest.raises(ImportError, match="Nope"):
+        from bangride import Nope  # noqa: F401
