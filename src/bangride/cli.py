@@ -106,7 +106,7 @@ def _maybe_attach_jstar(traj, built: BuiltScenario):
     if not built.cfg.compute_jstar:
         return traj
     return attach_per_step_optima(traj, built.model, built.spec,
-                                  built.cfg.theta_lo, built.cfg.theta_hi)
+                                  built.controller.theta_lo, built.controller.theta_hi)
 
 
 def _emit_plots(out: Path, entries) -> None:
@@ -213,7 +213,7 @@ def cmd_regret(args) -> int:
         traj = run_closed_loop(built.model, controller, built.spec,
                                built.cfg.t_f, built.x0)
         traj = attach_per_step_optima(traj, built.model, built.spec,
-                                      built.cfg.theta_lo, built.cfg.theta_hi)
+                                      controller.theta_lo, controller.theta_hi)
         report = regret(traj, mu1)
         ct = ct_series(traj, built.model, built.spec)
         rows.append({

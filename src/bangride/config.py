@@ -9,7 +9,8 @@ each value read as the type its model class declares. Both formats are plain
 INI, hand-editable and diff-friendly; configs round-trip (serialize -> parse)
 to the identical dataclass. ``build_scenario`` checks every setting, so a
 command rejects a scenario before it writes anything, and imports only the
-plant module its scenario names (``PLANTS``).
+plant module its scenario names (``PLANTS``), whose plant states its own
+bounds and start.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import models
 from .controller import (DEFAULT_THETA0, DEFAULT_THETA_HI, DEFAULT_THETA_LO,
@@ -265,26 +264,15 @@ class BuiltScenario:
 
 
 def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
-    """The plant, constraints and start state of ``cfg``. Every setting is
+    """The plant of ``cfg``, with the constraints and start state it states
+    (``PlantModel.constraints``, ``initial_state()``). Every setting is
     checked here, the controller's included, so a scenario that builds runs."""
     if cfg.t_f < 0 or cfg.seed < 0:
         raise ConfigurationError(f"t_f and seed must be >= 0, got {cfg.t_f}, {cfg.seed}")
     packaged, plant = PLANTS[cfg.model]
     model = plant(params_path(cfg, packaged))
-    if cfg.model == "pack":
-        if len(cfg.y_bar) != 3 or len(cfg.gamma) != 4:
-            raise ConfigurationError("pack expects 3 family bounds (u, cell V, cell dT) "
-                                     "in y_bar, 4 weights (u, V, dT, pair dT) in gamma")
-        spec = model.build_constraints(*cfg.y_bar, *cfg.gamma)
-    else:
-        p = model.output_count
-        if len(cfg.y_bar) != p or len(cfg.gamma) != p:
-            raise ConfigurationError(
-                f"{cfg.model} expects {p} bounds in y_bar and {p} weights in "
-                f"gamma, got {len(cfg.y_bar)} and {len(cfg.gamma)}")
-        spec = ConstraintSpec(y_bar=np.array(cfg.y_bar), gamma=np.array(cfg.gamma))
-    x0 = (model.initial_state(stoich=model.params.theta_1) if cfg.model == "spmet"
-          else model.initial_state())
+    spec = model.constraints(cfg.y_bar, cfg.gamma)
+    x0 = model.initial_state()
     controller = ControllerState(theta=cfg.theta0, theta_lo=cfg.theta_lo,
                                  theta_hi=cfg.theta_hi, mu1=cfg.mu1, grad_clip=cfg.grad_clip)
     return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,

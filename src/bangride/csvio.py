@@ -9,7 +9,6 @@ analysis disabled).
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,16 @@ def trajectory_header(traj: Trajectory) -> list[str]:
                                "alpha", "J", "J_star"]
 
 
-def _write_rows(path: Path, header: list[str], columns: list) -> Path:
+def _write_lines(path, header: list[str], lines) -> Path:
+    """The header row, then ``lines``; every CSV file is written here."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+    return path
+
+
+def _write_rows(path, header: list[str], columns: list) -> Path:
     """Header, then one row per entry of the columns. Each column is a
     ``(format, values)`` pair of an array or a list; a None column is an
     empty cell in every row. Each row is one ``%`` format of a template that
@@ -50,10 +58,7 @@ def _write_rows(path: Path, header: list[str], columns: list) -> Path:
     template = ",".join("" if values is None else fmt for fmt, values in columns) + "\n"
     rows = zip(*[values if isinstance(values, list) else values.tolist()
                  for _, values in columns if values is not None])
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(template.__mod__, rows))
-    return path
+    return _write_lines(path, header, map(template.__mod__, rows))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
@@ -67,7 +72,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
         if np.array_equal(traj.y[:, 0].view(np.int64), traj.u.view(np.int64)):
             u = mid[0] = ("%s", [NUM % v for v in traj.u.tolist()])
     theta = (None, None) if traj.theta is None else traj.theta.T
-    return _write_rows(Path(path), trajectory_header(traj),
+    return _write_rows(path, trajectory_header(traj),
                        [("%d", np.arange(len(traj))), u, *mid, (NUM, traj.e_active),
                         ("%d", traj.i_star)]
                        + [(NUM, c) for c in (*theta, traj.alpha, traj.J, traj.J_star)])
@@ -78,39 +83,26 @@ def write_gap_csv(free: Trajectory, oracle: Trajectory, path) -> Path:
     if len(free) != len(oracle):
         raise ConfigurationError("gap CSV needs runs over the same horizon")
     columns = (free.u, oracle.u, free.u - oracle.u)
-    return _write_rows(Path(path), ["t", "u_free", "u_oracle", "gap"],
+    return _write_rows(path, ["t", "u_free", "u_oracle", "gap"],
                        [("%d", np.arange(len(free)))] + [(NUM, c) for c in columns])
 
 
 def write_montecarlo_summary(stats, path) -> Path:
     """Per-model robustness outcomes; deterministic for a fixed seed."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_index", "diverged", "any_violation",
-                         "violation_steps", "depth_current", "depth_voltage",
-                         "depth_temperature", "suboptimality"])
-        for o in stats.outcomes:
-            if o.diverged:
-                writer.writerow([o.index, 1, "", "", "", "", "", ""])
-                continue
-            writer.writerow([o.index, 0, int(o.violation_steps > 0), o.violation_steps,
-                             _num(o.max_depth[0]), _num(o.max_depth[1]),
-                             _num(o.max_depth[2]), _num(o.suboptimality)])
-    return path
+    return _write_lines(path, ["model_index", "diverged", "any_violation",
+                               "violation_steps", "depth_current", "depth_voltage",
+                               "depth_temperature", "suboptimality"],
+                        [f"{o.index},1,,,,,,\n" if o.diverged else
+                         f"{o.index},0,{int(o.violation_steps > 0)},{o.violation_steps},"
+                         f"{_num(o.max_depth[0])},{_num(o.max_depth[1])},"
+                         f"{_num(o.max_depth[2])},{_num(o.suboptimality)}\n"
+                         for o in stats.outcomes])
 
 
 def write_regret_csv(rows: list[dict], path) -> Path:
     """Summary rows of the step-size-exponent sweep."""
-    path = Path(path)
-    fields = ["mu1", "total_regret", "tail_slope", "converged",
-              "gap_tail_mean", "mu2_hat", "mu_star_ref", "ct_sign_changes"]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_num(row["mu1"]), _num(row["total_regret"]),
-                             _num(row["tail_slope"]), int(row["converged"]),
-                             _num(row["gap_tail_mean"]), _num(row["mu2_hat"]),
-                             _num(row["mu_star_ref"]), str(row["ct_sign_changes"])])
-    return path
+    return _write_lines(path, ["mu1", "total_regret", "tail_slope", "converged",
+                               "gap_tail_mean", "mu2_hat", "mu_star_ref", "ct_sign_changes"],
+                        [f"{_num(r['mu1'])},{_num(r['total_regret'])},{_num(r['tail_slope'])},"
+                         f"{int(r['converged'])},{_num(r['gap_tail_mean'])},{_num(r['mu2_hat'])},"
+                         f"{_num(r['mu_star_ref'])},{r['ct_sign_changes']}\n" for r in rows])

@@ -14,7 +14,8 @@ R2, C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
 temperatures into the pack's one output vector, and the coupling is added
 once to those temperatures and once to the next states.
 
-Output layout of ``PackPlant.advance`` (1-based constraint indices):
+Output layout of ``PackPlant.advance`` (1-based constraint indices), whose
+families ``PackPlant.constraints`` gives one bound and one weight each:
 
     1                 current u
     2     .. N+1      per-cell voltage readout K.x_i + u
@@ -200,19 +201,16 @@ class PackPlant(PlantModel):
                 "t_min": td_min + p.t_ambient, "dt_max": td_max - td_min,
                 "soc": soc}
 
-    def build_constraints(self, u_max: float, v_cell_max: float,
-                          temp_dev_max: float,
-                          gamma_current: float = 1.0,
-                          gamma_voltage: float = 1.0,
-                          gamma_temp: float = 500.0,
-                          gamma_pair: float = 500.0) -> ConstraintSpec:
-        """Bound/weight families for this pack's output layout."""
-        n = self.n_cells
-        y_bar = np.concatenate([[u_max], np.full(n, v_cell_max),
-                                np.full(n, temp_dev_max), [self.params.dt_pair_max]])
-        gamma = np.concatenate([[gamma_current], np.full(n, gamma_voltage),
-                                np.full(n, gamma_temp), [gamma_pair]])
-        return ConstraintSpec(y_bar=y_bar, gamma=gamma)
+    def constraints(self, y_bar, gamma) -> ConstraintSpec:
+        """y_bar's family bounds (u, cell V, cell dT; the spread's is
+        ``dt_pair_max``) and gamma's family weights (u, V, dT, pair dT), each
+        repeated over its family's outputs."""
+        if len(y_bar) != 3 or len(gamma) != 4:
+            raise ConfigurationError("pack expects 3 family bounds (u, cell V, cell dT) "
+                                     "in y_bar, 4 weights (u, V, dT, pair dT) in gamma")
+        counts = (1, self.n_cells, self.n_cells, 1)
+        return ConstraintSpec(y_bar=np.repeat([*y_bar, self.params.dt_pair_max], counts),
+                              gamma=np.repeat(gamma, counts))
 
 
 def spread_root(alpha: np.ndarray, beta: np.ndarray, bound: float) -> float:

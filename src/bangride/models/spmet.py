@@ -165,11 +165,11 @@ class SpmetPlant(PlantModel):
         p = self.params
         return du + k * math.asinh(u / p.bv_scale) + (p.film_res * u + log_term)
 
-    def initial_state(self, stoich: float = 0.1) -> np.ndarray:
+    def initial_state(self, stoich: float | None = None) -> np.ndarray:
         """Rested state at ambient temperature and the given
-        negative-particle stoichiometry."""
+        negative-particle stoichiometry, by default ``theta_1`` (SOC 0)."""
         p = self.params
-        c0 = stoich * p.c_max
+        c0 = (p.theta_1 if stoich is None else stoich) * p.c_max
         return np.array([c0, c0, p.ce_rest_neg, p.ce_rest_pos, p.t_ambient])
 
     def advance(self, state, u: float):

@@ -9,6 +9,8 @@ closed form or by Newton steps; ``riding_rows`` is its row form. States
 are numeric values that only the concrete models interpret; a single cell
 steps its vector state as Python float lists (the vector-state rule of
 ``PlantModel.advance``), the pack its (N, 4) state as numpy arrays.
+A plant also gives a scenario its ``ConstraintSpec`` (``constraints``) and
+its start state (``initial_state()``, with no argument).
 
 ``simulate`` steps any plant under a policy (a ``control`` and an
 ``observe`` callback) in one loop, with one ``advance`` call per step, and
@@ -44,7 +46,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .controller import ConstraintSpec, ControllerState
-from .errors import ConfigurationError, SimulationDiverged
+from .errors import ConfigurationError, PotentialDomainError, SimulationDiverged
 
 DEFAULT_GUARD = 1e9
 
@@ -57,9 +59,21 @@ class PlantModel(abc.ABC):
     place where a plant computes its outputs, and ``riding_currents``, the
     roots the oracle and the per-step optima read. ``output_rows``,
     ``riding_rows`` and ``telemetry`` are overridable fast paths.
+    ``constraints`` and ``initial_state()`` (no argument) give a scenario
+    its bounds and start state.
     """
 
     output_count: int
+
+    def constraints(self, y_bar, gamma) -> ConstraintSpec:
+        """The scenario's ``ConstraintSpec``: one bound and one weight per
+        output, which a plant with output families (the pack) overrides."""
+        p = self.output_count
+        if len(y_bar) != p or len(gamma) != p:
+            raise ConfigurationError(
+                f"{type(self).__name__} expects {p} bounds in y_bar and {p} weights in "
+                f"gamma, got {len(y_bar)} and {len(gamma)}")
+        return ConstraintSpec(y_bar=y_bar, gamma=gamma)
 
     @abc.abstractmethod
     def advance(self, state, u: float) -> tuple[Any, Any]:
@@ -184,7 +198,8 @@ class Trajectory:
         weighted errors must be finite, and its active error must square by
         Python's ``**``, which raises on overflow where numpy gives inf. The
         first row that fails raises ``SimulationDiverged`` at its step; then
-        ``failure``, the run's own error, is raised if one is given.
+        ``failure``, the run's own error, if one is given: a plant's
+        ``PotentialDomainError`` as ``SimulationDiverged`` at step ``steps``.
         """
         e = spec.y_bar - y[:steps]
         e *= spec.gamma     # in place: no second (n, p) temporary
@@ -202,6 +217,8 @@ class Trajectory:
                     v ** 2
                 except OverflowError:   # |e_active| above about 1.3e154
                     raise SimulationDiverged(t, "squared active error overflowed") from None
+        if isinstance(failure, PotentialDomainError):   # the plant left its domain
+            raise SimulationDiverged(steps, str(failure)) from failure
         if failure is not None:
             raise failure
         return cls(u=u, y=y, e_active=e_active, i_star=i_star, J=J, states=states,

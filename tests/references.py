@@ -611,8 +611,8 @@ class AllPairsPack(PackPlant):
                            (beta[:, None] - beta)[self._off], y_bar[2 * n + 1:])
         return np.concatenate([super().riding_currents(state, y_bar)[:2 * n + 1], pairs])
 
-    def build_constraints(self, *args, **kwargs) -> ConstraintSpec:
-        spec, n = super().build_constraints(*args, **kwargs), self.n_cells
+    def constraints(self, y_bar, gamma) -> ConstraintSpec:
+        spec, n = super().constraints(y_bar, gamma), self.n_cells
         counts = [1] * (2 * n + 1) + [n * (n - 1)]
         return ConstraintSpec(y_bar=np.repeat(spec.y_bar, counts),
                               gamma=np.repeat(spec.gamma, counts))

@@ -265,8 +265,7 @@ def test_c10_pack_constraints(scenarios, oracle_runs):
                             k_right=8e-5, dt_pair_max=pair_max,
                             cell_variation=0.3, variation_seed=11)
         plant = layout(params)
-        spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
-                                       temp_dev_max=35.0)
+        spec = plant.constraints((10.0, 12.0, 35.0), (1.0, 1.0, 500.0, 500.0))
         run = oracle_trajectory(plant, spec, 400, plant.initial_state())
         return [constraint_label(plant, i) for i in run.i_star], run.u
 
@@ -310,7 +309,7 @@ def test_c11_oracle_grid_equivalence(scenarios):
     params = PackParams(base=base, n_cells=3, k_left=8e-5, k_right=8e-5,
                         dt_pair_max=5.0, cell_variation=0.3, variation_seed=11)
     pack = PackPlant(params)
-    pspec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
+    pspec = pack.constraints((10.0, 12.0, 35.0), (1.0, 1.0, 500.0, 500.0))
     kt, bt = 1.0 - base.a * base.dt, base.b * base.dt
     cl = cr = 8e-5 * base.dt
     x = pack.initial_state()

@@ -155,7 +155,7 @@ def test_kernels_only_read_their_inputs():
     x = rng.uniform(0.0, 3.0, (6, 4))
     u = rng.uniform(0.0, 20.0, 6)
     y_bar = np.array([10.0, 4.0, 1.5])
-    spec = pack.build_constraints(u_max=10.0, v_cell_max=4.0, temp_dev_max=1.5)
+    spec = pack.constraints((10.0, 4.0, 1.5), (1.0, 1.0, 500.0, 500.0))
     kept = x.copy(), u.copy(), y_bar.copy(), spec.y_bar.copy()
 
     def twice(call):

@@ -120,6 +120,17 @@ def test_cli_imports_no_model_module():
     assert not [name for name in imported if name.startswith("bangride.models")]
 
 
+def test_config_compares_no_model_name():
+    # the plant states its own bounds and start, so building a scenario
+    # branches on no plant
+    tree = ast.parse((Path(bangride.__file__).parent / "config.py").read_text(encoding="utf-8"))
+    compared = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(side, ast.Attribute) and side.attr == "model"
+                        and isinstance(side.value, ast.Name) and side.value.id == "cfg"
+                        for side in (node.left, *node.comparators))]
+    assert compared == []
+
+
 def resolves(path: str) -> bool:
     """A dotted path names a module, or an attribute of its longest
     importable prefix."""

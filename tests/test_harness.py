@@ -117,6 +117,26 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("name, plant", [("ecm", "EcmPlant"), ("spmet", "SpmetPlant"),
+                                             ("toy", "ToyLinearPlant")])
+    def test_count_mismatch_names_the_plant_class(self, name, plant, scenarios):
+        p = scenarios[name].model.output_count
+        message = (f"^{plant} expects {p} bounds in y_bar and {p} weights in gamma, "
+                   f"got {p + 1} and {p}$")
+        with pytest.raises(ConfigurationError, match=message):
+            scenarios[name].model.constraints((1.0,) * (p + 1), (1.0,) * p)
+        cfg = replace(load_scenario(name), y_bar=(1.0,) * (p + 1))
+        with pytest.raises(ConfigurationError, match=message):
+            build_scenario(cfg)
+
+    def test_pack_count_mismatch_names_its_families(self, scenarios):
+        message = (r"^pack expects 3 family bounds \(u, cell V, cell dT\) in y_bar, "
+                   r"4 weights \(u, V, dT, pair dT\) in gamma$")
+        with pytest.raises(ConfigurationError, match=message):
+            scenarios["pack"].model.constraints((10.0, 12.0), (1.0, 1.0, 500.0, 500.0))
+        with pytest.raises(ConfigurationError, match=message):
+            build_scenario(replace(load_scenario("pack"), gamma=(1.0, 1.0, 500.0)))
+
 
 def read_trajectory_csv(path) -> dict[str, list[float | None]]:
     """A trajectory CSV's columns by name, every row as wide as the header;
@@ -612,6 +632,18 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: simulation diverged at step 0: non-finite weighted errors\n")
+
+    def test_plant_leaving_its_domain_exits_2_at_its_step(self, tmp_path, capsys):
+        # a low voltage bound and the largest gains drive the SPMeT's
+        # electrolyte concentrations negative within a few steps
+        path = tmp_path / "domain.cfg"
+        save_scenario(replace(load_scenario("spmet"), y_bar=(56.3739, 3.0),
+                              theta0=(10.0, 1.0)), path)
+        assert main(["simulate", "--config", str(path), "--gamma", "1,100", "--steps", "10",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: simulation diverged at step 6: delta_phi_e: "
+            "non-positive electrolyte concentration")
 
     def test_gamma_override_changes_run(self, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"

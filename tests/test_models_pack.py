@@ -129,7 +129,7 @@ class TestPackDynamics:
 
     def test_pack_voltage_summation_along_run(self):
         pack = make_pack(n=3, var=0.2, seed=9)
-        spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
+        spec = pack.constraints((10.0, 12.0, 35.0), (1.0, 1.0, 500.0, 500.0))
         traj = oracle_trajectory(pack, spec, 120, pack.initial_state())
         base = pack.params.base
         for t, u in enumerate(traj.u):
@@ -141,7 +141,7 @@ class TestPackDynamics:
     def test_summary_channels_match_each_step(self):
         # the whole-run columns against each step's own cell extrema and mean
         pack = make_pack(n=5, var=0.3, seed=4)
-        spec = pack.build_constraints(u_max=10.0, v_cell_max=12.0, temp_dev_max=35.0)
+        spec = pack.constraints((10.0, 12.0, 35.0), (1.0, 1.0, 500.0, 500.0))
         traj = oracle_trajectory(pack, spec, 80, pack.initial_state())
         tel, t_amb = traj.telemetry, pack.params.base.t_ambient
         for t in range(len(traj)):
@@ -187,8 +187,7 @@ class TestPairwiseModes:
             for layout in (AllPairsPack, PackPlant):
                 plant = make_pack(n=5, k=8e-5, var=0.3, seed=11, layout=layout,
                                   pair_max=pair_max)
-                spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
-                                               temp_dev_max=35.0)
+                spec = plant.constraints((10.0, 12.0, 35.0), (1.0, 1.0, 500.0, 500.0))
                 traj = oracle_trajectory(plant, spec, 400, plant.initial_state())
                 labels = [constraint_label(plant, i) for i in traj.i_star]
                 results[layout] = (labels, traj.u)

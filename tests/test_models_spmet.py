@@ -78,6 +78,13 @@ class TestSpmetOutputs:
         assert x[1] == pytest.approx(0.1 * params.c_max)
         assert plant.soc(x) == pytest.approx(0.0, abs=1e-15)
 
+    def test_default_start_is_soc_zero_of_its_params(self, params):
+        # the start follows theta_1, not the packaged value 0.1
+        plant = SpmetPlant(replace(params, theta_1=0.2))
+        x = plant.initial_state()
+        assert x[0] == x[1] == 0.2 * params.c_max
+        assert plant.soc(x) == pytest.approx(0.0, abs=1e-15)
+
     def test_soc_affine_increasing_in_average_concentration(self, plant, params):
         span = params.theta_2 - params.theta_1
         c_grid = np.linspace(0.1, 0.9, 9) * params.c_max

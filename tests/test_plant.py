@@ -833,12 +833,16 @@ class TestEarliestFailure:
         value, message = self.FIRST[first]
         errors = np.zeros((6, 2))
         errors[3, 0] = math.nan     # outputs (NaN, 0): the guard fails
-        # step 3 alone fails its own way
-        with pytest.raises(PotentialDomainError if then == "plant error"
-                           else SimulationDiverged) as err:
+        # step 3 alone fails its own way; the plant's domain error diverges there
+        with pytest.raises(SimulationDiverged) as err:
             self.run(errors, then, form)
+        assert err.value.step == 3
         if then == "guard":
             assert str(err.value) == "simulation diverged at step 3: non-finite outputs"
+        else:
+            assert isinstance(err.value.__cause__, PotentialDomainError)
+            assert str(err.value) == ("simulation diverged at step 3: "
+                                      "advance: outside its domain at step 3")
         errors[2, 1] = value
         with pytest.raises(SimulationDiverged) as err:
             self.run(errors, then, form)

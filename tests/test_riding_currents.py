@@ -262,8 +262,7 @@ def test_pack_spread_closed_form_matches_all_pairs_bisection(scenarios):
         plant = layout(PackParams(base=base, n_cells=5, k_left=8e-5,
                                   k_right=8e-5, dt_pair_max=0.5,
                                   cell_variation=0.3, variation_seed=11))
-        spec = plant.build_constraints(u_max=10.0, v_cell_max=12.0,
-                                       temp_dev_max=35.0)
+        spec = plant.constraints((10.0, 12.0, 35.0), (1.0, 1.0, 500.0, 500.0))
         model = bisection_only(plant) if name == "bisection" else plant
         run = oracle_trajectory(model, spec, 400, plant.initial_state())
         runs[name] = ([constraint_label(plant, i) for i in run.i_star], run.u)
