@@ -27,7 +27,7 @@ import numpy as np
 from .controller import ConstraintSpec, project_box
 from .errors import ConfigurationError, RootFindingError, SimulationDiverged
 from .oracle import RootConfig, selector_rows
-from .plant import DEFAULT_GUARD, PlantModel, Trajectory, check_run, simulate_batch
+from .plant import PlantModel, Trajectory, check_run, simulate_batch
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +218,13 @@ def regret(trajectory: Trajectory, mu1: float) -> RegretReport:
 # ---------------------------------------------------------------------------
 # gradient and curvature diagnostics
 
+CT_DELTA = 1e-5     # the central-difference half-step of c_t in u [A]
 
-def ct_series(trajectory: Trajectory, model: PlantModel, spec: ConstraintSpec,
-              delta: float = 1e-5) -> np.ndarray:
+
+def ct_series(trajectory: Trajectory, model: PlantModel, spec: ConstraintSpec) -> np.ndarray:
     """c_t along a trajectory, at the realized states/inputs/active indices;
     entry t equals ``ct_diagnostic`` at step t bit for bit."""
-    index, states = trajectory.i_star - 1, trajectory.states
+    index, states, delta = trajectory.i_star - 1, trajectory.states, CT_DELTA
     hp = model.output_rows(states, trajectory.u + delta, index)
     hm = model.output_rows(states, trajectory.u - delta, index)
     return 2.0 * spec.gamma[index] * (hp - hm) / (2.0 * delta)
@@ -302,8 +303,8 @@ def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
 
 
 def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
-                     spec: ConstraintSpec, t_f: int, *, keep_series: bool = True,
-                     guard: float = DEFAULT_GUARD) -> RobustnessResult:
+                     spec: ConstraintSpec, t_f: int, *,
+                     keep_series: bool = True) -> RobustnessResult:
     """Ideal protocols from M models, replayed on the truth, in one lockstep
     pass.
 
@@ -316,13 +317,14 @@ def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
     the current that model k chose: it replays model k's protocol open loop
     on the truth. The last copy runs the true oracle, whose run equals
     ``oracle_trajectory(true_model, ...)`` column for column. A model whose
-    oracle or replay fails the guard is recorded as diverged, with the
-    failure that ``oracle_trajectory`` or ``replay_open_loop`` raises for it
-    alone (``tests/references.py``), and the others go on; a failing true
-    oracle raises the ``SimulationDiverged`` that ``oracle_trajectory``
-    raises. Violations and suboptimality are measured against the true
-    oracle; the objective and the recorded temperatures are ``true_model``'s
-    ``soc`` and ``temperature`` telemetry channels.
+    oracle or replay fails the guard (``plant.GUARD``) is recorded as
+    diverged, with the failure that ``oracle_trajectory`` or
+    ``replay_open_loop`` raises for it alone (``tests/references.py``), and
+    the others go on; a failing true oracle raises the ``SimulationDiverged``
+    that ``oracle_trajectory`` raises. Violations and suboptimality are
+    measured against the true oracle; the objective and the recorded
+    temperatures are ``true_model``'s ``soc`` and ``temperature`` telemetry
+    channels.
     """
     m = len(models)
     if m < 1:
@@ -350,8 +352,7 @@ def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
         u_models[t], u_true[t] = u[:m], u[-1]
         y_truth[t] = y[m:]
 
-    failures = simulate_batch(batch, t_f, np.tile(x0, (size, 1)), control,
-                              observe, guard=guard)
+    failures = simulate_batch(batch, t_f, np.tile(x0, (size, 1)), control, observe)
     # simulate's checks and failure; copies free the shared columns with the study
     failure = failures.get(2 * m)
     true_oracle = Trajectory.from_columns(

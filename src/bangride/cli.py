@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .analysis import (attach_per_step_optima, ct_ratio_sign_changes, ct_series,
                        regret, robustness_study)
-from .config import (BuiltScenario, build_scenario, load_scenario, parse_value,
-                     save_scenario)
+from .config import (SCENARIOS, BuiltScenario, build_scenario, load_scenario,
+                     parse_value, save_scenario)
 from .controller import project_box, step_size
 from .csvio import (GOLDEN_COLUMNS, write_gap_csv, write_montecarlo_summary,
                     write_regret_csv, write_trajectory_csv)
@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
 
     def common(p: argparse.ArgumentParser, config_required: bool = True):
         p.add_argument("--config", required=config_required,
-                       help="scenario file path or packaged name (spmet, ecm, pack, toy)")
+                       help=f"scenario file path or packaged name ({', '.join(SCENARIOS)})")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--steps", type=int, default=None, dest="steps",
@@ -247,7 +247,7 @@ def cmd_validate(args) -> int:
     # scenario actually visits (the difference outputs of a pack are
     # increasing in u only in the binding direction, which the operating
     # range selects)
-    for name in ("spmet", "ecm", "pack", "toy"):
+    for name in SCENARIOS:
         built = build_scenario(load_scenario(name))
         model = built.model
         ref = oracle_trajectory(model, built.spec, built.cfg.t_f, built.x0)
@@ -294,7 +294,7 @@ def cmd_validate(args) -> int:
 
     # config round-trips
     ok = True
-    for name in ("spmet", "ecm", "pack", "toy"):
+    for name in SCENARIOS:
         cfg = load_scenario(name)
         with tempfile.TemporaryDirectory() as tmp:
             save_scenario(cfg, Path(tmp) / "c.cfg")

@@ -108,8 +108,8 @@ def _data_path(name: str):
 
 
 def _find(name: str, packaged: str, what: str):
-    """The file ``name``, else the packaged data file ``packaged``."""
-    if Path(name).exists():
+    """The file ``name`` (not a directory), else the packaged data file ``packaged``."""
+    if Path(name).is_file():
         return Path(name)
     if _data_path(packaged).is_file():
         return _data_path(packaged)
@@ -235,9 +235,7 @@ def _pack_plant(path) -> models.PackPlant:
 
 # A scenario's ``model`` -> (its packaged parameter file, its plant built
 # from a parameter file). Each ``models.X`` imports only X's module, on first
-# use. The packaged scenarios are named ``spmet``, ``ecm``, ``pack`` and
-# ``toy`` (whose model is ``toy-linear``); each can be given by that bare
-# name wherever a scenario path is accepted.
+# use.
 PLANTS = {
     "spmet": ("params_spmet.cfg",
               lambda path: models.SpmetPlant(load_spmet_params(path))),
@@ -247,6 +245,8 @@ PLANTS = {
                    lambda path: _params(models.ToyLinearPlant, path, "toy-linear")),
 }
 MODEL_NAMES = tuple(PLANTS)
+# the packaged scenarios, each accepted by its bare name where a path is
+SCENARIOS = ("spmet", "ecm", "pack", "toy")
 
 
 @dataclass

@@ -76,8 +76,9 @@ class EcmPlant(PlantModel):
         self._kt = 1.0 - p.a * p.dt
         self._bt = p.b * p.dt
 
-    def initial_state(self, soc0: float = 0.0) -> np.ndarray:
-        return np.array([0.0, 0.0, float(soc0), 0.0])
+    def initial_state(self) -> np.ndarray:
+        """Rested and empty: no RC voltages, SOC 0, at ambient temperature."""
+        return np.zeros(4)
 
     def advance(self, state, u: float):
         v1, v2, soc, td = map(float, state)

@@ -95,10 +95,9 @@ class PackPlant(PlantModel):
     def n_cells(self) -> int:
         return self.params.n_cells
 
-    def initial_state(self, soc0: float = 0.0) -> np.ndarray:
-        x = np.zeros((self.n_cells, 4))
-        x[:, 2] = soc0
-        return x
+    def initial_state(self) -> np.ndarray:
+        """Every cell rested and empty, as ``EcmPlant.initial_state``."""
+        return np.zeros((self.n_cells, 4))
 
     def advance(self, state, u: float):
         n = self.n_cells

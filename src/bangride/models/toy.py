@@ -22,8 +22,8 @@ class ToyLinearPlant(PlantModel):
         self.a, self.b, self.c, self.d = float(a), float(b), float(c), float(d)
         self.output_count = int(p)
 
-    def initial_state(self, x0: float = 0.0) -> np.ndarray:
-        return np.array([float(x0)])
+    def initial_state(self) -> np.ndarray:
+        return np.zeros(1)
 
     def advance(self, state, u: float):
         x = float(state[0])

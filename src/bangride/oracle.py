@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .controller import ConstraintSpec
-from .plant import DEFAULT_GUARD, PlantModel, Trajectory, simulate
+from .plant import PlantModel, Trajectory, simulate
 
 
 class RootConfig:
@@ -69,8 +69,7 @@ def selector_rows(model, x: np.ndarray,
     return values[np.arange(len(x)), k], k
 
 
-def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
-                      guard: float = DEFAULT_GUARD) -> Trajectory:
+def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0) -> Trajectory:
     """Closed-loop run of the ideal bang-ride law u_t = min_i K_i(x_t).
 
     Records which constraint attained the minimum at every step and weighs
@@ -86,4 +85,4 @@ def oracle_trajectory(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
         u, i_star = _minimum(riding(x, y_bar), u_max)
         return u
 
-    return simulate(model, spec, t_f, x0, control, lambda t, y: i_star, guard=guard)
+    return simulate(model, spec, t_f, x0, control, lambda t, y: i_star)

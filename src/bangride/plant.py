@@ -15,12 +15,13 @@ its start state (``initial_state()``, with no argument).
 ``simulate`` steps any plant under a policy (a ``control`` and an
 ``observe`` callback) in one loop, with one ``advance`` call per step, and
 fills the columns of a ``Trajectory``; the state's shape picks only how
-values are tested against the guard and kept. A single cell's values are
-gathered in Python lists per step and copied into the columns once after the
-loop; the pack's state and output rows are written per step. The commands
-run two policies through it: the model-free controller
-(``run_closed_loop``), the one policy that weighs the errors step by step,
-and the oracle (``oracle.oracle_trajectory``).
+values are tested against the guard, ``GUARD``, and kept. A single cell's
+values are gathered in Python lists per step and copied into the columns once
+after the loop; the pack's state and output rows are written per step. The
+guard is one constant, which ``simulate`` and ``simulate_batch`` read at call
+time. The commands run two policies through ``simulate``: the model-free
+controller (``run_closed_loop``), the one policy that weighs the errors step
+by step, and the oracle (``oracle.oracle_trajectory``).
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
@@ -48,7 +49,8 @@ import numpy as np
 from .controller import ConstraintSpec, ControllerState
 from .errors import ConfigurationError, PotentialDomainError, SimulationDiverged
 
-DEFAULT_GUARD = 1e9
+GUARD = 1e9     # the magnitude past which an input, output or state diverges
+MONOTONICITY_DELTA = 1e-6     # validate_monotonicity's forward-difference step [A]
 
 
 class PlantModel(abc.ABC):
@@ -57,8 +59,11 @@ class PlantModel(abc.ABC):
     Subclasses set ``output_count`` and implement
     ``advance`` (a step's outputs and next state from one call), the one
     place where a plant computes its outputs, and ``riding_currents``, the
-    roots the oracle and the per-step optima read. ``output_rows``,
-    ``riding_rows`` and ``telemetry`` are overridable fast paths.
+    roots the oracle and the per-step optima read. ``riding_rows`` and
+    ``telemetry`` are overridable fast paths. A plant that the analysis layer
+    reads also defines ``output_rows(states, u, index)``, whose entry k is
+    ``advance(states[k], u[k])[0][index[k]]`` bit for bit (0-based output
+    positions; ``tests/references.py`` holds this loop).
     ``constraints`` and ``initial_state()`` (no argument) give a scenario
     its bounds and start state.
     """
@@ -78,7 +83,7 @@ class PlantModel(abc.ABC):
     @abc.abstractmethod
     def advance(self, state, u: float) -> tuple[Any, Any]:
         """One step: all p outputs h_i(x, u), index 0 holding y_1 = u, and the
-        next state f(x, u). The loops test the outputs against their guard
+        next state f(x, u). The loops test the outputs against ``GUARD``
         before the next state, so where the outputs fail it the next state
         may be non-finite, but its computation must not raise.
         The vector-state rule: a vector state comes as a float list or a 1-D
@@ -87,19 +92,6 @@ class PlantModel(abc.ABC):
         ``np.asarray`` for numpy arithmetic. Other states give arrays, which
         ``simulate`` tests as arrays. A batched model's
         ``advance`` (``simulate_batch``) must accept NaN rows."""
-
-    def output_rows(self, states: np.ndarray, u: np.ndarray,
-                    index: np.ndarray) -> np.ndarray:
-        """One output of each row: entry k is
-        ``advance(states[k], u[k])[0][index[k]]``, bit for bit.
-
-        Takes (n, *state_shape) states with (n,) inputs and 0-based output
-        positions. The default loops over ``advance``; an override must keep
-        the row-wise bit equality, which the analysis layer relies on to
-        match its scalar references exactly.
-        """
-        return np.array([self.advance(x, u_k)[0][i] for x, u_k, i
-                         in zip(states, u.tolist(), index.tolist())], dtype=float)
 
     @abc.abstractmethod
     def riding_currents(self, state, y_bar: np.ndarray) -> Any:
@@ -251,13 +243,12 @@ def check_run(model, spec: ConstraintSpec, t_f: int) -> None:
 @np.errstate(all="ignore")
 def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              control: Callable[[int, Any], float],
-             observe: Callable[[int, Any], int], *,
-             guard: float = DEFAULT_GUARD) -> Trajectory:
+             observe: Callable[[int, Any], int]) -> Trajectory:
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
     Per step: ``u = control(t, x)``, the outputs y and the next state from
     one ``model.advance(x, u)``, and ``i_star = observe(t, y)``. The input,
-    the outputs and the next state must stay finite and within ``guard`` in
+    the outputs and the next state must stay finite and within ``GUARD`` in
     magnitude, in that order, the weighted errors ``gamma * (y_bar - y)``
     finite, and squaring the active error must not overflow; the first that
     fails aborts the run with ``SimulationDiverged`` at that step. The loop
@@ -284,6 +275,7 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     n = t_f + 1
     states, y_col = np.empty((n,) + np.shape(x0)), np.empty((n, spec.p))
     us, i_stars, xs, ys = [], [], [], []
+    guard = GUARD
     low = -guard
     if states.ndim == 2:
         x = np.asarray(x0, dtype=float).tolist()
@@ -343,9 +335,7 @@ def run_closed_loop(model: PlantModel,
                     controller: ControllerState,
                     spec: ConstraintSpec,
                     t_f: int,
-                    x0,
-                    *,
-                    guard: float = DEFAULT_GUARD) -> Trajectory:
+                    x0) -> Trajectory:
     """Run the data-driven bang-ride loop for steps t = 0..t_f.
 
     Per step: compute u from the PI law, weigh the outputs' errors
@@ -407,15 +397,15 @@ def run_closed_loop(model: PlantModel,
         tot += ea
         return k + 1
 
-    traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
+    traj = simulate(model, spec, t_f, x0, control, observe)
     return replace(traj, theta=np.reshape(thetas, (-1, 2)), alpha=np.array(alphas))
 
 
 @np.errstate(all="ignore")
 def simulate_batch(model, t_f: int, x0: np.ndarray,
                    control: Callable[[int, np.ndarray], np.ndarray],
-                   observe: Callable[[int, np.ndarray, np.ndarray], None],
-                   *, guard: float = DEFAULT_GUARD) -> dict[int, SimulationDiverged]:
+                   observe: Callable[[int, np.ndarray, np.ndarray], None]
+                   ) -> dict[int, SimulationDiverged]:
     """Step the M members of a batched model in lockstep for t = 0..t_f.
 
     ``model`` is a batched model of M cells, such as a plant's ``ensemble``:
@@ -425,15 +415,17 @@ def simulate_batch(model, t_f: int, x0: np.ndarray,
     ``PlantModel``'s methods do for one cell. Per step, ``u = control(t, x)``
     gives all members' inputs from their step-start states, and
     ``observe(t, u, y)`` receives their inputs and outputs. Each member
-    passes the guard tests of ``simulate`` in its order, with floating-point
-    warnings off as there. A member that fails one at step t is out: its rows
-    of u and y are NaN from step t on, and its state row from step t + 1,
-    written into the arrays ``control`` and ``advance`` return, whatever they
-    give for it. So ``advance`` and both callbacks must accept NaN rows.
+    passes the guard tests of ``simulate`` against ``GUARD`` in its order,
+    with floating-point warnings off as there. A member that fails one at
+    step t is out: its rows of u and y are NaN from step t on, and its state
+    row from step t + 1, written into the arrays ``control`` and ``advance``
+    return, whatever they give for it. So ``advance`` and both callbacks
+    must accept NaN rows.
     Returns member index -> the ``SimulationDiverged`` that ``simulate``
     raises for that member alone, with its step and message.
     """
     failures: dict[int, SimulationDiverged] = {}
+    guard = GUARD
     x = np.asarray(x0, dtype=float)
     size = running = len(x)
     out = np.zeros(size, dtype=bool)
@@ -476,20 +468,19 @@ class MonotonicityReport:
 
 
 def validate_monotonicity(model: PlantModel, states: Sequence,
-                          u_grid: Sequence[float],
-                          delta: float = 1e-6) -> MonotonicityReport:
+                          u_grid: Sequence[float]) -> MonotonicityReport:
     """Check all outputs are strictly increasing in u on the given sample.
 
     Uses forward differences (y(x, u + delta) - y(x, u)) / delta of the
-    outputs of ``advance`` and reports the per-output minimum slope; any
-    output with slope <= 0 is flagged.
+    outputs of ``advance``, with ``MONOTONICITY_DELTA``, and reports the
+    per-output minimum slope; any output with slope <= 0 is flagged.
     """
     states = list(states)
     u_grid = [float(u) for u in u_grid]
     if not states or not u_grid:
         raise ConfigurationError("states and u_grid samples must be non-empty")
     min_slope = np.full(model.output_count, np.inf)
-    count = 0
+    count, delta = 0, MONOTONICITY_DELTA
     for x in states:
         for u in u_grid:
             y0 = np.asarray(model.advance(x, u)[0])

@@ -24,6 +24,7 @@ WIDTH, HEIGHT = 720, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 28, 44
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
+TICKS = 5   # per axis, both ends included
 
 
 @dataclass
@@ -63,30 +64,29 @@ def plottable(traj: Trajectory) -> list[str]:
 
 
 def quantity_series(traj: Trajectory, quantity: str, *, label: str,
-                    color: str = "#c22", width: float = 1.6, dash: str = "",
-                    in_legend: bool = True) -> list[Series]:
+                    color: str = "#c22", width: float = 1.6,
+                    dash: str = "") -> list[Series]:
     """Map a named quantity onto one or more plot series for a trajectory."""
     if quantity not in QUANTITIES:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; valid: {', '.join(QUANTITIES)}")
     if quantity == "current":
-        return [Series(label, traj.u, color, width, dash, in_legend)]
+        return [Series(label, traj.u, color, width, dash)]
     keys = _channels(traj, quantity)
     tel = traj.telemetry
     if len(keys) == 1:
-        return [Series(label, tel[keys[0]], color, width, dash, in_legend)]
+        return [Series(label, tel[keys[0]], color, width, dash)]
     if keys:
         hi, lo = keys
-        return [Series(f"{label} (max)", tel[hi], color, width, dash, in_legend),
-                Series(f"{label} (min)", tel[lo], color, width,
-                       "3,3" if not dash else dash, in_legend)]
+        return [Series(f"{label} (max)", tel[hi], color, width, dash),
+                Series(f"{label} (min)", tel[lo], color, width, "3,3" if not dash else dash)]
     raise ConfigurationError(f"trajectory has no {quantity!r} channel")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return [lo + (hi - lo) * k / (TICKS - 1) for k in range(TICKS)]
 
 
 def sx(x, x_hi: float):
@@ -174,7 +174,7 @@ def emit_svg(trajectories: list[tuple[Trajectory, dict]], quantity: str,
     """Render one quantity for a set of trajectories.
 
     Each entry pairs a trajectory with style hints: label, color, width,
-    dash, in_legend. ``under`` holds ready ``Series`` drawn before the
+    dash. ``under`` holds ready ``Series`` drawn before the
     trajectories, such as a perturbed ensemble in gray.
     """
     if not trajectories:

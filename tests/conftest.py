@@ -1,7 +1,17 @@
+from unittest import mock
+
 import pytest
 
-from bangride import oracle_trajectory, run_closed_loop
+from bangride import oracle_trajectory, plant, run_closed_loop
 from bangride.config import build_scenario, load_scenario
+
+
+def guard(magnitude: float):
+    """A context manager that sets ``plant.GUARD`` to ``magnitude`` in its
+    block: the guard of every run that ``simulate``, ``simulate_batch`` and
+    the loops of ``references`` step there, as they read it at call time.
+    Unlike the ``monkeypatch`` fixture, it works inside ``@given`` bodies."""
+    return mock.patch.object(plant, "GUARD", magnitude)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,10 @@ computation, which the next state of its ``advance`` equals; the
 replaced by one output per ordered pair of cells, the layout whose selection
 the equivalence tests hold the spread's to. ``output`` reads one output off
 ``advance``, the plant's one output path, for the scalar references and the
-model tests.
+model tests, and ``loop_output_rows`` is the row form of ``output`` that
+every plant's ``output_rows`` equals, for the test plants that have none.
+The reference loops step under ``plant.GUARD`` as the package's do, so one
+patch of it (``conftest.guard``) sets the guard of both.
 ``selector`` is the oracle's selection at one state, ``oracle._minimum``
 behind a size check, and ``selector_oracle`` is ``oracle.oracle_trajectory``
 stepped through it. ``plain_trajectory_csv`` and ``plain_gap_csv`` are the
@@ -33,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bangride import svg
+from bangride import plant, svg
 from bangride.analysis import _box_corners
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
 from bangride.csvio import PACK_CHANNELS, trajectory_header
@@ -42,8 +45,8 @@ from bangride.models import EcmPlant, PackParams, PackPlant, SpmetPlant, ToyLine
 from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
 from bangride.oracle import RootConfig, _minimum
-from bangride.plant import (DEFAULT_GUARD, PlantModel, Trajectory, _diverged, _extreme,
-                            check_run, simulate)
+from bangride.plant import (PlantModel, Trajectory, _diverged, _extreme, check_run,
+                            simulate)
 
 MAX_ITER = 200    # halvings before a bisection gives up
 
@@ -61,6 +64,16 @@ def output(model: PlantModel, x, u: float, i: int) -> float:
     """Output i (0-based) of ``model`` at state x and input u, read off
     ``advance``."""
     return float(model.advance(x, u)[0][i])
+
+
+def loop_output_rows(model: PlantModel, states: np.ndarray, u: np.ndarray,
+                     index: np.ndarray) -> np.ndarray:
+    """``output_rows`` as one ``advance`` call per row: entry k is
+    ``advance(states[k], u[k])[0][index[k]]``, which a plant's own
+    ``output_rows`` must equal bit for bit. A class body may bind it as the
+    method of a plant that has none."""
+    return np.array([model.advance(x, u_k)[0][i] for x, u_k, i
+                     in zip(states, u.tolist(), index.tolist())], dtype=float)
 
 
 @dataclass
@@ -260,8 +273,7 @@ class ReferenceController(ControllerState):
 
 
 def reference_closed_loop(model: PlantModel, controller: ReferenceController,
-                          spec: ConstraintSpec, t_f: int, x0, *,
-                          guard: float = DEFAULT_GUARD) -> Trajectory:
+                          spec: ConstraintSpec, t_f: int, x0) -> Trajectory:
     """``plant.run_closed_loop`` with the numpy controller: per step
     ``control``, then ``gradient`` and ``update`` on the active error."""
     thetas: list[np.ndarray] = []
@@ -279,7 +291,7 @@ def reference_closed_loop(model: PlantModel, controller: ReferenceController,
         controller.update(controller.gradient(e_active), alphas[t], e_active)
         return i_star
 
-    traj = simulate(model, spec, t_f, x0, control, observe, guard=guard)
+    traj = simulate(model, spec, t_f, x0, control, observe)
     return replace(traj, theta=np.array(thetas), alpha=np.array(alphas))
 
 
@@ -401,14 +413,14 @@ def ct_diagnostic(model: PlantModel, x, u: float, i_star: int, gamma_i: float,
 @np.errstate(all="ignore")
 def reference_simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
                        control: Callable[[int, object], float],
-                       observe: Callable[[int, object], int], *,
-                       guard: float = DEFAULT_GUARD) -> Trajectory:
+                       observe: Callable[[int, object], int]) -> Trajectory:
     """``plant.simulate`` writing every value into its numpy column at its
     step: the same loop, guard tests and checks, with no per-step lists."""
     check_run(model, spec, t_f)
     n = t_f + 1
     u_col, y_col, i_col = np.empty(n), np.empty((n, spec.p)), np.empty(n, dtype=int)
     states = np.empty((n,) + np.shape(x0))
+    guard = plant.GUARD
     low = -guard
     if states.ndim == 2:
         x = np.asarray(x0, dtype=float).tolist()
@@ -445,13 +457,12 @@ def reference_simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
 
 
 def replay_open_loop(model: PlantModel, spec: ConstraintSpec, x0,
-                     u_seq: Sequence[float], *,
-                     guard: float = DEFAULT_GUARD) -> Trajectory:
+                     u_seq: Sequence[float]) -> Trajectory:
     """Apply a recorded input sequence open-loop; the active index of each
     step is the argmin of its errors."""
     u_list = np.asarray(u_seq, dtype=float).tolist()
     return simulate(model, spec, len(u_list) - 1, x0, lambda t, x: u_list[t],
-                    lambda t, y: active_index(constraint_errors(spec, y)), guard=guard)
+                    lambda t, y: active_index(constraint_errors(spec, y)))
 
 
 @dataclass
@@ -474,8 +485,7 @@ def selector(model: PlantModel, x, spec: ConstraintSpec) -> SelectorResult:
     return SelectorResult(u=u, i_star=i_star)
 
 
-def selector_oracle(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
-                    guard: float = DEFAULT_GUARD) -> Trajectory:
+def selector_oracle(model: PlantModel, spec: ConstraintSpec, t_f: int, x0) -> Trajectory:
     """The oracle run with one ``selector`` call per step."""
     i_star = 1
 
@@ -485,7 +495,7 @@ def selector_oracle(model: PlantModel, spec: ConstraintSpec, t_f: int, x0, *,
         i_star = res.i_star
         return res.u
 
-    return simulate(model, spec, t_f, x0, control, lambda t, y: i_star, guard=guard)
+    return simulate(model, spec, t_f, x0, control, lambda t, y: i_star)
 
 
 def plain_rows(header: list[str], columns: list) -> str:
@@ -587,9 +597,9 @@ class AllPairsPack(PackPlant):
     j != k, in lexicographic order, each bounded by ``dt_pair_max``. A pair
     is affine in u, since the u**2 terms cancel, so its riding current is
     closed-form (``pair_roots``). ``output_rows`` and ``riding_rows`` are
-    ``PlantModel``'s loops."""
+    the loops over ``advance`` and ``riding_currents``."""
 
-    output_rows = PlantModel.output_rows
+    output_rows = loop_output_rows
     riding_rows = PlantModel.riding_rows
 
     def __init__(self, params: PackParams):

@@ -23,10 +23,12 @@ import bangride
 from bangride import analysis, oracle, plant
 from bangride.analysis import (_min_norm_rows, attach_per_step_optima,
                                ct_ratio_sign_changes, ct_series, mu_star, regret)
+from conftest import guard
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
-from references import (ReferenceController, ct_diagnostic, min_norm_on_line_in_box,
-                        output, per_step_optimal_cost, replay_open_loop)
+from references import (ReferenceController, ct_diagnostic, loop_output_rows,
+                        min_norm_on_line_in_box, output, per_step_optimal_cost,
+                        replay_open_loop)
 
 ECM_KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
               q=12000.0, a=0.002, b=7.5e-4, ocv0=3.0, ocv_slope=3.0, dt=1.0)
@@ -420,11 +422,11 @@ class TestBatchedOptima:
 
     @pytest.mark.parametrize("name", ["spmet", "ecm"])
     def test_free_runs_through_default_output_rows(self, name, scenarios, free_runs):
-        # the plant's own output_rows set aside: the default loop over advance
+        # the plant's own output_rows set aside: the reference loop over advance
         built = scenarios[name]
         traj, _ = free_runs[name]
         model = copy.copy(built.model)
-        model.output_rows = PlantModel.output_rows.__get__(model)
+        model.output_rows = loop_output_rows.__get__(model)
         out = assert_batched_equals_scalar(traj, model, built.spec,
                                            built.cfg.theta_lo, built.cfg.theta_hi)
         assert out is not None
@@ -436,7 +438,7 @@ class TestBatchedOptima:
         # the pack's spread from step 614 on
         built = scenarios[name]
         traj, model = free_runs[name][0], built.model
-        assert type(model).output_rows is not PlantModel.output_rows
+        assert "output_rows" in vars(type(model))
         assert type(model).riding_rows is not PlantModel.riding_rows
         assert (traj.i_star == model.output_count).any()
         out = assert_batched_equals_scalar(traj, model, built.spec,
@@ -656,27 +658,26 @@ class TestBatchedEnsemble:
     SPEC = ConstraintSpec(**ECM_SPEC)
     PARAMS = [perturb_params(EcmParams(**ECM_KW), 0.3, (11, k)) for k in range(6)]
 
-    def study(self, t_f, x0, guard):
+    def study(self, t_f, x0):
         return analysis.robustness_study(EcmPlant(self.BASE),
                                          [EcmPlant(p) for p in self.PARAMS], x0,
-                                         self.SPEC, t_f, guard=guard)
+                                         self.SPEC, t_f)
 
-    def scalar_runs(self, t_f, x0, guard):
+    def scalar_runs(self, t_f, x0):
         """The true oracle and, per member, the outcome built from its scalar
         oracle and replay, or the stage that diverged and its error."""
         truth = EcmPlant(self.BASE)
-        true_oracle = oracle_trajectory(truth, self.SPEC, t_f, x0, guard=guard)
+        true_oracle = oracle_trajectory(truth, self.SPEC, t_f, x0)
         objective = float(np.cumsum(true_oracle.telemetry["soc"])[-1])
         runs = []
         for k, params in enumerate(self.PARAMS):
             try:
-                ideal = oracle_trajectory(EcmPlant(params), self.SPEC, t_f, x0,
-                                          guard=guard)
+                ideal = oracle_trajectory(EcmPlant(params), self.SPEC, t_f, x0)
             except SimulationDiverged as exc:
                 runs.append(("oracle", exc))
                 continue
             try:
-                replay = replay_open_loop(truth, self.SPEC, x0, ideal.u, guard=guard)
+                replay = replay_open_loop(truth, self.SPEC, x0, ideal.u)
             except SimulationDiverged as exc:
                 runs.append(("replay", exc))
                 continue
@@ -699,24 +700,26 @@ class TestBatchedEnsemble:
     # guard 11.5 trips oracles at steps 79 and 96 of 98 (the true oracle's
     # trips at 99), guard 12.15 trips replays at steps 155, 155, 343 and 376
     # of 400 (voltage overshoot)
-    @pytest.mark.parametrize("guard, t_f, stage", [(11.5, 98, "oracle"),
-                                                   (12.15, 400, "replay")])
-    def test_guard_failures_match_scalar(self, guard, t_f, stage):
+    @pytest.mark.parametrize("magnitude, t_f, stage", [(11.5, 98, "oracle"),
+                                                       (12.15, 400, "replay")])
+    def test_guard_failures_match_scalar(self, magnitude, t_f, stage):
         x0 = EcmPlant(self.BASE).initial_state()
-        scalar = self.scalar_runs(t_f, x0, guard)
+        with guard(magnitude):
+            scalar, result = self.scalar_runs(t_f, x0), self.study(t_f, x0)
         failed = [ref for ref in scalar[1] if isinstance(ref, tuple)]
         assert {s for s, _ in failed} == {stage}
         assert 1 <= len(failed) < len(self.PARAMS)
         assert len({exc.step for _, exc in failed}) > 1
-        self.assert_match(scalar, self.study(t_f, x0, guard))
+        self.assert_match(scalar, result)
 
     def test_true_oracle_failure_raises_its_error(self):
         # at guard 11.5 the true oracle trips at step 99, after two models
         x0 = EcmPlant(self.BASE).initial_state()
-        with pytest.raises(SimulationDiverged) as ref:
-            oracle_trajectory(EcmPlant(self.BASE), self.SPEC, 100, x0, guard=11.5)
-        with pytest.raises(SimulationDiverged) as err:
-            self.study(100, x0, 11.5)
+        with guard(11.5):
+            with pytest.raises(SimulationDiverged) as ref:
+                oracle_trajectory(EcmPlant(self.BASE), self.SPEC, 100, x0)
+            with pytest.raises(SimulationDiverged) as err:
+                self.study(100, x0)
         assert (err.value.step, str(err.value)) == (ref.value.step, str(ref.value)) \
             == (99, "simulation diverged at step 99: |outputs| exceeded guard "
                     "magnitude 11.5")
@@ -753,10 +756,10 @@ class TestBatchedEnsemble:
         minimum = oracle._minimum
         monkeypatch.setattr(oracle, "_minimum",
                             lambda *args: calls.append(1) or minimum(*args))
-        result = self.study(50, x0, 1e9)
+        result = self.study(50, x0)
         monkeypatch.undo()
         assert calls == []
-        self.assert_match(self.scalar_runs(50, x0, 1e9), result)
+        self.assert_match(self.scalar_runs(50, x0), result)
         for params in self.PARAMS:  # below the bound at u = 0: a finite root
             root = EcmPlant(params).riding_currents(x0, self.SPEC.y_bar)[2]
             assert 0.0 < root < math.inf

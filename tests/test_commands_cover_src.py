@@ -1,8 +1,14 @@
-"""Every function under ``src/`` serves a command: run a fixed list of CLI
-commands under a profiler and require that each ``def`` and ``lambda`` in the
-package was called, apart from an allowlist that gives its reason per entry.
-Code that only tests use belongs in ``tests/references.py``."""
+"""Every function and option under ``src/`` serves a command: run a fixed
+list of CLI commands under a profiler and require that each ``def`` and
+``lambda`` in the package was called, and that each keyword default of a
+``def`` was set by some call to a value that neither is the default nor
+equals it, apart from two allowlists that give their reason per entry.
+Dataclass fields are not options here: they are the scenario and parameter
+file formats. Code and options that only tests use belong in ``tests/``
+(``references.py``, ``conftest.py``)."""
 
+import gc
+import importlib
 import inspect
 import sys
 import types
@@ -17,9 +23,16 @@ SRC = Path(bangride.__file__).parent
 ALLOWED = {
     "PlantModel.advance": "abstract method",
     "PlantModel.riding_currents": "abstract method",
-    "PlantModel.output_rows": "the default, which every packaged plant overrides; "
-                              "the tests use it as the overrides' reference",
     "simulate_batch.<locals>.drop": "runs only when a member fails the guard",
+}
+
+# (qualified name, keyword) -> why no command sets it
+UNSET = {
+    ("__getattr__", "module"): "bangride binds it to its own name for its own "
+                               "lookup of the plant names, which no command uses",
+    **{("ToyLinearPlant.__init__", key): "a key of the toy's parameter file, read "
+       "through config._params; the packaged file holds the defaults"
+       for key in ("a", "b", "c", "d", "p")},
 }
 
 COMMANDS = [[command, "--config", config, "--steps", "30"] + svg
@@ -28,6 +41,7 @@ COMMANDS = [[command, "--config", config, "--steps", "30"] + svg
                                  ("simulate", []), ("oracle", []))]
 COMMANDS += [
     ["montecarlo", "--config", "ecm", "--models", "2", "--svg", "--steps", "30"],
+    ["montecarlo", "--config", "ecm", "--models", "2", "--steps", "30"],
     ["validate"],
 ]
 DIVERGING = ["simulate", "--config", "toy", "--steps", "5", "--gamma", "1e155,1e155"]
@@ -69,12 +83,71 @@ def defined_functions() -> dict[tuple[str, types.CodeType], str]:
     return found
 
 
+def module_functions() -> list[types.FunctionType]:
+    """The functions of every module under src/ and of the classes it
+    defines, decorators unwrapped; ``__main__``, which runs the CLI when
+    imported as the main module, holds none."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__main__":
+            continue
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__"
+                                                  else parts))
+        for value in list(vars(module).values()):
+            members = [value]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                members += vars(value).values()
+            for member in members:
+                function = inspect.unwrap(getattr(member, "__func__", member))
+                if (isinstance(function, types.FunctionType)
+                        and Path(function.__code__.co_filename).is_relative_to(SRC)):
+                    found.append(function)
+    return found
+
+
+def keyword_defaults(function: types.FunctionType) -> dict[str, object]:
+    """Each parameter of ``function`` that has a default -> the default."""
+    return {name: p.default for name, p in
+            inspect.signature(function, follow_wrapped=False).parameters.items()
+            if p.default is not p.empty}
+
+
+def running_function(code: types.CodeType) -> types.FunctionType:
+    """The function object that runs ``code``, while a call runs it."""
+    return next(f for f in gc.get_referrers(code) if isinstance(f, types.FunctionType))
+
+
+def sets_option(value, default) -> bool:
+    """Whether an argument sets its option: it is not the default object and
+    does not compare equal to it (an array of more than one entry never does)."""
+    if value is default:
+        return False
+    try:
+        return not bool(value == default)
+    except (TypeError, ValueError):
+        return True
+
+
 def test_every_src_function_serves_a_command(tmp_path, capsys):
-    called = set()
+    functions = defined_functions()
+    called, options_set = set(), set()
+    # code -> its keyword defaults; a nested def or a lambda, which no module
+    # walk reaches, is looked up on its first call; code outside src has none
+    defaults = {f.__code__: keyword_defaults(f) for f in module_functions()}
 
     def collect(frame, event, arg):
-        if event == "call":
-            called.add((frame.f_code.co_filename, frame.f_code))
+        if event != "call":
+            return
+        code = frame.f_code
+        called.add((code.co_filename, code))
+        options = defaults.get(code)
+        if options is None:
+            in_src = (code.co_filename, code) in functions
+            options = defaults[code] = keyword_defaults(running_function(code)) if in_src else {}
+        for name, default in options.items():
+            if sets_option(frame.f_locals[name], default):
+                options_set.add((code, name))
 
     runs = [(argv, 0) for argv in COMMANDS] + [(DIVERGING, 2), (USAGE_ERROR, 1),
                                                (NO_FAMILY, 1)]
@@ -89,9 +162,16 @@ def test_every_src_function_serves_a_command(tmp_path, capsys):
     capsys.readouterr()
     assert codes == [code for _, code in runs]
 
-    functions = defined_functions()
     assert len(functions) > 100
     assert set(ALLOWED) <= set(functions.values())
     uncalled = sorted(name for key, name in functions.items()
                       if key not in called and name not in ALLOWED)
     assert uncalled == []
+
+    options = {(functions[(code.co_filename, code)], name): (code, name)
+               for code, given in defaults.items() if given for name in given}
+    assert len(options) > 15
+    assert set(UNSET) <= set(options)
+    unset = sorted(option for option, key in options.items()
+                   if key not in options_set and option not in UNSET)
+    assert unset == []

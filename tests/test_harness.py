@@ -577,6 +577,13 @@ class TestCli:
                      "--out", str(tmp_path / "taken")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_folder_named_like_a_packaged_scenario_is_passed_over(self, tmp_path,
+                                                                  monkeypatch):
+        # as `--out spmet` leaves one: the bare name still means the packaged file
+        (tmp_path / "spmet").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "spmet", "--steps", "5"]) == 0
+
     def test_validate_checks_the_package_projection(self, monkeypatch):
         monkeypatch.setattr(cli, "project_box", lambda v, lo, hi: 2.0 * v)
         assert main(["validate"]) == 3

@@ -9,13 +9,15 @@ from bangride import (ConfigurationError, ConstraintSpec, PackParams,
                       RootConfig, RootFindingError, SimulationDiverged,
                       ToyLinearPlant, oracle_trajectory)
 from bangride.plant import PlantModel
-from references import (AllPairsPack, bisected_roots, output, per_constraint_roots,
-                        selector, selector_oracle, solve_constraint)
+from references import (AllPairsPack, bisected_roots, loop_output_rows, output,
+                        per_constraint_roots, selector, selector_oracle, solve_constraint)
 
 
 class StaticModel(PlantModel):
     """Stateless outputs defined by callables of u; for pinning K values.
-    Its riding currents are bisected."""
+    Its riding currents are bisected, through its rows of ``advance``."""
+
+    output_rows = loop_output_rows
 
     def __init__(self, *fns):
         self.fns = fns
@@ -212,7 +214,7 @@ class TestSelector:
 
         model, spec = CountingToy(), ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         for x0 in (-10.0, -3.0, 0.0, 2.5, 12.0):
-            x = model.initial_state(x0)
+            x = np.array([x0])
             currents.clear()
             roots = bisected_roots(model, x, spec.y_bar)
             assert currents == [10.0, 0.0]

@@ -15,6 +15,7 @@ from bangride import plant as plant_module
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, Trajectory, _extreme, simulate, simulate_batch
 import references
+from conftest import guard
 from references import (ReferenceController, active_index, constraint_errors,
                         reference_closed_loop, reference_simulate, replay_open_loop)
 
@@ -148,9 +149,8 @@ class TestRunClosedLoop:
         model = ToyLinearPlant(a=2.0, b=1.0)
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[20.0, 20.0])
         cs = ControllerState(theta=np.array([9.0, 1.0]))
-        with pytest.raises(SimulationDiverged) as err:
-            run_closed_loop(model, cs, spec, 400, model.initial_state(),
-                            guard=1e6)
+        with pytest.raises(SimulationDiverged) as err, guard(1e6):
+            run_closed_loop(model, cs, spec, 400, model.initial_state())
         assert 0 <= err.value.step <= 400
 
     def test_stale_controller_rejected(self):
@@ -224,8 +224,9 @@ def both_loops(errors: np.ndarray, kw: dict):
     for loop, make in ((run_closed_loop, ControllerState),
                        (reference_closed_loop, ReferenceController)):
         try:
-            result = loop(model, make(**kw), model.spec(), len(errors) - 1,
-                          np.zeros(1), guard=math.inf)
+            with guard(math.inf):
+                result = loop(model, make(**kw), model.spec(), len(errors) - 1,
+                              np.zeros(1))
         except SimulationDiverged as exc:
             result = exc
         out.append(result)
@@ -474,13 +475,14 @@ class TestSimulateBatch:
         def observe(t, u, y):
             u_col[t], y_col[t] = u, y
 
-        failures = simulate_batch(GrowthBatch(self.G, self.C), n - 1,
-                                  np.tile(x0, (m, 1)), control, observe, guard=100.0)
+        with guard(100.0):
+            failures = simulate_batch(GrowthBatch(self.G, self.C), n - 1,
+                                      np.tile(x0, (m, 1)), control, observe)
 
         def run(k, t_f):
-            return simulate(Growth(self.G[k], self.C[k]), spec, t_f, x0,
-                            lambda t, x: self.input_of(k, t), lambda t, y: 1,
-                            guard=100.0)
+            with guard(100.0):
+                return simulate(Growth(self.G[k], self.C[k]), spec, t_f, x0,
+                                lambda t, x: self.input_of(k, t), lambda t, y: 1)
 
         steps = []
         for k in range(m):
@@ -533,9 +535,9 @@ class TestGuardOrder:
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(SimulationDiverged) as err:
+            with pytest.raises(SimulationDiverged) as err, guard(100.0):
                 simulate(Growth(self.G[0], self.C[0]), spec, 10, np.zeros(1),
-                         lambda t, x: self.input_of(t), lambda t, y: 1, guard=100.0)
+                         lambda t, x: self.input_of(t), lambda t, y: 1)
         assert err.value.step == 3 and str(err.value) == self.MESSAGE
 
     def test_batched(self):
@@ -547,8 +549,9 @@ class TestGuardOrder:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            failures = simulate_batch(GrowthBatch(self.G, self.C), 10, np.zeros((2, 1)),
-                                      control, lambda t, u, y: None, guard=100.0)
+            with guard(100.0):
+                failures = simulate_batch(GrowthBatch(self.G, self.C), 10, np.zeros((2, 1)),
+                                          control, lambda t, u, y: None)
         assert list(failures) == [0]
         assert failures[0].step == 3 and str(failures[0]) == self.MESSAGE
         # both members enter step 3 at 50; after it member 0 is out with a
@@ -633,9 +636,10 @@ class TestLoopBodies:
 
     def test_same_guard_order(self):
         spec = ConstraintSpec(y_bar=[10.0, 5.0], gamma=[1.0, 1.0])
-        fast, ref = in_both_forms(lambda m, x0: simulate(
-            m, spec, 10, x0, lambda t, x: TestGuardOrder.input_of(t), lambda t, y: 1,
-            guard=100.0), Growth(TestGuardOrder.G[0], TestGuardOrder.C[0]), np.zeros(1))
+        with guard(100.0):
+            fast, ref = in_both_forms(lambda m, x0: simulate(
+                m, spec, 10, x0, lambda t, x: TestGuardOrder.input_of(t), lambda t, y: 1),
+                Growth(TestGuardOrder.G[0], TestGuardOrder.C[0]), np.zeros(1))
         assert fast == ref == (3, TestGuardOrder.MESSAGE)
 
     @pytest.mark.parametrize("name, kind", [("toy", list), ("pack", np.ndarray)])
@@ -731,7 +735,7 @@ class TestRecordingMatchesReference:
 class TestValidateMonotonicity:
     def test_identity_output_slope_one(self):
         model = ToyLinearPlant()
-        rep = validate_monotonicity(model, [model.initial_state(x) for x in (0.0, 2.0)],
+        rep = validate_monotonicity(model, [np.array([x]) for x in (0.0, 2.0)],
                                     np.linspace(0.0, 10.0, 5))
         assert rep.ok
         assert rep.min_slope[0] == pytest.approx(1.0)
@@ -739,7 +743,7 @@ class TestValidateMonotonicity:
 
     def test_ecm_h2_slope_exactly_one(self):
         model = EcmPlant(EcmParams(**ECM_KW))
-        states = [model.initial_state(s) for s in (0.0, 0.4, 0.9)]
+        states = [np.array([0.0, 0.0, soc, 0.0]) for soc in (0.0, 0.4, 0.9)]
         rep = validate_monotonicity(model, states, np.linspace(0.0, 20.0, 7))
         assert rep.ok
         assert rep.min_slope[1] == pytest.approx(1.0, abs=1e-6)
@@ -756,7 +760,7 @@ class TestValidateMonotonicity:
         bdt = params.b * params.dt
         expected = min(bdt * (x[0] + x[1]) + 2.0 * bdt * params.r_o * u
                        for x in states for u in u_grid)
-        rep = validate_monotonicity(model, states, u_grid, delta=1e-7)
+        rep = validate_monotonicity(model, states, u_grid)
         assert rep.min_slope[2] == pytest.approx(expected, rel=1e-3)
         assert rep.ok  # all sampled v1, v2, u are non-negative here
 
@@ -823,8 +827,9 @@ class TestEarliestFailure:
         spec, x0 = model.spec(), np.zeros(1)
         if form == "rows":
             model, x0 = RowForm(model), np.zeros((1, 1))
-        return simulate(model, spec, 5, x0, lambda t, x: 0.0,
-                        lambda t, y: active_index(constraint_errors(spec, y)), guard=math.inf)
+        with guard(math.inf):
+            return simulate(model, spec, 5, x0, lambda t, x: 0.0,
+                            lambda t, y: active_index(constraint_errors(spec, y)))
 
     @pytest.mark.parametrize("form", ["vector", "rows"])
     @pytest.mark.parametrize("then", ["plant error", "guard"])
