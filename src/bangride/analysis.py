@@ -311,29 +311,30 @@ def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
     ``models`` are M >= 1 plants of ``true_model``'s perturbed family
     (``PlantModel.perturbed``). One batch, ``true_model.ensemble``, stepped
     from x0 by ``plant.simulate_batch``, holds the M models, whose bang-ride
-    protocols are computed, then M + 1 copies of the truth. Per step, each
-    model and the last copy take the minimum of their clamped riding
-    currents (``oracle.selector_rows``), and member M + k, a copy, applies
-    the current that model k chose: it replays model k's protocol open loop
-    on the truth. The last copy runs the true oracle, whose run equals
-    ``oracle_trajectory(true_model, ...)`` column for column. A model whose
-    oracle or replay fails the guard (``plant.GUARD``) is recorded as
-    diverged, with the failure that ``oracle_trajectory`` or
-    ``replay_open_loop`` raises for it alone (``tests/references.py``), and
-    the others go on; a failing true oracle raises the ``SimulationDiverged``
-    that ``oracle_trajectory`` raises. Violations and suboptimality are
-    measured against the true oracle; the objective and the recorded
-    temperatures are ``true_model``'s ``soc`` and ``temperature`` telemetry
-    channels.
+    protocols are computed, then M + 1 copies of the truth. Per step, the
+    models and member M, the first copy, take the minimum of their clamped
+    riding currents (``oracle.selector_rows`` on the ensemble of these M + 1
+    alone), and member M + 1 + k applies the current that model k chose: it
+    replays model k's protocol open loop on the truth. Member M runs the
+    true oracle, whose run equals ``oracle_trajectory(true_model, ...)``
+    column for column. A model whose oracle or replay fails the guard
+    (``plant.GUARD``) is recorded as diverged, with the failure that
+    ``oracle_trajectory`` or ``replay_open_loop`` raises for it alone
+    (``tests/references.py``), and the others go on; a failing true oracle
+    raises the ``SimulationDiverged`` that ``oracle_trajectory`` raises.
+    Violations and suboptimality are measured against the true oracle; the
+    objective and the recorded temperatures are ``true_model``'s ``soc`` and
+    ``temperature`` telemetry channels.
     """
     m = len(models)
     if m < 1:
         raise ConfigurationError("a robustness study needs at least one model")
     check_run(true_model, spec, t_f)
+    chooser = true_model.ensemble(models + [true_model])
     batch = true_model.ensemble(models + [true_model] * (m + 1))
     size, n = 2 * m + 1, t_f + 1
     # all the study reads: the models' and the true oracle's inputs, and the
-    # outputs and step-start states of the true copies, the true oracle last
+    # outputs and step-start states of the true copies, the true oracle first
     u_models, u_true = np.empty((n, m)), np.empty(n)
     true_index = np.empty(n, dtype=int)
     y_truth = np.empty((n, m + 1, spec.p))
@@ -341,30 +342,29 @@ def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
 
     def control(t: int, x: np.ndarray) -> np.ndarray:
         x_truth[t] = x[m:]
-        u, k = selector_rows(batch, x, spec)
-        true_index[t] = k[-1]
-        # copy M + k replays model k's input: NaN once model k is out, so
-        # that the copy is out too
-        u[m:-1] = u[:m]
-        return u
+        u, k = selector_rows(chooser, x[:m + 1], spec)
+        true_index[t] = k[m]
+        # member M + 1 + k replays model k's input: NaN once model k is out,
+        # so that the copy is out too
+        return np.concatenate((u, u[:m]))
 
     def observe(t: int, u: np.ndarray, y: np.ndarray) -> None:
-        u_models[t], u_true[t] = u[:m], u[-1]
+        u_models[t], u_true[t] = u[:m], u[m]
         y_truth[t] = y[m:]
 
     failures = simulate_batch(batch, t_f, np.tile(x0, (size, 1)), control, observe)
     # simulate's checks and failure; copies free the shared columns with the study
-    failure = failures.get(2 * m)
+    failure = failures.get(m)
     true_oracle = Trajectory.from_columns(
-        true_model, spec, u_true, y_truth[:, m].copy(), true_index + 1, x_truth[:, m].copy(),
+        true_model, spec, u_true, y_truth[:, 0].copy(), true_index + 1, x_truth[:, 0].copy(),
         steps=None if failure is None else failure.step, failure=failure)
     oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
     outcomes = []
     for k in range(m):
-        failure = failures.get(k, failures.get(m + k))
+        failure = failures.get(k, failures.get(m + 1 + k))
         outcomes.append(
             ModelOutcome(index=k, failure=failure) if failure is not None else
-            _replay_outcome(k, u_models[:, k], y_truth[:, k], x_truth[:, k],
+            _replay_outcome(k, u_models[:, k], y_truth[:, k + 1], x_truth[:, k + 1],
                             true_model, spec, oracle_objective, keep_series))
     stats = ViolationStats(
         outcomes=outcomes,

@@ -216,16 +216,7 @@ def cmd_regret(args) -> int:
                                       controller.theta_lo, controller.theta_hi)
         report = regret(traj, mu1)
         ct = ct_series(traj, built.model, built.spec)
-        rows.append({
-            "mu1": mu1,
-            "total_regret": report.total,
-            "tail_slope": report.tail_slope,
-            "converged": report.converged,
-            "gap_tail_mean": report.gap_tail_mean(),
-            "mu2_hat": report.mu2_hat,
-            "mu_star_ref": report.mu_star_ref,
-            "ct_sign_changes": ct_ratio_sign_changes(ct, traj.alpha),
-        })
+        rows.append((mu1, report, ct_ratio_sign_changes(ct, traj.alpha)))
         slope = ("converged" if report.converged else "none" if report.tail_slope is None
                  else f"{report.tail_slope:.3f}")
         print(f"mu1={mu1:.2f}: R={report.total:.6g} tail_slope={slope} "

@@ -99,10 +99,11 @@ def write_montecarlo_summary(stats, path) -> Path:
                          for o in stats.outcomes])
 
 
-def write_regret_csv(rows: list[dict], path) -> Path:
-    """Summary rows of the step-size-exponent sweep."""
+def write_regret_csv(rows: list[tuple], path) -> Path:
+    """Summary rows of the step-size-exponent sweep, one per
+    (mu1, ``analysis.RegretReport``, c_t ratio sign changes)."""
     return _write_lines(path, ["mu1", "total_regret", "tail_slope", "converged",
                                "gap_tail_mean", "mu2_hat", "mu_star_ref", "ct_sign_changes"],
-                        [f"{_num(r['mu1'])},{_num(r['total_regret'])},{_num(r['tail_slope'])},"
-                         f"{int(r['converged'])},{_num(r['gap_tail_mean'])},{_num(r['mu2_hat'])},"
-                         f"{_num(r['mu_star_ref'])},{r['ct_sign_changes']}\n" for r in rows])
+                        [f"{_num(mu1)},{_num(r.total)},{_num(r.tail_slope)},{int(r.converged)},"
+                         f"{_num(r.gap_tail_mean())},{_num(r.mu2_hat)},{_num(r.mu_star_ref)},"
+                         f"{changes}\n" for mu1, r, changes in rows])

@@ -14,9 +14,9 @@ updates (step dt, charging positive):
 Outputs: current and terminal voltage V = dU(x) + eta(u,x) + phi(u,x);
 SOC = (c_avg/c_max - theta_1)/(theta_2 - theta_1) is reported alongside but
 is not a constrained output. ``SpmetPlant.advance`` computes eta + phi once
-per step, for the voltage and the heat alike; every other voltage (the
-riding current, ``output_rows``, the build-time monotonicity check) comes
-from ``SpmetPlant._volts``, in the same operation order.
+per step, for the voltage and the heat alike; the two other voltages, of the
+riding current and of ``output_rows``, come from ``SpmetPlant._volts``, in
+the same operation order.
 
 The three potentials have a fixed form, set by ``SpmetParams`` coefficients;
 ``SpmetParams.potential_terms`` gives their parts that do not depend on u:
@@ -30,7 +30,9 @@ The three potentials have a fixed form, set by ``SpmetParams`` coefficients;
     ratio term.
 
 Strict monotonicity of V in u on the operating range is checked numerically
-at construction, since the coefficients are read from a parameter file.
+at construction, since the coefficients are read from a parameter file: by
+``plant.validate_monotonicity`` on ``advance``, over a 9 x 9 grid of rested
+states (stoichiometry 0.05-0.98) and currents (0 to 2*u_max).
 
 ``SpmetPlant.riding_currents`` gives the oracle its voltage root without
 bisection. V is increasing and concave in u >= 0, so Newton steps from u = 0
@@ -50,7 +52,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, PotentialDomainError
 from ..oracle import RootConfig
-from ..plant import PlantModel
+from ..plant import PlantModel, validate_monotonicity
 
 KELVIN_OFFSET = 273.15
 REFERENCE_T_K = 298.15
@@ -93,7 +95,7 @@ class SpmetParams:
         positive = ("dt", "v_p", "faraday", "g_hyd", "tau", "d_neg", "d_pos",
                     "l_neg", "l_pos", "eps_neg", "eps_pos", "n1_neg", "n1_pos",
                     "n2_neg", "n2_pos", "n3_neg", "n3_pos", "ve_neg", "ve_pos",
-                    "a", "b", "c_max", "q", "ce_rest_neg", "ce_rest_pos")
+                    "a", "b", "c_max", "q", "ce_rest_neg", "ce_rest_pos", "bv_scale")
         for name in positive:
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"SpmetParams.{name} must be > 0")
@@ -144,19 +146,13 @@ class SpmetPlant(PlantModel):
         self._fu_p = p.dt * p.n2_pos / (p.ve_pos * p.faraday * p.n3_pos)
         if not 0.0 < self._rex_n < 1.0 or not 0.0 < self._rex_p < 1.0:
             raise ConfigurationError("electrolyte relaxation unstable")
-        self._check_voltage_monotone()
-
-    def _check_voltage_monotone(self) -> None:
-        """Numerical spot check: V strictly increasing in u on a 9 x 9 grid
-        of the operating range, by forward differences of 1e-4 A."""
-        p = self.params
-        for z in np.linspace(0.05, 0.98, 9):
-            terms = p.potential_terms(self.initial_state(stoich=z).tolist())
-            for u in np.linspace(0.0, 2.0 * p.u_max, 9):
-                if not self._volts(terms, u + 1e-4) > self._volts(terms, u):
-                    raise ConfigurationError(
-                        f"terminal voltage not strictly increasing in u at "
-                        f"z={z:.3f}, u={u:.3f}")
+        report = validate_monotonicity(
+            self, [self.initial_state(stoich=z).tolist() for z in np.linspace(0.05, 0.98, 9)],
+            np.linspace(0.0, 2.0 * p.u_max, 9))
+        if not report.ok:
+            raise ConfigurationError(
+                f"terminal voltage not strictly increasing in u on the operating range: "
+                f"min slope {report.min_slope[1]:.3g}")
 
     def _volts(self, terms: tuple[float, float, float], u: float) -> float:
         """Terminal voltage dU + eta + phi at input u, from the state's

@@ -23,6 +23,7 @@ import bangride
 from bangride import analysis, oracle, plant
 from bangride.analysis import (_min_norm_rows, attach_per_step_optima,
                                ct_ratio_sign_changes, ct_series, mu_star, regret)
+from bangride.models.ecm import EcmEnsemble
 from conftest import guard
 from ecm_study import ecm_study
 from gradient_check import GradientSignCheck, gradient_sign_check
@@ -746,6 +747,17 @@ class TestBatchedEnsemble:
         short = ConstraintSpec(y_bar=self.SPEC.y_bar[:2], gamma=self.SPEC.gamma[:2])
         with pytest.raises(ConfigurationError, match="3 outputs but spec has 2"):
             analysis.robustness_study(truth, models, np.zeros(4), short, 5)
+
+    def test_only_the_selecting_members_compute_riding_currents(self, monkeypatch):
+        # the M models and the true oracle; a replaying copy applies its
+        # model's current and needs no riding currents of its own
+        rows = []
+        riding = EcmEnsemble.riding_currents
+        monkeypatch.setattr(EcmEnsemble, "riding_currents",
+                            lambda self, x, y_bar: rows.append(len(x)) or riding(self, x, y_bar))
+        self.study(20, EcmPlant(self.BASE).initial_state())
+        monkeypatch.undo()
+        assert rows == [len(self.PARAMS) + 1] * 21
 
     def test_negative_slope_start_needs_no_selector(self, monkeypatch):
         # v1 < 0 makes the temperature quadratic's slope negative, where the

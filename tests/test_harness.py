@@ -534,13 +534,15 @@ class TestCli:
          "unknown key 'pairwise_mode'"),
         # the base cell passes, but varied cell 5 is unstable at this dt
         ("pack", "p.cfg", "dt = 1.0 ", "dt = 100.0 ", "[pack] cell 5: unstable"),
+        # the overpotential divides by it: rejected before any voltage is computed
+        ("spmet", "p.cfg", "bv_scale = 15.0", "bv_scale = 0.0", "bv_scale"),
         ("ecm", "s.cfg", "[constraints]\ny_bar = 10.0, 12.0, 8.0\n"
          "gamma = 1.0, 1.0, 500.0\n", "", "constraints"),
         ("ecm", "s.cfg", "[scenario]\n", "", "no section headers")],
         ids=["scenario-number", "scenario-key", "scenario-bool", "params-key",
              "params-number", "params-nan", "params-inf", "params-rejected",
              "pack-key", "pack-missing-key", "pack-nan", "pack-old-key", "pack-cell",
-             "scenario-missing-section", "scenario-no-header"])
+             "spmet-zero-scale", "scenario-missing-section", "scenario-no-header"])
     def test_malformed_file_names_its_key(self, config, file, old, new, named,
                                           tmp_path, capsys):
         cfg = load_scenario(config)
@@ -583,6 +585,21 @@ class TestCli:
         (tmp_path / "spmet").mkdir()
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--config", "spmet", "--steps", "5"]) == 0
+
+    def test_validate_prints_every_check(self, capsys):
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == (
+            "[PASS] monotonicity[spmet]: min slope 0.0105\n"
+            "[PASS] monotonicity[ecm]: min slope 1.19e-05\n"
+            "[PASS] monotonicity[pack]: min slope 1.64e-05\n"
+            "[PASS] monotonicity[toy]: min slope 1\n"
+            "[PASS] step-size schedule\n"
+            "[PASS] projection non-expansive\n"
+            "[PASS] run step sizes\n"
+            "[PASS] run gains in box\n"
+            "[PASS] csv golden schema: all columns present\n"
+            "[PASS] config round-trip\n"
+            "validate: all checks passed\n")
 
     def test_validate_checks_the_package_projection(self, monkeypatch):
         monkeypatch.setattr(cli, "project_box", lambda v, lo, hi: 2.0 * v)

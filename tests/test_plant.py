@@ -770,7 +770,20 @@ class TestValidateMonotonicity:
                 return [u, -u], list(map(float, state))
 
         rep = validate_monotonicity(Decreasing(), [np.zeros(1)], [0.0, 1.0])
-        assert rep.flagged == [2]
+        assert (rep.min_slope > 0.0).tolist() == [True, False]
+        assert not rep.ok
+
+    # the jump at u = 1 is met by the upper point of the last pair only, or
+    # by both points of the pair at u = 2
+    @pytest.mark.parametrize("u_grid", [[0.0, 1.0 - 1e-7], [0.0, 2.0]])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_output_fails_without_raising(self, value, u_grid):
+        class Blowup(ToyLinearPlant):
+            def advance(self, state, u):
+                return [u, u if u < 1.0 else value], list(map(float, state))
+
+        rep = validate_monotonicity(Blowup(), [np.zeros(1)], u_grid)
+        assert rep.min_slope[0] > 0.0 and math.isnan(rep.min_slope[1])
         assert not rep.ok
 
     def test_empty_samples_rejected(self):
