@@ -463,6 +463,33 @@ class TestCli:
         for name, digest in self.GOLDEN_MONTECARLO.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    # SHA-256 of every chart of `compare --svg`, drawn from the runs whose
+    # CSV bytes the digests above pin: the ECM's voltage is its v_dynamic
+    # channel, and the pack's temperature is its (max, min) pair. The SPMeT
+    # is not pinned: its bytes depend on libm.
+    GOLDEN_COMPARE_SVG = {
+        "ecm": ([], {
+            "current.svg": "8fa102564da37e1ff523c39be9db431f80a953954b96db0728ddc0db1c30242a",
+            "voltage.svg": "140a6e3b31e9349ce28e17c3b45c42d8b2cc233b1e3ca1eef1bf53d726edd4fb",
+            "temperature.svg": "2446a0e862073b25893284d3aa0c217aa4f5117327bde14c295f48a4d0b7accf",
+            "soc.svg": "4c89294ebb146fd8db91c39b667b0c6d6b4f07603ab246977ab12b8f684d5cae",
+        }),
+        "pack": (["--steps", "200"], {
+            "current.svg": "8de66f5c66a5de0e2edc4f35f88ae22c68679d41b731ac1c4d0d336632057f1a",
+            "voltage.svg": "7b01e5432a4fed69c4523e2f009251b9391cc6ccfe3e72fd34ad6c5c5f4b8223",
+            "temperature.svg": "115bcff1043f5fd65413e25aa16388aa1e03bb250761f4bbcb84f33030d550e7",
+            "soc.svg": "accffe1d154f81970f628c7718522bffdfee4158b1077e1a7e811279c1a55361",
+        }),
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN_COMPARE_SVG))
+    def test_compare_svg_golden_bytes(self, config, tmp_path):
+        args, digests = self.GOLDEN_COMPARE_SVG[config]
+        out = tmp_path / config
+        assert main(["compare", "--config", config, *args, "--svg", "--out", str(out)]) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.glob("*.svg")} == digests
+
     # SHA-256 of the outputs that carry per-step optima or c_t, whose riding
     # steps take the toy's closed-form riding current; the per-step scalar
     # references of tests/references.py give the same bytes
