@@ -1,9 +1,17 @@
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from bangride import oracle_trajectory, plant, run_closed_loop
 from bangride.config import build_scenario, load_scenario
+
+# Every run draws the same examples and replays none from a local example
+# database; each test keeps its own max_examples and deadline. A seed sweep
+# passes `--hypothesis-profile=default --hypothesis-seed=k`, which pytest
+# applies after this file loads.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def guard(magnitude: float):
