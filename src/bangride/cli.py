@@ -25,7 +25,7 @@ from .csvio import (GOLDEN_COLUMNS, write_gap_csv, write_montecarlo_summary,
 from .errors import BangrideError, ConfigurationError, SimulationDiverged
 from .oracle import oracle_trajectory
 from .plant import run_closed_loop, validate_monotonicity
-from .svg import Series, emit_svg, plottable
+from .svg import Series, emit_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,10 +109,11 @@ def _maybe_attach_jstar(traj, built: BuiltScenario):
                                   built.controller.theta_lo, built.controller.theta_hi)
 
 
-def _emit_plots(out: Path, entries) -> None:
-    """One chart per quantity the runs' telemetry carries."""
-    for q in plottable(entries[0][0]):
-        emit_svg(entries, q, out / f"{q}.svg")
+def _emit_plots(out: Path, entries, plots) -> None:
+    """The current's chart, then one per quantity the plant plots
+    (``PlantModel.plots``)."""
+    for quantity, keys in {"current": (), **plots}.items():
+        emit_svg(entries, quantity, keys, out / f"{quantity}.svg")
 
 
 FREE_STYLE = {"label": "model-free", "color": "#c22", "width": 1.7}
@@ -126,13 +127,13 @@ def cmd_simulate(args) -> int:
     traj = run_closed_loop(built.model, built.controller, built.spec,
                            built.cfg.t_f, built.x0)
     traj = _maybe_attach_jstar(traj, built)
-    write_trajectory_csv(traj, out / "trajectory.csv")
+    write_trajectory_csv(traj, built.model.csv_block, out / "trajectory.csv")
     if built.cfg.ct_diagnostics:
         ct = ct_series(traj, built.model, built.spec)
         print(f"c_t diagnostics: min={ct.min():.6g} "
               f"sign_changes={ct_ratio_sign_changes(ct, traj.alpha)}")
     if args.svg:
-        _emit_plots(out, [(traj, FREE_STYLE)])
+        _emit_plots(out, [(traj, FREE_STYLE)], built.model.plots)
     print(f"simulate: {len(traj)} steps -> {out / 'trajectory.csv'}")
     return EXIT_OK
 
@@ -141,9 +142,9 @@ def cmd_oracle(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "oracle")
     traj = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
-    write_trajectory_csv(traj, out / "oracle.csv")
+    write_trajectory_csv(traj, built.model.csv_block, out / "oracle.csv")
     if args.svg:
-        _emit_plots(out, [(traj, ORACLE_STYLE)])
+        _emit_plots(out, [(traj, ORACLE_STYLE)], built.model.plots)
     print(f"oracle: {len(traj)} steps -> {out / 'oracle.csv'}")
     return EXIT_OK
 
@@ -155,14 +156,14 @@ def cmd_compare(args) -> int:
                            built.cfg.t_f, built.x0)
     free = _maybe_attach_jstar(free, built)
     oracle = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
-    write_trajectory_csv(free, out / "trajectory.csv")
-    write_trajectory_csv(oracle, out / "oracle.csv")
+    write_trajectory_csv(free, built.model.csv_block, out / "trajectory.csv")
+    write_trajectory_csv(oracle, built.model.csv_block, out / "oracle.csv")
     write_gap_csv(free, oracle, out / "gap.csv")
     w = slice(len(free) // 10, len(free))
     denom = float(np.linalg.norm(oracle.u[w]))
     rel = float(np.linalg.norm(free.u[w] - oracle.u[w])) / denom if denom else 0.0
     if args.svg:
-        _emit_plots(out, [(free, FREE_STYLE), (oracle, ORACLE_STYLE)])
+        _emit_plots(out, [(free, FREE_STYLE), (oracle, ORACLE_STYLE)], built.model.plots)
     print(f"compare: relative L2 current distance (post-transient) = {rel:.4%}")
     return EXIT_OK
 
@@ -177,11 +178,11 @@ def cmd_montecarlo(args) -> int:
     out = _prepare_run_dir(built, "montecarlo")
     result = robustness_study(built.model, models, built.x0, built.spec,
                               built.cfg.t_f, keep_series=args.svg)
-    write_montecarlo_summary(result.stats, out / "summary.csv")
+    write_montecarlo_summary(result.stats, built.model.output_names, out / "summary.csv")
     if args.svg:
         free = run_closed_loop(built.model, built.controller, built.spec,
                                built.cfg.t_f, built.x0)
-        _emit_ensemble_plots(out, result, free)
+        _emit_ensemble_plots(out, result, free, built.model.plots)
     st = result.stats
     print(f"montecarlo: {args.models} models, fraction={args.fraction}, "
           f"violations={st.runs_with_violation}, diverged={st.diverged_runs} "
@@ -189,18 +190,18 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def _emit_ensemble_plots(out: Path, result, free) -> None:
+def _emit_ensemble_plots(out: Path, result, free, plots) -> None:
     """Perturbed-protocol ensemble in gray under the true runs: the
     model-free run ``free`` and the true oracle."""
     kept = [o for o in result.stats.outcomes
             if not o.diverged and o.u_seq is not None]
-    for quantity, extract in (
-            ("current", lambda o: o.u_seq),
-            ("temperature", lambda o: o.temperature)):
+    for quantity, keys, extract in (
+            ("current", (), lambda o: o.u_seq),
+            ("temperature", plots["temperature"], lambda o: o.temperature)):
         ensemble = [Series(label="perturbed ensemble", y=extract(o), color="#bbb",
                            width=0.7, in_legend=(k == 0)) for k, o in enumerate(kept)]
         emit_svg([(free, FREE_STYLE), (result.true_oracle, ORACLE_STYLE)], quantity,
-                 out / f"{quantity}_ensemble.svg", under=ensemble)
+                 keys, out / f"{quantity}_ensemble.svg", under=ensemble)
 
 
 def cmd_regret(args) -> int:
@@ -276,7 +277,7 @@ def cmd_validate(args) -> int:
     # golden CSV schema on the same run
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_trajectory_csv(traj, Path(tmp) / "t.csv")
+        path = write_trajectory_csv(traj, built.model.csv_block, Path(tmp) / "t.csv")
         with path.open(encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")
     missing = [c for c in GOLDEN_COLUMNS if c not in header]

@@ -1,10 +1,10 @@
 """Trajectory and summary CSV writers (12 significant digits, UTF-8).
 
 Trajectory schema: t, u, y_1..y_p, e_active, i_star, theta_1, theta_2,
-alpha, J, J_star. A trajectory that carries the pack summary channels (a pack
-run) writes them (V_pack, T_max, T_min, dT_max) in place of the wide output
-block. Gain/step-size/J_star cells are empty when absent (oracle runs,
-analysis disabled).
+alpha, J, J_star. The plant's ``csv_block`` (``PlantModel``), when not
+empty, gives the headers and telemetry channels written in place of
+y_1..y_p, such as a few summary channels of many outputs. Gain, step-size
+and J_star cells are empty when absent (oracle runs, analysis disabled).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .plant import Trajectory
 
 GOLDEN_COLUMNS = ("t", "u", "e_active", "i_star", "theta_1", "theta_2",
                   "alpha", "J", "J_star")
-PACK_CHANNELS = ("v_pack", "t_max", "t_min", "dt_max")
 NUM = "%.12g"       # a number cell: 12 significant digits
 
 
@@ -28,15 +27,8 @@ def _num(value) -> str:
     return NUM % float(value)
 
 
-def _has_pack_channels(traj: Trajectory) -> bool:
-    return all(key in traj.telemetry for key in PACK_CHANNELS)
-
-
-def trajectory_header(traj: Trajectory) -> list[str]:
-    if _has_pack_channels(traj):
-        mid = ["V_pack", "T_max", "T_min", "dT_max"]
-    else:
-        mid = [f"y_{i}" for i in range(1, traj.y.shape[1] + 1)]
+def trajectory_header(traj: Trajectory, block: dict[str, str]) -> list[str]:
+    mid = list(block) or [f"y_{i}" for i in range(1, traj.y.shape[1] + 1)]
     return ["t", "u"] + mid + ["e_active", "i_star", "theta_1", "theta_2",
                                "alpha", "J", "J_star"]
 
@@ -61,18 +53,19 @@ def _write_rows(path, header: list[str], columns: list) -> Path:
     return _write_lines(path, header, map(template.__mod__, rows))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """One row per step; schema fixed across rows. Where ``y_1`` is ``u`` bit
-    for bit, as every plant's ``advance`` gives it, its cells are ``u``'s."""
+def write_trajectory_csv(traj: Trajectory, block: dict[str, str], path) -> Path:
+    """One row per step; schema fixed across rows; ``block`` is the plant's
+    ``csv_block``. Where ``y_1`` is ``u`` bit for bit, as every plant's
+    ``advance`` gives it, its cells are ``u``'s."""
     u = (NUM, traj.u)
-    if _has_pack_channels(traj):
-        mid = [(NUM, traj.telemetry[key]) for key in PACK_CHANNELS]
+    if block:
+        mid = [(NUM, traj.telemetry[key]) for key in block.values()]
     else:
         mid = [(NUM, c) for c in traj.y.T]
         if np.array_equal(traj.y[:, 0].view(np.int64), traj.u.view(np.int64)):
             u = mid[0] = ("%s", [NUM % v for v in traj.u.tolist()])
     theta = (None, None) if traj.theta is None else traj.theta.T
-    return _write_rows(path, trajectory_header(traj),
+    return _write_rows(path, trajectory_header(traj, block),
                        [("%d", np.arange(len(traj))), u, *mid, (NUM, traj.e_active),
                         ("%d", traj.i_star)]
                        + [(NUM, c) for c in (*theta, traj.alpha, traj.J, traj.J_star)])
@@ -87,15 +80,16 @@ def write_gap_csv(free: Trajectory, oracle: Trajectory, path) -> Path:
                        [("%d", np.arange(len(free)))] + [(NUM, c) for c in columns])
 
 
-def write_montecarlo_summary(stats, path) -> Path:
-    """Per-model robustness outcomes; deterministic for a fixed seed."""
-    return _write_lines(path, ["model_index", "diverged", "any_violation",
-                               "violation_steps", "depth_current", "depth_voltage",
-                               "depth_temperature", "suboptimality"],
-                        [f"{o.index},1,,,,,,\n" if o.diverged else
+def write_montecarlo_summary(stats, names, path) -> Path:
+    """Per-model robustness outcomes, one ``depth_<name>`` column per output
+    name (the plant's ``output_names``); deterministic for a fixed seed."""
+    blank = "," * (len(names) + 3)     # a diverged row's empty cells
+    return _write_lines(path, ["model_index", "diverged", "any_violation", "violation_steps",
+                               *[f"depth_{name}" for name in names], "suboptimality"],
+                        [f"{o.index},1{blank}\n" if o.diverged else
                          f"{o.index},0,{int(o.violation_steps > 0)},{o.violation_steps},"
-                         f"{_num(o.max_depth[0])},{_num(o.max_depth[1])},"
-                         f"{_num(o.max_depth[2])},{_num(o.suboptimality)}\n"
+                         + "".join(f"{_num(d)}," for d in o.max_depth)
+                         + f"{_num(o.suboptimality)}\n"
                          for o in stats.outcomes])
 
 

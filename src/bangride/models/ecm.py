@@ -62,7 +62,9 @@ class EcmParams:
 
 
 class EcmPlant(PlantModel):
-    output_count = 3
+    output_names = ("current", "voltage", "temperature")
+    output_count = len(output_names)
+    plots = {"voltage": ("v_dynamic",), "temperature": ("temperature",), "soc": ("soc",)}
 
     def __init__(self, params: EcmParams):
         self.params = params

@@ -66,6 +66,9 @@ class PackParams:
 
 
 class PackPlant(PlantModel):
+    plots = {"voltage": ("v_pack",), "temperature": ("t_max", "t_min"), "soc": ("soc",)}
+    csv_block = {"V_pack": "v_pack", "T_max": "t_max", "T_min": "t_min", "dT_max": "dt_max"}
+
     def __init__(self, params: PackParams):
         self.params = params
         base = params.base

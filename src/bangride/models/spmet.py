@@ -130,6 +130,7 @@ class SpmetParams:
 
 class SpmetPlant(PlantModel):
     output_count = 2
+    plots = {"voltage": ("voltage",), "temperature": ("temperature",), "soc": ("soc",)}
 
     def __init__(self, params: SpmetParams):
         self.params = params

@@ -66,9 +66,18 @@ class PlantModel(abc.ABC):
     positions; ``tests/references.py`` holds this loop).
     ``constraints`` and ``initial_state()`` (no argument) give a scenario
     its bounds and start state.
+
+    Two statements tell the writers what to draw from the telemetry. ``plots``
+    maps each charted quantity besides the current (``svg.QUANTITIES``) to
+    its channels, one or a (max, min) pair, in chart order. ``csv_block`` maps
+    a trajectory CSV header to the channel written in place of ``y_1..y_p``.
+    A plant with a perturbed family also names its outputs (``output_names``)
+    and reports ``soc`` and ``temperature`` channels (see ``perturbed``).
     """
 
     output_count: int
+    plots: dict[str, tuple[str, ...]] = {}
+    csv_block: dict[str, str] = {}
 
     def constraints(self, y_bar, gamma) -> ConstraintSpec:
         """The scenario's ``ConstraintSpec``: one bound and one weight per
@@ -131,7 +140,10 @@ class PlantModel(abc.ABC):
         """A member of this plant's perturbed family, its parameters scaled by
         factors in [1 - fraction, 1 + fraction] from the stream keyed by
         ``seed``. A plant with a family overrides this and defines
-        ``ensemble(cells)``, its members' batched model (``simulate_batch``)."""
+        ``ensemble(cells)``, its members' batched model (``simulate_batch``),
+        and ``output_names``, one name per output for the study's depth
+        columns. Its telemetry has ``soc``, the study's objective, and
+        ``temperature``, its recorded series."""
         raise ConfigurationError(f"{type(self).__name__} has no perturbed family")
 
 

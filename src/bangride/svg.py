@@ -4,6 +4,8 @@ Hand-built markup (no plotting dependency, no timestamps or generated ids),
 so identical inputs produce identical files. Renders the usual charging
 views: current, voltage, temperature and state of charge over time, with the
 model-free run solid, the oracle dashed, and perturbed ensembles in gray.
+A quantity other than the current is drawn from the telemetry channels that
+the caller names, as the plant states them (``PlantModel.plots``).
 """
 
 from __future__ import annotations
@@ -41,46 +43,22 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-# telemetry channels that can carry each quantity besides the current, in
-# order of preference; the temperature of a pack is its (max, min) pair
-CHANNELS = {
-    "voltage": (("voltage",), ("v_dynamic",), ("v_pack",)),
-    "temperature": (("temperature",), ("t_max", "t_min")),
-    "soc": (("soc",),),
-}
-
-
-def _channels(traj: Trajectory, quantity: str) -> tuple[str, ...]:
-    """The telemetry channels that carry a quantity, or () if none does."""
-    for keys in CHANNELS[quantity]:
-        if all(key in traj.telemetry for key in keys):
-            return keys
-    return ()
-
-
-def plottable(traj: Trajectory) -> list[str]:
-    """The quantities a trajectory can plot, in ``QUANTITIES`` order."""
-    return ["current"] + [q for q in CHANNELS if _channels(traj, q)]
-
-
-def quantity_series(traj: Trajectory, quantity: str, *, label: str,
-                    color: str = "#c22", width: float = 1.6,
+def quantity_series(traj: Trajectory, quantity: str, keys: tuple[str, ...], *,
+                    label: str, color: str = "#c22", width: float = 1.6,
                     dash: str = "") -> list[Series]:
-    """Map a named quantity onto one or more plot series for a trajectory."""
+    """A trajectory's series of a named quantity: the current, or else the
+    telemetry channel in ``keys``, or its (max, min) pair."""
     if quantity not in QUANTITIES:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; valid: {', '.join(QUANTITIES)}")
     if quantity == "current":
         return [Series(label, traj.u, color, width, dash)]
-    keys = _channels(traj, quantity)
     tel = traj.telemetry
     if len(keys) == 1:
         return [Series(label, tel[keys[0]], color, width, dash)]
-    if keys:
-        hi, lo = keys
-        return [Series(f"{label} (max)", tel[hi], color, width, dash),
-                Series(f"{label} (min)", tel[lo], color, width, "3,3" if not dash else dash)]
-    raise ConfigurationError(f"trajectory has no {quantity!r} channel")
+    hi, lo = keys
+    return [Series(f"{label} (max)", tel[hi], color, width, dash),
+            Series(f"{label} (min)", tel[lo], color, width, "3,3" if not dash else dash)]
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -170,8 +148,9 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
 
 
 def emit_svg(trajectories: list[tuple[Trajectory, dict]], quantity: str,
-             path, under=()) -> Path:
-    """Render one quantity for a set of trajectories.
+             keys: tuple[str, ...], path, under=()) -> Path:
+    """Render one quantity for a set of trajectories, from the telemetry
+    channels ``keys`` (``quantity_series``).
 
     Each entry pairs a trajectory with style hints: label, color, width,
     dash. ``under`` holds ready ``Series`` drawn before the
@@ -181,7 +160,7 @@ def emit_svg(trajectories: list[tuple[Trajectory, dict]], quantity: str,
         raise ConfigurationError("emit_svg needs at least one trajectory")
     series: list[Series] = list(under)
     for traj, style in trajectories:
-        series.extend(quantity_series(traj, quantity, **style))
+        series.extend(quantity_series(traj, quantity, keys, **style))
     markup = render_chart(series, title=f"{quantity} over time",
                           ylabel=f"{quantity} [{UNITS[quantity]}]")
     path = Path(path)

@@ -39,7 +39,7 @@ import numpy as np
 from bangride import plant, svg
 from bangride.analysis import _box_corners
 from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
-from bangride.csvio import PACK_CHANNELS, trajectory_header
+from bangride.csvio import trajectory_header
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
 from bangride.models import EcmPlant, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.models.ecm import EcmEnsemble
@@ -513,14 +513,11 @@ def plain_rows(header: list[str], columns: list) -> str:
     return "".join(",".join(cells) + "\n" for cells in [header] + rows)
 
 
-def plain_trajectory_csv(traj: Trajectory) -> str:
+def plain_trajectory_csv(traj: Trajectory, block: dict[str, str]) -> str:
     """``csvio.write_trajectory_csv``'s text; only i_star is an integer column."""
-    if all(key in traj.telemetry for key in PACK_CHANNELS):
-        mid = [traj.telemetry[key] for key in PACK_CHANNELS]
-    else:
-        mid = list(traj.y.T)
+    mid = [traj.telemetry[key] for key in block.values()] or list(traj.y.T)
     theta = (None, None) if traj.theta is None else traj.theta.T
-    return plain_rows(trajectory_header(traj),
+    return plain_rows(trajectory_header(traj, block),
                       [np.arange(len(traj), dtype=float), traj.u, *mid, traj.e_active,
                        traj.i_star, *theta, traj.alpha, traj.J, traj.J_star])
 

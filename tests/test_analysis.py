@@ -108,6 +108,19 @@ def test_public_surface():
     assert not re.search(r"\bdef weigh\b|spec\.gamma", inspect.getsource(plant.simulate))
 
 
+def test_writers_name_no_channel():
+    # a plant states what the writers draw from its telemetry (its plots,
+    # csv_block and output_names), so the writers name no channel and no
+    # plant, and keep no table of channels
+    from bangride import csvio, svg
+    texts = [Path(module.__file__).read_text(encoding="utf-8") for module in (csvio, svg)]
+    names = ("v_pack", "t_max", "t_min", "dt_max", "v_dynamic", "V_pack", "depth_voltage",
+             "EcmPlant", "SpmetPlant", "PackPlant", "ToyLinearPlant")
+    assert not [name for name in names if any(name in text for text in texts)]
+    assert not [name for name in ("PACK_CHANNELS", "_has_pack_channels") if hasattr(csvio, name)]
+    assert not [name for name in ("CHANNELS", "_channels", "plottable") if hasattr(svg, name)]
+
+
 def test_cli_imports_no_model_module():
     # montecarlo asks the scenario's plant for its perturbed family, so the
     # commands name no concrete model

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 import bangride
 from bangride import ConfigurationError, cli, oracle_trajectory, run_closed_loop, svg
-from bangride.analysis import attach_per_step_optima
+from bangride.analysis import ModelOutcome, ViolationStats, attach_per_step_optima
 from bangride.cli import main
 from bangride.config import (MODEL_NAMES, ScenarioConfig, build_scenario,
                              load_scenario, params_path, save_scenario,
                              scenario_hash)
-from bangride.csvio import trajectory_header, write_gap_csv, write_trajectory_csv
+from bangride.csvio import (trajectory_header, write_gap_csv, write_montecarlo_summary,
+                            write_trajectory_csv)
+from bangride.errors import SimulationDiverged
 from bangride.plant import Trajectory
 from bangride.svg import emit_svg, quantity_series
 from references import plain_gap_csv, plain_trajectory_csv, plain_x_template
@@ -150,7 +152,7 @@ def read_trajectory_csv(path) -> dict[str, list[float | None]]:
 
 class TestTrajectoryCsv:
     def test_round_trip_12_significant_digits(self, toy_traj, tmp_path):
-        path = write_trajectory_csv(toy_traj, tmp_path / "t.csv")
+        path = write_trajectory_csv(toy_traj, {}, tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
         u = toy_traj.u
         for k, v in enumerate(cols["u"]):
@@ -161,7 +163,7 @@ class TestTrajectoryCsv:
         assert cols["J_star"] == [None] * len(toy_traj)
 
     def test_fixed_column_count(self, toy_traj, tmp_path):
-        path = write_trajectory_csv(toy_traj, tmp_path / "t.csv")
+        path = write_trajectory_csv(toy_traj, {}, tmp_path / "t.csv")
         lines = Path(path).read_text().splitlines()
         assert len(lines) == len(toy_traj) + 1
         p = toy_traj.y.shape[1]
@@ -169,7 +171,7 @@ class TestTrajectoryCsv:
         assert widths == {9 + p}
 
     def test_newline_terminated_utf8(self, toy_traj, tmp_path):
-        path = write_trajectory_csv(toy_traj, tmp_path / "t.csv")
+        path = write_trajectory_csv(toy_traj, {}, tmp_path / "t.csv")
         raw = Path(path).read_bytes()
         assert raw.endswith(b"\n")
         raw.decode("utf-8")
@@ -178,12 +180,12 @@ class TestTrajectoryCsv:
         built = build_scenario(load_scenario("pack"))
         traj = run_closed_loop(built.model, built.controller, built.spec,
                                30, built.x0)
-        path = write_trajectory_csv(traj, tmp_path / "p.csv")
+        path = write_trajectory_csv(traj, built.model.csv_block, tmp_path / "p.csv")
         cols = read_trajectory_csv(path)
         assert set(cols) >= {"V_pack", "T_max", "T_min", "dT_max"}
 
     def test_header_names(self, toy_traj):
-        assert trajectory_header(toy_traj) == [
+        assert trajectory_header(toy_traj, {}) == [
             "t", "u", "y_1", "y_2", "e_active", "i_star",
             "theta_1", "theta_2", "alpha", "J", "J_star"]
 
@@ -191,14 +193,14 @@ class TestTrajectoryCsv:
 class TestSvg:
     def test_deterministic_bytes(self, toy_traj, tmp_path):
         style = {"label": "run", "color": "#c22"}
-        a = emit_svg([(toy_traj, style)], "current", tmp_path / "a.svg")
-        b = emit_svg([(toy_traj, style)], "current", tmp_path / "b.svg")
+        a = emit_svg([(toy_traj, style)], "current", (), tmp_path / "a.svg")
+        b = emit_svg([(toy_traj, style)], "current", (), tmp_path / "b.svg")
         assert (hashlib.sha256(Path(a).read_bytes()).hexdigest()
                 == hashlib.sha256(Path(b).read_bytes()).hexdigest())
 
     def test_unknown_quantity_lists_valid_names(self, toy_traj, tmp_path):
         with pytest.raises(ConfigurationError, match="current, voltage"):
-            emit_svg([(toy_traj, {"label": "x"})], "entropy", tmp_path / "x.svg")
+            emit_svg([(toy_traj, {"label": "x"})], "entropy", (), tmp_path / "x.svg")
 
     def test_two_series_and_legend(self, tmp_path):
         built = build_scenario(load_scenario("ecm"))
@@ -209,7 +211,7 @@ class TestSvg:
         path = emit_svg([(free, {"label": "model-free"}),
                          (oracle, {"label": "ideal", "dash": "6,4",
                                    "color": "#111"})],
-                        "current", tmp_path / "c.svg")
+                        "current", (), tmp_path / "c.svg")
         text = Path(path).read_text()
         assert text.count("<polyline") == 2
         assert "model-free" in text and "ideal" in text
@@ -219,8 +221,42 @@ class TestSvg:
         built = build_scenario(load_scenario("pack"))
         traj = run_closed_loop(built.model, built.controller, built.spec,
                                25, built.x0)
-        series = quantity_series(traj, "temperature", label="pack")
+        series = quantity_series(traj, "temperature", built.model.plots["temperature"],
+                                 label="pack")
         assert len(series) == 2
+
+
+class TestPlantStatements:
+    """The writers draw from a run's telemetry what its plant states."""
+
+    @pytest.mark.parametrize("name", ["spmet", "ecm", "pack", "toy"])
+    def test_statements_name_the_telemetry(self, name, scenarios):
+        # each stated channel is reported, and each reported channel is
+        # stated or belongs to the perturbed family's contract
+        built = scenarios[name]
+        model = built.model
+        traj = run_closed_loop(model, built.controller, built.spec, 10, built.x0)
+        stated = {key for keys in model.plots.values() for key in keys}
+        stated |= set(model.csv_block.values())
+        assert stated <= set(traj.telemetry)
+        assert set(traj.telemetry) <= stated | {"soc", "temperature"}
+        assert set(model.plots) <= set(svg.QUANTITIES) - {"current"}
+
+    def test_two_output_summary(self, tmp_path):
+        # one depth column per output name, and a diverged row as wide as
+        # the header
+        stats = ViolationStats(
+            outcomes=[ModelOutcome(index=0, max_depth=np.array([0.0, 0.25]),
+                                   violation_steps=3, suboptimality=1.5),
+                      ModelOutcome(index=1, failure=SimulationDiverged(4, "guard"))],
+            runs_with_violation=1, diverged_runs=1)
+        path = write_montecarlo_summary(stats, ("current", "voltage"), tmp_path / "s.csv")
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["model_index", "diverged", "any_violation", "violation_steps",
+                         "depth_current", "depth_voltage", "suboptimality"],
+                        ["0", "0", "1", "3", "0", "0.25", "1.5"],
+                        ["1", "1", "", "", "", "", ""]]
 
 
 class TestWritersMatchPlainReferences:
@@ -235,8 +271,9 @@ class TestWritersMatchPlainReferences:
             built.model, built.spec, built.cfg.theta_lo, built.cfg.theta_hi)
         oracle = oracle_trajectory(built.model, built.spec, 40, built.x0)
         for traj in (free, oracle):
-            path = write_trajectory_csv(traj, tmp_path / "t.csv")
-            assert path.read_bytes() == plain_trajectory_csv(traj).encode()
+            block = built.model.csv_block
+            path = write_trajectory_csv(traj, block, tmp_path / "t.csv")
+            assert path.read_bytes() == plain_trajectory_csv(traj, block).encode()
         path = write_gap_csv(free, oracle, tmp_path / "gap.csv")
         assert path.read_bytes() == plain_gap_csv(free, oracle).encode()
 
@@ -247,8 +284,8 @@ class TestWritersMatchPlainReferences:
         u, y = toy_traj.u.copy(), toy_traj.y.copy()
         u[3], y[3, 0] = u_cell, y_cell
         traj = replace(toy_traj, u=u, y=y)
-        text = write_trajectory_csv(traj, tmp_path / "t.csv").read_text()
-        assert text == plain_trajectory_csv(traj)
+        text = write_trajectory_csv(traj, {}, tmp_path / "t.csv").read_text()
+        assert text == plain_trajectory_csv(traj, {})
         assert text.splitlines()[4].split(",")[1:3] == ["%.12g" % u_cell, "%.12g" % y_cell]
 
     def test_svg_bytes_of_charts_in_turn(self, scenarios, monkeypatch, tmp_path):
@@ -262,7 +299,8 @@ class TestWritersMatchPlainReferences:
 
         def render() -> list[bytes]:
             return [emit_svg([(runs[n], {"label": str(n)}) for n in chart], "voltage",
-                             tmp_path / "c.svg").read_bytes() for chart in charts]
+                             built.model.plots["voltage"], tmp_path / "c.svg").read_bytes()
+                    for chart in charts]
 
         svg._x_template.cache_clear()
         shared = render()
