@@ -47,7 +47,7 @@ def quantity_series(traj: Trajectory, quantity: str, keys: tuple[str, ...], *,
                     label: str, color: str = "#c22", width: float = 1.6,
                     dash: str = "") -> list[Series]:
     """A trajectory's series of a named quantity: the current, or else the
-    telemetry channel in ``keys``, or its (max, min) pair."""
+    telemetry channels in ``keys``, one channel or a (max, min) pair."""
     if quantity not in QUANTITIES:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; valid: {', '.join(QUANTITIES)}")
