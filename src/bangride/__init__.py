@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 import functools
 
 from . import models
-from .controller import ConstraintSpec, ControllerState, project_box, step_size
+from .controller import ControllerState, project_box, run_closed_loop, step_size
 from .errors import (BangrideError, ConfigurationError, PotentialDomainError,
                      RootFindingError, SimulationDiverged)
-from .oracle import RootConfig, oracle_trajectory
-from .plant import (MonotonicityReport, PlantModel, Trajectory, run_closed_loop,
-                    simulate, validate_monotonicity)
+from .oracle import oracle_trajectory
+from .plant import (ConstraintSpec, MonotonicityReport, PlantModel, RootConfig,
+                    Trajectory, simulate, validate_monotonicity)
 
 # the plant names resolve through bangride.models, which imports each plant's
 # module on first use

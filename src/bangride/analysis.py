@@ -24,10 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import ConstraintSpec, project_box
+from .controller import project_box
 from .errors import ConfigurationError, RootFindingError, SimulationDiverged
-from .oracle import RootConfig, selector_rows
-from .plant import PlantModel, Trajectory, check_run, simulate_batch
+from .oracle import selector_rows
+from .plant import (ConstraintSpec, PlantModel, RootConfig, Trajectory, check_run,
+                    simulate_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def attach_per_step_optima(trajectory: Trajectory, model: PlantModel,
     once, through ``PlantModel.output_rows``; a step whose error changes
     sign on its current interval takes the frozen constraint's riding
     current from one ``riding_rows`` call, clamped to the interval, and one
-    NaN or more than ``RootConfig.tol_u`` outside it raises
+    NaN or more than ``plant.RootConfig.tol_u`` outside it raises
     ``RootFindingError`` naming the step, the root, the constraint and the
     interval. Every row equals the scalar
     reference ``per_step_optimal_cost`` (``tests/references.py``) bit for bit.

@@ -19,12 +19,12 @@ from .analysis import (attach_per_step_optima, ct_ratio_sign_changes, ct_series,
                        regret, robustness_study)
 from .config import (SCENARIOS, BuiltScenario, build_scenario, load_scenario,
                      parse_value, save_scenario)
-from .controller import project_box, step_size
+from .controller import project_box, run_closed_loop, step_size
 from .csvio import (GOLDEN_COLUMNS, write_gap_csv, write_montecarlo_summary,
                     write_regret_csv, write_trajectory_csv)
 from .errors import BangrideError, ConfigurationError, SimulationDiverged
 from .oracle import oracle_trajectory
-from .plant import run_closed_loop, validate_monotonicity
+from .plant import validate_monotonicity
 from .svg import Series, emit_svg
 
 EXIT_OK = 0

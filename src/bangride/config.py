@@ -25,11 +25,9 @@ from importlib import resources
 from pathlib import Path
 
 from . import models
-from .controller import (DEFAULT_THETA0, DEFAULT_THETA_HI, DEFAULT_THETA_LO,
-                         ConstraintSpec, ControllerState)
+from .controller import DEFAULT_THETA0, DEFAULT_THETA_HI, DEFAULT_THETA_LO, ControllerState
 from .errors import ConfigurationError
-from .oracle import RootConfig
-from .plant import PlantModel
+from .plant import ConstraintSpec, PlantModel, RootConfig
 
 
 @dataclass
@@ -48,6 +46,7 @@ class ScenarioConfig:
     compute_jstar: bool = False
     ct_diagnostics: bool = False
     out_dir: str = "runs"
+    base_dir: str = dataclasses.field(default="", compare=False)  # the loaded file's folder
 
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
@@ -81,8 +80,8 @@ def _bool(text: str) -> bool:
 
 
 # The scenario file: (section, key, field, read, write) for each field of
-# ScenarioConfig, in field order, which is the file order. ``read`` takes the
-# stripped text of a key; ``write`` gives the text, or None to leave it out.
+# ScenarioConfig but base_dir, in field order, which is the file order. ``read``
+# takes a key's stripped text; ``write`` gives the text, or None to leave it out.
 SCENARIO_FORMAT = (
     ("scenario", "model", "model", str, str),
     ("scenario", "params", "params_file", str, str),
@@ -107,7 +106,7 @@ def _data_path(name: str):
     return resources.files("bangride.data").joinpath(name)
 
 
-def _find(name: str, packaged: str, what: str):
+def _find(name: str | Path, packaged: str, what: str):
     """The file ``name`` (not a directory), else the packaged data file ``packaged``."""
     if Path(name).is_file():
         return Path(name)
@@ -124,7 +123,7 @@ def resolve_config_path(name_or_path: str):
 def params_path(cfg: ScenarioConfig, default_name: str):
     if not cfg.params_file:
         return _data_path(default_name)
-    return _find(cfg.params_file, cfg.params_file, "parameter file")
+    return _find(Path(cfg.base_dir, cfg.params_file), cfg.params_file, "parameter file")
 
 
 def _parser() -> configparser.ConfigParser:
@@ -170,7 +169,7 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
               for section, key, field, read, _ in SCENARIO_FORMAT
               if cp.has_option(section, key)}
     try:
-        return ScenarioConfig(**values)
+        return ScenarioConfig(**values, base_dir=str(path.parent))
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 

@@ -39,8 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..controller import ConstraintSpec
-from ..plant import PlantModel, _extreme
+from ..plant import ConstraintSpec, PlantModel, _extreme
 from .ecm import EcmEnsemble, EcmParams, rising_roots
 
 VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
@@ -86,7 +85,7 @@ class PackPlant(PlantModel):
                                               for name, f in zip(VARIED_FIELDS, row)}))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"[pack] cell {k}: {exc}") from exc
-        self.ensemble = EcmEnsemble(cells)
+        self.cells = EcmEnsemble(cells)
         self._cl = params.k_left * base.dt
         self._cr = params.k_right * base.dt
         self.output_count = 2 * n + 2
@@ -107,7 +106,7 @@ class PackPlant(PlantModel):
         y = np.empty(self.output_count)
         y[0] = u
         t_outs = y[n + 1:2 * n + 1]
-        x_next = self.ensemble.advance_into(state, u, y[1:n + 1], t_outs)
+        x_next = self.cells.advance_into(state, u, y[1:n + 1], t_outs)
         coupling, td_next = self._coupling(state[:, 3]), x_next[:, 3]
         t_outs += coupling
         td_next += coupling
@@ -131,14 +130,14 @@ class PackPlant(PlantModel):
         aside) of the cells of a state (N, 4) or of state rows (n, N, 4). The
         bound comes off alpha after the coupling is added, as in ``advance``,
         so the ensemble's own riding currents would round differently."""
-        cells, td = self.ensemble, states[..., 3]
+        cells, td = self.cells, states[..., 3]
         v12 = states[..., 0] + states[..., 1]
         return v12, states[..., 2], cells._kt * td + self._coupling(td), cells._bt * v12
 
     def output_rows(self, states, u, index) -> np.ndarray:
         """Every output of every row in ``advance``'s operation order, then
         entry ``index[k]`` of row k."""
-        e, n = self.ensemble, self.n_cells
+        e, n = self.cells, self.n_cells
         td, uc = states[..., 3], u[:, None]
         v12 = states[..., 0] + states[..., 1]
         y = np.empty((len(index), self.output_count))
@@ -153,7 +152,7 @@ class PackPlant(PlantModel):
     def riding_currents(self, state, y_bar: np.ndarray) -> np.ndarray:
         """Per-cell closed forms: affine voltage roots and the rising roots of
         the temperature quadratics; and the spread's root."""
-        cells = self.ensemble
+        cells = self.cells
         n = self.n_cells
         v12, soc, alpha, beta = self._lines(state)
         roots = np.empty(self.output_count)
@@ -168,7 +167,7 @@ class PackPlant(PlantModel):
         """Each row's riding current from the cells it reads, in the
         arithmetic of ``riding_currents``: one cell for a voltage or a
         temperature, all N for the spread."""
-        cells = self.ensemble
+        cells = self.cells
         n = self.n_cells
         v12, soc, alpha, beta = self._lines(states)
         out = np.full(len(index), float(y_bar[0]))    # index 0: the current bound

@@ -38,9 +38,9 @@ states (stoichiometry 0.05-0.98) and currents (0 to 2*u_max).
 bisection. V is increasing and concave in u >= 0, so Newton steps from u = 0
 climb to the root from the feasible side. They stop when a step makes no
 progress, or when rounding puts a step's computed voltage above the bound;
-then halving closes [last feasible iterate, overshoot] to the tolerance
-``RootConfig.tol_u``. The result is the largest current whose computed
-voltage does not exceed the bound, within that tolerance.
+then halving closes [last feasible iterate, overshoot] to the plant
+contract's tolerance ``plant.RootConfig.tol_u``. The result is the largest
+current whose computed voltage does not exceed the bound, within it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, PotentialDomainError
-from ..oracle import RootConfig
-from ..plant import PlantModel, validate_monotonicity
+from ..plant import PlantModel, RootConfig, validate_monotonicity
 
 KELVIN_OFFSET = 273.15
 REFERENCE_T_K = 298.15

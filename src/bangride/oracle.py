@@ -6,9 +6,10 @@ reads the plant through ``PlantModel.riding_currents`` alone, which gives all
 p roots at once, in closed form or by Newton steps. The ideal input is the
 minimum over the roots clamped at 0, which is always finite because
 constraint 1 pins u_max (``_minimum``, per step in ``oracle_trajectory`` and
-per batch row in ``selector_rows``). The solve tolerances are the class
-constants of ``RootConfig``. The bisection that every hook is checked against
-lives in ``tests/references.py``, beside a one-state selection for the tests.
+per batch row in ``selector_rows``). The bisection that every hook is
+checked against lives in ``tests/references.py``, beside a one-state
+selection for the tests. Like ``controller.run_closed_loop``, the law runs
+through ``plant.simulate``.
 
 Stateless given (model, x); runs over distinct scenarios may execute in
 parallel, successive time steps may not (the state evolves).
@@ -18,19 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controller import ConstraintSpec
-from .plant import PlantModel, Trajectory, simulate
-
-
-class RootConfig:
-    """Tolerances for the riding currents, as class constants: ``tol_u``
-    for an iterated root (the SPMeT's Newton steps), and for a root outside a
-    per-step optimum's current interval, which ``attach_per_step_optima``
-    rejects beyond it; ``tol_y``, the residual of an oracle's active output.
-    """
-
-    tol_u = 1e-9    # absolute tolerance on the current [A]
-    tol_y = 1e-6    # absolute residual tolerance in output units
+from .plant import ConstraintSpec, PlantModel, Trajectory, simulate
 
 
 def _minimum(roots, u_max: float) -> tuple[float, int]:

@@ -9,8 +9,9 @@ closed form or by Newton steps; ``riding_rows`` is its row form. States
 are numeric values that only the concrete models interpret; a single cell
 steps its vector state as Python float lists (the vector-state rule of
 ``PlantModel.advance``), the pack its (N, 4) state as numpy arrays.
-A plant also gives a scenario its ``ConstraintSpec`` (``constraints``) and
-its start state (``initial_state()``, with no argument).
+A plant also gives a scenario its ``ConstraintSpec`` (``constraints``), the
+bounds and error weights, and its start state (``initial_state()``, with no
+argument). ``RootConfig`` is the tolerance of the riding-current contract.
 
 ``simulate`` steps any plant under a policy (a ``control`` and an
 ``observe`` callback) in one loop, with one ``advance`` call per step, and
@@ -20,8 +21,9 @@ values are gathered in Python lists per step and copied into the columns once
 after the loop; the pack's state and output rows are written per step. The
 guard is one constant, which ``simulate`` and ``simulate_batch`` read at call
 time. The commands run two policies through ``simulate``: the model-free
-controller (``run_closed_loop``), the one policy that weighs the errors step
-by step, and the oracle (``oracle.oracle_trajectory``).
+controller (``controller.run_closed_loop``), the one policy that weighs the
+errors step by step, and the oracle (``oracle.oracle_trajectory``). Both
+import this module, which imports nothing of the package but ``errors``.
 A single run is strictly sequential (feedback dependency); distinct runs
 share nothing mutable and may execute in parallel. Trajectories are treated
 as immutable once returned.
@@ -41,16 +43,65 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .controller import ConstraintSpec, ControllerState
 from .errors import ConfigurationError, PotentialDomainError, SimulationDiverged
 
 GUARD = 1e9     # the magnitude past which an input, output or state diverges
 MONOTONICITY_DELTA = 1e-6     # validate_monotonicity's forward-difference step [A]
+
+
+@dataclass
+class ConstraintSpec:
+    """Output upper bounds with strictly positive error weights.
+
+    The weighted constraint errors are ``e_i = gamma_i * (y_bar_i - y_i)``.
+    Constraint i is satisfied at a step iff ``e_i >= 0`` and active when
+    ``e_i == 0``. Bound 1 is the current limit ``u_max``, which must be > 0.
+    """
+
+    y_bar: np.ndarray
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        self.y_bar = np.atleast_1d(np.asarray(self.y_bar, dtype=float))
+        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        if self.y_bar.ndim != 1 or self.y_bar.size < 1:
+            raise ConfigurationError("y_bar must be a non-empty 1-D vector")
+        if self.gamma.shape != self.y_bar.shape:
+            raise ConfigurationError(
+                f"gamma shape {self.gamma.shape} != y_bar shape {self.y_bar.shape}"
+            )
+        if not np.all(np.isfinite(self.y_bar)):
+            raise ConfigurationError("y_bar entries must be finite")
+        if not self.y_bar[0] > 0.0:
+            raise ConfigurationError("bound 1 is the current limit and must be > 0")
+        if not np.all(self.gamma > 0.0):
+            raise ConfigurationError("all weights gamma_i must be > 0")
+        if not np.all(np.isfinite(self.gamma)):
+            raise ConfigurationError("gamma entries must be finite")
+
+    @property
+    def p(self) -> int:
+        return int(self.y_bar.size)
+
+    @property
+    def u_max(self) -> float:
+        """Bound 1 is the explicit current limit."""
+        return float(self.y_bar[0])
+
+
+class RootConfig:
+    """The riding-current contract's tolerances, as class constants: ``tol_u``
+    for an iterated root (the SPMeT's Newton steps) and for a root outside a
+    per-step optimum's current interval, which ``attach_per_step_optima``
+    rejects; ``tol_y``, the residual of an oracle's active output."""
+
+    tol_u = 1e-9    # absolute tolerance on the current [A]
+    tol_y = 1e-6    # absolute residual tolerance in output units
 
 
 class PlantModel(abc.ABC):
@@ -341,76 +392,6 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
     except Exception as failure:
         Trajectory.from_columns(model, spec, *columns(), steps=t, failure=failure)
     return Trajectory.from_columns(model, spec, *columns())
-
-
-def run_closed_loop(model: PlantModel,
-                    controller: ControllerState,
-                    spec: ConstraintSpec,
-                    t_f: int,
-                    x0) -> Trajectory:
-    """Run the data-driven bang-ride loop for steps t = 0..t_f.
-
-    Per step: compute u from the PI law, weigh the outputs' errors
-    ``gamma * (y_bar - y)``, pick the active constraint, take one projected
-    gradient step on the gains, then append the active error to the history.
-    The gains and the history are held as floats during the run, in the
-    operand order of the numpy ``ReferenceController`` in
-    ``tests/references.py``, so every value matches the reference bit for bit.
-    The controller is only read: the history starts at zero in every run.
-    """
-    thetas, alphas = [], []     # the gains and step sizes, copied once
-    t0, t1 = controller.theta.tolist()
-    lo0, lo1 = controller.theta_lo.tolist()
-    hi0, hi1 = controller.theta_hi.tolist()
-    neg_mu1, clip = -controller.mu1, controller.grad_clip
-    gamma, y_bar = spec.gamma, spec.y_bar
-    weights = list(zip(gamma.tolist(), y_bar.tolist()))
-    grad = np.empty(2)      # the gradient, for its norm when clipped
-    last = tot = alpha = 0.0
-
-    def control(t: int, x) -> float:
-        nonlocal alpha
-        thetas.extend((t0, t1))
-        alpha = 1.0 if t == 0 else float(t) ** neg_mu1     # step_size(t, mu1)
-        alphas.append(alpha)
-        if not (math.isfinite(t0) and math.isfinite(t1)
-                and math.isfinite(last) and math.isfinite(tot)):
-            raise SimulationDiverged(t, "non-finite controller state")
-        return t0 * last + t1 * tot
-
-    def observe(t: int, y) -> int:
-        nonlocal t0, t1, last, tot
-        # the first minimum, as argmin gives it: the guard keeps NaN out
-        if isinstance(y, list):
-            e = [g * (b - v) for (g, b), v in zip(weights, y)]
-            ea = min(e)
-            k = e.index(ea)
-        else:
-            e = gamma * (y_bar - y)
-            k = int(e.argmin())
-            ea = float(e[k])
-        g0, g1 = -ea * last, -ea * tot
-        if clip is not None:
-            # np.linalg.norm's own sqrt(g.dot(g)), without its per-call cost
-            grad[0], grad[1] = g0, g1
-            norm = math.sqrt(grad.dot(grad))
-            if norm > clip:
-                scale = clip / norm
-                g0, g1 = g0 * scale, g1 * scale
-        # ties take the bound, as numpy's maximum and minimum do, so that a
-        # signed zero comes out as project_box gives it
-        v = t0 - alpha * g0
-        v = lo0 if v <= lo0 else v
-        t0 = hi0 if v >= hi0 else v
-        v = t1 - alpha * g1
-        v = lo1 if v <= lo1 else v
-        t1 = hi1 if v >= hi1 else v
-        last = ea
-        tot += ea
-        return k + 1
-
-    traj = simulate(model, spec, t_f, x0, control, observe)
-    return replace(traj, theta=np.reshape(thetas, (-1, 2)), alpha=np.array(alphas))
 
 
 @np.errstate(all="ignore")

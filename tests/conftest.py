@@ -7,10 +7,12 @@ from bangride import oracle_trajectory, plant, run_closed_loop
 from bangride.config import build_scenario, load_scenario
 
 # Every run draws the same examples and replays none from a local example
-# database; each test keeps its own max_examples and deadline. A seed sweep
-# passes `--hypothesis-profile=default --hypothesis-seed=k`, which pytest
-# applies after this file loads.
+# database; each test keeps its own max_examples and deadline. The seed sweep
+# (tests/seed_sweep.py) passes `--hypothesis-profile=sweep --hypothesis-seed=k`,
+# which pytest applies after this file loads: random draws from seed k, and
+# still no example database written into the checkout.
 settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("sweep", database=None)
 settings.load_profile("tier1")
 
 

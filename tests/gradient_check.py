@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bangride.controller import ConstraintSpec
-from bangride.plant import PlantModel, Trajectory
+from bangride.plant import ConstraintSpec, PlantModel, Trajectory
 from references import ct_diagnostic, output
 
 

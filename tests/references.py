@@ -9,7 +9,7 @@ its ``min_norm_on_line_in_box`` a row of ``analysis._min_norm_rows``,
 the loop of ``plant.simulate`` with one numpy write per value per step,
 ``replay_open_loop`` a true copy's run in ``analysis.robustness_study``, and
 ``ReferenceController`` stepped by ``reference_closed_loop`` is the float
-controller of ``plant.run_closed_loop``.
+controller of ``controller.run_closed_loop``.
 The ``*_step`` functions are each packaged plant's next state as a separate
 computation, which the next state of its ``advance`` equals; the
 ``*_outputs`` functions are the outputs of the ECM ensemble's and the pack's
@@ -38,15 +38,15 @@ import numpy as np
 
 from bangride import plant, svg
 from bangride.analysis import _box_corners
-from bangride.controller import ConstraintSpec, ControllerState, project_box, step_size
+from bangride.controller import ControllerState, project_box, step_size
 from bangride.csvio import trajectory_header
 from bangride.errors import ConfigurationError, RootFindingError, SimulationDiverged
 from bangride.models import EcmPlant, PackParams, PackPlant, SpmetPlant, ToyLinearPlant
 from bangride.models.ecm import EcmEnsemble
 from bangride.models.spmet import KELVIN_OFFSET, REFERENCE_T_K
-from bangride.oracle import RootConfig, _minimum
-from bangride.plant import (PlantModel, Trajectory, _diverged, _extreme, check_run,
-                            simulate)
+from bangride.oracle import _minimum
+from bangride.plant import (ConstraintSpec, PlantModel, RootConfig, Trajectory, _diverged,
+                            _extreme, check_run, simulate)
 
 MAX_ITER = 200    # halvings before a bisection gives up
 
@@ -274,7 +274,7 @@ class ReferenceController(ControllerState):
 
 def reference_closed_loop(model: PlantModel, controller: ReferenceController,
                           spec: ConstraintSpec, t_f: int, x0) -> Trajectory:
-    """``plant.run_closed_loop`` with the numpy controller: per step
+    """``controller.run_closed_loop`` with the numpy controller: per step
     ``control``, then ``gradient`` and ``update`` on the active error."""
     thetas: list[np.ndarray] = []
     alphas: list[float] = []
@@ -583,7 +583,7 @@ def _pack_coupling(pack: PackPlant, td: np.ndarray) -> np.ndarray:
 
 
 def pack_step(pack: PackPlant, state, u: float) -> np.ndarray:
-    out = ecm_ensemble_step(pack.ensemble, state, u)
+    out = ecm_ensemble_step(pack.cells, state, u)
     out[:, 3] += _pack_coupling(pack, state[:, 3])
     return out
 
@@ -639,7 +639,7 @@ def pack_outputs(pack: PackPlant, state, u: float) -> np.ndarray:
     """The pack's outputs in the layout of its class: ``models.pack``'s, or
     ``AllPairsPack``'s with pairs (j, k) enumerated one by one."""
     n = pack.n_cells
-    cells = ecm_ensemble_outputs(pack.ensemble, state, u)
+    cells = ecm_ensemble_outputs(pack.cells, state, u)
     temps = cells[:, 2] + _pack_coupling(pack, state[:, 3])
     if isinstance(pack, AllPairsPack):
         pairs = [temps[j] - temps[k] for j in range(n) for k in range(n) if k != j]

@@ -76,9 +76,9 @@ def test_public_surface():
     # test reference (references.AllPairsPack)
     assert not [name for name in ("pairwise_mode", "all-pairs", "pair_roots")
                 if any(name in text for text in sources)]
-    assert not hasattr(oracle.RootConfig, "max_iter")
-    # the controller holds no stepping code: run_closed_loop does its float
-    # arithmetic, and the numpy reference is tests/references.py
+    assert not hasattr(plant.RootConfig, "max_iter")
+    # the controller's one stepping function is run_closed_loop, which does its
+    # float arithmetic inline; the numpy reference is tests/references.py
     assert not [name for name in ("constraint_errors", "active_index")
                 if hasattr(bangride.controller, name) or hasattr(bangride, name)]
     assert not [name for name in ("control", "control_gradient", "gradient", "update")

@@ -651,6 +651,30 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--config", "spmet", "--steps", "5"]) == 0
 
+    def test_relative_params_is_read_beside_its_scenario(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # the same run from the scenario's directory and from its parent; a
+        # missing parameter file is named by the path that was looked for
+        cfg = load_scenario("toy")
+        (tmp_path / "sc").mkdir()
+        (tmp_path / "sc" / "p.cfg").write_text(params_path(cfg, "params_toy.cfg").read_text())
+        cfg.params_file = "p.cfg"
+        save_scenario(cfg, tmp_path / "sc" / "my.cfg")
+        for where, config, out in ((tmp_path, "sc/my.cfg", "parent"),
+                                   (tmp_path / "sc", "my.cfg", "inside")):
+            monkeypatch.chdir(where)
+            assert main(["simulate", "--config", config, "--steps", "5",
+                         "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "parent" / "trajectory.csv").read_bytes()
+                == (tmp_path / "inside" / "trajectory.csv").read_bytes())
+        (tmp_path / "sc" / "p.cfg").unlink()
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["simulate", "--config", "sc/my.cfg", "--out", str(tmp_path / "no")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: parameter file not found: {Path('sc', 'p.cfg')}\n")
+        assert not (tmp_path / "no").exists()
+
     def test_validate_prints_every_check(self, capsys):
         assert main(["validate"]) == 0
         assert capsys.readouterr().out == (

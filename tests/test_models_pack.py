@@ -206,10 +206,10 @@ class TestCellVariation:
         a = make_pack(n=8, var=0.3, seed=21)
         b = make_pack(n=8, var=0.3, seed=21)
         c = make_pack(n=8, var=0.3, seed=22)
-        assert a.ensemble.params == b.ensemble.params
-        assert a.ensemble.params != c.ensemble.params
+        assert a.cells.params == b.cells.params
+        assert a.cells.params != c.cells.params
         base = a.params.base
         for name in ("r_1", "c_1", "r_2", "c_2"):
-            arr = np.array([getattr(p, name) for p in a.ensemble.params])
+            arr = np.array([getattr(p, name) for p in a.cells.params])
             ref = getattr(base, name)
             assert np.all(arr >= ref * 0.7) and np.all(arr <= ref * 1.3)

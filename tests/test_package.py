@@ -1,6 +1,9 @@
 """The package's import surface: a command loads only its scenario's plant
-module, and the plant names resolve on first use to their defining modules."""
+module, the plant names resolve on first use to their defining modules, and
+each module imports only from the layers below its own."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +15,12 @@ import bangride
 import bangride.models
 
 SRC = str(Path(bangride.__file__).parents[1])
+
+# the package's layers, lowest first; a module's layer is its first name
+# under ``bangride``, so every plant module is in ``models``
+LAYERS = ("errors", "plant", "controller models", "oracle", "analysis",
+          "config csvio svg", "cli")
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names.split()}
 
 # what a command's set-up imports, then the plant modules it has loaded
 SETUP = """
@@ -65,3 +74,43 @@ def test_unknown_name_names_the_package_it_was_looked_up_on(package):
 def test_importing_an_unknown_name_is_an_import_error():
     with pytest.raises(ImportError, match="Nope"):
         from bangride import Nope  # noqa: F401
+
+
+def package_imports():
+    """The package's modules, as dotted names under ``bangride``, and the
+    (importer, imported) pairs of their relative imports. The package
+    ``__init__`` and ``__main__`` are neither, so ``from . import
+    __version__`` names no module."""
+    root = Path(bangride.__file__).parent
+    paths = {".".join(path.relative_to(root).with_suffix("").parts).removesuffix(".__init__"):
+             path for path in root.rglob("*.py")}
+    del paths["__init__"], paths["__main__"]
+    edges = set()
+    for name, path in paths.items():
+        package = ".".join(("bangride", *path.relative_to(root).parent.parts))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            targets = [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+            edges.update((name, target.removeprefix("bangride.")) for target in targets
+                         if target.removeprefix("bangride.") in paths)
+    return paths, edges
+
+
+def layer(module: str) -> str:
+    return module.split(".")[0]
+
+
+def test_each_module_imports_only_from_lower_layers():
+    paths, edges = package_imports()
+    assert sorted(name for name in paths if layer(name) not in RANK) == []
+    assert len(edges) >= 30
+    # one plant module may import another: the pack stacks ECM cells
+    upward = sorted(f"{a} -> {b}" for a, b in edges
+                    if RANK[layer(a)] <= RANK[layer(b)] and not layer(a) == layer(b) == "models")
+    assert upward == []
+    # the plant contract stands on the errors alone, and a plant module on
+    # the contract, the errors and the ECM cells
+    assert {b for a, b in edges if a == "plant"} == {"errors"}
+    assert {b for a, b in edges if layer(a) == "models"} <= {"plant", "errors", "models.ecm"}

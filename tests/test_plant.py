@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from bangride import (ConfigurationError, ConstraintSpec, ControllerState,
                       PotentialDomainError, SimulationDiverged, ToyLinearPlant,
                       oracle_trajectory, run_closed_loop, validate_monotonicity)
+from bangride import controller as controller_module
 from bangride import oracle as oracle_module
-from bangride import plant as plant_module
 from bangride.models.ecm import EcmParams, EcmPlant
 from bangride.plant import PlantModel, Trajectory, _extreme, simulate, simulate_batch
 import references
@@ -668,7 +668,7 @@ def against_reference_loop(run):
         return reference_simulate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (plant_module, oracle_module, references):
+        for module in (controller_module, oracle_module, references):
             patch.setattr(module, "simulate", counted)
         ref = run_outcome(run)
     assert calls == [None]
