@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from . import __version__
 from .analysis import (attach_per_step_optima, ct_ratio_sign_changes, ct_series,
                        regret, robustness_study)
 from .config import (SCENARIOS, BuiltScenario, build_scenario, load_scenario,
-                     parse_value, save_scenario)
+                     parse_value, save_scenario, scenario_hash)
 from .controller import project_box, run_closed_loop, step_size
 from .csvio import (GOLDEN_COLUMNS, write_gap_csv, write_montecarlo_summary,
                     write_regret_csv, write_trajectory_csv)
@@ -46,8 +47,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True):
-        p.add_argument("--config", required=config_required,
+    def common(p: argparse.ArgumentParser, config: str | None = None):
+        p.add_argument("--config", required=config is None, default=config,
                        help=f"scenario file path or packaged name ({', '.join(SCENARIOS)})")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
@@ -72,16 +73,13 @@ def _build_parser() -> _Parser:
                          "accepted so that older command lines still parse")
     common(sub.add_parser("regret", help="step-size-exponent sweep on the "
                                          "scenario's plant (toy by default)"),
-           config_required=False)
+           config="toy")
     sub.add_parser("validate", help="monotonicity and invariant suite")
     return parser
 
 
-def _load(args, default_config: str | None = None) -> BuiltScenario:
-    name = args.config or default_config
-    if name is None:
-        raise ConfigurationError("--config is required")
-    cfg = load_scenario(name)
+def _load(args) -> BuiltScenario:
+    cfg = load_scenario(args.config)
     gamma = None if args.gamma is None else parse_value(
         args.gamma, lambda text: tuple(float(v) for v in text.split(",")), "--gamma")
     overrides = {"seed": args.seed, "t_f": args.steps, "mu1": args.mu1,
@@ -94,10 +92,12 @@ def _prepare_run_dir(built: BuiltScenario, command: str) -> Path:
     out = Path(built.cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(built.cfg, out / "config.cfg")
+    params_hash = hashlib.sha256(built.params_path.read_bytes()).hexdigest()[:16]
     (out / "manifest.txt").write_text(
         f"version = {__version__}\n"
-        f"config_hash = {built.config_hash}\n"
-        f"command = {command}\n",
+        f"config_hash = {scenario_hash(built.cfg)}\n"
+        f"command = {command}\n"
+        f"params_hash = {params_hash}\n",
         encoding="utf-8")
     return out
 
@@ -205,7 +205,7 @@ def _emit_ensemble_plots(out: Path, result, free, plots) -> None:
 
 
 def cmd_regret(args) -> int:
-    built = _load(args, default_config="toy")
+    built = _load(args)
     out = _prepare_run_dir(built, "regret")
     mu1_list = [args.mu1] if args.mu1 is not None else [0.3, 0.5, 0.7]
     rows = []

@@ -256,7 +256,7 @@ class BuiltScenario:
     model: PlantModel
     spec: ConstraintSpec
     x0: object
-    config_hash: str
+    params_path: Path     # the parameter file the plant was built from, packaged or not
     controller: ControllerState
     # read only by the benchmark child (perfbench/child.py), for tol_y
     root_cfg: RootConfig = RootConfig()
@@ -269,10 +269,11 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     if cfg.t_f < 0 or cfg.seed < 0:
         raise ConfigurationError(f"t_f and seed must be >= 0, got {cfg.t_f}, {cfg.seed}")
     packaged, plant = PLANTS[cfg.model]
-    model = plant(params_path(cfg, packaged))
+    path = params_path(cfg, packaged)
+    model = plant(path)
     spec = model.constraints(cfg.y_bar, cfg.gamma)
     x0 = model.initial_state()
     controller = ControllerState(theta=cfg.theta0, theta_lo=cfg.theta_lo,
                                  theta_hi=cfg.theta_hi, mu1=cfg.mu1, grad_clip=cfg.grad_clip)
-    return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0,
-                         config_hash=scenario_hash(cfg), controller=controller)
+    return BuiltScenario(cfg=cfg, model=model, spec=spec, x0=x0, params_path=path,
+                         controller=controller)

@@ -55,19 +55,13 @@ def _write_rows(path, header: list[str], columns: list) -> Path:
 
 def write_trajectory_csv(traj: Trajectory, block: dict[str, str], path) -> Path:
     """One row per step; schema fixed across rows; ``block`` is the plant's
-    ``csv_block``. Where ``y_1`` is ``u`` bit for bit, as every plant's
-    ``advance`` gives it, its cells are ``u``'s."""
-    u = (NUM, traj.u)
-    if block:
-        mid = [(NUM, traj.telemetry[key]) for key in block.values()]
-    else:
-        mid = [(NUM, c) for c in traj.y.T]
-        if np.array_equal(traj.y[:, 0].view(np.int64), traj.u.view(np.int64)):
-            u = mid[0] = ("%s", [NUM % v for v in traj.u.tolist()])
+    ``csv_block``, whose channels are written in place of ``y_1..y_p``.
+    Each number cell is formatted on its own, with ``NUM``."""
+    mid = [traj.telemetry[key] for key in block.values()] if block else traj.y.T
     theta = (None, None) if traj.theta is None else traj.theta.T
     return _write_rows(path, trajectory_header(traj, block),
-                       [("%d", np.arange(len(traj))), u, *mid, (NUM, traj.e_active),
-                        ("%d", traj.i_star)]
+                       [("%d", np.arange(len(traj)))]
+                       + [(NUM, c) for c in (traj.u, *mid, traj.e_active)] + [("%d", traj.i_star)]
                        + [(NUM, c) for c in (*theta, traj.alpha, traj.J, traj.J_star)])
 
 

@@ -62,8 +62,6 @@ def quantity_series(traj: Trajectory, quantity: str, keys: tuple[str, ...], *,
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * k / (TICKS - 1) for k in range(TICKS)]
 
 
@@ -81,9 +79,10 @@ def _x_template(x_hi: float, m: int) -> str:
     return " ".join(["%.2f,%%.2f"] * m) % tuple(sx(np.arange(m, dtype=float), x_hi).tolist())
 
 
-def render_chart(series: list[Series], title: str, ylabel: str) -> str:
-    if not series:
-        raise ConfigurationError("nothing to plot")
+def render_chart(series: list[Series], quantity: str) -> str:
+    """The chart of ``series`` over the time step, titled and labelled by
+    ``quantity`` and its ``UNITS``. Neither axis is empty: x runs from 0 to
+    at least 1, and y is padded by 5 % of its range, or of max(|y|, 1) if flat."""
     n = max(len(s.y) for s in series)
     y_lo = min(float(np.min(s.y)) for s in series)
     y_hi = max(float(np.max(s.y)) for s in series)
@@ -100,7 +99,7 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH/2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{quantity} over time</text>',
     ]
     # axes and ticks
     parts.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" '
@@ -121,8 +120,8 @@ def render_chart(series: list[Series], title: str, ylabel: str) -> str:
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="12">time step [-]</text>')
     parts.append(f'<text x="14" y="{MARGIN_T + PLOT_H/2:.1f}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 14 {MARGIN_T + PLOT_H/2:.1f})">{ylabel}</text>')
+                 f'font-family="sans-serif" font-size="12" transform="rotate(-90 14 '
+                 f'{MARGIN_T + PLOT_H/2:.1f})">{quantity} [{UNITS[quantity]}]</text>')
     # polylines
     for s in series:
         pts = _x_template(x_hi, len(s.y)) % tuple(sy(np.asarray(s.y, dtype=float)).tolist())
@@ -161,8 +160,6 @@ def emit_svg(trajectories: list[tuple[Trajectory, dict]], quantity: str,
     series: list[Series] = list(under)
     for traj, style in trajectories:
         series.extend(quantity_series(traj, quantity, keys, **style))
-    markup = render_chart(series, title=f"{quantity} over time",
-                          ylabel=f"{quantity} [{UNITS[quantity]}]")
     path = Path(path)
-    path.write_text(markup, encoding="utf-8")
+    path.write_text(render_chart(series, quantity), encoding="utf-8")
     return path

@@ -1,7 +1,9 @@
+import tempfile
 from unittest import mock
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bangride import oracle_trajectory, plant, run_closed_loop
 from bangride.config import build_scenario, load_scenario
@@ -10,10 +12,21 @@ from bangride.config import build_scenario, load_scenario
 # database; each test keeps its own max_examples and deadline. The seed sweep
 # (tests/seed_sweep.py) passes `--hypothesis-profile=sweep --hypothesis-seed=k`,
 # which pytest applies after this file loads: random draws from seed k, and
-# still no example database written into the checkout.
+# still no example database.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("sweep", database=None)
 settings.load_profile("tier1")
+
+# Hypothesis keeps a cache of the constants it reads from the code under test
+# in its home directory, ./.hypothesis by default, even with no example
+# database. Point it at a temporary directory, removed when the session ends,
+# so that a test run writes nothing into the checkout.
+HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
+
+
+def pytest_sessionfinish(session):
+    HYPOTHESIS_HOME.cleanup()
 
 
 def guard(magnitude: float):

@@ -49,14 +49,48 @@ USAGE_ERROR = ["simulate", "--config", "toy", "--frobnicate"]
 NO_FAMILY = ["montecarlo", "--config", "spmet", "--steps", "30"]   # PlantModel.perturbed
 
 
+def src_modules() -> list[types.ModuleType]:
+    """Every module under src/, imported; ``__main__``, which runs the CLI
+    when imported as the main module, holds no function and is left out."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] != "__main__":
+            found.append(importlib.import_module(
+                ".".join(parts[:-1] if parts[-1] == "__init__" else parts)))
+    return found
+
+
 def defined_functions() -> dict[tuple[str, types.CodeType], str]:
     """(file, code) of every ``def`` and ``lambda`` under src/ -> its name:
     a def's qualified name, and a lambda's with its file, first line and
     order on that line, as ``Owner.<lambda>@file.py:line#order``.
-    Class bodies and comprehensions are not counted. A code object equals
-    the one the imported module runs, as both compile the same source."""
+    Class bodies and comprehensions are not counted.
+
+    The code is the code that runs: every function object of the imported
+    package (``gc.get_objects``), and the code nested in their
+    ``co_consts``, such as a def or a lambda inside a function that no call
+    has made yet. No source file is read, so an edit on disk after import
+    changes nothing. A top-level function is named by its ``__qualname__``
+    and a nested one by walking down from it, which names code the same way
+    on every Python version (``co_qualname`` exists only from 3.11).
+    Top-level lambdas sharing a line would be numbered in the order
+    ``gc.get_objects`` lists them; no line holds two today."""
+    src_modules()
+    live = [f for f in gc.get_objects() if isinstance(f, types.FunctionType)
+            and Path(f.__code__.co_filename).is_relative_to(SRC)]
     found = {}
     on_line: dict[tuple[str, int], int] = {}
+
+    def name(code: types.CodeType, owner: str) -> str:
+        """``code``'s name as the docstring gives it; ``owner`` is the
+        qualified name up to and including its last dot."""
+        if code.co_name != "<lambda>":
+            return owner + code.co_name
+        line = (code.co_filename, code.co_firstlineno)
+        on_line[line] = on_line.get(line, 0) + 1
+        where = Path(code.co_filename).relative_to(SRC).as_posix()
+        return f"{owner}<lambda>@{where}:{code.co_firstlineno}#{on_line[line]}"
 
     def walk(code: types.CodeType, prefix: str) -> None:
         for const in code.co_consts:
@@ -64,36 +98,34 @@ def defined_functions() -> dict[tuple[str, types.CodeType], str]:
                 continue
             if not const.co_flags & inspect.CO_OPTIMIZED:     # a class body
                 walk(const, f"{prefix}{const.co_name}.")
-            elif const.co_name == "<lambda>":
-                line = (const.co_filename, const.co_firstlineno)
-                on_line[line] = on_line.get(line, 0) + 1
-                where = Path(const.co_filename).relative_to(SRC).as_posix()
-                found[(const.co_filename, const)] = (
-                    f"{prefix}<lambda>@{where}:{const.co_firstlineno}#{on_line[line]}")
-                walk(const, f"{prefix}<lambda>.<locals>.")
-            elif const.co_name.startswith("<"):              # a comprehension
-                walk(const, prefix)
+            elif const.co_name.startswith("<") and const.co_name != "<lambda>":
+                walk(const, prefix)                           # a comprehension
             else:
-                qualname = prefix + const.co_name
-                found[(const.co_filename, const)] = qualname
-                walk(const, f"{qualname}.<locals>.")
+                found[(const.co_filename, const)] = name(const, prefix)
+                walk(const, f"{prefix}{const.co_name}.<locals>.")
 
-    for path in sorted(SRC.rglob("*.py")):
-        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")
+    nested = set()
+
+    def collect(code: types.CodeType) -> None:
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                nested.add(const)
+                collect(const)
+
+    for function in live:
+        collect(function.__code__)
+    tops = {f.__code__: f.__qualname__ for f in live if f.__code__ not in nested}
+    for code, qualname in tops.items():
+        found[(code.co_filename, code)] = name(code, qualname[:-len(code.co_name)])
+        walk(code, f"{qualname}.<locals>.")
     return found
 
 
 def module_functions() -> list[types.FunctionType]:
     """The functions of every module under src/ and of the classes it
-    defines, decorators unwrapped; ``__main__``, which runs the CLI when
-    imported as the main module, holds none."""
+    defines, decorators unwrapped."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        parts = path.relative_to(SRC.parent).with_suffix("").parts
-        if parts[-1] == "__main__":
-            continue
-        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__"
-                                                  else parts))
+    for module in src_modules():
         for value in list(vars(module).values()):
             members = [value]
             if isinstance(value, type) and value.__module__ == module.__name__:

@@ -358,6 +358,34 @@ class TestCli:
         assert ((out1 / "manifest.txt").read_text().splitlines()[:2]
                 == (out2 / "manifest.txt").read_text().splitlines()[:2])
 
+    def test_manifest_hashes_the_parameter_file(self, tmp_path):
+        # one scenario path over two parameter files that differ only in d:
+        # the scenario's hash stays, the parameter file's follows its bytes
+        cfg = load_scenario("toy")
+        text = params_path(cfg, "params_toy.cfg").read_text()
+        assert "\nd = 1.0\n" in text
+        cfg.params_file, cfg.t_f = "p.cfg", 5
+        save_scenario(cfg, tmp_path / "s.cfg")
+        manifests = []
+        for d in ("1.0", "2.0"):
+            (tmp_path / "p.cfg").write_text(text.replace("\nd = 1.0\n", f"\nd = {d}\n"))
+            out = tmp_path / d
+            assert main(["simulate", "--config", str(tmp_path / "s.cfg"), "--out", str(out)]) == 0
+            digest = hashlib.sha256((tmp_path / "p.cfg").read_bytes()).hexdigest()[:16]
+            lines = (out / "manifest.txt").read_text().splitlines()
+            assert lines[1] == f"config_hash = {scenario_hash(cfg)}"
+            assert lines[3:] == [f"params_hash = {digest}"]
+            manifests.append(lines)
+        assert manifests[0][:3] == manifests[1][:3]
+        assert manifests[0][3] != manifests[1][3]
+
+    def test_packaged_parameter_file_is_hashed(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", "ecm", "--steps", "5", "--out", str(out)]) == 0
+        digest = hashlib.sha256(params_path(load_scenario("ecm"), "params_ecm.cfg")
+                                .read_bytes()).hexdigest()[:16]
+        assert (out / "manifest.txt").read_text().endswith(f"\nparams_hash = {digest}\n")
+
     def test_montecarlo_summary_deterministic(self, tmp_path):
         args = ["montecarlo", "--config", "ecm", "--steps", "250",
                 "--models", "6", "--fraction", "0.1", "--seed", "7"]
@@ -443,6 +471,25 @@ class TestCli:
         assert capsys.readouterr().out.count("tail_slope=none") == 3
         rows = (out / "regret.csv").read_text().splitlines()[1:]
         assert len(rows) == 3 and all(row.split(",")[2] == "" for row in rows)
+
+    def test_regret_runs_the_toy_by_default(self, tmp_path, capsys):
+        outs = [tmp_path / "default", tmp_path / "toy"]
+        assert main(["regret", "--steps", "200", "--out", str(outs[0])]) == 0
+        assert main(["regret", "--config", "toy", "--steps", "200",
+                     "--out", str(outs[1])]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:3] == printed[3:]
+        assert ((outs[0] / "regret.csv").read_bytes()
+                == (outs[1] / "regret.csv").read_bytes())
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "compare", "montecarlo"])
+    def test_config_is_required(self, command, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([command, "--steps", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: bangride {command} ")
+        assert err.endswith("\nerror: the following arguments are required: --config\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "oracle", "compare"])
     def test_toy_svg_plots_current_only(self, command, tmp_path):
