@@ -248,7 +248,6 @@ def ct_ratio_sign_changes(ct: np.ndarray, alphas: np.ndarray) -> int:
 class ModelOutcome:
     """One perturbed model's ideal protocol replayed on the true plant."""
 
-    index: int
     failure: SimulationDiverged | None = None   # the oracle's, else the replay's
     max_depth: np.ndarray | None = None    # per-constraint (y - y_bar)+ peak
     violation_steps: int = 0
@@ -263,9 +262,15 @@ class ModelOutcome:
 
 @dataclass
 class ViolationStats:
-    outcomes: list[ModelOutcome]
-    runs_with_violation: int
-    diverged_runs: int
+    outcomes: list[ModelOutcome]    # entry k is model k's
+
+    @property
+    def runs_with_violation(self) -> int:
+        return sum(o.violation_steps > 0 for o in self.outcomes)
+
+    @property
+    def diverged_runs(self) -> int:
+        return sum(o.diverged for o in self.outcomes)
 
 
 @dataclass
@@ -285,7 +290,7 @@ def _soc_objective(soc: np.ndarray) -> float:
     return float(np.cumsum(soc)[-1])
 
 
-def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
+def _replay_outcome(u_seq: np.ndarray, y: np.ndarray,
                     states: np.ndarray, true_model: PlantModel,
                     spec: ConstraintSpec, oracle_objective: float,
                     keep_series: bool) -> ModelOutcome:
@@ -294,7 +299,6 @@ def _replay_outcome(index: int, u_seq: np.ndarray, y: np.ndarray,
     over = y - spec.y_bar[None, :]
     achieved = _soc_objective(telemetry["soc"])
     return ModelOutcome(
-        index=index,
         max_depth=np.maximum(over, 0.0).max(axis=0),
         violation_steps=int(np.any(over > VIOLATION_TOL, axis=1).sum()),
         suboptimality=oracle_objective - achieved,
@@ -357,19 +361,14 @@ def robustness_study(true_model: PlantModel, models: list[PlantModel], x0,
     # simulate's checks and failure; copies free the shared columns with the study
     failure = failures.get(m)
     true_oracle = Trajectory.from_columns(
-        true_model, spec, u_true, y_truth[:, 0].copy(), true_index + 1, x_truth[:, 0].copy(),
-        steps=None if failure is None else failure.step, failure=failure)
+        true_model, spec, u_true if failure is None else u_true[:failure.step],
+        y_truth[:, 0].copy(), true_index + 1, x_truth[:, 0].copy(), failure)
     oracle_objective = _soc_objective(true_oracle.telemetry["soc"])
     outcomes = []
     for k in range(m):
         failure = failures.get(k, failures.get(m + 1 + k))
         outcomes.append(
-            ModelOutcome(index=k, failure=failure) if failure is not None else
-            _replay_outcome(k, u_models[:, k], y_truth[:, k + 1], x_truth[:, k + 1],
+            ModelOutcome(failure=failure) if failure is not None else
+            _replay_outcome(u_models[:, k], y_truth[:, k + 1], x_truth[:, k + 1],
                             true_model, spec, oracle_objective, keep_series))
-    stats = ViolationStats(
-        outcomes=outcomes,
-        runs_with_violation=sum(o.violation_steps > 0 for o in outcomes),
-        diverged_runs=sum(o.diverged for o in outcomes),
-    )
-    return RobustnessResult(stats=stats, true_oracle=true_oracle)
+    return RobustnessResult(stats=ViolationStats(outcomes), true_oracle=true_oracle)

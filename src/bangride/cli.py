@@ -25,8 +25,8 @@ from .csvio import (GOLDEN_COLUMNS, write_gap_csv, write_montecarlo_summary,
                     write_regret_csv, write_trajectory_csv)
 from .errors import BangrideError, ConfigurationError, SimulationDiverged
 from .oracle import oracle_trajectory
-from .plant import validate_monotonicity
-from .svg import Series, emit_svg
+from .plant import Trajectory, validate_monotonicity
+from .svg import Series, emit_svg, quantity_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -89,45 +89,77 @@ def _load(args) -> BuiltScenario:
 
 
 def _prepare_run_dir(built: BuiltScenario, command: str) -> Path:
+    """The run directory with the scenario and its parameter file, which
+    ``config.cfg`` names as ``params.cfg``, and the manifest."""
     out = Path(built.cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_scenario(built.cfg, out / "config.cfg")
-    params_hash = hashlib.sha256(built.params_path.read_bytes()).hexdigest()[:16]
+    params = built.params_path.read_bytes()
+    (out / "params.cfg").write_bytes(params)
+    save_scenario(dataclasses.replace(built.cfg, params_file="params.cfg"), out / "config.cfg")
     (out / "manifest.txt").write_text(
         f"version = {__version__}\n"
         f"config_hash = {scenario_hash(built.cfg)}\n"
         f"command = {command}\n"
-        f"params_hash = {params_hash}\n",
+        f"params_hash = {hashlib.sha256(params).hexdigest()[:16]}\n",
         encoding="utf-8")
     return out
 
 
-def _maybe_attach_jstar(traj, built: BuiltScenario):
-    if not built.cfg.compute_jstar:
-        return traj
-    return attach_per_step_optima(traj, built.model, built.spec,
-                                  built.controller.theta_lo, built.controller.theta_hi)
+def _written(out: Path, name: str, built: BuiltScenario, run) -> Trajectory:
+    """``run()``'s trajectory, written to ``out / name``. A run that diverges
+    leaves there the rows before its failing step (``SimulationDiverged.rows``)
+    and a ``failure`` line at the end of the manifest, and raises on."""
+    try:
+        traj = run()
+    except SimulationDiverged as error:
+        write_trajectory_csv(error.rows, built.model.csv_block, out / name)
+        with (out / "manifest.txt").open("a", encoding="utf-8") as fh:
+            fh.write(f"failure = {error}\n")
+        raise
+    write_trajectory_csv(traj, built.model.csv_block, out / name)
+    return traj
 
 
-def _emit_plots(out: Path, entries, plots) -> None:
+def _free_run(built: BuiltScenario, out: Path) -> Trajectory:
+    """The model-free run, with its per-step optima if the scenario computes
+    them, in ``trajectory.csv`` (``_written``)."""
+    def run() -> Trajectory:
+        traj = run_closed_loop(built.model, built.controller, built.spec,
+                               built.cfg.t_f, built.x0)
+        if not built.cfg.compute_jstar:
+            return traj
+        return attach_per_step_optima(traj, built.model, built.spec,
+                                      built.controller.theta_lo, built.controller.theta_hi)
+    return _written(out, "trajectory.csv", built, run)
+
+
+def _ideal_run(built: BuiltScenario, out: Path) -> Trajectory:
+    """The oracle's run, in ``oracle.csv`` (``_written``)."""
+    return _written(out, "oracle.csv", built, lambda: oracle_trajectory(
+        built.model, built.spec, built.cfg.t_f, built.x0))
+
+
+FREE_STYLE = Series("model-free", "#c22", 1.7)
+ORACLE_STYLE = Series("ideal bang-ride", "#111", 1.4, "6,4")
+ENSEMBLE_STYLE = Series("perturbed ensemble", "#bbb", 0.7)
+
+
+def _series(runs, quantity: str, keys) -> list[Series]:
+    """The series of ``quantity`` of each (trajectory, style) pair of ``runs``."""
+    return [s for traj, style in runs for s in quantity_series(traj, quantity, keys, style)]
+
+
+def _emit_plots(out: Path, runs, plots) -> None:
     """The current's chart, then one per quantity the plant plots
     (``PlantModel.plots``)."""
     for quantity, keys in {"current": (), **plots}.items():
-        emit_svg(entries, quantity, keys, out / f"{quantity}.svg")
-
-
-FREE_STYLE = {"label": "model-free", "color": "#c22", "width": 1.7}
-ORACLE_STYLE = {"label": "ideal bang-ride", "color": "#111", "width": 1.4,
-                "dash": "6,4"}
+        emit_svg(_series(runs, quantity, keys), quantity, out / f"{quantity}.svg")
 
 
 def cmd_simulate(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "simulate")
-    traj = run_closed_loop(built.model, built.controller, built.spec,
-                           built.cfg.t_f, built.x0)
-    traj = _maybe_attach_jstar(traj, built)
-    write_trajectory_csv(traj, built.model.csv_block, out / "trajectory.csv")
+    traj = _free_run(built, out)
     if built.cfg.ct_diagnostics:
         ct = ct_series(traj, built.model, built.spec)
         print(f"c_t diagnostics: min={ct.min():.6g} "
@@ -141,8 +173,7 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "oracle")
-    traj = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
-    write_trajectory_csv(traj, built.model.csv_block, out / "oracle.csv")
+    traj = _ideal_run(built, out)
     if args.svg:
         _emit_plots(out, [(traj, ORACLE_STYLE)], built.model.plots)
     print(f"oracle: {len(traj)} steps -> {out / 'oracle.csv'}")
@@ -152,12 +183,8 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     built = _load(args)
     out = _prepare_run_dir(built, "compare")
-    free = run_closed_loop(built.model, built.controller, built.spec,
-                           built.cfg.t_f, built.x0)
-    free = _maybe_attach_jstar(free, built)
-    oracle = oracle_trajectory(built.model, built.spec, built.cfg.t_f, built.x0)
-    write_trajectory_csv(free, built.model.csv_block, out / "trajectory.csv")
-    write_trajectory_csv(oracle, built.model.csv_block, out / "oracle.csv")
+    free = _free_run(built, out)
+    oracle = _ideal_run(built, out)
     write_gap_csv(free, oracle, out / "gap.csv")
     w = slice(len(free) // 10, len(free))
     denom = float(np.linalg.norm(oracle.u[w]))
@@ -193,15 +220,13 @@ def cmd_montecarlo(args) -> int:
 def _emit_ensemble_plots(out: Path, result, free, plots) -> None:
     """Perturbed-protocol ensemble in gray under the true runs: the
     model-free run ``free`` and the true oracle."""
-    kept = [o for o in result.stats.outcomes
-            if not o.diverged and o.u_seq is not None]
+    kept = [o for o in result.stats.outcomes if not o.diverged]
+    runs = [(free, FREE_STYLE), (result.true_oracle, ORACLE_STYLE)]
     for quantity, keys, extract in (
             ("current", (), lambda o: o.u_seq),
             ("temperature", plots["temperature"], lambda o: o.temperature)):
-        ensemble = [Series(label="perturbed ensemble", y=extract(o), color="#bbb",
-                           width=0.7, in_legend=(k == 0)) for k, o in enumerate(kept)]
-        emit_svg([(free, FREE_STYLE), (result.true_oracle, ORACLE_STYLE)], quantity,
-                 keys, out / f"{quantity}_ensemble.svg", under=ensemble)
+        emit_svg([dataclasses.replace(ENSEMBLE_STYLE, y=extract(o)) for o in kept]
+                 + _series(runs, quantity, keys), quantity, out / f"{quantity}_ensemble.svg")
 
 
 def cmd_regret(args) -> int:

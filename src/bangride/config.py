@@ -190,8 +190,9 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:
-    """Hash of the scientific configuration; where outputs land is excluded."""
-    canon = dataclasses.replace(cfg, out_dir="")
+    """Hash of the scientific configuration; where outputs land and where the
+    parameter file lies, whose bytes a run's ``params_hash`` covers, are excluded."""
+    canon = dataclasses.replace(cfg, out_dir="", params_file="")
     return hashlib.sha256(serialize_scenario(canon).encode()).hexdigest()[:16]
 
 

@@ -91,6 +91,7 @@ def run_closed_loop(model: PlantModel,
     operand order of the numpy ``ReferenceController`` in
     ``tests/references.py``, so every value matches the reference bit for bit.
     The controller is only read: the history starts at zero in every run.
+    A ``SimulationDiverged`` carries its rows' gains and step sizes too.
     """
     thetas, alphas = [], []     # the gains and step sizes, copied once
     t0, t1 = controller.theta.tolist()
@@ -143,5 +144,11 @@ def run_closed_loop(model: PlantModel,
         tot += ea
         return k + 1
 
-    traj = simulate(model, spec, t_f, x0, control, observe)
+    try:
+        traj = simulate(model, spec, t_f, x0, control, observe)
+    except SimulationDiverged as error:     # the failing step may have logged its gains
+        n = len(error.rows)
+        error.rows = replace(error.rows, theta=np.reshape(thetas[:2 * n], (-1, 2)),
+                             alpha=np.array(alphas[:n]))
+        raise
     return replace(traj, theta=np.reshape(thetas, (-1, 2)), alpha=np.array(alphas))

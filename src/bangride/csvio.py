@@ -80,11 +80,11 @@ def write_montecarlo_summary(stats, names, path) -> Path:
     blank = "," * (len(names) + 3)     # a diverged row's empty cells
     return _write_lines(path, ["model_index", "diverged", "any_violation", "violation_steps",
                                *[f"depth_{name}" for name in names], "suboptimality"],
-                        [f"{o.index},1{blank}\n" if o.diverged else
-                         f"{o.index},0,{int(o.violation_steps > 0)},{o.violation_steps},"
+                        [f"{k},1{blank}\n" if o.diverged else
+                         f"{k},0,{int(o.violation_steps > 0)},{o.violation_steps},"
                          + "".join(f"{_num(d)}," for d in o.max_depth)
                          + f"{_num(o.suboptimality)}\n"
-                         for o in stats.outcomes])
+                         for k, o in enumerate(stats.outcomes)])
 
 
 def write_regret_csv(rows: list[tuple], path) -> Path:

@@ -12,8 +12,12 @@ class ConfigurationError(BangrideError):
 class SimulationDiverged(BangrideError):
     """A state, input or output became non-finite or exceeded the guard magnitude.
 
-    Carries the step index at which the run was aborted.
+    Carries the step index at which the run was aborted. ``rows`` is the
+    ``plant.Trajectory`` of the steps before it, none of them NaN, when the
+    run's ``Trajectory.from_columns`` raised the error, else None.
     """
+
+    rows = None
 
     def __init__(self, step: int, message: str):
         self.step = step

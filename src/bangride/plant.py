@@ -244,36 +244,46 @@ class Trajectory:
     @classmethod
     @np.errstate(all="ignore")
     def from_columns(cls, model: PlantModel, spec: ConstraintSpec, u: np.ndarray,
-                     y: np.ndarray, i_star: np.ndarray, states: np.ndarray, *,
-                     steps: int | None = None, failure: Exception | None = None) -> Trajectory:
+                     y: np.ndarray, i_star: np.ndarray, states: np.ndarray,
+                     failure: Exception | None = None) -> Trajectory:
         """A run's trajectory from its stepped columns, deriving the active
         weighted errors (a step's operations, so its bits), J and the telemetry.
 
-        Checks rows 0..steps-1 (every row by default) in step order: a row's
-        weighted errors must be finite, and its active error must square by
-        Python's ``**``, which raises on overflow where numpy gives inf. The
+        Checks the rows of the run's completed steps, its ``len(u)`` inputs,
+        in step order (the other columns of a failed run hold more rows): a
+        row's weighted errors must be finite, and its active error must square
+        by Python's ``**``, which raises on overflow where numpy gives inf. The
         first row that fails raises ``SimulationDiverged`` at its step; then
         ``failure``, the run's own error, if one is given: a plant's
-        ``PotentialDomainError`` as ``SimulationDiverged`` at step ``steps``.
+        ``PotentialDomainError`` as ``SimulationDiverged`` at step ``len(u)``.
+        A ``SimulationDiverged`` raised here carries, as ``rows``, the
+        trajectory of the steps before its step, which passed every check.
         """
-        e = spec.y_bar - y[:steps]
+        n = len(u)
+        e = spec.y_bar - y[:n]
         e *= spec.gamma     # in place: no second (n, p) temporary
-        e_active = e[np.arange(len(e)), i_star[:len(e)] - 1]
+        e_active = e[np.arange(n), i_star[:n] - 1]
         active = e_active.tolist()
         try:
-            J = np.fromiter((v ** 2 for v in active), float, len(active))
+            J = np.fromiter((v ** 2 for v in active), float, n)
         except OverflowError:
             J = None
         if J is None or not math.isfinite(e.sum()):     # a row may fail: find the first
             for t, v in enumerate(active):
                 if not np.isfinite(e[t]).all():
-                    raise SimulationDiverged(t, "non-finite weighted errors") from None
+                    failure = SimulationDiverged(t, "non-finite weighted errors")
+                    break
                 try:
                     v ** 2
                 except OverflowError:   # |e_active| above about 1.3e154
-                    raise SimulationDiverged(t, "squared active error overflowed") from None
+                    failure = SimulationDiverged(t, "squared active error overflowed")
+                    break
         if isinstance(failure, PotentialDomainError):   # the plant left its domain
-            raise SimulationDiverged(steps, str(failure)) from failure
+            cause, failure = failure, SimulationDiverged(n, str(failure))
+            failure.__cause__ = cause
+        if isinstance(failure, SimulationDiverged):     # the checked rows before it
+            failure.rows = cls.from_columns(
+                model, spec, *[column[:failure.step] for column in (u, y, i_star, states)])
         if failure is not None:
             raise failure
         return cls(u=u, y=y, e_active=e_active, i_star=i_star, J=J, states=states,
@@ -309,16 +319,17 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
              observe: Callable[[int, Any], int]) -> Trajectory:
     """Step ``model`` from x0 for t = 0..t_f under a policy.
 
-    Per step: ``u = control(t, x)``, the outputs y and the next state from
-    one ``model.advance(x, u)``, and ``i_star = observe(t, y)``. The input,
-    the outputs and the next state must stay finite and within ``GUARD`` in
+    Per step: ``u = control(t, x)``, the outputs y and the next state from one
+    ``model.advance(x, u)``, and ``i_star = observe(t, y)``. The input, the
+    outputs and the next state must stay finite and within ``GUARD`` in
     magnitude, in that order, the weighted errors ``gamma * (y_bar - y)``
     finite, and squaring the active error must not overflow; the first that
     fails aborts the run with ``SimulationDiverged`` at that step. The loop
-    tests the first three, and ``Trajectory.from_columns`` the others after
-    it; when the loop raises at step t (a guard, the policy or the plant),
-    steps 0..t-1 are checked first, so the earliest failure is the one
-    reported, and ``observe`` may be given outputs whose errors are
+    tests the first three, and one ``Trajectory.from_columns`` call the others
+    after it, whether the loop completed or raised; when the loop raises at
+    step t (a guard, the policy or the plant), steps 0..t-1 are checked first,
+    so the earliest failure is the one reported, with the rows before it
+    (``rows``), and ``observe`` may be given outputs whose errors are
     non-finite. These tests report every non-finite value at its step, so
     floating-point warnings are off during the run. States must be numeric
     arrays of one shape; the state after the last step is tested, not kept.
@@ -375,6 +386,7 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
         y_col.flat[:len(ys)] = ys
         return np.array(us, dtype=float), y_col, np.array(i_stars, dtype=int), states
 
+    failure = None
     try:
         for t in range(n):
             keep_x(x)
@@ -389,9 +401,9 @@ def simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
             i_stars.append(observe(t, y))
             us.append(u)
             keep_y(y)
-    except Exception as failure:
-        Trajectory.from_columns(model, spec, *columns(), steps=t, failure=failure)
-    return Trajectory.from_columns(model, spec, *columns())
+    except Exception as error:
+        failure = error
+    return Trajectory.from_columns(model, spec, *columns(), failure)
 
 
 @np.errstate(all="ignore")

@@ -2,16 +2,16 @@
 
 Hand-built markup (no plotting dependency, no timestamps or generated ids),
 so identical inputs produce identical files. Renders the usual charging
-views: current, voltage, temperature and state of charge over time, with the
-model-free run solid, the oracle dashed, and perturbed ensembles in gray.
-A quantity other than the current is drawn from the telemetry channels that
-the caller names, as the plant states them (``PlantModel.plots``).
+views: current, voltage, temperature and state of charge over time. A chart
+takes ready ``Series``, each a line's style that ``quantity_series`` fills
+in from a trajectory: the current, or else the telemetry channels that the
+caller names, as the plant states them (``PlantModel.plots``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,34 +31,34 @@ TICKS = 5   # per axis, both ends included
 
 @dataclass
 class Series:
+    """A line's style, and its values once ``quantity_series`` fills in ``y``."""
+
     label: str
-    y: np.ndarray
     color: str = "#c22"
     width: float = 1.6
     dash: str = ""           # e.g. "6,4"
-    in_legend: bool = True
+    y: np.ndarray | None = None
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def quantity_series(traj: Trajectory, quantity: str, keys: tuple[str, ...], *,
-                    label: str, color: str = "#c22", width: float = 1.6,
-                    dash: str = "") -> list[Series]:
-    """A trajectory's series of a named quantity: the current, or else the
-    telemetry channels in ``keys``, one channel or a (max, min) pair."""
+def quantity_series(traj: Trajectory, quantity: str, keys: tuple[str, ...],
+                    style: Series) -> list[Series]:
+    """A trajectory's series of a named quantity in ``style``: the current, or
+    else the telemetry channels in ``keys``, one channel or a (max, min) pair."""
     if quantity not in QUANTITIES:
         raise ConfigurationError(
             f"unknown quantity {quantity!r}; valid: {', '.join(QUANTITIES)}")
     if quantity == "current":
-        return [Series(label, traj.u, color, width, dash)]
+        return [replace(style, y=traj.u)]
     tel = traj.telemetry
     if len(keys) == 1:
-        return [Series(label, tel[keys[0]], color, width, dash)]
+        return [replace(style, y=tel[keys[0]])]
     hi, lo = keys
-    return [Series(f"{label} (max)", tel[hi], color, width, dash),
-            Series(f"{label} (min)", tel[lo], color, width, "3,3" if not dash else dash)]
+    return [replace(style, label=f"{style.label} (max)", y=tel[hi]),
+            replace(style, label=f"{style.label} (min)", y=tel[lo], dash=style.dash or "3,3")]
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -128,38 +128,27 @@ def render_chart(series: list[Series], quantity: str) -> str:
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(f'<polyline fill="none" stroke="{s.color}" '
                      f'stroke-width="{s.width}"{dash} points="{pts}"/>')
-    # legend (upper right)
-    legend = [s for s in series if s.in_legend]
-    if legend:
-        lx, ly = MARGIN_L + PLOT_W - 170, MARGIN_T + 10
-        parts.append(f'<rect x="{lx-8}" y="{ly-12}" width="178" '
-                     f'height="{len(legend)*17 + 8}" fill="white" '
-                     f'stroke="#999" opacity="0.9"/>')
-        for k, s in enumerate(legend):
-            yk = ly + 17 * k
-            dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-            parts.append(f'<line x1="{lx}" y1="{yk}" x2="{lx+26}" y2="{yk}" '
-                         f'stroke="{s.color}" stroke-width="{s.width}"{dash}/>')
-            parts.append(f'<text x="{lx+32}" y="{yk+4}" font-family="sans-serif" '
-                         f'font-size="11">{s.label}</text>')
+    # legend (upper right): each label once, at its first series
+    legend: dict[str, Series] = {}
+    for s in series:
+        legend.setdefault(s.label, s)
+    lx, ly = MARGIN_L + PLOT_W - 170, MARGIN_T + 10
+    parts.append(f'<rect x="{lx-8}" y="{ly-12}" width="178" '
+                 f'height="{len(legend)*17 + 8}" fill="white" '
+                 f'stroke="#999" opacity="0.9"/>')
+    for k, s in enumerate(legend.values()):
+        yk = ly + 17 * k
+        dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
+        parts.append(f'<line x1="{lx}" y1="{yk}" x2="{lx+26}" y2="{yk}" '
+                     f'stroke="{s.color}" stroke-width="{s.width}"{dash}/>')
+        parts.append(f'<text x="{lx+32}" y="{yk+4}" font-family="sans-serif" '
+                     f'font-size="11">{s.label}</text>')
     parts.append("</svg>\n")
     return "\n".join(parts)
 
 
-def emit_svg(trajectories: list[tuple[Trajectory, dict]], quantity: str,
-             keys: tuple[str, ...], path, under=()) -> Path:
-    """Render one quantity for a set of trajectories, from the telemetry
-    channels ``keys`` (``quantity_series``).
-
-    Each entry pairs a trajectory with style hints: label, color, width,
-    dash. ``under`` holds ready ``Series`` drawn before the
-    trajectories, such as a perturbed ensemble in gray.
-    """
-    if not trajectories:
-        raise ConfigurationError("emit_svg needs at least one trajectory")
-    series: list[Series] = list(under)
-    for traj, style in trajectories:
-        series.extend(quantity_series(traj, quantity, keys, **style))
+def emit_svg(series: list[Series], quantity: str, path) -> Path:
+    """Render ``series`` of one quantity (``quantity_series``) to ``path``."""
     path = Path(path)
     path.write_text(render_chart(series, quantity), encoding="utf-8")
     return path

@@ -451,8 +451,7 @@ def reference_simulate(model: PlantModel, spec: ConstraintSpec, t_f: int, x0,
             u_col[t] = u
             y_col[t] = y
     except Exception as failure:
-        Trajectory.from_columns(model, spec, u_col, y_col, i_col, states,
-                                steps=t, failure=failure)
+        Trajectory.from_columns(model, spec, u_col[:t], y_col, i_col, states, failure)
     return Trajectory.from_columns(model, spec, u_col, y_col, i_col, states)
 
 

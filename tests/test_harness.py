@@ -25,7 +25,7 @@ from bangride.csvio import (trajectory_header, write_gap_csv, write_montecarlo_s
                             write_trajectory_csv)
 from bangride.errors import SimulationDiverged
 from bangride.plant import Trajectory
-from bangride.svg import emit_svg, quantity_series
+from bangride.svg import Series, emit_svg, quantity_series
 from references import plain_gap_csv, plain_trajectory_csv, plain_x_template
 
 
@@ -192,15 +192,15 @@ class TestTrajectoryCsv:
 
 class TestSvg:
     def test_deterministic_bytes(self, toy_traj, tmp_path):
-        style = {"label": "run", "color": "#c22"}
-        a = emit_svg([(toy_traj, style)], "current", (), tmp_path / "a.svg")
-        b = emit_svg([(toy_traj, style)], "current", (), tmp_path / "b.svg")
+        series = quantity_series(toy_traj, "current", (), Series("run", "#c22"))
+        a = emit_svg(series, "current", tmp_path / "a.svg")
+        b = emit_svg(series, "current", tmp_path / "b.svg")
         assert (hashlib.sha256(Path(a).read_bytes()).hexdigest()
                 == hashlib.sha256(Path(b).read_bytes()).hexdigest())
 
     def test_unknown_quantity_lists_valid_names(self, toy_traj, tmp_path):
         with pytest.raises(ConfigurationError, match="current, voltage"):
-            emit_svg([(toy_traj, {"label": "x"})], "entropy", (), tmp_path / "x.svg")
+            quantity_series(toy_traj, "entropy", (), Series("x"))
 
     def test_two_series_and_legend(self, tmp_path):
         built = build_scenario(load_scenario("ecm"))
@@ -208,10 +208,10 @@ class TestSvg:
                                40, built.x0)
         from bangride.oracle import oracle_trajectory
         oracle = oracle_trajectory(built.model, built.spec, 40, built.x0)
-        path = emit_svg([(free, {"label": "model-free"}),
-                         (oracle, {"label": "ideal", "dash": "6,4",
-                                   "color": "#111"})],
-                        "current", (), tmp_path / "c.svg")
+        path = emit_svg(quantity_series(free, "current", (), Series("model-free"))
+                        + quantity_series(oracle, "current", (),
+                                          Series("ideal", "#111", dash="6,4")),
+                        "current", tmp_path / "c.svg")
         text = Path(path).read_text()
         assert text.count("<polyline") == 2
         assert "model-free" in text and "ideal" in text
@@ -222,7 +222,7 @@ class TestSvg:
         traj = run_closed_loop(built.model, built.controller, built.spec,
                                25, built.x0)
         series = quantity_series(traj, "temperature", built.model.plots["temperature"],
-                                 label="pack")
+                                 Series("pack"))
         assert len(series) == 2
 
 
@@ -246,10 +246,9 @@ class TestPlantStatements:
         # one depth column per output name, and a diverged row as wide as
         # the header
         stats = ViolationStats(
-            outcomes=[ModelOutcome(index=0, max_depth=np.array([0.0, 0.25]),
+            outcomes=[ModelOutcome(max_depth=np.array([0.0, 0.25]),
                                    violation_steps=3, suboptimality=1.5),
-                      ModelOutcome(index=1, failure=SimulationDiverged(4, "guard"))],
-            runs_with_violation=1, diverged_runs=1)
+                      ModelOutcome(failure=SimulationDiverged(4, "guard"))])
         path = write_montecarlo_summary(stats, ("current", "voltage"), tmp_path / "s.csv")
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -298,8 +297,10 @@ class TestWritersMatchPlainReferences:
         charts = [[40], [25], [40, 25], [40]]
 
         def render() -> list[bytes]:
-            return [emit_svg([(runs[n], {"label": str(n)}) for n in chart], "voltage",
-                             built.model.plots["voltage"], tmp_path / "c.svg").read_bytes()
+            keys = built.model.plots["voltage"]
+            return [emit_svg([s for n in chart for s in
+                              quantity_series(runs[n], "voltage", keys, Series(str(n)))],
+                             "voltage", tmp_path / "c.svg").read_bytes()
                     for chart in charts]
 
         svg._x_template.cache_clear()
@@ -385,6 +386,29 @@ class TestCli:
         digest = hashlib.sha256(params_path(load_scenario("ecm"), "params_ecm.cfg")
                                 .read_bytes()).hexdigest()[:16]
         assert (out / "manifest.txt").read_text().endswith(f"\nparams_hash = {digest}\n")
+
+    def test_run_directory_reruns_from_anywhere(self, tmp_path, monkeypatch):
+        # a scenario beside its own parameter file, run from its directory;
+        # its run directory's config.cfg, re-run from another directory after
+        # the parameter file changed, reads the run's copy of it
+        cfg = load_scenario("toy")
+        text = params_path(cfg, "params_toy.cfg").read_text()
+        (tmp_path / "sc").mkdir()
+        (tmp_path / "sc" / "p.cfg").write_text(text.replace("\nd = 1.0\n", "\nd = 2.0\n"))
+        cfg.params_file, cfg.t_f = "p.cfg", 40
+        save_scenario(cfg, tmp_path / "sc" / "s.cfg")
+        monkeypatch.chdir(tmp_path / "sc")
+        assert main(["simulate", "--config", "s.cfg", "--out", "run"]) == 0
+        first = tmp_path / "sc" / "run"
+        assert (first / "params.cfg").read_bytes() == (tmp_path / "sc" / "p.cfg").read_bytes()
+        assert "\nparams = params.cfg\n" in (first / "config.cfg").read_text()
+        (tmp_path / "sc" / "p.cfg").write_text(text)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["simulate", "--config", str(first / "config.cfg"), "--out", "again"]) == 0
+        again = tmp_path / "elsewhere" / "again"
+        for name in ("trajectory.csv", "manifest.txt", "params.cfg"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
     def test_montecarlo_summary_deterministic(self, tmp_path):
         args = ["montecarlo", "--config", "ecm", "--steps", "250",
@@ -804,6 +828,55 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: simulation diverged at step 6: delta_phi_e: "
             "non-positive electrolyte concentration")
+
+    @pytest.mark.parametrize("argv, step, message", [
+        (["--steps", "50", "--gamma", "1e155,1e155"], 0, "squared active error overflowed"),
+        (["--steps", "3000", "--mu1", "0.05", "--gamma", "1e5,1e5"], 3,
+         "|input current| exceeded guard magnitude 1e+09")])
+    def test_diverged_run_leaves_its_rows(self, argv, step, message, toy_traj, tmp_path,
+                                          capsys):
+        # the rows before the failing step, as the run that ends just before
+        # it writes them but for J_star, which a failed run has not, and the
+        # failure at the end of the manifest
+        failed, short = tmp_path / "failed", tmp_path / "short"
+        assert main(["simulate", "--config", "toy", *argv, "--out", str(failed)]) == 2
+        error = f"simulation diverged at step {step}: {message}"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (failed / "manifest.txt").read_text().splitlines()[4:] == [f"failure = {error}"]
+        header, *rows = [line.split(",") for line in
+                         (failed / "trajectory.csv").read_text().splitlines()]
+        assert header == trajectory_header(toy_traj, {}) and len(rows) == step
+        if step:
+            assert main(["simulate", "--config", "toy", *argv, "--steps", str(step - 1),
+                         "--out", str(short)]) == 0
+            complete = [line.split(",") for line in
+                        (short / "trajectory.csv").read_text().splitlines()[1:]]
+            assert [row[:-1] for row in rows] == [row[:-1] for row in complete]
+            assert {row[-1] for row in rows} == {""}
+            assert "" not in {row[-1] for row in complete}
+
+    def test_compare_whose_oracle_diverges_leaves_both_runs(self, tmp_path, capsys):
+        # on an unstable toy (a = 1.5) the learner holds the state over 60
+        # steps, while the oracle, whose current never goes below 0, lets it
+        # pass the guard at step 48
+        cfg = load_scenario("toy")
+        text = params_path(cfg, "params_toy.cfg").read_text()
+        (tmp_path / "p.cfg").write_text(text.replace("\na = 1.0\n", "\na = 1.5\n"))
+        cfg.params_file, cfg.t_f = "p.cfg", 60
+        save_scenario(cfg, tmp_path / "s.cfg")
+        run = ["--config", str(tmp_path / "s.cfg")]
+        assert main(["compare", *run, "--out", str(tmp_path / "both")]) == 2
+        error = "simulation diverged at step 48: |state| exceeded guard magnitude 1e+09"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert main(["simulate", *run, "--out", str(tmp_path / "free")]) == 0
+        assert main(["oracle", *run, "--steps", "47", "--out", str(tmp_path / "ideal")]) == 0
+        both = tmp_path / "both"
+        assert ((both / "trajectory.csv").read_bytes()
+                == (tmp_path / "free" / "trajectory.csv").read_bytes())
+        assert ((both / "oracle.csv").read_bytes()
+                == (tmp_path / "ideal" / "oracle.csv").read_bytes())
+        assert (both / "manifest.txt").read_text().endswith(f"\nfailure = {error}\n")
+        assert not (both / "gap.csv").exists()
 
     def test_gamma_override_changes_run(self, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"
