@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,12 @@ def _load(args) -> BuiltScenario:
         cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
-def _prepare_run_dir(built: BuiltScenario, command: str) -> Path:
+@contextmanager
+def _run_dir(built: BuiltScenario, command: str):
     """The run directory with the scenario and its parameter file, which
-    ``config.cfg`` names as ``params.cfg``, and the manifest."""
+    ``config.cfg`` names as ``params.cfg``, and the manifest. A run in the
+    block that diverges adds a ``failure`` line at the end of the manifest,
+    and its error raises on."""
     out = Path(built.cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = built.params_path.read_bytes()
@@ -102,19 +106,22 @@ def _prepare_run_dir(built: BuiltScenario, command: str) -> Path:
         f"command = {command}\n"
         f"params_hash = {hashlib.sha256(params).hexdigest()[:16]}\n",
         encoding="utf-8")
-    return out
+    try:
+        yield out
+    except SimulationDiverged as error:
+        with (out / "manifest.txt").open("a", encoding="utf-8") as fh:
+            fh.write(f"failure = {error}\n")
+        raise
 
 
 def _written(out: Path, name: str, built: BuiltScenario, run) -> Trajectory:
     """``run()``'s trajectory, written to ``out / name``. A run that diverges
     leaves there the rows before its failing step (``SimulationDiverged.rows``)
-    and a ``failure`` line at the end of the manifest, and raises on."""
+    and raises on."""
     try:
         traj = run()
     except SimulationDiverged as error:
         write_trajectory_csv(error.rows, built.model.csv_block, out / name)
-        with (out / "manifest.txt").open("a", encoding="utf-8") as fh:
-            fh.write(f"failure = {error}\n")
         raise
     write_trajectory_csv(traj, built.model.csv_block, out / name)
     return traj
@@ -158,8 +165,8 @@ def _emit_plots(out: Path, runs, plots) -> None:
 
 def cmd_simulate(args) -> int:
     built = _load(args)
-    out = _prepare_run_dir(built, "simulate")
-    traj = _free_run(built, out)
+    with _run_dir(built, "simulate") as out:
+        traj = _free_run(built, out)
     if built.cfg.ct_diagnostics:
         ct = ct_series(traj, built.model, built.spec)
         print(f"c_t diagnostics: min={ct.min():.6g} "
@@ -172,8 +179,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     built = _load(args)
-    out = _prepare_run_dir(built, "oracle")
-    traj = _ideal_run(built, out)
+    with _run_dir(built, "oracle") as out:
+        traj = _ideal_run(built, out)
     if args.svg:
         _emit_plots(out, [(traj, ORACLE_STYLE)], built.model.plots)
     print(f"oracle: {len(traj)} steps -> {out / 'oracle.csv'}")
@@ -182,9 +189,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_compare(args) -> int:
     built = _load(args)
-    out = _prepare_run_dir(built, "compare")
-    free = _free_run(built, out)
-    oracle = _ideal_run(built, out)
+    with _run_dir(built, "compare") as out:
+        free = _free_run(built, out)
+        oracle = _ideal_run(built, out)
     write_gap_csv(free, oracle, out / "gap.csv")
     w = slice(len(free) // 10, len(free))
     denom = float(np.linalg.norm(oracle.u[w]))
@@ -202,14 +209,14 @@ def cmd_montecarlo(args) -> int:
     # model k from the stream keyed (seed, k); a plant without a family raises
     models = [built.model.perturbed(args.fraction, (built.cfg.seed, k))
               for k in range(args.models)]
-    out = _prepare_run_dir(built, "montecarlo")
-    result = robustness_study(built.model, models, built.x0, built.spec,
-                              built.cfg.t_f, keep_series=args.svg)
-    write_montecarlo_summary(result.stats, built.model.output_names, out / "summary.csv")
-    if args.svg:
-        free = run_closed_loop(built.model, built.controller, built.spec,
-                               built.cfg.t_f, built.x0)
-        _emit_ensemble_plots(out, result, free, built.model.plots)
+    with _run_dir(built, "montecarlo") as out:
+        result = robustness_study(built.model, models, built.x0, built.spec,
+                                  built.cfg.t_f, keep_series=args.svg)
+        write_montecarlo_summary(result.stats, built.model.output_names, out / "summary.csv")
+        if args.svg:
+            free = run_closed_loop(built.model, built.controller, built.spec,
+                                   built.cfg.t_f, built.x0)
+            _emit_ensemble_plots(out, result, free, built.model.plots)
     st = result.stats
     print(f"montecarlo: {args.models} models, fraction={args.fraction}, "
           f"violations={st.runs_with_violation}, diverged={st.diverged_runs} "
@@ -231,23 +238,23 @@ def _emit_ensemble_plots(out: Path, result, free, plots) -> None:
 
 def cmd_regret(args) -> int:
     built = _load(args)
-    out = _prepare_run_dir(built, "regret")
     mu1_list = [args.mu1] if args.mu1 is not None else [0.3, 0.5, 0.7]
     rows = []
-    for mu1 in mu1_list:
-        controller = dataclasses.replace(built.controller, mu1=mu1)
-        traj = run_closed_loop(built.model, controller, built.spec,
-                               built.cfg.t_f, built.x0)
-        traj = attach_per_step_optima(traj, built.model, built.spec,
-                                      controller.theta_lo, controller.theta_hi)
-        report = regret(traj, mu1)
-        ct = ct_series(traj, built.model, built.spec)
-        rows.append((mu1, report, ct_ratio_sign_changes(ct, traj.alpha)))
-        slope = ("converged" if report.converged else "none" if report.tail_slope is None
-                 else f"{report.tail_slope:.3f}")
-        print(f"mu1={mu1:.2f}: R={report.total:.6g} tail_slope={slope} "
-              f"gap_tail_mean={report.gap_tail_mean():.3g} "
-              f"mu*_ref={report.mu_star_ref:.3f}")
+    with _run_dir(built, "regret") as out:
+        for mu1 in mu1_list:
+            controller = dataclasses.replace(built.controller, mu1=mu1)
+            traj = run_closed_loop(built.model, controller, built.spec,
+                                   built.cfg.t_f, built.x0)
+            traj = attach_per_step_optima(traj, built.model, built.spec,
+                                          controller.theta_lo, controller.theta_hi)
+            report = regret(traj, mu1)
+            ct = ct_series(traj, built.model, built.spec)
+            rows.append((mu1, report, ct_ratio_sign_changes(ct, traj.alpha)))
+            slope = ("converged" if report.converged else "none" if report.tail_slope is None
+                     else f"{report.tail_slope:.3f}")
+            print(f"mu1={mu1:.2f}: R={report.total:.6g} tail_slope={slope} "
+                  f"gap_tail_mean={report.gap_tail_mean():.3g} "
+                  f"mu*_ref={report.mu_star_ref:.3f}")
     write_regret_csv(rows, out / "regret.csv")
     return EXIT_OK
 

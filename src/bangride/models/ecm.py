@@ -21,6 +21,7 @@ the bound), C = [1, 1, 0, 0] extracts the dynamic-voltage part that heats.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -248,7 +249,7 @@ def rising_roots(a: float | np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
 
 def perturb_params(base: EcmParams, fraction: float, seed) -> EcmParams:
     """Multiply each physical parameter by an independent uniform factor in
-    [1 - fraction, 1 + fraction].
+    [1 - fraction, 1 + fraction], drawn by ``uniform_factors``.
 
     Deterministic for a fixed seed; a (master_seed, draw_index) tuple keys an
     independent counter-based stream per draw, so ensembles are reproducible
@@ -256,8 +257,79 @@ def perturb_params(base: EcmParams, fraction: float, seed) -> EcmParams:
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigurationError(f"fraction must lie in [0, 1), got {fraction}")
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
-    factors = rng.uniform(1.0 - fraction, 1.0 + fraction, size=len(PHYSICAL_FIELDS))
-    updates = {name: getattr(base, name) * float(f)
-               for name, f in zip(PHYSICAL_FIELDS, factors)}
-    return replace(base, **updates)
+    factors = uniform_factors(seed, fraction, len(PHYSICAL_FIELDS))
+    return replace(base, **{name: getattr(base, name) * f
+                            for name, f in zip(PHYSICAL_FIELDS, factors)})
+
+
+_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
+
+
+def _seed_words(seed) -> list[int]:
+    """The 32-bit words of a seed as numpy's ``SeedSequence`` reads its
+    entropy: an int little-endian (0 as one zero word), a tuple word by word."""
+    if isinstance(seed, tuple):
+        return [word for part in seed for word in _seed_words(part)]
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigurationError(f"seed words must be >= 0, got {seed}")
+    return [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, whose constant steps by ``mult`` at each call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _philox_key(words: list[int]) -> tuple[int, int]:
+    """The 128-bit key of ``SeedSequence(words).generate_state(2, uint64)``:
+    the words mixed into a pool of four by SeedSequence's hash, then hashed
+    out as four 32-bit words, little-endian in pairs."""
+    hashmix = _hasher(0x43b0d7e5, 0x931e8875)
+
+    def mix(x: int, y: int) -> int:
+        x = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    a, b, c, d = map(_hasher(0x8b51f9dd, 0x58f38ded), pool)
+    return a | b << 32, c | d << 32
+
+
+def uniform_factors(seed, fraction: float, count: int) -> list[float]:
+    """``count`` uniform draws in [1 - fraction, 1 + fraction], the floats of
+    ``np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+    .uniform(1 - fraction, 1 + fraction, count)`` bit for bit, in Python ints.
+
+    ``seed`` is a non-negative int or a tuple of them. Its words key
+    Philox4x64-10 (Salmon et al., SC'11) through SeedSequence's hash; the
+    blocks run from counter 1, and each 64-bit word w becomes
+    low + (high - low) * (w >> 11) * 2**-53, as numpy's ``uniform`` does.
+    The ten round keys are bumped once per seed, not once per block.
+    """
+    k0, k1 = _philox_key(_seed_words(seed))
+    keys = [((k0 + r * 0x9E3779B97F4A7C15) & _MASK64, (k1 + r * 0xBB67AE8584CAA73B) & _MASK64)
+            for r in range(10)]
+    low = 1.0 - fraction
+    span = (1.0 + fraction) - low
+    out = []
+    for counter in range(1, (count + 3) // 4 + 1):
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        for key0, key1 in keys:
+            p, q = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (q >> 64) ^ c1 ^ key0, q & _MASK64, (p >> 64) ^ c3 ^ key1, p & _MASK64
+        out += [low + span * ((w >> 11) * 2.0 ** -53) for w in (c0, c1, c2, c3)]
+    return out[:count]

@@ -8,7 +8,9 @@ additionally gains
 
 with ring indexing (cell 0 wraps to cell N, cell N+1 to cell 1), added to
 the cells' next states and temperature outputs. RC-link parameters (R1, C1,
-R2, C2) vary between cells by seeded uniform factors; Ro, Q, a, b are shared.
+R2, C2) vary between cells by uniform factors in [1 - cell_variation,
+1 + cell_variation], the 4N draws of ``ecm.uniform_factors`` keyed by
+``variation_seed``, cell k's in draws 4k..4k+3; Ro, Q, a, b are shared.
 
 ``advance`` is one pass: the ensemble's kernel writes the cells' voltages and
 temperatures into the pack's one output vector, and the coupling is added
@@ -40,7 +42,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..plant import ConstraintSpec, PlantModel, _extreme
-from .ecm import EcmEnsemble, EcmParams, rising_roots
+from .ecm import EcmEnsemble, EcmParams, rising_roots, uniform_factors
 
 VARIED_FIELDS = ("r_1", "c_1", "r_2", "c_2")
 
@@ -62,9 +64,14 @@ class PackParams:
             raise ConfigurationError("coupling coefficients must be >= 0")
         if not 0.0 <= self.cell_variation < 1.0:
             raise ConfigurationError("cell_variation must lie in [0, 1)")
+        if self.variation_seed < 0:
+            raise ConfigurationError(f"variation_seed must be >= 0, got {self.variation_seed}")
 
 
 class PackPlant(PlantModel):
+    """The pack of ``PackParams``: its varied cells (see the module
+    docstring) as one ``EcmEnsemble``, plus the ring coupling."""
+
     plots = {"voltage": ("v_pack",), "temperature": ("t_max", "t_min"), "soc": ("soc",)}
     csv_block = {"V_pack": "v_pack", "T_max": "t_max", "T_min": "t_min", "dT_max": "dt_max"}
 
@@ -72,14 +79,13 @@ class PackPlant(PlantModel):
         self.params = params
         base = params.base
         n = params.n_cells
-        rng = np.random.Generator(np.random.Philox(
-            seed=np.random.SeedSequence(params.variation_seed)))
-        factors = rng.uniform(1.0 - params.cell_variation,
-                              1.0 + params.cell_variation,
-                              size=(n, len(VARIED_FIELDS)))
-        # the cells without coupling; EcmParams validates each one
+        width = len(VARIED_FIELDS)
+        factors = uniform_factors(params.variation_seed, params.cell_variation, n * width)
+        # the cells without coupling, cell k scaled by draws 4k..4k+3; EcmParams
+        # validates each one
         cells = []
-        for k, row in enumerate(factors.tolist()):
+        for k in range(n):
+            row = factors[k * width:(k + 1) * width]
             try:
                 cells.append(replace(base, **{name: getattr(base, name) * f
                                               for name, f in zip(VARIED_FIELDS, row)}))

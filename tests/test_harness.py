@@ -670,6 +670,8 @@ class TestCli:
          "unknown key 'pairwise_mode'"),
         # the base cell passes, but varied cell 5 is unstable at this dt
         ("pack", "p.cfg", "dt = 1.0 ", "dt = 100.0 ", "[pack] cell 5: unstable"),
+        ("pack", "p.cfg", "variation_seed = 11", "variation_seed = -3",
+         "[pack] variation_seed must be >= 0, got -3"),
         # the overpotential divides by it: rejected before any voltage is computed
         ("spmet", "p.cfg", "bv_scale = 15.0", "bv_scale = 0.0", "bv_scale"),
         ("ecm", "s.cfg", "[constraints]\ny_bar = 10.0, 12.0, 8.0\n"
@@ -678,6 +680,7 @@ class TestCli:
         ids=["scenario-number", "scenario-key", "scenario-bool", "params-key",
              "params-number", "params-nan", "params-inf", "params-rejected",
              "pack-key", "pack-missing-key", "pack-nan", "pack-old-key", "pack-cell",
+             "pack-negative-seed",
              "spmet-zero-scale", "scenario-missing-section", "scenario-no-header"])
     def test_malformed_file_names_its_key(self, config, file, old, new, named,
                                           tmp_path, capsys):
@@ -692,6 +695,7 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "s.cfg"),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error: ") == 1
         assert str(path) in err and named in err
         assert not (tmp_path / "out").exists()
 
@@ -877,6 +881,24 @@ class TestCli:
                 == (tmp_path / "ideal" / "oracle.csv").read_bytes())
         assert (both / "manifest.txt").read_text().endswith(f"\nfailure = {error}\n")
         assert not (both / "gap.csv").exists()
+
+    @pytest.mark.parametrize("argv, step, written", [
+        (["regret", "--config", "toy", "--steps", "3000", "--mu1", "0.05",
+          "--gamma", "1e5,1e5"], 3, []),
+        # the ensemble's runs pass; the model-free run for the plots diverges
+        (["montecarlo", "--config", "ecm", "--models", "2", "--steps", "200",
+          "--gamma", "1e5,1e5,1e5", "--svg"], 2, ["summary.csv"])],
+        ids=["regret", "montecarlo-svg"])
+    def test_diverged_sweep_ends_its_manifest_with_the_failure(self, argv, step, written,
+                                                               tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 2
+        error = (f"simulation diverged at step {step}: "
+                 "|input current| exceeded guard magnitude 1e+09")
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert (out / "manifest.txt").read_text().splitlines()[4:] == [f"failure = {error}"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["config.cfg", "manifest.txt", "params.cfg", *written])
 
     def test_gamma_override_changes_run(self, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bangride import ConfigurationError, EcmParams, EcmPlant, perturb_params
-from bangride.models.ecm import PHYSICAL_FIELDS
+from bangride.models.ecm import PHYSICAL_FIELDS, uniform_factors
 from references import output
 
 KW = dict(r_o=0.05, r_1=0.15, r_2=0.35, c_1=1000.0, c_2=1700.0,
@@ -161,3 +161,25 @@ class TestPerturbParams:
         assert p.ocv_slope == base.ocv_slope
         assert p.t_ambient == base.t_ambient
         assert p.dt == base.dt
+
+
+# seed words at and across the 32- and 64-bit boundaries, and up to five words
+seed_ints = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64]),
+                      st.integers(0, 2 ** 130))
+
+
+class TestUniformFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.one_of(seed_ints, st.lists(seed_ints, min_size=1, max_size=6).map(tuple)),
+           fraction=st.floats(0.0, 1.0, exclude_max=True),
+           count=st.one_of(st.integers(0, 9), st.integers(0, 500)))
+    def test_equals_numpys_philox_draws_bit_for_bit(self, seed, fraction, count):
+        rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+        ours = np.array(uniform_factors(seed, fraction, count), dtype=float)
+        assert ours.view(np.uint64).tolist() == (
+            rng.uniform(1.0 - fraction, 1.0 + fraction, count).view(np.uint64).tolist())
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1), (-2 ** 40,)])
+    def test_negative_seed_word_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed words must be >= 0"):
+            uniform_factors(seed, 0.1, 4)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bangride import (ConfigurationError, EcmParams, EcmPlant, PackParams,
                       PackPlant, oracle_trajectory)
+from bangride.models.pack import VARIED_FIELDS
 from pack_labels import constraint_label
 from references import AllPairsPack
 
@@ -202,6 +203,16 @@ class TestPairwiseModes:
 
 
 class TestCellVariation:
+    def test_cell_factors_are_numpys_draws_row_by_row(self):
+        # cell k is scaled by row k of numpy's (n, 4) draw, in VARIED_FIELDS order
+        pack = make_pack(n=7, var=0.3, seed=2 ** 40 + 5)
+        rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(2 ** 40 + 5)))
+        base = pack.params.base
+        for cell, row in zip(pack.cells.params,
+                             rng.uniform(1.0 - 0.3, 1.0 + 0.3, size=(7, 4)).tolist()):
+            assert [getattr(cell, name) for name in VARIED_FIELDS] == [
+                getattr(base, name) * f for name, f in zip(VARIED_FIELDS, row)]
+
     def test_variation_deterministic_and_bounded(self):
         a = make_pack(n=8, var=0.3, seed=21)
         b = make_pack(n=8, var=0.3, seed=21)

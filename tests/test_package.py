@@ -33,17 +33,45 @@ print(" ".join(sorted(name.rpartition(".")[2] for name in sys.modules
 """
 
 
+# a command's set-up, then the command itself, and whether either loaded
+# numpy.random
+RUN = """
+import sys
+import bangride.cli
+from bangride.config import build_scenario, load_scenario
+argv = sys.argv[1:]
+build_scenario(load_scenario(argv[argv.index("--config") + 1]))
+code = bangride.cli.main(argv)
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run with ``args`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("scenario, loaded", [
     ("toy", "toy"), ("spmet", "spmet"), ("ecm", "ecm"),
     ("pack", "ecm pack"),      # the pack stacks ECM cells
 ])
 def test_a_scenario_loads_only_its_plant_module(scenario, loaded):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SETUP, scenario],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = python(SETUP, scenario)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == loaded.split()
+
+
+@pytest.mark.parametrize("argv", [
+    "montecarlo --config ecm --models 2 --steps 20",   # the perturbed models' draws
+    "compare --config pack --steps 20",                # the pack's cell factors
+])
+def test_perturbed_models_and_packs_do_not_import_numpy_random(argv, tmp_path):
+    done = python(RUN, *argv.split(), "--out", str(tmp_path / "run"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_plant_names_are_their_defining_modules_objects():
